@@ -1,5 +1,8 @@
 """Ablation A1/A2 (§8 optimisations): WITH inlining and key-based row
-numbering, on the nested queries where they matter most."""
+numbering, on the nested queries where they matter most.  These knobs
+shape the let-inserted ``ROW_NUMBER`` form, so every variant forces
+``scheme="flat"`` (the bench schema declares keys, which would otherwise
+resolve to key-indexed plans the knobs do not touch)."""
 
 from __future__ import annotations
 
@@ -10,11 +13,11 @@ from repro.pipeline.shredder import ShreddingPipeline
 from repro.sql.codegen import SqlOptions
 
 VARIANTS = {
-    "baseline": SqlOptions(),
-    "inline-with": SqlOptions(inline_with=True),
-    "key-rownum": SqlOptions(order_by_keys=True),
-    "both": SqlOptions(inline_with=True, order_by_keys=True),
-    "dedup-cte": SqlOptions(dedup_cte=True),
+    "baseline": SqlOptions(scheme="flat"),
+    "inline-with": SqlOptions(scheme="flat", inline_with=True),
+    "key-rownum": SqlOptions(scheme="flat", order_by_keys=True),
+    "both": SqlOptions(scheme="flat", inline_with=True, order_by_keys=True),
+    "dedup-cte": SqlOptions(scheme="flat", dedup_cte=True),
     "ordered-list": SqlOptions(ordered=True),
 }
 

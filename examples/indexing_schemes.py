@@ -45,12 +45,14 @@ def main() -> None:
         print()
 
     session = connect(db)
-    print("SQL under the flat scheme (ROW_NUMBER surrogates, §6.2):")
-    flat_prepared = session.query(Q6)
+    print("SQL under the flat scheme (ROW_NUMBER surrogates, §6.2) — forced;")
+    print("it is what a schema with a keyless table would get:")
+    flat_prepared = session.with_options(scheme="flat").query(Q6)
     print(dict(flat_prepared.sql_by_path)[str(people_path)])
 
-    print("\nSQL under the natural scheme (key columns, no OLAP, §6.1):")
-    natural_prepared = session.with_options(scheme="natural").query(Q6)
+    print("\nSQL under the natural scheme (key columns, no OLAP, §6.1) — the")
+    print("default here, because every table declares a key:")
+    natural_prepared = session.query(Q6)
     print(dict(natural_prepared.sql_by_path)[str(people_path)])
 
     flat_out = flat_prepared.run().value

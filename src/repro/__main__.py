@@ -422,7 +422,12 @@ def main(argv: list[str] | None = None) -> int:
 
     sql = sub.add_parser("sql", help="show the shredded SQL of a paper query")
     sql.add_argument("query")
-    sql.add_argument("--scheme", choices=["flat", "natural"], default="flat")
+    sql.add_argument(
+        "--scheme",
+        choices=["flat", "natural"],
+        help="force an index scheme (default: natural when every table "
+        "declares a key, else flat)",
+    )
     sql.add_argument("--inline-with", action="store_true")
     sql.add_argument("--order-by-keys", action="store_true")
     sql.add_argument("--dedup-cte", action="store_true")

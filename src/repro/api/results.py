@@ -241,7 +241,7 @@ class Prepared(Runnable):
             },
             "plan_cache": self._session.pipeline.cache is not None,
             "result_type": str(compiled.result_type),
-            "index_scheme": compiled.options.scheme,
+            "index_scheme": compiled.index_scheme,
             "statement_count": compiled.query_count,
             "params": [
                 {"name": name, "type": str(ptype)}

@@ -12,8 +12,8 @@ Three execution engines serve a compiled shredded package:
   precompiled tuple-level decoders (no per-row column dict), and results
   come back *pre-grouped by outer index* so one-pass stitching consumes
   them directly.  Before executing it creates (and reuses across runs)
-  SQLite indexes on the base-table columns the generated SQL sorts and
-  joins on.
+  SQLite indexes on the base-table columns the generated SQL joins (and,
+  in the flat form, sorts) on.
 * the **parallel** engine (``execute_package_batched(parallel=True)``) —
   the batched engine fanned across a pool of read-only connections
   (:meth:`Database.read_connections`), one worker thread per package
@@ -304,7 +304,7 @@ def _run_one_grouped(
     ``millis`` spent in Python-side row decoding.
     """
     started = time.perf_counter()
-    decode_outer, decode_item = compiled.key_decoders()
+    group = compiled.grouper()
     grouped: dict = {}
     rows = 0
     decode_seconds = 0.0
@@ -316,13 +316,7 @@ def _run_one_grouped(
     ):
         rows += len(chunk)
         decode_started = time.perf_counter()
-        for raw in chunk:
-            outer = decode_outer(raw)
-            bucket = grouped.get(outer)
-            if bucket is None:
-                grouped[outer] = [decode_item(raw)]
-            else:
-                bucket.append(decode_item(raw))
+        group(chunk, grouped)
         decode_seconds += time.perf_counter() - decode_started
     millis = (time.perf_counter() - started) * 1000.0
     return grouped, rows, millis, decode_seconds * 1000.0
@@ -348,8 +342,8 @@ def execute_package_batched(
     encounter order preserved — exactly the shape compiled one-pass
     stitching (:func:`repro.shred.stitch.stitch_grouped`) consumes, so no
     intermediate pair list or regrouping dict is ever materialised.  Index
-    keys are the bare ``(tag, dyn)`` tuples of
-    :meth:`~repro.sql.codegen.CompiledSql.key_decoders`.
+    keys are the flat ``(tag, key…)`` tuples of
+    :meth:`~repro.sql.codegen.CompiledSql.grouper`.
 
     ``parallel`` fans the package's statements across pooled read-only
     connections (one worker thread per member, capped by ``max_workers`` /
@@ -461,10 +455,12 @@ def ensure_compiled_indexes(db: Database, compiled: CompiledSql) -> int:
 
     Two families of hints are mined from the SQL AST:
 
-    * the ``ROW_NUMBER() OVER (ORDER BY …)`` column lists, per base table —
-      the sort that realises ``index`` (§7) and dominates flat-scheme cost;
     * columns compared by ``=`` in WHERE clauses — the join columns of the
-      amalgamated comprehensions.
+      amalgamated comprehensions;
+    * in the flat form only, the ``ROW_NUMBER() OVER (ORDER BY …)`` column
+      lists, per base table — the sort that realises ``index`` (§7).
+      Key-indexed plans sort nothing, so they get no sort indexes (their
+      key columns already carry the table's unique key index).
 
     The hint set is memoised on the compiled statement and the indexes are
     ``CREATE INDEX IF NOT EXISTS`` remembered by the :class:`Database`, so

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backend.database import Database
+from repro.backend.database import Database, quote_identifier
 from repro.backend.executor import ExecutionStats
 from repro.errors import ShreddingError
 from repro.normalise import normalise
@@ -28,7 +28,9 @@ from repro.shred.indexes import NaturalIndex
 from repro.shred.packages import annotation_at, shred_query_package
 from repro.shred.paths import Path, paths, type_at
 from repro.shred.shredded_ast import TOP_TAG
+from repro.sql.ast import Lit
 from repro.sql.codegen import CompiledSql, SqlOptions, compile_shredded
+from repro.sql.render import render_expr
 from repro.values import NestedValue
 
 __all__ = ["AvalanchePipeline", "CompiledAvalanche", "avalanche_run"]
@@ -147,10 +149,19 @@ def _outer_width(compiled: CompiledSql) -> int:
 def _with_parent_filter(compiled: CompiledSql) -> str:
     """Wrap the level query with a filter binding one parent index.
 
-    ``IS ?`` (not ``=``) so NULL padding columns compare correctly."""
+    ``IS ?`` (not ``=``) so NULL padding columns compare correctly.  An
+    outer column the statement does not project (the same literal in every
+    branch, see ``CompiledSql.constants``) is compared as that literal."""
+    constants = dict(compiled.constants)
+
+    def column(name: str) -> str:
+        if name in constants:
+            return render_expr(Lit(constants[name]))
+        return quote_identifier(name)
+
     width = _outer_width(compiled)
-    conditions = ['"outer_tag" = ?'] + [
-        f'"outer_dyn{i}" IS ?' for i in range(1, width + 1)
+    conditions = [f"{column('outer_tag')} = ?"] + [
+        f"{column(f'outer_dyn{i}')} IS ?" for i in range(1, width + 1)
     ]
     return (
         f"SELECT * FROM ({compiled.sql}) WHERE " + " AND ".join(conditions)

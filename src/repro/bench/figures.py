@@ -146,9 +146,9 @@ def figure_ablations(config: BenchConfig | None = None) -> str:
     """§8 optimisations + §6 indexing schemes, on the nested queries."""
     systems = [
         "shredding",
+        "shredding-flat",
         "shredding-inline-with",
         "shredding-key-rownum",
-        "shredding-natural",
     ]
     results = sweep(["Q1", "Q3", "Q6"], systems, config)
     return format_tables(results, "Ablations — §8 optimisations / §6 schemes")

@@ -118,23 +118,27 @@ _run_shredding_opt = _CachedShreddingRunner(
 )
 
 
-def _run_shredding_natural(query: Term, db: Database) -> object:
-    options = SqlOptions(scheme="natural")
+# The §6.2/§7 let-inserted ROW_NUMBER form and its §8 knobs: forced, since
+# a schema with keys on every table otherwise resolves to key indexes.
+
+
+def _run_shredding_flat(query: Term, db: Database) -> object:
+    options = SqlOptions(scheme="flat")
     return ShreddingPipeline(db.schema, options).run(query, db)
 
 
 def _run_shredding_inline(query: Term, db: Database) -> object:
-    options = SqlOptions(inline_with=True)
+    options = SqlOptions(scheme="flat", inline_with=True)
     return ShreddingPipeline(db.schema, options).run(query, db)
 
 
 def _run_shredding_keys(query: Term, db: Database) -> object:
-    options = SqlOptions(order_by_keys=True)
+    options = SqlOptions(scheme="flat", order_by_keys=True)
     return ShreddingPipeline(db.schema, options).run(query, db)
 
 
 def _run_shredding_dedup_cte(query: Term, db: Database) -> object:
-    options = SqlOptions(dedup_cte=True)
+    options = SqlOptions(scheme="flat", dedup_cte=True)
     return ShreddingPipeline(db.schema, options).run(query, db)
 
 
@@ -171,7 +175,7 @@ SYSTEMS: dict[str, Runner] = {
     "loop-lifting-batched": _run_looplifting_batched,
     "default": _run_default_flat,
     "avalanche": _run_avalanche,
-    "shredding-natural": _run_shredding_natural,
+    "shredding-flat": _run_shredding_flat,
     "shredding-inline-with": _run_shredding_inline,
     "shredding-key-rownum": _run_shredding_keys,
     "shredding-dedup-cte": _run_shredding_dedup_cte,

@@ -26,8 +26,15 @@ shared-scan hoisting)
     — exactly the WITH-clause evaluation order), FROM-subqueries are
     uncorrelated (SQLite has no LATERAL), no duplicate aliases in one
     FROM, the main selects' item lists match the decode contract
-    (``statement.columns`` = the flattened row type), and the placeholder
-    set of the statement equals its declared ``params``.
+    (``statement.columns`` plus the unprojected literals = the flattened
+    row type), the placeholder set of the statement equals its declared
+    ``params``, and — for key-indexed statements — every index binds
+    exactly the key columns of the generators in its scope.
+
+``verify_compiled_package`` (after the whole package is compiled)
+    Package shape, placeholder discipline, and the index join: a child
+    statement's outer index has the width its parent's item index has
+    under the same static tag.
 
 ``verify_rewrite`` (after each individual ``opt_*`` rewrite)
     The rewritten statement is still well-formed, placeholders were not
@@ -459,12 +466,15 @@ def verify_compiled_sql(
     expected_names = tuple(
         c.name for c in flatten_type(compiled.row_type, compiled.width_fn)
     )
-    if tuple(compiled.columns) != expected_names:
+    literals = {name for name, _value in compiled.constants}
+    projected = tuple(n for n in expected_names if n not in literals)
+    if tuple(compiled.columns) != projected or not literals <= set(expected_names):
         raise VerifierError(
             stage,
             "column-layout",
             f"decode metadata lists columns ({', '.join(compiled.columns)}) "
-            f"but the flattened row type needs ({', '.join(expected_names)})",
+            f"and literals ({', '.join(sorted(literals))}) but the flattened "
+            f"row type needs ({', '.join(expected_names)})",
         )
     if tuple(compiled.statement.columns) != tuple(compiled.columns):
         raise VerifierError(
@@ -472,6 +482,8 @@ def verify_compiled_sql(
             "column-layout",
             "statement.columns disagrees with the compiled column list",
         )
+    if compiled.natural:
+        _verify_key_layout(compiled, schema, stage)
     in_sql = set(placeholder_names(compiled.statement))
     if in_sql != set(compiled.params):
         raise VerifierError(
@@ -491,6 +503,118 @@ def verify_compiled_sql(
             )
 
 
+def _index_leaves(compiled) -> dict[tuple[str, ...], tuple[str, list[str]]]:
+    """path → (tag column, [dyn columns]) for every index leaf of the
+    compiled row type."""
+    from repro.flatten.flatten import KIND_INDEX_DYN, KIND_INDEX_TAG, flatten_type
+
+    leaves: dict[tuple[str, ...], tuple[str, list[str]]] = {}
+    for column in flatten_type(compiled.row_type, compiled.width_fn):
+        if column.kind == KIND_INDEX_TAG:
+            leaves[column.path] = (column.name, [])
+        elif column.kind == KIND_INDEX_DYN:
+            leaves[column.path][1].append(column.name)
+    return leaves
+
+
+def _branch_cells(compiled):
+    """Per non-∅ UNION branch: the branch and its column → expression map,
+    unprojected literals included."""
+    from repro.sql.ast import Lit
+
+    literals = {name: Lit(value) for name, value in compiled.constants}
+    for position, core in enumerate(compiled.statement.selects):
+        if not core.from_items and core.where == Lit(False):
+            continue  # ∅ (SELECT NULL … WHERE 0) binds nothing
+        cells = dict(literals)
+        cells.update((item.alias, item.expr) for item in core.items)
+        yield position, core, cells
+
+
+def _bound_keys(cells, dyns: list[str]) -> list[SqlExpr]:
+    """An index's dynamic expressions with the NULL padding stripped."""
+    from repro.sql.ast import Lit
+
+    bound = [cells[name] for name in dyns]
+    while bound and bound[-1] == Lit(None):
+        bound.pop()
+    return bound
+
+
+def _verify_key_layout(compiled, schema: Schema, stage: str) -> None:
+    """Key-indexed (natural) statements: in every branch, each item index
+    is exactly the key columns of all generators in scope, and the outer
+    index is a prefix of them — or the literal 1 of the ⊤·1 context."""
+    from repro.shred.shredded_ast import TOP_TAG
+    from repro.sql.ast import Lit
+
+    leaves = _index_leaves(compiled)
+    for position, core, cells in _branch_cells(compiled):
+        # (Key-indexed statements have no CTEs or subqueries: every FROM
+        # item is a schema table.)
+        keys: list[SqlExpr] = [
+            Col(item.alias, column)
+            for item in core.from_items
+            for column in schema.table(item.table).key
+        ]
+        for path, (tag, dyns) in leaves.items():
+            bound = _bound_keys(cells, dyns)
+            if path != ("outer",):
+                expected = keys
+            elif cells[tag] == Lit(TOP_TAG):
+                expected = [Lit(1)]
+            else:
+                expected = keys[: len(bound)]
+            if bound != expected:
+                raise VerifierError(
+                    stage,
+                    "key-layout",
+                    f"UNION branch {position}: the index at "
+                    f"{'.'.join(path)} binds {len(bound)} key column(s) "
+                    f"where the generators in scope have {len(expected)} "
+                    "(a dropped or misplaced key column merges distinct rows)",
+                )
+
+
+def _index_widths(compiled, path: tuple[str, ...]) -> dict[object, set[int]]:
+    """static tag → the widths (bound dynamic columns) the index at ``path``
+    takes across the statement's branches."""
+    tag, dyns = _index_leaves(compiled)[path]
+    widths: dict[object, set[int]] = {}
+    for _position, _core, cells in _branch_cells(compiled):
+        tag_value = getattr(cells[tag], "value", None)
+        widths.setdefault(tag_value, set()).add(len(_bound_keys(cells, dyns)))
+    return widths
+
+
+def _verify_index_joins(package, at: str = "ε") -> None:
+    """Parent item index and child outer index are the two sides of one
+    join: under the same static tag they must have the same width."""
+    from repro.shred.packages import PkgBag, PkgRecord
+
+    def child_bags(node, labels: tuple[str, ...]):
+        if isinstance(node, PkgBag):
+            yield labels, node
+        elif isinstance(node, PkgRecord):
+            for label, sub in node.fields:
+                yield from child_bags(sub, labels + (label,))
+
+    for labels, child in child_bags(package.element, ()):
+        where = f"{at}.↓.{'.'.join(labels)}" if labels else f"{at}.↓"
+        produced = _index_widths(package.annotation, ("item",) + labels)
+        consumed = _index_widths(child.annotation, ("outer",))
+        for tag in produced.keys() & consumed.keys():
+            if produced[tag] != consumed[tag]:
+                raise VerifierError(
+                    "package",
+                    "index-join",
+                    f"statement at {where} reads outer indexes {tag}·… of "
+                    f"width {sorted(consumed[tag])}, but its parent emits "
+                    f"them with width {sorted(produced[tag])}",
+                )
+        _verify_index_joins(child, where)
+
+
 def verify_compiled_package(
     sql_package,
     result_type: Type,
@@ -498,9 +622,10 @@ def verify_compiled_package(
     param_specs: Iterable[tuple[str, object]],
     shared_scans: tuple = (),
 ) -> None:
-    """Package-level verifier: shape, per-member placeholder discipline, and
+    """Package-level verifier: shape, per-member placeholder discipline,
     (after shared-scan hoisting rewrote statements) re-verification of every
-    member against the schema extended with the scan tables."""
+    member against the schema extended with the scan tables, and the
+    parent/child index-join widths."""
     from repro.shred.packages import annotations, erase
 
     erased = erase(sql_package)
@@ -531,6 +656,7 @@ def verify_compiled_package(
             verify_compiled_sql(
                 compiled, schema, extra_tables=scan_tables, stage="package"
             )
+    _verify_index_joins(sql_package)
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.flatten.flatten import (
 from repro.nrc.types import BOOL, BaseType, RecordType, Type
 from repro.shred.indexes import FlatIndex, NaturalIndex
 from repro.shred.shred_types import IndexType
+from repro.shred.shredded_ast import TOP_TAG
 
 __all__ = ["unflatten_value", "flatten_value", "decode_base"]
 
@@ -43,7 +44,8 @@ def unflatten_value(
 
     ``cells`` maps flattened column names to raw SQL values.  With
     ``natural=True``, index columns decode to :class:`NaturalIndex`
-    (dropping NULL padding); otherwise to :class:`FlatIndex`.
+    (dropping NULL padding); otherwise to :class:`FlatIndex`.  The
+    top-level context is the literal ⊤·1 — ``FlatIndex(⊤, 1)`` — in both.
     """
     return _build(f, (), cells, index_width, natural)
 
@@ -63,7 +65,7 @@ def _build(
             cells[FlatColumn(path, KIND_INDEX_DYN, dyn_position=i).name]
             for i in range(1, width + 1)
         ]
-        if natural:
+        if natural and tag != TOP_TAG:
             return NaturalIndex(str(tag), tuple(d for d in dyns if d is not None))
         if width != 1:
             raise FlatteningError("flat indexes have exactly one dynamic column")

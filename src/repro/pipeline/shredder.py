@@ -51,7 +51,7 @@ from repro.nrc import ast
 from repro.nrc.schema import Schema
 from repro.nrc.typecheck import infer
 from repro.nrc.types import BagType, Type, is_nested
-from repro.shred.indexes import FlatIndex, NaturalIndex, index_fn_for
+from repro.shred.indexes import FlatIndex, index_fn_for
 from repro.shred.packages import (
     Package,
     annotation_at,
@@ -63,7 +63,12 @@ from repro.shred.paths import Path, paths, type_at
 from repro.pipeline.plan_cache import PlanCache, PlanKey, plan_key, shared_plan_cache
 from repro.shred.semantics import run_package
 from repro.shred.stitch import stitch, stitch_grouped
-from repro.sql.codegen import CompiledSql, SqlOptions, compile_shredded
+from repro.sql.codegen import (
+    CompiledSql,
+    SqlOptions,
+    compile_shredded,
+    resolve_scheme,
+)
 from repro.values import NestedValue
 
 __all__ = [
@@ -174,6 +179,12 @@ class CompiledQuery:
         return len(self.query_paths)
 
     @property
+    def index_scheme(self) -> str:
+        """The plan shape the schema and options resolved to, and why:
+        ``"natural: keys"``, ``"flat: table 't' declares no key"``, …"""
+        return ": ".join(resolve_scheme(self.schema, self.options))
+
+    @property
     def param_names(self) -> tuple[str, ...]:
         """The host-parameter names ``run(params=…)`` must bind."""
         return tuple(name for name, _type in self.param_specs)
@@ -227,7 +238,7 @@ class CompiledQuery:
         lines = [
             f"result type    : {self.result_type}",
             f"nesting degree : {self.query_count}",
-            f"index scheme   : {self.options.scheme}",
+            f"index scheme   : {self.index_scheme}",
             "",
             "normal form:",
             pretty_nf(self.normal_form),
@@ -360,18 +371,17 @@ class CompiledQuery:
         results = run_package(self.shredded_package, db, index)
         return stitch(results, index, one_pass=one_pass_stitch)
 
-    def _top_index_fn(self):
-        if self.options.scheme == "natural":
-            return lambda tag, dyn: NaturalIndex(tag, ())
+    @staticmethod
+    def _top_index_fn():
+        """Every plan shape emits the top-level context as the literal ⊤·1."""
         return lambda tag, dyn: FlatIndex(tag, 1)
 
-    def _top_key(self):
-        """The top-level ⊤·1 context in the batched engine's bare-tuple
-        index representation (cf. ``CompiledSql.key_decoders``)."""
+    @staticmethod
+    def _top_key():
+        """The top-level ⊤·1 context in the batched engine's flat-tuple
+        index representation (cf. ``CompiledSql.grouper``)."""
         from repro.shred.shredded_ast import TOP_TAG
 
-        if self.options.scheme == "natural":
-            return (TOP_TAG, ())
         return (TOP_TAG, 1)
 
 

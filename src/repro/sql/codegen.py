@@ -1,14 +1,21 @@
 """SQL code generation (§7): shredded / let-inserted queries → SQL:1999.
 
-Two schemes:
+Two plan shapes; :func:`resolve_scheme` picks one from the schema:
 
-* **flat** (default): the let-inserted form, with ``index`` realised as
-  ``ROW_NUMBER() OVER (ORDER BY …)`` and the let-bound outer query as a CTE
-  (or an inlined FROM-subquery under the §8 "inline WITH" optimisation);
-* **natural** (§6.1): plain SQL — all where-clauses amalgamated, dynamic
-  indexes are the key columns of every generator in scope, padded with
-  NULLs to a per-query width (the cost the paper attributes to natural
-  indexes: wider rows, more data movement).
+* **natural** (§6.1; the default whenever every table declares a key):
+  plain SQL — all where-clauses amalgamated, ``a·index`` is the key
+  columns of every generator in scope, padded with NULLs to a per-query
+  width when union branches bind different numbers of generators.  No
+  window function, no CTE, no let-insertion;
+* **flat** (§6.2/§7; the fallback when some table declares no key, and
+  whenever ``ordered`` output is requested): the let-inserted form, with
+  ``index`` realised as ``ROW_NUMBER() OVER (ORDER BY …)`` and the
+  let-bound outer query as a CTE (or an inlined FROM-subquery under the §8
+  "inline WITH" optimisation).
+
+Both emit the top-level context as the literal ``⊤·1``, and neither
+projects a column whose expression is the same literal in every union
+branch (static tags, the top context): the decoders close over it.
 
 Determinism note (§7): the paper orders ``row_number`` by all columns of
 all tables referenced from the current subquery, listing the outer query's
@@ -22,7 +29,9 @@ tables containing fully duplicate rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import SqlGenerationError
 from repro.flatten.flatten import (
@@ -55,10 +64,11 @@ from repro.normalise.normal_form import (
     VarField,
 )
 from repro.nrc.schema import Schema
-from repro.nrc.types import RecordType, Type
-from repro.shred.shred_types import INDEX, inner_shred
+from repro.nrc.types import BOOL, BaseType, RecordType, Type
+from repro.shred.shred_types import INDEX, IndexType, inner_shred
 from repro.shred.shredded_ast import (
     IN,
+    TOP_TAG,
     IndexRef,
     ShredComp,
     ShredQuery,
@@ -83,7 +93,7 @@ from repro.sql.ast import (
 )
 from repro.sql.render import render_statement
 
-__all__ = ["SqlOptions", "CompiledSql", "compile_shredded"]
+__all__ = ["SqlOptions", "CompiledSql", "compile_shredded", "resolve_scheme"]
 
 
 @dataclass(frozen=True)
@@ -98,10 +108,12 @@ class SqlOptions:
     unoptimised plans never collide in a cache.
     """
 
-    scheme: str = "flat"  # "flat" or "natural"
-    inline_with: bool = False  # §8: inline WITH clauses as subqueries
-    order_by_keys: bool = False  # §8: use keys for row numbering
-    dedup_cte: bool = False  # extension: share identical outer CTEs
+    #: ``None`` (default) lets :func:`resolve_scheme` decide from the
+    #: schema; ``"flat"`` / ``"natural"`` force a shape (the §6 ablations).
+    scheme: str | None = None
+    inline_with: bool = False  # §8: inline WITH clauses (flat form only)
+    order_by_keys: bool = False  # §8: keys for row numbering (flat form only)
+    dedup_cte: bool = False  # extension: share identical outer CTEs (flat form only)
     ordered: bool = False  # §9 list semantics: deterministic row order
     pretty: bool = True
     optimize: bool = False  # run the logical optimizer over the SQL AST
@@ -117,9 +129,9 @@ class SqlOptions:
     verify: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("flat", "natural"):
+        if self.scheme not in (None, "flat", "natural"):
             raise SqlGenerationError(f"unknown SQL scheme {self.scheme!r}")
-        if self.ordered and self.scheme != "flat":
+        if self.ordered and self.scheme == "natural":
             raise SqlGenerationError(
                 "ordered (list-semantics) output requires the flat scheme"
             )
@@ -129,12 +141,43 @@ class SqlOptions:
             )
 
 
+def resolve_scheme(schema: Schema, options: SqlOptions) -> tuple[str, str]:
+    """The index scheme a compile under ``options`` uses on ``schema``, and
+    why — ``("natural", "keys")`` when every table declares a key, else
+    ``("flat", "table 't' declares no key")``.
+
+    A function of its two arguments alone, so every statement of a package
+    (and every direct caller of :func:`compile_shredded`) agrees without
+    coordination, and the plan-cache key (options + schema fingerprint,
+    which includes keys) already covers it.
+    """
+    keyless = next(
+        (table.name for table in schema.tables if not table.has_declared_key),
+        None,
+    )
+    if options.scheme == "natural":
+        if keyless is not None:
+            # Over bags, all-columns-as-key merges duplicate rows (§6.1).
+            raise SqlGenerationError(
+                f"the natural scheme needs a declared key on every table; "
+                f"table {keyless!r} declares none"
+            )
+        return "natural", "forced by options"
+    if options.scheme == "flat":
+        return "flat", "forced by options"
+    if options.ordered:
+        return "flat", "ordered output numbers rows"
+    if keyless is not None:
+        return "flat", f"table {keyless!r} declares no key"
+    return "natural", "keys"
+
+
 @dataclass
 class CompiledSql:
     """One shredded query compiled to SQL, with decode metadata.
 
     ``cache_key`` carries the plan-cache key the statement was compiled
-    under (None for uncached compiles); the precompiled tuple decoders are
+    under (None for uncached compiles); the precompiled :meth:`grouper` is
     memoised per instance, so a cached plan decodes every subsequent run
     through the same closures.
     """
@@ -144,7 +187,11 @@ class CompiledSql:
     row_type: RecordType  # ⟨item: F, outer: Index⟩
     width_fn: Callable[[tuple[str, ...]], int] | int
     natural: bool
+    #: The columns the statement projects, in SELECT order.
     columns: tuple[str, ...] = field(default=())
+    #: (column, literal) for every column of the flattened row type the
+    #: statement does *not* project because all its branches agree on it.
+    constants: tuple[tuple[str, object], ...] = field(default=())
     #: Host-parameter names this statement binds at execution time (sorted).
     params: tuple[str, ...] = field(default=())
     #: Optimizer rules that actually rewrote this statement, in application
@@ -152,58 +199,58 @@ class CompiledSql:
     #: every rule was a no-op).
     fired_rules: tuple[str, ...] = field(default=(), compare=False)
     cache_key: object = field(default=None, compare=False)
-    _decoders: tuple | None = field(
-        default=None, repr=False, compare=False
-    )
-    _key_decoders: tuple | None = field(
-        default=None, repr=False, compare=False
-    )
+    _grouper: Callable | None = field(default=None, repr=False, compare=False)
     #: (table, columns) index hints mined from the statement — memoised by
     #: the batched executor so repeat runs of a cached plan skip the AST walk.
     index_hints: tuple | None = field(default=None, repr=False, compare=False)
 
-    def decoders(self) -> tuple[Callable, Callable]:
-        """(outer, item) tuple-level decoders, compiled once per plan.
+    def grouper(self) -> Callable[[Sequence[tuple], dict], None]:
+        """``group(chunk, grouped)``: fold a chunk of raw SQL tuples into
+        ``grouped``, ``{outer key: [item, …]}`` in encounter order —
+        compiled once per plan.
 
-        Each decoder maps one raw SQL tuple straight to its value by
-        column *position* — no intermediate name→cell dict per row (the
-        batched engine's fast path).  Matches :func:`unflatten_value` on
-        every row (the slow reference path, kept for the property tests).
-        """
-        if self._decoders is None:
-            self._decoders = self._build_decoders(as_keys=False)
-        return self._decoders
-
-    def key_decoders(self) -> tuple[Callable, Callable]:
-        """Like :meth:`decoders`, but index leaves decode to plain tuples
-        ``(tag, dyn)`` instead of :class:`FlatIndex`/:class:`NaturalIndex`
-        objects.
+        Every column is resolved to its tuple *position* (or its literal)
+        up front — no name→cell dict per row — and an index leaf decodes
+        to the flat tuple ``(tag, key…)`` (``(tag, row number)`` in the
+        flat scheme) instead of a :class:`FlatIndex`/:class:`NaturalIndex`.
 
         Index values never reach stitched output — they only ever serve as
         grouping/lookup keys joining a parent's item rows to a child's
         outer rows — so the batched engine trades the index objects for
         raw tuples: no per-row dataclass construction, cheaper hashing.
         Both sides of every join decode through the same scheme, keeping
-        keys consistent across nesting levels.
+        keys consistent across nesting levels.  Property-tested against
+        :meth:`decode_rows` on every row.
         """
-        if self._key_decoders is None:
-            self._key_decoders = self._build_decoders(as_keys=True)
-        return self._key_decoders
+        if self._grouper is None:
+            self._grouper = self._build_grouper()
+        return self._grouper
 
-    def _build_decoders(self, as_keys: bool) -> tuple[Callable, Callable]:
-        positions = {name: i for i, name in enumerate(self.columns)}
-        outer_fn = _compile_decoder(
-            INDEX, ("outer",), positions, self.width_fn, self.natural, as_keys
+    def _build_grouper(self) -> Callable[[Sequence[tuple], dict], None]:
+        cells = _Cells(self.columns, dict(self.constants), self.statement)
+        decode_items = _compile_decoder(
+            self.row_type.field_type("item"), ("item",), cells, self.width_fn
         )
-        item_fn = _compile_decoder(
-            self.row_type.field_type("item"),
-            ("item",),
-            positions,
-            self.width_fn,
-            self.natural,
-            as_keys,
-        )
-        return (outer_fn, item_fn)
+        outer = _index_columns(("outer",), self.width_fn)
+        if cells.constants.keys() >= set(outer):
+            # One context for every row (the top-level ⊤·1): no grouping.
+            key = _strip_nulls(tuple(cells.constants[name] for name in outer))
+
+            def group_constant(chunk: Sequence[tuple], grouped: dict) -> None:
+                grouped.setdefault(key, []).extend(decode_items(chunk))
+
+            return group_constant
+        decode_outers = _compile_key(outer, cells)
+
+        def group(chunk: Sequence[tuple], grouped: dict) -> None:
+            for outer_key, item in zip(decode_outers(chunk), decode_items(chunk)):
+                bucket = grouped.get(outer_key)
+                if bucket is None:
+                    grouped[outer_key] = [item]
+                else:
+                    bucket.append(item)
+
+        return group
 
     def decode_rows(
         self, raw_rows: Sequence[Sequence[object]]
@@ -212,109 +259,157 @@ class CompiledSql:
 
         The literal App. E reading — one name→cell dict and one
         :func:`unflatten_value` type walk per row.  The per-path engine
-        uses it; the batched engine's precompiled :meth:`decoders` are
-        property-tested against it.
+        uses it; the batched engine's :meth:`grouper` is property-tested
+        against it.
         """
         pairs = []
+        constants = dict(self.constants)
         for raw in raw_rows:
-            cells = dict(zip(self.columns, raw))
+            cells = constants.copy()
+            cells.update(zip(self.columns, raw))
             row = unflatten_value(
                 self.row_type, cells, self.width_fn, natural=self.natural
             )
             pairs.append((row["outer"], row["item"]))
         return pairs
 
-    def decode_rows_fast(
-        self, raw_rows: Sequence[Sequence[object]]
-    ) -> list[tuple[object, object]]:
-        """:meth:`decode_rows` through the precompiled tuple decoders."""
-        decode_outer, decode_item = self.decoders()
-        return [(decode_outer(raw), decode_item(raw)) for raw in raw_rows]
+
+class _Cells:
+    """Where each column of a statement's flattened row type lives: a
+    position in the raw tuple, or a literal the statement does not project."""
+
+    def __init__(
+        self,
+        columns: tuple[str, ...],
+        constants: dict[str, object],
+        statement: Statement,
+    ) -> None:
+        self.positions = {name: i for i, name in enumerate(columns)}
+        self.constants = constants
+        #: Columns that are NULL in some branch: the padding of a union
+        #: whose branches bind different numbers of key columns (§6.1).
+        self.nullable = {
+            name for name, value in constants.items() if value is None
+        } | {
+            item.alias
+            for select in statement.selects
+            for item in select.items
+            if item.expr == Lit(None)
+        }
 
 
 def _compile_decoder(
     f: Type,
     path: tuple[str, ...],
-    positions: dict[str, int],
+    cells: _Cells,
     width_fn: Callable[[tuple[str, ...]], int] | int,
-    natural: bool,
-    as_keys: bool = False,
-) -> Callable:
-    """Compile flat type ``f`` at ``path`` to a raw-tuple → value closure.
+) -> Callable[[Sequence[tuple]], Iterable]:
+    """Compile flat type ``f`` at ``path`` to a chunk decoder: a list of raw
+    tuples → an iterable of their values, one per tuple.
 
-    The closure tree mirrors :func:`unflatten_value` exactly, but resolves
-    every column to its tuple position at compile time.  With ``as_keys``,
-    index leaves decode to bare ``(tag, dyn)`` tuples (see
-    :meth:`CompiledSql.key_decoders`).
+    The tree mirrors :func:`unflatten_value`, but resolves every column to
+    its tuple position (or its literal) at compile time, decodes index
+    leaves to flat ``(tag, key…)`` tuples, and works a chunk at a time so
+    that the per-row work is ``itemgetter``/``zip``/``dict`` running
+    inside ``map`` — no Python frame per row.
     """
-    from repro.nrc.types import BOOL, BaseType
-    from repro.shred.indexes import FlatIndex, NaturalIndex
-    from repro.shred.shred_types import IndexType
-
     if isinstance(f, IndexType):
-        tag_pos = positions[FlatColumn(path, KIND_INDEX_TAG).name]
-        width = width_fn if isinstance(width_fn, int) else width_fn(path)
-        dyn_pos = tuple(
-            positions[FlatColumn(path, KIND_INDEX_DYN, dyn_position=i).name]
-            for i in range(1, width + 1)
-        )
-        if natural:
-            if as_keys:
-                return lambda raw, _tag=tag_pos, _dyns=dyn_pos: (
-                    raw[_tag],
-                    tuple(raw[pos] for pos in _dyns if raw[pos] is not None),
-                )
-
-            def decode_natural(
-                raw: tuple,
-                _tag: int = tag_pos,
-                _dyns: tuple = dyn_pos,
-            ) -> NaturalIndex:
-                return NaturalIndex(
-                    str(raw[_tag]),
-                    tuple(
-                        raw[pos] for pos in _dyns if raw[pos] is not None
-                    ),
-                )
-
-            return decode_natural
-        if len(dyn_pos) != 1:
-            raise SqlGenerationError(
-                "flat indexes have exactly one dynamic column"
-            )
-        if as_keys:
-            return lambda raw, _tag=tag_pos, _dyn=dyn_pos[0]: (
-                raw[_tag],
-                raw[_dyn],
-            )
-
-        def decode_flat(
-            raw: tuple, _tag: int = tag_pos, _dyn: int = dyn_pos[0]
-        ) -> FlatIndex:
-            return FlatIndex(str(raw[_tag]), int(raw[_dyn]))
-
-        return decode_flat
+        return _compile_key(_index_columns(path, width_fn), cells)
     if isinstance(f, BaseType):
-        pos = positions[FlatColumn(path, KIND_BASE, base=f).name]
+        name = FlatColumn(path, KIND_BASE, base=f).name
+        if name in cells.constants:
+            value = cells.constants[name]
+            if f == BOOL:
+                value = bool(value)
+            return lambda chunk: repeat(value, len(chunk))
+        cell = itemgetter(cells.positions[name])
         if f == BOOL:
-            return lambda raw, _pos=pos: bool(raw[_pos])
-        return lambda raw, _pos=pos: raw[_pos]
+            return lambda chunk: map(bool, map(cell, chunk))
+        return lambda chunk: map(cell, chunk)
     if isinstance(f, RecordType):
-        subdecoders = tuple(
-            (
-                label,
-                _compile_decoder(
-                    ftype, path + (label,), positions, width_fn, natural, as_keys
-                ),
-            )
+        labels = tuple(label for label, _ in f.fields)
+        if not labels:
+            return lambda chunk: ({} for _ in chunk)
+        plain = [
+            cells.positions.get(FlatColumn(path + (label,), KIND_BASE, base=ftype).name)
+            if isinstance(ftype, BaseType) and ftype != BOOL
+            else None
             for label, ftype in f.fields
+        ]
+        if len(plain) > 1 and None not in plain:
+            # Every field is a projected cell: one gather per row.
+            gather = itemgetter(*plain)
+
+            def field_values(chunk: Sequence[tuple]) -> Iterable:
+                return map(gather, chunk)
+
+        else:
+            fields = [
+                _compile_decoder(ftype, path + (label,), cells, width_fn)
+                for label, ftype in f.fields
+            ]
+
+            def field_values(chunk: Sequence[tuple]) -> Iterable:
+                return zip(*[decode(chunk) for decode in fields])
+
+        return lambda chunk: map(
+            dict, map(zip, repeat(labels), field_values(chunk))
         )
-
-        def decode_record(raw: tuple, _subs: tuple = subdecoders) -> dict:
-            return {label: decode(raw) for label, decode in _subs}
-
-        return decode_record
     raise SqlGenerationError(f"cannot compile a decoder for type {f}")
+
+
+def _index_columns(
+    path: tuple[str, ...], width_fn: Callable[[tuple[str, ...]], int] | int
+) -> list[str]:
+    """The ``tag, dyn1, …`` column names of the index leaf at ``path``."""
+    width = width_fn if isinstance(width_fn, int) else width_fn(path)
+    return [FlatColumn(path, KIND_INDEX_TAG).name] + [
+        FlatColumn(path, KIND_INDEX_DYN, dyn_position=i).name
+        for i in range(1, width + 1)
+    ]
+
+
+def _strip_nulls(key: tuple) -> tuple:
+    return tuple([part for part in key if part is not None])
+
+
+def _compile_key(
+    names: list[str], cells: _Cells
+) -> Callable[[Sequence[tuple]], Iterable]:
+    """An index leaf's ``(tag, dyn…)`` columns → its flat ``(tag, key…)``
+    tuples, NULL padding stripped.
+
+    A leaf whose columns are all projected and never padded is a single
+    :func:`operator.itemgetter` per row; a literal tag is zipped in; only
+    the mixed-arity unions of §6.1 pay a Python call per row to strip
+    their padding.
+    """
+    positions = [cells.positions.get(name) for name in names]  # None: literal
+    padded = not cells.nullable.isdisjoint(names)
+    if None not in positions:
+        gather = itemgetter(*positions)
+        if padded:
+            return lambda chunk: map(_strip_nulls, map(gather, chunk))
+        return lambda chunk: map(gather, chunk)
+    literals = [cells.constants.get(name) for name in names]
+    if all(position is None for position in positions):
+        key = _strip_nulls(tuple(literals))
+        return lambda chunk: repeat(key, len(chunk))
+    parts = [
+        (None if position is None else itemgetter(position), literal)
+        for position, literal in zip(positions, literals)
+    ]
+
+    def decode_keys(chunk: Sequence[tuple]) -> Iterable:
+        keys = zip(
+            *[
+                repeat(literal, len(chunk)) if cell is None else map(cell, chunk)
+                for cell, literal in parts
+            ]
+        )
+        return map(_strip_nulls, keys) if padded else keys
+
+    return decode_keys
 
 
 def compile_shredded(
@@ -334,7 +429,8 @@ def compile_shredded(
     """
     item_type = inner_shred(element_type)
     row_type = RecordType((("item", item_type), ("outer", INDEX)))
-    if options.scheme == "natural":
+    scheme, _why = resolve_scheme(schema, options)
+    if scheme == "natural":
         compiled = _compile_natural(shredded, row_type, schema, options)
     else:
         compiled = _compile_flat(let_insert(shredded), row_type, schema, options)
@@ -555,15 +651,52 @@ def _compile_flat(
         selects.append(empty)
 
     order_by = ("__branch", "__ord") if options.ordered else ()
-    statement = Statement(tuple(ctes), tuple(selects), names, order_by)
+    selects, columns, constants = _drop_constant_columns(names, selects)
+    statement = Statement(tuple(ctes), tuple(selects), columns, order_by)
     return CompiledSql(
         statement=statement,
         sql=render_statement(statement, options.pretty),
         row_type=row_type,
         width_fn=1,
         natural=False,
-        columns=names,
+        columns=columns,
+        constants=constants,
     )
+
+
+def _drop_constant_columns(
+    names: tuple[str, ...], selects: list[SelectCore]
+) -> tuple[list[SelectCore], tuple[str, ...], tuple[tuple[str, object], ...]]:
+    """The row diet: a column whose expression is the same literal in every
+    branch (static tags, the ⊤·1 context) is not projected — SQLite would
+    materialise it, and sqlite3 box it, once per row.  Returns the slimmed
+    branches, the columns they still project and the (column, literal)
+    pairs they no longer do."""
+    constants: dict[str, object] = {}
+    for position, name in enumerate(names):
+        first, *rest = [select.items[position].expr for select in selects]
+        if isinstance(first, Lit) and all(
+            # (``Lit(1) == Lit(True)``: compare the value types too.)
+            isinstance(expr, Lit)
+            and type(expr.value) is type(first.value)
+            and expr == first
+            for expr in rest
+        ):
+            constants[name] = first.value
+    if len(constants) == len(names):
+        del constants[names[0]]  # a SELECT needs an item
+    if not constants:
+        return selects, names, ()
+    slimmed = [
+        SelectCore(
+            tuple(item for item in select.items if item.alias not in constants),
+            select.from_items,
+            select.where,
+        )
+        for select in selects
+    ]
+    kept = tuple(name for name in names if name not in constants)
+    return slimmed, kept, tuple(constants.items())
 
 
 def _cte_name(
@@ -691,28 +824,28 @@ def _descend(term: object, labels: tuple[str, ...]) -> object:
 # Natural scheme (§6.1): plain SQL, key-based indexes, NULL padding.
 
 
-def _key_arity(generators: tuple[Generator, ...], schema: Schema) -> int:
-    return sum(
-        len(schema.table(g.table).key_columns) for g in generators
-    )
-
-
 def _compile_natural(
     shredded: ShredQuery,
     row_type: RecordType,
     schema: Schema,
     options: SqlOptions,
 ) -> CompiledSql:
-    outer_width = 1
-    inner_width = 1
+    ctx = _ExprContext(schema)
+    # Per comprehension: its generators, and the key expressions realising
+    # its outer index (enclosing blocks) and its own index (all blocks).
+    keyed: list[tuple[ShredComp, list[SqlExpr], list[SqlExpr]]] = []
     for comp in shredded.comps:
-        outer_generators = tuple(
-            g for block in comp.blocks[:-1] for g in block.generators
-        )
-        outer_width = max(outer_width, _key_arity(outer_generators, schema))
-        inner_width = max(
-            inner_width, _key_arity(comp.all_generators, schema)
-        )
+        inner_keys = _key_exprs(comp.all_generators, schema)
+        if comp.outer.tag == TOP_TAG:
+            outer_keys: list[SqlExpr] = [Lit(1)]  # ⊤·1, as in the flat form
+        else:
+            outer_keys = _key_exprs(
+                tuple(g for block in comp.blocks[:-1] for g in block.generators),
+                schema,
+            )
+        keyed.append((comp, outer_keys, inner_keys))
+    outer_width = max([1] + [len(outer) for _c, outer, _i in keyed])
+    inner_width = max([1] + [len(inner) for _c, _o, inner in keyed])
 
     def width_fn(path: tuple[str, ...]) -> int:
         return outer_width if path == ("outer",) else inner_width
@@ -720,67 +853,58 @@ def _compile_natural(
     flat_columns = flatten_type(row_type, width_fn)
     names = tuple(c.name for c in flat_columns)
     selects: list[SelectCore] = []
-    ctx = _ExprContext(schema)
-
-    for comp in shredded.comps:
-        generators = comp.all_generators
-        conditions = [block.where for block in comp.blocks]
-        outer_generators = tuple(
-            g for block in comp.blocks[:-1] for g in block.generators
-        )
-        outer_keys = _key_exprs(outer_generators, schema, outer_width)
-        inner_keys = _key_exprs(generators, schema, inner_width)
-
-        items: list[SelectItem] = []
-        for column in flat_columns:
-            items.append(
-                SelectItem(
-                    _natural_column_expr(
-                        column, comp, ctx, outer_keys, inner_keys
-                    ),
-                    column.name,
-                )
-            )
+    for comp, outer_keys, inner_keys in keyed:
+        # §6.1: pad the narrower branches of a union with NULLs.
+        outer_keys += [Lit(None)] * (outer_width - len(outer_keys))
+        inner_keys += [Lit(None)] * (inner_width - len(inner_keys))
         selects.append(
             SelectCore(
-                tuple(items),
-                tuple(TableRef(g.table, g.var) for g in generators),
-                _where_sql(conditions, ctx),
+                tuple(
+                    SelectItem(
+                        _natural_column_expr(
+                            column, comp, ctx, outer_keys, inner_keys
+                        ),
+                        column.name,
+                    )
+                    for column in flat_columns
+                ),
+                tuple(TableRef(g.table, g.var) for g in comp.all_generators),
+                _where_sql([block.where for block in comp.blocks], ctx),
             )
         )
 
     if not selects:
         selects.append(_empty_select(names))
 
-    statement = Statement((), tuple(selects), names)
+    selects, columns, constants = _drop_constant_columns(names, selects)
+    statement = Statement((), tuple(selects), columns)
     return CompiledSql(
         statement=statement,
         sql=render_statement(statement, options.pretty),
         row_type=row_type,
         width_fn=width_fn,
         natural=True,
-        columns=names,
+        columns=columns,
+        constants=constants,
     )
 
 
 def _key_exprs(
-    generators: tuple[Generator, ...], schema: Schema, width: int
-) -> tuple[SqlExpr, ...]:
-    exprs: list[SqlExpr] = []
-    for g in generators:
-        for column in schema.table(g.table).key_columns:
-            exprs.append(Col(g.var, column))
-    while len(exprs) < width:
-        exprs.append(Lit(None))
-    return tuple(exprs)
+    generators: tuple[Generator, ...], schema: Schema
+) -> list[SqlExpr]:
+    return [
+        Col(g.var, column)
+        for g in generators
+        for column in schema.table(g.table).key
+    ]
 
 
 def _natural_column_expr(
     column: FlatColumn,
     comp: ShredComp,
     ctx: _ExprContext,
-    outer_keys: tuple[SqlExpr, ...],
-    inner_keys: tuple[SqlExpr, ...],
+    outer_keys: list[SqlExpr],
+    inner_keys: list[SqlExpr],
 ) -> SqlExpr:
     if column.path[0] == "outer":
         if column.kind == KIND_INDEX_TAG:

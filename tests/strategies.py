@@ -243,3 +243,72 @@ def queries_with_bindings(draw, max_depth: int = 2) -> tuple[Term, dict]:
         for name, declared in collect_param_specs(query)
     }
     return query, bindings
+
+
+def without_key(schema, table: str):
+    """``schema`` with ``table``'s key declaration dropped (same columns)."""
+    from repro.nrc.schema import Schema, TableSchema
+
+    return Schema(
+        tuple(
+            TableSchema(t.name, t.columns) if t.name == table else t
+            for t in schema.tables
+        )
+    )
+
+
+def asymmetric_union_query() -> Term:
+    """A union whose branches bind 3 vs 2 generators at one nesting level —
+    §6.1's "need to pad some subqueries with null columns": under key
+    indexes the ``people`` statement mixes index arities 3 and 2."""
+    return b.for_(
+        "d",
+        b.table("departments"),
+        lambda d: b.ret(
+            b.record(
+                n=d["name"],
+                people=b.union(
+                    b.for_(
+                        "e",
+                        b.table("employees"),
+                        lambda e: b.for_(
+                            "t",
+                            b.table("tasks"),
+                            lambda t: b.where(
+                                b.and_(
+                                    b.eq(e["dept"], d["name"]),
+                                    b.eq(t["employee"], e["name"]),
+                                ),
+                                b.ret(
+                                    b.record(
+                                        who=e["name"],
+                                        stuff=b.for_(
+                                            "u",
+                                            b.table("tasks"),
+                                            lambda u: b.where(
+                                                b.eq(u["employee"], e["name"]),
+                                                b.ret(u["task"]),
+                                            ),
+                                        ),
+                                    )
+                                ),
+                            ),
+                        ),
+                    ),
+                    b.for_(
+                        "c",
+                        b.table("contacts"),
+                        lambda c: b.where(
+                            b.eq(c["dept"], d["name"]),
+                            b.ret(
+                                b.record(
+                                    who=c["name"],
+                                    stuff=b.ret(b.const("z")),
+                                )
+                            ),
+                        ),
+                    ),
+                ),
+            )
+        ),
+    )

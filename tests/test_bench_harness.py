@@ -43,7 +43,7 @@ class TestTiming:
 
     @pytest.mark.parametrize(
         "system",
-        ["shredding", "loop-lifting", "avalanche", "shredding-natural"],
+        ["shredding", "loop-lifting", "avalanche", "shredding-flat"],
     )
     def test_all_nested_systems_run(self, system, tiny_db):
         assert run_system(system, "Q4", tiny_db, repeats=1) > 0

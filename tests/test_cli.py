@@ -8,19 +8,25 @@ from repro.__main__ import main
 
 
 class TestSql:
-    def test_sql_q6(self, capsys):
+    def test_sql_q6_defaults_to_key_indexes(self, capsys):
+        # --scheme is unset by default: the organisation schema declares a
+        # key on every table, so the plans are window- and CTE-free.
         assert main(["sql", "Q6"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("-- query at path") == 3
+        assert "ROW_NUMBER" not in out and "WITH" not in out
+        assert main(["sql", "Q6", "--scheme", "natural"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_sql_flat(self, capsys):
+        assert main(["sql", "Q6", "--scheme", "flat"]) == 0
         out = capsys.readouterr().out
         assert out.count("-- query at path") == 3
         assert "ROW_NUMBER" in out
 
-    def test_sql_natural(self, capsys):
-        assert main(["sql", "Q6", "--scheme", "natural"]) == 0
-        out = capsys.readouterr().out
-        assert "ROW_NUMBER" not in out
-
     def test_sql_options(self, capsys):
-        assert main(["sql", "Q6", "--dedup-cte", "--order-by-keys"]) == 0
+        args = ["sql", "Q6", "--scheme", "flat", "--dedup-cte", "--order-by-keys"]
+        assert main(args) == 0
         assert "SELECT" in capsys.readouterr().out
 
     def test_unknown_query(self):

@@ -88,16 +88,20 @@ class TestListSemantics:
 
 class TestCteDedup:
     def test_identical_ctes_shared(self, schema):
-        plain = ShreddingPipeline(schema).compile(queries.Q6)
+        plain = ShreddingPipeline(
+            schema, SqlOptions(scheme="flat")
+        ).compile(queries.Q6)
         deduped = ShreddingPipeline(
-            schema, SqlOptions(dedup_cte=True)
+            schema, SqlOptions(scheme="flat", dedup_cte=True)
         ).compile(queries.Q6)
         people = "↓.people"
         assert dict(plain.sql_by_path)[people].count(" AS (SELECT") == 2
         assert dict(deduped.sql_by_path)[people].count(" AS (SELECT") == 1
 
     def test_results_unchanged(self, schema, db):
-        deduped = ShreddingPipeline(schema, SqlOptions(dedup_cte=True))
+        deduped = ShreddingPipeline(
+            schema, SqlOptions(scheme="flat", dedup_cte=True)
+        )
         for name, query in queries.NESTED_QUERIES.items():
             assert bag_equal(
                 deduped.run(query, db), evaluate(query, db)
@@ -107,7 +111,7 @@ class TestCteDedup:
         # Q1's employees and contacts levels share the departments CTE, but
         # the tasks level needs departments×employees — a different body.
         deduped = ShreddingPipeline(
-            schema, SqlOptions(dedup_cte=True)
+            schema, SqlOptions(scheme="flat", dedup_cte=True)
         ).compile(queries.Q1)
         tasks_sql = dict(deduped.sql_by_path)["↓.employees.↓.tasks"]
         assert "employees" in tasks_sql

@@ -73,9 +73,9 @@ def test_parallel_engine_with_optimizer_and_scans(db):
     query = NESTED_QUERIES["Q6"]
     expected = ShreddingPipeline(db.schema).run(query, db)
     stats = ExecutionStats()
-    actual = ShreddingPipeline(db.schema, SqlOptions(optimize=True)).run(
-        query, db, engine="parallel", stats=stats
-    )
+    actual = ShreddingPipeline(
+        db.schema, SqlOptions(scheme="flat", optimize=True)
+    ).run(query, db, engine="parallel", stats=stats)
     assert bag_equal(expected, actual)
     assert stats.queries == 3  # one per nesting level, unchanged
 
@@ -106,7 +106,7 @@ def test_parallel_engine_leaves_no_scan_tables_behind(db):
         ),
     )
     compiled = ShreddingPipeline(
-        db.schema, SqlOptions(optimize=True)
+        db.schema, SqlOptions(scheme="flat", optimize=True)
     ).compile(query)
     assert compiled.shared_scans
     compiled.run(db, engine="parallel")

@@ -191,15 +191,24 @@ class TestExplain:
         assert "nesting degree : 3" in report
         assert "return^a" in report  # the normal form
         assert report.count("── query at") == 3
-        assert "ROW_NUMBER" in report
+        assert '"x1"."id"' in report  # key-indexed SQL
 
-    def test_explain_mentions_scheme(self, schema):
+    def test_explain_says_which_scheme_runs_and_why(self, schema):
         from repro.data.queries import Q4
         from repro.sql.codegen import SqlOptions
 
-        report = (
-            ShreddingPipeline(schema, SqlOptions(scheme="natural"))
-            .compile(Q4)
-            .explain()
+        from .strategies import without_key
+
+        def scheme_line(schema, options=None):
+            report = ShreddingPipeline(schema, options).compile(Q4).explain()
+            return next(
+                line for line in report.splitlines() if "index scheme" in line
+            )
+
+        assert scheme_line(schema) == "index scheme   : natural: keys"
+        assert scheme_line(schema, SqlOptions(scheme="flat")) == (
+            "index scheme   : flat: forced by options"
         )
-        assert "index scheme   : natural" in report
+        assert scheme_line(without_key(schema, "tasks")) == (
+            "index scheme   : flat: table 'tasks' declares no key"
+        )

@@ -221,20 +221,44 @@ def test_property_cache_hits_match_cold_compiles(query):
     assert cache.hits >= 1
 
 
+def _flat_key(value):
+    """An App. E index object (or a record holding some) in the batched
+    engine's flat-tuple representation: ``(tag, key…)``."""
+    from repro.shred.indexes import FlatIndex, NaturalIndex
+
+    if isinstance(value, FlatIndex):
+        return (value.tag, value.position)
+    if isinstance(value, NaturalIndex):
+        return (value.tag, *value.keys)
+    if isinstance(value, dict):
+        return {label: _flat_key(field) for label, field in value.items()}
+    return value
+
+
 @settings(max_examples=15, suppress_health_check=[HealthCheck.too_slow], deadline=None)
 @given(query=queries_with_nesting())
-def test_property_fast_decoders_match_reference(query):
-    """The precompiled tuple decoders agree with the App. E unflattening."""
+def test_property_grouper_matches_reference(query):
+    """The precompiled grouper agrees with the App. E unflattening on every
+    row, under both plan shapes, however the rows are chunked."""
     from repro.shred.packages import annotations
+    from repro.sql.codegen import SqlOptions
 
     db = figure3_database()
-    try:
-        compiled = ShreddingPipeline(db.schema).compile(query)
-    except Exception:
-        return
-    for _path, sql in annotations(compiled.sql_package):
-        raw = db.execute_sql(sql.sql)
-        assert sql.decode_rows_fast(raw) == sql.decode_rows(raw)
+    for options in (SqlOptions(), SqlOptions(scheme="flat")):
+        try:
+            compiled = ShreddingPipeline(db.schema, options).compile(query)
+        except Exception:
+            return
+        for _path, sql in annotations(compiled.sql_package):
+            raw = db.execute_sql(sql.sql)
+            expected: dict = {}
+            for outer, item in sql.decode_rows(raw):
+                expected.setdefault(_flat_key(outer), []).append(_flat_key(item))
+            for chunk_size in (1, 3, len(raw) + 1):
+                grouped: dict = {}
+                for start in range(0, len(raw), chunk_size):
+                    sql.grouper()(raw[start : start + chunk_size], grouped)
+                assert grouped == expected, (options.scheme, chunk_size)
 
 
 class TestBatchedEngine:

@@ -4,22 +4,36 @@ These are the heavyweight invariants:
 
 * normalisation preserves N⟦−⟧ (Theorem 1);
 * shred → run → stitch = N⟦−⟧ under every indexing scheme (Theorem 4);
-* the SQL pipeline (flat and natural schemes) agrees with N⟦−⟧;
+* the SQL pipeline agrees with N⟦−⟧ in every cell of one matrix — default
+  / forced flat / forced natural options × an all-keyed instance and one
+  with a keyless table holding duplicate rows × both decode paths;
 * the loop-lifting baseline agrees with N⟦−⟧;
 * let-insertion agrees with the flat shredded semantics (Theorem 6).
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.backend.database import Database
 from repro.data.organisation import ORGANISATION_SCHEMA, figure3_database
+from repro.data.queries import NESTED_QUERIES
+from repro.errors import SqlGenerationError
 from repro.normalise import nf_to_term, normalise
+from repro.nrc.schema import Schema, TableSchema
 from repro.nrc.semantics import evaluate
 from repro.nrc.typecheck import infer
+from repro.pipeline.shredder import ShreddingPipeline
+from repro.sql.codegen import SqlOptions
 from repro.values import bag_equal
 
-from .strategies import queries_with_bindings, queries_with_nesting
+from .strategies import (
+    asymmetric_union_query,
+    queries_with_bindings,
+    queries_with_nesting,
+    without_key,
+)
 
 SCHEMA = ORGANISATION_SCHEMA
 DB = figure3_database()
@@ -66,16 +80,90 @@ def test_shredding_theorem4_in_memory(query):
         assert bag_equal(stitched, expected), scheme
 
 
+# --------------------------------------------------------------------------
+# The SQL pipeline against N⟦−⟧: one matrix over the scheme resolution.
+#
+#   options   default (resolved from the schema) · forced flat · forced natural
+#   instance  every table keyed · one keyless table holding duplicate rows
+#   engine    per-path (App. E reference decode) · batched (compiled grouper)
+#
+# Both instances are a cut of Fig. 3 small enough that the oracle (whose
+# cost is the product of the table sizes) stays cheap on every generated
+# query, and carry the multiplicity traps: a department without employees
+# (empty inner bags) and two departments that are identical records under
+# distinct keys (duplicate outer records, distinct indexes).
+
+_ROWS = {
+    "departments": [
+        {"id": 1, "name": "Product"},
+        {"id": 2, "name": "Quality"},
+        {"id": 4, "name": "Sales"},
+        {"id": 5, "name": "Sales"},
+    ],
+    "employees": [
+        {"id": 1, "dept": "Product", "name": "Alex", "salary": 20_000},
+        {"id": 2, "dept": "Product", "name": "Bert", "salary": 900},
+        {"id": 5, "dept": "Sales", "name": "Erik", "salary": 2_000_000},
+        {"id": 6, "dept": "Sales", "name": "Fred", "salary": 700},
+    ],
+    "tasks": [
+        {"id": 1, "employee": "Alex", "task": "build"},
+        {"id": 2, "employee": "Bert", "task": "build"},
+        {"id": 10, "employee": "Erik", "task": "call"},
+        {"id": 11, "employee": "Erik", "task": "enthuse"},
+        {"id": 12, "employee": "Fred", "task": "call"},
+    ],
+    "contacts": [
+        {"id": 1, "dept": "Product", "name": "Pam", "client": False},
+        {"id": 2, "dept": "Product", "name": "Pat", "client": True},
+        {"id": 7, "dept": "Sales", "name": "Sue", "client": True},
+    ],
+}
+
+INSTANCES = {
+    "keyed": Database(SCHEMA, _ROWS),
+    # ``tasks`` declares no key and holds fully duplicate rows.
+    "keyless": Database(
+        without_key(SCHEMA, "tasks"),
+        {**_ROWS, "tasks": _ROWS["tasks"] + _ROWS["tasks"][2:4]},
+    ),
+}
+OPTIONS = {
+    "default": SqlOptions(),
+    "flat": SqlOptions(scheme="flat"),
+    "natural": SqlOptions(scheme="natural"),
+}
+RESOLVES_TO = {
+    ("keyed", "default"): "natural: keys",
+    ("keyless", "default"): "flat: table 'tasks' declares no key",
+}
+
+
+def _assert_sql_matches_semantics(query, params=None):
+    """``query`` agrees with the oracle in every cell of the matrix."""
+    from repro.nrc.ast import substitute_params
+
+    closed = substitute_params(query, params) if params else query
+    for instance, db in INSTANCES.items():
+        expected = evaluate(closed, db)
+        for label, options in OPTIONS.items():
+            pipeline = ShreddingPipeline(db.schema, options)
+            if (instance, label) == ("keyless", "natural"):
+                with pytest.raises(SqlGenerationError, match="'tasks'"):
+                    pipeline.compile(query)
+                continue
+            compiled = pipeline.compile(query)
+            resolved = RESOLVES_TO.get((instance, label))
+            assert resolved is None or compiled.index_scheme == resolved
+            for engine in ("per-path", "batched"):
+                out = compiled.run(db, engine=engine, params=params)
+                assert bag_equal(out, expected), (instance, label, engine)
+
+
 @given(queries_with_nesting())
 @_settings
 def test_sql_pipeline_matches_semantics(query):
-    from repro.pipeline.shredder import ShreddingPipeline
-    from repro.sql.codegen import SqlOptions
-
-    expected = evaluate(query, DB)
-    for options in (SqlOptions(), SqlOptions(scheme="natural")):
-        out = ShreddingPipeline(SCHEMA, options).run(query, DB)
-        assert bag_equal(out, expected), options.scheme
+    _assert_sql_matches_semantics(query)
 
 
 @given(queries_with_bindings())
@@ -84,16 +172,65 @@ def test_sql_pipeline_binds_host_params(query_and_bindings):
     """The PR 4 prepared-statement path under randomisation: running a
     parameterised query with ``params=bindings`` must equal evaluating the
     term with the placeholders substituted by literal constants."""
-    from repro.nrc.ast import substitute_params
-    from repro.pipeline.shredder import ShreddingPipeline
-    from repro.sql.codegen import SqlOptions
-
     query, bindings = query_and_bindings
-    expected = evaluate(substitute_params(query, bindings), DB)
-    for options in (SqlOptions(), SqlOptions(scheme="natural")):
-        compiled = ShreddingPipeline(SCHEMA, options).compile(query)
-        out = compiled.run(DB, params=bindings)
-        assert bag_equal(out, expected), options.scheme
+    _assert_sql_matches_semantics(query, bindings)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        pytest.param(asymmetric_union_query(), id="mixed-arity-union"),
+        pytest.param(NESTED_QUERIES["Q4"], id="empty-inner-bags"),
+        pytest.param(NESTED_QUERIES["Q1"], id="duplicate-outer-records"),
+        pytest.param(NESTED_QUERIES["Q6"], id="literal-inner-bag"),
+    ],
+)
+def test_sql_pipeline_multiplicity_cases(query):
+    _assert_sql_matches_semantics(query)
+
+
+def test_keyless_duplicate_rows_keep_their_multiplicity():
+    """Regression: with no declared key the natural scheme used to fall
+    back to all columns as the key, so fully duplicate rows shared one
+    index and every copy of an outer record collected every copy's inner
+    bag (``staff = ["x", "x"]`` twice instead of ``["x"]`` twice)."""
+    from repro.nrc import builders as b
+    from repro.nrc.types import STRING
+
+    schema = Schema(
+        (
+            TableSchema("d", (("name", STRING),)),
+            TableSchema("e", (("dept", STRING), ("name", STRING))),
+        )
+    )
+    db = Database(
+        schema,
+        {"d": [{"name": "A"}, {"name": "A"}], "e": [{"dept": "A", "name": "x"}]},
+    )
+    query = b.for_(
+        "x",
+        b.table("d"),
+        lambda x: b.ret(
+            b.record(
+                name=x["name"],
+                staff=b.for_(
+                    "y",
+                    b.table("e"),
+                    lambda y: b.where(
+                        b.eq(y["dept"], x["name"]), b.ret(y["name"])
+                    ),
+                ),
+            )
+        ),
+    )
+    twice = [{"name": "A", "staff": ["x"]}] * 2
+    assert bag_equal(evaluate(query, db), twice)
+    compiled = ShreddingPipeline(schema).compile(query)
+    assert compiled.index_scheme == "flat: table 'd' declares no key"
+    for engine in ("per-path", "batched"):
+        assert bag_equal(compiled.run(db, engine=engine), twice)
+    with pytest.raises(SqlGenerationError, match="table 'd' declares none"):
+        ShreddingPipeline(schema, SqlOptions(scheme="natural")).compile(query)
 
 
 @given(queries_with_nesting(max_depth=1))

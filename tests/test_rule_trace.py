@@ -24,6 +24,10 @@ from repro.data.organisation import ORGANISATION_SCHEMA as SCHEMA
 
 ALL_QUERIES = {**FLAT_QUERIES, **NESTED_QUERIES}
 
+#: The CTE rules (dedup, prune, shared scans) work on the let-inserted flat
+#: form; the organisation schema's default is key-indexed and CTE-free.
+OPT = SqlOptions(scheme="flat", optimize=True)
+
 
 class TestFiredRuleTrace:
     def test_optimizer_off_traces_nothing(self):
@@ -34,10 +38,18 @@ class TestFiredRuleTrace:
 
     def test_q6_fires_dedup_and_prune(self):
         compiled = ShreddingPipeline(
-            SCHEMA, SqlOptions(optimize=True)
+            SCHEMA, OPT
         ).compile(NESTED_QUERIES["Q6"])
         assert "opt_dedup" in compiled.fired_rules
         assert "opt_prune" in compiled.fired_rules
+
+    def test_key_indexed_default_gives_the_cte_rules_nothing(self):
+        compiled = ShreddingPipeline(
+            SCHEMA, SqlOptions(optimize=True)
+        ).compile(NESTED_QUERIES["Q6"])
+        assert compiled.index_scheme == "natural: keys"
+        assert compiled.fired_rules == ()
+        assert compiled.shared_scans == ()
 
     def test_trace_order_follows_rule_order(self):
         from repro.sql.optimizer import statement_rule_names
@@ -45,7 +57,7 @@ class TestFiredRuleTrace:
         order = [flag for flag, _ in statement_rule_names] + ["opt_shared"]
         for name, query in ALL_QUERIES.items():
             compiled = ShreddingPipeline(
-                SCHEMA, SqlOptions(optimize=True)
+                SCHEMA, OPT
             ).compile(query)
             fired = list(compiled.fired_rules)
             assert fired == sorted(fired, key=order.index), name
@@ -56,7 +68,7 @@ class TestFiredRuleTrace:
         CTE/subquery the flat scheme generates carries a ROW_NUMBER, so
         the guarded pushdown and flattening rules never fire on it."""
         compiled = ShreddingPipeline(
-            SCHEMA, SqlOptions(optimize=True)
+            SCHEMA, OPT
         ).compile(ALL_QUERIES[name])
         assert "opt_pushdown" not in compiled.fired_rules
         assert "opt_flatten" not in compiled.fired_rules
@@ -88,13 +100,13 @@ class TestFiredRuleTrace:
         )
         statement = Statement((("q1", cte),), (main,), ("name",), ())
         trace: list[str] = []
-        optimize_statement(statement, SqlOptions(optimize=True), trace=trace)
+        optimize_statement(statement, OPT, trace=trace)
         assert "opt_pushdown" in trace
 
 
 class TestExplainAndStats:
     def test_explain_shows_fired_rules(self):
-        with connect(figure3_database(), options=SqlOptions(optimize=True)) as s:
+        with connect(figure3_database(), options=OPT) as s:
             report = s.explain(NESTED_QUERIES["Q6"])
         assert "rules fired" in report
         assert "opt_dedup" in report
@@ -102,7 +114,7 @@ class TestExplainAndStats:
     def test_explain_shows_inert_optimizer(self):
         # Flat single-statement queries give the optimizer nothing to do.
         flat = FLAT_QUERIES["QF2"]
-        with connect(figure3_database(), options=SqlOptions(optimize=True)) as s:
+        with connect(figure3_database(), options=OPT) as s:
             compiled = s.compile(flat)
             report = s.explain(flat)
         assert compiled.fired_rules == ()
@@ -115,7 +127,7 @@ class TestExplainAndStats:
 
     def test_session_stats_accumulate_rules(self):
         with connect(
-            figure3_database(), options=SqlOptions(optimize=True), cache=False
+            figure3_database(), options=OPT, cache=False
         ) as s:
             s.prepare(NESTED_QUERIES["Q6"]).compiled
             once = dict(s.stats.rules_fired)
@@ -129,7 +141,7 @@ class TestExplainAndStats:
 
         with connect(
             figure3_database(),
-            options=SqlOptions(optimize=True),
+            options=OPT,
             cache=PlanCache(),
         ) as s:
             s.prepare(NESTED_QUERIES["Q6"]).compiled

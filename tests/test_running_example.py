@@ -44,9 +44,19 @@ class TestComposition:
 
 
 class TestGeneratedSql:
+    """§7's let-inserted ``ROW_NUMBER`` form of the running example (forced:
+    the organisation schema's keys resolve to key-indexed plans by default;
+    ``tests/test_plan_shape.py`` covers those)."""
+
     @pytest.fixture
-    def sql(self, schema):
-        return dict(ShreddingPipeline(schema).compile(Q6).sql_by_path)
+    def compiled(self, schema):
+        from repro.sql.codegen import SqlOptions
+
+        return ShreddingPipeline(schema, SqlOptions(scheme="flat")).compile(Q6)
+
+    @pytest.fixture
+    def sql(self, compiled):
+        return dict(compiled.sql_by_path)
 
     def test_three_queries(self, sql):
         assert set(sql) == {"ε", "↓.people", "↓.people.↓.tasks"}
@@ -58,13 +68,19 @@ class TestGeneratedSql:
         assert q1.count("ROW_NUMBER") == 1
         assert "departments" in q1 and "UNION ALL" not in q1
 
-    def test_q2_prime_shape(self, sql):
+    def test_q2_prime_shape(self, sql, compiled):
         """§7's q′2: WITH-bound department numbering, two UNION ALL branches
-        (employees outliers ⊎ client contacts), static tags as literals."""
+        (employees outliers ⊎ client contacts), static tags as literals —
+        except the outer tag a, which both branches share: it is not
+        projected, the decoder closes over it."""
+        from repro.shred.paths import paths
+
         q2 = sql["↓.people"]
         assert q2.startswith("WITH")
         assert q2.count("UNION ALL") == 1
-        assert "'b'" in q2 and "'d'" in q2 and "'a'" in q2
+        assert "'b'" in q2 and "'d'" in q2 and "'a'" not in q2
+        people = compiled.sql_at(paths(compiled.result_type)[1])
+        assert dict(people.constants) == {"outer_tag": "a"}
         assert "employees" in q2 and "contacts" in q2
         assert "salary" in q2 and "1000000" in q2
 
@@ -94,7 +110,10 @@ class TestEndToEnd:
         from repro.sql.codegen import SqlOptions
 
         outputs = {
-            "shredding-flat": ShreddingPipeline(schema).run(Q6, db),
+            "shredding": ShreddingPipeline(schema).run(Q6, db),
+            "shredding-flat": ShreddingPipeline(
+                schema, SqlOptions(scheme="flat")
+            ).run(Q6, db),
             "shredding-natural": ShreddingPipeline(
                 schema, SqlOptions(scheme="natural")
             ).run(Q6, db),

@@ -141,7 +141,7 @@ class TestConcurrentSharedScans:
         # to get a package whose statements genuinely share a scan.
         session = connect(
             figure3_database(),
-            options=SqlOptions(optimize=True, opt_prune=False),
+            options=SqlOptions(scheme="flat", optimize=True, opt_prune=False),
             cache=PlanCache(),
         )
         compiled = session.compile(NESTED_QUERIES["Q1"])

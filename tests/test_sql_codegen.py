@@ -27,6 +27,9 @@ from repro.sql.codegen import SqlOptions, compile_shredded
 from repro.sql.render import render_expr, render_select, render_statement
 
 
+FLAT = SqlOptions(scheme="flat")
+
+
 def _compile_all(query, schema, options=SqlOptions()):
     nf = normalise(query, schema)
     a = infer(query, schema)
@@ -82,12 +85,15 @@ class TestRender:
 
 
 class TestFlatCodegen:
+    """The let-inserted ``ROW_NUMBER`` form (§6.2/§7) — forced here; it is
+    also what a schema with a keyless table resolves to."""
+
     def test_q6_produces_three_statements(self, schema):
-        compiled = _compile_all(queries.Q6, schema)
+        compiled = _compile_all(queries.Q6, schema, FLAT)
         assert len(compiled) == 3
 
     def test_leaf_query_has_no_rownumber_item(self, schema):
-        compiled = _compile_all(queries.Q6, schema)
+        compiled = _compile_all(queries.Q6, schema, FLAT)
         # The innermost query (tasks) has no nested bags below it, so no
         # ROW_NUMBER appears in its SELECT items (only in its CTEs).
         innermost = compiled[2]
@@ -96,7 +102,7 @@ class TestFlatCodegen:
                 assert not isinstance(item.expr, RowNumber)
 
     def test_non_leaf_query_numbers_rows(self, schema):
-        compiled = _compile_all(queries.Q6, schema)
+        compiled = _compile_all(queries.Q6, schema, FLAT)
         top = compiled[0]
         kinds = [
             type(item.expr)
@@ -106,7 +112,7 @@ class TestFlatCodegen:
         assert RowNumber in kinds
 
     def test_union_branches_share_columns(self, schema):
-        compiled = _compile_all(queries.Q6, schema)
+        compiled = _compile_all(queries.Q6, schema, FLAT)
         for c in compiled:
             alias_lists = [
                 tuple(item.alias for item in select.items)
@@ -115,16 +121,16 @@ class TestFlatCodegen:
             assert len(set(alias_lists)) == 1
 
     def test_inline_with_removes_ctes(self, schema):
-        inline = SqlOptions(inline_with=True)
+        inline = SqlOptions(scheme="flat", inline_with=True)
         compiled = _compile_all(queries.Q6, schema, inline)
         for c in compiled:
             assert c.statement.ctes == ()
         # Still executable and equivalent (checked in pipeline tests).
 
     def test_order_by_keys_reduces_order_columns(self, schema):
-        default = _compile_all(queries.Q6, schema)[2]
+        default = _compile_all(queries.Q6, schema, FLAT)[2]
         keyed = _compile_all(
-            queries.Q6, schema, SqlOptions(order_by_keys=True)
+            queries.Q6, schema, SqlOptions(scheme="flat", order_by_keys=True)
         )[2]
         assert len(keyed.sql) < len(default.sql)
         assert "ORDER BY" in keyed.sql
@@ -147,75 +153,20 @@ class TestNaturalCodegen:
             assert "ROW_NUMBER" not in c.sql
             assert c.statement.ctes == ()
 
-    def test_null_padding_for_uneven_branches(self, schema, db):
-        # §6.1: "the need to pad some subqueries with null columns" — build
-        # a union whose branches bind 3 vs 2 generators at the same level.
-        from repro.nrc import builders as b
+    def test_null_padding_for_uneven_branches(self, schema):
+        # §6.1: "the need to pad some subqueries with null columns" — a
+        # union whose branches bind 3 vs 2 generators at the same level.
+        # (tests/test_property_pipeline.py runs it against the oracle.)
+        from .strategies import asymmetric_union_query
 
-        asymmetric = b.for_(
-            "d",
-            b.table("departments"),
-            lambda d: b.ret(
-                b.record(
-                    n=d["name"],
-                    people=b.union(
-                        b.for_(
-                            "e",
-                            b.table("employees"),
-                            lambda e: b.for_(
-                                "t",
-                                b.table("tasks"),
-                                lambda t: b.where(
-                                    b.and_(
-                                        b.eq(e["dept"], d["name"]),
-                                        b.eq(t["employee"], e["name"]),
-                                    ),
-                                    b.ret(
-                                        b.record(
-                                            who=e["name"],
-                                            stuff=b.for_(
-                                                "u",
-                                                b.table("tasks"),
-                                                lambda u: b.where(
-                                                    b.eq(
-                                                        u["employee"],
-                                                        e["name"],
-                                                    ),
-                                                    b.ret(u["task"]),
-                                                ),
-                                            ),
-                                        )
-                                    ),
-                                ),
-                            ),
-                        ),
-                        b.for_(
-                            "c",
-                            b.table("contacts"),
-                            lambda c: b.where(
-                                b.eq(c["dept"], d["name"]),
-                                b.ret(
-                                    b.record(
-                                        who=c["name"],
-                                        stuff=b.ret(b.const("z")),
-                                    )
-                                ),
-                            ),
-                        ),
-                    ),
-                )
-            ),
-        )
-        compiled = _compile_all(asymmetric, schema, SqlOptions(scheme="natural"))
+        compiled = _compile_all(asymmetric_union_query(), schema)
         middle = compiled[1]  # the `people` query: 3 vs 2 generators
-        assert "NULL" in middle.sql
-        # And the padded query still round-trips end to end.
-        from repro.nrc.semantics import evaluate
-        from repro.pipeline.shredder import shred_run
-        from repro.values import bag_equal
-
-        out = shred_run(asymmetric, db, SqlOptions(scheme="natural"))
-        assert bag_equal(out, evaluate(asymmetric, db))
+        assert middle.natural and "NULL" in middle.sql
+        assert [
+            sum(isinstance(item.expr, Col) for item in select.items
+                if item.alias.startswith("item_stuff_dyn"))
+            for select in middle.statement.selects
+        ] == [3, 2]
 
     def test_key_columns_in_select(self, schema):
         compiled = _compile_all(
@@ -226,7 +177,7 @@ class TestNaturalCodegen:
 
 class TestDecodeRows:
     def test_decode_round_trip(self, schema, db):
-        compiled = _compile_all(queries.Q6, schema)[1]
+        compiled = _compile_all(queries.Q6, schema, FLAT)[1]
         pairs = compiled.decode_rows(db.execute_sql(compiled.sql))
         from repro.shred.indexes import FlatIndex
 

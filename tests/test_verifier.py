@@ -9,12 +9,16 @@ Two halves:
   optimizer rule are rejected at the *right stage with the right rule
   name*: the normalise-stage verifier catches unbound/duplicated/captured
   variables, the shred-stage verifier catches package-shape and type
-  regressions, the codegen-stage verifier catches unresolvable SQL, and
-  the per-rewrite verifier catches an unguarded predicate pushdown the
-  moment it filters a ROW_NUMBER CTE.
+  regressions, the codegen-stage verifier catches unresolvable SQL and
+  key-indexed statements that drop a key column, the package-stage
+  verifier catches a child whose outer index is narrower than its parent's
+  item index, and the per-rewrite verifier catches an unguarded predicate
+  pushdown the moment it filters a ROW_NUMBER CTE.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -70,10 +74,11 @@ ALL_QUERIES = {**FLAT_QUERIES, **NESTED_QUERIES}
 OPTION_SPREAD = [
     SqlOptions(verify=True),
     SqlOptions(verify=True, optimize=True),
-    SqlOptions(verify=True, scheme="natural"),
+    SqlOptions(verify=True, scheme="flat"),
+    SqlOptions(verify=True, scheme="flat", optimize=True),
     SqlOptions(verify=True, ordered=True),
-    SqlOptions(verify=True, inline_with=True, optimize=True),
-    SqlOptions(verify=True, dedup_cte=True, optimize=True),
+    SqlOptions(verify=True, scheme="flat", inline_with=True, optimize=True),
+    SqlOptions(verify=True, scheme="flat", dedup_cte=True, optimize=True),
 ]
 
 
@@ -110,7 +115,8 @@ class TestVerifierSilence:
         for options in (
             SqlOptions(verify=True),
             SqlOptions(verify=True, optimize=True),
-            SqlOptions(verify=True, scheme="natural"),
+            SqlOptions(verify=True, scheme="flat"),
+            SqlOptions(verify=True, scheme="flat", optimize=True),
         ):
             ShreddingPipeline(SCHEMA, options).compile(query)
 
@@ -155,7 +161,7 @@ class TestEnablementResolution:
             optimizer.STATEMENT_RULES, "opt_fold", _sabotaged_fold
         )
         compiled = ShreddingPipeline(
-            SCHEMA, SqlOptions(optimize=True)
+            SCHEMA, SqlOptions(scheme="flat", optimize=True)
         ).compile(_pushdown_bait_query())
         assert compiled.query_count == 2  # compiled; nobody checked
 
@@ -454,15 +460,127 @@ class TestCodegenStage:
         query = b.for_(
             "x",
             b.table("departments"),
-            b.ret(b.record(name=_proj("x", "name"))),
+            b.ret(b.record(id=_proj("x", "id"), name=_proj("x", "name"))),
         )
         pipeline = ShreddingPipeline(SCHEMA, SqlOptions(verify=False))
-        compiled = pipeline.compile(query)
-        member = compiled.sql_package.annotation
-        member.columns = tuple(reversed(member.columns))
+        member = pipeline.compile(query).sql_package.annotation
+        assert member.columns == ("item_id", "item_name")
+        # The ⊤·1 context is the same literal in every branch: not projected.
+        assert member.constants == (("outer_tag", "top"), ("outer_dyn1", 1))
+        verify_compiled_sql(member, SCHEMA)
+        for corrupt in (
+            {"columns": ("item_name", "item_id")},  # reordered
+            {"constants": member.constants[:1]},  # a literal went missing
+            {"constants": member.constants + (("item_bogus", 0),)},
+        ):
+            broken = replace(member, **corrupt)
+            with pytest.raises(VerifierError) as err:
+                verify_compiled_sql(broken, SCHEMA)
+            assert err.value.rule == "column-layout", corrupt
+
+
+def _with_item(core: SelectCore, alias: str, expr) -> SelectCore:
+    """``core`` with the expression of select item ``alias`` replaced."""
+    return SelectCore(
+        tuple(
+            SelectItem(expr, item.alias) if item.alias == alias else item
+            for item in core.items
+        ),
+        core.from_items,
+        core.where,
+    )
+
+
+def _corrupt_member(member, alias: str, expr, branches=None):
+    """A copy of a compiled statement with ``alias`` rebound to ``expr`` in
+    the given UNION branches (default: all)."""
+    selects = tuple(
+        _with_item(core, alias, expr)
+        if branches is None or position in branches
+        else core
+        for position, core in enumerate(member.statement.selects)
+    )
+    statement = Statement(
+        member.statement.ctes, selects, member.statement.columns
+    )
+    return replace(member, statement=statement)
+
+
+class TestKeyIndexedLayout:
+    """The rules that keep key-indexed (natural) plans joinable: a statement
+    binds exactly the keys of the generators in scope, and parent and child
+    agree on each static tag's index width."""
+
+    @pytest.fixture
+    def q6(self):
+        return ShreddingPipeline(SCHEMA, SqlOptions(verify=False)).compile(
+            NESTED_QUERIES["Q6"]
+        )
+
+    def test_dropped_key_column_rejected(self, q6):
+        people = q6.sql_at(q6.query_paths[1])
+        verify_compiled_sql(people, SCHEMA)
+        # Employees of one department would all share ⟨b, department id⟩.
+        broken = _corrupt_member(people, "item_tasks_dyn2", Lit(None), {0})
         with pytest.raises(VerifierError) as err:
-            verify_compiled_sql(member, SCHEMA)
-        assert err.value.rule == "column-layout"
+            verify_compiled_sql(broken, SCHEMA)
+        assert (err.value.stage, err.value.rule) == ("codegen", "key-layout")
+        assert "branch 0" in err.value.detail
+
+    def test_misplaced_key_column_rejected(self, q6):
+        people = q6.sql_at(q6.query_paths[1])
+        broken = _corrupt_member(people, "outer_dyn1", Col("x2", "id"), {0})
+        with pytest.raises(VerifierError) as err:
+            verify_compiled_sql(broken, SCHEMA)
+        assert err.value.rule == "key-layout"
+
+    def test_parent_child_width_mismatch_rejected(self, q6):
+        from repro.check import verify_compiled_package
+
+        people_path, tasks_path = q6.query_paths[1:]
+        tasks = q6.sql_at(tasks_path)
+        # The child reads ⟨b, department⟩ where its parent emits
+        # ⟨b, department, employee⟩: a prefix, so each statement is fine on
+        # its own — only the package sees that the join no longer meets.
+        narrow = _corrupt_member(tasks, "outer_dyn2", Lit(None))
+        verify_compiled_sql(narrow, SCHEMA)
+        package = pmap(
+            lambda member: narrow if member is tasks else member,
+            q6.sql_package,
+        )
+        verify_compiled_package(
+            q6.sql_package, q6.result_type, SCHEMA, q6.param_specs
+        )
+        with pytest.raises(VerifierError) as err:
+            verify_compiled_package(
+                package, q6.result_type, SCHEMA, q6.param_specs
+            )
+        assert (err.value.stage, err.value.rule) == ("package", "index-join")
+        assert "↓.people" in err.value.detail
+
+    def test_codegen_that_drops_a_key_is_caught_by_the_pipeline(
+        self, monkeypatch
+    ):
+        """Mutation proof: break the key projection itself and the
+        *pipeline* rejects the compile at the codegen stage — and, the
+        control group, sails through with verification off."""
+        from repro.sql import codegen
+
+        real = codegen._key_exprs
+
+        def lossy_key_exprs(generators, schema):
+            return real(generators, schema)[:1]  # keep only the first key
+
+        monkeypatch.setattr(codegen, "_key_exprs", lossy_key_exprs)
+        with pytest.raises(VerifierError) as err:
+            ShreddingPipeline(SCHEMA, SqlOptions(verify=True)).compile(
+                NESTED_QUERIES["Q6"]
+            )
+        assert (err.value.stage, err.value.rule) == ("codegen", "key-layout")
+        compiled = ShreddingPipeline(
+            SCHEMA, SqlOptions(verify=False)
+        ).compile(NESTED_QUERIES["Q6"])
+        assert compiled.query_count == 3  # compiled; nobody checked
 
 
 # ==========================================================================
@@ -665,7 +783,7 @@ class TestMutationProof:
         from repro.sql import optimizer
 
         # First, sanity: the bait compiles cleanly with the real rule.
-        options = SqlOptions(verify=True, optimize=True)
+        options = SqlOptions(verify=True, scheme="flat", optimize=True)
         ShreddingPipeline(SCHEMA, options).compile(_pushdown_bait_query())
 
         monkeypatch.setitem(
@@ -688,6 +806,6 @@ class TestMutationProof:
             optimizer.STATEMENT_RULES, "opt_pushdown", _unguarded_pushdown
         )
         compiled = ShreddingPipeline(
-            SCHEMA, SqlOptions(verify=False, optimize=True)
+            SCHEMA, SqlOptions(verify=False, scheme="flat", optimize=True)
         ).compile(_pushdown_bait_query())
         assert "opt_pushdown" in compiled.fired_rules
