@@ -8,7 +8,7 @@ execute + compiled stitch) for Q1–Q6 at the largest seed scale, mirroring
 the harness sweep order (uncached cells measured before the cached system
 touches the database, so advisory indexes never flatter the baseline).
 
-Results are written to ``BENCH_plan_cache.json`` at the repo root; the
+Results are written to ``BENCH_plan_cache.json`` under ``.benchmarks/``; the
 acceptance bar is a ≥3× median end-to-end speedup on every nested query.
 """
 
@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import os
-import pathlib
 
 import pytest
 
 from repro.bench.harness import BenchConfig, median_millis
+from repro.bench.reporting import bench_result_path, write_bench_json
 from repro.data.generator import scaled_database
 from repro.data.queries import NESTED_QUERIES
 from repro.pipeline.plan_cache import PlanCache
@@ -31,7 +31,7 @@ QUERIES = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"]
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
 SPEEDUP_FLOOR = 3.0
 
-_RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_plan_cache.json"
+_RESULT_PATH = bench_result_path("plan_cache")
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +109,6 @@ def sweep_results():
     results["min_speedup"] = min(
         cell["speedup"] for cell in results["queries"].values()
     )
-    from repro.bench.reporting import write_bench_json
-
     write_bench_json(_RESULT_PATH, results)
     return results
 

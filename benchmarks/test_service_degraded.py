@@ -34,14 +34,13 @@ of collapsing onto one server.
 from __future__ import annotations
 
 import os
-import pathlib
 import threading
 import time
 
 import pytest
 
 from repro.api import connect
-from repro.bench.reporting import merge_bench_json
+from repro.bench.reporting import bench_result_path, merge_bench_json
 from repro.data.organisation import organisation_placement
 from repro.data.queries import NESTED_QUERIES
 from repro.service import RetryPolicy, paper_registry, serve_in_background
@@ -57,7 +56,7 @@ TOTAL_REQUESTS = int(os.environ.get("REPRO_BENCH_DEGRADED_REQUESTS", "64"))
 #: fraction of it (and 100% of correctness).
 RETAINED_FLOOR = float(os.environ.get("REPRO_BENCH_DEGRADED_RETAINED", "0.1"))
 
-_RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_service.json"
+_RESULT_PATH = bench_result_path("service")
 
 
 def _run_clients(make_client, total: int, expected: dict, names=None) -> dict:

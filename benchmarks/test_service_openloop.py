@@ -17,13 +17,12 @@ Scale knobs:
 from __future__ import annotations
 
 import os
-import pathlib
 import threading
 
 import pytest
 
 from repro.api import connect
-from repro.bench.reporting import merge_bench_json
+from repro.bench.reporting import bench_result_path, merge_bench_json
 from repro.data.queries import NESTED_QUERIES
 from repro.pipeline.plan_cache import PlanCache
 from repro.service import ServiceClient, paper_registry, serve_in_background
@@ -46,7 +45,7 @@ P99_SLO_MS = float(os.environ.get("REPRO_BENCH_OPENLOOP_SLO_MS", "500"))
 ACHIEVED_RATIO = 0.9
 ATTEMPTS = 3
 
-_RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_service.json"
+_RESULT_PATH = bench_result_path("service")
 
 
 class _ClientPerThread:

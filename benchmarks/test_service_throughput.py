@@ -24,14 +24,13 @@ acceptance bar is 8-client QPS ≥ 1.5× single-client QPS.
 from __future__ import annotations
 
 import os
-import pathlib
 import threading
 import time
 
 import pytest
 
 from repro.api import connect
-from repro.bench.reporting import merge_bench_json
+from repro.bench.reporting import bench_result_path, merge_bench_json
 from repro.data.queries import NESTED_QUERIES
 from repro.pipeline.plan_cache import PlanCache
 from repro.service import ServiceClient, paper_registry, serve_in_background
@@ -48,7 +47,7 @@ THINK_MS = float(os.environ.get("REPRO_BENCH_SERVICE_THINK_MS", "5"))
 SPEEDUP_FLOOR = 1.5
 ATTEMPTS = 3
 
-_RESULT_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_service.json"
+_RESULT_PATH = bench_result_path("service")
 
 
 def _run_clients(host: str, port: int, clients: int, total: int) -> dict:

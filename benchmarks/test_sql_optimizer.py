@@ -12,7 +12,7 @@ Every cell is value-checked in-suite: optimizer-on results must be
 bag-identical to optimizer-off results on every bench query before any
 timing is recorded.
 
-Results go to ``BENCH_sql_opt.json`` at the repo root (deterministic JSON:
+Results go to ``BENCH_sql_opt.json`` under ``.benchmarks/`` (deterministic JSON:
 sorted keys, fixed float precision); the acceptance bar is a ≥1.3× median
 end-to-end speedup on every nested query.
 """
@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 import os
-import pathlib
 
 import pytest
 
 from repro.bench.harness import BenchConfig, median_millis
-from repro.bench.reporting import write_bench_json
+from repro.bench.reporting import bench_result_path, write_bench_json
 from repro.data.generator import scaled_database
 from repro.data.queries import NESTED_QUERIES
 from repro.pipeline.plan_cache import PlanCache
@@ -38,9 +37,7 @@ QUERIES = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"]
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
 SPEEDUP_FLOOR = 1.3
 
-_RESULT_PATH = (
-    pathlib.Path(__file__).resolve().parent.parent / "BENCH_sql_opt.json"
-)
+_RESULT_PATH = bench_result_path("sql_opt")
 
 
 @pytest.fixture(scope="module")

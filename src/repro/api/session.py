@@ -393,8 +393,9 @@ def connect(
 
 def connect_sharded(database=None, **kwargs: Any):
     """Open a :class:`~repro.shard.deployment.ShardedSession` — the sharded
-    front door (``placement=``/``shards=`` select the deployment; the
-    rest of the knobs match :func:`connect`).
+    front door (``placement=``/``shards=`` select the deployment, a
+    database or its absence selects local or spawned-process endpoints;
+    the rest of the knobs match :func:`connect`).
 
     Imported lazily so ``repro.api`` stays importable without loading the
     sharding subsystem.

@@ -17,6 +17,7 @@ __all__ = [
     "format_speedups",
     "series",
     "bench_json",
+    "bench_result_path",
     "write_bench_json",
     "merge_bench_json",
 ]
@@ -40,6 +41,17 @@ def bench_json(payload: dict, float_digits: int = 3) -> str:
     return json.dumps(
         _normalise_json(payload, float_digits), indent=2, sort_keys=True
     ) + "\n"
+
+
+def bench_result_path(name: str) -> pathlib.Path:
+    """Where a benchmark module writes ``BENCH_<name>.json``: under the
+    git-ignored ``.benchmarks/`` of the working directory (pytest-
+    benchmark's own convention), so running the suite never rewrites a
+    tracked file.  The tracked ``BENCH_*.json`` at the repo root are
+    refreshed by copying from there when a change means to move them."""
+    directory = pathlib.Path(".benchmarks")
+    directory.mkdir(exist_ok=True)
+    return directory / f"BENCH_{name}.json"
 
 
 def write_bench_json(

@@ -32,12 +32,13 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
     MetricsRegistry,
 )
-from repro.obs.trace import Span, Tracer, render_trace
+from repro.obs.trace import Span, Tracer, render_trace, traced
 
 __all__ = [
     "Tracer",
     "Span",
     "render_trace",
+    "traced",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS_MS",
     "MetricsHTTPServer",

@@ -14,7 +14,6 @@ Three consumers share the renderer:
 from __future__ import annotations
 
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -198,6 +197,10 @@ class MetricsHTTPServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        # Imported here: the compile pipeline imports this package for
+        # its span helper and must not pay for the HTTP stack.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         self.registry = registry
         outer = self
 

@@ -43,12 +43,12 @@ indented tree (:func:`render_trace`); both are surfaced by
 from __future__ import annotations
 
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterator, Optional
 
 import time
 
-__all__ = ["Span", "Tracer", "render_trace"]
+__all__ = ["Span", "Tracer", "render_trace", "traced"]
 
 
 class Span:
@@ -193,6 +193,15 @@ class Tracer:
             "trace_id": self.trace_id,
             "spans": [span.to_dict() for span in self.spans],
         }
+
+
+def traced(tracer: Optional[Tracer], name: str, **attributes: object):
+    """``tracer.span(...)`` when tracing, a no-op context otherwise —
+    keeps every instrumented stage a single None check when tracing is
+    off."""
+    if tracer is None:
+        return nullcontext()
+    return tracer.span(name, **attributes)
 
 
 def _fmt_attr(value: object) -> str:

@@ -35,7 +35,6 @@ Performance knobs (see ROADMAP.md "Performance architecture"):
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.backend.database import Database
@@ -51,6 +50,7 @@ from repro.nrc import ast
 from repro.nrc.schema import Schema
 from repro.nrc.typecheck import infer
 from repro.nrc.types import BagType, Type, is_nested
+from repro.obs.trace import traced
 from repro.shred.indexes import FlatIndex, index_fn_for
 from repro.shred.packages import (
     Package,
@@ -88,15 +88,6 @@ KNOWN_ENGINES = ("per-path", "batched", "parallel")
 #: excluded from Int — it is a subclass, but binding True to an Int
 #: parameter is almost always a typo).
 _PARAM_PYTHON_TYPES = {"Int": int, "Bool": bool, "String": str}
-
-
-def _span(tracer, name: str, **attributes):
-    """``tracer.span(...)`` when tracing, a no-op context otherwise —
-    keeps every instrumented stage a single None check when tracing is
-    off."""
-    if tracer is None:
-        return nullcontext()
-    return tracer.span(name, **attributes)
 
 
 def collect_param_specs(query: ast.Term) -> tuple:
@@ -319,7 +310,7 @@ class CompiledQuery:
                     "results; use one_pass_stitch=True (or the per-path "
                     "engine)"
                 )
-            with _span(tracer, "execute", engine=engine):
+            with traced(tracer, "execute", engine=engine):
                 results = execute_package_batched(
                     db,
                     self.sql_package,
@@ -332,12 +323,12 @@ class CompiledQuery:
                     connection=connection,
                     tracer=tracer,
                 )
-            with _span(tracer, "stitch"):
+            with traced(tracer, "stitch"):
                 value = stitch_grouped(results, self._top_key())
         elif engine == "per-path":
             from repro.backend.executor import shared_scan_tables
 
-            with _span(tracer, "execute", engine=engine):
+            with traced(tracer, "execute", engine=engine):
                 with shared_scan_tables(db, self.shared_scans):
                     results = package_from(
                         self.result_type,
@@ -351,7 +342,7 @@ class CompiledQuery:
                             tracer=tracer,
                         ),
                     )
-            with _span(tracer, "stitch"):
+            with traced(tracer, "stitch"):
                 value = stitch(
                     results, self._top_index_fn(), one_pass=one_pass_stitch
                 )
@@ -491,14 +482,14 @@ class ShreddingPipeline:
 
         verify = verification_enabled(self.options)
         do_normalise = normalise if self.cache is None else normalise_cached
-        with _span(tracer, "normalise"):
+        with traced(tracer, "normalise"):
             normal_form = do_normalise(query, self.schema)
         result_type = self._result_type(normal_form, query)
         if verify:
             from repro.check.verifier import verify_normalisation
 
             verify_normalisation(query, normal_form, result_type, self.schema)
-        with _span(tracer, "shred"):
+        with traced(tracer, "shred"):
             shredded_package = shred_query_package(normal_form, result_type)
         if verify:
             from repro.check.verifier import verify_shredded_package
@@ -510,7 +501,7 @@ class ShreddingPipeline:
         # compile_shredded runs the codegen-stage verifier (and, with the
         # optimizer on, the per-rule rewrite verifier) on each member.
         def codegen_at(path: Path) -> CompiledSql:
-            with _span(tracer, "codegen", path=str(path)):
+            with traced(tracer, "codegen", path=str(path)):
                 return compile_shredded(
                     annotation_at(shredded_package, path),
                     self._element_type(result_type, path),

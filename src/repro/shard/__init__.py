@@ -8,21 +8,25 @@ partitions and every shardable comprehension is linear in its sharded
 generator, so per-shard answers bag-union back to the exact nested
 multiset the paper's semantics prescribe.
 
-Four pieces:
+Five pieces:
 
 * :mod:`~repro.shard.placement` — the per-table policy
   (``sharded(key=…)`` vs ``replicated``) and the stable cross-process
   routing hash;
 * :mod:`~repro.shard.analysis` — the shardability analysis over the
-  normalised term: fanout / routed / single / fallback;
-* :mod:`~repro.shard.deployment` — ``ShardedDatabase`` + ``ShardedSession``
-  (+ :func:`connect_sharded`), the in-process multi-session deployment;
-* :mod:`~repro.shard.client` — ``ShardedServiceClient``, the same
-  routing over the PR 4 wire protocol against ``python -m repro serve
-  --shard i/n`` servers;
+  normalised term (fanout / routed / single / fallback) and the per-call
+  route policy;
+* :mod:`~repro.shard.client` — ``ShardedServiceClient``, the one
+  coordinator: route → sub-requests → failover → bag-union merge →
+  counters, over *endpoints* of two kinds (a wire
+  :class:`~repro.service.client.ServiceClient` per ``python -m repro
+  serve --shard i/n`` server, or an in-process ``LocalEndpoint``);
+* :mod:`~repro.shard.deployment` — ``connect_sharded`` /
+  ``ShardedSession`` (the façade over a coordinator) and the local
+  substrate, ``ShardedDatabase`` + ``LocalEndpoint``;
 * :mod:`~repro.shard.supervisor` — ``ShardProcess`` / ``Supervisor`` /
-  ``SupervisedDeployment``, the self-healing process layer under those
-  servers (spawn, health-check, restart with backoff, crash-loop
+  ``SupervisedDeployment``, the self-healing process layer under the
+  wire endpoints (spawn, health-check, restart with backoff, crash-loop
   detection, graceful drain).
 """
 
@@ -44,8 +48,7 @@ from repro.shard.placement import (
     sharded,
 )
 from repro.shard.deployment import (
-    ProcessShardedPrepared,
-    ProcessShardedSession,
+    LocalEndpoint,
     ShardedDatabase,
     ShardedPrepared,
     ShardedResult,
@@ -76,8 +79,7 @@ __all__ = [
     "ShardedSession",
     "ShardedPrepared",
     "ShardedResult",
-    "ProcessShardedSession",
-    "ProcessShardedPrepared",
+    "LocalEndpoint",
     "connect_sharded",
     "ShardedServiceClient",
     "ShardProcess",

@@ -525,10 +525,9 @@ def plan_route(
     collection: Optional[str] = None,
     down_shards: "Iterable[int]" = (),
 ) -> RouteDecision:
-    """Resolve ``plan`` into this call's route — the one policy both the
-    in-process :class:`~repro.shard.deployment.ShardedSession` and the
-    wire :class:`~repro.shard.client.ShardedServiceClient` follow, so the
-    two transports cannot drift apart.
+    """Resolve ``plan`` into this call's route — the policy
+    :meth:`~repro.shard.client.ShardedServiceClient.execute_full` applies
+    before sending anything.
 
     ``down_shards`` names partition shards currently presumed dead (open
     circuit breakers, failed health checks).  A route that would touch one

@@ -1,61 +1,73 @@
-"""The fan-out client: one sharded deployment behind the PR 4 wire protocol.
+"""The fan-out coordinator: one sharded deployment behind a set of endpoints.
 
-A :class:`ShardedServiceClient` holds one
-:class:`~repro.service.client.ServiceClient` per partition shard server
-(``python -m repro serve --shard i/n``) plus one for the full-copy
-fallback server (``--shard full/n``), and routes named registry queries
-exactly like the in-process :class:`~repro.shard.deployment.ShardedSession`:
+A :class:`ShardedServiceClient` holds one *endpoint* per partition shard
+replica plus one for the full-copy fallback, and is the only
+implementation of the sharded execution algorithm — plan route →
+sub-requests → replica/whole-query failover → bag-union merge → counters.
+An endpoint is anything that answers ``prepare`` / ``register`` /
+``execute_full`` / ``insert`` / ``ping`` / ``explain`` / ``stats`` /
+``close`` and carries ``.breaker`` / ``.retries`` / ``.reconnects`` /
+``.last_ping_ms``; there are two kinds:
 
-* the client carries the *same* placement and query catalogue the servers
-  were deployed with (the catalogue is the shared contract — terms are
-  what the shardability analysis reads; only names and parameter values
-  travel on the wire);
-* fan-out requests go to every shard concurrently (one worker thread per
-  shard — each shard connection is a dedicated socket, and the servers
-  genuinely overlap), and the row lists bag-union by concatenation in
-  shard order;
-* routed point lookups (``dept_staff(:dept)``) hit exactly one shard —
-  ``shard_requests`` counts per-shard executes so deployments can assert
-  that.
+* a :class:`~repro.service.client.ServiceClient` — the PR 4 wire protocol
+  against a ``python -m repro serve --shard i/n`` server (built here from
+  a ``(host, port)`` address);
+* a :class:`~repro.shard.deployment.LocalEndpoint` — a per-partition
+  :class:`~repro.api.session.Session` in this process (built by
+  :func:`~repro.shard.deployment.connect_sharded`; no JSON, no socket).
 
-Fault tolerance (PR 6): every endpoint gets its own
-:class:`~repro.service.resilience.CircuitBreaker` and the per-op
-deadline/retry machinery of :class:`~repro.service.client.ServiceClient`.
-On top of that the *sharded* client adds failover:
+The coordinator carries the placement and the query catalogue (terms are
+what the shardability analysis reads; only names and parameter values
+reach an endpoint) and:
 
-* **proactively** — a shard whose breakers are all open (or that a
-  :meth:`check_health` ping just failed) is routed around before any
-  request is sent: the whole query runs on the full-copy fallback and the
-  response carries ``route="failover:…"`` plus a ``failover_reroutes``
-  stats marker;
+* fans a distributive query out to every shard concurrently (one worker
+  thread per sub-request) and bag-unions the row lists by concatenation
+  **in shard order**; ``collection="set"`` runs shards under bag
+  semantics and deduplicates once, *after* the union (set-union is
+  global — per-shard dedup alone would under-collapse across shards);
+* sends a routed point lookup (``dept_staff(:dept)``) to exactly one
+  shard — ``shard_requests`` counts per-shard executes so deployments
+  can assert that;
+* runs what the analysis rejects, and anything under ``collection=
+  "list"`` (which needs the full store's row order), on the fallback.
+
+Failover: every endpoint has a
+:class:`~repro.service.resilience.CircuitBreaker`.
+
+* **proactively** — a shard that is marked down
+  (:meth:`~ShardedServiceClient.mark_shard_down`) or whose breakers are
+  all open is routed around before any request is sent: the whole query
+  runs on the full-copy fallback, ``route="failover:…"``, counted in
+  ``failover_reroutes``;
 * **reactively** — a shard that dies *mid-run* (transport failure,
-  deadline, shed with ``OVERLOADED``) makes the client discard any
-  partial fan-out responses and re-run the whole query on the fallback
-  (``failover_retries``).  Partial results cannot be patched — the dead
-  shard's slice is simply missing — and the fallback holds a full copy.
+  deadline, shed with ``OVERLOADED``, a local store raising) makes the
+  coordinator discard any partial fan-out responses and re-run the whole
+  query on the fallback (``failover_retries``).  Partial results cannot
+  be patched — the dead shard's slice is simply missing — and the
+  fallback holds a full copy.
 
-Replica groups (PR 7): each logical shard may be served by a *group* of
+Replica groups: each logical shard may be served by a *group* of
 endpoints — a primary plus N replicas holding the same partition (pass a
-list of ``(host, port)`` lists for ``shard_addresses``; a flat list of
-pairs is the degenerate one-replica deployment).  Reads route to the
-preferred live replica — breaker state first, then the lowest measured
-:meth:`~repro.service.client.ServiceClient.ping` round-trip, primaries
+list of lists for ``shard_addresses``; a flat list is the degenerate
+one-replica deployment).  Reads route to the preferred live replica —
+breaker state first, then the lowest measured ping round-trip, primaries
 winning ties — and a *sub-request* that fails with a sibling still
 standing retries on the sibling (``replica_failovers``) instead of
-abandoning the fan-out: the full-copy fallback is now the last resort,
-reached only when an entire group is exhausted.  A failed-over run costs
-at most (replicas + 1) attempts on the slow path, each bounded by the
-per-attempt deadline.  Writes (:meth:`ShardedServiceClient.insert`) go
-to *every* replica of the owning group — write-all/read-any, with the
-idempotency key making redelivery after a partial write safe.
+abandoning the fan-out: the fallback is the last resort, reached only
+when an entire group is exhausted.  Writes (:meth:`ShardedServiceClient.
+insert`) go to *every* replica of the owning group — write-all/read-any,
+with the idempotency key making redelivery after a partial write safe.
 
-When the fallback itself cannot answer, the client raises
+When the fallback itself cannot answer, the coordinator raises
 :class:`~repro.errors.ShardUnavailableError` naming the failing shard
-label, replica index and op — never a bare ``OSError`` out of one of
-many sockets.
+label, replica index and op — never a bare ``OSError`` or
+``sqlite3.Error`` out of one of many endpoints.
 
-Like :class:`~repro.service.client.ServiceClient`, an instance is
-thread-confined: give each application thread its own client.
+Thread-safety is a property of the endpoint kind: the coordinator's own
+counters sit under one lock, so over local endpoints (which are
+shareable) one instance serves any number of threads; over wire
+endpoints (one socket each) an instance is thread-confined — give each
+application thread its own.
 """
 
 from __future__ import annotations
@@ -64,7 +76,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import (
     DeadlineExceededError,
@@ -75,51 +87,48 @@ from repro.errors import (
 )
 from repro.normalise import normalise
 from repro.nrc.schema import Schema
+from repro.obs.trace import traced
 from repro.service.client import DEFAULT_TIMEOUT, ServiceClient
 from repro.service.registry import QueryRegistry
 from repro.service.resilience import CircuitBreaker, RetryPolicy
 from repro.shard.analysis import RouteDecision, ShardPlan, analyse, plan_route
 from repro.shard.placement import Placement
 
-__all__ = ["ShardedServiceClient", "SHARD_UNAVAILABLE"]
-
-
-def _span(tracer, name: str, **attributes):
-    """A tracer span, or a no-op context when tracing is off."""
-    if tracer is None:
-        from contextlib import nullcontext
-
-        return nullcontext()
-    return tracer.span(name, **attributes)
+__all__ = ["ShardedServiceClient", "SHARD_UNAVAILABLE", "MODE_COUNTERS"]
 
 #: The failures that mean "this shard cannot answer right now" — transport
-#: breakage, a spent deadline, or deliberate load-shedding.  A structured
-#: query error (unknown query, type error, …) is *deterministic*: it would
-#: fail identically on the fallback, so it propagates instead.
+#: breakage (which is also how a local endpoint reports a dying store), a
+#: spent deadline, or deliberate load-shedding.  A structured query error
+#: (unknown query, type error, …) is *deterministic*: it would fail
+#: identically on the fallback, so it propagates instead.
 SHARD_UNAVAILABLE = (
     ServiceConnectionError,
     DeadlineExceededError,
     OverloadedError,
 )
 
+#: Plan mode → the name its run counter carries in :meth:`ShardedService
+#: Client.stats_snapshot` (and, prefixed ``sharded_``, on a result's
+#: :class:`~repro.backend.executor.ExecutionStats`).
+MODE_COUNTERS = {
+    "fanout": "fanouts",
+    "routed": "routed",
+    "single": "singles",
+    "fallback": "fallbacks",
+}
 
-def _normalise_groups(
-    shard_addresses: Sequence,
-) -> list[list[tuple[str, int]]]:
-    """Accept both address shapes: a flat list of ``(host, port)`` pairs
-    (one endpoint per shard — every pre-replica deployment) or a list of
-    *lists* of pairs (each inner list one shard's replica group, primary
-    first)."""
-    groups: list[list[tuple[str, int]]] = []
+
+def _normalise_groups(shard_addresses: Sequence) -> list[list]:
+    """Accept both shapes: a flat list with one endpoint per shard (every
+    pre-replica deployment) or a list of *lists* (each inner list one
+    shard's replica group, primary first).  An endpoint is a ``(host,
+    port)`` pair or a ready-made endpoint object."""
+    groups: list[list] = []
     for entry in shard_addresses:
-        if (
-            isinstance(entry, (tuple, list))
-            and len(entry) == 2
-            and isinstance(entry[0], str)
-        ):
-            groups.append([(entry[0], int(entry[1]))])
-            continue
-        group = [(host, int(port)) for host, port in entry]
+        single = not isinstance(entry, (tuple, list)) or (
+            len(entry) == 2 and isinstance(entry[0], str)
+        )
+        group = [entry] if single else list(entry)
         if not group:
             raise ShardingError("a shard's replica group cannot be empty")
         groups.append(group)
@@ -127,12 +136,12 @@ def _normalise_groups(
 
 
 class ShardedServiceClient:
-    """Fan-out/routing client over ``n`` shard groups + a fallback server."""
+    """Fan-out/routing coordinator over ``n`` shard groups + a fallback."""
 
     def __init__(
         self,
         shard_addresses: Sequence,
-        fallback_address: tuple[str, int],
+        fallback_address: Any,
         *,
         placement: Placement,
         registry: QueryRegistry,
@@ -150,70 +159,74 @@ class ShardedServiceClient:
         self.placement = placement.validate(schema)
         self.registry = registry
         self.schema = schema
-        addresses = _normalise_groups(shard_addresses)
-        self.shard_count = len(addresses)
-        self.replication = max(len(group) for group in addresses)
         self.deadline_ms = deadline_ms
 
         # connect_now=False: a dead shard at construction time must not
         # make the *client* unusable — its breaker trips on first use and
         # routes divert to a sibling replica or the fallback.
-        def make_client(host: str, port: int) -> ServiceClient:
-            breaker = CircuitBreaker(breaker_threshold, breaker_reset)
+        def endpoint(target: Any) -> Any:
+            if not isinstance(target, (tuple, list)):
+                return target  # built by the caller (a local endpoint)
+            host, port = target
             return ServiceClient(
                 host,
-                port,
+                int(port),
                 timeout=timeout,
                 deadline_ms=deadline_ms,
                 retry=retry,
-                breaker=breaker,
+                breaker=CircuitBreaker(breaker_threshold, breaker_reset),
                 connect_now=False,
                 clock=clock,
             )
 
-        #: One :class:`ServiceClient` per endpoint, grouped by logical
-        #: shard (``self._groups[i][j]`` = shard ``i``, replica ``j``;
-        #: replica 0 is the primary).
-        self._groups: list[list[ServiceClient]] = [
-            [make_client(host, port) for host, port in group]
-            for group in addresses
+        #: One endpoint per replica, grouped by logical shard
+        #: (``self._groups[i][j]`` = shard ``i``, replica ``j``; replica 0
+        #: is the primary).
+        self._groups = [
+            [endpoint(target) for target in group]
+            for group in _normalise_groups(shard_addresses)
         ]
-        self._fallback = make_client(*fallback_address)
+        self._fallback = endpoint(fallback_address)
+        self.shard_count = len(self._groups)
+        self.replication = max(len(group) for group in self._groups)
         #: Per-endpoint breakers in endpoint order (shard 0's replicas,
         #: shard 1's, …, the fallback last) — each shared with its
-        #: underlying client, consulted (non-mutatingly) for routing.  At
-        #: replication 1 this is exactly the PR 6 one-breaker-per-shard
-        #: list, index ``i`` = shard ``i``.
-        self.breakers = [
-            client.breaker for group in self._groups for client in group
-        ] + [self._fallback.breaker]
+        #: endpoint, consulted (non-mutatingly) for routing.
+        self.breakers = [client.breaker for _label, client in self._endpoints()]
         self._plans: dict[str, ShardPlan] = {}
-        #: Per-shard / fallback *execute* counters (local bookkeeping; the
-        #: servers additionally count every request they serve), plus the
-        #: failover counters the fault-injection suite asserts exactly.
-        #: ``replica_requests[i][j]`` splits ``shard_requests[i]`` by the
-        #: replica that actually answered.
+        #: Shards an operator marked down; replaced, never mutated, so the
+        #: request path reads it without a lock.
+        self._marked_down: frozenset = frozenset()
+        #: Per-shard / fallback *execute* counters, one per successful
+        #: run; ``replica_requests[i][j]`` splits ``shard_requests[i]`` by
+        #: the replica that answered, ``mode_runs`` counts runs per plan
+        #: mode, and the failover counters are what the fault-injection
+        #: suite asserts exactly.  All under ``_counter_lock``.
         self.shard_requests = [0] * self.shard_count
-        self.replica_requests = [
-            [0] * len(group) for group in self._groups
-        ]
+        self.replica_requests = [[0] * len(group) for group in self._groups]
         self.fallback_requests = 0
+        self.mode_runs = dict.fromkeys(MODE_COUNTERS, 0)
         self.failover_reroutes = 0
         self.failover_retries = 0
         #: Sub-requests retried on a sibling replica after their preferred
         #: replica failed — the failovers that *don't* cost a fallback run.
-        #: Incremented from fan-out worker threads, hence the lock.
         self.replica_failovers = 0
         self._closed = False
         self._counter_lock = threading.Lock()
-        endpoint_count = sum(len(group) for group in self._groups) + 1
         self._pool = ThreadPoolExecutor(
-            max_workers=endpoint_count,
+            max_workers=len(self.breakers),
             thread_name_prefix="repro-shard-client",
         )
         self.metrics: object = None
         if metrics is not None:
             self.attach_metrics(metrics)
+
+    def _endpoints(self) -> Iterator[tuple[str, Any]]:
+        """Every ``(label, endpoint)`` in endpoint order, fallback last."""
+        for index, group in enumerate(self._groups):
+            for replica, client in enumerate(group):
+                yield self.replica_label(index, replica), client
+        yield self.shard_label(None), self._fallback
 
     def attach_metrics(self, registry) -> None:
         """Mirror this client's routing/failover counters into a
@@ -257,10 +270,8 @@ class ShardedServiceClient:
 
             breaker.on_transition = on_transition
 
-        for index, group in enumerate(self._groups):
-            for replica, client in enumerate(group):
-                subscribe(self.replica_label(index, replica), client.breaker)
-        subscribe(self.shard_label(None), self._fallback.breaker)
+        for label, client in self._endpoints():
+            subscribe(label, client.breaker)
         self.metrics = registry
 
     # ------------------------------------------------------------- analysis
@@ -282,7 +293,7 @@ class ShardedServiceClient:
             return f"full/{self.shard_count}"
         return f"{index}/{self.shard_count}"
 
-    def replica_label(self, index: int, replica: int) -> str:
+    def replica_label(self, index: Optional[int], replica: int) -> str:
         """The label of one endpoint of shard ``index``: the primary keeps
         the plain shard label (``"2/4"``), replicas append their index
         (``"2.1/4"``) — so one-replica deployments read exactly as before."""
@@ -290,27 +301,46 @@ class ShardedServiceClient:
             return self.shard_label(index)
         return f"{index}.{replica}/{self.shard_count}"
 
+    def mark_shard_down(self, index: int) -> None:
+        """Divert routes around partition shard ``index`` until
+        :meth:`mark_shard_up` — the operator's switch, independent of the
+        breakers (which trip and heal on their own)."""
+        if not 0 <= index < self.shard_count:
+            raise ShardingError(
+                f"shard index {index} out of range for {self.shard_count} shards"
+            )
+        with self._counter_lock:
+            self._marked_down = self._marked_down | {index}
+
+    def mark_shard_up(self, index: int) -> None:
+        with self._counter_lock:
+            self._marked_down = self._marked_down - {index}
+
     def down_shards(self) -> frozenset:
-        """Logical shards currently presumed dead: *every* replica's
-        breaker open.  A group with one live replica left is not down —
-        reads route to the survivor instead of the fallback.
+        """Logical shards currently presumed dead: marked down, or *every*
+        replica's breaker open.  A group with one live replica left is not
+        down — reads route to the survivor instead of the fallback.
 
         Non-mutating (``is_open`` never consumes a half-open probe slot),
         so calling this for routing decisions cannot starve recovery."""
-        return frozenset(
+        return self._marked_down.union(
             index
             for index, group in enumerate(self._groups)
             if all(client.breaker.is_open for client in group)
         )
 
-    def _replica_order(self, index: int) -> list[int]:
+    def _group(self, index: Optional[int]) -> list:
+        """The replica group of shard ``index`` (None = the fallback)."""
+        return [self._fallback] if index is None else self._groups[index]
+
+    def _replica_order(self, index: Optional[int]) -> list[int]:
         """Replica preference for shard ``index``: live (breaker not
         open) replicas first, ordered by their last measured ping
         round-trip (unmeasured sorts last among the live; the primary
         wins ties).  With every breaker open, all replicas in primary
         order — their breakers' half-open probes decide at request time.
         """
-        group = self._groups[index]
+        group = self._group(index)
         candidates = [
             replica
             for replica, client in enumerate(group)
@@ -329,15 +359,14 @@ class ShardedServiceClient:
     def check_health(self, deadline_ms: Optional[float] = 1000.0) -> dict:
         """Ping every endpoint; returns label → liveness verdict.
 
-        A successful ping feeds the endpoint's breaker via the shared
-        :class:`~repro.service.client.ServiceClient`, so health checks
+        A successful ping feeds the endpoint's breaker, so health checks
         both *observe* and *heal* liveness state (a half-open breaker's
-        probe slot rides on the ping) — and it records each endpoint's
-        round-trip latency, which is the replica-routing tie-break.
+        probe slot rides on the ping) — and it records each wire
+        endpoint's round-trip latency, which is the replica-routing
+        tie-break.
         """
-        verdicts: dict[str, bool] = {}
 
-        def probe(pair: "tuple[str, ServiceClient]") -> tuple[str, bool]:
+        def probe(pair: tuple) -> tuple[str, bool]:
             label, client = pair
             try:
                 client.ping(deadline_ms=deadline_ms)
@@ -345,32 +374,31 @@ class ShardedServiceClient:
                 return label, False
             return label, True
 
-        pairs = [
-            (self.replica_label(index, replica), client)
-            for index, group in enumerate(self._groups)
-            for replica, client in enumerate(group)
-        ] + [(self.shard_label(None), self._fallback)]
-        for label, alive in self._pool.map(probe, pairs):
-            verdicts[label] = alive
-        return verdicts
+        return dict(self._pool.map(probe, self._endpoints()))
 
     # ------------------------------------------------------------------ ops
+
+    def _broadcast(self, call: Callable) -> list:
+        """``call(endpoint)`` on every *live* partition replica, one worker
+        each; a replica whose breaker is open, or that cannot answer, is
+        skipped (None) — its breaker has recorded it and executes divert."""
+
+        def guarded(client) -> Optional[dict]:
+            if client.breaker.is_open:
+                return None
+            try:
+                return call(client)
+            except SHARD_UNAVAILABLE:
+                return None
+
+        replicas = [client for group in self._groups for client in group]
+        return list(self._pool.map(guarded, replicas))
 
     def prepare(self, query: str) -> dict:
         """Compile ``query`` on every *live* replica of every shard (and
         the fallback), so later executes hit warm plan caches everywhere —
         including the sibling a sub-request may fail over to."""
-
-        def prep(client: ServiceClient) -> Optional[dict]:
-            if client.breaker is not None and client.breaker.is_open:
-                return None
-            try:
-                return client.prepare(query)
-            except SHARD_UNAVAILABLE:
-                return None  # breaker has recorded it; executes divert
-
-        replicas = [client for group in self._groups for client in group]
-        responses = [r for r in self._pool.map(prep, replicas)]
+        responses = self._broadcast(lambda client: client.prepare(query))
         template = next((r for r in responses if r is not None), None)
         try:
             fallback_response = self._fallback.prepare(query)
@@ -403,16 +431,9 @@ class ShardedServiceClient:
         from repro.api.fluent import to_term
 
         term = to_term(source)
-
-        def ship(client: ServiceClient) -> Optional[dict]:
-            if client.breaker is not None and client.breaker.is_open:
-                return None
-            try:
-                return client.register(query, term, description=description)
-            except SHARD_UNAVAILABLE:
-                return None
-        replicas = [client for group in self._groups for client in group]
-        responses = [r for r in self._pool.map(ship, replicas)]
+        responses = self._broadcast(
+            lambda client: client.register(query, term, description=description)
+        )
         try:
             fallback_response = self._fallback.register(
                 query, term, description=description
@@ -425,10 +446,19 @@ class ShardedServiceClient:
             ) from error
         self.registry.register(query, term, description=description)
         self._plans.pop(query, None)  # the name may now mean a new term
-        shipped = sum(1 for r in responses if r is not None) + 1
         response = dict(fallback_response)
-        response["endpoints"] = shipped
+        response["endpoints"] = sum(1 for r in responses if r is not None) + 1
         return response
+
+    def explain(self, query: str) -> str:
+        """The shard plan for ``query`` plus the fallback's compilation
+        report (every endpoint compiles the same plan)."""
+        plan = self.plan_for(query)
+        return (
+            f"shards         : {self.shard_count} (+ full-copy fallback)\n"
+            f"shard plan     : {plan.mode} — {plan.reason}\n"
+            + self._fallback.explain(query)
+        )
 
     def execute(
         self,
@@ -452,7 +482,8 @@ class ShardedServiceClient:
         deadline_ms: Optional[float] = None,
         tracer: object = None,
     ) -> dict:
-        """Like :meth:`execute`, plus route, shards hit and merged stats.
+        """Like :meth:`execute`, plus route (and why), shards hit and
+        merged stats.
 
         ``deadline_ms`` bounds each *attempt*; a run that fails over pays
         at most two attempts (primary + fallback), so the caller waits at
@@ -461,27 +492,22 @@ class ShardedServiceClient:
         ``tracer`` (a :class:`repro.obs.Tracer`) records one ``route``
         span per attempt with a ``shard`` sub-span per endpoint hit —
         each carrying the shard/replica label, the client-observed wall
-        time and the server-reported ``server_millis`` — and stamps the
+        time and the endpoint-reported ``server_millis`` — and stamps the
         tracer's id on every sub-request so server logs correlate.
         """
         if deadline_ms is None:
             deadline_ms = self.deadline_ms
+        bound = dict(params) if params else None
         decision = plan_route(
             self.plan_for(query),
             self.shard_count,
-            params=dict(params) if params else None,
+            params=bound,
             collection=collection,
             down_shards=self.down_shards(),
         )
-        bound = dict(params) if params else None
-        per_shard = decision.per_shard_collection
-        retried = False
+        request = (query, bound, engine, deadline_ms, tracer)
         try:
-            with _span(tracer, "route", mode=decision.mode, route=decision.route):
-                rows, stats, resolved_engine = self._run_decision(
-                    decision, query, bound, engine, per_shard, deadline_ms,
-                    tracer=tracer,
-                )
+            rows, stats, resolved_engine = self._run_decision(decision, *request)
         except SHARD_UNAVAILABLE as error:
             if not decision.shards:
                 # The full-copy fallback itself failed: nothing stands in.
@@ -490,46 +516,38 @@ class ShardedServiceClient:
                     shard=self.shard_label(None),
                     op="execute",
                 ) from error
-            failed = getattr(error, "_repro_shard", None)
-            retried = True
+            # Reactive failover: discard everything and re-run the *whole*
+            # query on the fallback, which holds a superset of every
+            # partition.
+            failed = self.shard_label(getattr(error, "_repro_shard", None))
             decision = RouteDecision(
                 "failover",
                 f"failover:{decision.route}",
                 (),
-                per_shard,
-                f"shard {self.shard_label(failed)} failed mid-run "
-                f"({type(error).__name__}); retried on the full-copy "
-                f"fallback",
+                decision.per_shard_collection,
+                f"shard {failed} failed mid-run ({type(error).__name__}); "
+                f"retried on the full-copy fallback",
             )
             try:
-                with _span(
-                    tracer, "route", mode=decision.mode, route=decision.route
-                ):
-                    rows, stats, resolved_engine = self._run_decision(
-                        decision, query, bound, engine, per_shard,
-                        deadline_ms, tracer=tracer,
-                    )
+                rows, stats, resolved_engine = self._run_decision(
+                    decision, *request, retried=True
+                )
             except SHARD_UNAVAILABLE as fallback_error:
                 raise ShardUnavailableError(
-                    f"shard {self.shard_label(failed)} failed executing "
-                    f"{query!r} ({error}) and the fallback could not stand "
-                    f"in ({fallback_error})",
-                    shard=self.shard_label(failed),
+                    f"shard {failed} failed executing {query!r} ({error}) "
+                    f"and the fallback could not stand in ({fallback_error})",
+                    shard=failed,
                     op="execute",
                     replica=getattr(error, "_repro_replica", None),
                 ) from fallback_error
-        if retried:
-            self.failover_retries += 1
-            stats = dict(stats)
             stats["failover_retries"] = 1
             if self.metrics is not None:
                 self._m_retries.inc()
-        elif decision.mode == "failover":
-            self.failover_reroutes += 1
-            stats = dict(stats)
-            stats["failover_reroutes"] = 1
-            if self.metrics is not None:
-                self._m_reroutes.inc()
+        else:
+            if decision.mode == "failover":
+                stats["failover_reroutes"] = 1
+                if self.metrics is not None:
+                    self._m_reroutes.inc()
 
         if collection == "set":
             from repro.values import dedup_nested
@@ -541,6 +559,7 @@ class ShardedServiceClient:
             "rows": rows,
             "engine": resolved_engine,
             "route": decision.route,
+            "reason": decision.reason,
             "shards": list(decision.shards),
             "stats": stats,
         }
@@ -551,9 +570,9 @@ class ShardedServiceClient:
         query: str,
         bound: Optional[dict],
         engine: Optional[str],
-        per_shard: str,
         deadline_ms: Optional[float],
         tracer: object = None,
+        retried: bool = False,
     ) -> tuple[list, dict, str]:
         """Execute one resolved route; shard failures carry the culprit's
         index as ``error._repro_shard`` (and the last replica tried as
@@ -563,22 +582,25 @@ class ShardedServiceClient:
         (see :meth:`_replica_order`): a replica that fails with a sibling
         still untried hands the sub-request to the sibling
         (``replica_failovers``) — the whole-query fallback only triggers
-        once a group is exhausted.
+        once a group is exhausted.  The fallback is the one-endpoint
+        group ``None``.
 
-        When tracing, every sub-request's measurement comes back with its
-        response and is attached *after* the joins, in shard order, on
-        the coordinating thread — workers never touch the tracer, so the
-        span tree is deterministic however the fan-out interleaves.
+        Workers only measure; counters and spans are attached *after* the
+        joins, in shard order, on the coordinating thread — so the span
+        tree is deterministic however the fan-out interleaves, and a run
+        takes the counter lock once.
         """
         trace_id = getattr(tracer, "trace_id", None)
+        per_shard = decision.per_shard_collection
 
-        def shard_execute(index: int) -> tuple[dict, dict]:
+        def subrequest(index: Optional[int]) -> tuple[dict, float, dict]:
+            group = self._group(index)
             order = self._replica_order(index)
             last_error: Optional[Exception] = None
             for position, replica in enumerate(order):
                 started = time.perf_counter()
                 try:
-                    response = self._groups[index][replica].execute_full(
+                    response = group[replica].execute_full(
                         query,
                         bound,
                         engine,
@@ -596,91 +618,68 @@ class ShardedServiceClient:
                         if self.metrics is not None:
                             self._m_replica_failovers.inc()
                     continue
-                self.replica_requests[index][replica] += 1
                 millis = (time.perf_counter() - started) * 1000.0
                 label = self.replica_label(index, replica)
                 if self.metrics is not None:
                     self._m_subrequests.labels(shard=label).inc()
                     self._m_subrequest_ms.labels(shard=label).observe(millis)
-                measure = {
+                return response, millis, {
                     "shard": label,
                     "replica": replica,
-                    "millis": millis,
-                    "server_millis": response.get("server_millis"),
                     "attempts": position + 1,
                 }
-                return response, measure
             assert last_error is not None
             raise last_error
 
-        def record_span(measure: dict) -> None:
-            if tracer is None:
-                return
-            attrs = {
-                "shard": measure["shard"],
-                "replica": measure["replica"],
-                "attempts": measure["attempts"],
-            }
-            if measure["server_millis"] is not None:
-                attrs["server_millis"] = measure["server_millis"]
-            tracer.record("shard", measure["millis"], **attrs)
-
-        if decision.mode == "fanout":
-            # Submit + drain *every* future before raising: per-endpoint
-            # clients are thread-confined, so a failed fan-out must not
-            # leave abandoned sub-requests racing the next op (the
-            # failover retry, or a later routed call) for the same socket.
-            futures = [
-                self._pool.submit(shard_execute, index)
-                for index in decision.shards
-            ]
-            outcomes, first_error = [], None
-            for future in futures:
-                try:
-                    outcomes.append(future.result())
-                except Exception as error:  # noqa: BLE001 — re-raised below
-                    if first_error is None:
-                        first_error = error  # first in shard order wins
-            if first_error is not None:
-                raise first_error
-            for index in decision.shards:
-                self.shard_requests[index] += 1
-            for _response, measure in outcomes:
-                record_span(measure)
-            rows: list = []
-            stats = {"queries": 0, "rows_fetched": 0, "millis": 0.0}
-            for response, _measure in outcomes:
-                rows.extend(response["rows"])
-                for key in stats:
-                    stats[key] += response["stats"][key]
-            stats["millis"] = round(stats["millis"], 3)
-            return rows, stats, outcomes[0][0]["engine"]
-        if decision.mode in ("fallback", "failover"):
-            started = time.perf_counter()
-            response = self._fallback.execute_full(
-                query, bound, engine, per_shard, deadline_ms=deadline_ms,
-                trace_id=trace_id,
-            )
-            self.fallback_requests += 1
-            millis = (time.perf_counter() - started) * 1000.0
-            label = self.shard_label(None)
-            if self.metrics is not None:
-                self._m_subrequests.labels(shard=label).inc()
-                self._m_subrequest_ms.labels(shard=label).observe(millis)
-            record_span(
-                {
-                    "shard": label,
-                    "replica": 0,
-                    "millis": millis,
-                    "server_millis": response.get("server_millis"),
-                    "attempts": 1,
-                }
-            )
-        else:  # routed / single: exactly one partition shard
-            response, measure = shard_execute(decision.shards[0])
-            self.shard_requests[decision.shards[0]] += 1
-            record_span(measure)
-        return response["rows"], dict(response["stats"]), response["engine"]
+        targets = decision.shards or (None,)
+        with traced(tracer, "route", mode=decision.mode, route=decision.route):
+            if len(targets) == 1:
+                outcomes = [subrequest(targets[0])]
+            else:
+                # Submit + drain *every* future before raising: wire
+                # endpoints are thread-confined, so a failed fan-out must
+                # not leave abandoned sub-requests racing the next op (the
+                # failover retry, or a later routed call) for a socket.
+                futures = [self._pool.submit(subrequest, i) for i in targets]
+                outcomes, first_error = [], None
+                for future in futures:
+                    try:
+                        outcomes.append(future.result())
+                    except Exception as error:  # noqa: BLE001 — re-raised below
+                        if first_error is None:
+                            first_error = error  # first in shard order wins
+                if first_error is not None:
+                    raise first_error
+            if tracer is not None:
+                for response, millis, attrs in outcomes:
+                    if response.get("server_millis") is not None:
+                        attrs["server_millis"] = response["server_millis"]
+                    tracer.record("shard", millis, **attrs)
+        with self._counter_lock:
+            for index, (_response, _millis, attrs) in zip(targets, outcomes):
+                if index is None:
+                    self.fallback_requests += 1
+                else:
+                    self.shard_requests[index] += 1
+                    self.replica_requests[index][attrs["replica"]] += 1
+            if retried:
+                self.failover_retries += 1
+            elif decision.mode == "failover":
+                self.failover_reroutes += 1
+            else:
+                self.mode_runs[decision.mode] += 1
+        first = outcomes[0][0]
+        if len(outcomes) == 1:
+            return first["rows"], dict(first["stats"]), first["engine"]
+        # ⊎ is concatenation in shard order.
+        rows: list = []
+        stats = {"queries": 0, "rows_fetched": 0, "millis": 0.0}
+        for response, _millis, _attrs in outcomes:
+            rows.extend(response["rows"])
+            for key in stats:
+                stats[key] += response["stats"][key]
+        stats["millis"] = round(stats["millis"], 3)
+        return rows, stats, first["engine"]
 
     def insert(
         self,
@@ -688,9 +687,9 @@ class ShardedServiceClient:
         rows: Iterable[Mapping[str, object]],
         idempotency_key: str | None = None,
     ) -> dict:
-        """Insert ``rows`` over the wire, routed exactly like the
-        in-process :meth:`~repro.shard.deployment.ShardedDatabase.insert`:
-        the full-copy fallback first (it validates the batch), then every
+        """Insert ``rows``, routed per the placement
+        (:meth:`~repro.shard.placement.Placement.route_rows`): the
+        full-copy fallback first (it validates the batch), then every
         *replica* of each owning shard — write-all/read-any, the contract
         that lets reads route to any live replica.
 
@@ -708,12 +707,9 @@ class ShardedServiceClient:
         if idempotency_key is None:
             idempotency_key = uuid.uuid4().hex
         materialised = [dict(row) for row in rows]
-        column = self.placement.routing_column(table)
-        groups: dict[int, list[dict]] = {}
-        if column is not None:
-            owner = self.placement.owner_fn(self.shard_count)
-            for row in materialised:
-                groups.setdefault(owner(table, row), []).append(row)
+        targets = self.placement.route_rows(
+            table, materialised, self.shard_count
+        )
         try:
             response = self._fallback.insert(
                 table, materialised, idempotency_key=idempotency_key
@@ -726,13 +722,8 @@ class ShardedServiceClient:
                 shard=self.shard_label(None),
                 op="insert",
             ) from error
-        applied = bool(response.get("applied"))
-        if column is None:
-            targets = [(index, materialised) for index in range(self.shard_count)]
-        else:
-            targets = [(index, groups[index]) for index in sorted(groups)]
         endpoints = 1
-        for index, shard_rows in targets:
+        for index, shard_rows in targets.items():
             for replica, client in enumerate(self._groups[index]):
                 try:
                     client.insert(
@@ -752,102 +743,90 @@ class ShardedServiceClient:
             "ok": True,
             "table": table,
             "rows": len(materialised),
-            "applied": applied,
+            "applied": bool(response.get("applied")),
             "idempotency_key": idempotency_key,
             "endpoints": endpoints,
         }
 
     def stats_snapshot(self) -> dict:
-        """This client's resilience counters, *without* touching the wire
-        (unlike :meth:`stats`, which asks every server): routing and
-        failover totals, the transparent retry/reconnect work the
-        per-endpoint clients performed, each endpoint's breaker state and
-        last measured ping round-trip.  The operator's (and the degraded
-        benchmark's) one-call view of what fault handling actually cost.
+        """This client's routing and resilience counters, *without*
+        touching an endpoint (unlike :meth:`stats`, which asks every
+        server): per-shard, per-mode and failover totals, the transparent
+        retry/reconnect work the endpoints performed, each endpoint's
+        breaker state and last measured ping round-trip.  The operator's
+        (and the degraded benchmark's) one-call view of what fault
+        handling actually cost.
         """
-        endpoints = {}
-        for index, group in enumerate(self._groups):
-            for replica, client in enumerate(group):
-                endpoints[self.replica_label(index, replica)] = {
-                    "breaker": client.breaker.snapshot(),
-                    "retries": client.retries,
-                    "reconnects": client.reconnects,
-                    "ping_ms": client.last_ping_ms,
-                }
-        endpoints[self.shard_label(None)] = {
-            "breaker": self._fallback.breaker.snapshot(),
-            "retries": self._fallback.retries,
-            "reconnects": self._fallback.reconnects,
-            "ping_ms": self._fallback.last_ping_ms,
+        every = dict(self._endpoints())
+        with self._counter_lock:
+            snapshot = {
+                "shard_requests": list(self.shard_requests),
+                "replica_requests": [list(c) for c in self.replica_requests],
+                "fallback_requests": self.fallback_requests,
+                "failover_reroutes": self.failover_reroutes,
+                "failover_retries": self.failover_retries,
+                "replica_failovers": self.replica_failovers,
+            }
+            for mode, name in MODE_COUNTERS.items():
+                snapshot[name] = self.mode_runs[mode]
+        snapshot["retries"] = sum(c.retries for c in every.values())
+        snapshot["reconnects"] = sum(c.reconnects for c in every.values())
+        snapshot["down_shards"] = sorted(self.down_shards())
+        snapshot["endpoints"] = {
+            label: {
+                "breaker": client.breaker.snapshot(),
+                "retries": client.retries,
+                "reconnects": client.reconnects,
+                "ping_ms": client.last_ping_ms,
+            }
+            for label, client in every.items()
         }
-        every = [c for group in self._groups for c in group] + [self._fallback]
-        return {
-            "shard_requests": list(self.shard_requests),
-            "replica_requests": [list(counts) for counts in self.replica_requests],
-            "fallback_requests": self.fallback_requests,
-            "failover_reroutes": self.failover_reroutes,
-            "failover_retries": self.failover_retries,
-            "replica_failovers": self.replica_failovers,
-            "retries": sum(client.retries for client in every),
-            "reconnects": sum(client.reconnects for client in every),
-            "down_shards": sorted(self.down_shards()),
-            "endpoints": endpoints,
-        }
+        return snapshot
 
     def stats(self) -> dict:
-        """Server-side counters from every live endpoint plus the
-        fallback, and this client's local routing/failover counters.
+        """Endpoint-side counters from every live endpoint plus the
+        fallback, and this client's :meth:`stats_snapshot` (with the
+        breakers in endpoint order) under ``client``.
 
         ``shards`` stays one entry per *logical* shard (the preferred
         replica's report — the shape PR 6 callers consume); per-replica
         reports live under ``replicas``.
         """
 
-        def server_stats(client: ServiceClient) -> Optional[dict]:
+        def endpoint_stats(client) -> Optional[dict]:
             try:
                 return client.stats()
             except SHARD_UNAVAILABLE:
                 return None  # a dead shard must not sink the whole report
 
         replica_reports = [
-            [server_stats(client) for client in group]
+            [endpoint_stats(client) for client in group]
             for group in self._groups
         ]
+        local = self.stats_snapshot()
+        local["breakers"] = [b.snapshot() for b in self.breakers]
         return {
             "shards": [
                 next((r for r in reports if r is not None), None)
                 for reports in replica_reports
             ],
             "replicas": replica_reports,
-            "fallback": server_stats(self._fallback),
-            "client": {
-                "shard_requests": list(self.shard_requests),
-                "replica_requests": [
-                    list(counts) for counts in self.replica_requests
-                ],
-                "fallback_requests": self.fallback_requests,
-                "failover_reroutes": self.failover_reroutes,
-                "failover_retries": self.failover_retries,
-                "replica_failovers": self.replica_failovers,
-                "down_shards": sorted(self.down_shards()),
-                "breakers": [b.snapshot() for b in self.breakers],
-            },
+            "fallback": endpoint_stats(self._fallback),
+            "client": local,
         }
 
     def close(self) -> None:
-        """Shut the worker pool and close every endpoint client.
+        """Shut the worker pool and close every endpoint.
 
-        Idempotent: a second close is a no-op (the underlying
-        :class:`~repro.service.client.ServiceClient` close is best-effort
-        already, so dead endpoints never make closing raise)."""
+        Idempotent: a second close is a no-op (an endpoint's close is
+        best-effort already, so dead endpoints never make closing
+        raise)."""
         if self._closed:
             return
         self._closed = True
         self._pool.shutdown(wait=True)
-        for group in self._groups:
-            for client in group:
-                client.close()
-        self._fallback.close()
+        for _label, client in self._endpoints():
+            client.close()
 
     def __enter__(self) -> "ShardedServiceClient":
         return self

@@ -292,3 +292,18 @@ class Placement:
             return shard_for(value, shard_count)
 
         return owner
+
+    def route_rows(
+        self, table: str, rows: "list[dict]", shard_count: int
+    ) -> "dict[int, list[dict]]":
+        """Which shard receives which of ``rows``, in ascending shard
+        order: a sharded table's rows go to their owners only (a shard
+        that owns none is absent, so an insert never touches it), a
+        replicated table's rows to every shard."""
+        if self.routing_column(table) is None:
+            return {index: rows for index in range(shard_count)}
+        owner = self.owner_fn(shard_count)
+        groups: dict = {}
+        for row in rows:
+            groups.setdefault(owner(table, row), []).append(row)
+        return dict(sorted(groups.items()))

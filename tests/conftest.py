@@ -12,6 +12,7 @@ rather than from derandomised generation.)
 from __future__ import annotations
 
 import os
+import sqlite3
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -67,3 +68,113 @@ def small_random_db() -> Database:
     return generate_organisation(
         departments=3, employees_per_dept=4, contacts_per_dept=3, seed=42
     )
+
+
+# --------------------------------------------------------------------------
+# Sharded sessions over both endpoint kinds.
+
+
+class _DeadStore:
+    """Stands in for a Prepared whose store died under it."""
+
+    def run(self, **kwargs):
+        raise sqlite3.OperationalError("the store is gone")
+
+
+class ShardedSessions:
+    """Builds :class:`~repro.shard.ShardedSession` objects over one endpoint
+    kind and tears everything down at fixture exit.
+
+    ``local`` is ``connect_sharded(<ShardedDatabase>)`` (LocalEndpoints);
+    ``wire`` serves every store of the same ShardedDatabase from an
+    in-process server and puts a ``ShardedServiceClient`` over the
+    addresses — same data, same catalogue, real sockets.  Either way
+    ``session.db`` is the ShardedDatabase underneath.
+    """
+
+    def __init__(self, transport: str) -> None:
+        self.transport = transport
+        self._shared: dict = {}
+        self._servers: dict = {}  # session → its server handles
+
+    def __call__(
+        self, shards=2, *, placement=None, database=None, options=None,
+        shared=False,
+    ):
+        """A session; ``shared=True`` reuses one per (shards, placement)
+        for the fixture's lifetime — read-only tests only."""
+        from repro.api import connect
+        from repro.data.organisation import organisation_placement
+        from repro.service import paper_registry, serve_in_background
+        from repro.shard import ShardedDatabase, connect_sharded
+
+        if placement is None:
+            placement = organisation_placement()
+        key = (shards, placement)
+        if shared and key in self._shared:
+            return self._shared[key]
+        registry = paper_registry()
+        sdb = ShardedDatabase(database or figure3_database(), placement, shards)
+        if self.transport == "local":
+            session = connect_sharded(sdb, options=options, registry=registry)
+            self._servers[session] = []
+        else:
+            labels = [f"{i}/{shards}" for i in range(shards)] + [f"full/{shards}"]
+            handles = [
+                serve_in_background(
+                    connect(store, options=options), registry, pool_size=2,
+                    shard_label=label,
+                )
+                for store, label in zip([*sdb.shards, sdb.full], labels)
+            ]
+            session = self._over_the_wire(handles, sdb, registry)
+            self._servers[session] = handles
+        if shared:
+            self._shared[key] = session
+        return session
+
+    def _over_the_wire(self, handles, sdb, registry):
+        from repro.shard import ShardedServiceClient, ShardedSession
+
+        addresses = [(handle.host, handle.port) for handle in handles]
+        client = ShardedServiceClient(
+            addresses[:-1], addresses[-1], placement=sdb.placement,
+            registry=registry, schema=sdb.schema,
+        )
+        return ShardedSession(client, db=sdb)
+
+    def sibling(self, session):
+        """A session another thread may use next to ``session``: itself
+        over local endpoints (shareable), a new coordinator to the same
+        servers over the wire (thread-confined)."""
+        if self.transport == "local":
+            return session
+        twin = self._over_the_wire(
+            self._servers[session], session.db, session.client.registry
+        )
+        self._servers[twin] = []
+        return twin
+
+    def break_fallback(self, session) -> None:
+        """Make the full-copy fallback really fail: its store raises
+        (local) / its server is gone (wire)."""
+        if self.transport == "local":
+            session.client._fallback._lookup = lambda query: _DeadStore()
+        else:
+            self._servers[session][-1].stop()
+
+    def close(self) -> None:
+        for session, handles in self._servers.items():
+            session.close()
+            for handle in handles:
+                handle.stop()
+        self._servers.clear()
+
+
+@pytest.fixture(scope="module", params=["local", "wire"])
+def sharded_session(request):
+    """The transport-parametrised sharded-session factory: every test
+    that takes it runs once per endpoint kind."""
+    sessions = ShardedSessions(request.param)
+    yield sessions
+    sessions.close()

@@ -14,9 +14,9 @@ Two bugs blocked making process groups the default sharded substrate:
    exit, ``finally`` blocks, test harnesses) routinely close twice, and
    children killed by fault injection are already dead when the drain
    runs.  ``Supervisor.stop``, ``SupervisedDeployment.close``,
-   ``ShardedServiceClient.close``, ``ShardedSession.close`` and
-   ``ProcessShardedSession.close`` are all idempotent and skip dead
-   children instead of raising or waiting out the drain grace.
+   ``ShardedServiceClient.close`` and ``ShardedSession.close`` (over a
+   process group or over local endpoints) are all idempotent and skip
+   dead children instead of raising or waiting out the drain grace.
 """
 
 from __future__ import annotations

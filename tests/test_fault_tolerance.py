@@ -622,18 +622,6 @@ class TestWireFailover:
             assert "fallback could not stand in" in str(error)
         _reset_cluster()
 
-    def test_fallback_only_failure_is_attributed_to_the_fallback(self):
-        proxies = _cluster()
-        _reset_cluster()
-        with _cluster_client(deadline_ms=1000) as client:
-            proxies[-1].set_mode("refuse")
-            # Q5 needs the fallback (non-distributive): no stand-in exists.
-            with pytest.raises(ShardUnavailableError) as excinfo:
-                client.execute("Q5")
-            assert excinfo.value.shard == f"full/{SHARDS}"
-            assert excinfo.value.op == "execute"
-        _reset_cluster()
-
     def test_health_checks_observe_and_heal(self):
         proxies = _cluster()
         _reset_cluster()
@@ -711,49 +699,94 @@ class TestWireFailover:
         _reset_cluster()
 
 
-class TestInProcessFailover:
-    def test_proactive_reroute_after_mark_shard_down(self):
-        session = connect_sharded(
-            figure3_database(), placement=PLACEMENT, shards=3
-        )
-        try:
-            session.mark_shard_down(1)
-            result = session.run(NESTED_QUERIES["Q4"])
-            assert_bag_equal(result.value, _expected("Q4"), "rerouted fanout")
-            assert result.route == "failover:fanout"
-            assert result.stats.failover_reroutes == 1
-            assert session.run_counts()["fallback"] == 1
-            session.mark_shard_up(1)
-            result = session.run(NESTED_QUERIES["Q4"])
-            assert result.route == "fanout"
-        finally:
-            session.close()
+class TestSessionFailover:
+    """Whole-query failover through the session surface, once per
+    endpoint kind (``sharded_session``); the local-only cells are what a
+    dying *store* adds, and the shared-session hammer."""
 
-    def test_reactive_failover_marks_the_culprit_down(self, monkeypatch):
+    def test_proactive_reroute_after_mark_shard_down(self, sharded_session):
+        session = sharded_session(3)
+        session.client.mark_shard_down(1)
+        assert session.client.down_shards() == frozenset({1})
+        result = session.run("Q4")
+        assert_bag_equal(result.value, _expected("Q4"), "rerouted fanout")
+        assert result.route == "failover:fanout"
+        assert result.stats.failover_reroutes == 1
+        assert session.run_counts() == {"per_shard": [0, 0, 0], "fallback": 1}
+        snapshot = session.stats_snapshot()
+        assert snapshot["failover_reroutes"] == 1
+        assert snapshot["failover_retries"] == 0
+        assert snapshot["down_shards"] == [1]
+        session.client.mark_shard_up(1)
+        assert session.run("Q4").route == "fanout"
+
+    def test_reactive_failover_reruns_on_the_fallback(
+        self, sharded_session, monkeypatch
+    ):
+        session = sharded_session(3)
+
+        def dead(*args, **kwargs):
+            raise ServiceConnectionError("shard 1 is gone")
+
+        monkeypatch.setattr(session.client._groups[1][0], "execute_full", dead)
+        result = session.run("Q4", trace=True)
+        assert_bag_equal(result.value, _expected("Q4"), "reactive")
+        assert result.route == "failover:fanout"
+        assert "1/3 failed mid-run" in result.reason
+        assert result.stats.failover_retries == 1
+        # Shards 0 and 2 answered, but a discarded fan-out counts nowhere.
+        assert session.run_counts() == {"per_shard": [0, 0, 0], "fallback": 1}
+        snapshot = session.stats_snapshot()
+        assert snapshot["failover_retries"] == 1
+        assert snapshot["failover_reroutes"] == 0
+        # One route span per attempt; only the one that answered has a
+        # shard child.
+        failed, rerun = result.trace.spans
+        assert failed.children == []
+        assert [c.attributes["shard"] for c in rerun.children] == ["full/3"]
+
+    def test_unavailable_fallback_raises_shard_unavailable(
+        self, sharded_session
+    ):
+        session = sharded_session(2)
+        sharded_session.break_fallback(session)
+        # Q5 needs the fallback (non-distributive): no stand-in exists.
+        with pytest.raises(ShardUnavailableError) as excinfo:
+            session.run("Q5")
+        assert excinfo.value.shard == "full/2"
+        assert excinfo.value.op == "execute"
+        # A fan-out does not need it.
+        assert session.run("Q4").route == "fanout"
+
+    def test_local_store_failure_trips_the_breaker_and_a_ping_heals(
+        self, monkeypatch
+    ):
         session = connect_sharded(
             figure3_database(), placement=PLACEMENT, shards=3
         )
         try:
-            prepared = session.prepare(NESTED_QUERIES["Q4"])
-            real = prepared._shard_prepared
+            endpoint = session.client._groups[1][0]
 
             class _DeadPrepared:
                 def run(self, **kwargs):
                     raise sqlite3.OperationalError("shard 1 store is gone")
 
-            monkeypatch.setattr(
-                prepared,
-                "_shard_prepared",
-                lambda index: _DeadPrepared() if index == 1 else real(index),
-            )
-            result = prepared.run()
+            monkeypatch.setattr(endpoint, "_lookup", lambda q: _DeadPrepared())
+            result = session.run(NESTED_QUERIES["Q4"])
             assert_bag_equal(result.value, _expected("Q4"), "reactive")
-            assert result.route == "failover:fanout"
             assert result.stats.failover_retries == 1
-            assert session.down_shards() == frozenset({1})
+            # The culprit's breaker is open: later runs divert up front.
+            assert session.client.down_shards() == frozenset({1})
+            result = session.run(NESTED_QUERIES["Q4"])
+            assert result.route == "failover:fanout"
+            assert result.stats.failover_reroutes == 1
             # Recovery: health checks probe the (healthy) store directly.
-            assert session.check_health() == {0: True, 1: True, 2: True}
-            assert session.down_shards() == frozenset()
+            monkeypatch.undo()
+            assert session.check_health() == {
+                "0/3": True, "1/3": True, "2/3": True, "full/3": True,
+            }
+            assert session.client.down_shards() == frozenset()
+            assert session.run(NESTED_QUERIES["Q4"]).route == "fanout"
         finally:
             session.close()
 
@@ -771,7 +804,7 @@ class TestInProcessFailover:
         session = connect_sharded(
             figure3_database(), placement=PLACEMENT, shards=shards_n
         )
-        session.mark_shard_down(down)
+        session.client.mark_shard_down(down)
         dept_staff = REGISTRY.lookup("dept_staff").term
         failures: list = []
 

@@ -1,27 +1,28 @@
-"""Differential conformance over the **process-group transport**.
+"""Differential conformance over the co-partitioned placements, on local
+endpoints **and** on the process-group transport.
 
-The PR 5 suite (``test_shard_differential.py``) proves the sharded
-semantics in-process and against in-process wire servers; this suite
-runs the same differential claims against deployments of real
-``serve --shard i/n`` **subprocesses** that a
-:class:`~repro.shard.deployment.ProcessShardedSession` spawns and owns:
+``test_shard_differential.py`` proves the sharded semantics on the Fig. 3
+instance; this suite runs the same kind of claims on the scaled seeded
+instance under the co-partitioned placements, once over local endpoints
+and once against deployments of real ``serve --shard i/n``
+**subprocesses** that ``connect_sharded(processes=True)`` spawns and
+owns (the ``clusters`` fixture is parametrised over both):
 
 * Q1–Q6 plus the parameterised registry queries are value-equal, as
-  nested multisets, to single-session execution at 2 and 4 shards under
-  the co-partitioned placement;
-* the new co-partitioned Q5 ``fanout`` classification holds over the
-  wire, with **exact** per-shard request counters (every shard executes
-  exactly once per fan-out, the fallback not at all);
-* routed point lookups hit exactly one shard process;
-* ad-hoc terms travel via the protocol v1.4 ``register`` op (the λNRC
-  serializer round-trips through a live server) and re-registration is
-  convergent;
-* wire inserts are visible to subsequent fan-out reads and dedup by
+  nested multisets, to single-session execution at 2 and 4 shards;
+* the co-partitioned Q5 ``fanout`` classification holds, with **exact**
+  per-shard request counters (every shard executes exactly once per
+  fan-out, the fallback not at all);
+* routed point lookups hit exactly one shard;
+* ad-hoc terms reach every endpoint via ``register`` (over the wire: the
+  protocol v1.4 op — the λNRC serializer round-trips through a live
+  server) and re-registration is convergent;
+* inserts are visible to subsequent fan-out reads and dedup by
   idempotency key.
 
-Clusters are module-scoped: each spawns ``shards + 1`` subprocesses
-(partitions + the full-copy fallback), so the suite boots eleven
-servers total — enough to be real, bounded enough for CI.
+Clusters are module-scoped: each wire one spawns ``shards + 1``
+subprocesses (partitions + the full-copy fallback), so the suite boots
+eleven servers total — enough to be real, bounded enough for CI.
 """
 
 from __future__ import annotations
@@ -57,13 +58,22 @@ def single():
     session.close()
 
 
-@pytest.fixture(scope="module")
-def clusters():
+@pytest.fixture(scope="module", params=["local", "wire"])
+def clusters(request):
     built = {}
 
     def cluster(placement, shards):
         key = (placement.to_spec(), shards)
-        if key not in built:
+        if key in built:
+            return built[key]
+        if request.param == "local":
+            built[key] = connect_sharded(
+                scaled_database(SCALE, seed=0, scale_rows=ROWS),
+                placement=placement,
+                shards=shards,
+                registry=paper_registry(),
+            )
+        else:
             built[key] = connect_sharded(
                 placement=placement,
                 shards=shards,
@@ -79,7 +89,7 @@ def clusters():
         session.close()  # idempotent — teardown paths often double-close
 
 
-class TestPaperQueriesOverProcesses:
+class TestPaperQueries:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_dept_copartitioned_cluster_agrees(self, single, clusters, shards):
         session = clusters(P_DEPT_CO, shards)
@@ -89,7 +99,7 @@ class TestPaperQueriesOverProcesses:
             assert_bag_equal(
                 result.value,
                 expected,
-                f"{name} @ {shards} process shards ({result.route})",
+                f"{name} @ {shards} shards ({result.route})",
             )
 
     def test_task_copartitioned_cluster_agrees(self, single, clusters):
@@ -100,7 +110,7 @@ class TestPaperQueriesOverProcesses:
             assert_bag_equal(
                 result.value,
                 expected,
-                f"{name} over task_co processes ({result.route})",
+                f"{name} over task_co ({result.route})",
             )
 
     def test_parameterised_queries_agree(self, single, clusters):
@@ -113,7 +123,7 @@ class TestPaperQueriesOverProcesses:
             assert_bag_equal(result.value, expected, str(threshold))
 
 
-class TestQ5FanoutOverProcesses:
+class TestQ5Fanout:
     def test_q5_classifies_fanout_and_every_shard_executes_once(
         self, single, clusters
     ):
@@ -133,11 +143,11 @@ class TestQ5FanoutOverProcesses:
         assert deltas == [1, 1], deltas
         assert after["fallback"] == before["fallback"]
         expected = single.run(REGISTRY.lookup("Q5").term).value
-        assert_bag_equal(result.value, expected, "Q5 process fanout")
+        assert_bag_equal(result.value, expected, "Q5 fanout")
 
 
-class TestRoutingOverProcesses:
-    def test_dept_staff_hits_exactly_one_shard_process(
+class TestRouting:
+    def test_dept_staff_hits_exactly_one_shard(
         self, single, clusters
     ):
         session = clusters(P_DEPT_CO, 4)
@@ -155,7 +165,7 @@ class TestRoutingOverProcesses:
             assert_bag_equal(result.value, expected, dept)
 
 
-class TestRegisterOverProcesses:
+class TestRegister:
     def test_adhoc_terms_ship_and_agree(self, single, clusters):
         session = clusters(P_DEPT_CO, 2)
         for name in ("Q2", "Q6"):
@@ -182,7 +192,7 @@ class TestRegisterOverProcesses:
             session.run("no_such_query")
 
 
-class TestWritesOverProcesses:
+class TestWrites:
     def test_insert_is_visible_and_idempotent(self, clusters):
         session = clusters(P_TASK_CO, 2)
         before = len(session.run("staff_above",

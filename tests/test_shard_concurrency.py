@@ -1,42 +1,32 @@
 """Concurrency hammer for the sharded deployment (the service contract).
 
 Eight threads issue mixed routed / fan-out / single-shard / fallback
-requests against (a) one shared in-process :class:`ShardedSession` and
-(b) an in-process wire deployment (per-shard servers + one fan-out client
-per thread).  The assertions are *exact* — the workload is deterministic,
-so every per-shard run counter, every fallback counter and the merged
-``ExecutionStats.queries`` total are computed up front and must match to
-the unit; a lost update or a cross-shard race shows up as a short count.
+requests against (a) one *shared* :class:`ShardedSession` over local
+endpoints and (b) in-process servers with one coordinator per thread.
+The assertions are *exact* — the workload is deterministic, so every
+per-shard run counter, every fallback and per-mode counter and the merged
+statement total are computed up front and must match to the unit; a lost
+update or a cross-shard race shows up as a short count.
 Extends the patterns of ``tests/test_session_concurrency.py`` one layer
 up the stack.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro.api import connect
-from repro.data.organisation import (
-    ORGANISATION_SCHEMA,
-    figure3_database,
-    organisation_placement,
-)
-from repro.data.queries import NESTED_QUERIES
-from repro.service import paper_registry, serve_in_background
-from repro.shard import (
-    ShardedDatabase,
-    ShardedServiceClient,
-    connect_sharded,
-    shard_for,
-)
+from repro.data.organisation import figure3_database
+from repro.service import paper_registry
+from repro.shard import shard_for
 from repro.values import bag_equal
 
 THREADS = 8
 RUNS_PER_THREAD = 12
 SHARDS = 3
-PLACEMENT = organisation_placement()
 
 #: The mixed workload: routed point lookups, distributive fan-outs, a
 #: replicated-only query and a fallback query.
@@ -89,195 +79,101 @@ def _hammer(worker) -> list:
     threads = [
         threading.Thread(target=wrapped, args=(i,)) for i in range(THREADS)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=300)
+    # Switch threads every few bytecodes: an unlocked read-modify-write
+    # on a shared counter then loses updates reliably, not once a week.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     return failures
 
 
 @pytest.fixture(scope="module")
-def registry():
-    return paper_registry()
-
-
-@pytest.fixture(scope="module")
-def expected_values(registry):
+def expected_values():
+    registry = paper_registry()
     single = connect(figure3_database())
-    values = {}
-    for name, params in WORKLOAD:
-        if (name, str(params)) in values:
-            continue
-        term = (
-            registry.lookup(name).term
-            if name == "dept_staff"
-            else NESTED_QUERIES[name]
-        )
-        values[(name, str(params))] = single.run(term, params=params).value
-    yield values
+    values = {
+        (name, str(params)): single.run(
+            registry.lookup(name).term, params=params
+        ).value
+        for name, params in WORKLOAD
+    }
+    statements = {
+        name: single.prepare(registry.lookup(name).term).query_count
+        for name, _params in WORKLOAD
+    }
+    yield values, statements
     single.close()
 
 
-class TestShardedSessionHammer:
-    def test_exact_counters_under_contention(self, registry, expected_values):
-        session = connect_sharded(
-            figure3_database(), placement=PLACEMENT, shards=SHARDS
-        )
-        dept_staff = registry.lookup("dept_staff").term
+def test_exact_counters_under_contention(sharded_session, expected_values):
+    """Thread-safety is a property of the endpoint kind: over local
+    endpoints all eight threads share **one** session; over the wire each
+    thread gets its own coordinator to the same servers."""
+    values, statements = expected_values
+    first = sharded_session(SHARDS)
+    sessions = [first] + [
+        sharded_session.sibling(first) for _ in range(THREADS - 1)
+    ]
+    if sharded_session.transport == "local":
+        assert all(session is first for session in sessions)
+    # Compile and warm every shape everywhere, then snapshot baselines.
+    for name, params in WORKLOAD:
+        first.prepare(name).run(params=params)
+    distinct = list({id(s): s for s in sessions}.values())
+    base = [session.stats_snapshot() for session in distinct]
+    queries = [0] * THREADS
 
-        def worker(thread_index: int) -> None:
-            for run_index in range(RUNS_PER_THREAD):
-                name, params = _workload_item(thread_index, run_index)
-                term = (
-                    dept_staff if name == "dept_staff" else NESTED_QUERIES[name]
-                )
-                result = session.run(term, params=params)
-                assert bag_equal(
-                    result.value, expected_values[(name, str(params))]
-                ), (name, params, result.route)
-
-        # Pre-compile and warm every shape once, then snapshot baselines.
-        worker_0_preview = [
-            _workload_item(0, run_index)
-            for run_index in range(len(WORKLOAD))
-        ]
-        for name, params in worker_0_preview:
-            term = dept_staff if name == "dept_staff" else NESTED_QUERIES[name]
-            session.run(term, params=params)
-        base_counts = session.run_counts()
-        base_stats = session.stats_snapshot()
-
-        failures = _hammer(worker)
-        assert not failures, failures
-
-        per_shard, fallback, _executes = _expected_counters()
-        counts = session.run_counts()
-        deltas = [
-            after - before
-            for before, after in zip(base_counts["per_shard"], counts["per_shard"])
-        ]
-        assert deltas == per_shard
-        assert counts["fallback"] - base_counts["fallback"] == fallback
-
-        # No lost updates in the merged stats stream: every run's flat
-        # statements landed exactly once.
-        single = connect(figure3_database())
-        query_counts = {
-            "dept_staff": single.prepare(dept_staff).query_count,
-            **{
-                name: single.prepare(NESTED_QUERIES[name]).query_count
-                for name in ("Q2", "Q3", "Q4", "Q5")
-            },
-        }
-        expected_queries = 0
-        for thread_index in range(THREADS):
-            for run_index in range(RUNS_PER_THREAD):
-                name, _params = _workload_item(thread_index, run_index)
-                statements = query_counts[name]
-                if name in ("Q2", "Q4"):
-                    expected_queries += statements * SHARDS
-                else:
-                    expected_queries += statements
-        stats = session.stats_snapshot()
-        assert stats["queries"] - base_stats["queries"] == expected_queries
-        mode_runs = {
-            "fanouts": 0, "routed": 0, "singles": 0, "fallbacks": 0
-        }
-        for thread_index in range(THREADS):
-            for run_index in range(RUNS_PER_THREAD):
-                name, _params = _workload_item(thread_index, run_index)
-                key = {
-                    "dept_staff": "routed",
-                    "Q2": "fanouts",
-                    "Q4": "fanouts",
-                    "Q3": "singles",
-                    "Q5": "fallbacks",
-                }[name]
-                mode_runs[key] += 1
-        for key, expected in mode_runs.items():
-            assert stats[key] - base_stats[key] == expected, key
-        # A healthy hammer must stay failover-free: any nonzero counter
-        # here means a shard store failed (or was misdiagnosed as failed)
-        # under plain contention.
-        assert stats["failover_reroutes"] == 0
-        assert stats["failover_retries"] == 0
-        assert stats["down_shards"] == []
-        session.close()
-        single.close()
-
-
-class TestShardedServiceHammer:
-    def test_exact_per_shard_request_counters(self, registry, expected_values):
-        sdb = ShardedDatabase(figure3_database(), PLACEMENT, SHARDS)
-        handles = [
-            serve_in_background(
-                connect(db), registry, pool_size=2,
-                shard_label=f"{index}/{SHARDS}",
+    def worker(thread_index: int) -> None:
+        session = sessions[thread_index]
+        for run_index in range(RUNS_PER_THREAD):
+            name, params = _workload_item(thread_index, run_index)
+            result = session.run(name, params=params)
+            assert bag_equal(result.value, values[(name, str(params))]), (
+                name, params, result.route,
             )
-            for index, db in enumerate(sdb.shards)
-        ]
-        fallback_handle = serve_in_background(
-            connect(sdb.full), registry, pool_size=2,
-            shard_label=f"full/{SHARDS}",
-        )
-        shard_servers = [handle.server for handle in handles]
-        fallback_server = fallback_handle.server
-        addresses = [(handle.host, handle.port) for handle in handles]
-        fallback_address = (fallback_handle.host, fallback_handle.port)
+            queries[thread_index] += result.stats.queries
 
-        def make_client() -> ShardedServiceClient:
-            return ShardedServiceClient(
-                addresses,
-                fallback_address,
-                placement=PLACEMENT,
-                registry=registry,
-                schema=ORGANISATION_SCHEMA,
-            )
+    failures = _hammer(worker)
+    assert not failures, failures
 
-        # Warm every shape on every server, then snapshot baselines.
-        with make_client() as warm:
-            for name, params in WORKLOAD:
-                warm.prepare(name)
-                warm.execute(name, params=params)
-        base_executes = [
-            server.request_counts.get("execute", 0)
-            for server in shard_servers
-        ]
-        base_fallback = fallback_server.request_counts.get("execute", 0)
-
-        try:
-
-            def worker(thread_index: int) -> None:
-                with make_client() as client:
-                    for run_index in range(RUNS_PER_THREAD):
-                        name, params = _workload_item(thread_index, run_index)
-                        rows = client.execute(name, params=params)
-                        assert bag_equal(
-                            rows, expected_values[(name, str(params))]
-                        ), (name, params)
-                    # Healthy servers: no failovers, no tripped breakers.
-                    assert client.failover_reroutes == 0
-                    assert client.failover_retries == 0
-                    assert client.down_shards() == frozenset()
-
-            failures = _hammer(worker)
-            assert not failures, failures
-
-            per_shard, fallback, _executes = _expected_counters()
-            deltas = [
-                server.request_counts.get("execute", 0) - before
-                for server, before in zip(shard_servers, base_executes)
+    def total(key):
+        """Σ over coordinators of a snapshot counter's growth."""
+        after = [session.stats_snapshot()[key] for session in distinct]
+        before = [snapshot[key] for snapshot in base]
+        if isinstance(after[0], list):
+            return [
+                sum(a[i] - b[i] for a, b in zip(after, before))
+                for i in range(len(after[0]))
             ]
-            assert deltas == per_shard
-            assert (
-                fallback_server.request_counts.get("execute", 0)
-                - base_fallback
-                == fallback
-            )
-            # The shared server sessions took the whole load without a
-            # single error frame.
-            assert all(server.error_count == 0 for server in shard_servers)
-            assert fallback_server.error_count == 0
-        finally:
-            for handle in [*handles, fallback_handle]:
-                handle.stop()
+        return sum(a - b for a, b in zip(after, before))
+
+    per_shard, fallback, executes = _expected_counters()
+    assert total("shard_requests") == per_shard
+    assert total("fallback_requests") == fallback
+    # No lost updates in the per-mode markers either.
+    assert total("routed") == executes["dept_staff"]
+    assert total("fanouts") == executes["Q2"] + executes["Q4"]
+    assert total("singles") == executes["Q3"]
+    assert total("fallbacks") == executes["Q5"]
+    # Every run's flat statements were merged exactly once: a fan-out
+    # runs its statements on every shard, anything else on one store.
+    assert sum(queries) == sum(
+        count * statements[name] * (SHARDS if name in ("Q2", "Q4") else 1)
+        for name, count in executes.items()
+    )
+    # A healthy hammer must stay failover-free: any nonzero counter here
+    # means an endpoint failed (or was misdiagnosed as failed) under
+    # plain contention.
+    for session in distinct:
+        snapshot = session.stats_snapshot()
+        assert snapshot["failover_reroutes"] == 0
+        assert snapshot["failover_retries"] == 0
+        assert snapshot["replica_failovers"] == 0
+        assert snapshot["down_shards"] == []

@@ -1,6 +1,6 @@
 """Unit tests for the sharding subsystem: placement policy, shardability
 analysis, partitioned databases (incl. the owning-shard-only insert
-regression) and the ShardedSession surface."""
+regression) and the ShardedSession surface over both endpoint kinds."""
 
 from __future__ import annotations
 
@@ -360,12 +360,15 @@ class TestShardedDatabase:
 
 
 class TestShardedSession:
+    """The session surface, once per endpoint kind (``sharded_session``)."""
+
     def test_substrate_requirements_are_enforced(self):
-        # An in-process session needs a placement for its store…
+        # Local endpoints need a placement for their store…
         with pytest.raises(ShardingError):
             connect_sharded(figure3_database())
-        # …and a store to partition (bare placement now means "spawn a
-        # process group"; asking for threads without data is the error).
+        # …and a store to partition (bare placement means "spawn a
+        # process group"; asking for local endpoints without data is the
+        # error).
         with pytest.raises(ShardingError):
             connect_sharded(placement=PLACEMENT, processes=False)
         # A process group regenerates its own data: an existing store
@@ -374,7 +377,7 @@ class TestShardedSession:
             connect_sharded(
                 figure3_database(), placement=PLACEMENT, processes=True
             )
-        # Process-group knobs are rejected on the thread substrate.
+        # Process-group knobs are rejected for local endpoints.
         with pytest.raises(ShardingError):
             connect_sharded(
                 figure3_database(),
@@ -389,92 +392,109 @@ class TestShardedSession:
         with pytest.raises(ShardingError):
             connect_sharded(sdb, placement=other)
 
-    def test_routes_and_markers(self):
-        with connect_sharded(
-            figure3_database(), placement=PLACEMENT, shards=2
-        ) as session:
-            assert session.run(NESTED_QUERIES["Q4"]).route == "fanout"
-            assert session.run(NESTED_QUERIES["Q3"]).route == "single:0"
-            assert session.run(NESTED_QUERIES["Q5"]).route == "fallback"
-            snapshot = session.stats_snapshot()
-            assert snapshot["fanouts"] == 1
-            assert snapshot["singles"] == 1
-            assert snapshot["fallbacks"] == 1
-            assert snapshot["routed"] == 0
-            counts = session.run_counts()
-            assert counts["fallback"] == 1
-            assert counts["per_shard"][0] == 2  # fanout + single
-            assert counts["per_shard"][1] == 1  # fanout only
+    def test_routes_and_markers(self, sharded_session):
+        session = sharded_session(2)
+        fanout = session.run("Q4")
+        assert (fanout.route, fanout.shards) == ("fanout", (0, 1))
+        assert fanout.stats.sharded_fanouts == 1
+        assert session.run("Q3").route == "single:0"
+        assert session.run("Q5").route == "fallback"
+        snapshot = session.stats_snapshot()
+        assert snapshot["fanouts"] == 1
+        assert snapshot["singles"] == 1
+        assert snapshot["fallbacks"] == 1
+        assert snapshot["routed"] == 0
+        assert snapshot["shard_requests"] == [2, 1]  # fanout + single | fanout
+        assert session.run_counts() == {"per_shard": [2, 1], "fallback": 1}
+        with pytest.raises(ShardingError):
+            session.run("no_such_query")
 
-    def test_routed_point_lookup_hits_exactly_one_shard(self):
-        from repro.service.registry import paper_registry
+    def test_routed_point_lookup_hits_exactly_one_shard(self, sharded_session):
+        session = sharded_session(4)
+        single = connect(figure3_database())
+        term = session.client.registry.lookup("dept_staff").term
+        for dept in ("Sales", "Product", "Research", "Quality"):
+            before = session.run_counts()["per_shard"]
+            result = session.run("dept_staff", params={"dept": dept})
+            after = session.run_counts()["per_shard"]
+            owner = shard_for(dept, 4)
+            assert result.route == f"routed:{owner}"
+            assert result.shards == (owner,)
+            deltas = [b - a for a, b in zip(before, after)]
+            assert sum(deltas) == 1 and deltas[owner] == 1
+            assert_bag_equal(
+                result.value,
+                single.run(term, params={"dept": dept}).value,
+                dept,
+            )
+        assert session.stats_snapshot()["routed"] == 4
 
-        term = paper_registry().lookup("dept_staff").term
-        with connect_sharded(
-            figure3_database(), placement=PLACEMENT, shards=4
-        ) as session:
-            single = connect(figure3_database())
-            for dept in ("Sales", "Product", "Research", "Quality"):
-                before = session.run_counts()["per_shard"]
-                result = session.run(term, params={"dept": dept})
-                after = session.run_counts()["per_shard"]
-                owner = shard_for(dept, 4)
-                assert result.route == f"routed:{owner}"
-                assert result.shards == (owner,)
-                deltas = [b - a for a, b in zip(before, after)]
-                assert sum(deltas) == 1 and deltas[owner] == 1
-                assert_bag_equal(
-                    result.value,
-                    single.run(term, params={"dept": dept}).value,
-                    dept,
-                )
-            assert session.stats_snapshot()["routed"] == 4
-
-    def test_set_semantics_dedup_across_shards(self):
+    def test_set_semantics_dedup_once_after_the_union(self, sharded_session):
         query = b.for_(
             "d", b.table("departments"), lambda d: b.ret(b.record(k=b.const(1)))
         )
-        with connect_sharded(
-            figure3_database(), placement=PLACEMENT, shards=2
-        ) as session:
-            bag = session.run(query)
-            assert bag.route == "fanout"
-            assert len(bag.value) == 4  # one per department, across shards
-            as_set = session.run(query, collection="set")
-            assert as_set.value == [{"k": 1}]
+        session = sharded_session(2)
+        bag = session.run(query)  # an ad-hoc term: registers everywhere
+        assert bag.route == "fanout"
+        assert len(bag.value) == 4  # one per department, across shards
+        as_set = session.run(query, collection="set")
+        assert as_set.value == [{"k": 1}]
 
-    def test_list_semantics_divert_to_fallback(self):
+    def test_list_semantics_divert_to_fallback(self, sharded_session):
         from repro.api import SqlOptions
 
-        with connect_sharded(
-            figure3_database(),
-            placement=PLACEMENT,
-            shards=2,
-            options=SqlOptions(ordered=True),
-        ) as session:
-            result = session.run(NESTED_QUERIES["Q4"], collection="list")
-            assert result.route == "fallback"
-            assert "row order" in result.reason
-            expected = connect(
-                figure3_database(), options=SqlOptions(ordered=True)
-            ).run(NESTED_QUERIES["Q4"], collection="list")
-            assert result.value == expected.value
+        session = sharded_session(2, options=SqlOptions(ordered=True))
+        result = session.run("Q4", collection="list")
+        assert result.route == "fallback"
+        assert "row order" in result.reason
+        expected = connect(
+            figure3_database(), options=SqlOptions(ordered=True)
+        ).run(NESTED_QUERIES["Q4"], collection="list")
+        assert result.value == expected.value
 
-    def test_insert_through_session_is_visible(self):
-        with connect_sharded(
-            figure3_database(), placement=PLACEMENT, shards=2
-        ) as session:
-            session.insert("departments", [{"id": 99, "name": "Zeta"}])
-            session.insert(
-                "employees",
-                [{"id": 99, "dept": "Zeta", "name": "Zoe", "salary": 5}],
+    def test_trace_is_one_route_span_with_a_child_per_endpoint(
+        self, sharded_session
+    ):
+        session = sharded_session(3)
+        for name, endpoints in (("Q4", 3), ("Q3", 1), ("Q5", 1)):
+            trace = session.run(name, trace=True).trace
+            (route,) = trace.spans
+            assert route.name == "route"
+            assert [child.name for child in route.children] == (
+                ["shard"] * endpoints
             )
-            result = session.run(NESTED_QUERIES["Q4"])
-            zeta = [row for row in result.value if row["dept"] == "Zeta"]
-            assert len(zeta) == 1
-            assert zeta[0]["employees"] == ["Zoe"]
+            for child in route.children:
+                assert child.attributes["server_millis"] >= 0
+        labels = [c.attributes["shard"] for c in route.children]
+        assert labels == ["full/3"]
 
-    def test_plan_cache_shared_across_shards(self):
+    def test_insert_is_routed_visible_and_idempotent(self, sharded_session):
+        session = sharded_session(2)
+        owner = shard_for("Zeta", 2)
+        before = session.db.row_counts("departments")
+        first = session.insert("departments", [{"id": 99, "name": "Zeta"}])
+        assert first["applied"] is True
+        assert first["endpoints"] == 2  # the fallback + the one owner
+        again = session.insert(
+            "departments",
+            [{"id": 99, "name": "Zeta"}],
+            idempotency_key=first["idempotency_key"],
+        )
+        assert again["applied"] is False
+        after = session.db.row_counts("departments")
+        assert [a - b for a, b in zip(after, before)] == [
+            int(index == owner) for index in range(2)
+        ]  # exactly once, on the owner only
+        session.insert(
+            "employees",
+            [{"id": 99, "dept": "Zeta", "name": "Zoe", "salary": 5}],
+        )
+        result = session.run("Q4")
+        zeta = [row for row in result.value if row["dept"] == "Zeta"]
+        assert len(zeta) == 1
+        assert zeta[0]["employees"] == ["Zoe"]
+
+    def test_plan_cache_shared_across_local_stores(self):
         from repro.pipeline.plan_cache import PlanCache
 
         cache = PlanCache()
@@ -483,17 +503,14 @@ class TestShardedSession:
         ) as session:
             session.run(NESTED_QUERIES["Q4"])
             stats = cache.stats()
-            # One cold compile; every shard session reuses the plan.
+            # One cold compile; every store's session reuses the plan.
             assert stats["entries"] == 1
             assert stats["misses"] == 1
 
-    def test_explain_names_the_plan(self):
-        with connect_sharded(
-            figure3_database(), placement=PLACEMENT, shards=2
-        ) as session:
-            text = session.prepare(NESTED_QUERIES["Q4"]).explain()
-            assert "shard plan" in text
-            assert "fanout" in text
+    def test_explain_names_the_plan(self, sharded_session):
+        text = sharded_session(2, shared=True).prepare("Q4").explain()
+        assert "shard plan" in text
+        assert "fanout" in text
 
 
 # --------------------------------------------------------------------------
