@@ -26,8 +26,6 @@ __all__ = [
     "connect",
     "Session",
     "query",
-    "shred_run",
-    "shred_sql",
     "ShreddingPipeline",
     "__version__",
 ]
@@ -39,8 +37,8 @@ def __getattr__(name: str):
         import repro.api as api
 
         return getattr(api, name)
-    if name in {"shred_run", "shred_sql", "ShreddingPipeline"}:
-        from repro.pipeline import shredder
+    if name == "ShreddingPipeline":
+        from repro.pipeline.shredder import ShreddingPipeline
 
-        return getattr(shredder, name)
+        return ShreddingPipeline
     raise AttributeError(f"module 'repro' has no attribute {name!r}")

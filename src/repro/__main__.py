@@ -195,6 +195,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.api import connect
     from repro.data.generator import scaled_database
+    from repro.service.protocol import OPS
     from repro.service.registry import paper_registry
     from repro.service.server import QueryServer
 
@@ -279,8 +280,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"  queries : {', '.join(registry.names())}")
         print(f"  pool    : {args.pool} read connections, "
               f"admission limit {server.max_pending}")
-        print("  protocol: length-prefixed JSON frames "
-              "(prepare/execute/explain/stats/ping/close) — see README")
+        print(f"  protocol: length-prefixed JSON frames "
+              f"({'/'.join(OPS)}) — see README")
         try:
             await server.serve_forever()
         except asyncio.CancelledError:

@@ -2,12 +2,7 @@
 
 from repro.pipeline.flat import compile_flat_query, run_flat
 from repro.pipeline.plan_cache import PlanCache, plan_key, shared_plan_cache
-from repro.pipeline.shredder import (
-    CompiledQuery,
-    ShreddingPipeline,
-    shred_run,
-    shred_sql,
-)
+from repro.pipeline.shredder import CompiledQuery, ShreddingPipeline
 
 __all__ = [
     "compile_flat_query",
@@ -17,6 +12,4 @@ __all__ = [
     "plan_key",
     "shared_plan_cache",
     "ShreddingPipeline",
-    "shred_run",
-    "shred_sql",
 ]

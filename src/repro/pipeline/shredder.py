@@ -10,12 +10,10 @@ machinery with a fluent builder and the ``@query`` capture decorator::
 
     from repro.api import connect
     session = connect(db)
-    session.query(term).run()               # what shred_run used to do
+    session.query(term).run()
 
 Constructing :class:`ShreddingPipeline` directly remains supported for
-engine work (benchmarks, baselines, new translation stages); the one-shot
-helpers :func:`shred_run` / :func:`shred_sql` are kept as thin deprecated
-shims over the façade.
+engine work (benchmarks, baselines, new translation stages).
 
 Performance knobs (see ROADMAP.md "Performance architecture"):
 
@@ -74,8 +72,6 @@ from repro.values import NestedValue
 __all__ = [
     "ShreddingPipeline",
     "CompiledQuery",
-    "shred_run",
-    "shred_sql",
     "KNOWN_ENGINES",
     "validate_engine",
 ]
@@ -631,66 +627,3 @@ def _hoist_shared_scans(sql_package: Package, options: SqlOptions):
     from repro.shred.packages import pmap
 
     return pmap(lambda compiled: by_member[id(compiled)], sql_package), shared_scans
-
-
-def shred_run(
-    query: ast.Term,
-    db: Database,
-    options: SqlOptions | None = None,
-    validate: bool = False,
-    cache: PlanCache | bool | None = None,
-    **run_kwargs,
-) -> NestedValue:
-    """One-shot: compile ``query`` against ``db``'s schema, run and stitch.
-
-    .. deprecated::
-        Thin shim over the façade — prefer
-        ``repro.api.connect(db).query(query).run(...)``, which adds the
-        engine policy, result/stats objects and the fluent builder.
-
-    ``cache=True`` (or a :class:`PlanCache`) makes repeat calls with the
-    same query/schema/options reuse the compiled plan.  The historical
-    default engine (``"per-path"``) is preserved.
-    """
-    import warnings
-
-    warnings.warn(
-        "shred_run() is deprecated; use "
-        "repro.api.connect(db).query(query).run(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import Session
-
-    run_kwargs.setdefault("engine", "per-path")
-    # `cache is None` → cold compiles; an *empty* PlanCache instance is
-    # falsy (it defines __len__), so no truthiness coercion here.
-    session = Session(
-        db,
-        options=options,
-        validate=validate,
-        cache=cache if cache is not None else False,
-    )
-    return session.query(query).run(**run_kwargs).value
-
-
-def shred_sql(
-    query: ast.Term, schema: Schema, options: SqlOptions | None = None
-) -> list[tuple[str, str]]:
-    """One-shot: the (path, SQL) pairs the query shreds into.
-
-    .. deprecated::
-        Thin shim over the façade — prefer
-        ``repro.api.connect(schema=schema).sql(query)``.
-    """
-    import warnings
-
-    warnings.warn(
-        "shred_sql() is deprecated; use "
-        "repro.api.connect(schema=schema).sql(query) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import Session
-
-    return Session(schema=schema, options=options, cache=False).sql(query)

@@ -16,18 +16,20 @@ query server::
         with ServiceClient(handle.host, handle.port) as client:
             client.execute("Q6")
 
-Four pieces:
+Five pieces:
 
 * :mod:`~repro.service.registry` — the prepared-query catalogue: named
   shapes (fluent/captured/λNRC, with typed ``Param`` placeholders) that
   compile once through the plan cache and re-bind host parameters per call;
-* :mod:`~repro.service.protocol` — length-prefixed JSON frames
-  (prepare/execute/explain/stats/ping/close);
+* :mod:`~repro.service.protocol` — length-prefixed JSON frames, the op
+  list (``OPS``) and the client side of the protocol with the I/O left
+  out (``ClientCore``);
 * :mod:`~repro.service.resilience` — deadlines, retry policies and
   circuit breakers shared by the clients and the sharded fan-out;
 * :mod:`~repro.service.server` — the asyncio server (``python -m repro
   serve``), offloading execution onto leased read-only connections;
-* :mod:`~repro.service.client` — blocking and asyncio clients.
+* :mod:`~repro.service.client` — the blocking and asyncio drivers of
+  that core.
 """
 
 from repro.service.client import (

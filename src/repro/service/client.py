@@ -1,4 +1,4 @@
-"""Clients for the query service: blocking sockets and asyncio streams.
+"""Clients for the query service: two I/O drivers over one protocol core.
 
     from repro.service.client import ServiceClient
 
@@ -6,39 +6,51 @@
         client.prepare("staff_above")
         rows = client.execute("staff_above", params={"min_salary": 900})
 
-Both flavours speak the same frames (:mod:`repro.service.protocol`) over a
-persistent connection and raise :class:`~repro.errors.ServiceError` (with
-the server's error classification in ``.kind``) on error responses.
+The client side of the protocol — stamping and framing a request, parsing
+and checking its response, judging a transport failure, and every op's
+payload and projection — is written once, without I/O, in
+:class:`repro.service.protocol.ClientCore`.  The two classes here add
+only what genuinely differs: connect, bounded write, read, sleep and
+close — :class:`ServiceClient` over a blocking socket,
+:class:`AsyncServiceClient` over asyncio streams, with the same ops
+(awaitable there), the same counters and the same errors
+(:class:`~repro.errors.ServiceError` carrying the server's classification
+in ``.kind`` for error responses).
 
-Fault tolerance (the v1.1 contract both clients implement):
+Fault tolerance (the v1.1 contract — one statement for both drivers):
 
 * **one uniform timeout** — ``timeout=`` bounds the TCP connect *and*
-  every subsequent read/write (default ``DEFAULT_TIMEOUT`` = 30s; the
-  pre-1.1 blocking client only applied it at connect, and the async
-  client had no connect timeout at all);
+  every subsequent read and write (default ``DEFAULT_TIMEOUT`` = 30s);
 * **per-request deadlines** — ``deadline_ms`` (per call or as the
-  client-wide default) is a wall-clock budget threaded into every socket
-  wait and forwarded to the server, which enforces it independently; on
-  expiry the client raises :class:`~repro.errors.DeadlineExceededError`
-  and drops the connection (a late response would desync it);
-* **reconnect on any read error** — a timeout or partial read mid-frame
+  client-wide default) is a wall-clock budget threaded into every wait
+  and forwarded to the server, which enforces it independently; on
+  expiry the client raises :class:`~repro.errors.DeadlineExceededError`.
+  A wait that times out *before* the deadline is a connection failure,
+  not a deadline error;
+* **drop on any transport error** — a timeout or partial read mid-frame
   leaves unread bytes on the wire, so the *next* request would read a
-  stale response; the client therefore closes the socket on every
-  transport error and reconnects lazily.  Request ids (echoed by the
-  server) are verified on every response as a second line of defence:
-  a response carrying the wrong id is discarded *with* the connection;
-* **bounded retries** — every protocol op is read-only, so transport
-  failures (not structured error frames) are retried per
+  stale response; the connection is closed on every transport error and
+  re-established lazily.  Request ids (echoed by the server) are
+  verified on every response as a second line of defence: a response
+  carrying the wrong id is discarded *with* the connection;
+* **closed stays closed** — after ``close()`` every op raises instead of
+  silently reconnecting.
+
+What each driver adds:
+
+* *blocking* — **bounded retries**: transport failures (never structured
+  error frames, which are answers) are retried per
   :class:`~repro.service.resilience.RetryPolicy` — exponential backoff
-  with jitter, never beyond the request deadline;
-* **circuit breaker** — an optional per-endpoint
-  :class:`~repro.service.resilience.CircuitBreaker`: consecutive
+  with jitter, never beyond the request deadline; safe because every op
+  is read-only or, for ``insert``, idempotent by key — and an optional
+  per-endpoint **circuit breaker**
+  (:class:`~repro.service.resilience.CircuitBreaker`): consecutive
   transport failures trip it, tripped requests fail fast with
   :class:`~repro.errors.ServiceConnectionError` (kind ``CircuitOpen``)
   instead of re-paying connect timeouts, and a half-open probe heals it.
-
-The blocking client is thread-confined: share a connection per thread,
-not one across threads.
+  Thread-confined: share a connection per thread, not one across threads;
+* *asyncio* — a **single attempt**, no breaker: an asyncio caller composes
+  its own backoff.  One request at a time per client.
 """
 
 from __future__ import annotations
@@ -46,35 +58,20 @@ from __future__ import annotations
 import asyncio
 import socket
 import time
-import uuid
-from typing import Callable, Optional
+from contextlib import suppress
+from typing import Any, Callable, Optional
 
-from repro.errors import (
-    DeadlineExceededError,
-    ServiceConnectionError,
-    ServiceError,
-)
-from repro.service.protocol import (
-    frame_length,
-    pack_frame,
-    raise_for_error,
-    split_frame,
-)
-from repro.service.resilience import CircuitBreaker, Deadline, RetryPolicy
+from repro.errors import ServiceConnectionError, ServiceError
+from repro.service.protocol import _USE_DEFAULT, DEFAULT_TIMEOUT, ClientCore
+from repro.service.resilience import CircuitBreaker, RetryPolicy
 
 __all__ = ["ServiceClient", "AsyncServiceClient", "DEFAULT_TIMEOUT"]
 
-#: The connect/read/write timeout both clients apply when none is given.
-DEFAULT_TIMEOUT = 30.0
 
-#: Sentinel distinguishing "use the client default" from an explicit None
-#: (= no deadline) in per-request ``deadline_ms`` arguments.
-_USE_DEFAULT = object()
-
-
-class ServiceClient:
-    """A blocking client over one persistent socket (thread-confined:
-    share a connection per thread, not one across threads)."""
+class ServiceClient(ClientCore):
+    """The blocking driver: one persistent socket, retries, an optional
+    breaker (thread-confined: share a connection per thread, not one
+    across threads)."""
 
     def __init__(
         self,
@@ -88,84 +85,26 @@ class ServiceClient:
         connect_now: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.deadline_ms = deadline_ms
+        super().__init__(host, port, timeout, deadline_ms=deadline_ms, clock=clock)
         self.retry = RetryPolicy() if retry is None else retry
         self.breaker = breaker
-        #: Monotonic clock used to time pings — injectable so tests (and
-        #: the replica router's latency tie-break) are deterministic.
-        self.clock = clock
-        #: Round-trip time of the most recent successful :meth:`ping`
-        #: (milliseconds), or None before the first one.  The sharded
-        #: client reads this to prefer the lowest-latency live replica.
-        self.last_ping_ms: Optional[float] = None
-        #: Observability counters: transparent retries and reconnects this
-        #: client performed (the fault-injection suite asserts these).
-        self.retries = 0
-        self.reconnects = 0
         self._socket: Optional[socket.socket] = None
-        self._connected_once = False
-        self._closed = False
-        self._request_seq = 0
         if connect_now:
-            self._connect(Deadline(None))
+            self._connect(timeout)
 
-    # -------------------------------------------------------------- plumbing
-
-    def _connect(self, deadline: Deadline) -> None:
-        deadline.check("connecting")
+    def _connect(self, limit: Optional[float]) -> None:
         self._socket = socket.create_connection(
-            (self.host, self.port),
-            timeout=deadline.remaining(cap=self.timeout),
+            (self.host, self.port), timeout=limit
         )
-        self._socket.settimeout(self.timeout)
-        if self._connected_once:
-            self.reconnects += 1
-        self._connected_once = True
+        self._connected()
 
-    def _drop_connection(self) -> None:
-        """Close the socket unconditionally — after any transport error or
-        deadline expiry mid-request the stream position is unknowable, and
-        reading on would hand the *next* request a stale response."""
+    def _drop(self) -> None:
         if self._socket is not None:
             try:
                 self._socket.close()
             except OSError:  # pragma: no cover - close is best-effort
                 pass
             self._socket = None
-
-    def _read_exactly(self, count: int, deadline: Deadline) -> bytes:
-        assert self._socket is not None
-        chunks = []
-        remaining = count
-        while remaining:
-            deadline.check("awaiting the response")
-            self._socket.settimeout(deadline.remaining(cap=self.timeout))
-            chunk = self._socket.recv(remaining)
-            if not chunk:
-                raise ServiceConnectionError(
-                    "server closed the connection mid-frame"
-                )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def _round_trip(self, wire: dict, deadline: Deadline) -> dict:
-        if self._socket is None:
-            self._connect(deadline)
-        assert self._socket is not None
-        deadline.check("sending the request")
-        self._socket.settimeout(deadline.remaining(cap=self.timeout))
-        self._socket.sendall(pack_frame(wire))
-        # frame_length/split_frame raise ServiceError on a corrupt length
-        # prefix or body — the caller treats that as a transport failure
-        # (the stream is desynced) and drops the connection.
-        body = self._read_exactly(
-            frame_length(self._read_exactly(4, deadline)), deadline
-        )
-        return split_frame(body)
 
     def request(
         self,
@@ -176,214 +115,44 @@ class ServiceClient:
     ) -> dict:
         """One request/response round trip (raises on error frames).
 
-        Transport failures close the connection and are retried (op
-        payloads are read-only) within the request's deadline; structured
-        error frames are answers and raise without retrying.
+        Transport failures close the connection and are retried within
+        the request's deadline; structured error frames are answers and
+        raise without retrying.
         """
-        if self._closed:
-            raise ServiceError("client is closed")
-        budget = self.deadline_ms if deadline_ms is _USE_DEFAULT else deadline_ms
-        deadline = Deadline.after_millis(budget)
-        self._request_seq += 1
-        wire = dict(payload)
-        wire.setdefault("id", self._request_seq)
-        if budget is not None:
-            wire.setdefault("deadline_ms", budget)
-        attempt = 0
+        self._begin(payload, deadline_ms, retry)
         while True:
-            if self.breaker is not None and not self.breaker.allow():
-                raise ServiceConnectionError(
-                    f"circuit open for {self.host}:{self.port} "
-                    f"({self.breaker.snapshot()['consecutive_failures']} "
-                    f"consecutive failures)",
-                    kind="CircuitOpen",
-                )
+            self._admit()
             try:
-                response = self._round_trip(wire, deadline)
-                echoed = response.get("id")
-                if echoed is not None and echoed != wire["id"]:
-                    # A stale frame from an earlier abandoned request: the
-                    # stream is desynced — discard it with the connection.
-                    raise ServiceConnectionError(
-                        f"desynced connection: response id {echoed!r} does "
-                        f"not match request id {wire['id']!r}"
-                    )
-            except DeadlineExceededError:
-                # Budget spent mid-request: the response (if it ever
-                # comes) would desync the stream.
-                self._drop_connection()
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                raise
+                if self._socket is None:
+                    self._connect(self._budget("connecting"))
+                assert self._socket is not None
+                self._socket.settimeout(self._budget("sending the request"))
+                self._socket.sendall(self._frame)
+                response = None
+                while response is None:
+                    self._socket.settimeout(self._budget("awaiting the response"))
+                    response = self._receive(self._socket.recv(self._wanted))
             except (OSError, ServiceError) as error:
-                # ServiceError here can only come from the transport layer
-                # (mid-frame close, corrupt length prefix, malformed frame
-                # bytes): raise_for_error runs *after* this try block, so
-                # structured error frames never take this path.
-                self._drop_connection()
-                if self.breaker is not None:
-                    self.breaker.record_failure()
-                if deadline.expired:
-                    raise DeadlineExceededError(
-                        f"deadline of {deadline.millis:.0f}ms exceeded "
-                        f"after transport error: {error}"
-                    ) from error
-                if not retry or attempt >= self.retry.attempts - 1:
-                    if isinstance(error, ServiceConnectionError):
-                        raise
-                    raise ServiceConnectionError(
-                        f"request to {self.host}:{self.port} failed after "
-                        f"{attempt + 1} attempt(s): {error}"
-                    ) from error
-                delay = self.retry.backoff(attempt)
-                remaining = deadline.remaining()
-                if remaining is not None:
-                    delay = min(delay, remaining)
-                if delay > 0:
-                    time.sleep(delay)
-                attempt += 1
-                self.retries += 1
+                time.sleep(self._failed(error))
                 continue
-            if self.breaker is not None:
-                self.breaker.record_success()
-            return raise_for_error(response)
+            return self._answered(response)
 
-    # ------------------------------------------------------------------- ops
-
-    def prepare(self, query: str) -> dict:
-        """Compile ``query`` server-side (plan-cache aware); returns its
-        statement count, host-parameter signature and resolved engine."""
-        return self.request({"op": "prepare", "query": query})
-
-    def register(
-        self, query: str, source: object, description: str = ""
-    ) -> dict:
-        """Add ``source`` (anything the façade lowers — a fluent query, a
-        ``@query`` capture, a raw λNRC term) to the *server's* catalogue
-        under ``query`` (protocol v1.4).
-
-        The term is serialised with :mod:`repro.nrc.serialize`; the
-        server answers ``"registered": false`` when a structurally
-        identical term is already catalogued under the name, so retried
-        registrations converge instead of churning the plan cache.
-        """
-        from repro.api.fluent import to_term
-        from repro.nrc.serialize import term_to_json
-
-        payload: dict = {
-            "op": "register",
-            "query": query,
-            "term": term_to_json(to_term(source)),
-        }
-        if description:
-            payload["description"] = description
-        return self.request(payload)
-
-    def execute(
+    def _call(
         self,
-        query: str,
-        params: dict | None = None,
-        engine: str | None = None,
-        collection: str | None = None,
-        deadline_ms: object = _USE_DEFAULT,
-    ) -> list:
-        """Run ``query`` and return the nested rows (plain dicts/lists)."""
-        return self.execute_full(
-            query, params, engine, collection, deadline_ms=deadline_ms
-        )["rows"]
-
-    def execute_full(
-        self,
-        query: str,
-        params: dict | None = None,
-        engine: str | None = None,
-        collection: str | None = None,
-        deadline_ms: object = _USE_DEFAULT,
-        trace_id: str | None = None,
-    ) -> dict:
-        """Like :meth:`execute`, but returns the whole response frame
-        (rows + engine + per-run stats + server-side wall time).
-
-        ``trace_id`` (protocol v1.3) stamps the request so the server
-        echoes it — the sharded fan-out client correlates a traced run's
-        sub-requests with it.
-        """
-        payload: dict = {"op": "execute", "query": query}
-        if params:
-            payload["params"] = params
-        if engine:
-            payload["engine"] = engine
-        if collection:
-            payload["collection"] = collection
-        if trace_id:
-            payload["trace_id"] = trace_id
-        return self.request(payload, deadline_ms=deadline_ms)
-
-    def insert(
-        self,
-        table: str,
-        rows: list,
-        idempotency_key: str | None = None,
-        deadline_ms: object = _USE_DEFAULT,
-    ) -> dict:
-        """Insert ``rows`` into ``table`` on the server (protocol v1.2).
-
-        The *one* op that mutates — and still safe under the client's
-        transparent transport retries, because every insert carries an
-        idempotency key (a fresh UUID when the caller names none): a
-        re-delivered frame answers ``"applied": false`` instead of
-        writing twice.  Callers that retry at a higher level (e.g. after
-        a ``DeadlineExceededError``) must re-send the *same* key, which
-        is why the response echoes it.
-        """
-        if idempotency_key is None:
-            idempotency_key = uuid.uuid4().hex
-        response = self.request(
-            {
-                "op": "insert",
-                "table": table,
-                "rows": rows,
-                "idempotency_key": idempotency_key,
-            },
-            deadline_ms=deadline_ms,
-        )
-        response.setdefault("idempotency_key", idempotency_key)
-        return response
-
-    def explain(self, query: str) -> str:
-        return self.request({"op": "explain", "query": query})["text"]
-
-    def stats(self) -> dict:
-        """Server, session and plan-cache counters."""
-        return self.request({"op": "stats"})
-
-    def metrics(self) -> str:
-        """The server's metrics as Prometheus text exposition (v1.3)."""
-        return self.request({"op": "metrics"})["exposition"]
-
-    def ping(self, deadline_ms: object = _USE_DEFAULT) -> dict:
-        """Liveness probe: answered inline by the server (no lease, no
-        compile), so it measures the serving path itself.  A successful
-        ping records its round-trip time in :attr:`last_ping_ms`."""
-        started = self.clock()
-        response = self.request(
-            {"op": "ping"}, deadline_ms=deadline_ms, retry=False
-        )
-        self.last_ping_ms = (self.clock() - started) * 1000.0
-        return response
+        payload: dict,
+        project: Optional[Callable[[dict], Any]] = None,
+        **options: Any,
+    ) -> Any:
+        response = self.request(payload, **options)
+        return response if project is None else project(response)
 
     def close(self) -> None:
-        """Polite shutdown: send the close op, then drop the socket.
-
-        A closed client stays closed — later requests raise instead of
-        silently reconnecting."""
+        """Polite shutdown: send the close op, then drop the socket."""
         if self._socket is not None and not self._closed:
-            try:
+            with suppress(ServiceError):  # the socket may already be gone
                 self.request({"op": "close"}, retry=False)
-            except (OSError, ServiceError):
-                pass  # the socket may already be gone; closing is best-effort
         self._closed = True
-        self._drop_connection()
+        self._drop()
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -392,212 +161,87 @@ class ServiceClient:
         self.close()
 
 
-class AsyncServiceClient:
-    """The asyncio flavour: the same surface with awaitable ops.
+class AsyncServiceClient(ClientCore):
+    """The asyncio driver: the same ops, awaitable; a single attempt per
+    request and no breaker."""
 
-    Applies the same uniform ``timeout`` to connect and every stream read,
-    and the same deadline/reconnect rules; retries and breakers stay with
-    the blocking client (an asyncio caller composes its own backoff).
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 7411,
-        timeout: float = DEFAULT_TIMEOUT,
-        *,
-        deadline_ms: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.deadline_ms = deadline_ms
-        self.clock = clock
-        #: Round-trip time of the most recent successful ping (ms); same
-        #: contract as the blocking client's attribute.
-        self.last_ping_ms: Optional[float] = None
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._request_seq = 0
+    _reader: Optional[asyncio.StreamReader] = None
+    _writer: Optional[asyncio.StreamWriter] = None
 
     async def connect(self) -> "AsyncServiceClient":
-        try:
-            self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                timeout=self.timeout,
-            )
-        except asyncio.TimeoutError as error:
-            raise ServiceConnectionError(
-                f"connect to {self.host}:{self.port} timed out "
-                f"after {self.timeout}s"
-            ) from error
-        except OSError as error:
-            # Parity with the blocking client, which wraps a refused or
-            # unreachable endpoint in its request loop: connection
-            # failures surface as ServiceConnectionError on both
-            # transports, never a raw OSError.
-            raise ServiceConnectionError(
-                f"connect to {self.host}:{self.port} failed: {error}"
-            ) from error
+        await self._connect(self.timeout)
         return self
 
-    def _drop_connection(self) -> None:
+    async def _connect(self, limit: Optional[float]) -> None:
+        # Failures surface as ServiceConnectionError, never a raw OSError
+        # — this connect is also a public entry point.
+        try:
+            self._reader, self._writer = await asyncio.wait_for(
+                asyncio.open_connection(self.host, self.port), limit
+            )
+        except OSError as error:  # a TimeoutError is one, with no message
+            raise ServiceConnectionError(
+                f"connect to {self.host}:{self.port} failed: "
+                f"{str(error) or f'timed out after {limit}s'}"
+            ) from error
+        self._connected()
+
+    def _drop(self) -> None:
         if self._writer is not None:
-            self._writer.close()
+            # abort, not close: close would go on flushing a request the
+            # peer may never read.
+            self._writer.transport.abort()
         self._reader = self._writer = None
 
     async def request(
         self, payload: dict, *, deadline_ms: object = _USE_DEFAULT
     ) -> dict:
-        if self._reader is None or self._writer is None:
-            await self.connect()
-        assert self._reader is not None and self._writer is not None
-        budget = self.deadline_ms if deadline_ms is _USE_DEFAULT else deadline_ms
-        deadline = Deadline.after_millis(budget)
-        self._request_seq += 1
-        wire = dict(payload)
-        wire.setdefault("id", self._request_seq)
-        if budget is not None:
-            wire.setdefault("deadline_ms", budget)
+        """One request/response round trip (raises on error frames); a
+        transport failure closes the connection and raises."""
+        self._begin(payload, deadline_ms, retry=False)
+        self._admit()
         try:
-            self._writer.write(pack_frame(wire))
-            await self._writer.drain()
-            prefix = await asyncio.wait_for(
-                self._reader.readexactly(4),
-                timeout=deadline.remaining(cap=self.timeout),
-            )
-            body = await asyncio.wait_for(
-                self._reader.readexactly(frame_length(prefix)),
-                timeout=deadline.remaining(cap=self.timeout),
-            )
-        except asyncio.TimeoutError as error:
-            self._drop_connection()
-            if deadline.millis is not None:
-                raise DeadlineExceededError(
-                    f"deadline of {deadline.millis:.0f}ms exceeded awaiting "
-                    f"the response"
-                ) from error
-            raise ServiceConnectionError(
-                f"read from {self.host}:{self.port} timed out "
-                f"after {self.timeout}s"
-            ) from error
-        except (OSError, asyncio.IncompleteReadError) as error:
-            self._drop_connection()
-            raise ServiceConnectionError(
-                f"transport error talking to {self.host}:{self.port}: {error}"
-            ) from error
-        except ServiceError:
-            self._drop_connection()  # corrupt length prefix: stream desynced
+            if self._writer is None:
+                await self._connect(self._budget("connecting"))
+            assert self._reader is not None and self._writer is not None
+            limit = self._budget("sending the request")
+            self._writer.write(self._frame)
+            await asyncio.wait_for(self._writer.drain(), limit)
+            response = None
+            while response is None:
+                limit = self._budget("awaiting the response")
+                response = self._receive(
+                    await asyncio.wait_for(
+                        self._reader.readexactly(self._wanted), limit
+                    )
+                )
+        except (OSError, EOFError, ServiceError) as error:
+            self._failed(error)  # single attempt: the verdict is an error
             raise
-        try:
-            response = split_frame(body)
-        except ServiceError:
-            self._drop_connection()  # corrupt frame body: stream desynced
-            raise
-        echoed = response.get("id")
-        if echoed is not None and echoed != wire["id"]:
-            self._drop_connection()
-            raise ServiceConnectionError(
-                f"desynced connection: response id {echoed!r} does not "
-                f"match request id {wire['id']!r}"
-            )
-        return raise_for_error(response)
+        return self._answered(response)
 
-    async def prepare(self, query: str) -> dict:
-        return await self.request({"op": "prepare", "query": query})
-
-    async def register(
-        self, query: str, source: object, description: str = ""
-    ) -> dict:
-        """Protocol v1.4 dynamic registration — the blocking client's
-        contract verbatim (term serialised client-side, convergent on
-        re-delivery)."""
-        from repro.api.fluent import to_term
-        from repro.nrc.serialize import term_to_json
-
-        payload: dict = {
-            "op": "register",
-            "query": query,
-            "term": term_to_json(to_term(source)),
-        }
-        if description:
-            payload["description"] = description
-        return await self.request(payload)
-
-    async def execute(
+    async def _call(
         self,
-        query: str,
-        params: dict | None = None,
-        engine: str | None = None,
-        collection: str | None = None,
+        payload: dict,
+        project: Optional[Callable[[dict], Any]] = None,
+        *,
         deadline_ms: object = _USE_DEFAULT,
-    ) -> list:
-        payload: dict = {"op": "execute", "query": query}
-        if params:
-            payload["params"] = params
-        if engine:
-            payload["engine"] = engine
-        if collection:
-            payload["collection"] = collection
-        return (await self.request(payload, deadline_ms=deadline_ms))["rows"]
-
-    async def insert(
-        self,
-        table: str,
-        rows: list,
-        idempotency_key: str | None = None,
-        deadline_ms: object = _USE_DEFAULT,
-    ) -> dict:
-        """Protocol v1.2 insert — the blocking client's contract verbatim
-        (auto-generated idempotency key, echoed in the response); delivery
-        is single-attempt like every other async op, so re-sending with
-        the echoed key is the caller's retry loop."""
-        if idempotency_key is None:
-            idempotency_key = uuid.uuid4().hex
-        response = await self.request(
-            {
-                "op": "insert",
-                "table": table,
-                "rows": rows,
-                "idempotency_key": idempotency_key,
-            },
-            deadline_ms=deadline_ms,
-        )
-        response.setdefault("idempotency_key", idempotency_key)
-        return response
-
-    async def explain(self, query: str) -> str:
-        return (await self.request({"op": "explain", "query": query}))["text"]
-
-    async def stats(self) -> dict:
-        return await self.request({"op": "stats"})
-
-    async def metrics(self) -> str:
-        """Prometheus text exposition, in-band (protocol v1.3)."""
-        return (await self.request({"op": "metrics"}))["exposition"]
-
-    async def ping(self, deadline_ms: object = _USE_DEFAULT) -> dict:
-        started = self.clock()
-        response = await self.request({"op": "ping"}, deadline_ms=deadline_ms)
-        self.last_ping_ms = (self.clock() - started) * 1000.0
-        return response
+        retry: bool = False,  # accepted from ping(); there is nothing to turn off
+    ) -> Any:
+        response = await self.request(payload, deadline_ms=deadline_ms)
+        return response if project is None else project(response)
 
     async def close(self) -> None:
-        if self._writer is None:
-            return
-        try:
-            await self.request({"op": "close"})
-        except (OSError, ServiceError, asyncio.IncompleteReadError):
-            pass
+        """Polite shutdown: send the close op, then close the stream."""
         writer = self._writer
-        self._reader = self._writer = None
+        if writer is not None and not self._closed:
+            with suppress(ServiceError):  # the stream may already be gone
+                await self.request({"op": "close"})
+        self._closed = True
+        self._drop()
         if writer is not None:
-            writer.close()
-            try:
+            with suppress(ConnectionResetError, BrokenPipeError):
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
 
     async def __aenter__(self) -> "AsyncServiceClient":
         return await self.connect()

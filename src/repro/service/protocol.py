@@ -1,7 +1,8 @@
 """The query-service wire protocol: length-prefixed JSON frames.
 
 One frame is a 4-byte big-endian unsigned length followed by that many
-bytes of UTF-8 JSON.  Requests are objects with an ``op`` field::
+bytes of UTF-8 JSON.  Requests are objects with an ``op`` field — one of
+:data:`OPS`, the list the server dispatches from::
 
     {"op": "prepare", "query": "Q6"}
     {"op": "execute", "query": "staff_above", "params": {"min_salary": 900}}
@@ -9,6 +10,9 @@ bytes of UTF-8 JSON.  Requests are objects with an ``op`` field::
     {"op": "stats"}
     {"op": "ping"}
     {"op": "close"}
+
+(``insert``, ``metrics`` and ``register`` are introduced with their
+protocol versions below.)
 
 Responses carry ``ok``; successful ones add op-specific payload fields,
 failures an ``error`` object::
@@ -86,19 +90,30 @@ start-up registry.  Re-registering a name with a structurally identical
 term answers ``"registered": false`` (a no-op: fan-out clients register
 on every shard and retries must converge); a *different* term under an
 existing name replaces it, exactly like the in-process registry.
+
+The client side of all of the above is :class:`ClientCore`, below the
+frame functions: one request's life as a state machine over ``bytes`` —
+no socket, no event loop, no sleep (``tools/check_concurrency.py`` CC004
+keeps it so); :mod:`repro.service.client` holds its two I/O drivers.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import time
+import uuid
+from operator import itemgetter
+from typing import Any, Callable, Optional
 
 from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
     ReproError,
+    ServiceConnectionError,
     ServiceError,
 )
+from repro.service.resilience import CircuitBreaker, Deadline, RetryPolicy
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -109,6 +124,7 @@ __all__ = [
     "error_payload",
     "raise_for_error",
     "OPS",
+    "ClientCore",
 ]
 
 #: Frames above this size are rejected instead of buffered — a corrupted
@@ -124,7 +140,10 @@ PROTOCOL_VERSION = "1.4"
 
 _LENGTH = struct.Struct(">I")
 
-#: The operations the server dispatches (protocol reference, README).
+#: The operations of the protocol — the one list: the server builds its
+#: dispatch table (and its "unknown op" message) from it, and
+#: :class:`ClientCore` has one method per entry (``close`` is each
+#: driver's own).
 OPS = (
     "prepare",
     "register",
@@ -219,3 +238,328 @@ def raise_for_error(response: dict) -> dict:
     if dedicated is not None:
         raise dedicated(message)
     raise ServiceError(message, kind=kind)
+
+
+# --------------------------------------------------------------------------
+# The client side, sans I/O.
+
+#: The connect/read/write timeout a client applies when none is given.
+DEFAULT_TIMEOUT = 30.0
+
+#: Sentinel distinguishing "use the client default" from an explicit None
+#: (= no deadline) in per-request ``deadline_ms`` arguments.
+_USE_DEFAULT: Any = object()
+
+
+def _given(**fields: Any) -> dict:
+    """The optional request fields the caller actually set."""
+    return {name: value for name, value in fields.items() if value}
+
+
+class ClientCore:
+    """The client side of the protocol with the I/O left out — what
+    :class:`~repro.service.client.ServiceClient` and
+    :class:`~repro.service.client.AsyncServiceClient` share: the state
+    both expose, one request's whole life, and the ops.
+
+    A driver runs a request as :meth:`_begin` → :meth:`_admit` → write
+    :attr:`_frame` → read at most :attr:`_wanted` bytes and
+    :meth:`_receive` them, until that returns the response →
+    :meth:`_answered`.  Every wait is bounded by :meth:`_budget`;
+    whatever the transport (or :meth:`_receive`) raises goes to
+    :meth:`_failed`, which says what happens next.  One request at a
+    time: its state lives here.
+
+    The driver also supplies ``_drop()`` — close the transport
+    unconditionally and without blocking; the next request reconnects —
+    and ``_call(payload, project=None, *, deadline_ms=…, retry=…)`` —
+    ``project(request(payload, …))``, awaited where the driver is.  The
+    op methods return what ``_call`` returns: the projected response on
+    the blocking driver, an awaitable of it on the asyncio one.
+    """
+
+    _drop: Callable[[], None]
+    _call: Callable[..., Any]
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 7411,
+        timeout: float = DEFAULT_TIMEOUT,
+        *,
+        deadline_ms: Optional[float] = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        self.deadline_ms = deadline_ms
+        #: A single attempt and no breaker, unless the driver adds them.
+        self.retry = RetryPolicy.none()
+        self.breaker: Optional[CircuitBreaker] = None
+        #: Monotonic clock for deadlines and ping timing — injectable so
+        #: tests (and the replica router's latency tie-break) are
+        #: deterministic.
+        self.clock = clock
+        #: Round-trip time of the most recent successful :meth:`ping`
+        #: (milliseconds), or None before the first one.  The sharded
+        #: client reads this to prefer the lowest-latency live replica.
+        self.last_ping_ms: Optional[float] = None
+        #: Observability counters: transparent retries and reconnects this
+        #: client performed (the fault-injection suite asserts these).
+        self.retries = 0
+        self.reconnects = 0
+        self._connected_once = False
+        self._closed = False
+        self._request_seq = 0
+        self._chunks: list[bytes] = []  # short reads of the piece in progress
+
+    # ------------------------------------------------------------- exchange
+
+    def _connected(self) -> None:
+        """A driver reports every connection it establishes."""
+        self.reconnects += self._connected_once
+        self._connected_once = True
+
+    def _begin(self, payload: dict, deadline_ms: object, retry: bool) -> None:
+        """Stamp ``payload`` with the next request id and the deadline
+        (forwarded so the server enforces it independently) and frame it
+        — once; every attempt re-sends the same bytes.  A closed client
+        stays closed."""
+        if self._closed:
+            raise ServiceError("client is closed")
+        budget: Any = self.deadline_ms if deadline_ms is _USE_DEFAULT else deadline_ms
+        self._request_seq += 1
+        wire = dict(payload)
+        self._id = wire.setdefault("id", self._request_seq)
+        if budget is not None:
+            wire.setdefault("deadline_ms", budget)
+        self._frame = pack_frame(wire)
+        self._deadline = Deadline.after_millis(budget, self.clock)
+        self._attempts = self.retry.attempts if retry else 1
+        self._attempt = 0
+
+    def _admit(self) -> None:
+        """Start an attempt: the response needs its 4-byte prefix first.
+        A tripped breaker refuses the attempt — fail fast instead of
+        paying another connect timeout."""
+        self._attempt += 1
+        #: How many bytes the response needs next.
+        self._wanted = _LENGTH.size
+        self._in_body = False
+        self._chunks.clear()
+        if self.breaker is not None and not self.breaker.allow():
+            failures = self.breaker.snapshot()["consecutive_failures"]
+            raise ServiceConnectionError(
+                f"circuit open for {self.host}:{self.port} "
+                f"({failures} consecutive failures)",
+                kind="CircuitOpen",
+            )
+
+    def _budget(self, doing: str) -> Optional[float]:
+        """Seconds the next connect, write or read may take: the uniform
+        I/O timeout, or what is left of the deadline if that is less.
+        Raises :class:`DeadlineExceededError` once nothing is left."""
+        self._deadline.check(doing)
+        return self._deadline.remaining(cap=self.timeout)
+
+    def _receive(self, data: bytes) -> Optional[dict]:
+        """Take up to :attr:`_wanted` bytes; the response once complete.
+
+        A read of exactly :attr:`_wanted` bytes is used as it is — only
+        short reads are kept and joined.  An empty read (the peer hung
+        up), a corrupt or oversize length prefix, a malformed body and an
+        echoed ``id`` that is not this request's all raise: the stream
+        position is unknowable.
+        """
+        if not data:
+            raise ServiceConnectionError("server closed the connection mid-frame")
+        if len(data) < self._wanted:
+            self._chunks.append(data)
+            self._wanted -= len(data)
+            return None
+        if self._chunks:
+            self._chunks.append(data)
+            data = b"".join(self._chunks)
+            self._chunks.clear()
+        if not self._in_body:
+            self._in_body = True
+            self._wanted = frame_length(data)
+            return None
+        response = split_frame(data)
+        echoed = response.get("id")
+        if echoed is not None and echoed != self._id:
+            # A stale frame from an earlier abandoned request.
+            raise ServiceConnectionError(
+                f"desynced connection: response id {echoed!r} does not "
+                f"match request id {self._id!r}"
+            )
+        return response
+
+    def _failed(self, error: Exception) -> float:
+        """The verdict on a transport failure.
+
+        Always: the connection is dropped (a late or partial response
+        would answer the *next* request) and the breaker hears of it.
+        Then: a :class:`DeadlineExceededError` iff the deadline has
+        actually expired — an I/O timeout inside a live deadline is a
+        connection failure —; else, attempts spent, a
+        :class:`ServiceConnectionError`; else the seconds to back off
+        before the next attempt, never beyond the deadline.
+        """
+        self._drop()
+        if self.breaker is not None:
+            self.breaker.record_failure()
+        if isinstance(error, DeadlineExceededError):
+            raise error
+        if self._deadline.expired:
+            raise DeadlineExceededError(
+                f"deadline of {self._deadline.millis:.0f}ms exceeded "
+                f"after transport error: {error}"
+            ) from error
+        if self._attempt >= self._attempts:
+            raise ServiceConnectionError(
+                f"request to {self.host}:{self.port} failed after "
+                f"{self._attempt} attempt(s): {error}"
+            ) from error
+        self.retries += 1
+        delay = self.retry.backoff(self._attempt - 1)
+        left = self._deadline.remaining()
+        return delay if left is None else min(delay, left)
+
+    def _answered(self, response: dict) -> dict:
+        """A complete response is an *answer*, error frames included: the
+        breaker records success first, then an error frame raises — and
+        is never retried."""
+        if self.breaker is not None:
+            self.breaker.record_success()
+        return raise_for_error(response)
+
+    # ------------------------------------------------------------------ ops
+
+    def prepare(self, query: str) -> Any:
+        """Compile ``query`` server-side (plan-cache aware); returns its
+        statement count, host-parameter signature and resolved engine."""
+        return self._call({"op": "prepare", "query": query})
+
+    def register(self, query: str, source: object, description: str = "") -> Any:
+        """Add ``source`` (anything the façade lowers — a fluent query, a
+        ``@query`` capture, a raw λNRC term) to the *server's* catalogue
+        under ``query`` (protocol v1.4).
+
+        The term is serialised with :mod:`repro.nrc.serialize`; the
+        server answers ``"registered": false`` when a structurally
+        identical term is already catalogued under the name, so retried
+        registrations converge instead of churning the plan cache.
+        """
+        from repro.api.fluent import to_term
+        from repro.nrc.serialize import term_to_json
+
+        term = term_to_json(to_term(source))
+        return self._call(
+            {"op": "register", "query": query, "term": term}
+            | _given(description=description)
+        )
+
+    def _execute(
+        self,
+        project: Optional[Callable[[dict], Any]],
+        deadline_ms: object,
+        query: str,
+        **optional: Any,
+    ) -> Any:
+        payload = {"op": "execute", "query": query} | _given(**optional)
+        return self._call(payload, project, deadline_ms=deadline_ms)
+
+    def execute(
+        self,
+        query: str,
+        params: dict | None = None,
+        engine: str | None = None,
+        collection: str | None = None,
+        deadline_ms: object = _USE_DEFAULT,
+    ) -> Any:
+        """Run ``query`` and return the nested rows (plain dicts/lists)."""
+        return self._execute(
+            itemgetter("rows"), deadline_ms, query,
+            params=params, engine=engine, collection=collection,
+        )
+
+    def execute_full(
+        self,
+        query: str,
+        params: dict | None = None,
+        engine: str | None = None,
+        collection: str | None = None,
+        deadline_ms: object = _USE_DEFAULT,
+        trace_id: str | None = None,
+    ) -> Any:
+        """Like :meth:`execute`, but returns the whole response frame
+        (rows + engine + per-run stats + server-side wall time).
+
+        ``trace_id`` (protocol v1.3) stamps the request so the server
+        echoes it — the sharded fan-out client correlates a traced run's
+        sub-requests with it.
+        """
+        return self._execute(
+            None, deadline_ms, query,
+            params=params, engine=engine, collection=collection,
+            trace_id=trace_id,
+        )
+
+    def insert(
+        self,
+        table: str,
+        rows: list,
+        idempotency_key: str | None = None,
+        deadline_ms: object = _USE_DEFAULT,
+    ) -> Any:
+        """Insert ``rows`` into ``table`` on the server (protocol v1.2).
+
+        The *one* op that mutates — and still safe under the blocking
+        driver's transparent transport retries, because every insert
+        carries an idempotency key (a fresh UUID when the caller names
+        none): a re-delivered frame answers ``"applied": false`` instead
+        of writing twice.  Callers that retry at a higher level (after a
+        ``DeadlineExceededError``, or at all on the single-attempt
+        asyncio driver) must re-send the *same* key, which is why the
+        response echoes it.
+        """
+        key = uuid.uuid4().hex if idempotency_key is None else idempotency_key
+
+        def echo_key(response: dict) -> dict:
+            response.setdefault("idempotency_key", key)
+            return response
+
+        return self._call(
+            {"op": "insert", "table": table, "rows": rows, "idempotency_key": key},
+            echo_key,
+            deadline_ms=deadline_ms,
+        )
+
+    def explain(self, query: str) -> Any:
+        """The server's ``explain()`` text for ``query``."""
+        return self._call({"op": "explain", "query": query}, itemgetter("text"))
+
+    def stats(self) -> Any:
+        """Server, session and plan-cache counters."""
+        return self._call({"op": "stats"})
+
+    def metrics(self) -> Any:
+        """The server's metrics as Prometheus text exposition (v1.3)."""
+        return self._call({"op": "metrics"}, itemgetter("exposition"))
+
+    def ping(self, deadline_ms: object = _USE_DEFAULT) -> Any:
+        """Liveness probe: answered inline by the server (no lease, no
+        compile), so it measures the serving path itself — one attempt,
+        never retried.  A successful ping records its round-trip time in
+        :attr:`last_ping_ms`."""
+        started = self.clock()
+
+        def timed(response: dict) -> dict:
+            self.last_ping_ms = (self.clock() - started) * 1000.0
+            return response
+
+        return self._call(
+            {"op": "ping"}, timed, deadline_ms=deadline_ms, retry=False
+        )

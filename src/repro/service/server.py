@@ -49,7 +49,8 @@ import asyncio
 import sqlite3
 import threading
 import time
-from typing import TYPE_CHECKING
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import (
     DeadlineExceededError,
@@ -57,6 +58,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.service.protocol import (
+    OPS,
     PROTOCOL_VERSION,
     error_payload,
     frame_length,
@@ -68,7 +70,13 @@ from repro.service.registry import QueryRegistry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
 
-__all__ = ["QueryServer", "ServerHandle", "serve_in_background"]
+__all__ = [
+    "QueryServer",
+    "ServerHandle",
+    "serve_in_background",
+    "prepare_response",
+    "execute_response",
+]
 
 #: Read-connection leases a server holds by default (concurrent requests
 #: beyond this queue on the lease, not on SQLite).
@@ -82,6 +90,42 @@ PENDING_PER_LEASE = 8
 #: How long :meth:`QueryServer.stop` waits for in-flight requests to
 #: answer before cancelling their connection handlers.
 DEFAULT_DRAIN_GRACE = 10.0
+
+
+def prepare_response(
+    query: str, compiled: Any, engine: str, description: str
+) -> dict:
+    """The ``prepare`` success shape, from a compiled query."""
+    return {
+        "ok": True,
+        "query": query,
+        "statements": compiled.query_count,
+        "params": {name: str(kind) for name, kind in compiled.param_specs},
+        "engine": engine,
+        "description": description,
+    }
+
+
+def execute_response(
+    query: str, result: Any, rows: Any, server_millis: float
+) -> dict:
+    """The ``execute`` success shape, from a run's
+    :class:`~repro.api.results.Result`; ``server_millis`` is the wall
+    time from admission to result — what a tracing fan-out client
+    attributes to this endpoint."""
+    stats = result.stats
+    return {
+        "ok": True,
+        "query": query,
+        "rows": rows,
+        "engine": result.engine,
+        "server_millis": round(server_millis, 3),
+        "stats": {
+            "queries": stats.queries,
+            "rows_fetched": stats.rows_fetched,
+            "millis": round(stats.total_millis, 3),
+        },
+    }
 
 
 class QueryServer:
@@ -117,6 +161,8 @@ class QueryServer:
             )
         #: Server-side deadline applied to executes that name none.
         self.default_deadline_ms = default_deadline_ms
+        #: One handler per protocol op — the dispatch table *is* ``OPS``.
+        self._ops = {op: getattr(self, f"_{op}") for op in OPS}
         self._server: asyncio.AbstractServer | None = None
         self._leases: asyncio.Queue | None = None
         self._handlers: set[asyncio.Task] = set()
@@ -382,47 +428,14 @@ class QueryServer:
             raise ServiceError(
                 "'trace_id' must be a string of at most 64 characters"
             )
-        if op == "close":
-            self._count("close", started)
-            return {"ok": True, "closing": True}, True
-        if op == "ping":
-            # Answered inline on the event loop — no lease, no compile —
-            # so liveness probes keep working while every lease is busy.
-            response = {
-                "ok": True,
-                "pong": True,
-                "shard": self.shard_label,
-                "protocol": PROTOCOL_VERSION,
-                "draining": self._draining,
-            }
-        elif op == "prepare":
-            response = await self._prepare(request)
-        elif op == "register":
-            response = await self._register(request)
-        elif op == "execute":
-            response = await self._execute(request)
-        elif op == "insert":
-            response = await self._insert(request)
-        elif op == "explain":
-            response = await self._explain(request)
-        elif op == "stats":
-            response = self._stats()
-        elif op == "metrics":
-            # Prometheus text exposition in-band (protocol v1.3): fleet
-            # tooling scrapes through the query port; gauge callbacks
-            # read event-loop state, so render right here on the loop.
-            from repro.obs import render_prometheus
-
-            response = {"ok": True, "exposition": render_prometheus(self.metrics)}
-        else:
-            raise ServiceError(
-                f"unknown op {op!r}; one of: prepare, register, execute, "
-                f"insert, explain, stats, metrics, ping, close"
-            )
+        handler = self._ops.get(op) if isinstance(op, str) else None
+        if handler is None:
+            raise ServiceError(f"unknown op {op!r}; one of: {', '.join(OPS)}")
+        response = await handler(request)
         self._count(op, started)
         if trace_id is not None:
             response.setdefault("trace_id", trace_id)
-        return response, False
+        return response, op == "close"
 
     def _count(self, op: str, started: float) -> None:
         self.request_counts[op] = self.request_counts.get(op, 0) + 1
@@ -433,6 +446,28 @@ class QueryServer:
         )
         self._m_requests.labels(op=op).inc()
         self._m_request_ms.labels(op=op).observe(millis)
+
+    async def _close(self, request: dict) -> dict:
+        return {"ok": True, "closing": True}
+
+    async def _ping(self, request: dict) -> dict:
+        # Answered inline on the event loop — no lease, no compile — so
+        # liveness probes keep working while every lease is busy.
+        return {
+            "ok": True,
+            "pong": True,
+            "shard": self.shard_label,
+            "protocol": PROTOCOL_VERSION,
+            "draining": self._draining,
+        }
+
+    async def _metrics(self, request: dict) -> dict:
+        # Prometheus text exposition in-band (protocol v1.3): fleet
+        # tooling scrapes through the query port; gauge callbacks read
+        # event-loop state, so render right here on the loop.
+        from repro.obs import render_prometheus
+
+        return {"ok": True, "exposition": render_prometheus(self.metrics)}
 
     def _entry(self, request: dict):
         name = request.get("query")
@@ -445,16 +480,12 @@ class QueryServer:
         prepared = entry.prepared(self.session)
         # Compilation can be slow the first time — keep it off the loop.
         compiled = await asyncio.to_thread(lambda: prepared.compiled)
-        return {
-            "ok": True,
-            "query": entry.name,
-            "statements": compiled.query_count,
-            "params": {
-                name: str(declared) for name, declared in compiled.param_specs
-            },
-            "engine": self.session.resolve_engine(None, compiled),
-            "description": entry.description,
-        }
+        return prepare_response(
+            entry.name,
+            compiled,
+            self.session.resolve_engine(None, compiled),
+            entry.description,
+        )
 
     async def _register(self, request: dict) -> dict:
         """The protocol v1.4 dynamic-registration op.
@@ -498,9 +529,10 @@ class QueryServer:
             "fingerprint": fingerprint,
         }
 
-    async def _execute(self, request: dict) -> dict:
-        # Admission control *before* any work: past the bound, shed
-        # immediately — an error frame now beats a timeout later.
+    @contextmanager
+    def _admitted(self) -> Iterator[None]:
+        """Admission control *before* any work: past the bound, shed
+        immediately — an error frame now beats a timeout later."""
         if self._pending >= self.max_pending:
             self.shed_count += 1
             self._m_shed.inc()
@@ -510,9 +542,13 @@ class QueryServer:
             )
         self._pending += 1
         try:
-            return await self._execute_admitted(request)
+            yield
         finally:
             self._pending -= 1
+
+    async def _execute(self, request: dict) -> dict:
+        with self._admitted():
+            return await self._execute_admitted(request)
 
     async def _execute_admitted(self, request: dict) -> dict:
         admitted = time.perf_counter()
@@ -564,23 +600,13 @@ class QueryServer:
                     f"server-side deadline of {deadline_ms:.0f}ms exceeded "
                     f"executing {entry.name!r}"
                 ) from None
-        stats = result.stats
-        return {
-            "ok": True,
-            "query": entry.name,
-            "rows": result.to_dicts(),
-            "engine": result.engine,
-            # Wall time from admission to result, lease wait included —
-            # what a tracing fan-out client attributes to this shard.
-            "server_millis": round(
-                (time.perf_counter() - admitted) * 1000.0, 3
-            ),
-            "stats": {
-                "queries": stats.queries,
-                "rows_fetched": stats.rows_fetched,
-                "millis": round(stats.total_millis, 3),
-            },
-        }
+        return execute_response(
+            entry.name,
+            result,
+            result.to_dicts(),
+            # Lease wait included.
+            (time.perf_counter() - admitted) * 1000.0,
+        )
 
     async def _insert(self, request: dict) -> dict:
         """The protocol v1.2 write op.
@@ -594,33 +620,23 @@ class QueryServer:
         unsure whether it landed; the key exists precisely so the client
         re-sends instead of guessing.
         """
-        if self._pending >= self.max_pending:
-            self.shed_count += 1
-            self._m_shed.inc()
-            raise OverloadedError(
-                f"server at admission limit ({self.max_pending} requests "
-                f"in flight); retry with backoff or divert"
-            )
-        table = request.get("table")
-        if not isinstance(table, str):
-            raise ServiceError("insert requests need a 'table' field")
-        rows = request.get("rows")
-        if not isinstance(rows, list) or not all(
-            isinstance(row, dict) for row in rows
-        ):
-            raise ServiceError("'rows' must be an array of row objects")
-        key = request.get("idempotency_key")
-        if key is not None and not isinstance(key, str):
-            raise ServiceError(
-                f"'idempotency_key' must be a string, got {key!r}"
-            )
-        self._pending += 1
-        try:
+        with self._admitted():
+            table = request.get("table")
+            if not isinstance(table, str):
+                raise ServiceError("insert requests need a 'table' field")
+            rows = request.get("rows")
+            if not isinstance(rows, list) or not all(
+                isinstance(row, dict) for row in rows
+            ):
+                raise ServiceError("'rows' must be an array of row objects")
+            key = request.get("idempotency_key")
+            if key is not None and not isinstance(key, str):
+                raise ServiceError(
+                    f"'idempotency_key' must be a string, got {key!r}"
+                )
             applied = await asyncio.to_thread(
                 self.session.insert, table, rows, idempotency_key=key
             )
-        finally:
-            self._pending -= 1
         return {
             "ok": True,
             "table": table,
@@ -662,7 +678,7 @@ class QueryServer:
                     return  # a later start() builds fresh leases
         self._leases.put_nowait(lease)
 
-    def _stats(self) -> dict:
+    async def _stats(self, request: dict) -> dict:
         payload = {
             "ok": True,
             "queries": self.registry.names(),

@@ -55,6 +55,7 @@ from repro.nrc import ast
 from repro.nrc.schema import Schema
 from repro.service.registry import QueryRegistry
 from repro.service.resilience import CircuitBreaker
+from repro.service.server import execute_response, prepare_response
 from repro.shard.analysis import ShardPlan
 from repro.shard.client import MODE_COUNTERS, ShardedServiceClient
 from repro.shard.placement import Placement
@@ -196,21 +197,25 @@ class LocalEndpoint:
         self.breaker = CircuitBreaker(failure_threshold=1)
         self._compile_lock = compile_lock
         self._prepared: dict = {}
+        self._descriptions: dict = {}
 
-    def _adopt(self, query: str, prepared):
+    def _adopt(self, query: str, prepared, description: str):
         # A fan-out asks every endpoint for a new plan at the same moment,
         # and they share one plan cache: under the deployment-wide lock
         # the first compiles and the rest hit.
         with self._compile_lock:
             prepared.compiled
         self._prepared[query] = prepared
+        self._descriptions[query] = description
         return prepared
 
     def _lookup(self, query: str):
         prepared = self._prepared.get(query)
         if prepared is None:
             entry = self.registry.lookup(query)
-            prepared = self._adopt(query, entry.prepared(self.session))
+            prepared = self._adopt(
+                query, entry.prepared(self.session), entry.description
+            )
         return prepared
 
     def _store(self, call, *args: Any, **kwargs: Any):
@@ -230,13 +235,12 @@ class LocalEndpoint:
 
     def prepare(self, query: str) -> dict:
         compiled = self._lookup(query).compiled
-        return {
-            "ok": True,
-            "query": query,
-            "statements": compiled.query_count,
-            "params": {name: str(kind) for name, kind in compiled.param_specs},
-            "engine": self.session.resolve_engine(None, compiled),
-        }
+        return prepare_response(
+            query,
+            compiled,
+            self.session.resolve_engine(None, compiled),
+            self._descriptions[query],
+        )
 
     def register(
         self, query: str, source: object, description: str = ""
@@ -253,7 +257,7 @@ class LocalEndpoint:
             current is None or ast.term_fingerprint(current) != fingerprint
         )
         if registered:
-            self._adopt(query, self.session.prepare(term))
+            self._adopt(query, self.session.prepare(term), description)
         return {
             "ok": True,
             "query": query,
@@ -280,19 +284,9 @@ class LocalEndpoint:
             collection=collection or "bag",
             params=params,
         )
-        stats = result.stats
-        return {
-            "ok": True,
-            "query": query,
-            "rows": result.value,
-            "engine": result.engine,
-            "server_millis": (time.perf_counter() - started) * 1000.0,
-            "stats": {
-                "queries": stats.queries,
-                "rows_fetched": stats.rows_fetched,
-                "millis": round(stats.total_millis, 3),
-            },
-        }
+        return execute_response(
+            query, result, result.value, (time.perf_counter() - started) * 1000.0
+        )
 
     def insert(
         self, table: str, rows: list, idempotency_key: str | None = None

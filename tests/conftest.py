@@ -11,6 +11,7 @@ rather than from derandomised generation.)
 
 from __future__ import annotations
 
+import asyncio
 import os
 import sqlite3
 
@@ -35,6 +36,16 @@ from repro.data.organisation import (
     empty_database,
     figure3_database,
 )
+
+
+def run_per_path(query, db, options=None):
+    """One-shot compile-run-stitch through the façade on the *per-path*
+    reference executor, no plan cache — named explicitly so these tests'
+    coverage of it does not migrate to whatever ``auto`` resolves to."""
+    from repro.api import connect
+
+    session = connect(db, options=options, cache=False)
+    return session.query(query).run(engine="per-path").value
 
 
 def pytest_configure(config):
@@ -68,6 +79,57 @@ def small_random_db() -> Database:
     return generate_organisation(
         departments=3, employees_per_dept=4, contacts_per_dept=3, seed=42
     )
+
+
+# --------------------------------------------------------------------------
+# One wire client over both I/O drivers.
+
+
+class _RunToCompletion:
+    """An :class:`AsyncServiceClient` driven from synchronous test code:
+    every method call (they all return awaitables) is run to completion
+    on the fixture's event loop."""
+
+    def __init__(self, client, loop) -> None:
+        self._client, self._loop = client, loop
+
+    def __getattr__(self, name):
+        attribute = getattr(self._client, name)
+        if not callable(attribute):
+            return attribute
+        return lambda *args, **kwargs: self._loop.run_until_complete(
+            attribute(*args, **kwargs)
+        )
+
+
+@pytest.fixture(params=["blocking", "asyncio"])
+def wire_client(request):
+    """``wire_client(host, port, **options)`` → a lazily connecting,
+    single-attempt client of the parametrised driver; the asyncio one sits
+    behind :class:`_RunToCompletion`, so a test body is written once and
+    runs as one cell per driver.  Everything made is closed at exit."""
+    from repro.service import AsyncServiceClient, RetryPolicy, ServiceClient
+
+    loop = asyncio.new_event_loop()
+    made = []
+
+    def make(host, port, **options):
+        if request.param == "blocking":
+            client = ServiceClient(
+                host, port, connect_now=False, retry=RetryPolicy.none(),
+                **options,
+            )
+        else:
+            client = _RunToCompletion(
+                AsyncServiceClient(host, port, **options), loop
+            )
+        made.append(client)
+        return client
+
+    yield make
+    for client in made:
+        client.close()
+    loop.close()
 
 
 # --------------------------------------------------------------------------

@@ -317,17 +317,6 @@ class TestSessionLifecycle:
         assert session.stats.cache_hits == 1
         assert session.stats.queries > 0
 
-    def test_shred_run_shim_populates_a_supplied_cache(self, db):
-        from repro.pipeline.plan_cache import PlanCache
-        from repro.pipeline.shredder import shred_run
-
-        cache = PlanCache()  # empty instance is falsy (defines __len__)
-        first = shred_run(Q1, db, cache=cache)
-        assert len(cache) == 1
-        second = shred_run(Q1, db, cache=cache)
-        assert bag_equal(first, second)
-        assert cache.stats()["hits"] >= 1
-
     def test_prepare_rebinds_a_foreign_prepared_query(self, db):
         session_a = connect(db)
         other_db = figure3_database()

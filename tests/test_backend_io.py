@@ -78,13 +78,14 @@ class TestSqliteFileRoundTrip:
     def test_queries_work_on_loaded_db(self, tmp_path, db):
         from repro.data.queries import Q6
         from repro.nrc.semantics import evaluate
-        from repro.pipeline.shredder import shred_run
         from repro.values import bag_equal
+
+        from .conftest import run_per_path
 
         path = tmp_path / "org.sqlite3"
         to_sqlite_file(db, path)
         loaded = from_sqlite_file(ORGANISATION_SCHEMA, path)
-        assert bag_equal(shred_run(Q6, loaded), evaluate(Q6, db))
+        assert bag_equal(run_per_path(Q6, loaded), evaluate(Q6, db))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(BackendError):

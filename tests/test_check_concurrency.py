@@ -126,6 +126,28 @@ class TestBareExcept:
         assert _codes(src) == []
 
 
+class TestSansIoCore:
+    CORE = "src/repro/service/protocol.py"
+    SOURCE = (
+        "import asyncio\n"
+        "from socket import create_connection\n"
+        "import time\n"
+        "def backoff(delay):\n"
+        "    time.sleep(delay)\n"
+    )
+
+    def test_io_in_the_core_flagged(self):
+        findings = lint_source(self.SOURCE, self.CORE)
+        assert [(f.code, f.line) for f in findings] == [
+            ("CC004", 1), ("CC004", 2), ("CC004", 5),
+        ]
+
+    def test_same_source_fine_in_a_driver(self):
+        assert lint_source(self.SOURCE, "src/repro/service/client.py") == []
+        # ... and the core may use the clock, just not sleep on it.
+        assert lint_source("import time\nnow = time.monotonic()\n", self.CORE) == []
+
+
 class TestRealTree:
     def test_serving_stack_lints_clean(self):
         findings = lint_paths([ROOT / target for target in DEFAULT_TARGETS])

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import socket
 import sqlite3
 import threading
 import time
@@ -49,7 +50,7 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.service import (
-    PROTOCOL_VERSION,
+    DEFAULT_TIMEOUT,
     AsyncServiceClient,
     CircuitBreaker,
     Deadline,
@@ -212,28 +213,16 @@ def proxied_service():
         handle.stop()
 
 
-@pytest.fixture
-def proxy_client(proxied_service):
-    _handle, proxy = proxied_service
-    proxy.set_mode("pass")
-    client = ServiceClient(
-        proxy.host, proxy.port, timeout=5, retry=RetryPolicy.none()
-    )
-    try:
-        yield proxy, client
-    finally:
-        proxy.set_mode("pass")
-        client.close()
-
-
 class TestDesyncRegression:
     def test_truncated_frame_then_next_request_gets_the_right_answer(
-        self, proxy_client
+        self, proxied_service, wire_client
     ):
         # The PR 4 bug: a partial read left buffered bytes on the socket,
         # so the *next* request read a stale response.  Now any transport
         # error drops the connection; the next request reconnects clean.
-        proxy, client = proxy_client
+        _handle, proxy = proxied_service
+        proxy.set_mode("pass")
+        client = wire_client(proxy.host, proxy.port, timeout=5)
         assert bag_equal(client.execute("Q1"), _expected("Q1"))
         proxy.set_mode("truncate")
         with pytest.raises(ServiceConnectionError):
@@ -262,53 +251,73 @@ class TestDesyncRegression:
             assert bag_equal(client.execute("Q2"), _expected("Q2"))
             assert client.retries >= 1
 
-    def test_timed_out_response_is_never_misdelivered(self, proxied_service):
+    def test_timed_out_response_is_never_misdelivered(
+        self, proxied_service, wire_client
+    ):
         # Response delayed past the client timeout: the first request
         # fails, and its late response must NOT answer the next request.
         handle, proxy = proxied_service
         proxy.set_mode("delay")
         proxy.delay = 0.6
-        with ServiceClient(
-            proxy.host, proxy.port, timeout=0.2, retry=RetryPolicy.none()
-        ) as client:
-            with pytest.raises(ServiceConnectionError):
-                client.execute("Q1")
-            proxy.set_mode("pass")
-            time.sleep(0.7)  # the stale response arrives... nowhere
-            response = client.execute_full("Q3")
-            assert response["query"] == "Q3"
-            assert bag_equal(response["rows"], _expected("Q3"))
+        client = wire_client(proxy.host, proxy.port, timeout=0.2)
+        with pytest.raises(ServiceConnectionError):
+            client.execute("Q1")
+        proxy.set_mode("pass")
+        time.sleep(0.7)  # the stale response arrives... nowhere
+        response = client.execute_full("Q3")
+        assert response["query"] == "Q3"
+        assert bag_equal(response["rows"], _expected("Q3"))
+
+
+@pytest.fixture
+def silent_peer():
+    """A listening socket nobody accepts from: connects complete in the
+    kernel's backlog, and then the peer neither reads nor answers."""
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        yield listener.getsockname()
 
 
 class TestUniformTimeouts:
-    def test_default_timeout_is_documented_and_uniform(self):
-        from repro.service.client import DEFAULT_TIMEOUT
+    """``timeout=`` bounds the connect and every read *and write*; a
+    deadline only tightens it; and a wait that times out is a deadline
+    error iff the deadline has expired.  One cell per driver."""
 
-        assert DEFAULT_TIMEOUT == 30.0
+    def test_default_timeout_is_documented_and_uniform(self):
         blocking = ServiceClient("127.0.0.1", 1, connect_now=False)
         asyncio_client = AsyncServiceClient("127.0.0.1", 1)
-        assert blocking.timeout == asyncio_client.timeout == DEFAULT_TIMEOUT
+        assert blocking.timeout == asyncio_client.timeout == DEFAULT_TIMEOUT == 30.0
 
-    def test_blocking_read_timeout_applies_mid_request(self, proxy_client):
-        proxy, _client = proxy_client
-        proxy.set_mode("drop")
-        with ServiceClient(
-            proxy.host, proxy.port, timeout=0.2, retry=RetryPolicy.none()
-        ) as client:
-            started = time.monotonic()
-            with pytest.raises(ServiceConnectionError):
-                client.execute("Q1")
-            assert time.monotonic() - started < 2.0
-
-    def test_blocking_connect_timeout_is_threaded(self, proxied_service):
-        handle, proxy = proxied_service
-        client = ServiceClient(
-            proxy.host, proxy.port, timeout=0.25, connect_now=False
-        )
-        # The connect timeout rides the socket; prove it reaches
-        # create_connection by racing a deadline that expires first.
+    def test_read_timeout_and_deadline(self, silent_peer, wire_client):
+        # The I/O timeout fires long before the deadline: a connection
+        # failure, not a deadline error ...
+        client = wire_client(*silent_peer, timeout=0.2, deadline_ms=60000)
+        started = time.monotonic()
+        with pytest.raises(ServiceConnectionError):
+            client.execute("Q1")
+        # ... and a deadline tighter than the timeout is what expires.
         with pytest.raises(DeadlineExceededError):
-            client.request({"op": "ping"}, deadline_ms=0.0001, retry=False)
+            wire_client(*silent_peer, timeout=5).execute("Q1", deadline_ms=150)
+        assert time.monotonic() - started < 2.0
+
+    def test_write_to_a_peer_that_stops_reading_is_bounded(
+        self, silent_peer, wire_client
+    ):
+        rows = [{"id": i, "name": "x" * 1000} for i in range(16000)]  # ≈16 MB
+        started = time.monotonic()
+        with pytest.raises(ServiceConnectionError):
+            wire_client(*silent_peer, timeout=0.2).insert("departments", rows)
+        with pytest.raises(DeadlineExceededError):
+            wire_client(*silent_peer, timeout=5).insert(
+                "departments", rows, deadline_ms=300
+            )
+        assert time.monotonic() - started < 4.0
+
+    def test_deadline_is_checked_before_connecting(self, silent_peer, wire_client):
+        client = wire_client(*silent_peer, timeout=0.25)
+        with pytest.raises(DeadlineExceededError, match="connecting"):
+            client.ping(deadline_ms=0.0001)
 
     def test_async_connect_timeout(self, monkeypatch):
         async def never_connect(*args, **kwargs):
@@ -322,46 +331,8 @@ class TestUniformTimeouts:
 
         asyncio.run(go())
 
-    def test_async_read_timeout_and_deadline(self, proxied_service):
-        handle, proxy = proxied_service
-        proxy.set_mode("drop")
-        try:
-
-            async def go():
-                client = AsyncServiceClient(proxy.host, proxy.port, timeout=0.2)
-                with pytest.raises(ServiceConnectionError):
-                    await client.execute("Q1")
-                client2 = AsyncServiceClient(proxy.host, proxy.port, timeout=5)
-                with pytest.raises(DeadlineExceededError):
-                    await client2.execute("Q1", deadline_ms=150)
-                await client.close()
-                await client2.close()
-
-            asyncio.run(go())
-        finally:
-            proxy.set_mode("pass")
-
-    def test_async_ping_round_trips(self, proxied_service):
-        handle, proxy = proxied_service
-        proxy.set_mode("pass")
-
-        async def go():
-            async with AsyncServiceClient(proxy.host, proxy.port) as client:
-                return await client.ping()
-
-        pong = asyncio.run(go())
-        assert pong["pong"] is True and pong["draining"] is False
-
 
 class TestDeadlines:
-    def test_client_deadline_bounds_a_slow_query(self, proxy_client):
-        _proxy, client = proxy_client
-        started = time.monotonic()
-        with pytest.raises(DeadlineExceededError):
-            client.execute("slow", deadline_ms=200)  # query sleeps 0.8s
-        elapsed = time.monotonic() - started
-        assert elapsed < 2 * 0.2 + 0.3  # structured error within 2× deadline
-
     def test_server_side_default_deadline(self):
         session = connect(figure3_database())
         registry = paper_registry()
@@ -379,13 +350,6 @@ class TestDeadlines:
                 assert bag_equal(client.execute("Q1"), _expected("Q1"))
         finally:
             handle.stop()
-
-    def test_ping_carries_protocol_and_shard(self, proxy_client):
-        _proxy, client = proxy_client
-        pong = client.ping()
-        assert pong["pong"] is True
-        assert pong["protocol"] == PROTOCOL_VERSION
-        assert pong["shard"] is None and pong["draining"] is False
 
 
 class TestCircuitBreakerIntegration:

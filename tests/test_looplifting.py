@@ -207,11 +207,11 @@ class TestCorrectness:
         assert loop_lift_run(queries.Q6, empty_db) == []
 
     def test_matches_shredding(self, schema, db):
-        from repro.pipeline.shredder import shred_run
+        from .conftest import run_per_path
 
         for name, query in queries.NESTED_QUERIES.items():
             assert bag_equal(
-                loop_lift_run(query, db), shred_run(query, db)
+                loop_lift_run(query, db), run_per_path(query, db)
             ), name
 
     def test_list_order_by_position(self, schema, db):

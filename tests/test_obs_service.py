@@ -34,7 +34,6 @@ from repro.obs import (
     parse_prometheus,
 )
 from repro.service import (
-    AsyncServiceClient,
     ServiceClient,
     paper_registry,
     serve_in_background,
@@ -56,14 +55,15 @@ def _sample(exposition: str, family: str, sample: str, **labels) -> float:
 
 
 class TestMetricsOp:
-    def test_exact_counters_over_the_blocking_client(self):
+    def test_exact_counters_over_either_driver(self, wire_client):
         session = connect(figure3_database())
         with serve_in_background(session, REGISTRY, pool_size=2) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                for _ in range(3):
-                    client.execute("Q1")
-                client.ping()
-                exposition = client.metrics()
+            client = wire_client(handle.host, handle.port)
+            for _ in range(3):
+                client.execute("Q1")
+            client.ping()
+            exposition = client.metrics()
+            client.close()
         assert _sample(
             exposition,
             "repro_requests_total",
@@ -88,30 +88,6 @@ class TestMetricsOp:
             "repro_statement_latency_ms_count",
         )
         assert observed == statements
-
-    def test_metrics_op_over_the_async_client(self):
-        import asyncio
-
-        session = connect(figure3_database())
-        with serve_in_background(session, REGISTRY, pool_size=2) as handle:
-
-            async def scenario() -> str:
-                client = await AsyncServiceClient(
-                    handle.host, handle.port
-                ).connect()
-                try:
-                    await client.execute("Q2")
-                    return await client.metrics()
-                finally:
-                    await client.close()
-
-            exposition = asyncio.run(scenario())
-        assert _sample(
-            exposition,
-            "repro_requests_total",
-            "repro_requests_total",
-            op="execute",
-        ) == 1.0
 
     def test_saturation_gauges_present(self):
         session = connect(figure3_database())
@@ -154,16 +130,6 @@ class TestMetricsOp:
 
 
 class TestTraceIdPropagation:
-    def test_execute_echoes_trace_id_and_reports_server_millis(self):
-        session = connect(figure3_database())
-        with serve_in_background(session, REGISTRY, pool_size=2) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
-                response = client.execute_full("Q1", trace_id="abc123")
-                plain = client.execute_full("Q1")
-        assert response["trace_id"] == "abc123"
-        assert response["server_millis"] >= 0.0
-        assert "trace_id" not in plain
-
     def test_malformed_trace_ids_are_rejected(self):
         session = connect(figure3_database())
         with serve_in_background(session, REGISTRY, pool_size=2) as handle:

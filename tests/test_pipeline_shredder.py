@@ -12,9 +12,11 @@ from repro.errors import ShreddingError
 from repro.nrc import builders as b
 from repro.nrc.semantics import evaluate
 from repro.nrc.types import nesting_degree
-from repro.pipeline.shredder import ShreddingPipeline, shred_run, shred_sql
+from repro.pipeline.shredder import ShreddingPipeline
 from repro.sql.codegen import SqlOptions
 from repro.values import bag_equal
+
+from .conftest import run_per_path
 
 ALL_QUERIES = {**queries.FLAT_QUERIES, **queries.NESTED_QUERIES}
 
@@ -48,18 +50,18 @@ class TestCorrectness:
     @pytest.mark.parametrize("name", sorted(ALL_QUERIES))
     def test_sql_matches_semantics_fig3(self, name, schema, db):
         query = ALL_QUERIES[name]
-        assert bag_equal(shred_run(query, db), evaluate(query, db)), name
+        assert bag_equal(run_per_path(query, db), evaluate(query, db)), name
 
     @pytest.mark.parametrize("name", sorted(queries.NESTED_QUERIES))
     def test_sql_matches_semantics_random(self, name, schema, small_random_db):
         query = queries.NESTED_QUERIES[name]
         assert bag_equal(
-            shred_run(query, small_random_db), evaluate(query, small_random_db)
+            run_per_path(query, small_random_db), evaluate(query, small_random_db)
         ), name
 
     @pytest.mark.parametrize("name", ["Q1", "Q4", "Q6"])
     def test_empty_database(self, name, empty_db):
-        assert shred_run(queries.NESTED_QUERIES[name], empty_db) == []
+        assert run_per_path(queries.NESTED_QUERIES[name], empty_db) == []
 
     @pytest.mark.parametrize(
         "scheme,inline,keys",
@@ -75,7 +77,7 @@ class TestCorrectness:
         options = SqlOptions(
             scheme=scheme, inline_with=inline, order_by_keys=keys
         )
-        out = shred_run(queries.Q6, db, options)
+        out = run_per_path(queries.Q6, db, options)
         assert bag_equal(out, evaluate(queries.Q6, db))
 
     def test_in_memory_matches_sql(self, schema, db):
@@ -88,15 +90,17 @@ class TestCorrectness:
 
 
 class TestApi:
-    def test_shred_sql_returns_pairs(self, schema):
-        pairs = shred_sql(queries.Q6, schema)
+    def test_session_sql_returns_pairs(self, schema):
+        from repro.api import connect
+
+        pairs = connect(schema=schema, cache=False).sql(queries.Q6)
         assert [p for p, _ in pairs] == ["ε", "↓.people", "↓.people.↓.tasks"]
         assert all("SELECT" in sql for _, sql in pairs)
 
     def test_lazy_export_from_top_package(self):
         import repro
 
-        assert repro.shred_run is shred_run
+        assert repro.ShreddingPipeline is ShreddingPipeline
         with pytest.raises(AttributeError):
             repro.nonexistent_name
 
@@ -115,30 +119,30 @@ class TestApi:
 class TestEdgeCases:
     def test_constant_query(self, db):
         query = b.ret(b.record(answer=b.const(42)))
-        assert shred_run(query, db) == [{"answer": 42}]
+        assert run_per_path(query, db) == [{"answer": 42}]
 
     def test_constant_nested_query(self, db):
         query = b.ret(b.record(xs=b.bag_of(b.const(1), b.const(2))))
-        out = shred_run(query, db)
+        out = run_per_path(query, db)
         assert bag_equal(out, [{"xs": [1, 2]}])
 
     def test_empty_bag_query(self, db):
         from repro.nrc.types import INT
 
         query = b.empty_bag(INT)
-        assert shred_run(query, db) == []
+        assert run_per_path(query, db) == []
 
     def test_union_of_literal_bags(self, db):
         query = b.union(
             b.ret(b.record(n=b.const(1))), b.ret(b.record(n=b.const(2)))
         )
-        assert bag_equal(shred_run(query, db), [{"n": 1}, {"n": 2}])
+        assert bag_equal(run_per_path(query, db), [{"n": 1}, {"n": 2}])
 
     def test_deeply_nested_constant(self, db):
         query = b.ret(
             b.record(level1=b.ret(b.record(level2=b.ret(b.const("deep")))))
         )
-        out = shred_run(query, db)
+        out = run_per_path(query, db)
         assert out == [{"level1": [{"level2": ["deep"]}]}]
 
     def test_boolean_columns_round_trip(self, db):
@@ -147,7 +151,7 @@ class TestEdgeCases:
             b.table("contacts"),
             lambda c: b.ret(b.record(name=c["name"], client=c["client"])),
         )
-        out = shred_run(query, db)
+        out = run_per_path(query, db)
         assert {row["name"]: row["client"] for row in out}["Pat"] is True
 
     def test_emptiness_in_result_field(self, db):
@@ -172,7 +176,7 @@ class TestEdgeCases:
                 )
             ),
         )
-        out = shred_run(query, db)
+        out = run_per_path(query, db)
         flags = {row["name"]: row["has_emps"] for row in out}
         assert flags == {
             "Product": True,

@@ -1,30 +1,33 @@
-"""Sync/async client parity on protocol v1.2 — one script, two transports.
+"""Driver smoke test — one step script, one cell per I/O driver.
 
-PR 6 kept :class:`ServiceClient` and :class:`AsyncServiceClient` aligned
-by hand; v1.2 adds the first *mutating* op (``insert`` + idempotency
-keys), where a drift between the transports would corrupt data rather
-than just annoy.  This suite drives the **same step script** through
-both clients against the same live server and asserts the outcomes are
-identical step by step: response shapes, ``applied`` verdicts, echoed
+The protocol's client side is written once
+(:class:`repro.service.protocol.ClientCore`, unit-tested without sockets
+in ``test_client_core.py``); :class:`ServiceClient` and
+:class:`AsyncServiceClient` only move its bytes.  What is left to check
+here is that each driver really does: the same step script runs through
+the ``wire_client`` fixture against a live server and must produce the
+same fixed outcomes — response shapes, ``applied`` verdicts, echoed
 idempotency keys, structured error kinds (including the server-side
-deadline), and transport-failure types against a dead endpoint.
-
-Each transport gets its own identically-seeded server (sharing one would
-let the first transport's inserts shift the second's query results — and
-reusing a key across transports would *correctly* dedup, hiding a parity
-break behind a false "applied: false" match).
+deadline) and the failure type against a dead endpoint — and the two
+classes must expose the same ops with the same parameters.
 """
 
 from __future__ import annotations
 
-import asyncio
+import inspect
 
 import pytest
 
 from repro.api import connect
 from repro.data.organisation import figure3_database
-from repro.errors import ServiceError
+from repro.errors import (
+    DeadlineExceededError,
+    ServiceConnectionError,
+    ServiceError,
+)
 from repro.service import (
+    OPS,
+    PROTOCOL_VERSION,
     AsyncServiceClient,
     ServiceClient,
     paper_registry,
@@ -34,101 +37,63 @@ from repro.values import bag_equal
 
 from .fault_injection import free_port, register_slow
 
-#: (step label, client method, kwargs builder) — the builder takes the
-#: transport's namespace so keys and declared-key ids never collide on
-#: the shared server.
+_ROW = {"id": 9001, "name": "Parity"}
+
+#: (client method, kwargs, expected) — ``expected`` is the subset of the
+#: response that must match, or ``(error class, structured kind)``.
 _STEPS = (
-    ("ping", "ping", lambda ns: {}),
-    ("execute-q1", "execute", lambda ns: {"query": "Q1"}),
     (
-        "execute-params",
+        "ping",
+        {},
+        {"pong": True, "protocol": PROTOCOL_VERSION, "shard": None, "draining": False},
+    ),
+    ("prepare", {"query": "Q6"}, {"query": "Q6", "statements": 3, "params": {}}),
+    ("execute", {"query": "Q1"}, "Q1"),
+    (
         "execute",
-        lambda ns: {"query": "staff_above", "params": {"min_salary": 900}},
+        {"query": "staff_above", "params": {"min_salary": 900}},
+        "staff_above",
     ),
     (
-        "insert-fresh",
+        "execute_full",
+        {"query": "Q2", "trace_id": "parity"},
+        {"query": "Q2", "trace_id": "parity", "engine": "batched"},
+    ),
+    (
         "insert",
-        lambda ns: {
-            "table": "departments",
-            "rows": [{"id": 9000 + ns, "name": f"Parity{ns}"}],
-            "idempotency_key": f"parity-{ns}-a",
-        },
+        {"table": "departments", "rows": [_ROW], "idempotency_key": "parity-a"},
+        {"rows": 1, "applied": True, "idempotency_key": "parity-a"},
     ),
     (
-        "insert-redelivered",
+        "insert",  # the same frame re-delivered
+        {"table": "departments", "rows": [_ROW], "idempotency_key": "parity-a"},
+        {"rows": 1, "applied": False, "idempotency_key": "parity-a"},
+    ),
+    (
+        "insert",  # no key given: the client mints and echoes one
+        {"table": "departments", "rows": [{"id": 9101, "name": "Auto"}]},
+        {"rows": 1, "applied": True},
+    ),
+    (
         "insert",
-        lambda ns: {
-            "table": "departments",
-            "rows": [{"id": 9000 + ns, "name": f"Parity{ns}"}],
-            "idempotency_key": f"parity-{ns}-a",
-        },
+        {"table": "departments", "rows": [{"wrong": 1}]},
+        (ServiceError, "BackendError"),
     ),
     (
-        "insert-autokey",
         "insert",
-        lambda ns: {
-            "table": "departments",
-            "rows": [{"id": 9100 + ns, "name": f"ParityAuto{ns}"}],
-        },
+        {"table": "no_such_table", "rows": []},
+        (ServiceError, "UnknownTableError"),
     ),
+    ("execute", {"query": "no_such_query"}, (ServiceError, "UnknownQueryError")),
     (
-        "insert-bad-rows",
-        "insert",
-        lambda ns: {"table": "departments", "rows": [{"wrong": 1}]},
-    ),
-    (
-        "insert-bad-table",
-        "insert",
-        lambda ns: {"table": "no_such_table", "rows": []},
-    ),
-    ("execute-unknown", "execute", lambda ns: {"query": "no_such_query"}),
-    (
-        "slow-deadline",
         "execute",
-        lambda ns: {"query": "slow_parity", "deadline_ms": 150},
+        {"query": "slow_parity", "deadline_ms": 150},
+        (DeadlineExceededError, "DeadlineExceeded"),
     ),
+    ("explain", {"query": "Q1"}, str),
+    ("metrics", {}, str),
+    ("stats", {}, dict),
 )
-
-
-def _normalise(label: str, result: object, kwargs: dict) -> object:
-    """Strip the volatile parts so sync and async compare exactly."""
-    if label == "ping":
-        return {"protocol": result["protocol"], "shard": result.get("shard")}
-    if label.startswith("insert"):
-        sent = kwargs.get("idempotency_key")
-        echoed = result.get("idempotency_key")
-        return {
-            "ok": result.get("ok"),
-            "table": result.get("table"),
-            "rows": result.get("rows"),
-            "applied": result.get("applied"),
-            # Auto-generated keys differ by construction; what must match
-            # is the *contract*: the response echoes the key that was sent
-            # (or the one the client minted).
-            "key_echoed": bool(echoed) and (sent is None or echoed == sent),
-        }
-    return result  # execute: the nested rows themselves
-
-
-async def _drive(client, namespace: int, awaited: bool) -> list:
-    """Run the script; every step's outcome is ``("ok", payload)`` or
-    ``("error", type name, structured kind)``."""
-    outcomes = []
-    for label, method, build in _STEPS:
-        kwargs = build(namespace)
-        try:
-            result = getattr(client, method)(**kwargs)
-            if awaited:
-                result = await result
-        except ServiceError as error:
-            outcomes.append(
-                (label, "error", type(error).__name__, error.kind)
-            )
-        else:
-            outcomes.append(
-                (label, "ok", _normalise(label, result, kwargs))
-            )
-    return outcomes
 
 
 def _server():
@@ -138,117 +103,53 @@ def _server():
     return db, serve_in_background(connect(db), registry, pool_size=2)
 
 
-def test_sync_and_async_clients_agree_step_for_step():
-    sync_db, sync_handle = _server()
-    async_db, async_handle = _server()
-    try:
-        sync_client = ServiceClient(
-            sync_handle.host, sync_handle.port, timeout=5
-        )
-        try:
-            sync_outcomes = asyncio.run(_drive(sync_client, 1, awaited=False))
-        finally:
-            sync_client.close()
-
-        async def drive_async() -> list:
-            client = AsyncServiceClient(
-                async_handle.host, async_handle.port, timeout=5
-            )
-            try:
-                return await _drive(client, 1, awaited=True)
-            finally:
-                await client.close()
-
-        async_outcomes = asyncio.run(drive_async())
-    finally:
-        sync_handle.stop()
-        async_handle.stop()
-
-    assert len(sync_outcomes) == len(async_outcomes) == len(_STEPS)
-    for sync_out, async_out in zip(sync_outcomes, async_outcomes):
-        label = sync_out[0]
-        if label.startswith("execute") and sync_out[1] == "ok":
-            assert async_out[1] == "ok", f"{label}: {async_out}"
-            assert bag_equal(sync_out[2], async_out[2]), label
-        else:
-            assert sync_out == async_out, (
-                f"{label}: sync {sync_out!r} != async {async_out!r}"
-            )
-    # Both transports actually exercised the write path and both dedup'd.
-    by_label = {entry[0]: entry for entry in sync_outcomes}
-    assert by_label["insert-fresh"][2]["applied"] is True
-    assert by_label["insert-redelivered"][2]["applied"] is False
-    assert by_label["slow-deadline"][1] == "error"
-    # Exactly one application per fresh key on each transport's store.
-    assert sync_db.row_count("departments") == 4 + 2  # Fig. 3 + 2 applied
-    assert async_db.row_count("departments") == 4 + 2
-
-
-def test_in_process_insert_matches_wire_idempotency():
-    """PR 10 (satellite 3): ``ShardedDatabase.insert`` journals through
-    the same idempotency-key path as the wire op.  Before, an in-process
-    insert without an explicit key skipped the journal entirely, so a
-    retried batch double-applied — while the identical wire insert
-    (whose client always mints a key) deduped.  Now both transports mint
-    a key when the caller passes none and both answer a redelivery with
-    ``applied: false`` and zero new rows."""
-    from repro.data.organisation import organisation_placement
-    from repro.shard import ShardedDatabase
-
-    batch = [{"id": 9300, "name": "ParityShard"}]
-
-    # In-process: first delivery applies, the minted key is recorded,
-    # and re-sending the whole batch with it is a no-op everywhere.
-    sdb = ShardedDatabase(figure3_database(), organisation_placement(), 2)
-    assert sdb.insert("departments", batch) is True
-    minted = sdb.last_insert_key
-    assert minted  # the journal path ran even without a caller key
-    assert (
-        sdb.insert("departments", batch, idempotency_key=minted) is False
-    )
-    assert sdb.full.row_count("departments") == 4 + 1
-    assert sum(db.row_count("departments") for db in sdb.shards) == 4 + 1
-
-    # Wire: the same script through a live server — same verdicts, same
-    # final row count.
+def test_every_driver_runs_the_step_script(wire_client):
     db, handle = _server()
+    session = connect(figure3_database())
+    registry = paper_registry()
     try:
-        client = ServiceClient(handle.host, handle.port, timeout=5)
-        try:
-            first = client.insert("departments", batch)
-            again = client.insert(
-                "departments",
-                batch,
-                idempotency_key=first["idempotency_key"],
-            )
-        finally:
-            client.close()
+        client = wire_client(handle.host, handle.port, timeout=5)
+        for method, kwargs, expected in _STEPS:
+            step = f"{method}({kwargs})"
+            if isinstance(expected, tuple):
+                with pytest.raises(expected[0]) as caught:
+                    getattr(client, method)(**kwargs)
+                assert type(caught.value) is expected[0], step
+                assert caught.value.kind == expected[1], step
+                continue
+            result = getattr(client, method)(**kwargs)
+            if isinstance(expected, type):
+                assert isinstance(result, expected), step
+            elif isinstance(expected, str):  # execute: the nested rows
+                direct = session.run(
+                    registry.lookup(expected).term, params=kwargs.get("params")
+                )
+                assert bag_equal(result, direct.value), step
+            else:
+                assert result["ok"] is True, step
+                assert {k: result[k] for k in expected} == expected, step
+                if method == "insert":
+                    assert result["idempotency_key"], step
     finally:
         handle.stop()
-    assert first["applied"] is True
-    assert again["applied"] is False
-    assert db.row_count("departments") == 4 + 1
+    # Exactly one application per fresh key.
+    assert db.row_count("departments") == 4 + 2  # Fig. 3 + 2 applied
+    assert client.retries == 0
 
 
-def test_both_transports_fail_identically_against_a_dead_endpoint():
-    port = free_port()  # bound and released: nothing listens here
+def test_a_dead_endpoint_is_a_connection_error(wire_client):
+    client = wire_client("127.0.0.1", free_port(), timeout=1)
+    with pytest.raises(ServiceConnectionError):
+        client.ping(deadline_ms=500)
 
-    def sync_kind() -> str:
-        client = ServiceClient("127.0.0.1", port, timeout=1, connect_now=False)
-        try:
-            with pytest.raises(ServiceError) as caught:
-                client.ping(deadline_ms=500)
-        finally:
-            client.close()
-        return type(caught.value).__name__
 
-    async def async_kind() -> str:
-        client = AsyncServiceClient("127.0.0.1", port, timeout=1)
-        try:
-            with pytest.raises(ServiceError) as caught:
-                await client.ping(deadline_ms=500)
-        finally:
-            await client.close()
-        return type(caught.value).__name__
+def test_both_drivers_expose_the_same_ops():
+    def public(cls):
+        return {name for name in dir(cls) if not name.startswith("_")}
 
-    assert sync_kind() == asyncio.run(async_kind())
+    assert public(AsyncServiceClient) - public(ServiceClient) == {"connect"}
+    assert public(ServiceClient) - public(AsyncServiceClient) == set()
+    assert set(OPS) | {"execute_full", "request"} == public(ServiceClient)
+    for name in public(ServiceClient) - {"request", "close"}:  # those do the I/O
+        blocking = inspect.signature(getattr(ServiceClient, name))
+        assert blocking == inspect.signature(getattr(AsyncServiceClient, name)), name

@@ -18,7 +18,6 @@ Three layers:
 
 from __future__ import annotations
 
-import asyncio
 import time
 
 import pytest
@@ -36,7 +35,6 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.service import (
-    AsyncServiceClient,
     RetryPolicy,
     ServiceClient,
     paper_registry,
@@ -246,72 +244,39 @@ class TestExactlyOnceWrites:
             proxy.close()
             handle.stop()
 
-    def test_sync_dropped_ack_deadline_then_resend_applies_once(self):
+    def test_single_attempt_faulted_ack_then_resend_applies_once(
+        self, wire_client
+    ):
+        # No transparent retry on either driver here: re-sending the key
+        # after a lost acknowledgement is the caller's loop.
         db, handle, proxy = _write_service()
-        client = ServiceClient(proxy.host, proxy.port, timeout=2)
+        client = wire_client(proxy.host, proxy.port, timeout=2)
         try:
             before = db.row_count("departments")
-            key = "eo-sync-drop"
-            rows = [{"id": 701, "name": "DropSync"}]
+            key = "eo-single"
+            rows = [{"id": 702, "name": "Edge"}]
+            proxy.set_mode("truncate")
+            with pytest.raises(ServiceConnectionError):
+                client.insert("departments", rows, idempotency_key=key)
+            proxy.set_mode("pass")
+            response = client.insert("departments", rows, idempotency_key=key)
+            assert response["ok"] is True
+            assert response["applied"] is False
+            assert db.row_count("departments") == before + 1
+
+            rows = [{"id": 703, "name": "Drop"}]
             proxy.set_mode("drop")
             with pytest.raises(DeadlineExceededError):
                 client.insert(
-                    "departments", rows, idempotency_key=key, deadline_ms=300
+                    "departments", rows, idempotency_key=key + "-drop",
+                    deadline_ms=300,
                 )
             proxy.set_mode("pass")
             response = client.insert(
-                "departments", rows, idempotency_key=key
+                "departments", rows, idempotency_key=key + "-drop"
             )
             assert response["applied"] is False
-            assert db.row_count("departments") == before + 1
-        finally:
-            client.close()
-            proxy.close()
-            handle.stop()
-
-    def test_async_faulted_ack_then_resend_applies_once(self):
-        db, handle, proxy = _write_service()
-
-        async def scenario() -> None:
-            client = AsyncServiceClient(proxy.host, proxy.port, timeout=2)
-            try:
-                before = db.row_count("departments")
-                key = "eo-async"
-                rows = [{"id": 702, "name": "EdgeAsync"}]
-                proxy.set_mode("truncate")
-                with pytest.raises(ServiceConnectionError):
-                    await client.insert(
-                        "departments", rows, idempotency_key=key
-                    )
-                proxy.set_mode("pass")
-                response = await client.insert(
-                    "departments", rows, idempotency_key=key
-                )
-                assert response["ok"] is True
-                assert response["applied"] is False
-                assert db.row_count("departments") == before + 1
-
-                proxy.set_mode("drop")
-                with pytest.raises(DeadlineExceededError):
-                    await client.insert(
-                        "departments",
-                        [{"id": 703, "name": "DropAsync"}],
-                        idempotency_key="eo-async-drop",
-                        deadline_ms=300,
-                    )
-                proxy.set_mode("pass")
-                response = await client.insert(
-                    "departments",
-                    [{"id": 703, "name": "DropAsync"}],
-                    idempotency_key="eo-async-drop",
-                )
-                assert response["applied"] is False
-                assert db.row_count("departments") == before + 2
-            finally:
-                await client.close()
-
-        try:
-            asyncio.run(scenario())
+            assert db.row_count("departments") == before + 2
         finally:
             proxy.close()
             handle.stop()

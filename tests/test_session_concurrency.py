@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import threading
 
-import pytest
 
 from repro.api import connect, param
 from repro.data.organisation import figure3_database
@@ -226,28 +225,3 @@ class TestConcurrentDatabaseSetup:
 
         failures = _hammer(worker)
         assert not failures, failures
-
-
-@pytest.mark.parametrize("shim", ["shred_run", "shred_sql"])
-def test_deprecated_shims_warn_at_the_call_site(shim, db, schema):
-    """The deprecated one-shot helpers emit DeprecationWarning pointing at
-    the *caller* (stacklevel=2), so downstreams see their own file named."""
-    import warnings
-
-    from repro.data.queries import Q1
-    from repro.pipeline import shredder
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if shim == "shred_run":
-            shredder.shred_run(Q1, db)
-        else:
-            shredder.shred_sql(Q1, schema)
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert shim in str(deprecations[0].message)
-    assert "repro.api" in str(deprecations[0].message)
-    # stacklevel=2 → the warning is attributed to this test file, not the shim.
-    assert deprecations[0].filename == __file__

@@ -270,7 +270,13 @@ class TestShardedDatabase:
     def test_insert_routes_sharded_rows(self):
         sdb = ShardedDatabase(figure3_database(), PLACEMENT, 2)
         owner = shard_for("Zeta", 2)
-        sdb.insert("departments", [{"id": 99, "name": "Zeta"}])
+        batch = [{"id": 99, "name": "Zeta"}]
+        assert sdb.insert("departments", batch) is True
+        # It journals like the wire op: a key is minted when the caller
+        # passes none, and a redelivery under it writes nothing.
+        minted = sdb.last_insert_key
+        assert sdb.insert("departments", batch, idempotency_key=minted) is False
+        assert sdb.full.row_count("departments") == 4 + 1
         assert any(
             row["name"] == "Zeta" for row in sdb.shards[owner].rows("departments")
         )
@@ -511,6 +517,22 @@ class TestShardedSession:
         text = sharded_session(2, shared=True).prepare("Q4").explain()
         assert "shard plan" in text
         assert "fanout" in text
+
+    def test_every_endpoint_answers_in_the_servers_shapes(self, sharded_session):
+        # One builder per response shape, shared by QueryServer and
+        # LocalEndpoint: same keys (the wire adds its id echo), same
+        # description, same rounding.
+        client = sharded_session(2, shared=True).client
+        description = client.registry.lookup("dept_staff").description
+        prepare_keys = "ok query statements params engine description"
+        execute_keys = "ok query rows engine server_millis stats"
+        for _label, endpoint in client._endpoints():
+            prepared = endpoint.prepare("dept_staff")
+            assert prepared.keys() - {"id"} == set(prepare_keys.split())
+            assert prepared["description"] == description != ""
+            ran = endpoint.execute_full("dept_staff", {"dept": "Sales"})
+            assert ran.keys() - {"id"} == set(execute_keys.split())
+            assert ran["server_millis"] == round(ran["server_millis"], 3)
 
 
 # --------------------------------------------------------------------------

@@ -13,9 +13,11 @@ from repro.nrc import builders as b
 from repro.nrc.schema import Schema, TableSchema
 from repro.nrc.semantics import evaluate
 from repro.nrc.types import INT, STRING
-from repro.pipeline.shredder import ShreddingPipeline, shred_run
+from repro.pipeline.shredder import ShreddingPipeline
 from repro.sql.codegen import SqlOptions
 from repro.values import bag_equal
+
+from .conftest import run_per_path
 
 AWKWARD = [
     "O'Brien",
@@ -77,13 +79,13 @@ def _nested_query():
 
 class TestAwkwardData:
     def test_values_survive_round_trip(self, awkward_db):
-        out = shred_run(_nested_query(), awkward_db)
+        out = run_per_path(_nested_query(), awkward_db)
         assert bag_equal(out, evaluate(_nested_query(), awkward_db))
         labels = {row["label"] for row in out}
         assert labels == set(AWKWARD)
 
     def test_every_row_keeps_its_notes(self, awkward_db):
-        out = shred_run(_nested_query(), awkward_db)
+        out = run_per_path(_nested_query(), awkward_db)
         for row in out:
             assert row["notes"] == [f"note about {row['label']}"]
 
@@ -105,7 +107,7 @@ class TestAwkwardLiterals:
                 b.ret(b.record(id=t["id"])),
             ),
         )
-        out = shred_run(query, awkward_db)
+        out = run_per_path(query, awkward_db)
         assert len(out) == 1
 
     def test_injectionish_literal_returns_nothing(self, awkward_db):
@@ -117,11 +119,11 @@ class TestAwkwardLiterals:
                 b.ret(b.record(id=t["id"])),
             ),
         )
-        assert shred_run(query, awkward_db) == []
+        assert run_per_path(query, awkward_db) == []
 
     def test_literal_in_result_field(self, awkward_db):
         query = b.ret(b.record(v=b.const("it's ⟨fine⟩")))
-        assert shred_run(query, awkward_db) == [{"v": "it's ⟨fine⟩"}]
+        assert run_per_path(query, awkward_db) == [{"v": "it's ⟨fine⟩"}]
 
 
 class TestAwkwardTableNames:
@@ -134,4 +136,4 @@ class TestAwkwardTableNames:
         query = b.for_(
             "s", b.table("select"), lambda s: b.ret(b.record(f=s["from"]))
         )
-        assert shred_run(query, db) == [{"f": "keyword"}]
+        assert run_per_path(query, db) == [{"f": "keyword"}]

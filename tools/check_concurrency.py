@@ -17,6 +17,9 @@ blocking work onto a loop thread:
            coroutine (async client, missing await)
     CC003  a bare ``except:`` anywhere — it swallows ``CancelledError``
            and ``KeyboardInterrupt``, breaking task cancellation and drain
+    CC004  I/O in the sans-IO protocol core (``service/protocol.py``):
+           importing ``socket`` or ``asyncio``, or sleeping — the core
+           decides, its two drivers (``service/client.py``) do the I/O
 
 Calls are sanctioned when they appear inside an ``await`` expression or as
 arguments to ``asyncio.gather`` / ``create_task`` / ``ensure_future`` /
@@ -81,6 +84,11 @@ _SCHEDULERS = {
 
 DEFAULT_TARGETS = ("src/repro/service", "src/repro/shard")
 
+#: The module (path suffix) that holds the sans-IO client core, and the
+#: modules it may not import.
+SANS_IO_MODULE = "repro/service/protocol.py"
+IO_MODULES = {"socket", "asyncio"}
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -130,6 +138,7 @@ class _Visitor(ast.NodeVisitor):
         self.sanctioned = sanctioned
         self.findings: list[Finding] = []
         self._async_depth = 0
+        self._sans_io = Path(path).as_posix().endswith(SANS_IO_MODULE)
 
     # -- function scoping: a nested sync def runs on whatever thread calls
     # it later, so it leaves the enclosing coroutine's context.
@@ -151,7 +160,30 @@ class _Visitor(ast.NodeVisitor):
 
     # -- rules
 
+    def visit_Import(self, node: ast.Import) -> None:
+        self._no_io_imports(node, [alias.name for alias in node.names])
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self._no_io_imports(node, [node.module or ""])
+
+    def _no_io_imports(self, node: ast.stmt, modules: list[str]) -> None:
+        for module in modules:
+            if self._sans_io and module.split(".")[0] in IO_MODULES:
+                self._add(
+                    "CC004",
+                    node,
+                    f"'{module}' imported into the sans-IO protocol core — "
+                    f"I/O belongs to the drivers in client.py",
+                )
+
     def visit_Call(self, node: ast.Call) -> None:
+        if self._sans_io and _dotted(node.func) == ("time", "sleep"):
+            self._add(
+                "CC004",
+                node,
+                "time.sleep() in the sans-IO protocol core — return the "
+                "delay and let the driver sleep",
+            )
         if self._async_depth and id(node) not in self.sanctioned:
             dotted = _dotted(node.func)
             if dotted in BLOCKING_MODULE_CALLS:
