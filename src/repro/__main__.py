@@ -366,6 +366,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.check.diagnostics import has_failures
     from repro.data.organisation import organisation_placement
     from repro.service.registry import paper_registry
+    from repro.shred.packages import annotations
     from repro.sql.codegen import SqlOptions
 
     registry = paper_registry()
@@ -388,14 +389,26 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             for d in diagnostics
             if args.verbose or d.severity in ("error", "warning")
         ]
-        if has_failures(diagnostics):
+        # Generated code is invisible to ruff/mypy: build every statement's
+        # fold here, under both plan shapes.
+        broken = []
+        for shape in (session, session.with_options(scheme="flat")):
+            for path, statement in annotations(shape.compile(term).sql_package):
+                try:
+                    statement.fold()
+                except Exception as error:  # reported as a finding
+                    broken.append(
+                        f"fold at {path} ({shape.options.scheme or 'default'} "
+                        f"plan) does not build: {error!r}"
+                    )
+        if has_failures(diagnostics) or broken:
             failed = True
             status = "FAIL"
         else:
             status = "ok"
         print(f"{name}: {status}")
-        for diagnostic in reported:
-            print(f"  {diagnostic}")
+        for finding in reported + broken:
+            print(f"  {finding}")
     return 1 if failed else 0
 
 

@@ -549,15 +549,14 @@ class Database:
         tables/columns are ignored (the statement may reference CTE
         aliases).  Returns True iff an index was actually created.
         """
+        key = (table, tuple(columns))
+        if key in self._ensured_indexes:
+            return False
         if table not in self.schema:
             return False
-        table_schema = self.schema.table(table)
-        known = set(table_schema.column_names)
-        columns = tuple(columns)
+        known = self.schema.table(table).column_names
+        columns = key[1]
         if not columns or any(column not in known for column in columns):
-            return False
-        key = (table, columns)
-        if key in self._ensured_indexes:
             return False
         with self._setup_lock:
             if key in self._ensured_indexes:

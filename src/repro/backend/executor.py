@@ -7,22 +7,23 @@ Three execution engines serve a compiled shredded package:
   query, streaming rows in ``fetchmany`` batches and decoding each into
   ⟨index, value⟩ pairs.
 * :func:`execute_package_batched` — the batched engine (the §8 "one pass"
-  reading taken to the executor): all shredded queries of a package run
-  back-to-back on the single shared SQLite connection, rows are decoded by
-  precompiled tuple-level decoders (no per-row column dict), and results
-  come back *pre-grouped by outer index* so one-pass stitching consumes
-  them directly.  Before executing it creates (and reuses across runs)
-  SQLite indexes on the base-table columns the generated SQL joins (and,
-  in the flat form, sorts) on.
+  reading taken to the executor): the package's statements run children
+  first on one connection, and every fetched row is touched by Python
+  exactly once — :meth:`~repro.sql.codegen.CompiledSql.fold` builds its
+  final record, child bags included, and files it under its outer index,
+  so there is no decode pass, no grouping pass and no stitch pass.  Before
+  executing it creates (and reuses across runs) SQLite indexes on the
+  base-table columns the generated SQL joins (and, in the flat form,
+  sorts) on.
 * the **parallel** engine (``execute_package_batched(parallel=True)``) —
-  the batched engine fanned across a pool of read-only connections
-  (:meth:`Database.read_connections`), one worker thread per package
-  member.  The sqlite3 module releases the GIL inside each C-level step,
-  so one statement's Python-side decode overlaps another's SQLite
-  evaluation.  Index advisement, ANALYZE and shared-scan materialisation
-  happen on the writer connection *before* the fan-out; per-query stats
-  are recorded in package order after every worker joins, so
-  :class:`ExecutionStats` stay deterministic under any scheduling.
+  the same fold, fed differently: worker threads over a pool of read-only
+  connections (:meth:`Database.read_connections`) only execute and fetch
+  raw chunks (the sqlite3 module releases the GIL inside each C-level
+  step); the calling thread then folds them, children first.  Index
+  advisement, ANALYZE and shared-scan materialisation happen on the writer
+  connection *before* the fan-out; per-query stats are recorded in package
+  order after the run, so :class:`ExecutionStats` stay deterministic under
+  any scheduling.
 
 Packages whose statements were optimised by :mod:`repro.sql.optimizer` may
 carry :class:`~repro.sql.optimizer.SharedScan` preludes; both package
@@ -72,8 +73,7 @@ DEFAULT_FETCH_BATCH = int(os.environ.get("REPRO_FETCH_BATCH", "1024"))
 
 #: Upper bound on pooled read connections for the parallel engine.  Floor
 #: of 2 even on single-core hosts: sqlite3 releases the GIL inside each C
-#: step, so one worker's Python-side decode still overlaps another's
-#: SQLite evaluation.
+#: step, so one worker's fetch still overlaps another's SQLite evaluation.
 DEFAULT_POOL_SIZE = int(
     os.environ.get("REPRO_POOL_SIZE", str(min(8, max(2, os.cpu_count() or 4))))
 )
@@ -289,37 +289,36 @@ def shared_scan_tables(db: Database, shared_scans=()):
             db.release_shared_scan(scan)
 
 
-def _run_one_grouped(
-    db: Database,
-    compiled: CompiledSql,
-    batch: int,
-    connection=None,
-    params=None,
-) -> tuple[dict, int, float, float]:
-    """Execute one compiled query, pre-grouping by outer index.
+def _prefetch(
+    db: Database, members: list[CompiledSql], batch: int, params, workers: int
+) -> dict[int, tuple[list, float]]:
+    """The parallel engine's only concurrent step: run every member on a
+    pooled read connection and fetch its raw chunks — the part that
+    releases the GIL.  ``{id(member): (chunks, millis)}``; members are
+    striped over ``workers`` lanes so no two workers share a connection."""
+    connections = db.read_connections(workers)
 
-    Returns ``(grouped, rows, millis, decode_millis)`` so callers can
-    record stats (and trace spans) in a deterministic order regardless
-    of which connection/thread ran it; ``decode_millis`` is the share of
-    ``millis`` spent in Python-side row decoding.
-    """
-    started = time.perf_counter()
-    group = compiled.grouper()
-    grouped: dict = {}
-    rows = 0
-    decode_seconds = 0.0
-    for chunk in db.execute_sql_chunks(
-        compiled.sql,
-        params=bind_params(compiled, params),
-        batch_size=batch,
-        connection=connection,
-    ):
-        rows += len(chunk)
-        decode_started = time.perf_counter()
-        group(chunk, grouped)
-        decode_seconds += time.perf_counter() - decode_started
-    millis = (time.perf_counter() - started) * 1000.0
-    return grouped, rows, millis, decode_seconds * 1000.0
+    def fetch_lane(lane: int) -> list[tuple[list, float]]:
+        fetched = []
+        for compiled in members[lane::workers]:
+            started = time.perf_counter()
+            chunks = list(
+                db.execute_sql_chunks(
+                    compiled.sql,
+                    params=bind_params(compiled, params),
+                    batch_size=batch,
+                    connection=connections[lane],
+                )
+            )
+            fetched.append((chunks, (time.perf_counter() - started) * 1000.0))
+        return fetched
+
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        lanes = list(executor.map(fetch_lane, range(workers)))
+    return {
+        id(compiled): lanes[position % workers][position // workers]
+        for position, compiled in enumerate(members)
+    }
 
 
 def execute_package_batched(
@@ -335,24 +334,27 @@ def execute_package_batched(
     connection=None,
     tracer=None,
 ):
-    """Run all shredded queries of a package in one pass.
+    """Run all shredded queries of a package: one fold per row, children
+    first (§8 "stitching in one pass", taken to the executor).
 
-    Returns the package with each bag annotation replaced by the query's
-    results *pre-grouped by outer index*: ``{outer: [item, …]}`` with
-    encounter order preserved — exactly the shape compiled one-pass
-    stitching (:func:`repro.shred.stitch.stitch_grouped`) consumes, so no
-    intermediate pair list or regrouping dict is ever materialised.  Index
-    keys are the flat ``(tag, key…)`` tuples of
-    :meth:`~repro.sql.codegen.CompiledSql.grouper`.
+    Statements run in *post-order*, so when a statement's rows arrive the
+    results of the statements one nesting level down are already grouped:
+    :meth:`~repro.sql.codegen.CompiledSql.fold` turns each raw tuple into
+    its final record — child bags included, by handing over the child's
+    bucket list — and appends it under its outer key.  Returns the package
+    with each bag annotation replaced by that statement's
+    ``{outer key: [record, …]}`` dict (encounter order preserved; keys are
+    the fold's flat ``(tag, key…)`` tuples), so the nested result is the
+    top bag's ⊤·1 bucket (:func:`repro.shred.stitch.stitch_grouped`) and
+    nothing is decoded, grouped or walked a second time.
 
-    ``parallel`` fans the package's statements across pooled read-only
-    connections (one worker thread per member, capped by ``max_workers`` /
-    ``REPRO_POOL_SIZE``): SQLite releases the GIL inside each step, so one
-    worker's decode overlaps another's evaluation.  Setup — advisory
-    indexes, ANALYZE, shared-scan materialisation — always happens on the
-    writer connection before any statement runs; stats are recorded in
-    package order after all workers join, so a parallel run's
-    :class:`ExecutionStats` match a sequential run's exactly.
+    ``parallel`` first fetches every statement's raw chunks on pooled
+    read-only connections (one worker thread per connection, capped by
+    ``max_workers`` / ``REPRO_POOL_SIZE``; SQLite releases the GIL inside
+    each step), then folds them here, on the calling thread, through the
+    same ``fold``.  Setup — advisory indexes, ANALYZE, shared-scan
+    materialisation — always happens on the writer connection before any
+    statement runs.
 
     ``shared_scans`` carries the package's
     :class:`~repro.sql.optimizer.SharedScan` preludes (if the optimizer
@@ -364,13 +366,13 @@ def execute_package_batched(
     so concurrent requests never contend on the writer connection; the
     parallel path manages its own pool and ignores it.
 
-    ``tracer`` (a :class:`repro.obs.Tracer`) receives one ``statement``
-    span per member with ``sql``/``decode`` children.  Workers never
-    touch the tracer: like stats, spans are attached post-hoc in package
-    order after all workers join, so a parallel run's trace is
-    deterministic.
+    ``stats`` and ``tracer`` (a :class:`repro.obs.Tracer`: one
+    ``statement`` span per member with ``sql``/``decode`` children, where
+    ``decode`` is the time inside ``fold``) are filled in *package* order
+    after the run, each statement timed on its own, so they are the same
+    under either engine and any scheduling.
     """
-    from repro.shred.packages import annotations, pmap
+    from repro.shred.packages import PkgBag, PkgRecord, annotations
 
     batch = DEFAULT_FETCH_BATCH if batch_size is None else batch_size
     if create_indexes:
@@ -379,71 +381,65 @@ def execute_package_batched(
         if stats is not None:
             stats.indexes_created += created
 
-    with shared_scan_tables(db, shared_scans):
-        compiled_members = [compiled for _path, compiled in annotations(sql_package)]
-        workers = min(
-            len(compiled_members),
-            DEFAULT_POOL_SIZE if max_workers is None else max_workers,
+    members = [compiled for _path, compiled in annotations(sql_package)]
+    workers = min(
+        len(members), DEFAULT_POOL_SIZE if max_workers is None else max_workers
+    )
+    fetched: dict[int, tuple[list, float]] = {}
+    outcomes: dict[int, tuple[int, float, float]] = {}
+
+    def run(compiled: CompiledSql, child_buckets: list[dict]) -> dict:
+        started = time.perf_counter()
+        chunks, fetch_millis = fetched.pop(id(compiled), None) or (
+            db.execute_sql_chunks(
+                compiled.sql,
+                params=bind_params(compiled, params),
+                batch_size=batch,
+                connection=connection,
+            ),
+            0.0,
         )
+        fold = compiled.fold()
+        grouped: dict = {}
+        rows = 0
+        decode_seconds = 0.0
+        for chunk in chunks:
+            rows += len(chunk)
+            decode_started = time.perf_counter()
+            fold(chunk, grouped, *child_buckets)
+            decode_seconds += time.perf_counter() - decode_started
+        millis = (time.perf_counter() - started) * 1000.0 + fetch_millis
+        outcomes[id(compiled)] = (rows, millis, decode_seconds * 1000.0)
+        return grouped
+
+    def visit(node, buckets: list[dict]):
+        """Post-order: a bag runs after the bags in its element, whose
+        results reach it in field order — the order of the index leaves
+        its ``fold`` reads them by — and joins its parent's ``buckets``."""
+        if isinstance(node, PkgBag):
+            inner: list[dict] = []
+            element = visit(node.element, inner)
+            buckets.append(run(node.annotation, inner))
+            return PkgBag(element, buckets[-1])
+        if isinstance(node, PkgRecord):
+            return PkgRecord(
+                tuple((label, visit(sub, buckets)) for label, sub in node.fields)
+            )
+        return node
+
+    with shared_scan_tables(db, shared_scans):
         if parallel and workers > 1:
-            connections = db.read_connections(workers)
-            outcomes: dict[int, tuple[dict, int, float, float]] = {}
-
-            def run_member(task: tuple[int, CompiledSql]):
-                position, compiled = task
-                lane_connection = connections[position % workers]
-                return position, _run_one_grouped(
-                    db, compiled, batch, connection=lane_connection, params=params
-                )
-
-            # One worker per pooled connection; members are striped over
-            # connections so no two concurrent workers share one.
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                chunks = [
-                    [
-                        (position, compiled)
-                        for position, compiled in enumerate(compiled_members)
-                        if position % workers == lane
-                    ]
-                    for lane in range(workers)
-                ]
-
-                def run_lane(lane_tasks):
-                    return [run_member(task) for task in lane_tasks]
-
-                for lane_result in executor.map(run_lane, chunks):
-                    for position, outcome in lane_result:
-                        outcomes[position] = outcome
-            results = [outcomes[i][0] for i in range(len(compiled_members))]
-            for position in range(len(compiled_members)):
-                _grouped, rows, millis, decode_millis = outcomes[position]
-                if stats is not None:
-                    stats.record(rows, millis)
-                if tracer is not None:
-                    _record_statement_span(
-                        tracer, rows, millis, decode_millis, index=position
-                    )
-        else:
-            results = []
-            for position, compiled in enumerate(compiled_members):
-                grouped, rows, millis, decode_millis = _run_one_grouped(
-                    db, compiled, batch, connection=connection, params=params
-                )
-                if stats is not None:
-                    stats.record(rows, millis)
-                if tracer is not None:
-                    _record_statement_span(
-                        tracer, rows, millis, decode_millis, index=position
-                    )
-                results.append(grouped)
-
-    # pmap's traversal order differs from annotations() (element before
-    # annotation), so route results by member identity, not position.
-    by_member = {
-        id(compiled): grouped
-        for compiled, grouped in zip(compiled_members, results)
-    }
-    return pmap(lambda compiled: by_member[id(compiled)], sql_package)
+            fetched = _prefetch(db, members, batch, params, workers)
+        results = visit(sql_package, [])
+    for position, compiled in enumerate(members):
+        rows, millis, decode_millis = outcomes[id(compiled)]
+        if stats is not None:
+            stats.record(rows, millis)
+        if tracer is not None:
+            _record_statement_span(
+                tracer, rows, millis, decode_millis, index=position
+            )
+    return results
 
 
 # --------------------------------------------------------------------------

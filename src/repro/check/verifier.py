@@ -738,13 +738,19 @@ def verify_rewrite(
     # before numbering renumbers the surviving rows and breaks the
     # cross-statement index join.  (Sound rewrites only simplify or move
     # conjuncts *out of* such cores, never into them.)
+    from repro.sql.optimizer import fold_expr
+
     before_numbering = _numbering_cores(before)
     after_numbering = _numbering_cores(after)
     for name, core in after_numbering.items():
         prior = before_numbering.get(name)
         if prior is None:
             continue  # new numbering core: nothing ranked rows before it
-        if _conjunct_count(core.where) > _conjunct_count(prior.where):
+        # Counted on the folded form: ``NOT NOT (a AND b)`` → ``a AND b``
+        # spells one filter as two conjuncts without adding any.
+        if _conjunct_count(core.where and fold_expr(core.where)) > _conjunct_count(
+            prior.where and fold_expr(prior.where)
+        ):
             raise VerifierError(
                 "optimize",
                 rule,

@@ -20,10 +20,10 @@ Performance knobs (see ROADMAP.md "Performance architecture"):
 * ``ShreddingPipeline(schema, cache=PlanCache())`` (or ``cache=True`` for
   the process-wide cache) makes repeat compiles O(hash) — keyed on the
   term's structural fingerprint, the schema fingerprint and the options;
-* ``compiled.run(db, engine="batched")`` executes the whole package in
-  one pass with precompiled tuple decoders, advisory SQLite indexes and
-  compiled one-pass stitching — the fast path for repeated execution of
-  a cached plan (the ``shredding_cached`` benchmark system);
+* ``compiled.run(db, engine="batched")`` executes the whole package
+  children first with advisory SQLite indexes and one compiled fold per
+  fetched row (decode fused into stitch) — the fast path for repeated
+  execution of a cached plan (the ``shredding_cached`` benchmark system);
 * ``compiled.run(db, batch_size=…)`` bounds rows per ``fetchmany`` round
   trip on either engine (default ``REPRO_FETCH_BATCH``, 1024);
 * ``compile(query, stats=…)`` / ``run(…, stats=…)`` record plan-cache
@@ -218,7 +218,9 @@ class CompiledQuery:
 
     def explain(self) -> str:
         """A human-readable compilation report: the result type, the paths
-        it shreds at, and each level's shredded type and SQL."""
+        it shreds at, and each level's shredded type, SQL and fold (the
+        function the batched engine runs once per fetched row; ``c0``, ``c1``,
+        … are the already-folded results one nesting level down)."""
         from repro.normalise.normal_form import pretty_nf
         from repro.shred.shred_types import outer_shred
 
@@ -236,7 +238,10 @@ class CompiledQuery:
             lines.append(
                 f"   type : {outer_shred(self.result_type, path)}"
             )
-            lines.append(f"   sql  : {self.sql_at(path).sql}")
+            compiled = self.sql_at(path)
+            lines.append(f"   sql  : {compiled.sql}")
+            fold = compiled.fold_source.rstrip().replace("\n", "\n          ")
+            lines.append(f"   fold : {fold}")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------ run
@@ -269,16 +274,16 @@ class CompiledQuery:
         * ``"per-path"`` (default) — one
           :func:`~repro.backend.executor.execute_compiled` call per
           shredded query, decoding into ⟨index, value⟩ pair lists;
-        * ``"batched"`` — all queries of the package in one pass over the
-          shared connection, with precompiled tuple decoders, advisory
-          SQLite indexes (``create_indexes``) and results pre-grouped by
-          outer index so one-pass stitching never rebuilds a dict.  The
-          fast path for repeated execution of a cached plan; requires
-          ``one_pass_stitch``.
-        * ``"parallel"`` — the batched engine fanned across a pool of
-          read-only connections, one worker thread per package member
-          (``REPRO_POOL_SIZE`` caps the pool).  Same results, same stats,
-          overlapping SQLite evaluation with Python-side decode.
+        * ``"batched"`` — all queries of the package over the shared
+          connection, children first, with advisory SQLite indexes
+          (``create_indexes``) and one fold per fetched row: each row
+          becomes its final record, inner bags included, the one time
+          Python touches it.  The fast path for repeated execution of a
+          cached plan; requires ``one_pass_stitch``.
+        * ``"parallel"`` — the batched engine with its statements
+          executed and fetched by a pool of read-only connections
+          (``REPRO_POOL_SIZE`` caps the pool) before the same fold runs on
+          the calling thread.  Same results, same stats.
 
         ``batch_size`` bounds rows per ``fetchmany`` round trip (default
         ``REPRO_FETCH_BATCH``, 1024).
@@ -289,7 +294,9 @@ class CompiledQuery:
         onto a specific pooled read connection (service-layer leases).
 
         ``tracer`` (a :class:`repro.obs.Tracer`) receives ``execute``
-        (with per-statement children) and ``stitch`` spans.
+        (with per-statement children) and ``stitch`` spans; on the batched
+        engines the fold is the statements' ``decode`` and ``stitch`` only
+        picks the finished ⊤·1 bucket.
         """
         validate_engine(engine)
         bound = self.check_params(params)
@@ -302,9 +309,8 @@ class CompiledQuery:
         if engine in ("batched", "parallel"):
             if not one_pass_stitch:
                 raise ShreddingError(
-                    "the batched/parallel engines produce pre-grouped "
-                    "results; use one_pass_stitch=True (or the per-path "
-                    "engine)"
+                    "the batched/parallel engines stitch as they decode; "
+                    "use one_pass_stitch=True (or the per-path engine)"
                 )
             with traced(tracer, "execute", engine=engine):
                 results = execute_package_batched(
@@ -366,7 +372,7 @@ class CompiledQuery:
     @staticmethod
     def _top_key():
         """The top-level ⊤·1 context in the batched engine's flat-tuple
-        index representation (cf. ``CompiledSql.grouper``)."""
+        index representation (cf. ``CompiledSql.fold``)."""
         from repro.shred.shredded_ast import TOP_TAG
 
         return (TOP_TAG, 1)

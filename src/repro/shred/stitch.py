@@ -5,18 +5,23 @@
     stitch_r(⟨ℓᵢ : Âᵢ⟩)       = ⟨ℓᵢ = stitch_{r.ℓᵢ}(Âᵢ)⟩
     stitch_I((Bag Â)^s)       = [stitch_w(Â) | ⟨I', w⟩ ← s, I' = I]
 
-Two implementations:
+Two implementations of :func:`stitch`, the per-path engine's (and the
+reference the batched engine's fold is tested against):
 
 * ``one_pass=True`` (default) — §8's "implementing stitching in one pass"
   optimisation: each result list is grouped by outer index into a hash map
   once, making stitching O(total rows);
 * ``one_pass=False`` — the naive definition above, which rescans every
   result list at every lookup (quadratic; kept for the ablation benchmark).
+
+The batched engine does not come through here: its executor folds each
+row straight into its parent's record (decode fused into stitch), and
+:func:`stitch_grouped` only picks the finished ⊤·1 bucket.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import StitchError
 from repro.shred.indexes import IndexFn, canonical_index_fn
@@ -35,8 +40,8 @@ def stitch(
 
     ``result_package`` carries, on each bag node, the result list
     ``[⟨index, flat value⟩, …]`` of the corresponding shredded query.
-    (The batched engine's pre-grouped results go through
-    :func:`stitch_grouped` instead.)
+    (The batched engine's results are already nested: see
+    :func:`stitch_grouped`.)
     """
     if not isinstance(result_package, PkgBag):
         raise StitchError("the top of a query package must be a bag")
@@ -82,52 +87,18 @@ def _group(rows: list) -> dict:
     return grouped
 
 
-# --------------------------------------------------------------------------
-# Compiled stitching — the batched engine's one-pass path.
-
-
 def stitch_grouped(result_package: Package, top_index_value: Any) -> list:
-    """Stitch pre-grouped results through a compiled closure tree.
+    """The nested result of a package the batched engine has run: the top
+    bag's bucket for ``top_index_value`` (⊤·1).
 
-    ``result_package`` carries ``{outer index: [item, …]}`` dicts on its
-    bag nodes (the batched executor's output).  The package structure is
-    compiled once into nested closures, then stitching touches each tuple
-    exactly once — and any subtree with no inner bags is recognised as the
-    *identity*, so its decoded items pass through as the final values with
-    zero per-element rebuilding.
+    :func:`repro.backend.executor.execute_package_batched` folds children
+    first and builds every record with its inner bags already in place, so
+    by the time it returns there is nothing left to stitch — each bag node
+    carries ``{outer index: [finished element, …]}`` and this picks one
+    list out of the top one (the list itself, not a copy).
     """
-    if not isinstance(result_package, PkgBag):
-        raise StitchError("the top of a query package must be a bag")
-    return _compile_bag(result_package)(top_index_value)
-
-
-def _compile_bag(package: PkgBag) -> Callable[[Any], list]:
-    grouped = package.annotation
-    if not isinstance(grouped, dict):
-        raise StitchError("compiled stitching requires pre-grouped results")
-    element = _compile_element(package.element)
-    if element is None:
-        return lambda index, _g=grouped: list(_g.get(index, ()))
-    return lambda index, _g=grouped, _e=element: [
-        _e(value) for value in _g.get(index, ())
-    ]
-
-
-def _compile_element(package: Package) -> Callable[[Any], Any] | None:
-    """A value-stitching closure for ``package`` — or None for identity
-    (no bag below this node: the flat value already is the result)."""
-    if isinstance(package, PkgBase):
-        return None
-    if isinstance(package, PkgRecord):
-        fields = tuple(
-            (label, _compile_element(sub)) for label, sub in package.fields
-        )
-        if all(sub is None for _, sub in fields):
-            return None
-        return lambda value, _fields=fields: {
-            label: (value[label] if sub is None else sub(value[label]))
-            for label, sub in _fields
-        }
-    if isinstance(package, PkgBag):
-        return _compile_bag(package)
-    raise StitchError(f"not a package: {package!r}")
+    if not isinstance(result_package, PkgBag) or not isinstance(
+        result_package.annotation, dict
+    ):
+        raise StitchError("expected a bag package of pre-grouped results")
+    return result_package.annotation.get(top_index_value) or []

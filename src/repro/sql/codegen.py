@@ -15,7 +15,8 @@ Two plan shapes; :func:`resolve_scheme` picks one from the schema:
 
 Both emit the top-level context as the literal ``⊤·1``, and neither
 projects a column whose expression is the same literal in every union
-branch (static tags, the top context): the decoders close over it.
+branch (static tags, the top context): :meth:`CompiledSql.fold` writes it
+into the code it generates.
 
 Determinism note (§7): the paper orders ``row_number`` by all columns of
 all tables referenced from the current subquery, listing the outer query's
@@ -28,10 +29,9 @@ tables containing fully duplicate rows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.errors import SqlGenerationError
 from repro.flatten.flatten import (
@@ -41,7 +41,7 @@ from repro.flatten.flatten import (
     KIND_INDEX_TAG,
     flatten_type,
 )
-from repro.flatten.unflatten import unflatten_value
+from repro.flatten.unflatten import decode_base, unflatten_value
 from repro.letins.ast import (
     IndexPrim,
     LetComp,
@@ -177,9 +177,9 @@ class CompiledSql:
     """One shredded query compiled to SQL, with decode metadata.
 
     ``cache_key`` carries the plan-cache key the statement was compiled
-    under (None for uncached compiles); the precompiled :meth:`grouper` is
-    memoised per instance, so a cached plan decodes every subsequent run
-    through the same closures.
+    under (None for uncached compiles); the compiled :meth:`fold` is
+    memoised per instance, so a cached plan folds every subsequent run
+    through the same function.
     """
 
     statement: Statement
@@ -199,58 +199,107 @@ class CompiledSql:
     #: every rule was a no-op).
     fired_rules: tuple[str, ...] = field(default=(), compare=False)
     cache_key: object = field(default=None, compare=False)
-    _grouper: Callable | None = field(default=None, repr=False, compare=False)
+    _fold: Callable | None = field(default=None, repr=False, compare=False)
     #: (table, columns) index hints mined from the statement — memoised by
     #: the batched executor so repeat runs of a cached plan skip the AST walk.
     index_hints: tuple | None = field(default=None, repr=False, compare=False)
 
-    def grouper(self) -> Callable[[Sequence[tuple], dict], None]:
-        """``group(chunk, grouped)``: fold a chunk of raw SQL tuples into
-        ``grouped``, ``{outer key: [item, …]}`` in encounter order —
-        compiled once per plan.
+    def fold(self) -> Callable[..., None]:
+        """``fold(chunk, grouped, *child_buckets)``: the batched engine's one
+        pass over a chunk of raw SQL tuples — built once per plan from
+        :attr:`fold_source`.
 
-        Every column is resolved to its tuple *position* (or its literal)
-        up front — no name→cell dict per row — and an index leaf decodes
-        to the flat tuple ``(tag, key…)`` (``(tag, row number)`` in the
-        flat scheme) instead of a :class:`FlatIndex`/:class:`NaturalIndex`.
-
-        Index values never reach stitched output — they only ever serve as
-        grouping/lookup keys joining a parent's item rows to a child's
-        outer rows — so the batched engine trades the index objects for
-        raw tuples: no per-row dataclass construction, cheaper hashing.
-        Both sides of every join decode through the same scheme, keeping
-        keys consistent across nesting levels.  Property-tested against
-        :meth:`decode_rows` on every row.
+        Each row becomes its *final* record, appended under its outer key
+        in ``grouped`` (``{outer key: [record, …]}``, encounter order).
+        ``child_buckets`` are the ``grouped`` dicts of the statements one
+        nesting level down, already folded, one per index leaf of the item
+        type in field order: where App. E would decode an index, the
+        record takes the child's bucket list itself — no copy, no stored
+        key, no second pass.  That is sound because an item index is
+        injective per comprehension row (§4.2/§6.1), so no bucket has two
+        parents.  Keys are flat ``(tag, key…)`` tuples (``(tag, row
+        number)`` in the flat scheme), NULL padding stripped; both sides
+        of every join build them from the same scheme.  Property-tested
+        against :meth:`decode_rows` + :func:`repro.shred.stitch.stitch`.
         """
-        if self._grouper is None:
-            self._grouper = self._build_grouper()
-        return self._grouper
+        if self._fold is None:
+            self._fold = _load_fold(self.fold_source)
+        return self._fold
 
-    def _build_grouper(self) -> Callable[[Sequence[tuple], dict], None]:
-        cells = _Cells(self.columns, dict(self.constants), self.statement)
-        decode_items = _compile_decoder(
-            self.row_type.field_type("item"), ("item",), cells, self.width_fn
-        )
-        outer = _index_columns(("outer",), self.width_fn)
-        if cells.constants.keys() >= set(outer):
+    @property
+    def fold_source(self) -> str:
+        """The Python source of :meth:`fold` (for ``repro lint``, debugging
+        and tests).  Every column is resolved to its tuple position or its
+        literal up front; literals and labels enter through ``repr``."""
+        positions = {name: i for i, name in enumerate(self.columns)}
+        constants = dict(self.constants)
+        #: Leaf path → its column names (an index leaf's are tag, dyn1, …).
+        leaves: dict[tuple[str, ...], list[str]] = {}
+        for column in flatten_type(self.row_type, self.width_fn):
+            leaves.setdefault(column.path, []).append(column.name)
+        #: Projected columns that are NULL in some branch: the padding of a
+        #: union whose branches bind different numbers of key columns (§6.1).
+        padded = {
+            item.alias
+            for select in self.statement.selects
+            for item in select.items
+            if item.expr == Lit(None)
+        }
+        children = 0
+
+        def key(path: tuple[str, ...]) -> str:
+            """The flat ``(tag, key…)`` tuple of the index leaf at ``path``."""
+            parts = [
+                repr(constants[name]) if name in constants else f"r[{positions[name]}]"
+                for name in leaves[path]
+                if constants.get(name, ...) is not None  # literal padding
+            ]
+            flat = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+            if padded.isdisjoint(leaves[path]):
+                return flat
+            return f"tuple([part for part in {flat} if part is not None])"
+
+        def value(f: Type, path: tuple[str, ...]) -> str:
+            nonlocal children
+            if isinstance(f, IndexType):
+                children += 1
+                return f"(get{children - 1}({key(path)}) or [])"
+            if isinstance(f, BaseType):
+                (name,) = leaves[path]
+                if name in constants:
+                    return repr(decode_base(constants[name], f))
+                cell = f"r[{positions[name]}]"
+                return f"bool({cell})" if f == BOOL else cell
+            if isinstance(f, RecordType):
+                fields = ", ".join(
+                    f"{label!r}: {value(ftype, path + (label,))}"
+                    for label, ftype in f.fields
+                )
+                return "{" + fields + "}"
+            raise SqlGenerationError(f"cannot fold rows of type {f}")
+
+        item = value(self.row_type.field_type("item"), ("item",))
+        outer = key(("outer",))
+        arguments = "".join(f", c{i}" for i in range(children))
+        lines = [f"def fold(chunk, grouped{arguments}):"]
+        lines += [f"    get{i} = c{i}.get" for i in range(children)]
+        if constants.keys() >= set(leaves[("outer",)]):
             # One context for every row (the top-level ⊤·1): no grouping.
-            key = _strip_nulls(tuple(cells.constants[name] for name in outer))
-
-            def group_constant(chunk: Sequence[tuple], grouped: dict) -> None:
-                grouped.setdefault(key, []).extend(decode_items(chunk))
-
-            return group_constant
-        decode_outers = _compile_key(outer, cells)
-
-        def group(chunk: Sequence[tuple], grouped: dict) -> None:
-            for outer_key, item in zip(decode_outers(chunk), decode_items(chunk)):
-                bucket = grouped.get(outer_key)
-                if bucket is None:
-                    grouped[outer_key] = [item]
-                else:
-                    bucket.append(item)
-
-        return group
+            lines.append(
+                f"    grouped.setdefault({outer}, []).extend([{item} for r in chunk])"
+            )
+        else:
+            lines += [
+                "    get = grouped.get",
+                "    for r in chunk:",
+                f"        key = {outer}",
+                "        bucket = get(key)",
+                "        if bucket is None:",
+                f"            grouped[key] = [{item}]",
+                "        else:",
+                f"            bucket.append({item})",
+            ]
+        return "\n".join(lines) + "\n"
 
     def decode_rows(
         self, raw_rows: Sequence[Sequence[object]]
@@ -259,7 +308,7 @@ class CompiledSql:
 
         The literal App. E reading — one name→cell dict and one
         :func:`unflatten_value` type walk per row.  The per-path engine
-        uses it; the batched engine's :meth:`grouper` is property-tested
+        uses it; the batched engine's :meth:`fold` is property-tested
         against it.
         """
         pairs = []
@@ -274,142 +323,15 @@ class CompiledSql:
         return pairs
 
 
-class _Cells:
-    """Where each column of a statement's flattened row type lives: a
-    position in the raw tuple, or a literal the statement does not project."""
-
-    def __init__(
-        self,
-        columns: tuple[str, ...],
-        constants: dict[str, object],
-        statement: Statement,
-    ) -> None:
-        self.positions = {name: i for i, name in enumerate(columns)}
-        self.constants = constants
-        #: Columns that are NULL in some branch: the padding of a union
-        #: whose branches bind different numbers of key columns (§6.1).
-        self.nullable = {
-            name for name, value in constants.items() if value is None
-        } | {
-            item.alias
-            for select in statement.selects
-            for item in select.items
-            if item.expr == Lit(None)
-        }
-
-
-def _compile_decoder(
-    f: Type,
-    path: tuple[str, ...],
-    cells: _Cells,
-    width_fn: Callable[[tuple[str, ...]], int] | int,
-) -> Callable[[Sequence[tuple]], Iterable]:
-    """Compile flat type ``f`` at ``path`` to a chunk decoder: a list of raw
-    tuples → an iterable of their values, one per tuple.
-
-    The tree mirrors :func:`unflatten_value`, but resolves every column to
-    its tuple position (or its literal) at compile time, decodes index
-    leaves to flat ``(tag, key…)`` tuples, and works a chunk at a time so
-    that the per-row work is ``itemgetter``/``zip``/``dict`` running
-    inside ``map`` — no Python frame per row.
-    """
-    if isinstance(f, IndexType):
-        return _compile_key(_index_columns(path, width_fn), cells)
-    if isinstance(f, BaseType):
-        name = FlatColumn(path, KIND_BASE, base=f).name
-        if name in cells.constants:
-            value = cells.constants[name]
-            if f == BOOL:
-                value = bool(value)
-            return lambda chunk: repeat(value, len(chunk))
-        cell = itemgetter(cells.positions[name])
-        if f == BOOL:
-            return lambda chunk: map(bool, map(cell, chunk))
-        return lambda chunk: map(cell, chunk)
-    if isinstance(f, RecordType):
-        labels = tuple(label for label, _ in f.fields)
-        if not labels:
-            return lambda chunk: ({} for _ in chunk)
-        plain = [
-            cells.positions.get(FlatColumn(path + (label,), KIND_BASE, base=ftype).name)
-            if isinstance(ftype, BaseType) and ftype != BOOL
-            else None
-            for label, ftype in f.fields
-        ]
-        if len(plain) > 1 and None not in plain:
-            # Every field is a projected cell: one gather per row.
-            gather = itemgetter(*plain)
-
-            def field_values(chunk: Sequence[tuple]) -> Iterable:
-                return map(gather, chunk)
-
-        else:
-            fields = [
-                _compile_decoder(ftype, path + (label,), cells, width_fn)
-                for label, ftype in f.fields
-            ]
-
-            def field_values(chunk: Sequence[tuple]) -> Iterable:
-                return zip(*[decode(chunk) for decode in fields])
-
-        return lambda chunk: map(
-            dict, map(zip, repeat(labels), field_values(chunk))
-        )
-    raise SqlGenerationError(f"cannot compile a decoder for type {f}")
-
-
-def _index_columns(
-    path: tuple[str, ...], width_fn: Callable[[tuple[str, ...]], int] | int
-) -> list[str]:
-    """The ``tag, dyn1, …`` column names of the index leaf at ``path``."""
-    width = width_fn if isinstance(width_fn, int) else width_fn(path)
-    return [FlatColumn(path, KIND_INDEX_TAG).name] + [
-        FlatColumn(path, KIND_INDEX_DYN, dyn_position=i).name
-        for i in range(1, width + 1)
-    ]
-
-
-def _strip_nulls(key: tuple) -> tuple:
-    return tuple([part for part in key if part is not None])
-
-
-def _compile_key(
-    names: list[str], cells: _Cells
-) -> Callable[[Sequence[tuple]], Iterable]:
-    """An index leaf's ``(tag, dyn…)`` columns → its flat ``(tag, key…)``
-    tuples, NULL padding stripped.
-
-    A leaf whose columns are all projected and never padded is a single
-    :func:`operator.itemgetter` per row; a literal tag is zipped in; only
-    the mixed-arity unions of §6.1 pay a Python call per row to strip
-    their padding.
-    """
-    positions = [cells.positions.get(name) for name in names]  # None: literal
-    padded = not cells.nullable.isdisjoint(names)
-    if None not in positions:
-        gather = itemgetter(*positions)
-        if padded:
-            return lambda chunk: map(_strip_nulls, map(gather, chunk))
-        return lambda chunk: map(gather, chunk)
-    literals = [cells.constants.get(name) for name in names]
-    if all(position is None for position in positions):
-        key = _strip_nulls(tuple(literals))
-        return lambda chunk: repeat(key, len(chunk))
-    parts = [
-        (None if position is None else itemgetter(position), literal)
-        for position, literal in zip(positions, literals)
-    ]
-
-    def decode_keys(chunk: Sequence[tuple]) -> Iterable:
-        keys = zip(
-            *[
-                repeat(literal, len(chunk)) if cell is None else map(cell, chunk)
-                for cell, literal in parts
-            ]
-        )
-        return map(_strip_nulls, keys) if padded else keys
-
-    return decode_keys
+@functools.lru_cache(maxsize=512)
+def _load_fold(source: str) -> Callable[..., None]:
+    """Compile a fold's source — once per distinct text, like :mod:`re`'s
+    pattern cache: ``compile()`` costs ≈ 0.1 ms, and the text holds nothing
+    but positions, labels and static tags, so cold compiles of one query
+    shape (and sibling statements) share a code object."""
+    namespace: dict[str, object] = {}
+    exec(compile(source, "<fold>", "exec"), namespace)
+    return namespace["fold"]  # type: ignore[return-value]
 
 
 def compile_shredded(

@@ -227,3 +227,20 @@ class TestLintCli:
         out = capsys.readouterr().out
         assert "dead_param: FAIL" in out
         assert "QS101 warning [param :flag]" in out
+
+    def test_a_fold_that_does_not_build_fails_lint(self, capsys, monkeypatch):
+        """Generated code is invisible to ruff/mypy: the CLI builds every
+        statement's fold under both plan shapes and reports what breaks."""
+        from repro.sql.codegen import CompiledSql
+
+        source = CompiledSql.fold_source.fget
+        monkeypatch.setattr(
+            CompiledSql,
+            "fold_source",
+            property(lambda self: source(self).replace("def fold(", "def fold((")),
+        )
+        assert main(["lint", "Q3"]) == 1
+        out = capsys.readouterr().out
+        assert "Q3: FAIL" in out
+        for where in ("ε (default plan)", "↓.tasks (flat plan)"):
+            assert f"fold at {where} does not build: SyntaxError" in out

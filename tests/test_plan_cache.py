@@ -222,25 +222,27 @@ def test_property_cache_hits_match_cold_compiles(query):
 
 
 def _flat_key(value):
-    """An App. E index object (or a record holding some) in the batched
-    engine's flat-tuple representation: ``(tag, key…)``."""
+    """An App. E index object in the batched engine's flat-tuple
+    representation: ``(tag, key…)``."""
     from repro.shred.indexes import FlatIndex, NaturalIndex
 
     if isinstance(value, FlatIndex):
         return (value.tag, value.position)
     if isinstance(value, NaturalIndex):
         return (value.tag, *value.keys)
-    if isinstance(value, dict):
-        return {label: _flat_key(field) for label, field in value.items()}
-    return value
+    raise AssertionError(f"not an index: {value!r}")
 
 
 @settings(max_examples=15, suppress_health_check=[HealthCheck.too_slow], deadline=None)
 @given(query=queries_with_nesting())
-def test_property_grouper_matches_reference(query):
-    """The precompiled grouper agrees with the App. E unflattening on every
-    row, under both plan shapes, however the rows are chunked."""
-    from repro.shred.packages import annotations
+def test_property_fold_matches_reference(query):
+    """The batched engine's fold ≡ App. E ``decode_rows`` + §5.2 ``stitch``
+    on every package, under both plan shapes, however the rows are chunked:
+    the same nested value in the same order, and per statement the same
+    outer keys over the same number of rows."""
+    from repro.backend.executor import execute_package_batched
+    from repro.shred.packages import annotations, pmap
+    from repro.shred.stitch import stitch, stitch_grouped
     from repro.sql.codegen import SqlOptions
 
     db = figure3_database()
@@ -249,16 +251,24 @@ def test_property_grouper_matches_reference(query):
             compiled = ShreddingPipeline(db.schema, options).compile(query)
         except Exception:
             return
-        for _path, sql in annotations(compiled.sql_package):
-            raw = db.execute_sql(sql.sql)
-            expected: dict = {}
-            for outer, item in sql.decode_rows(raw):
-                expected.setdefault(_flat_key(outer), []).append(_flat_key(item))
-            for chunk_size in (1, 3, len(raw) + 1):
-                grouped: dict = {}
-                for start in range(0, len(raw), chunk_size):
-                    sql.grouper()(raw[start : start + chunk_size], grouped)
-                assert grouped == expected, (options.scheme, chunk_size)
+        package = compiled.sql_package
+        reference = pmap(lambda sql: sql.decode_rows(db.execute_sql(sql.sql)), package)
+        expected = stitch(reference, compiled._top_index_fn())
+        rows = max(len(pairs) for _path, pairs in annotations(reference))
+        for chunk_size in (1, 3, rows + 1):
+            results = execute_package_batched(
+                db, package, create_indexes=False, batch_size=chunk_size
+            )
+            where = (options.scheme, chunk_size)
+            assert stitch_grouped(results, compiled._top_key()) == expected, where
+            for (_path, grouped), (_path, pairs) in zip(
+                annotations(results), annotations(reference)
+            ):
+                sizes: dict = {}
+                for outer, _item in pairs:
+                    key = _flat_key(outer)
+                    sizes[key] = sizes.get(key, 0) + 1
+                assert {k: len(v) for k, v in grouped.items()} == sizes, where
 
 
 class TestBatchedEngine:
@@ -284,6 +294,36 @@ class TestBatchedEngine:
         compiled.run(db, engine="batched", stats=second)
         assert first.indexes_created >= 1
         assert second.indexes_created == 0  # reused, not recreated
+
+    def test_warm_run_never_consults_the_schema(self, db):
+        """Regression: ``ensure_index`` re-validated table and columns
+        against the schema on every run before its "O(1)" remembered-index
+        hit; a warm plan's second run must look nothing up."""
+        from repro.backend.executor import execute_package_batched
+        from repro.service.registry import paper_registry
+
+        class SchemaSpy:
+            def __init__(self):
+                self.touched = []
+
+            def __contains__(self, table):
+                self.touched.append(("in", table))
+                return table in schema
+
+            def __getattr__(self, name):
+                self.touched.append(name)
+                return getattr(schema, name)
+
+        schema = db.schema
+        term = paper_registry().lookup("dept_staff").term
+        package = ShreddingPipeline(schema).compile(term).sql_package
+        params = {"dept": "Product"}
+        execute_package_batched(db, package, params=params)  # builds indexes
+        db.schema = spy = SchemaSpy()
+        execute_package_batched(db, package, params=params)
+        assert spy.touched == []
+        db.ensure_index("employees", ("salary",))  # the spy does see lookups
+        assert spy.touched
 
     def test_unknown_engine_rejected(self, db):
         from repro.errors import ShreddingError

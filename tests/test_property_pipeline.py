@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.backend.database import Database
-from repro.data.organisation import ORGANISATION_SCHEMA, figure3_database
+from repro.data.organisation import ORGANISATION_SCHEMA
 from repro.data.queries import NESTED_QUERIES
 from repro.errors import SqlGenerationError
 from repro.normalise import nf_to_term, normalise
@@ -36,7 +36,51 @@ from .strategies import (
 )
 
 SCHEMA = ORGANISATION_SCHEMA
-DB = figure3_database()
+
+# Two instances, both a cut of Fig. 3 small enough that the oracle (whose
+# cost is the product of the table sizes) stays cheap on every generated
+# query — on full Fig. 3 the odd example ran for minutes — and carrying the
+# multiplicity traps: a department without employees (empty inner bags) and
+# two departments that are identical records under distinct keys (duplicate
+# outer records, distinct indexes).
+
+_ROWS = {
+    "departments": [
+        {"id": 1, "name": "Product"},
+        {"id": 2, "name": "Quality"},
+        {"id": 4, "name": "Sales"},
+        {"id": 5, "name": "Sales"},
+    ],
+    "employees": [
+        {"id": 1, "dept": "Product", "name": "Alex", "salary": 20_000},
+        {"id": 2, "dept": "Product", "name": "Bert", "salary": 900},
+        {"id": 5, "dept": "Sales", "name": "Erik", "salary": 2_000_000},
+        {"id": 6, "dept": "Sales", "name": "Fred", "salary": 700},
+    ],
+    "tasks": [
+        {"id": 1, "employee": "Alex", "task": "build"},
+        {"id": 2, "employee": "Bert", "task": "build"},
+        {"id": 10, "employee": "Erik", "task": "call"},
+        {"id": 11, "employee": "Erik", "task": "enthuse"},
+        {"id": 12, "employee": "Fred", "task": "call"},
+    ],
+    "contacts": [
+        {"id": 1, "dept": "Product", "name": "Pam", "client": False},
+        {"id": 2, "dept": "Product", "name": "Pat", "client": True},
+        {"id": 7, "dept": "Sales", "name": "Sue", "client": True},
+    ],
+}
+
+INSTANCES = {
+    "keyed": Database(SCHEMA, _ROWS),
+    # ``tasks`` declares no key and holds fully duplicate rows.
+    "keyless": Database(
+        without_key(SCHEMA, "tasks"),
+        {**_ROWS, "tasks": _ROWS["tasks"] + _ROWS["tasks"][2:4]},
+    ),
+}
+#: What the in-memory properties (Theorems 1, 4, 6, 19) evaluate against.
+DB = INSTANCES["keyed"]
 
 _settings = settings(
     max_examples=30,
@@ -85,49 +129,9 @@ def test_shredding_theorem4_in_memory(query):
 #
 #   options   default (resolved from the schema) · forced flat · forced natural
 #   instance  every table keyed · one keyless table holding duplicate rows
-#   engine    per-path (App. E reference decode) · batched (compiled grouper)
-#
-# Both instances are a cut of Fig. 3 small enough that the oracle (whose
-# cost is the product of the table sizes) stays cheap on every generated
-# query, and carry the multiplicity traps: a department without employees
-# (empty inner bags) and two departments that are identical records under
-# distinct keys (duplicate outer records, distinct indexes).
+#   engine    per-path (App. E decode + stitch, the reference) · batched
+#             (one compiled fold per row, children first)
 
-_ROWS = {
-    "departments": [
-        {"id": 1, "name": "Product"},
-        {"id": 2, "name": "Quality"},
-        {"id": 4, "name": "Sales"},
-        {"id": 5, "name": "Sales"},
-    ],
-    "employees": [
-        {"id": 1, "dept": "Product", "name": "Alex", "salary": 20_000},
-        {"id": 2, "dept": "Product", "name": "Bert", "salary": 900},
-        {"id": 5, "dept": "Sales", "name": "Erik", "salary": 2_000_000},
-        {"id": 6, "dept": "Sales", "name": "Fred", "salary": 700},
-    ],
-    "tasks": [
-        {"id": 1, "employee": "Alex", "task": "build"},
-        {"id": 2, "employee": "Bert", "task": "build"},
-        {"id": 10, "employee": "Erik", "task": "call"},
-        {"id": 11, "employee": "Erik", "task": "enthuse"},
-        {"id": 12, "employee": "Fred", "task": "call"},
-    ],
-    "contacts": [
-        {"id": 1, "dept": "Product", "name": "Pam", "client": False},
-        {"id": 2, "dept": "Product", "name": "Pat", "client": True},
-        {"id": 7, "dept": "Sales", "name": "Sue", "client": True},
-    ],
-}
-
-INSTANCES = {
-    "keyed": Database(SCHEMA, _ROWS),
-    # ``tasks`` declares no key and holds fully duplicate rows.
-    "keyless": Database(
-        without_key(SCHEMA, "tasks"),
-        {**_ROWS, "tasks": _ROWS["tasks"] + _ROWS["tasks"][2:4]},
-    ),
-}
 OPTIONS = {
     "default": SqlOptions(),
     "flat": SqlOptions(scheme="flat"),
@@ -137,6 +141,7 @@ RESOLVES_TO = {
     ("keyed", "default"): "natural: keys",
     ("keyless", "default"): "flat: table 'tasks' declares no key",
 }
+
 
 
 def _assert_sql_matches_semantics(query, params=None):
@@ -176,17 +181,101 @@ def test_sql_pipeline_binds_host_params(query_and_bindings):
     _assert_sql_matches_semantics(query, bindings)
 
 
-@pytest.mark.parametrize(
-    "query",
-    [
-        pytest.param(asymmetric_union_query(), id="mixed-arity-union"),
-        pytest.param(NESTED_QUERIES["Q4"], id="empty-inner-bags"),
-        pytest.param(NESTED_QUERIES["Q1"], id="duplicate-outer-records"),
-        pytest.param(NESTED_QUERIES["Q6"], id="literal-inner-bag"),
-    ],
-)
+MULTIPLICITY_CASES = [
+    pytest.param(asymmetric_union_query(), id="mixed-arity-union"),
+    pytest.param(NESTED_QUERIES["Q4"], id="empty-inner-bags"),
+    pytest.param(NESTED_QUERIES["Q1"], id="duplicate-outer-records"),
+    pytest.param(NESTED_QUERIES["Q6"], id="literal-inner-bag"),
+]
+
+
+@pytest.mark.parametrize("query", MULTIPLICITY_CASES)
 def test_sql_pipeline_multiplicity_cases(query):
     _assert_sql_matches_semantics(query)
+
+
+def test_miswired_child_buckets_fail_the_matrix(monkeypatch):
+    """Mutation proof: the fold takes its children's results by position
+    (one per index leaf, in field order).  Hand Q1's two children — contacts
+    and employees — over the other way round and the matrix must notice."""
+    from repro.sql.codegen import CompiledSql
+
+    build = CompiledSql.fold
+
+    def miswired(self):
+        fold = build(self)
+        return lambda chunk, grouped, *children: fold(
+            chunk, grouped, *reversed(children)
+        )
+
+    monkeypatch.setattr(CompiledSql, "fold", miswired)
+    with pytest.raises(AssertionError, match="batched"):
+        _assert_sql_matches_semantics(NESTED_QUERIES["Q1"])
+
+
+# The fold hands a child's bucket list to its parent record itself, with no
+# copy.  That is only sound if no bucket has two parents, so: no mutable
+# object may occur twice in a batched result, nor in two runs of one plan.
+
+
+def _mutable_ids(value, seen: set) -> set:
+    """``seen`` plus the id of every list and dict in ``value``; fails on
+    the first one met twice."""
+    if isinstance(value, (list, dict)):
+        assert id(value) not in seen, f"shared {type(value).__name__}: {value!r}"
+        seen.add(id(value))
+        for part in value.values() if isinstance(value, dict) else value:
+            _mutable_ids(part, seen)
+    return seen
+
+
+def _assert_batched_results_alias_nothing(query, params=None):
+    for instance, db in INSTANCES.items():
+        for label, options in OPTIONS.items():
+            if (instance, label) == ("keyless", "natural"):
+                continue
+            compiled = ShreddingPipeline(db.schema, options).compile(query)
+            first = compiled.run(db, engine="batched", params=params)
+            again = compiled.run(db, engine="batched", params=params)
+            _mutable_ids(again, _mutable_ids(first, set()))  # both kept alive
+
+
+@given(queries_with_bindings())
+@_settings
+def test_batched_results_alias_nothing(query_and_bindings):
+    _assert_batched_results_alias_nothing(*query_and_bindings)
+
+
+@pytest.mark.parametrize("query", MULTIPLICITY_CASES)
+def test_batched_results_alias_nothing_multiplicity_cases(query):
+    _assert_batched_results_alias_nothing(query)
+
+
+def _assert_collections_match_per_path(query):
+    """§9 set and list semantics: the batched engine against the per-path
+    reference (list results compare in order)."""
+    for db in INSTANCES.values():
+        bags = ShreddingPipeline(db.schema).compile(query)
+        assert bag_equal(
+            bags.run(db, engine="batched", collection="set"),
+            bags.run(db, engine="per-path", collection="set"),
+        )
+        lists = ShreddingPipeline(db.schema, SqlOptions(ordered=True)).compile(query)
+        for collection in ("list", "set"):
+            assert lists.run(db, engine="batched", collection=collection) == lists.run(
+                db, engine="per-path", collection=collection
+            ), collection
+
+
+@given(queries_with_nesting())
+@_settings
+def test_set_and_list_collections_match_per_path(query):
+    _assert_collections_match_per_path(query)
+
+
+@pytest.mark.parametrize("query", MULTIPLICITY_CASES)
+def test_set_and_list_collections_match_per_path_multiplicity_cases(query):
+    _assert_collections_match_per_path(query)
 
 
 def test_keyless_duplicate_rows_keep_their_multiplicity():

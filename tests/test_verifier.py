@@ -54,6 +54,7 @@ from repro.sql.ast import (
     Col,
     CteRef,
     Lit,
+    NotOp,
     Placeholder,
     RowNumber,
     SelectCore,
@@ -667,6 +668,17 @@ class TestRewriteVerifier:
         assert err.value.stage == "optimize"
         assert err.value.rule == "opt_pushdown"
         assert "ROW_NUMBER" in err.value.detail
+
+    def test_folding_a_numbering_ctes_filter_is_not_a_new_filter(self):
+        """Regression (a Hypothesis draw that failed tier-1): ``opt_fold``
+        rewrote ``NOT NOT (c AND c)`` to ``c AND c`` inside a numbering CTE
+        and the conjunct count went 1 → 2 with the filter unchanged."""
+        client = BinOp("=", Col("x", "name"), Lit("Sales"))
+        before = _numbered_cte_statement(
+            extra_where=NotOp(NotOp(BinOp("AND", client, client)))
+        )
+        after = _numbered_cte_statement(extra_where=BinOp("AND", client, client))
+        verify_rewrite(before, after, "opt_fold", SCHEMA)
 
 
 def _pushdown_bait_query():
