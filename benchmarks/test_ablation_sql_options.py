@@ -17,7 +17,7 @@ VARIANTS = {
     "inline-with": SqlOptions(scheme="flat", inline_with=True),
     "key-rownum": SqlOptions(scheme="flat", order_by_keys=True),
     "both": SqlOptions(scheme="flat", inline_with=True, order_by_keys=True),
-    "dedup-cte": SqlOptions(scheme="flat", dedup_cte=True),
+    "dedup-cte": SqlOptions(scheme="flat", optimize=True),
     "ordered-list": SqlOptions(ordered=True),
 }
 

@@ -44,7 +44,6 @@ def _cmd_sql(args: argparse.Namespace) -> int:
         scheme=args.scheme,
         inline_with=args.inline_with,
         order_by_keys=args.order_by_keys,
-        dedup_cte=args.dedup_cte,
         optimize=args.optimize,
     )
     if args.explain:
@@ -69,7 +68,6 @@ def _explain_sql(query, options) -> str:
     EXPLAIN QUERY PLAN on the Fig. 3 instance."""
     from dataclasses import replace
 
-    from repro.backend.executor import shared_scan_tables
     from repro.pipeline.shredder import ShreddingPipeline
     from repro.shred.packages import annotations
     from repro.sql.optimizer import statement_rule_names
@@ -93,35 +91,24 @@ def _explain_sql(query, options) -> str:
             lines.append("  " * level + detail)
         return lines
 
-    lines: list[str] = ["enabled rules (under SqlOptions.optimize):"]
-    for flag, description in statement_rule_names:
-        state = "on" if getattr(optimized.options, flag) else "off"
-        lines.append(f"  {flag:<14} [{state:>3}] {description}")
-    lines.append(
-        f"  {'opt_shared':<14} "
-        f"[{'on' if optimized.options.opt_shared else 'off':>3}] "
-        f"cross-statement shared scans "
-        f"({len(optimized.shared_scans)} hoisted here)"
+    lines: list[str] = ["optimizer rules (SqlOptions.optimize), in order:"]
+    for name, description in statement_rule_names:
+        state = "fired" if name in optimized.fired_rules else "inert"
+        lines.append(f"  {name:<10} [{state}] {description}")
+    pairs = zip(
+        annotations(plain.sql_package), annotations(optimized.sql_package)
     )
-    with shared_scan_tables(db, optimized.shared_scans):
-        for scan in optimized.shared_scans:
-            lines.append("")
-            lines.append(f"== shared scan {scan.name} (materialised once) ==")
-            lines.append(scan.create_sql)
-        pairs = zip(
-            annotations(plain.sql_package), annotations(optimized.sql_package)
-        )
-        for (path, before), (_path, after) in pairs:
-            lines.append("")
-            lines.append(f"== query at path {path} ==")
-            lines.append("-- unoptimised")
-            lines.append(before.sql)
-            lines.append("   plan:")
-            lines.extend(query_plan(before.sql))
-            lines.append("-- optimised")
-            lines.append(after.sql)
-            lines.append("   plan:")
-            lines.extend(query_plan(after.sql))
+    for (path, before), (_path, after) in pairs:
+        lines.append("")
+        lines.append(f"== query at path {path} ==")
+        lines.append("-- unoptimised")
+        lines.append(before.sql)
+        lines.append("   plan:")
+        lines.extend(query_plan(before.sql))
+        lines.append("-- optimised")
+        lines.append(after.sql)
+        lines.append("   plan:")
+        lines.extend(query_plan(after.sql))
     return "\n".join(lines)
 
 
@@ -444,7 +431,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     sql.add_argument("--inline-with", action="store_true")
     sql.add_argument("--order-by-keys", action="store_true")
-    sql.add_argument("--dedup-cte", action="store_true")
     sql.add_argument(
         "--optimize",
         action="store_true",

@@ -237,7 +237,6 @@ class Prepared(Runnable):
             "optimizer": {
                 "enabled": compiled.options.optimize,
                 "fired_rules": list(compiled.fired_rules),
-                "shared_scans": len(compiled.shared_scans),
             },
             "plan_cache": self._session.pipeline.cache is not None,
             "result_type": str(compiled.result_type),
@@ -266,12 +265,7 @@ class Prepared(Runnable):
             f"engine         : {self._session.engine}"
             + (f" → {resolved}" if self._session.engine == "auto" else ""),
             f"optimizer      : "
-            f"{'on' if compiled.options.optimize else 'off'}"
-            + (
-                f" ({len(compiled.shared_scans)} shared scans hoisted)"
-                if compiled.options.optimize
-                else ""
-            ),
+            f"{'on' if compiled.options.optimize else 'off'}",
         ]
         if compiled.options.optimize:
             header.append(

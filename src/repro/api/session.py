@@ -72,9 +72,6 @@ class Session:
         ``True`` (default) → the process-wide shared plan cache; a
         :class:`~repro.pipeline.plan_cache.PlanCache` to scope it;
         ``False``/``None`` → compile cold every time.
-    validate:
-        Run the App. B type checkers on every compile (Theorems 2 and 5
-        as assertions).
 
     Sessions are context managers: leaving the ``with`` block closes the
     pooled SQLite connections (the Python-side rows survive — a later query
@@ -90,7 +87,6 @@ class Session:
         options: SqlOptions | None = None,
         engine: str = "auto",
         cache: object = True,
-        validate: bool = False,
         metrics: object = None,
     ) -> None:
         if database is None:
@@ -112,7 +108,7 @@ class Session:
         self.engine = engine
         self.options = options or SqlOptions()
         self.pipeline = ShreddingPipeline(
-            self.schema, self.options, validate=validate, cache=cache
+            self.schema, self.options, cache=cache
         )
         #: Session-lifetime accumulation of every run's stats (plus the
         #: plan cache's hit/miss counters from compiles).  Guarded by
@@ -338,7 +334,6 @@ class Session:
             options=replace(self.options, **changes),
             engine=self.engine,
             cache=self.pipeline.cache,
-            validate=self.pipeline.validate,
             metrics=self.metrics,
         )
         session.stats = self.stats  # one accumulation stream per family
@@ -371,7 +366,6 @@ def connect(
     options: SqlOptions | None = None,
     engine: str = "auto",
     cache: object = True,
-    validate: bool = False,
     metrics: object = None,
 ) -> Session:
     """Open a :class:`Session` — the library's front door.
@@ -386,7 +380,6 @@ def connect(
         options=options,
         engine=engine,
         cache=cache,
-        validate=validate,
         metrics=metrics,
     )
 

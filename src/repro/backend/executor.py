@@ -20,15 +20,13 @@ Three execution engines serve a compiled shredded package:
   connections (:meth:`Database.read_connections`) only execute and fetch
   raw chunks (the sqlite3 module releases the GIL inside each C-level
   step); the calling thread then folds them, children first.  Index
-  advisement, ANALYZE and shared-scan materialisation happen on the writer
-  connection *before* the fan-out; per-query stats are recorded in package
-  order after the run, so :class:`ExecutionStats` stay deterministic under
-  any scheduling.
+  advisement and ANALYZE happen on the writer connection *before* the
+  fan-out; per-query stats are recorded in package order after the run,
+  so :class:`ExecutionStats` stay deterministic under any scheduling.
 
-Packages whose statements were optimised by :mod:`repro.sql.optimizer` may
-carry :class:`~repro.sql.optimizer.SharedScan` preludes; both package
-engines materialise them once per run (and drop them afterwards) via
-:func:`shared_scan_tables`.
+No engine writes while it reads: once a plan's indexes are advised and
+``ANALYZE`` has run (the first run), executing it issues nothing but
+``SELECT``.
 
 :class:`ExecutionStats` counts queries and rows (the intro's N+1 "query
 avalanche" metric is #queries issued), records per-query wall time, and
@@ -40,7 +38,6 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.backend.database import Database
@@ -63,7 +60,6 @@ __all__ = [
     "execute_compiled",
     "execute_package_batched",
     "ensure_compiled_indexes",
-    "shared_scan_tables",
     "DEFAULT_FETCH_BATCH",
     "DEFAULT_POOL_SIZE",
 ]
@@ -265,30 +261,6 @@ def _record_statement_span(
     span.record("decode", decode_millis)
 
 
-@contextmanager
-def shared_scan_tables(db: Database, shared_scans=()):
-    """Materialise a package's shared scans for the duration of a run.
-
-    Each scan is created on the *writer* connection and committed, so the
-    pooled readers of the parallel engine see it; the scans are dropped
-    when no in-flight run holds them any more (the scan's rows are a
-    function of the table contents, so caching across *disjoint* runs
-    would go stale under inserts).  Acquisition is ref-counted on the
-    :class:`Database` — concurrent service requests executing plans that
-    share a content-addressed scan reuse one materialisation instead of
-    dropping it under each other.
-    """
-    acquired = []
-    try:
-        for scan in shared_scans:
-            db.acquire_shared_scan(scan)
-            acquired.append(scan)
-        yield
-    finally:
-        for scan in acquired:
-            db.release_shared_scan(scan)
-
-
 def _prefetch(
     db: Database, members: list[CompiledSql], batch: int, params, workers: int
 ) -> dict[int, tuple[list, float]]:
@@ -329,7 +301,6 @@ def execute_package_batched(
     batch_size: int | None = None,
     parallel: bool = False,
     max_workers: int | None = None,
-    shared_scans=(),
     params=None,
     connection=None,
     tracer=None,
@@ -352,13 +323,8 @@ def execute_package_batched(
     read-only connections (one worker thread per connection, capped by
     ``max_workers`` / ``REPRO_POOL_SIZE``; SQLite releases the GIL inside
     each step), then folds them here, on the calling thread, through the
-    same ``fold``.  Setup — advisory indexes, ANALYZE, shared-scan
-    materialisation — always happens on the writer connection before any
-    statement runs.
-
-    ``shared_scans`` carries the package's
-    :class:`~repro.sql.optimizer.SharedScan` preludes (if the optimizer
-    hoisted any); they are materialised for the duration of the run.
+    same ``fold``.  Setup — advisory indexes, ANALYZE — always happens on
+    the writer connection before any statement runs.
 
     ``params`` supplies host-parameter values (each statement binds the
     subset it names).  ``connection`` routes the *serial* batched path to a
@@ -427,10 +393,9 @@ def execute_package_batched(
             )
         return node
 
-    with shared_scan_tables(db, shared_scans):
-        if parallel and workers > 1:
-            fetched = _prefetch(db, members, batch, params, workers)
-        results = visit(sql_package, [])
+    if parallel and workers > 1:
+        fetched = _prefetch(db, members, batch, params, workers)
+    results = visit(sql_package, [])
     for position, compiled in enumerate(members):
         rows, millis, decode_millis = outcomes[id(compiled)]
         if stats is not None:

@@ -50,7 +50,7 @@ def figure11(config: BenchConfig | None = None) -> str:
 
     ``shredding_cached`` (plan cache + batched executor) and
     ``shredding_opt`` (plan cache + logical SQL optimizer + parallel
-    shared-scan executor) ride along so each engine generation is always
+    executor) ride along so each engine generation is always
     compared against the uncached baseline; ``loop-lifting-batched`` uses
     the same batched decode style so the baseline ablation compares
     engines, not decode styles.

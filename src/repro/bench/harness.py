@@ -44,9 +44,8 @@ def median_millis(fn: Callable[[], object], repeats: int | None = None) -> float
     """Median wall time of ``fn()`` over ``max(3, repeats)`` runs, in ms.
 
     The single-callable timing helper the bar benchmarks
-    (``benchmarks/test_plan_cache.py`` / ``test_sql_optimizer.py`` /
-    ``test_shard_scaling.py``) share — one place to change the timing
-    methodology.  ``repeats`` defaults to ``REPRO_BENCH_REPEATS`` (5).
+    (``benchmarks/test_plan_cache.py`` / ``test_shard_scaling.py``) share
+    — one place to change the timing methodology.  ``repeats`` defaults to ``REPRO_BENCH_REPEATS`` (5).
     """
     if repeats is None:
         repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
@@ -74,7 +73,7 @@ class _CachedShreddingRunner:
 
     Two registered instances share this class: ``shredding_cached`` (plan
     cache + batched engine, PR 1) and ``shredding_opt`` (plan cache + the
-    logical SQL optimizer + the parallel shared-scan engine).
+    logical SQL optimizer + the thread-parallel engine).
 
     ``sweep`` instantiates a fresh runner per sweep (:meth:`fresh`), so
     cold-compile cells stay reproducible regardless of what ran earlier in
@@ -111,8 +110,8 @@ class _CachedShreddingRunner:
 _run_shredding_cached = _CachedShreddingRunner()
 
 #: ``shredding_opt``: the full performance stack — plan cache, the logical
-#: SQL optimizer (projection pruning, pushdown, folding, CTE dedup, shared
-#: scans) and the thread-parallel pooled executor.
+#: SQL optimizer (constant folding, CTE dedup, projection pruning) and the
+#: thread-parallel pooled executor.
 _run_shredding_opt = _CachedShreddingRunner(
     options=SqlOptions(optimize=True), engine="parallel"
 )
@@ -137,8 +136,9 @@ def _run_shredding_keys(query: Term, db: Database) -> object:
     return ShreddingPipeline(db.schema, options).run(query, db)
 
 
-def _run_shredding_dedup_cte(query: Term, db: Database) -> object:
-    options = SqlOptions(scheme="flat", dedup_cte=True)
+def _run_shredding_dedup(query: Term, db: Database) -> object:
+    # CTE sharing is the optimizer's dedup rule (with fold and prune).
+    options = SqlOptions(scheme="flat", optimize=True)
     return ShreddingPipeline(db.schema, options).run(query, db)
 
 
@@ -178,7 +178,7 @@ SYSTEMS: dict[str, Runner] = {
     "shredding-flat": _run_shredding_flat,
     "shredding-inline-with": _run_shredding_inline,
     "shredding-key-rownum": _run_shredding_keys,
-    "shredding-dedup-cte": _run_shredding_dedup_cte,
+    "shredding-dedup-cte": _run_shredding_dedup,
     "shredding-ordered": _run_shredding_ordered,
 }
 
@@ -273,8 +273,8 @@ def sweep(
     Stateful systems get special handling so cells stay comparable:
 
     * a system whose runner declares ``mutates_database`` (the cached and
-      optimized engines create advisory indexes + statistics, and the
-      optimized engine materialises shared scans) runs against its own
+      optimized engines create advisory indexes + statistics) runs against
+      its own
       identically-generated database per scale — one *per system*, so the
       uncached baselines are never measured on a connection a stateful
       system touched, and no two stateful systems warm each other's

@@ -5,9 +5,9 @@ plus clang's diagnostics):
 
 * :mod:`repro.check.verifier` — **stage verifiers** that re-establish each
   translation stage's invariants on its output (after normalise, shred,
-  codegen, and after every individual optimizer rewrite) and raise
-  :class:`~repro.errors.VerifierError` naming the stage and failing rule.
-  Enabled via ``SqlOptions(verify=True)`` or ``REPRO_VERIFY=1``; on by
+  let-insertion, codegen, and after every individual optimizer rewrite)
+  and raise :class:`~repro.errors.VerifierError` naming the stage and
+  failing rule.  Enabled via ``SqlOptions(verify=True)`` or ``REPRO_VERIFY=1``; on by
   default under pytest/CI, off in production compiles.
 
 * :mod:`repro.check.diagnostics` — **query diagnostics**
@@ -28,6 +28,7 @@ from repro.check.verifier import (
     verification_enabled,
     verify_compiled_package,
     verify_compiled_sql,
+    verify_let_inserted,
     verify_normal_form,
     verify_normalisation,
     verify_rewrite,
@@ -46,6 +47,7 @@ __all__ = [
     "verification_enabled",
     "verify_compiled_package",
     "verify_compiled_sql",
+    "verify_let_inserted",
     "verify_normal_form",
     "verify_normalisation",
     "verify_rewrite",

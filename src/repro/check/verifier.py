@@ -18,8 +18,11 @@ exists (re-infer and compare) and direct structural walks where none does:
     query re-checks against its ``shredded_row_type`` via the Fig. 13
     checker (Theorem 2 as an assertion).
 
-``verify_compiled_sql`` (after codegen, and re-run at package level after
-shared-scan hoisting)
+``verify_let_inserted`` (flat plans only, where they let-insert)
+    The let-inserted query re-checks against the shredded row type via
+    the App. B checker (Theorem 5 as an assertion).
+
+``verify_compiled_sql`` (after codegen)
     SQL well-formedness: every column reference resolves against its FROM
     scope (schema tables, earlier CTEs, subquery output), the CTE
     dependency graph is acyclic (bodies may only reference *earlier* CTEs
@@ -36,12 +39,12 @@ shared-scan hoisting)
     statement's outer index has the width its parent's item index has
     under the same static tag.
 
-``verify_rewrite`` (after each individual ``opt_*`` rewrite)
+``verify_rewrite`` (after each individual optimizer rewrite)
     The rewritten statement is still well-formed, placeholders were not
     invented, the decode contract is untouched, and no predicate was added
     to a core that computes ``ROW_NUMBER`` (filtering before numbering
-    would renumber the surviving rows — the §8 pushdown guard, checked
-    *after the fact* instead of trusted).
+    would renumber the surviving rows — checked *after the fact* of every
+    rewrite instead of trusted).
 
 All verifiers raise :class:`~repro.errors.VerifierError` naming the stage
 and the failing rule.  Enablement is resolved by
@@ -92,6 +95,7 @@ __all__ = [
     "verify_normalisation",
     "verify_normal_form",
     "verify_shredded_package",
+    "verify_let_inserted",
     "verify_statement",
     "verify_compiled_sql",
     "verify_compiled_package",
@@ -290,6 +294,28 @@ def verify_shredded_package(package, result_type: Type, schema: Schema) -> None:
 
 
 # --------------------------------------------------------------------------
+# Stage: let-insertion (flat plans only).
+
+
+def verify_let_inserted(let_query, element_type: Type, schema: Schema) -> None:
+    """The let-inserted form of a shredded query whose bag element type is
+    ``element_type`` re-checks against ``Bag ⟨Index, ⟨element_type⟩⟩``
+    (Theorem 5 as an assertion)."""
+    from repro.letins.typecheck import check_let_query
+    from repro.shred.shred_types import shredded_row_type
+
+    expected = shredded_row_type(element_type)
+    try:
+        check_let_query(let_query, expected, schema)
+    except TypeCheckError as exc:
+        raise VerifierError(
+            "letins",
+            "type-preservation",
+            f"let-inserted query no longer checks against {expected}: {exc}",
+        ) from exc
+
+
+# --------------------------------------------------------------------------
 # Stage: codegen (SQL well-formedness).
 
 #: alias → known output columns (None for opaque sources, never produced
@@ -306,7 +332,6 @@ def _check_expr(
     scope: Mapping[str, tuple[str, ...] | None],
     ctes: Mapping[str, tuple[str, ...]],
     schema: Schema,
-    extra_tables: Mapping[str, tuple[str, ...]] | None,
     stage: str,
     rule: str,
 ) -> None:
@@ -327,18 +352,16 @@ def _check_expr(
                 f"{expr.alias!r} exposes ({', '.join(columns)})",
             )
     elif isinstance(expr, BinOp):
-        _check_expr(expr.left, scope, ctes, schema, extra_tables, stage, rule)
-        _check_expr(expr.right, scope, ctes, schema, extra_tables, stage, rule)
+        _check_expr(expr.left, scope, ctes, schema, stage, rule)
+        _check_expr(expr.right, scope, ctes, schema, stage, rule)
     elif isinstance(expr, NotOp):
-        _check_expr(expr.operand, scope, ctes, schema, extra_tables, stage, rule)
+        _check_expr(expr.operand, scope, ctes, schema, stage, rule)
     elif isinstance(expr, RowNumber):
         for e in expr.order_by:
-            _check_expr(e, scope, ctes, schema, extra_tables, stage, rule)
+            _check_expr(e, scope, ctes, schema, stage, rule)
     elif isinstance(expr, NotExists):
         # EXISTS probes are correlated: they see the enclosing scope.
-        _check_core(
-            expr.select, scope, ctes, schema, extra_tables, stage, rule
-        )
+        _check_core(expr.select, scope, ctes, schema, stage, rule)
 
 
 _MISSING = object()
@@ -349,7 +372,6 @@ def _check_core(
     outer_scope: Mapping[str, tuple[str, ...] | None],
     ctes: Mapping[str, tuple[str, ...]],
     schema: Schema,
-    extra_tables: Mapping[str, tuple[str, ...]] | None,
     stage: str,
     rule: str,
 ) -> None:
@@ -361,8 +383,6 @@ def _check_core(
                 columns: tuple[str, ...] | None = schema.table(
                     item.table
                 ).column_names
-            elif extra_tables is not None and item.table in extra_tables:
-                columns = tuple(extra_tables[item.table])
             else:
                 raise VerifierError(
                     stage,
@@ -382,7 +402,7 @@ def _check_core(
         elif isinstance(item, SubqueryRef):
             # FROM-subqueries must be self-contained: SQLite has no
             # LATERAL, so a correlated one is invalid SQL.
-            _check_core(item.select, {}, ctes, schema, extra_tables, stage, rule)
+            _check_core(item.select, {}, ctes, schema, stage, rule)
             columns = _core_output(item.select)
         else:  # pragma: no cover - no other FromItem exists
             raise VerifierError(
@@ -397,15 +417,14 @@ def _check_core(
         local.add(item.alias)
         scope[item.alias] = columns
     for item in core.items:
-        _check_expr(item.expr, scope, ctes, schema, extra_tables, stage, rule)
+        _check_expr(item.expr, scope, ctes, schema, stage, rule)
     if core.where is not None:
-        _check_expr(core.where, scope, ctes, schema, extra_tables, stage, rule)
+        _check_expr(core.where, scope, ctes, schema, stage, rule)
 
 
 def verify_statement(
     statement: Statement,
     schema: Schema,
-    extra_tables: Mapping[str, tuple[str, ...]] | None = None,
     stage: str = "codegen",
     rule: str = "sql-wellformed",
 ) -> None:
@@ -418,7 +437,7 @@ def verify_statement(
             )
         # A CTE body sees only *earlier* CTEs — `defined` so far — which
         # makes the dependency graph acyclic by construction of this check.
-        _check_core(core, {}, defined, schema, extra_tables, stage, rule)
+        _check_core(core, {}, defined, schema, stage, rule)
         if not core.items:
             raise VerifierError(
                 stage, rule, f"CTE {name!r} exposes no columns"
@@ -432,7 +451,7 @@ def verify_statement(
         if statement.order_by:
             expected = expected + tuple(statement.order_by)
     for position, core in enumerate(statement.selects):
-        _check_core(core, {}, defined, schema, extra_tables, stage, rule)
+        _check_core(core, {}, defined, schema, stage, rule)
         if expected is not None and _core_output(core) != expected:
             raise VerifierError(
                 stage,
@@ -453,7 +472,6 @@ def verify_statement(
 def verify_compiled_sql(
     compiled,
     schema: Schema,
-    extra_tables: Mapping[str, tuple[str, ...]] | None = None,
     declared_params: Iterable[str] | None = None,
     stage: str = "codegen",
 ) -> None:
@@ -462,7 +480,7 @@ def verify_compiled_sql(
     placeholder bookkeeping."""
     from repro.flatten.flatten import flatten_type
 
-    verify_statement(compiled.statement, schema, extra_tables, stage)
+    verify_statement(compiled.statement, schema, stage)
     expected_names = tuple(
         c.name for c in flatten_type(compiled.row_type, compiled.width_fn)
     )
@@ -620,12 +638,9 @@ def verify_compiled_package(
     result_type: Type,
     schema: Schema,
     param_specs: Iterable[tuple[str, object]],
-    shared_scans: tuple = (),
 ) -> None:
     """Package-level verifier: shape, per-member placeholder discipline,
-    (after shared-scan hoisting rewrote statements) re-verification of every
-    member against the schema extended with the scan tables, and the
-    parent/child index-join widths."""
+    and the parent/child index-join widths."""
     from repro.shred.packages import annotations, erase
 
     erased = erase(sql_package)
@@ -636,13 +651,6 @@ def verify_compiled_package(
             f"SQL package erases to {erased}, expected {result_type}",
         )
     declared = {name for name, _type in param_specs}
-    scan_tables = {
-        scan.name: _core_output(scan.select) for scan in shared_scans
-    }
-    for scan in shared_scans:
-        _check_core(
-            scan.select, {}, {}, schema, None, "package", "sql-wellformed"
-        )
     for path, compiled in annotations(sql_package):
         undeclared = set(compiled.params) - declared
         if undeclared:
@@ -651,10 +659,6 @@ def verify_compiled_package(
                 "placeholder-set",
                 f"statement at {path} binds undeclared parameter(s) "
                 + ", ".join(f":{name}" for name in sorted(undeclared)),
-            )
-        if shared_scans:
-            verify_compiled_sql(
-                compiled, schema, extra_tables=scan_tables, stage="package"
             )
     _verify_index_joins(sql_package)
 
@@ -707,10 +711,10 @@ def _numbering_cores(statement: Statement) -> dict[str, SelectCore]:
 def verify_rewrite(
     before: Statement, after: Statement, rule: str, schema: Schema
 ) -> None:
-    """Invariants every individual ``opt_*`` rewrite must preserve.
+    """Invariants every individual optimizer rewrite must preserve.
 
     Raises :class:`VerifierError` with ``stage="optimize"`` and ``rule``
-    set to the rewrite's flag, so a broken rule is attributed by name.
+    set to the rewrite's name, so a broken rule is attributed by name.
     """
     try:
         verify_statement(after, schema, stage="optimize", rule=rule)
@@ -733,10 +737,9 @@ def verify_rewrite(
             "rewrite added UNION branches "
             f"({len(before.selects)} → {len(after.selects)})",
         )
-    # The §8 pushdown guard, checked rather than trusted: a core that
-    # computes ROW_NUMBER must never *gain* WHERE conjuncts — filtering
-    # before numbering renumbers the surviving rows and breaks the
-    # cross-statement index join.  (Sound rewrites only simplify or move
+    # A core that computes ROW_NUMBER must never *gain* WHERE conjuncts —
+    # filtering before numbering renumbers the surviving rows and breaks
+    # the cross-statement index join.  (Sound rewrites only simplify or move
     # conjuncts *out of* such cores, never into them.)
     from repro.sql.optimizer import fold_expr
 

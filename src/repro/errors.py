@@ -190,10 +190,10 @@ class VerifierError(ReproError):
     Always an *internal* invariant breach — a translation stage or an
     optimizer rewrite produced malformed IR — never a user mistake.
     ``stage`` names the pipeline stage whose output failed (``"normalise"``,
-    ``"shred"``, ``"codegen"``, ``"optimize"``, ``"package"``) and ``rule``
-    the failing verifier rule (``"type-preservation"``,
+    ``"shred"``, ``"letins"``, ``"codegen"``, ``"optimize"``, ``"package"``)
+    and ``rule`` the failing verifier rule (``"type-preservation"``,
     ``"variable-hygiene"``, ``"rownumber-guard"``, …).  For optimizer
-    rewrites, ``rule`` is the ``opt_*`` flag of the rewrite that broke the
+    rewrites, ``rule`` is the ``opt_*`` name of the rewrite that broke the
     invariant and ``detail`` carries the violated check.
     """
 

@@ -160,9 +160,7 @@ def _compile_flat_cold(
     if optimize:
         from repro.sql.optimizer import optimize_statement
 
-        statement = optimize_statement(
-            statement, SqlOptions(pretty=pretty, optimize=True)
-        )
+        statement = optimize_statement(statement)
     return FlatCompiled(
         sql=render_statement(statement, pretty),
         element_type=element_type,

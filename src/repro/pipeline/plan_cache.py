@@ -11,10 +11,9 @@ cache key combines
   plans),
 * the schema fingerprint (:meth:`repro.nrc.schema.Schema.fingerprint`),
 * the :class:`~repro.sql.codegen.SqlOptions` (frozen, hashable — this
-  covers the logical optimizer's ``optimize`` master switch and every
-  per-rule ``opt_*`` flag, so optimised and unoptimised plans, or plans
-  under different rule subsets, key separately), and
-* the pipeline's ``validate`` flag,
+  covers the logical optimizer's ``optimize`` switch and ``verify``, so
+  optimised and unoptimised, verified and unverified plans key
+  separately),
 
 so any change to any compilation input misses the cache.  Eviction is LRU
 with a bounded entry count; hit/miss counters feed
@@ -48,7 +47,6 @@ class PlanKey:
     term_fp: str
     schema_fp: str
     options: SqlOptions
-    validate: bool = False
     pipeline: str = "shredded"
 
 
@@ -56,7 +54,6 @@ def plan_key(
     term: Term,
     schema: Schema,
     options: SqlOptions,
-    validate: bool = False,
     pipeline: str = "shredded",
 ) -> PlanKey:
     """Build the cache key for compiling ``term`` under ``schema``."""
@@ -64,7 +61,6 @@ def plan_key(
         term_fp=term_fingerprint(term),
         schema_fp=schema.fingerprint(),
         options=options,
-        validate=validate,
         pipeline=pipeline,
     )
 

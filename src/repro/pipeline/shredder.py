@@ -136,16 +136,13 @@ class CompiledQuery:
     sql_package: Package  # annotations: CompiledSql
     options: SqlOptions
     cache_key: PlanKey | None = field(default=None, compare=False)
-    #: Materialise-once common subplans hoisted across the package's
-    #: statements by the optimizer (empty unless ``options.optimize``).
-    shared_scans: tuple = field(default=(), compare=False)
     #: Host parameters of the query term, as sorted (name, BaseType) pairs:
     #: the prepared-statement signature every ``run(params=…)`` must bind.
     param_specs: tuple = field(default=())
     #: Optimizer rules that rewrote at least one statement of the package,
-    #: in rule order (plus ``"opt_shared"`` when scans were hoisted) — the
-    #: fired-rule trace ``Prepared.explain()`` and ``ExecutionStats``
-    #: surface.  Empty when the optimizer is off or every rule was inert.
+    #: in rule order — the fired-rule trace ``Prepared.explain()`` and
+    #: ``ExecutionStats`` surface.  Empty when the optimizer is off or
+    #: every rule was inert.
     fired_rules: tuple = field(default=(), compare=False)
 
     @property
@@ -320,7 +317,6 @@ class CompiledQuery:
                     create_indexes=create_indexes,
                     batch_size=batch_size,
                     parallel=(engine == "parallel"),
-                    shared_scans=self.shared_scans,
                     params=bound,
                     connection=connection,
                     tracer=tracer,
@@ -328,22 +324,19 @@ class CompiledQuery:
             with traced(tracer, "stitch"):
                 value = stitch_grouped(results, self._top_key())
         elif engine == "per-path":
-            from repro.backend.executor import shared_scan_tables
-
             with traced(tracer, "execute", engine=engine):
-                with shared_scan_tables(db, self.shared_scans):
-                    results = package_from(
-                        self.result_type,
-                        lambda path: execute_compiled(
-                            db,
-                            self.sql_at(path),
-                            stats,
-                            batch_size=batch_size,
-                            params=bound,
-                            connection=connection,
-                            tracer=tracer,
-                        ),
-                    )
+                results = package_from(
+                    self.result_type,
+                    lambda path: execute_compiled(
+                        db,
+                        self.sql_at(path),
+                        stats,
+                        batch_size=batch_size,
+                        params=bound,
+                        connection=connection,
+                        tracer=tracer,
+                    ),
+                )
             with traced(tracer, "stitch"):
                 value = stitch(
                     results, self._top_index_fn(), one_pass=one_pass_stitch
@@ -387,19 +380,14 @@ class ShreddingPipeline:
         :class:`~repro.sql.codegen.SqlOptions` — the §8 optimisations, the
         §6 indexing schemes and the §9 extensions.  Part of the plan-cache
         key: pipelines with different options never share plans.
-    ``validate``
-        Run the App. B type checkers on every translation stage (Theorems
-        2 and 5 as assertions) — useful when extending the compiler; off
-        by default since the theorems guarantee success.  Also part of the
-        plan-cache key.
     ``cache``
         A :class:`~repro.pipeline.plan_cache.PlanCache` making
         :meth:`compile` O(hash) on repeat queries: pass an instance to
         scope the cache, ``True`` for the process-wide shared cache, or
         ``None``/``False`` (default) to compile cold every time.  Keys
         combine the query term's structural fingerprint, the schema
-        fingerprint, ``options`` and ``validate``, so any input change
-        misses.  With a cache enabled, normalisation is additionally
+        fingerprint and ``options``, so any input change misses.  With a
+        cache enabled, normalisation is additionally
         memoised across option variants via
         :func:`~repro.normalise.norm.normalise_cached`.
     """
@@ -408,12 +396,10 @@ class ShreddingPipeline:
         self,
         schema: Schema,
         options: SqlOptions | None = None,
-        validate: bool = False,
         cache: PlanCache | bool | None = None,
     ) -> None:
         self.schema = schema
         self.options = options or SqlOptions()
-        self.validate = validate
         if cache is True:
             cache = shared_plan_cache()
         elif cache is False:
@@ -452,7 +438,7 @@ class ShreddingPipeline:
             compiled = self._compile_cold(query, None, tracer=tracer)
             self._record_rules(compiled, stats)
             return compiled
-        key = plan_key(query, self.schema, self.options, self.validate)
+        key = plan_key(query, self.schema, self.options)
         cached = self.cache.lookup(key)
         if stats is not None:
             stats.record_cache(cached is not None)
@@ -497,11 +483,10 @@ class ShreddingPipeline:
             from repro.check.verifier import verify_shredded_package
 
             verify_shredded_package(shredded_package, result_type, self.schema)
-        if self.validate:
-            self._validate(shredded_package, result_type)
 
-        # compile_shredded runs the codegen-stage verifier (and, with the
-        # optimizer on, the per-rule rewrite verifier) on each member.
+        # compile_shredded runs the let-insertion and codegen-stage
+        # verifiers (and, with the optimizer on, the per-rule rewrite
+        # verifier) on each member.
         def codegen_at(path: Path) -> CompiledSql:
             with traced(tracer, "codegen", path=str(path)):
                 return compile_shredded(
@@ -514,21 +499,12 @@ class ShreddingPipeline:
                 )
 
         sql_package = package_from(result_type, codegen_at)
-        shared_scans: tuple = ()
-        if self.options.optimize and self.options.opt_shared:
-            sql_package, shared_scans = _hoist_shared_scans(
-                sql_package, self.options
-            )
         param_specs = collect_param_specs(query)
         if verify:
             from repro.check.verifier import verify_compiled_package
 
             verify_compiled_package(
-                sql_package,
-                result_type,
-                self.schema,
-                param_specs,
-                shared_scans,
+                sql_package, result_type, self.schema, param_specs
             )
         return CompiledQuery(
             schema=self.schema,
@@ -538,9 +514,8 @@ class ShreddingPipeline:
             sql_package=sql_package,
             options=self.options,
             cache_key=cache_key,
-            shared_scans=shared_scans,
             param_specs=param_specs,
-            fired_rules=_package_fired_rules(sql_package, shared_scans),
+            fired_rules=_package_fired_rules(sql_package),
         )
 
     def run(self, query: ast.Term, db: Database, **kwargs) -> NestedValue:
@@ -570,66 +545,13 @@ class ShreddingPipeline:
         assert isinstance(bag, BagType)
         return bag.element
 
-    def _validate(self, shredded_package: Package, result_type: Type) -> None:
-        """Theorems 2 and 5 as compile-time assertions."""
-        from repro.letins.translate import let_insert
-        from repro.letins.typecheck import check_let_query
-        from repro.shred.shred_types import shredded_row_type
-        from repro.shred.typecheck import check_shredded_query
 
-        for path in paths(result_type):
-            element = self._element_type(result_type, path)
-            expected = shredded_row_type(element)
-            shredded = annotation_at(shredded_package, path)
-            check_shredded_query(shredded, expected, self.schema)
-            check_let_query(let_insert(shredded), expected, self.schema)
-
-
-def _package_fired_rules(sql_package: Package, shared_scans: tuple) -> tuple:
-    """The package's fired-rule trace: every statement-local rule that
-    rewrote at least one member (in the optimizer's application order),
-    plus ``opt_shared`` when the package-level hoist found scans."""
-    from repro.sql.optimizer import statement_rule_names
+def _package_fired_rules(sql_package: Package) -> tuple:
+    """The package's fired-rule trace: every optimizer rule that rewrote
+    at least one member, in the optimizer's application order."""
+    from repro.sql.optimizer import STATEMENT_RULES
 
     fired_anywhere: set[str] = set()
     for _path, compiled in annotations(sql_package):
         fired_anywhere.update(compiled.fired_rules)
-    fired = [
-        flag for flag, _desc in statement_rule_names if flag in fired_anywhere
-    ]
-    if shared_scans:
-        fired.append("opt_shared")
-    return tuple(fired)
-
-
-def _hoist_shared_scans(sql_package: Package, options: SqlOptions):
-    """Package-level optimisation: hoist CTE bodies shared by ≥2 statements
-    into materialise-once :class:`~repro.sql.optimizer.SharedScan` preludes,
-    rewriting each member's statement (and re-rendering its SQL) in place of
-    the removed CTEs.  Decode metadata is untouched — only CTEs move."""
-    from dataclasses import replace
-
-    from repro.sql.ast import placeholder_names
-    from repro.sql.optimizer import extract_shared_scans
-    from repro.sql.render import render_statement
-
-    members = [compiled for _path, compiled in annotations(sql_package)]
-    statements = [compiled.statement for compiled in members]
-    rewritten, shared_scans = extract_shared_scans(statements)
-    if not shared_scans:
-        return sql_package, ()
-    by_member = {}
-    for compiled, statement in zip(members, rewritten):
-        if statement == compiled.statement:
-            by_member[id(compiled)] = compiled
-        else:
-            by_member[id(compiled)] = replace(
-                compiled,
-                statement=statement,
-                sql=render_statement(statement, options.pretty),
-                params=placeholder_names(statement),
-                index_hints=None,
-            )
-    from repro.shred.packages import pmap
-
-    return pmap(lambda compiled: by_member[id(compiled)], sql_package), shared_scans
+    return tuple(name for name in STATEMENT_RULES if name in fired_anywhere)

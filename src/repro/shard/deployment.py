@@ -114,8 +114,8 @@ class ShardedDatabase:
 
         A sharded table's rows land on exactly the shards that own them —
         a shard that receives no rows is **not** touched at all, so its
-        data version (and any live shared-scan materialisations) survive
-        an insert that only concerns other shards.  Replicated tables
+        cached statistics and canonical row order survive an insert that
+        only concerns other shards.  Replicated tables
         insert everywhere.
 
         The full-copy shard receives the rows *first*: its insert
@@ -592,7 +592,6 @@ def connect_sharded(
     options: SqlOptions | None = None,
     engine: str = "auto",
     cache: object = True,
-    validate: bool = False,
     processes: bool | None = None,
     **process_options: Any,
 ) -> ShardedSession:
@@ -603,10 +602,10 @@ def connect_sharded(
       **local endpoints** over a :class:`ShardedDatabase` partitioned
       from it.  Zero startup cost and the session is shareable across
       threads, but fan-out shares one interpreter, so 4 shards ≈ 1 shard
-      on CPU-bound queries.  ``options`` / ``engine`` / ``cache`` /
-      ``validate`` configure the per-store sessions as :func:`~repro.api.
-      connect` would; all stores share the plan cache, so a query
-      compiles once.  ``registry`` (optional) seeds the name catalogue.
+      on CPU-bound queries.  ``options`` / ``engine`` / ``cache`` configure
+      the per-store sessions as :func:`~repro.api.connect` would; all
+      stores share the plan cache, so a query compiles once.  ``registry``
+      (optional) seeds the name catalogue.
     * no data source (or ``processes=True``): **wire endpoints** to a
       process group the session spawns, supervises and owns — one
       ``serve --shard i/n`` subprocess per partition plus the full-copy
@@ -665,9 +664,7 @@ def connect_sharded(
     compile_lock = threading.Lock()
 
     def endpoint(store: Database) -> LocalEndpoint:
-        session = Session(
-            store, options=options, engine=engine, cache=cache, validate=validate
-        )
+        session = Session(store, options=options, engine=engine, cache=cache)
         return LocalEndpoint(session, registry, compile_lock)
 
     client = ShardedServiceClient(

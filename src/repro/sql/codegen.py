@@ -101,11 +101,10 @@ class SqlOptions:
     """Code-generation knobs: the §8 optimisations, the §6 schemes, the §9
     extensions, and the logical optimizer (:mod:`repro.sql.optimizer`).
 
-    ``optimize`` master-switches the optimizer; the ``opt_*`` flags gate
-    individual rules (only consulted when ``optimize`` is on).  All of them
-    participate in the plan-cache key automatically — the whole (frozen,
-    hashable) options value is a key component — so optimised and
-    unoptimised plans never collide in a cache.
+    ``optimize`` is the optimizer's only switch: on, every statement goes
+    through its three rules (fold, dedup, prune) in order.  The whole
+    (frozen, hashable) options value is a plan-cache key component, so
+    optimised and unoptimised plans never collide in a cache.
     """
 
     #: ``None`` (default) lets :func:`resolve_scheme` decide from the
@@ -113,16 +112,9 @@ class SqlOptions:
     scheme: str | None = None
     inline_with: bool = False  # §8: inline WITH clauses (flat form only)
     order_by_keys: bool = False  # §8: keys for row numbering (flat form only)
-    dedup_cte: bool = False  # extension: share identical outer CTEs (flat form only)
     ordered: bool = False  # §9 list semantics: deterministic row order
     pretty: bool = True
     optimize: bool = False  # run the logical optimizer over the SQL AST
-    opt_fold: bool = True  # constant folding + dead-branch elimination
-    opt_flatten: bool = True  # trivial-subquery flattening
-    opt_dedup: bool = True  # within-statement CTE deduplication
-    opt_pushdown: bool = True  # predicate pushdown into CTEs/subqueries
-    opt_prune: bool = True  # CTE projection pruning
-    opt_shared: bool = True  # cross-statement shared scans (package level)
     #: Stage verification (:mod:`repro.check`): ``True``/``False`` force it,
     #: ``None`` (default) defers to ``REPRO_VERIFY`` / pytest-or-CI
     #: detection (see :func:`repro.check.verifier.verification_enabled`).
@@ -351,14 +343,19 @@ def compile_shredded(
     """
     item_type = inner_shred(element_type)
     row_type = RecordType((("item", item_type), ("outer", INDEX)))
+    from repro.check.verifier import verification_enabled
+
+    verify = verification_enabled(options)
     scheme, _why = resolve_scheme(schema, options)
     if scheme == "natural":
         compiled = _compile_natural(shredded, row_type, schema, options)
     else:
-        compiled = _compile_flat(let_insert(shredded), row_type, schema, options)
-    from repro.check.verifier import verification_enabled
+        let_query = let_insert(shredded)
+        if verify:
+            from repro.check.verifier import verify_let_inserted
 
-    verify = verification_enabled(options)
+            verify_let_inserted(let_query, element_type, schema)
+        compiled = _compile_flat(let_query, row_type, schema, options)
     if options.optimize:
         from repro.sql.optimizer import optimize_statement
 
@@ -373,7 +370,6 @@ def compile_shredded(
             on_rewrite = rewrite_hook(schema)
         optimized = optimize_statement(
             compiled.statement,
-            options,
             trace=trace,
             on_rewrite=on_rewrite,
             timings=timings,
@@ -520,7 +516,6 @@ def _compile_flat(
     flat_columns = flatten_type(row_type, 1)
     names = tuple(c.name for c in flat_columns)
     ctes: list[tuple[str, SelectCore]] = []
-    cte_by_body: dict[str, str] = {}  # rendered core → shared CTE name
     selects: list[SelectCore] = []
 
     for k, comp in enumerate(let_query.comps, start=1):
@@ -533,12 +528,9 @@ def _compile_flat(
             if options.inline_with:
                 from_items.append(SubqueryRef(outer_core, z_alias))
             else:
-                from_items.append(
-                    CteRef(
-                        _cte_name(outer_core, ctes, cte_by_body, options),
-                        z_alias,
-                    )
-                )
+                name = f"q{len(ctes) + 1}"
+                ctes.append((name, outer_core))
+                from_items.append(CteRef(name, z_alias))
         from_items.extend(TableRef(g.table, g.var) for g in comp.generators)
 
         where = _where_sql([comp.where], ctx)
@@ -619,31 +611,6 @@ def _drop_constant_columns(
     ]
     kept = tuple(name for name in names if name not in constants)
     return slimmed, kept, tuple(constants.items())
-
-
-def _cte_name(
-    outer_core: SelectCore,
-    ctes: list[tuple[str, SelectCore]],
-    cte_by_body: dict[str, str],
-    options: SqlOptions,
-) -> str:
-    """Register an outer query as a CTE, sharing identical ones when the
-    ``dedup_cte`` extension is on (sibling branches over the same prefix
-    produce byte-identical outer queries, cf. q′2's two copies of q)."""
-    if options.dedup_cte:
-        from repro.sql.render import render_select
-
-        body = render_select(outer_core)
-        existing = cte_by_body.get(body)
-        if existing is not None:
-            return existing
-        name = f"q{len(ctes) + 1}"
-        cte_by_body[body] = name
-        ctes.append((name, outer_core))
-        return name
-    name = f"q{len(ctes) + 1}"
-    ctes.append((name, outer_core))
-    return name
 
 
 def _empty_select(names: tuple[str, ...]) -> SelectCore:

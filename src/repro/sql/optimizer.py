@@ -1,49 +1,31 @@
 """Logical optimisation of the generated SQL (the §8 programme, extended).
 
 The shredding translation emits deliberately naive SQL: every comprehension
-re-exposes all outer columns, conditions arrive as the normaliser left them
-(``NOT (NOT …)`` chains from ``empty`` hoisting), and the N statements of a
-package each recompute the same outer joins.  This module is a small
-rewrite engine over the :mod:`repro.sql.ast` that cleans all of that up
-*without* changing any statement's result multiset:
-
-Statement-local rules (``optimize_statement``):
+re-exposes all outer columns, and conditions arrive as the normaliser left
+them (``NOT (NOT …)`` chains from ``empty`` hoisting).  This module is a
+small rewrite engine over the :mod:`repro.sql.ast` that cleans that up
+*without* changing any statement's result multiset.  It holds the three
+statement-local rules that fire on the pipeline's output, applied in this
+order by :func:`optimize_statement` under the one switch
+``SqlOptions(optimize=True)``:
 
 * **constant folding** (``opt_fold``) — ``NOT NOT x → x``, boolean
   identity laws (``TRUE AND x → x``, ``FALSE AND x → FALSE``, …), literal
   arithmetic/comparison/concatenation, ``NOT EXISTS (… WHERE FALSE) →
   TRUE``; a ``WHERE`` that folds to ``TRUE`` is dropped, and a UNION ALL
   branch whose ``WHERE`` folds to ``FALSE`` is removed entirely;
-* **trivial-subquery flattening** (``opt_flatten``) — a ``SubqueryRef``
-  whose core is an identity projection of a single table (no WHERE, no
-  window functions, items ``t.c AS c``) collapses to a ``TableRef``;
 * **CTE deduplication** (``opt_dedup``) — byte-identical CTE bodies within
   a statement merge into one (sibling union branches over the same outer
   prefix produce identical outer queries, cf. §8's q′2);
-* **predicate pushdown** (``opt_pushdown``) — a WHERE conjunct referencing
-  a single CTE/subquery alias moves inside that CTE/subquery.  Guarded:
-  the target must not compute ``ROW_NUMBER`` (filtering before numbering
-  would renumber the surviving rows, breaking the cross-statement index
-  join) and a CTE target must have exactly one consumer.  Note the guard
-  makes this rule (and flattening, below) *inert on the flat scheme's
-  current output* — every generated outer CTE/subquery carries an ``idx``
-  row number — so today they pay off only on hand-built statements and
-  future scheme variants; the measured package speedups come from fold,
-  dedup, prune and shared scans;
 * **projection pruning** (``opt_prune``) — CTE select items never
   referenced by any consumer are dropped (narrower materialisation), and
   CTEs referenced by nobody disappear.  The *main* selects are never
   pruned: their item list is the decode contract.
 
-Package-level rule (``extract_shared_scans``, ``opt_shared``):
-
-* **cross-statement CTE sharing** — a CTE body appearing in ≥2 statements
-  of a shredded package is hoisted out of every statement into one
-  package-level :class:`SharedScan`.  The executor materialises each scan
-  once per package run (``CREATE TABLE … AS SELECT``, visible to every
-  pooled connection, dropped afterwards) and the statements reference it
-  as a plain table, so the package performs one scan-and-number pass per
-  shared subplan instead of one per statement.
+Key-indexed (default) plans have no CTEs, so only folding can fire there;
+dedup and prune pay on the keyless ``ROW_NUMBER`` form.  Nothing here
+crosses statements: a package stays a set of independent ``SELECT``
+statements, so executing it never writes.
 
 Soundness invariants every rule preserves:
 
@@ -58,8 +40,7 @@ Soundness invariants every rule preserves:
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+import time
 from typing import Callable
 
 from repro.sql.ast import (
@@ -75,14 +56,11 @@ from repro.sql.ast import (
     SqlExpr,
     Statement,
     SubqueryRef,
-    TableRef,
 )
 from repro.sql.render import render_select
 
 __all__ = [
-    "SharedScan",
     "optimize_statement",
-    "extract_shared_scans",
     "fold_expr",
     "statement_rule_names",
     "STATEMENT_RULES",
@@ -91,13 +69,11 @@ __all__ = [
 TRUE = Lit(True)
 FALSE = Lit(False)
 
-#: rule flag name (on SqlOptions) → human-readable description, in
-#: application order.  ``repro sql --explain`` and the docs render this.
+#: rule name → human-readable description, in application order.
+#: ``repro sql --explain`` and the docs render this.
 statement_rule_names: tuple[tuple[str, str], ...] = (
     ("opt_fold", "constant folding + dead-branch elimination"),
-    ("opt_flatten", "trivial-subquery flattening"),
     ("opt_dedup", "within-statement CTE deduplication"),
-    ("opt_pushdown", "predicate pushdown into CTEs/subqueries"),
     ("opt_prune", "CTE projection pruning + unreferenced-CTE removal"),
 )
 
@@ -151,23 +127,6 @@ def _map_cores(
     )
 
 
-def _conjuncts(expr: SqlExpr | None) -> list[SqlExpr]:
-    if expr is None:
-        return []
-    if isinstance(expr, BinOp) and expr.op == "AND":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
-
-
-def _conjoin(exprs: list[SqlExpr]) -> SqlExpr | None:
-    if not exprs:
-        return None
-    result = exprs[0]
-    for e in exprs[1:]:
-        result = BinOp("AND", result, e)
-    return result
-
-
 def _walk_exprs(expr: SqlExpr, visit: Callable[[SqlExpr], None]) -> None:
     """Visit every subexpression, descending into embedded cores."""
     visit(expr)
@@ -193,23 +152,6 @@ def _walk_core_exprs(
             _walk_core_exprs(from_item.select, visit)
     if core.where is not None:
         _walk_exprs(core.where, visit)
-
-
-def _contains_rownumber(expr: SqlExpr) -> bool:
-    found = [False]
-
-    def visit(e: SqlExpr) -> None:
-        if isinstance(e, RowNumber):
-            found[0] = True
-
-    _walk_exprs(expr, visit)
-    return found[0]
-
-
-def _core_has_rownumber_items(core: SelectCore) -> bool:
-    """Does the core *compute* row numbers?  (Filtering such a core would
-    renumber its rows — the pushdown guard.)"""
-    return any(_contains_rownumber(item.expr) for item in core.items)
 
 
 # --------------------------------------------------------------------------
@@ -334,37 +276,6 @@ def _rule_fold(statement: Statement) -> Statement:
 
 
 # --------------------------------------------------------------------------
-# Rule: trivial-subquery flattening.
-
-
-def _flatten_core(core: SelectCore) -> SelectCore:
-    new_from = []
-    for item in core.from_items:
-        if isinstance(item, SubqueryRef):
-            inner = item.select
-            if (
-                inner.where is None
-                and len(inner.from_items) == 1
-                and isinstance(inner.from_items[0], TableRef)
-                and inner.items
-                and all(
-                    isinstance(si.expr, Col)
-                    and si.expr.alias == inner.from_items[0].alias
-                    and si.expr.name == si.alias
-                    for si in inner.items
-                )
-            ):
-                new_from.append(TableRef(inner.from_items[0].table, item.alias))
-                continue
-        new_from.append(item)
-    return SelectCore(core.items, tuple(new_from), core.where)
-
-
-def _rule_flatten(statement: Statement) -> Statement:
-    return _map_cores(statement, _flatten_core)
-
-
-# --------------------------------------------------------------------------
 # Rule: within-statement CTE deduplication.
 
 
@@ -397,142 +308,6 @@ def _rule_dedup(statement: Statement) -> Statement:
     return _map_cores(
         Statement(tuple(kept), statement.selects, statement.columns, statement.order_by),
         remap,
-    )
-
-
-# --------------------------------------------------------------------------
-# Rule: predicate pushdown.
-
-
-def _cte_refcounts(statement: Statement) -> dict[str, int]:
-    counts: dict[str, int] = {}
-
-    def count(core: SelectCore) -> SelectCore:
-        for item in core.from_items:
-            if isinstance(item, CteRef):
-                counts[item.cte] = counts.get(item.cte, 0) + 1
-        return core
-
-    _map_cores(statement, count)
-    return counts
-
-
-def _single_alias(expr: SqlExpr) -> str | None:
-    """The one alias every column of ``expr`` references, or None.
-
-    Conjuncts containing correlated subqueries or window functions are
-    never pushed (their aliases cross scopes), signalled by None too.
-    """
-    aliases: set[str] = set()
-    blocked = [False]
-
-    def visit(e: SqlExpr) -> None:
-        if isinstance(e, Col):
-            aliases.add(e.alias)
-        elif isinstance(e, (NotExists, RowNumber)):
-            blocked[0] = True
-
-    _walk_exprs(expr, visit)
-    if blocked[0] or len(aliases) != 1:
-        return None
-    return next(iter(aliases))
-
-
-def _rewrite_through(
-    expr: SqlExpr, alias: str, item_map: dict[str, SqlExpr]
-) -> SqlExpr | None:
-    """``alias.c`` → the defining item expression; None if unmappable."""
-    if isinstance(expr, Col):
-        if expr.alias != alias:
-            return None
-        return item_map.get(expr.name)
-    if isinstance(expr, BinOp):
-        left = _rewrite_through(expr.left, alias, item_map)
-        right = _rewrite_through(expr.right, alias, item_map)
-        if left is None or right is None:
-            return None
-        return BinOp(expr.op, left, right)
-    if isinstance(expr, NotOp):
-        operand = _rewrite_through(expr.operand, alias, item_map)
-        if operand is None:
-            return None
-        return NotOp(operand)
-    if isinstance(expr, Lit):
-        return expr
-    return None  # NotExists / RowNumber never arrive (guarded upstream)
-
-
-def _push_into(core: SelectCore, predicate: SqlExpr) -> SelectCore:
-    where = _conjoin(_conjuncts(core.where) + [predicate])
-    return SelectCore(core.items, core.from_items, where)
-
-
-def _rule_pushdown(statement: Statement) -> Statement:
-    refcounts = _cte_refcounts(statement)
-    ctes = dict(statement.ctes)
-    pushed_into_cte: dict[str, list[SqlExpr]] = {}
-
-    def push_core(core: SelectCore) -> SelectCore:
-        if core.where is None:
-            return core
-        by_alias: dict[str, tuple[str, SelectCore]] = {}
-        subqueries: dict[str, SelectCore] = {}
-        for item in core.from_items:
-            if isinstance(item, CteRef) and item.cte in ctes:
-                by_alias[item.alias] = (item.cte, ctes[item.cte])
-            elif isinstance(item, SubqueryRef):
-                subqueries[item.alias] = item.select
-        remaining: list[SqlExpr] = []
-        pushed_sub: dict[str, list[SqlExpr]] = {}
-        for conjunct in _conjuncts(core.where):
-            alias = _single_alias(conjunct)
-            target: SelectCore | None = None
-            cte_name: str | None = None
-            if alias in by_alias:
-                cte_name, target = by_alias[alias]
-                if refcounts.get(cte_name, 0) != 1:
-                    target = None
-            elif alias in subqueries:
-                target = subqueries[alias]
-            if target is None or _core_has_rownumber_items(target):
-                remaining.append(conjunct)
-                continue
-            item_map = {si.alias: si.expr for si in target.items}
-            rewritten = _rewrite_through(conjunct, alias, item_map)
-            if rewritten is None or _contains_rownumber(rewritten):
-                remaining.append(conjunct)
-                continue
-            if cte_name is not None:
-                pushed_into_cte.setdefault(cte_name, []).append(rewritten)
-            else:
-                pushed_sub.setdefault(alias, []).append(rewritten)
-        if len(remaining) == len(_conjuncts(core.where)):
-            return core
-        from_items = tuple(
-            SubqueryRef(
-                _push_into(item.select, _conjoin(pushed_sub[item.alias])),
-                item.alias,
-            )
-            if isinstance(item, SubqueryRef) and item.alias in pushed_sub
-            else item
-            for item in core.from_items
-        )
-        return SelectCore(core.items, from_items, _conjoin(remaining))
-
-    rewritten = _map_cores(statement, push_core)
-    if not pushed_into_cte:
-        return rewritten
-    new_ctes = tuple(
-        (
-            name,
-            _push_into(core, _conjoin(pushed_into_cte[name]))
-            if name in pushed_into_cte
-            else core,
-        )
-        for name, core in rewritten.ctes
-    )
-    return Statement(
-        new_ctes, rewritten.selects, rewritten.columns, rewritten.order_by
     )
 
 
@@ -596,32 +371,26 @@ def _rule_prune(statement: Statement) -> Statement:
 # The statement-level driver.
 
 
-#: flag name → rule function, in application order (same order as
-#: :data:`statement_rule_names`).  Tests monkeypatch entries here to prove
-#: the per-rule verifier catches a deliberately broken rewrite.
+#: rule name → rule function, in application order (same order as
+#: :data:`statement_rule_names`).  Tests call entries directly to isolate
+#: a rule, and monkeypatch them to prove the per-rule verifier catches a
+#: deliberately broken rewrite.
 STATEMENT_RULES: dict[str, Callable[[Statement], Statement]] = {
     "opt_fold": _rule_fold,
-    "opt_flatten": _rule_flatten,
     "opt_dedup": _rule_dedup,
-    "opt_pushdown": _rule_pushdown,
     "opt_prune": _rule_prune,
 }
 
 
 def optimize_statement(
     statement: Statement,
-    options: object,
     trace: list[str] | None = None,
     on_rewrite: Callable[[str, Statement, Statement], None] | None = None,
     timings: list[tuple[str, float, bool]] | None = None,
 ) -> Statement:
-    """Apply the enabled statement-local rules, in order.
+    """Apply the three statement-local rules, in order.
 
-    ``options`` is a :class:`~repro.sql.codegen.SqlOptions` (duck-typed:
-    any object with the ``opt_*`` flags works, keeping this module free of
-    an import cycle with the code generator).
-
-    ``trace`` (a list, if given) receives the flag name of every rule that
+    ``trace`` (a list, if given) receives the name of every rule that
     actually *changed* the statement — the fired-rule trace surfaced by
     ``Prepared.explain()`` and ``ExecutionStats``.  ``on_rewrite`` (a
     ``(rule, before, after)`` callable, if given) runs after each such
@@ -634,141 +403,19 @@ def optimize_statement(
     rule spends deciding not to fire is still compile time; the tracer's
     per-rule ``optimize`` children are built from this.
     """
-    import time as _time
-
-    for flag, _description in statement_rule_names:
-        if not getattr(options, flag, True):
-            continue
-        started = _time.perf_counter()
-        rewritten = STATEMENT_RULES[flag](statement)
+    for name, rule in STATEMENT_RULES.items():
+        started = time.perf_counter()
+        rewritten = rule(statement)
         fired = rewritten != statement
         if timings is not None:
             timings.append(
-                (flag, (_time.perf_counter() - started) * 1000.0, fired)
+                (name, (time.perf_counter() - started) * 1000.0, fired)
             )
         if not fired:
             continue
         if trace is not None:
-            trace.append(flag)
+            trace.append(name)
         if on_rewrite is not None:
-            on_rewrite(flag, statement, rewritten)
+            on_rewrite(name, statement, rewritten)
         statement = rewritten
     return statement
-
-
-# --------------------------------------------------------------------------
-# Package-level rule: cross-statement shared scans.
-
-
-@dataclass(frozen=True)
-class SharedScan:
-    """One materialised common subplan of a shredded package.
-
-    The executor runs ``create_sql`` once per package execution (before any
-    member statement, on the writer connection so every pooled reader sees
-    it) and ``drop_sql`` afterwards.  ``name`` is content-addressed, so
-    value-identical scans of different plans coexist deterministically.
-    """
-
-    name: str
-    select: SelectCore
-    create_sql: str
-    drop_sql: str
-
-
-def _scan_name(body: str) -> str:
-    return "qss_" + hashlib.sha1(body.encode()).hexdigest()[:12]
-
-
-def extract_shared_scans(
-    statements: list[Statement], min_statements: int = 2
-) -> tuple[list[Statement], tuple[SharedScan, ...]]:
-    """Hoist CTE bodies shared by ≥ ``min_statements`` statements.
-
-    Returns the rewritten statements (shared CTEs removed, their
-    references turned into plain table references) plus the scans to
-    materialise, in first-appearance order.  Statements are otherwise
-    untouched; a body used twice *within* one statement only is left to
-    the within-statement dedup rule + SQLite's own CTE materialisation.
-    """
-    from repro.backend.database import quote_identifier
-    from repro.sql.ast import placeholder_names
-
-    body_statements: dict[str, set[int]] = {}
-    body_core: dict[str, SelectCore] = {}
-    body_order: list[str] = []
-    for position, statement in enumerate(statements):
-        for _name, core in statement.ctes:
-            body = render_select(core)
-            if placeholder_names(Statement((), (core,))):
-                # A host-parameter placeholder cannot be bound inside a
-                # materialise-once CREATE TABLE … AS prelude; leave the CTE
-                # in place (it binds per-statement like any other).
-                continue
-            if body not in body_statements:
-                body_statements[body] = set()
-                body_core[body] = core
-                body_order.append(body)
-            body_statements[body].add(position)
-
-    shared_bodies = [
-        body
-        for body in body_order
-        if len(body_statements[body]) >= min_statements
-    ]
-    if not shared_bodies:
-        return list(statements), ()
-
-    scans = tuple(
-        SharedScan(
-            name=_scan_name(body),
-            select=body_core[body],
-            create_sql=(
-                f"CREATE TABLE {quote_identifier(_scan_name(body))} "
-                f"AS {body}"
-            ),
-            drop_sql=f"DROP TABLE IF EXISTS {quote_identifier(_scan_name(body))}",
-        )
-        for body in shared_bodies
-    )
-    shared_names = {body: _scan_name(body) for body in shared_bodies}
-
-    rewritten: list[Statement] = []
-    for statement in statements:
-        cte_to_scan = {
-            name: shared_names[render_select(core)]
-            for name, core in statement.ctes
-            if render_select(core) in shared_names
-        }
-        if not cte_to_scan:
-            rewritten.append(statement)
-            continue
-        kept_ctes = tuple(
-            (name, core)
-            for name, core in statement.ctes
-            if name not in cte_to_scan
-        )
-
-        def remap(
-            core: SelectCore, _map: dict[str, str] = cte_to_scan
-        ) -> SelectCore:
-            from_items = tuple(
-                TableRef(_map[item.cte], item.alias)
-                if isinstance(item, CteRef) and item.cte in _map
-                else item
-                for item in core.from_items
-            )
-            return SelectCore(core.items, from_items, core.where)
-
-        rewritten.append(
-            _map_cores(
-                Statement(
-                    kept_ctes,
-                    statement.selects,
-                    statement.columns,
-                    statement.order_by,
-                ),
-                remap,
-            )
-        )
-    return rewritten, scans

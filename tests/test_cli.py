@@ -25,7 +25,7 @@ class TestSql:
         assert "ROW_NUMBER" in out
 
     def test_sql_options(self, capsys):
-        args = ["sql", "Q6", "--scheme", "flat", "--dedup-cte", "--order-by-keys"]
+        args = ["sql", "Q6", "--scheme", "flat", "--optimize", "--order-by-keys"]
         assert main(args) == 0
         assert "SELECT" in capsys.readouterr().out
 

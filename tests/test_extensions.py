@@ -92,7 +92,7 @@ class TestCteDedup:
             schema, SqlOptions(scheme="flat")
         ).compile(queries.Q6)
         deduped = ShreddingPipeline(
-            schema, SqlOptions(scheme="flat", dedup_cte=True)
+            schema, SqlOptions(scheme="flat", optimize=True)
         ).compile(queries.Q6)
         people = "↓.people"
         assert dict(plain.sql_by_path)[people].count(" AS (SELECT") == 2
@@ -100,7 +100,7 @@ class TestCteDedup:
 
     def test_results_unchanged(self, schema, db):
         deduped = ShreddingPipeline(
-            schema, SqlOptions(scheme="flat", dedup_cte=True)
+            schema, SqlOptions(scheme="flat", optimize=True)
         )
         for name, query in queries.NESTED_QUERIES.items():
             assert bag_equal(
@@ -111,7 +111,7 @@ class TestCteDedup:
         # Q1's employees and contacts levels share the departments CTE, but
         # the tasks level needs departments×employees — a different body.
         deduped = ShreddingPipeline(
-            schema, SqlOptions(scheme="flat", dedup_cte=True)
+            schema, SqlOptions(scheme="flat", optimize=True)
         ).compile(queries.Q1)
         tasks_sql = dict(deduped.sql_by_path)["↓.employees.↓.tasks"]
         assert "employees" in tasks_sql

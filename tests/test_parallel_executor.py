@@ -80,42 +80,6 @@ def test_parallel_engine_with_optimizer_and_scans(db):
     assert stats.queries == 3  # one per nesting level, unchanged
 
 
-def test_parallel_engine_leaves_no_scan_tables_behind(db):
-    from repro.nrc import builders as b
-
-    query = b.for_(
-        "d",
-        b.table("departments"),
-        lambda d: b.ret(
-            b.record(
-                emps=b.for_(
-                    "e",
-                    b.table("employees"),
-                    lambda e: b.where(
-                        b.eq(e["dept"], d["name"]), b.ret(e["name"])
-                    ),
-                ),
-                cts=b.for_(
-                    "c",
-                    b.table("contacts"),
-                    lambda c: b.where(
-                        b.eq(c["dept"], d["name"]), b.ret(c["name"])
-                    ),
-                ),
-            )
-        ),
-    )
-    compiled = ShreddingPipeline(
-        db.schema, SqlOptions(scheme="flat", optimize=True)
-    ).compile(query)
-    assert compiled.shared_scans
-    compiled.run(db, engine="parallel")
-    leftovers = db.execute_sql(
-        "SELECT name FROM sqlite_master WHERE name LIKE 'qss_%'"
-    )
-    assert leftovers == []
-
-
 def test_execution_stats_merge_preserves_series():
     left = ExecutionStats()
     left.record(3, 1.5)

@@ -114,7 +114,7 @@ class TestCacheBehaviour:
         cache = PlanCache()
         plain = ShreddingPipeline(ORGANISATION_SCHEMA, cache=cache)
         checked = ShreddingPipeline(
-            ORGANISATION_SCHEMA, validate=True, cache=cache
+            ORGANISATION_SCHEMA, SqlOptions(verify=True), cache=cache
         )
         assert plain.compile(Q4) is not checked.compile(Q4)
         assert cache.misses == 2

@@ -129,87 +129,6 @@ class TestConcurrentSession:
         assert session.stats.cache_hits >= THREADS * RUNS_PER_THREAD - THREADS
 
 
-class TestConcurrentSharedScans:
-    def test_overlapping_runs_share_one_materialisation(self):
-        # With the optimizer on, package runs materialise content-addressed
-        # qss_* tables; overlapping runs must ref-count them instead of one
-        # run's cleanup dropping a table another still reads.
-        from repro.api import SqlOptions
-
-        # Projection pruning diverges sibling CTE bodies, so hold it back
-        # to get a package whose statements genuinely share a scan.
-        session = connect(
-            figure3_database(),
-            options=SqlOptions(scheme="flat", optimize=True, opt_prune=False),
-            cache=PlanCache(),
-        )
-        compiled = session.compile(NESTED_QUERIES["Q1"])
-        assert compiled.shared_scans, "Q1 should hoist at least one scan"
-        expected = session.run(NESTED_QUERIES["Q1"]).value
-
-        def worker(index: int) -> None:
-            for _ in range(RUNS_PER_THREAD):
-                result = session.prepare(NESTED_QUERIES["Q1"]).run(
-                    engine="batched"
-                )
-                assert bag_equal(result.value, expected)
-
-        failures = _hammer(worker)
-        assert not failures, failures
-        # Every hold was released: no scan tables left behind.
-        assert session.db._scan_refs == {}
-        leftovers = session.db.execute_sql(
-            "SELECT name FROM sqlite_master WHERE name LIKE 'qss_%'"
-        )
-        assert leftovers == []
-
-
-class TestSharedScanStaleness:
-    def test_insert_while_held_forces_recreation(self):
-        # A scan created before an insert must not serve runs that start
-        # after it: the late acquirer waits for holders to drain and
-        # recreates the table from the post-insert contents.
-        from repro.sql.optimizer import SharedScan
-        from repro.sql.ast import Col, SelectCore, SelectItem, TableRef
-
-        db = figure3_database()
-        db.connection()
-        core = SelectCore(
-            (SelectItem(Col("e", "name"), "name"),),
-            (TableRef("employees", "e"),),
-        )
-        scan = SharedScan(
-            name="qss_test_stale",
-            select=core,
-            create_sql='CREATE TABLE "qss_test_stale" AS '
-            'SELECT "e"."name" AS "name" FROM "employees" AS "e"',
-            drop_sql='DROP TABLE IF EXISTS "qss_test_stale"',
-        )
-        db.acquire_shared_scan(scan)
-        before = len(db.execute_sql('SELECT * FROM "qss_test_stale"'))
-        db.insert(
-            "employees",
-            [{"id": 998, "name": "Yuri", "dept": "Sales", "salary": 1}],
-        )
-
-        acquired = threading.Event()
-
-        def late_acquirer() -> None:
-            db.acquire_shared_scan(scan)  # must wait for the release below
-            acquired.set()
-
-        thread = threading.Thread(target=late_acquirer)
-        thread.start()
-        assert not acquired.wait(timeout=0.2), "must not reuse a stale scan"
-        db.release_shared_scan(scan)
-        assert acquired.wait(timeout=10), "acquirer should proceed after drain"
-        thread.join(timeout=10)
-        after = len(db.execute_sql('SELECT * FROM "qss_test_stale"'))
-        assert after == before + 1  # recreated from post-insert contents
-        db.release_shared_scan(scan)
-        assert db._scan_refs == {}
-
-
 class TestConcurrentDatabaseSetup:
     def test_index_advisement_races_cleanly(self):
         # Fresh database: every thread triggers ensure_index/ANALYZE on

@@ -51,13 +51,15 @@ class TestFeed:
         assert brendan["posts"] == []
 
     def test_shredding_four_queries(self, social_db, query):
-        compiled = ShreddingPipeline(SOCIAL_SCHEMA, validate=True).compile(query)
+        compiled = ShreddingPipeline(
+            SOCIAL_SCHEMA, SqlOptions(verify=True)
+        ).compile(query)
         assert compiled.query_count == 4
         assert bag_equal(compiled.run(social_db), evaluate(query, social_db))
 
     @pytest.mark.parametrize(
         "options",
-        [SqlOptions(), SqlOptions(scheme="natural"), SqlOptions(dedup_cte=True)],
+        [SqlOptions(), SqlOptions(scheme="natural"), SqlOptions(optimize=True)],
         ids=["flat", "natural", "dedup-cte"],
     )
     def test_sql_variants(self, social_db, query, options):

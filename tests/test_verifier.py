@@ -18,6 +18,7 @@ Two halves:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import pytest
@@ -79,7 +80,6 @@ OPTION_SPREAD = [
     SqlOptions(verify=True, scheme="flat", optimize=True),
     SqlOptions(verify=True, ordered=True),
     SqlOptions(verify=True, scheme="flat", inline_with=True, optimize=True),
-    SqlOptions(verify=True, scheme="flat", dedup_cte=True, optimize=True),
 ]
 
 
@@ -317,6 +317,40 @@ class TestShredStage:
         assert err.value.stage == "shred"
         assert err.value.rule == "type-preservation"
         assert "↓" in str(err.value)  # names the failing path
+
+
+# ==========================================================================
+# Stage: let-insertion — Theorem 5, where flat plans let-insert.
+
+
+class TestLetInsertStage:
+    def test_ill_typed_let_insertion_caught_on_flat_plans(
+        self, monkeypatch
+    ):
+        """Mutation proof: a let-insertion that returns the *outer* path's
+        query for every path fails the App. B checker at the ``letins``
+        stage — on flat plans only; key-indexed plans never let-insert."""
+        from repro.sql import codegen
+
+        real = codegen.let_insert
+        outer = []
+
+        def stuck_on_the_first_query(shredded):
+            outer.append(shredded)
+            return real(outer[0])
+
+        monkeypatch.setattr(codegen, "let_insert", stuck_on_the_first_query)
+        with pytest.raises(VerifierError) as err:
+            ShreddingPipeline(
+                SCHEMA, SqlOptions(verify=True, scheme="flat")
+            ).compile(_nested_query())
+        assert (err.value.stage, err.value.rule) == (
+            "letins",
+            "type-preservation",
+        )
+        ShreddingPipeline(SCHEMA, SqlOptions(verify=True)).compile(
+            _nested_query()
+        )
 
 
 # ==========================================================================
@@ -664,9 +698,9 @@ class TestRewriteVerifier:
             extra_where=BinOp("=", Col("x", "name"), Lit("Sales"))
         )
         with pytest.raises(VerifierError) as err:
-            verify_rewrite(before, after, "opt_pushdown", SCHEMA)
+            verify_rewrite(before, after, "opt_prune", SCHEMA)
         assert err.value.stage == "optimize"
-        assert err.value.rule == "opt_pushdown"
+        assert err.value.rule == "opt_prune"
         assert "ROW_NUMBER" in err.value.detail
 
     def test_folding_a_numbering_ctes_filter_is_not_a_new_filter(self):
@@ -709,65 +743,63 @@ def _pushdown_bait_query():
 
 
 def _unguarded_pushdown(statement: Statement) -> Statement:
-    """``_rule_pushdown`` with the §8 ROW_NUMBER guard deleted — the exact
-    mutation the per-rewrite verifier exists to catch."""
-    from repro.sql.optimizer import (
-        _conjoin,
-        _conjuncts,
-        _cte_refcounts,
-        _map_cores,
-        _push_into,
-        _rewrite_through,
-        _single_alias,
-    )
-
-    refcounts = _cte_refcounts(statement)
+    """A rewrite that moves every ``z.c = literal`` conjunct of a main
+    select into the CTE ``z`` ranges over, ROW_NUMBER or not — filtering
+    before numbering, the exact mutation the per-rewrite verifier's
+    rule-agnostic guard exists to catch."""
     ctes = dict(statement.ctes)
-    pushed_into_cte: dict = {}
+    pushed: dict[str, list] = {}
 
-    def push_core(core: SelectCore) -> SelectCore:
-        if core.where is None:
-            return core
-        by_alias = {
-            item.alias: (item.cte, ctes[item.cte])
+    def conjuncts(expr):
+        if isinstance(expr, BinOp) and expr.op == "AND":
+            return conjuncts(expr.left) + conjuncts(expr.right)
+        return [expr]
+
+    def conjoin(exprs):
+        return functools.reduce(lambda a, c: BinOp("AND", a, c), exprs)
+
+    selects = []
+    for core in statement.selects:
+        cte_of = {
+            item.alias: item.cte
             for item in core.from_items
-            if isinstance(item, CteRef) and item.cte in ctes
+            if isinstance(item, CteRef)
         }
-        remaining = []
-        for conjunct in _conjuncts(core.where):
-            alias = _single_alias(conjunct)
-            if alias not in by_alias:
-                remaining.append(conjunct)
-                continue
-            cte_name, target = by_alias[alias]
-            if refcounts.get(cte_name, 0) != 1:
-                remaining.append(conjunct)
-                continue
-            # NOTE: no _core_has_rownumber_items(target) check — the bug.
-            item_map = {si.alias: si.expr for si in target.items}
-            rewritten = _rewrite_through(conjunct, alias, item_map)
-            if rewritten is None:
-                remaining.append(conjunct)
-                continue
-            pushed_into_cte.setdefault(cte_name, []).append(rewritten)
-        if len(remaining) == len(_conjuncts(core.where)):
-            return core
-        return SelectCore(core.items, core.from_items, _conjoin(remaining))
-
-    rewritten = _map_cores(statement, push_core)
-    if not pushed_into_cte:
-        return rewritten
+        kept = []
+        for conjunct in conjuncts(core.where) if core.where else []:
+            if (
+                conjunct.op == "="
+                and isinstance(conjunct.left, Col)
+                and conjunct.left.alias in cte_of
+                and isinstance(conjunct.right, Lit)
+            ):
+                cte = cte_of[conjunct.left.alias]
+                defining = {i.alias: i.expr for i in ctes[cte].items}
+                pushed.setdefault(cte, []).append(
+                    BinOp("=", defining[conjunct.left.name], conjunct.right)
+                )
+            else:
+                kept.append(conjunct)
+        selects.append(
+            SelectCore(
+                core.items, core.from_items, conjoin(kept) if kept else None
+            )
+        )
     new_ctes = tuple(
         (
             name,
-            _push_into(core, _conjoin(pushed_into_cte[name]))
-            if name in pushed_into_cte
+            SelectCore(
+                core.items,
+                core.from_items,
+                conjoin(([core.where] if core.where else []) + pushed[name]),
+            )
+            if name in pushed
             else core,
         )
-        for name, core in rewritten.ctes
+        for name, core in statement.ctes
     )
     return Statement(
-        new_ctes, rewritten.selects, rewritten.columns, rewritten.order_by
+        new_ctes, tuple(selects), statement.columns, statement.order_by
     )
 
 
@@ -799,12 +831,12 @@ class TestMutationProof:
         ShreddingPipeline(SCHEMA, options).compile(_pushdown_bait_query())
 
         monkeypatch.setitem(
-            optimizer.STATEMENT_RULES, "opt_pushdown", _unguarded_pushdown
+            optimizer.STATEMENT_RULES, "opt_prune", _unguarded_pushdown
         )
         with pytest.raises(VerifierError) as err:
             ShreddingPipeline(SCHEMA, options).compile(_pushdown_bait_query())
         assert err.value.stage == "optimize"
-        assert err.value.rule == "opt_pushdown"
+        assert err.value.rule == "opt_prune"
         assert "ROW_NUMBER" in err.value.detail
 
     def test_broken_rule_passes_silently_without_verification(
@@ -815,9 +847,11 @@ class TestMutationProof:
         from repro.sql import optimizer
 
         monkeypatch.setitem(
-            optimizer.STATEMENT_RULES, "opt_pushdown", _unguarded_pushdown
+            optimizer.STATEMENT_RULES, "opt_prune", _unguarded_pushdown
         )
         compiled = ShreddingPipeline(
             SCHEMA, SqlOptions(verify=False, scheme="flat", optimize=True)
         ).compile(_pushdown_bait_query())
-        assert "opt_pushdown" in compiled.fired_rules
+        assert "opt_prune" in compiled.fired_rules
+        people = compiled.sql_at(compiled.query_paths[1]).statement
+        assert people.ctes[0][1].where is not None  # the filter moved in

@@ -38,8 +38,10 @@ from __future__ import annotations
 
 import ast
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+
+import lintcli
+from lintcli import Finding
 
 #: (module, attribute) calls that block the calling thread.
 BLOCKING_MODULE_CALLS = {
@@ -88,17 +90,6 @@ DEFAULT_TARGETS = ("src/repro/service", "src/repro/shard")
 #: modules it may not import.
 SANS_IO_MODULE = "repro/service/protocol.py"
 IO_MODULES = {"socket", "asyncio"}
-
-
-@dataclass(frozen=True)
-class Finding:
-    code: str
-    path: str
-    line: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}: {self.code} {self.message}"
 
 
 def _dotted(func: ast.expr) -> tuple[str, str] | None:
@@ -243,32 +234,11 @@ def lint_source(source: str, name: str = "<string>") -> list[Finding]:
 
 
 def lint_paths(paths: list[Path]) -> list[Finding]:
-    findings: list[Finding] = []
-    for path in paths:
-        files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
-        for file in files:
-            findings.extend(lint_source(file.read_text(), str(file)))
-    return findings
+    return lintcli.lint_paths(paths, lint_source)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    targets = [Path(arg) for arg in args] or [
-        Path(target) for target in DEFAULT_TARGETS
-    ]
-    missing = [target for target in targets if not target.exists()]
-    if missing:
-        print(f"no such path: {', '.join(map(str, missing))}", file=sys.stderr)
-        return 2
-    findings = lint_paths(targets)
-    for finding in findings:
-        print(finding)
-    checked = ", ".join(map(str, targets))
-    if findings:
-        print(f"check_concurrency: {len(findings)} finding(s) in {checked}")
-        return 1
-    print(f"check_concurrency: clean ({checked})")
-    return 0
+    return lintcli.run("check_concurrency", lint_source, DEFAULT_TARGETS, argv)
 
 
 if __name__ == "__main__":
