@@ -27,7 +27,14 @@ Five pieces:
 * :mod:`~repro.service.resilience` — deadlines, retry policies and
   circuit breakers shared by the clients and the sharded fan-out;
 * :mod:`~repro.service.server` — the asyncio server (``python -m repro
-  serve``), offloading execution onto leased read-only connections;
+  serve``): every request runs on a leased read-only connection, on a
+  worker thread — or, once its catalogue entry has proved *light* (a run
+  fetched ≤ ``LIGHT_ROWS`` rows), right on the event loop, under a guard
+  that interrupts it after ``INLINE_STEP_BUDGET`` SQLite steps and hands
+  the request to a worker instead (the entry is *heavy* from then on).
+  ``stats()["server"]["inline_runs"]`` / ``["escalations"]`` (metrics
+  ``execute_inline_total`` / ``execute_escalations_total``) count the
+  two; a point-lookup service reads ≈ executes and 0;
 * :mod:`~repro.service.client` — the blocking and asyncio drivers of
   that core.
 """

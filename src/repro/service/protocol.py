@@ -71,8 +71,11 @@ Protocol **v1.3** (observability) additions, again backwards compatible:
 * ``trace_id`` — any request may carry an opaque ``trace_id`` string
   (≤64 chars); the response echoes it, and execute responses add the
   server-side wall time so a fan-out client can attribute each shard's
-  share of a traced run.  The sharded client stamps its
-  :class:`~repro.obs.Tracer`'s id on every sub-request.
+  share of a traced run.  A *traced* execute response also says where
+  the run happened — ``"inline": true`` on the server's event loop,
+  ``false`` on a worker thread (see :mod:`repro.service.server`); an
+  untraced response is byte-for-byte what it was.  The sharded client
+  stamps its :class:`~repro.obs.Tracer`'s id on every sub-request.
 
 Protocol **v1.4** (process-per-shard deployments) adds dynamic query
 registration::

@@ -10,14 +10,46 @@ SQL queries, so per-request cost cannot degenerate under load):
   and engine policy shared by every connection (both are lock-guarded);
 * one asyncio connection handler per client, reading length-prefixed JSON
   frames (:mod:`repro.service.protocol`);
-* execution offloads to worker threads via :func:`asyncio.to_thread`, each
-  request holding a *leased* read-only connection from the database's pool
-  — sqlite3 releases the GIL inside its C-level steps, so one request's
-  SQLite evaluation overlaps another's Python-side decode;
+* every request holds a *leased* read-only connection from the
+  database's pool, and execution offloads to worker threads via
+  :func:`asyncio.to_thread` — sqlite3 releases the GIL inside its C-level
+  steps, so one request's SQLite evaluation overlaps another's
+  Python-side decode — **unless the catalogue entry has proved light**,
+  in which case the request runs to completion on the event-loop thread
+  (below);
 * graceful shutdown: the listener closes first, in-flight handlers drain.
 
-The event loop itself never touches SQLite: it parses frames, leases
-connections and serialises results, all bounded work.
+Light entries run on the loop.  Shredding makes a query a *fixed* number
+of flat statements, so a point lookup is a few indexed steps — less work
+than the thread hop that used to carry it (context copy, executor queue,
+two futex wakes, a self-pipe write, an epoll wake, and the interpreter
+lock passed between the loop and the workers).  The verdict is learned
+per entry, from work counters only, never from a clock:
+
+* an entry's **first** run — compile, index advisement, ``ANALYZE`` —
+  always goes to a worker thread;
+* if a run fetched at most :data:`LIGHT_ROWS` rows the entry is *light*,
+  and its later ``batched`` runs execute right in the connection handler
+  (:meth:`QueryServer._run_guarded`, the one sanctioned on-loop execution
+  site — ``tools/check_concurrency.py`` CC005), touching nothing but
+  their lease: no index advisement, no ``ANALYZE``, no store lock;
+* every on-loop run is under a **guard**: a SQLite progress handler on
+  the lease that interrupts the run after :data:`INLINE_STEP_BUDGET`
+  virtual-machine steps.  When it trips (a light query met a heavy
+  parameter) the partial result is dropped, the entry turns *heavy* and
+  the same request re-runs on a worker thread on the same lease —
+  counted in ``escalations``.  A run that fetched more than
+  :data:`LIGHT_ROWS` rows inside the budget turns the entry heavy too.
+  Heavy is sticky until ``register`` replaces the entry;
+* ``engine="parallel"`` / ``"per-path"`` requests never run on the loop.
+
+So the invariant is no longer "nothing runs on the loop" but: **one
+request occupies the loop for at most** :data:`INLINE_STEP_BUDGET`
+**SQLite steps plus the fold of the rows those steps fetched** — more
+than :data:`LIGHT_ROWS` rows at most once per entry — **plus serialising
+a frame of at most** :data:`LIGHT_ROWS` **fetched rows** (bigger frames
+are packed on a worker).  Pings, admission and deadlines of other
+connections wait that long at worst, a millisecond or two.
 
 Fault-tolerant serving (protocol v1.1):
 
@@ -32,8 +64,9 @@ Fault-tolerant serving (protocol v1.1):
   ``DeadlineExceeded`` error frame.  The worker thread cannot be
   interrupted mid-SQLite-step, but its lease is reclaimed by the parking
   callback when it finishes, so a straggler costs one pool slot, not a
-  wedged server.  ``default_deadline_ms`` applies when the request names
-  none.
+  wedged server.  An on-loop run is checked against the admission clock
+  when it returns (the guard bounds how late that can be).
+  ``default_deadline_ms`` applies when the request names none.
 * **graceful drain** — :meth:`QueryServer.stop` first closes the listener
   (new connects are refused by the OS), then waits up to ``drain_grace``
   seconds for requests already *read off a socket* to answer, and only
@@ -46,6 +79,7 @@ Fault-tolerant serving (protocol v1.1):
 from __future__ import annotations
 
 import asyncio
+import math
 import sqlite3
 import threading
 import time
@@ -65,7 +99,7 @@ from repro.service.protocol import (
     pack_frame,
     split_frame,
 )
-from repro.service.registry import QueryRegistry
+from repro.service.registry import QueryRegistry, RegisteredQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
@@ -90,6 +124,44 @@ PENDING_PER_LEASE = 8
 #: How long :meth:`QueryServer.stop` waits for in-flight requests to
 #: answer before cancelling their connection handlers.
 DEFAULT_DRAIN_GRACE = 10.0
+
+#: The *light* line, used for both on-loop decisions: an entry whose run
+#: fetched at most this many rows runs on the event loop from then on,
+#: and a response built from at most this many fetched rows is serialised
+#: there (``stats.rows_fetched`` — not top-level rows: 64 departments can
+#: nest 6 000 values).
+LIGHT_ROWS = 256
+
+#: SQLite virtual-machine steps an on-loop run may take before its guard
+#: interrupts it.  ``dept_staff`` takes ≈ 500; an index-less scan spends
+#: ≈ 3 per row it rejects and ≈ 6 per row it returns, so the budget is
+#: ≈ 0.2–0.5 ms inside SQLite and at most ≈ 3 000 fetched rows.  A count,
+#: so the verdict is the same on every host.
+INLINE_STEP_BUDGET = 20_000
+
+#: Steps between two calls of the guard (SQLite counts them per cached
+#: statement, across runs, so a run overshoots its budget by at most one
+#: stride per statement).
+GUARD_STRIDE = 1_000
+
+
+class _StepGuard:
+    """The progress handler of one on-loop run: called by SQLite every
+    :data:`GUARD_STRIDE` steps, it interrupts the statement once the
+    budget is spent and remembers that it did — ``tripped``, not the
+    text of the ``OperationalError``, is what the server reads."""
+
+    __slots__ = ("strides_left", "tripped")
+
+    def __init__(self) -> None:
+        self.strides_left = INLINE_STEP_BUDGET // GUARD_STRIDE
+        self.tripped = False
+
+    def __call__(self) -> int:
+        self.strides_left -= 1
+        if self.strides_left < 0:
+            self.tripped = True
+        return self.tripped
 
 
 def prepare_response(
@@ -179,6 +251,15 @@ class QueryServer:
         self.connections_served = 0
         self.shed_count = 0
         self.deadline_count = 0
+        #: Executes answered from the event-loop thread, and on-loop runs
+        #: whose guard tripped and were re-run on a worker.
+        self.inline_count = 0
+        self.escalation_count = 0
+        #: What this server has learned about its catalogue: name →
+        #: (entry, light?).  Keyed per server, not kept on the entry — a
+        #: registry may be shared by servers over different stores — and
+        #: checked by entry identity, so a re-``register`` starts afresh.
+        self._verdicts: dict[str, tuple[RegisteredQuery, bool]] = {}
         #: The server's :class:`repro.obs.MetricsRegistry` — always on
         #: (registry mutation is a couple of lock-guarded adds per
         #: request; rendering only happens when something scrapes).  The
@@ -209,6 +290,15 @@ class QueryServer:
         self._m_deadline = self.metrics.counter(
             "deadline_exceeded_total",
             "Executes answered with a DeadlineExceeded frame",
+        )
+        self._m_inline = self.metrics.counter(
+            "execute_inline_total",
+            "Executes run to completion on the event-loop thread",
+        )
+        self._m_escalations = self.metrics.counter(
+            "execute_escalations_total",
+            "On-loop runs interrupted by their step guard and re-run on "
+            "a worker thread",
         )
         self._m_connections = self.metrics.counter(
             "connections_total", "Client connections accepted"
@@ -380,10 +470,11 @@ class QueryServer:
                     try:
                         # Serialising a big result set is real CPU time —
                         # keep it off the loop so other connections stay
-                        # served.  (An insert response's "rows" is a count,
-                        # not a list — hence the sized check.)
-                        rows = response.get("rows")
-                        if isinstance(rows, (list, tuple)) and len(rows) > 256:
+                        # served.  Sized by the rows the run fetched, not
+                        # by top-level rows (only execute responses carry
+                        # "stats").
+                        stats = response.get("stats")
+                        if stats is not None and stats["rows_fetched"] > LIGHT_ROWS:
                             frame = await asyncio.to_thread(pack_frame, response)
                         else:
                             frame = pack_frame(response)
@@ -563,7 +654,9 @@ class QueryServer:
         collection = request.get("collection", "bag")
         deadline_ms = request.get("deadline_ms", self.default_deadline_ms)
         if deadline_ms is not None and (
-            not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0
+            isinstance(deadline_ms, bool)
+            or not isinstance(deadline_ms, (int, float))
+            or not 0 < deadline_ms < math.inf  # NaN fails both comparisons
         ):
             raise ServiceError(
                 f"'deadline_ms' must be a positive number, got {deadline_ms!r}"
@@ -571,41 +664,129 @@ class QueryServer:
         prepared = entry.prepared(self.session)
         assert self._leases is not None, "server not started"
         lease = await self._leases.get()
-        # The lease is parked by the *work task's* completion callback, not
-        # by this coroutine's finally: if the handler is cancelled
-        # mid-request the worker thread keeps running, and the connection
-        # must stay out of the queue (and unclosed) until it finishes.
-        work = asyncio.get_running_loop().create_task(
-            asyncio.to_thread(
-                prepared.run,
-                engine=engine,
-                collection=collection,
-                params=params,
-                connection=lease,
+        leased = time.perf_counter()
+        run_args = {"engine": engine, "collection": collection, "params": params}
+        result = None
+        if engine == "batched" and self._is_light(entry):
+            result = self._run_inline(entry, prepared, lease, run_args)
+        inline = result is not None
+        if result is None:
+            # The lease is parked by the *work task's* completion callback,
+            # not by this coroutine's finally: if the handler is cancelled
+            # mid-request the worker thread keeps running, and the
+            # connection must stay out of the queue (and unclosed) until it
+            # finishes.
+            work = asyncio.get_running_loop().create_task(
+                asyncio.to_thread(prepared.run, connection=lease, **run_args)
             )
-        )
-        work.add_done_callback(lambda task: self._park_lease(lease, task))
-        shielded = asyncio.shield(work)
-        if deadline_ms is None:
-            result = await shielded
-        else:
-            try:
-                result = await asyncio.wait_for(shielded, deadline_ms / 1000.0)
-            except asyncio.TimeoutError:
-                # The worker thread runs on (SQLite steps are not
-                # interruptible); its done callback reclaims the lease.
-                self.deadline_count += 1
-                self._m_deadline.inc()
-                raise DeadlineExceededError(
-                    f"server-side deadline of {deadline_ms:.0f}ms exceeded "
-                    f"executing {entry.name!r}"
-                ) from None
-        return execute_response(
+            work.add_done_callback(
+                lambda task: self._park_lease(
+                    lease, task.cancelled() or task.exception() is not None
+                )
+            )
+            shielded = asyncio.shield(work)
+            if deadline_ms is None:
+                result = await shielded
+            else:
+                # An escalated request has spent some of its deadline on
+                # the loop already.
+                spent = time.perf_counter() - leased
+                try:
+                    result = await asyncio.wait_for(
+                        shielded, deadline_ms / 1000.0 - spent
+                    )
+                except asyncio.TimeoutError:
+                    # The worker thread runs on (SQLite steps are not
+                    # interruptible); its done callback reclaims the lease.
+                    raise self._deadline_exceeded(entry, deadline_ms) from None
+        self._learn(entry, light=result.stats.rows_fetched <= LIGHT_ROWS)
+        if inline:
+            # A worker-thread request yields the loop while it waits; an
+            # on-loop one has to say so, or a client that pipelines its
+            # requests holds the loop for its whole backlog.
+            await asyncio.sleep(0)
+            if deadline_ms is not None and (
+                (time.perf_counter() - admitted) * 1000.0 > deadline_ms
+            ):
+                # An on-loop run cannot be abandoned half-way (its guard
+                # bounds it instead); late is late all the same.
+                raise self._deadline_exceeded(entry, deadline_ms)
+        response = execute_response(
             entry.name,
             result,
             result.to_dicts(),
             # Lease wait included.
             (time.perf_counter() - admitted) * 1000.0,
+        )
+        if request.get("trace_id") is not None:
+            response["inline"] = inline
+        return response
+
+    def _run_inline(self, entry: RegisteredQuery, prepared, lease, run_args: dict):
+        """One on-loop attempt at a light entry's request, with its
+        bookkeeping: the :class:`~repro.api.results.Result` (lease parked,
+        ``inline_runs`` counted), or None when the guard tripped — the
+        entry is heavy from now on, ``escalations`` is counted, and the
+        lease is still held for the worker-thread re-run."""
+        try:
+            result = self._run_guarded(prepared, lease, run_args)
+        except Exception:
+            self._park_lease(lease, failed=True)
+            raise
+        if result is None:
+            self._learn(entry, light=False)
+            self.escalation_count += 1
+            self._m_escalations.inc()
+        else:
+            self._park_lease(lease, failed=False)
+            self.inline_count += 1
+            self._m_inline.inc()
+        return result
+
+    def _run_guarded(self, prepared, lease, run_args: dict):
+        """Run on the calling — the event-loop — thread, under the step
+        guard: the one place this server executes SQL on the loop
+        (``tools/check_concurrency.py`` CC005 holds it to the install /
+        ``try`` / ``finally``-clear shape below).
+
+        Touches only ``lease``: index advisement and ``ANALYZE`` were the
+        entry's first, worker-thread run's job, and taking the store's
+        setup lock here could park the loop behind another thread's DDL.
+        Returns None when the guard interrupted the run: the partial
+        result is gone and the lease is clean again.
+        """
+        guard = _StepGuard()
+        lease.set_progress_handler(guard, GUARD_STRIDE)
+        try:
+            return prepared.run(
+                connection=lease, create_indexes=False, **run_args
+            )
+        except Exception:
+            if not guard.tripped:
+                raise
+            return None
+        finally:
+            lease.set_progress_handler(None, 0)
+
+    def _is_light(self, entry: RegisteredQuery) -> bool:
+        known = self._verdicts.get(entry.name)
+        return known is not None and known[0] is entry and known[1]
+
+    def _learn(self, entry: RegisteredQuery, light: bool) -> None:
+        """Record what a finished run showed.  The first run of an entry
+        object decides; after that only *heavy* is news — it is sticky."""
+        known = self._verdicts.get(entry.name)
+        if known is None or known[0] is not entry or not light:
+            self._verdicts[entry.name] = (entry, light)
+
+    def _deadline_exceeded(
+        self, entry: RegisteredQuery, deadline_ms: float
+    ) -> DeadlineExceededError:
+        self.deadline_count += 1
+        self._m_deadline.inc()
+        return DeadlineExceededError(
+            f"server-side deadline of {deadline_ms:.0f}ms exceeded "
+            f"executing {entry.name!r}"
         )
 
     async def _insert(self, request: dict) -> dict:
@@ -650,17 +831,14 @@ class QueryServer:
         text = await asyncio.to_thread(prepared.explain)
         return {"ok": True, "query": entry.name, "text": text}
 
-    def _park_lease(self, lease, task: "asyncio.Task") -> None:
-        """Return a lease to the queue once its worker actually finished.
+    def _park_lease(self, lease, failed: bool) -> None:
+        """Return a lease to the queue once its run actually finished.
 
-        Runs as the work task's done callback (on the event loop).  A
-        failed run may mean the lease itself died (e.g. the store was
-        disposed under us) — never park a dead connection; after stop(),
-        retire instead of parking.
+        Runs on the event loop: as the work task's done callback, or
+        straight after an on-loop run.  A failed run may mean the lease
+        itself died (e.g. the store was disposed under us) — never park a
+        dead connection; after stop(), retire instead of parking.
         """
-        failed = task.cancelled()
-        if not failed:
-            failed = task.exception() is not None  # also marks it retrieved
         if self._stopped or self._leases is None:
             self.session.db.release_dedicated_reader(lease)
             if self._leases is not None:
@@ -693,6 +871,8 @@ class QueryServer:
                 "pending": self._pending,
                 "shed": self.shed_count,
                 "deadline_exceeded": self.deadline_count,
+                "inline_runs": self.inline_count,
+                "escalations": self.escalation_count,
                 "draining": self._draining,
             },
             "session": self.session.stats_snapshot(),

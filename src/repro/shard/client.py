@@ -492,8 +492,10 @@ class ShardedServiceClient:
         ``tracer`` (a :class:`repro.obs.Tracer`) records one ``route``
         span per attempt with a ``shard`` sub-span per endpoint hit —
         each carrying the shard/replica label, the client-observed wall
-        time and the endpoint-reported ``server_millis`` — and stamps the
-        tracer's id on every sub-request so server logs correlate.
+        time, the endpoint-reported ``server_millis`` and, from a wire
+        server, ``inline`` (did the run stay on its event loop) — and
+        stamps the tracer's id on every sub-request so server logs
+        correlate.
         """
         if deadline_ms is None:
             deadline_ms = self.deadline_ms
@@ -652,8 +654,11 @@ class ShardedServiceClient:
                     raise first_error
             if tracer is not None:
                 for response, millis, attrs in outcomes:
-                    if response.get("server_millis") is not None:
-                        attrs["server_millis"] = response["server_millis"]
+                    # What the endpoint said about its side of the run
+                    # ("inline": a wire server answered from its loop).
+                    for said in ("server_millis", "inline"):
+                        if response.get(said) is not None:
+                            attrs[said] = response[said]
                     tracer.record("shard", millis, **attrs)
         with self._counter_lock:
             for index, (_response, _millis, attrs) in zip(targets, outcomes):

@@ -173,8 +173,16 @@ class ShardProcess:
     def start(self) -> None:
         """Spawn the server (idempotent while it is alive) and block until
         it answers ``ping`` on the wire."""
+        if self.launch():
+            self.await_ready()
+
+    def launch(self) -> bool:
+        """Spawn the server without waiting for it; False (and nothing
+        done) while a previous incarnation is alive.  Follow with
+        :meth:`await_ready` — :func:`spawn_group` launches a whole fleet
+        first so the children boot side by side."""
         if self.process is not None and self.process.poll() is None:
-            return
+            return False
         env = dict(os.environ)
         src = _source_root()
         env["PYTHONPATH"] = src + (
@@ -184,6 +192,10 @@ class ShardProcess:
         self.process = subprocess.Popen(
             self.argv(), env=env, stdout=stdout, stderr=stderr
         )
+        return True
+
+    def await_ready(self) -> None:
+        """Block until the launched server answers ``ping`` on the wire."""
         try:
             self._await_ready(self.ready_timeout)
         except BaseException:
@@ -555,7 +567,8 @@ def spawn_group(
 
     ``base_port=0`` takes OS-assigned free ports; otherwise the fallback
     binds ``base_port`` and shard ``i`` replica ``j`` binds
-    ``base_port + 1 + i·replication + j`` (stable, scriptable).  On any
+    ``base_port + 1 + i·replication + j`` (stable, scriptable).  The
+    children are launched together and then awaited one by one.  On any
     spawn failure *every* process of the partial group — including the
     child whose own readiness probe failed — is killed and reaped before
     the exception propagates: constructors run with ``start_now=False``
@@ -609,8 +622,12 @@ def spawn_group(
                 started.append(process)
                 group.append(process)
             groups.append(group)
+        # Every child first, then every readiness probe: interpreter
+        # start-up and imports overlap instead of queueing.
         for process in started:
-            process.start()
+            process.launch()
+        for process in started:
+            process.await_ready()
     except BaseException:
         for process in started:
             process.kill()

@@ -148,6 +148,98 @@ class TestSansIoCore:
         assert lint_source("import time\nnow = time.monotonic()\n", self.CORE) == []
 
 
+class TestOnLoopSql:
+    """CC005: under ``service/``, SQL runs on the loop only inside the
+    step guard — the shape of ``QueryServer._run_guarded``."""
+
+    SERVER = "src/repro/service/server.py"
+
+    @staticmethod
+    def _helper_source() -> str:
+        import inspect
+        import textwrap
+
+        from repro.service.server import QueryServer
+
+        return textwrap.dedent(inspect.getsource(QueryServer._run_guarded))
+
+    def _cc005(self, source: str, name: str | None = None) -> list[int]:
+        return [
+            finding.line
+            for finding in lint_source(source, name or self.SERVER)
+            if finding.code == "CC005"
+        ]
+
+    def test_the_real_helper_passes(self):
+        source = self._helper_source()
+        assert "set_progress_handler" in source and "connection=lease" in source
+        assert lint_source(source, self.SERVER) == []
+
+    def test_the_helpers_body_without_the_guard_fails(self):
+        source = self._helper_source()
+        for guard_line in (
+            "lease.set_progress_handler(guard, GUARD_STRIDE)",
+            "lease.set_progress_handler(None, 0)",
+        ):
+            assert guard_line in source
+            stripped = source.replace(guard_line, "pass")
+            assert len(self._cc005(stripped)) == 1, guard_line
+
+    def test_guard_must_be_installed_before_and_cleared_in_finally(self):
+        cleared_elsewhere = (
+            "def _run_guarded(prepared, lease):\n"
+            "    lease.set_progress_handler(guard, 1000)\n"
+            "    try:\n"
+            "        return prepared.run(connection=lease)\n"
+            "    except Exception:\n"
+            "        lease.set_progress_handler(None, 0)\n"
+            "        raise\n"
+        )
+        assert self._cc005(cleared_elsewhere) == [4]
+        installed_after = (
+            "def _run_guarded(prepared, lease):\n"
+            "    try:\n"
+            "        return prepared.run(connection=lease)\n"
+            "    finally:\n"
+            "        lease.set_progress_handler(None, 0)\n"
+            "    lease.set_progress_handler(guard, 1000)\n"
+        )
+        assert self._cc005(installed_after) == [3]
+
+    def test_unguarded_sql_in_a_coroutine_is_flagged(self):
+        src = (
+            "async def f(prepared, lease, db, package):\n"
+            "    prepared.run(engine='batched', connection=lease)\n"
+            "    lease.execute('SELECT 1')\n"
+            "    execute_package_batched(db, package)\n"
+            "    db.execute_sql_chunks('SELECT 1')\n"
+            "    prepared.run(engine='batched')\n"  # no lease: not this rule's
+        )
+        assert self._cc005(src) == [2, 3, 4, 5]
+
+    def test_offloaded_awaited_or_guarded_sql_is_fine(self):
+        src = (
+            "import asyncio\n"
+            "async def f(prepared, lease, client):\n"
+            "    await asyncio.to_thread(prepared.run, connection=lease)\n"
+            "    await asyncio.to_thread(lambda: lease.execute('SELECT 1'))\n"
+            "    await client.execute('Q1')\n"
+            "    lease.set_progress_handler(guard, 1000)\n"
+            "    try:\n"
+            "        prepared.run(connection=lease)\n"
+            "    finally:\n"
+            "        lease.set_progress_handler(None, 0)\n"
+        )
+        assert self._cc005(src) == []
+
+    def test_scope_is_loop_code_under_service(self):
+        src = "def probe(lease):\n    lease.execute('SELECT 1')\n"
+        assert self._cc005(src) == []  # a sync def: some thread's business
+        coroutine = "async def probe(lease):\n    lease.execute('SELECT 1')\n"
+        assert self._cc005(coroutine) == [2]
+        assert self._cc005(coroutine, "src/repro/shard/client.py") == []
+
+
 class TestRealTree:
     def test_serving_stack_lints_clean(self):
         findings = lint_paths([ROOT / target for target in DEFAULT_TARGETS])

@@ -3,7 +3,8 @@ and crash-tolerant shutdown.
 
 Two bugs blocked making process groups the default sharded substrate:
 
-1. **Spawn leak** — ``spawn_group`` started children one by one; a later
+1. **Spawn leak** — ``spawn_group`` brings children up in a loop (then
+   one by one, now launched together and awaited in order); a later
    shard failing to spawn/bind raised out of the loop with the earlier
    children alive and unreferenced.  Every ``connect_sharded(processes=
    True)`` with a bad port or a slow boot leaked real OS processes.  Now
@@ -70,6 +71,36 @@ class TestSpawnGroupLeak:
                 f"{process.label} (pid {process.process.pid}) left running "
                 f"after spawn_group raised"
             )
+
+    def test_the_fleet_boots_side_by_side(self, monkeypatch):
+        # Every child is launched before the first readiness probe, so
+        # interpreter start-up and imports overlap; probes keep fleet order.
+        events: list[tuple[str, str]] = []
+        launch, ready = ShardProcess.launch, ShardProcess._await_ready
+
+        def recording_launch(self):
+            events.append(("launch", self.shard))
+            return launch(self)
+
+        def recording_ready(self, timeout):
+            events.append(("ready", self.shard))
+            return ready(self, timeout)
+
+        monkeypatch.setattr(ShardProcess, "launch", recording_launch)
+        monkeypatch.setattr(ShardProcess, "_await_ready", recording_ready)
+        groups, fallback = spawn_group(2, scale=4, rows=2)
+        try:
+            fleet = ["full/2", "0/2", "1/2"]
+            assert events == [("launch", shard) for shard in fleet] + [
+                ("ready", shard) for shard in fleet
+            ]
+            assert all(
+                process.poll() is None
+                for process in [fallback, *groups[0], *groups[1]]
+            )
+        finally:
+            for process in [fallback, *groups[0], *groups[1]]:
+                process.kill()
 
     def test_first_spawn_failure_leaves_nothing(self, monkeypatch):
         spawned: list[ShardProcess] = []

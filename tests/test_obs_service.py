@@ -257,6 +257,22 @@ class TestShardedAttribution:
             f"1/{SHARDS}",
         )
 
+    def test_shard_spans_say_where_the_server_ran(self, fleet):
+        # A traced execute response carries ``inline`` (worker thread vs.
+        # the server's event loop); the fan-out copies it onto the span.
+        REGISTRY.register("where_it_ran", REGISTRY.lookup("dept_staff").term)
+        where = []
+        with _fleet_client(fleet) as client:
+            for _ in range(2):
+                tracer = Tracer(trace_id="where-it-ran")
+                client.execute_full(
+                    "where_it_ran", {"dept": "Sales"}, tracer=tracer
+                )
+                (route,) = tracer.spans
+                (shard,) = [s for s in route.children if s.name == "shard"]
+                where.append(shard.attributes["inline"])
+        assert where == [False, True]  # first run on a worker, then light
+
     def test_subrequest_counters_mirror_fanout_exactly(self, fleet):
         metrics = MetricsRegistry()
         with _fleet_client(fleet, metrics=metrics) as client:

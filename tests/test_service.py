@@ -22,6 +22,7 @@ from repro.pipeline.plan_cache import PlanCache
 from repro.service import (
     AsyncServiceClient,
     QueryRegistry,
+    RegisteredQuery,
     ServiceClient,
     paper_registry,
     serve_in_background,
@@ -362,3 +363,397 @@ class TestRegistry:
         assert "staff_above" in registry and "dept_staff" in registry
         assert "extra" in registry
         assert len(registry) == 9
+
+
+# --------------------------------------------------------------------------
+# Light entries run on the event loop (under a step guard); everything
+# else on a worker thread.  Counters, not clocks, say which happened.
+
+
+def _oracle(registry, db, name: str, params=None):
+    """What ``name`` must answer: N⟦−⟧ of its term over the live rows."""
+    from repro.nrc.ast import substitute_params
+    from repro.nrc.semantics import evaluate
+
+    term = registry.lookup(name).term
+    return evaluate(substitute_params(term, params) if params else term, db)
+
+
+def _where(client) -> tuple[int, int]:
+    """(inline_runs, escalations) of the server ``client`` talks to."""
+    server = client.stats()["server"]
+    return server["inline_runs"], server["escalations"]
+
+
+def _fat_department(dept: str, rows: int = 6000) -> list[dict]:
+    """Employees enough under one key that scanning them outruns
+    INLINE_STEP_BUDGET (≈ 6 steps per fetched row)."""
+    return [
+        {"id": 10_000 + i, "dept": dept, "name": f"extra-{i}", "salary": 1}
+        for i in range(rows)
+    ]
+
+
+@pytest.fixture
+def fresh():
+    """A server nobody has warmed: (handle, registry, db), one lease —
+    so every run of a test is on the *same* leased connection."""
+    db = figure3_database()
+    registry = paper_registry()
+    handle = serve_in_background(
+        connect(db, cache=PlanCache()), registry, pool_size=1
+    )
+    try:
+        yield handle, registry, db
+    finally:
+        handle.stop()
+
+
+class _GatedQuery(RegisteredQuery):
+    """A catalogue entry whose run parks until the test opens the gate —
+    a heavy query *in flight* for as long as the test needs it to be."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__(name=name, term=NESTED_QUERIES["Q1"])
+        self.running = threading.Semaphore(0)
+        self.gate = threading.Event()
+
+    def prepared(self, session):
+        real = super().prepared(session)
+        entry = self
+
+        class _Gated:
+            def run(self, **kwargs):
+                entry.running.release()
+                assert entry.gate.wait(timeout=30)
+                return real.run(**kwargs)
+
+        return _Gated()
+
+
+class TestRunsOnTheLoop:
+    def test_first_run_on_a_worker_then_inline(self, fresh, wire_client):
+        handle, registry, db = fresh
+        client = wire_client(handle.host, handle.port)
+        params = {"dept": "Research"}
+        expected = _oracle(registry, db, "dept_staff", params)
+        assert _where(client) == (0, 0)
+        first = client.execute("dept_staff", params=params)
+        assert _where(client) == (0, 0)  # compile + advisement: a worker's job
+        second = client.execute("dept_staff", params=params)
+        third = client.execute("dept_staff", params={"dept": "Sales"})
+        assert _where(client) == (2, 0)
+        assert bag_equal(first, expected) and bag_equal(second, expected)
+        assert bag_equal(
+            third, _oracle(registry, db, "dept_staff", {"dept": "Sales"})
+        )
+        exposition = client.metrics()
+        assert "repro_execute_inline_total 2" in exposition
+        assert "repro_execute_escalations_total 0" in exposition
+
+    def test_multiplicity_cases_over_the_wire_worker_then_inline(
+        self, wire_client
+    ):
+        from .test_property_pipeline import INSTANCES, MULTIPLICITY_CASES
+
+        db = INSTANCES["keyed"]
+        registry = QueryRegistry()
+        for case in MULTIPLICITY_CASES:
+            registry.register(case.id, case.values[0])
+        session = connect(db, cache=PlanCache())
+        with serve_in_background(session, registry, pool_size=1) as handle:
+            client = wire_client(handle.host, handle.port)
+            for done, case in enumerate(MULTIPLICITY_CASES):
+                expected = _oracle(registry, db, case.id)
+                on_a_worker = client.execute(case.id)
+                assert _where(client) == (done, 0), case.id
+                inline = client.execute(case.id)
+                assert _where(client) == (done + 1, 0), case.id
+                assert bag_equal(on_a_worker, expected), case.id
+                assert bag_equal(inline, expected), case.id
+
+    def test_heavy_parameter_escalates_once_and_sticks(self, fresh, wire_client):
+        handle, registry, db = fresh
+        client = wire_client(handle.host, handle.port)
+        params = {"dept": "Research"}
+        client.execute("dept_staff", params=params)
+        client.execute("dept_staff", params=params)
+        assert _where(client) == (1, 0)
+        client.insert("employees", _fat_department("Research"))
+        served = client.execute("dept_staff", params=params)
+        assert _where(client) == (1, 1)  # tried inline, tripped, re-ran
+        assert len(served[0]["staff"]) == 6002
+        assert bag_equal(served, _oracle(registry, db, "dept_staff", params))
+        # Heavy is sticky, for every parameter.
+        client.execute("dept_staff", params=params)
+        client.execute("dept_staff", params={"dept": "Sales"})
+        assert _where(client) == (1, 1)
+        # A re-registered entry is a new entry: learned again from its
+        # first run (same term, so the wire's convergent ``register`` would
+        # be a no-op — this is the server-side hot catalogue update).
+        registry.register("dept_staff", registry.lookup("dept_staff").term)
+        sales = {"dept": "Sales"}
+        assert bag_equal(
+            client.execute("dept_staff", params=sales),
+            _oracle(registry, db, "dept_staff", sales),
+        )
+        assert _where(client) == (1, 1)
+        client.execute("dept_staff", params=sales)
+        assert _where(client) == (2, 1)
+
+    def test_over_the_light_line_inside_the_budget_turns_heavy_quietly(
+        self, fresh, wire_client
+    ):
+        handle, registry, db = fresh
+        client = wire_client(handle.host, handle.port)
+        params = {"dept": "Research"}
+        client.execute("dept_staff", params=params)
+        client.insert("employees", _fat_department("Research", rows=1000))
+        served = client.execute("dept_staff", params=params)
+        assert _where(client) == (1, 0)  # ≈ 6 k steps: ran inline, whole
+        assert bag_equal(served, _oracle(registry, db, "dept_staff", params))
+        client.execute("dept_staff", params=params)
+        assert _where(client) == (1, 0)  # … but 1 003 fetched rows: heavy now
+
+    def test_the_guard_never_outlives_its_run(self, fresh, wire_client):
+        handle, registry, db = fresh  # one lease serves every run below
+        client = wire_client(handle.host, handle.port)
+        light, fat = {"dept": "Sales"}, {"dept": "Research"}
+        for _ in range(2):
+            client.execute("dept_staff", params=light)
+        assert _where(client) == (1, 0)
+        client.insert("employees", _fat_department("Research"))
+        everyone = {"min_salary": 0}
+        expected = _oracle(registry, db, "staff_above", everyone)
+        assert len(expected) > 6000  # far beyond the step budget
+        # After an inline run: a heavy worker-thread run, uninterrupted.
+        assert bag_equal(client.execute("staff_above", params=everyone), expected)
+        # An escalation: interrupted on the loop, whole on the worker …
+        served = client.execute("dept_staff", params=fat)
+        assert _where(client) == (1, 1)
+        assert bag_equal(served, _oracle(registry, db, "dept_staff", fat))
+        # … and after it the same lease serves the heavy run again.
+        assert bag_equal(client.execute("staff_above", params=everyone), expected)
+        assert _where(client) == (1, 1)
+        assert "repro_leases_free 1" in client.metrics()
+
+    def test_the_loop_stays_live_under_heavy_queries(self, wire_client):
+        from repro.errors import OverloadedError
+
+        db = figure3_database()
+        registry = paper_registry()
+        gated = _GatedQuery("gated")
+        with registry._lock:
+            registry._entries["gated"] = gated
+        handle = serve_in_background(
+            connect(db, cache=PlanCache()), registry, pool_size=3, max_pending=2
+        )
+        answers: list = []
+
+        def heavy() -> None:
+            with ServiceClient(handle.host, handle.port) as client:
+                answers.append(client.execute("gated"))
+
+        threads = [threading.Thread(target=heavy) for _ in range(2)]
+        try:
+            client = wire_client(handle.host, handle.port)
+            sales = {"dept": "Sales"}
+            for _ in range(2):
+                client.execute("dept_staff", params=sales)
+            assert _where(client) == (1, 0)
+            threads[0].start()
+            assert gated.running.acquire(timeout=30)  # in flight, on a worker
+            assert client.ping()["pong"] is True
+            served = client.execute("dept_staff", params=sales)
+            assert bag_equal(served, _oracle(registry, db, "dept_staff", sales))
+            assert _where(client) == (2, 0)  # answered from the loop meanwhile
+            threads[1].start()
+            assert gated.running.acquire(timeout=30)  # admission bound reached
+            with pytest.raises(OverloadedError, match="admission limit"):
+                client.execute("dept_staff", params=sales)
+            assert client.ping()["pong"] is True
+            assert client.stats()["server"]["shed"] == 1
+        finally:
+            gated.gate.set()
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join(timeout=30)
+            handle.stop()
+        expected = _oracle(registry, db, "gated")
+        assert len(answers) == 2
+        assert all(bag_equal(answer, expected) for answer in answers)
+        # The heavy runs were never counted inline.
+        assert handle.server.inline_count == 2
+
+    def test_deadline_semantics_are_the_worker_paths(self, fresh, wire_client):
+        from repro.errors import DeadlineExceededError
+
+        handle, registry, db = fresh
+        client = wire_client(handle.host, handle.port)
+        sales = {"dept": "Sales"}
+
+        def hurried(query: str) -> None:
+            # Sent raw: a microsecond's deadline, enforced by the server
+            # alone (the client would refuse to even send it).
+            client.request(
+                {"op": "execute", "query": query, "params": sales,
+                 "deadline_ms": 0.001}
+            )
+
+        with pytest.raises(DeadlineExceededError, match="server-side") as worker:
+            hurried("dept_staff")  # never run before: a worker's
+        assert client.stats()["server"]["deadline_exceeded"] == 1
+        for _ in range(2):
+            client.execute("dept_staff", params=sales)
+        assert _where(client) == (1, 0)
+        with pytest.raises(DeadlineExceededError, match="server-side") as inline:
+            hurried("dept_staff")
+        assert _where(client) == (2, 0)  # it did run on the loop
+        assert client.stats()["server"]["deadline_exceeded"] == 2
+        assert str(inline.value) == str(worker.value)
+        assert inline.value.kind == worker.value.kind == "DeadlineExceeded"
+        # A deadline it meets changes nothing, and the lease came back.
+        served = client.execute("dept_staff", params=sales, deadline_ms=30_000)
+        assert bag_equal(served, _oracle(registry, db, "dept_staff", sales))
+        assert _where(client) == (3, 0)
+        assert "repro_leases_free 1" in client.metrics()
+
+    @pytest.mark.parametrize("engine", ["parallel", "per-path"])
+    def test_other_engines_never_run_inline(self, fresh, wire_client, engine):
+        handle, registry, db = fresh
+        client = wire_client(handle.host, handle.port)
+        sales = {"dept": "Sales"}
+        for _ in range(2):
+            client.execute("dept_staff", params=sales)
+        assert _where(client) == (1, 0)
+        response = client.execute_full(
+            "dept_staff", sales, engine=engine, trace_id="where"
+        )
+        assert response["engine"] == engine and response["inline"] is False
+        assert bag_equal(
+            response["rows"], _oracle(registry, db, "dept_staff", sales)
+        )
+        assert _where(client) == (1, 0)
+        traced = client.execute_full("dept_staff", sales, trace_id="where")
+        assert traced["inline"] is True
+        assert "inline" not in client.execute_full("dept_staff", sales)
+
+    def test_inline_errors_answer_in_frame_and_return_the_lease(
+        self, fresh, wire_client
+    ):
+        handle, registry, db = fresh
+        client = wire_client(handle.host, handle.port)
+        for _ in range(2):
+            client.execute("dept_staff", params={"dept": "Sales"})
+        with pytest.raises(ServiceError) as excinfo:
+            client.execute("dept_staff")  # the parameter is missing
+        assert excinfo.value.kind == "ShreddingError"
+        assert "repro_leases_free 1" in client.metrics()
+        client.execute("dept_staff", params={"dept": "Sales"})
+        assert _where(client) == (2, 0)
+
+    def test_hammer_mixed_light_heavy_and_escalating(self):
+        import random
+
+        db = figure3_database()
+        db.insert("employees", _fat_department("Research"))
+        registry = paper_registry()
+        aliases = [f"dept_staff_{i}" for i in range(4)]
+        for alias in aliases:  # each escalates once, whenever its turn comes
+            registry.register(alias, registry.lookup("dept_staff").term)
+        mix = (
+            [(alias, {"dept": "Sales"}) for alias in aliases] * 4
+            + [(alias, {"dept": "Research"}) for alias in aliases]
+            + [("staff_above", {"min_salary": 0}), ("Q2", None)]
+        )
+        expected = {
+            (name, repr(params)): _oracle(registry, db, name, params)
+            for name, params in mix
+        }
+        pool_size, connections, requests = 3, 6, 40
+        failures: list = []
+
+        def caller(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                with ServiceClient(handle.host, handle.port) as client:
+                    for _ in range(requests):
+                        name, params = rng.choice(mix)
+                        served = client.execute(name, params=params)
+                        if not bag_equal(served, expected[name, repr(params)]):
+                            failures.append((name, params, "mismatch"))
+            except Exception as error:  # noqa: BLE001 — collect, don't die
+                failures.append((seed, repr(error)))
+
+        with serve_in_background(
+            connect(db, cache=PlanCache()), registry, pool_size=pool_size
+        ) as handle:
+            threads = [
+                threading.Thread(target=caller, args=(seed,))
+                for seed in range(connections)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            with ServiceClient(handle.host, handle.port) as client:
+                server = client.stats()["server"]
+                exposition = client.metrics()
+        assert not failures, failures[:5]
+        assert server["requests"]["execute"] == connections * requests
+        assert server["errors"] == 0 and server["pending"] == 0
+        assert server["inline_runs"] > 0
+        # An alias escalates at most once — it is heavy from then on.
+        assert 0 < server["escalations"] <= len(aliases)
+        assert f"repro_leases_free {pool_size}" in exposition
+
+
+class TestDeadlineValidation:
+    @pytest.mark.parametrize("literal", ["true", "NaN", "Infinity"])
+    def test_non_numbers_are_rejected(self, service, literal):
+        # ``json.loads`` reads all three; none is a positive number of
+        # milliseconds (``true`` used to mean 1 ms, ``NaN`` a deadline that
+        # always expires, ``Infinity`` none at all).
+        body = (
+            '{"op": "execute", "query": "Q1", "deadline_ms": %s}' % literal
+        ).encode()
+        before = service.server.deadline_count
+        with socket.create_connection((service.host, service.port), 10) as raw:
+            raw.sendall(struct.pack(">I", len(body)) + body)
+            response = _read_frame(raw)
+        assert response["ok"] is False
+        assert response["error"]["type"] == "ServiceError"
+        assert "'deadline_ms' must be a positive number" in (
+            response["error"]["message"]
+        )
+        assert service.server.deadline_count == before
+
+
+class TestFramePacking:
+    def test_frames_are_packed_off_loop_by_rows_fetched(self, monkeypatch):
+        # Q4 at 64 × 100: 64 top-level rows, ≈ 6 000 nested values — a big
+        # frame the old top-level-row test packed on the loop.
+        import repro.service.server as server_module
+        from repro.data.generator import scaled_database
+
+        packed: list = []
+        real = server_module.pack_frame
+
+        def recording(message):
+            if message.get("query") in ("Q4", "dept_staff"):
+                packed.append((message["query"], threading.current_thread()))
+            return real(message)
+
+        monkeypatch.setattr(server_module, "pack_frame", recording)
+        db = scaled_database(64, 0, 100)
+        department = db.rows("departments")[0]["name"]
+        with serve_in_background(connect(db), paper_registry()) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                big = client.execute_full("Q4")
+                small = client.execute_full("dept_staff", {"dept": department})
+            loop_thread = handle._thread
+        assert len(big["rows"]) == 64 and big["stats"]["rows_fetched"] > 6000
+        assert small["stats"]["rows_fetched"] <= 256
+        assert [query for query, _thread in packed] == ["Q4", "dept_staff"]
+        assert packed[0][1] is not loop_thread
+        assert packed[1][1] is loop_thread

@@ -2,7 +2,9 @@
 """Concurrency lint for the serving stack (stdlib ``ast``, no dependencies).
 
 The asyncio service and the shard fleet live or die by one rule: nothing
-blocks the event loop.  This tool walks ``src/repro/service/`` and
+*unbounded* runs on the event loop — and the one thing that does run SQL
+there (a light catalogue entry's request, ``QueryServer._run_guarded``)
+does so under a step guard.  This tool walks ``src/repro/service/`` and
 ``src/repro/shard/`` and flags the patterns that have historically snuck
 blocking work onto a loop thread:
 
@@ -20,6 +22,14 @@ blocking work onto a loop thread:
     CC004  I/O in the sans-IO protocol core (``service/protocol.py``):
            importing ``socket`` or ``asyncio``, or sleeping — the core
            decides, its two drivers (``service/client.py``) do the I/O
+    CC005  SQL executed on the loop outside the guard, under
+           ``src/repro/service/``: inside an ``async def`` — or inside
+           the on-loop helper itself (``_run_guarded``) — a call that
+           executes SQL (``.run(… connection=…)``, ``execute_package*``,
+           ``execute_sql*``, ``.execute*(…)``) must be awaited/scheduled
+           or sit in a ``try`` whose ``finally`` clears the progress
+           handler a preceding ``set_progress_handler(<guard>, …)``
+           installed
 
 Calls are sanctioned when they appear inside an ``await`` expression or as
 arguments to ``asyncio.gather`` / ``create_task`` / ``ensure_future`` /
@@ -91,6 +101,13 @@ DEFAULT_TARGETS = ("src/repro/service", "src/repro/shard")
 SANS_IO_MODULE = "repro/service/protocol.py"
 IO_MODULES = {"socket", "asyncio"}
 
+#: CC005's scope, and the one sync function there that runs on the loop
+#: by design — its body is held to the same rule as an ``async def``'s.
+SERVICE_PACKAGE = "repro/service/"
+ON_LOOP_HELPER = "_run_guarded"
+SQL_CALL_PREFIXES = ("execute_package", "execute_sql")
+SQL_METHODS = {"execute", "executemany", "executescript"}
+
 
 def _dotted(func: ast.expr) -> tuple[str, str] | None:
     """``module.attr`` for an Attribute call on a plain Name, else None."""
@@ -99,18 +116,71 @@ def _dotted(func: ast.expr) -> tuple[str, str] | None:
     return None
 
 
+def _call_ids(node: ast.AST) -> set[int]:
+    """ids of every Call node at or under ``node``."""
+    return {id(sub) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
+
+
+def _executes_sql(node: ast.Call) -> bool:
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    if name.startswith(SQL_CALL_PREFIXES):
+        return True
+    if not isinstance(func, ast.Attribute):
+        return False
+    return name in SQL_METHODS or (
+        name == "run" and any(kw.arg == "connection" for kw in node.keywords)
+    )
+
+
+def _handler_call(node: ast.AST, clears: bool) -> bool:
+    """``<x>.set_progress_handler(None, …)`` (``clears``) or
+    ``<x>.set_progress_handler(<anything else>, …)``."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "set_progress_handler"
+        and node.args
+    ):
+        return False
+    first = node.args[0]
+    return (isinstance(first, ast.Constant) and first.value is None) == clears
+
+
+def _guarded_calls(function: ast.AST) -> set[int]:
+    """ids of the Call nodes of ``function`` that run under a step guard:
+    in the body of a ``try`` whose ``finally`` clears the progress handler,
+    the ``try`` coming after a statement that installs one."""
+    guarded: set[int] = set()
+    for node in ast.walk(function):
+        body = getattr(node, "body", None)
+        if not isinstance(body, list):
+            continue
+        installed = False
+        for statement in body:
+            if (
+                installed
+                and isinstance(statement, ast.Try)
+                and any(
+                    _handler_call(sub, clears=True)
+                    for final in statement.finalbody
+                    for sub in ast.walk(final)
+                )
+            ):
+                for part in statement.body:
+                    guarded |= _call_ids(part)
+            installed = installed or any(
+                _handler_call(sub, clears=False) for sub in ast.walk(statement)
+            )
+    return guarded
+
+
 def _sanctioned_calls(tree: ast.AST) -> set[int]:
     """ids of Call nodes awaited or handed to a scheduler/executor."""
     sanctioned: set[int] = set()
-
-    def mark(node: ast.AST) -> None:
-        for child in ast.walk(node):
-            if isinstance(child, ast.Call):
-                sanctioned.add(id(child))
-
     for node in ast.walk(tree):
         if isinstance(node, ast.Await):
-            mark(node.value)
+            sanctioned |= _call_ids(node.value)
         elif isinstance(node, ast.Call):
             name = None
             if isinstance(node.func, ast.Attribute):
@@ -119,7 +189,7 @@ def _sanctioned_calls(tree: ast.AST) -> set[int]:
                 name = node.func.id
             if name in _SCHEDULERS:
                 for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    mark(arg)
+                    sanctioned |= _call_ids(arg)
     return sanctioned
 
 
@@ -130,24 +200,36 @@ class _Visitor(ast.NodeVisitor):
         self.findings: list[Finding] = []
         self._async_depth = 0
         self._sans_io = Path(path).as_posix().endswith(SANS_IO_MODULE)
+        self._service = SERVICE_PACKAGE in Path(path).as_posix()
+        #: Calls under a step guard, and whether we are inside a function
+        #: whose body runs on the loop (CC005).
+        self._guarded: set[int] = set()
+        self._on_loop = False
 
     # -- function scoping: a nested sync def runs on whatever thread calls
     # it later, so it leaves the enclosing coroutine's context.
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         saved, self._async_depth = self._async_depth, 0
-        self.generic_visit(node)
+        self._visit_loop_scope(node, node.name == ON_LOOP_HELPER)
         self._async_depth = saved
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         saved, self._async_depth = self._async_depth, 0
-        self.generic_visit(node)
+        self._visit_loop_scope(node, False)
         self._async_depth = saved
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._async_depth += 1
-        self.generic_visit(node)
+        self._visit_loop_scope(node, True)
         self._async_depth -= 1
+
+    def _visit_loop_scope(self, node: ast.AST, on_loop: bool) -> None:
+        saved = self._on_loop, self._guarded
+        self._on_loop = on_loop and self._service
+        self._guarded = _guarded_calls(node) if self._on_loop else set()
+        self.generic_visit(node)
+        self._on_loop, self._guarded = saved
 
     # -- rules
 
@@ -174,6 +256,20 @@ class _Visitor(ast.NodeVisitor):
                 node,
                 "time.sleep() in the sans-IO protocol core — return the "
                 "delay and let the driver sleep",
+            )
+        if (
+            self._on_loop
+            and _executes_sql(node)
+            and id(node) not in self.sanctioned
+            and id(node) not in self._guarded
+        ):
+            self._add(
+                "CC005",
+                node,
+                "SQL executed on the event loop outside the step guard — "
+                "hand it to asyncio.to_thread, or run it the way "
+                f"{ON_LOOP_HELPER} does (set_progress_handler(guard, …), "
+                "try, finally: set_progress_handler(None, 0))",
             )
         if self._async_depth and id(node) not in self.sanctioned:
             dotted = _dotted(node.func)
