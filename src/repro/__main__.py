@@ -459,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         choices=["auto", "per-path", "batched", "parallel"],
         default="auto",
-        help="execution engine (auto picks from the package shape)",
+        help="execution engine (auto is the batched engine)",
     )
     run.add_argument(
         "--stats",

@@ -34,7 +34,6 @@ from repro.api.capture import CapturedQuery, query
 from repro.api.fluent import Expr, Query, TermQuery, as_term, param
 from repro.api.results import Prepared, Result, Runnable
 from repro.api.session import (
-    PARALLEL_THRESHOLD,
     Session,
     connect,
     connect_sharded,
@@ -58,5 +57,4 @@ __all__ = [
     "Runnable",
     "SqlOptions",
     "as_term",
-    "PARALLEL_THRESHOLD",
 ]

@@ -26,6 +26,7 @@ are stable.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any, Callable, Union as PyUnion
 
 from repro.errors import ShreddingError
@@ -96,16 +97,15 @@ class _Scope:
                 return name
 
 
-#: The scope of the lowering pass currently in progress (lowering is
-#: reentrant but not concurrent: callbacks run synchronously inside
-#: :meth:`Query.term`).  Subqueries built inside callbacks — including
+#: The scope of the lowering pass in progress *in this thread or task*
+#: (lowering is reentrant — callbacks run synchronously inside
+#: :meth:`Query.term` — and two threads may lower at once, each under its
+#: own scope).  Subqueries built inside callbacks — including
 #: :meth:`Query.exists` probes — pick it up so their variables never
 #: shadow enclosing rows.
-_ACTIVE_SCOPES: list[_Scope] = []
-
-
-def _lowering_scope() -> _Scope | None:
-    return _ACTIVE_SCOPES[-1] if _ACTIVE_SCOPES else None
+_ACTIVE_SCOPE: "ContextVar[_Scope | None]" = ContextVar(
+    "repro_lowering_scope", default=None
+)
 
 
 class Expr:
@@ -368,15 +368,15 @@ class Query(Runnable):
     def term(self) -> ast.Term:
         """Lower to a λNRC term, reusing the active scope when this query
         is built inside another query's lowering pass."""
-        scope = _lowering_scope()
+        scope = _ACTIVE_SCOPE.get()
         if scope is not None:
             return self._lower(scope)
         scope = _Scope()
-        _ACTIVE_SCOPES.append(scope)
+        token = _ACTIVE_SCOPE.set(scope)
         try:
             return self._lower(scope)
         finally:
-            _ACTIVE_SCOPES.pop()
+            _ACTIVE_SCOPE.reset(token)
 
     def _lower(self, scope: _Scope) -> ast.Term:
         name = scope.fresh(self._alias)

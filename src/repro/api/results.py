@@ -122,8 +122,8 @@ class Prepared(Runnable):
     ) -> "Result":
         """Execute on the session's database and stitch the nested result.
 
-        ``engine`` defaults to the session's engine policy (``"auto"``
-        resolves from the package shape — see
+        ``engine`` defaults to the session's engine (``"auto"`` is the
+        batched engine — see
         :meth:`~repro.api.session.Session.resolve_engine`); ``collection``
         selects bag/set/list semantics; extra keyword arguments
         (``params`` for host-parameter bindings, ``batch_size``,

@@ -10,12 +10,12 @@ policy* — everything PRs 1–2 built, behind a single object::
     result = session.table("departments").select("name").run()
     session.query(Q6).run(engine="parallel")       # hand-built λNRC terms
 
-``engine="auto"`` (the default) picks the executor from the compiled
-package's shape: single-statement packages run batched (index advisement +
-one-pass stitch without thread overhead), packages of
-:data:`PARALLEL_THRESHOLD` or more statements fan out across the read-only
-connection pool.  Explicit engines are validated against
-:data:`~repro.pipeline.shredder.KNOWN_ENGINES` up front.
+``engine="auto"`` (the default) is the batched executor: index advisement,
+then every statement of the package on the calling thread, children first,
+one fold per fetched row.  It does not pick threads — the statements share
+the interpreter lock, so a pool does the same work in no less time;
+``engine="parallel"`` remains selectable by name.  Explicit engines are
+validated against :data:`~repro.pipeline.shredder.KNOWN_ENGINES` up front.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ from repro.pipeline.shredder import (
 )
 from repro.sql.codegen import SqlOptions
 
-__all__ = ["Session", "connect", "connect_sharded", "PARALLEL_THRESHOLD"]
-
-#: Package size (number of flat statements) from which ``engine="auto"``
-#: prefers the parallel executor: below this, thread fan-out costs more
-#: than overlapping two or fewer statements can recover.
-PARALLEL_THRESHOLD = 3
+__all__ = ["Session", "connect", "connect_sharded"]
 
 #: Cap on the session-lifetime per-query sample lists: after each merge,
 #: samples beyond this are folded into exact aggregates
@@ -66,8 +61,8 @@ class Session:
     options:
         :class:`SqlOptions` for code generation and the logical optimizer.
     engine:
-        The session's default executor: ``"auto"`` (default) or one of
-        :data:`~repro.pipeline.shredder.KNOWN_ENGINES`.
+        The session's default executor: ``"auto"`` (default, the batched
+        engine) or one of :data:`~repro.pipeline.shredder.KNOWN_ENGINES`.
     cache:
         ``True`` (default) → the process-wide shared plan cache; a
         :class:`~repro.pipeline.plan_cache.PlanCache` to scope it;
@@ -298,15 +293,12 @@ class Session:
     def resolve_engine(
         self, engine: str | None, compiled: CompiledQuery
     ) -> str:
-        """Validate ``engine`` and resolve ``"auto"`` from package shape."""
+        """Validate ``engine`` (default: the session's) and resolve
+        ``"auto"``, which is the batched engine whatever ``compiled`` is."""
         if engine is None:
             engine = self.engine
         validate_engine(engine, extra=("auto",))
-        if engine != "auto":
-            return engine
-        if compiled.query_count >= PARALLEL_THRESHOLD:
-            return "parallel"
-        return "batched"
+        return "batched" if engine == "auto" else engine
 
     # ----------------------------------------------------------------- data
 

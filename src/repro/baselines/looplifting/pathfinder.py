@@ -292,7 +292,7 @@ def _pred_repr(predicate: BaseExpr) -> str:
     real Pathfinder has a column-based predicate encoding, which we do not
     need to reproduce to pay the round-trip cost."""
     key = f"pred{id(predicate)}"
-    _PRED_REGISTRY[key] = predicate
+    _PRED_REGISTRY[key] = predicate  # CC006: one atomic store, never evicted
     return key
 
 

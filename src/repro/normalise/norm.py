@@ -11,11 +11,15 @@ the environment of generator row types where the paper's presentation uses
 the expected type (tables are flat, so the two coincide).
 
 Generator variables are renamed apart (``x1, x2, …``) during this pass; the
-let-insertion stage (§6.2) requires all bound names distinct.
+let-insertion stage (§6.2) requires all bound names distinct.  The renaming
+is a lookup, not a substitution: the environment maps each source generator
+variable to its fresh name and row type, and ``Var``/``Project`` nodes read
+the fresh name from there.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 from repro.errors import NotNormalisableError
@@ -43,6 +47,9 @@ from repro.normalise.rewrite import symbolic_eval
 
 __all__ = ["normalise", "normalise_cached", "annotate", "tag_names"]
 
+#: Source generator variable → (its renamed-apart name xₙ, its row type).
+_Env = dict[str, tuple[str, RecordType]]
+
 
 def normalise(
     term: ast.Term, schema: Schema, with_tags: bool = True
@@ -59,12 +66,15 @@ def normalise(
 
 
 #: Memo table for :func:`normalise_cached`, keyed on the structural
-#: fingerprints of the term and schema.  Bounded FIFO: normal forms are
+#: fingerprints of the term and schema.  Bounded LRU: normal forms are
 #: shared across SqlOptions variants (the plan cache keys on options too,
 #: but normalisation does not depend on them), so one memoised normal form
-#: can feed several compiled plans.
+#: can feed several compiled plans.  Server worker threads compile
+#: concurrently, so lookup-and-touch and store-and-evict each happen under
+#: ``_NF_MEMO_LOCK`` (normalisation itself runs outside it).
 _NF_MEMO: "OrderedDict[tuple[str, str, bool], NormQuery]" = OrderedDict()
 _NF_MEMO_LIMIT = 512
+_NF_MEMO_LOCK = threading.Lock()
 
 
 def normalise_cached(
@@ -77,14 +87,16 @@ def normalise_cached(
     re-normalise nothing.
     """
     key = (ast.term_fingerprint(term), schema.fingerprint(), with_tags)
-    cached = _NF_MEMO.get(key)
-    if cached is not None:
-        _NF_MEMO.move_to_end(key)
-        return cached
+    with _NF_MEMO_LOCK:
+        cached = _NF_MEMO.get(key)
+        if cached is not None:
+            _NF_MEMO.move_to_end(key)
+            return cached
     normal_form = normalise(term, schema, with_tags)
-    _NF_MEMO[key] = normal_form
-    while len(_NF_MEMO) > _NF_MEMO_LIMIT:
-        _NF_MEMO.popitem(last=False)
+    with _NF_MEMO_LOCK:
+        _NF_MEMO[key] = normal_form
+        while len(_NF_MEMO) > _NF_MEMO_LIMIT:
+            _NF_MEMO.popitem(last=False)
     return normal_form
 
 
@@ -101,7 +113,7 @@ class _Normaliser:
 
     # -------------------------------------------------------------- queries
 
-    def query(self, term: ast.Term, env: dict[str, RecordType]) -> NormQuery:
+    def query(self, term: ast.Term, env: _Env) -> NormQuery:
         """⌊M⌋_{Bag A} = ⊎ (B⌊M⌋*_{A, [], true})."""
         return NormQuery(tuple(self.comps(term, (), TRUE_NF, env)))
 
@@ -110,7 +122,7 @@ class _Normaliser:
         term: ast.Term,
         generators: tuple[Generator, ...],
         condition: BaseExpr,
-        env: dict[str, RecordType],
+        env: _Env,
     ) -> list[Comprehension]:
         """B⌊M⌋*_{A, Ḡ, L}: flatten into a list of comprehensions."""
         if isinstance(term, ast.Return):
@@ -125,27 +137,22 @@ class _Normaliser:
                 )
             table = self.schema.table(term.source.name)
             fresh = self._fresh()
-            body = ast.substitute(term.body, term.var, ast.Var(fresh))
-            inner_env = dict(env)
-            inner_env[fresh] = table.row_type
             return self.comps(
-                body,
+                term.body,
                 generators + (Generator(fresh, table.name),),
                 condition,
-                inner_env,
+                {**env, term.var: (fresh, table.row_type)},
             )
 
         if isinstance(term, ast.Table):
             # B⌊table t⌋* = B⌊return x⌋* with x ← t appended (η-expansion).
             table = self.schema.table(term.name)
             fresh = self._fresh()
-            inner_env = dict(env)
-            inner_env[fresh] = table.row_type
             return self.comps(
                 ast.Return(ast.Var(fresh)),
                 generators + (Generator(fresh, table.name),),
                 condition,
-                inner_env,
+                {**env, fresh: (fresh, table.row_type)},
             )
 
         if isinstance(term, ast.Empty):
@@ -171,16 +178,13 @@ class _Normaliser:
 
     # ---------------------------------------------------------------- terms
 
-    def term(self, term: ast.Term, env: dict[str, RecordType]) -> NormTerm:
+    def term(self, term: ast.Term, env: _Env) -> NormTerm:
         """⌊M⌋_A: normalise a comprehension body."""
         if isinstance(term, ast.Var):
             # η-expand a row variable: ⌊x⌋_⟨ℓ:A⟩ = ⟨ℓᵢ = ⌊x.ℓᵢ⌋⟩ (F⌊−⌋).
-            row_type = self._row_type(term.name, env)
+            name, row_type = self._generator(term.name, env)
             return RecordNF(
-                tuple(
-                    (label, VarField(term.name, label))
-                    for label, _ in row_type.fields
-                )
+                tuple((label, VarField(name, label)) for label, _ in row_type.fields)
             )
 
         if isinstance(term, ast.Record):
@@ -208,7 +212,7 @@ class _Normaliser:
 
     # ----------------------------------------------------------- base terms
 
-    def base(self, term: ast.Term, env: dict[str, RecordType]) -> BaseExpr:
+    def base(self, term: ast.Term, env: _Env) -> BaseExpr:
         """⌊X⌋_O: normalise a base term."""
         if isinstance(term, ast.Const):
             return ConstNF(term.value)
@@ -238,17 +242,17 @@ class _Normaliser:
 
     # -------------------------------------------------------------- helpers
 
-    def _project(self, term: ast.Project, env: dict[str, RecordType]) -> NormTerm:
+    def _project(self, term: ast.Project, env: _Env) -> NormTerm:
         if not isinstance(term.record, ast.Var):
             raise NotNormalisableError(
                 "projection from a non-variable after stages 1-2: "
                 f"{type(term.record).__name__}"
             )
-        row_type = self._row_type(term.record.name, env)
+        name, row_type = self._generator(term.record.name, env)
         row_type.field_type(term.label)  # raises if the label is unknown
-        return VarField(term.record.name, term.label)
+        return VarField(name, term.label)
 
-    def _row_type(self, name: str, env: dict[str, RecordType]) -> RecordType:
+    def _generator(self, name: str, env: _Env) -> tuple[str, RecordType]:
         try:
             return env[name]
         except KeyError:

@@ -13,6 +13,8 @@ Tuples are encoded as records with labels ``#1 … #n`` (§2.1).
 from __future__ import annotations
 
 import hashlib
+import itertools
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -280,14 +282,12 @@ def free_vars(term: Term) -> frozenset[str]:
     raise TypeError(f"not a term: {term!r}")
 
 
-_FRESH_COUNTER = 0
+_FRESH_COUNTER = itertools.count(1)  # next() is one atomic step
 
 
 def fresh_name(base: str) -> str:
     """Generate a fresh variable name (used for capture-avoiding substitution)."""
-    global _FRESH_COUNTER
-    _FRESH_COUNTER += 1
-    return f"{base}%{_FRESH_COUNTER}"
+    return f"{base}%{next(_FRESH_COUNTER)}"
 
 
 def substitute(term: Term, name: str, replacement: Term) -> Term:
@@ -512,6 +512,7 @@ def term_fingerprint(term: Term) -> str:
 
 _INTERN_TABLE: dict[str, Term] = {}
 _INTERN_LIMIT = 4096
+_INTERN_LOCK = threading.Lock()
 
 
 def intern_term(term: Term) -> Term:
@@ -523,12 +524,13 @@ def intern_term(term: Term) -> Term:
     evicting piecemeal — interning is an optimisation, never a requirement.
     """
     digest = term_fingerprint(term)
-    canonical = _INTERN_TABLE.get(digest)
-    if canonical is not None:
-        return canonical
-    if len(_INTERN_TABLE) >= _INTERN_LIMIT:
-        _INTERN_TABLE.clear()
-    _INTERN_TABLE[digest] = term
+    with _INTERN_LOCK:
+        canonical = _INTERN_TABLE.get(digest)
+        if canonical is not None:
+            return canonical
+        if len(_INTERN_TABLE) >= _INTERN_LIMIT:
+            _INTERN_TABLE.clear()
+        _INTERN_TABLE[digest] = term
     return term
 
 

@@ -104,7 +104,9 @@ def _register(
     implementation: Callable[..., object],
     sql: str,
 ) -> None:
-    PRIMITIVES[name] = PrimSpec(name, arity, result_type, implementation, sql)
+    PRIMITIVES[name] = PrimSpec(  # CC006: only this module's body calls it
+        name, arity, result_type, implementation, sql
+    )
 
 
 _register("=", 2, _comparison("="), lambda a, b: a == b, "infix:=")

@@ -16,18 +16,18 @@ arguments may be object-level lambdas or any term of function type.
 
 from __future__ import annotations
 
+import itertools
+
 from repro.nrc import builders as b
 from repro.nrc.ast import App, Term
 
 __all__ = ["filter_", "any_", "all_", "contains", "count_via_empty"]
 
-_COUNTER = 0
+_COUNTER = itertools.count(1)  # next() is one atomic step
 
 
 def _fresh(base: str) -> str:
-    global _COUNTER
-    _COUNTER += 1
-    return f"{base}_{_COUNTER}"
+    return f"{base}_{next(_COUNTER)}"
 
 
 def filter_(predicate: Term, xs: Term) -> Term:

@@ -130,12 +130,9 @@ class PlanCache:
         }
 
 
-_SHARED: PlanCache | None = None
+_SHARED = PlanCache()
 
 
 def shared_plan_cache() -> PlanCache:
     """The process-wide default cache (``ShreddingPipeline(cache=True)``)."""
-    global _SHARED
-    if _SHARED is None:
-        _SHARED = PlanCache()
     return _SHARED

@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterator, Union as PyUnion
 
 from repro.errors import ShreddingError
 from repro.nrc.types import BagType, BaseType, RecordType, Type
-from repro.shred.paths import EPSILON, Path, paths
+from repro.shred.paths import DOWN, EPSILON, Path
 
 __all__ = [
     "PkgBase",
@@ -118,19 +118,26 @@ def pmap(f: Callable[[Any], Any], package: Package) -> Package:
     raise ShreddingError(f"not a package: {package!r}")
 
 
-def annotations(package: Package) -> Iterator[tuple[Path, Any]]:
-    """Yield (path, annotation) for every bag node, in paths(A) order."""
-    a = erase(package)
-    for path in paths(a):
-        yield path, annotation_at(package, path)
+def annotations(
+    package: Package, path: Path = EPSILON
+) -> Iterator[tuple[Path, Any]]:
+    """Yield (path, annotation) for every bag node, in paths(A) order: a
+    bag before the bags in its element, record fields by label.  ``path``
+    is where ``package`` itself sits."""
+    if isinstance(package, PkgBag):
+        yield path, package.annotation
+        yield from annotations(package.element, path.down())
+    elif isinstance(package, PkgRecord):
+        for label, pkg in package.fields:
+            yield from annotations(pkg, path.label(label))
+    elif not isinstance(package, PkgBase):
+        raise ShreddingError(f"not a package: {package!r}")
 
 
 def annotation_at(package: Package, path: Path) -> Any:
     """The annotation on the bag constructor at ``path``."""
     current = package
     for step in path.steps:
-        from repro.shred.paths import DOWN
-
         if step is DOWN:
             if not isinstance(current, PkgBag):
                 raise ShreddingError(f"↓ at non-bag package node")

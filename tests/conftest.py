@@ -48,6 +48,37 @@ def run_per_path(query, db, options=None):
     return session.query(query).run(engine="per-path").value
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(function)`` → a list that grows by one per *outermost*
+    call of ``function`` (a recursive function counts once per entry),
+    whichever ``repro`` module's by-name import the caller goes through —
+    the spy behind the work bars, which count calls, not clocks."""
+    import sys
+
+    def install(function):
+        calls: list = []
+        depth: list = []
+
+        def spy(*args, **kwargs):
+            if not depth:
+                calls.append(args)
+            depth.append(None)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                getattr(module, function.__name__, None) is function
+            ):
+                monkeypatch.setattr(module, function.__name__, spy)
+        return calls
+
+    return install
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",

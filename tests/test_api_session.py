@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.api import PARALLEL_THRESHOLD, Session, connect
+from repro.api import Session, connect
 from repro.data.organisation import ORGANISATION_SCHEMA, figure3_database
 from repro.data.queries import NESTED_QUERIES, QF4, QF5, Q1
 from repro.errors import ShreddingError, UnknownTableError
@@ -44,14 +44,15 @@ class TestPaperQueriesEndToEnd:
         assert bag_equal(auto.value, explicit.value), (name, engine)
 
     def test_auto_resolution_follows_package_shape(self, session):
+        """``auto`` is the batched engine whatever the package's shape —
+        it never picks threads; ``parallel`` runs only when named."""
+        degrees = [session.query(t).query_count for t in NESTED_QUERIES.values()]
+        assert max(degrees) >= 3  # the shapes the old policy gave threads
         for name, term in NESTED_QUERIES.items():
             prepared = session.query(term)
-            expected = (
-                "parallel"
-                if prepared.query_count >= PARALLEL_THRESHOLD
-                else "batched"
-            )
-            assert prepared.run().engine == expected, name
+            assert prepared.run().engine == "batched", name
+            assert session.resolve_engine(None, prepared.compiled) == "batched"
+            assert prepared.run(engine="parallel").engine == "parallel", name
 
 
 class TestFluentBuilder:

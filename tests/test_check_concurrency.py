@@ -1,8 +1,8 @@
-"""Tests for ``tools/check_concurrency.py`` — the asyncio lint.
+"""Tests for ``tools/check_concurrency.py`` — the asyncio and shared-state lint.
 
-Half the value is the negative space: the real serving stack
-(``src/repro/service/``, ``src/repro/shard/``) must lint clean, and stay
-clean — the CI quick job runs the same tool.  The snippet tests pin down
+Half the value is the negative space: the real tree (``src/repro/`` — the
+serving stack under the loop rules, the rest under CC006) must lint clean,
+and stay clean — the CI quick job runs the same tool.  The snippet tests pin down
 exactly which patterns each rule catches and which sanctioned forms
 (``await``, ``asyncio.to_thread``, ``gather``/``create_task`` arguments,
 nested sync ``def``) it must leave alone.
@@ -238,6 +238,91 @@ class TestOnLoopSql:
         coroutine = "async def probe(lease):\n    lease.execute('SELECT 1')\n"
         assert self._cc005(coroutine) == [2]
         assert self._cc005(coroutine, "src/repro/shard/client.py") == []
+
+
+class TestSharedLibraryState:
+    """CC006: module-level state a function mutates outside a lock."""
+
+    LIBRARY = "src/repro/normalise/norm.py"
+
+    @staticmethod
+    def _cc006(source: str, name: str = LIBRARY) -> list[int]:
+        return [f.line for f in lint_source(source, name) if f.code == "CC006"]
+
+    def test_the_real_memo_passes_and_its_unlocked_form_fails(self):
+        """Both directions on the real ``normalise_cached``: as committed
+        it is clean; with its two ``with _NF_MEMO_LOCK:`` blocks turned
+        into plain blocks (the parent's shape) the touch, the store and
+        the eviction are each a finding."""
+        source = (ROOT / self.LIBRARY).read_text()
+        assert source.count("with _NF_MEMO_LOCK:") == 2
+        assert self._cc006(source) == []
+        unlocked = source.replace("with _NF_MEMO_LOCK:", "if True:")
+        flagged = {unlocked.splitlines()[line - 1].strip() for line in self._cc006(unlocked)}
+        assert flagged == {
+            "_NF_MEMO.move_to_end(key)",
+            "_NF_MEMO[key] = normal_form",
+            "_NF_MEMO.popitem(last=False)",
+        }
+
+    def test_the_real_fresh_name_passes_and_a_global_counter_fails(self):
+        assert self._cc006((ROOT / "src/repro/nrc/ast.py").read_text()) == []
+        parent = (
+            "_FRESH_COUNTER = 0\n"
+            "def fresh_name(base):\n"
+            "    global _FRESH_COUNTER\n"
+            "    _FRESH_COUNTER += 1\n"
+            "    return f'{base}%{_FRESH_COUNTER}'\n"
+        )
+        assert self._cc006(parent, "src/repro/nrc/ast.py") == [4]
+
+    def test_what_counts_as_a_mutation(self):
+        src = (
+            "from collections import OrderedDict\n"
+            "A, B, C = {}, [], set()\n"
+            "MEMO = OrderedDict()\n"
+            "TABLE: dict = {}\n"
+            "def f(k):\n"
+            "    TABLE[k] = 1\n"
+            "    del TABLE[k]\n"
+            "    MEMO.pop(k, None)\n"
+            "    MEMO.popitem()\n"
+            "    MEMO.move_to_end(k)\n"
+            "    MEMO.clear()\n"
+            "    return TABLE.get(k), len(MEMO), A, B, C\n"
+        )
+        assert self._cc006(src) == [6, 7, 8, 9, 10, 11]
+
+    def test_locks_locals_waivers_and_module_body_are_fine(self):
+        src = (
+            "import threading\n"
+            "TABLE = {}\n"
+            "LOCK = threading.Lock()\n"
+            "TABLE['at import'] = 0\n"
+            "def locked(k):\n"
+            "    with LOCK:\n"
+            "        TABLE[k] = 1\n"
+            "def method(self, k):\n"
+            "    with self._lock:\n"
+            "        TABLE.pop(k)\n"
+            "def shadowed(k):\n"
+            "    TABLE = {}\n"
+            "    TABLE[k] = 1\n"
+            "def parameter(TABLE, k):\n"
+            "    TABLE[k] = 1\n"
+            "def waived(k):\n"
+            "    TABLE[k] = 1  # CC006: written once, before threads start\n"
+            "def own_state(self, k):\n"
+            "    self.table[k] = 1\n"
+        )
+        assert self._cc006(src) == []
+
+    def test_scope_is_the_library_outside_service_and_shard(self):
+        src = "TABLE = {}\ndef f(k):\n    TABLE[k] = 1\n"
+        assert self._cc006(src, "src/repro/pipeline/plan_cache.py") == [3]
+        assert self._cc006(src, "src/repro/service/server.py") == []
+        assert self._cc006(src, "src/repro/shard/client.py") == []
+        assert self._cc006(src, "tools/loc.py") == []
 
 
 class TestRealTree:

@@ -50,7 +50,7 @@ class TestRun:
     def test_run_stats_reports_engine_and_counters(self, capsys):
         assert main(["run", "Q6", "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "engine=parallel" in out  # Q6: 3 statements → auto=parallel
+        assert "engine=batched" in out  # auto is the batched engine
         assert "queries=3" in out
 
     def test_run_explain(self, capsys):

@@ -166,3 +166,26 @@ def _find_empty(expr) -> bool:
     if isinstance(expr, PrimNF):
         return any(_find_empty(arg) for arg in expr.args)
     return False
+
+
+class TestWorkBars:
+    """Counts, not clocks: normalisation substitutes nothing and computes
+    free variables at most once (to seed the machine's scope)."""
+
+    def test_normalise_never_substitutes(self, schema, count_calls):
+        from repro.nrc import ast
+        from repro.service.registry import paper_registry
+
+        registry = paper_registry()
+        terms = {name: registry.lookup(name).term for name in registry.names()}
+        assert {"Q1", "Q6", "dept_staff"} <= set(terms)
+        substitutions = count_calls(ast.substitute)
+        free_var_walks = count_calls(ast.free_vars)
+        fresh_names = count_calls(ast.fresh_name)
+        for name, term in terms.items():
+            del free_var_walks[:]
+            normalise(term, schema)
+            assert len(free_var_walks) <= 1, name
+        assert substitutions == [] and fresh_names == []
+        ast.substitute(terms["Q1"], "x", Var("y"))  # the spies do see calls
+        assert substitutions

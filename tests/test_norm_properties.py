@@ -19,9 +19,15 @@ from repro.normalise.normal_form import (
     RecordNF,
     iter_comprehensions,
 )
-from repro.nrc.ast import App, Lam, subterms
+from repro.check.verifier import verify_normalisation
+from repro.normalise.normal_form import nf_to_term
+from repro.nrc.ast import App, Lam, substitute_params, subterms
+from repro.nrc.semantics import evaluate
+from repro.nrc.typecheck import infer
+from repro.values import bag_equal
 
-from .strategies import queries_with_nesting
+from .strategies import queries_with_bindings, queries_with_nesting
+from .test_property_pipeline import DB as SMALL_DB
 
 SCHEMA = ORGANISATION_SCHEMA
 DB = figure3_database()
@@ -44,6 +50,34 @@ def test_stage1_reaches_c_normal_form(query):
 def test_stage1_idempotent(query):
     once = symbolic_eval(query)
     assert symbolic_eval(once) == once
+
+
+@given(queries_with_bindings())
+@_settings
+def test_stage1_is_deterministic(query_and_bindings):
+    """Two runs over one term — with other normalisations in between — give
+    equal terms: fresh names come from a per-call counter."""
+    query, _bindings = query_and_bindings
+    first = symbolic_eval(query)
+    symbolic_eval(first)
+    assert symbolic_eval(query) == first
+    assert normalise(query, SCHEMA) == normalise(query, SCHEMA)
+
+
+@given(queries_with_bindings())
+@_settings
+def test_normalise_preserves_semantics_and_passes_the_verifier(query_and_bindings):
+    """N⟦M⟧ = N⟦norm(M)⟧ with host parameters bound (on the 16-row cut of
+    Fig. 3 — the oracle's cost is the product of the table sizes), and the
+    pipeline's post-normalise verifier stage accepts the normal form."""
+    query, bindings = query_and_bindings
+    nf = normalise(query, SCHEMA)
+    closed = substitute_params(query, bindings)
+    assert bag_equal(
+        evaluate(closed, SMALL_DB),
+        evaluate(substitute_params(nf_to_term(nf), bindings), SMALL_DB),
+    )
+    verify_normalisation(query, nf, infer(query, SCHEMA), SCHEMA)
 
 
 @given(queries_with_nesting())

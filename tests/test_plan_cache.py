@@ -325,6 +325,25 @@ class TestBatchedEngine:
         db.ensure_index("employees", ("salary",))  # the spy does see lookups
         assert spy.touched
 
+    @pytest.mark.parametrize("name", ["dept_staff", "Q1"])
+    def test_warm_run_walks_the_plan_not_its_type(self, db, name, count_calls):
+        """An immutable plan is walked as it is: a warm ``Prepared.run()``
+        neither erases the package to a type nor enumerates that type's
+        paths to find its statements."""
+        from repro.api import connect
+        from repro.service.registry import paper_registry
+        from repro.shred.packages import erase
+        from repro.shred.paths import paths
+
+        prepared = connect(db).prepare(paper_registry().lookup(name).term)
+        params = {"dept": "Product"} if name == "dept_staff" else None
+        expected = prepared.run(params=params).value
+        erasures = count_calls(erase)
+        enumerations = count_calls(paths)
+        assert prepared.run(params=params).value == expected
+        assert erasures == [] and enumerations == []
+        assert prepared.query_count and enumerations  # the spy does see calls
+
     def test_unknown_engine_rejected(self, db):
         from repro.errors import ShreddingError
 

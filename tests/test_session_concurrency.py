@@ -144,3 +144,79 @@ class TestConcurrentDatabaseSetup:
 
         failures = _hammer(worker)
         assert not failures, failures
+
+
+class TestConcurrentNormalisation:
+    def test_normalise_cached_survives_eviction_under_contention(
+        self, monkeypatch
+    ):
+        """Regression: ``_NF_MEMO`` was an unlocked LRU — ``get`` then
+        ``move_to_end`` on a key another compiling thread had just evicted
+        raised ``KeyError``.  A one-entry memo, four threads each asking
+        for every one of four terms twice in a row (so half the lookups
+        hit) and a microsecond switch interval made that a matter of
+        milliseconds; now lookup-and-touch and store-and-evict hold one
+        lock."""
+        import sys
+        import time
+
+        from repro.data.organisation import ORGANISATION_SCHEMA as schema
+        from repro.normalise import norm
+        from repro.service.registry import paper_registry
+
+        registry = paper_registry()
+        terms = [
+            registry.lookup(name).term
+            for name in ("Q3", "Q4", "dept_staff", "staff_above")
+        ]
+        expected = [norm.normalise(term, schema) for term in terms]
+        monkeypatch.setattr(norm, "_NF_MEMO", type(norm._NF_MEMO)())
+        monkeypatch.setattr(norm, "_NF_MEMO_LIMIT", 1)
+        deadline = time.monotonic() + 1.0
+
+        def worker(index: int) -> None:
+            turn = 0
+            while time.monotonic() < deadline:
+                turn += 1
+                position = (turn // 2 + index) % len(terms)
+                got = norm.normalise_cached(terms[position], schema)
+                assert got == expected[position]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            failures = _hammer(worker, thread_count=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert len(norm._NF_MEMO) == 1
+
+
+class TestConcurrentLowering:
+    def test_a_lowering_in_progress_does_not_leak_into_another_thread(self):
+        """Regression: the fluent builder's active lowering scope was one
+        module-level stack, so a query lowered while another thread was
+        inside a ``where`` callback drew its variable names from *that*
+        thread's scope (and popped it)."""
+        session = connect(figure3_database())
+        inside, release = threading.Event(), threading.Event()
+
+        def blocking_predicate(row):
+            inside.set()
+            assert release.wait(timeout=30)
+            return row.salary > 1000
+
+        def plain():
+            return session.table("employees", alias="e").select("name").term()
+
+        alone = plain()
+        slow = session.table("employees", alias="e").where(blocking_predicate)
+        lowering = threading.Thread(target=slow.term)
+        lowering.start()
+        try:
+            assert inside.wait(timeout=30)
+            assert plain() == alone
+        finally:
+            release.set()
+            lowering.join(timeout=30)
+        assert not lowering.is_alive()

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Concurrency lint for the serving stack (stdlib ``ast``, no dependencies).
+"""Concurrency lint for ``src/repro`` (stdlib ``ast``, no dependencies).
 
 The asyncio service and the shard fleet live or die by one rule: nothing
 *unbounded* runs on the event loop — and the one thing that does run SQL
 there (a light catalogue entry's request, ``QueryServer._run_guarded``)
-does so under a step guard.  This tool walks ``src/repro/service/`` and
-``src/repro/shard/`` and flags the patterns that have historically snuck
-blocking work onto a loop thread:
+does so under a step guard.  This tool walks ``src/repro/`` and flags the
+patterns that have historically snuck blocking work onto a loop thread
+(CC001–CC005, which bite in ``service/`` and ``shard/``) or let two
+compiling threads race on a module global (CC006, everywhere else):
 
     CC001  a blocking call inside an ``async def`` body — ``time.sleep``,
            ``sqlite3.connect``, ``socket.create_connection``, the blocking
@@ -31,6 +32,16 @@ blocking work onto a loop thread:
            handler a preceding ``set_progress_handler(<guard>, …)``
            installed
 
+    CC006  unsynchronised process-wide state in the library, under
+           ``src/repro/`` outside ``service/`` and ``shard/`` (which have
+           their own rules): a function mutates a module-level ``dict`` /
+           ``OrderedDict`` / ``list`` / ``set`` (``X[k] = …``, ``del X[k]``,
+           ``X.pop*`` / ``.move_to_end`` / ``.append`` / ``.clear`` / …) or
+           rebinds a ``global`` (``global X; X += …``) outside a
+           ``with <lock>:`` block — server worker threads compile and run
+           through these modules concurrently.  State that is safe without
+           a lock says why on the line: ``# CC006: <reason>``
+
 Calls are sanctioned when they appear inside an ``await`` expression or as
 arguments to ``asyncio.gather`` / ``create_task`` / ``ensure_future`` /
 ``wait_for`` / ``shield`` / ``to_thread`` / ``run_in_executor``: those
@@ -38,7 +49,7 @@ either run on the loop properly or are explicitly off-loop.
 
 Run from the repository root::
 
-    python tools/check_concurrency.py            # lint the serving stack
+    python tools/check_concurrency.py            # lint src/repro
     python tools/check_concurrency.py PATH...    # lint specific files/dirs
 
 Exit status 1 iff any finding.  ``lint_source`` is importable for tests.
@@ -94,7 +105,7 @@ _SCHEDULERS = {
     "run_in_executor",
 }
 
-DEFAULT_TARGETS = ("src/repro/service", "src/repro/shard")
+DEFAULT_TARGETS = ("src/repro",)
 
 #: The module (path suffix) that holds the sans-IO client core, and the
 #: modules it may not import.
@@ -107,6 +118,31 @@ SERVICE_PACKAGE = "repro/service/"
 ON_LOOP_HELPER = "_run_guarded"
 SQL_CALL_PREFIXES = ("execute_package", "execute_sql")
 SQL_METHODS = {"execute", "executemany", "executescript"}
+
+#: CC006's scope is the library outside the two packages above; what makes
+#: a module-level name shared mutable state, what mutates it, and the
+#: in-place justification that waives a finding.
+LIBRARY_PACKAGE = "repro/"
+SHARD_PACKAGE = "repro/shard/"
+CONTAINER_CALLS = {"dict", "OrderedDict", "defaultdict", "list", "set", "deque"}
+CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTATING_METHODS = {
+    "pop",
+    "popitem",
+    "popleft",
+    "move_to_end",
+    "append",
+    "appendleft",
+    "clear",
+    "add",
+    "update",
+    "setdefault",
+    "extend",
+    "insert",
+    "remove",
+    "discard",
+}
+WAIVER = "# CC006:"
 
 
 def _dotted(func: ast.expr) -> tuple[str, str] | None:
@@ -191,6 +227,98 @@ def _sanctioned_calls(tree: ast.AST) -> set[int]:
                 for arg in list(node.args) + [kw.value for kw in node.keywords]:
                     sanctioned |= _call_ids(arg)
     return sanctioned
+
+
+def _terminal_name(node: ast.expr) -> str:
+    """``lock`` for ``lock``, ``self._lock``, ``lock()`` …"""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _module_containers(tree: ast.Module) -> set[str]:
+    """Module-level names bound to a mutable container."""
+    names: set[str] = set()
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign):
+            targets, value = statement.targets, statement.value
+        elif isinstance(statement, ast.AnnAssign) and statement.value is not None:
+            targets, value = [statement.target], statement.value
+        else:
+            continue
+        if isinstance(value, CONTAINER_NODES) or (
+            isinstance(value, ast.Call)
+            and _terminal_name(value.func) in CONTAINER_CALLS
+        ):
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _shared_state_findings(tree: ast.Module, source: str, path: str) -> list[Finding]:
+    """CC006 over one module."""
+    containers = _module_containers(tree)
+    lines = source.splitlines()
+    findings: list[Finding] = []
+
+    def flag(node: ast.AST, name: str, what: str) -> None:
+        if WAIVER not in lines[node.lineno - 1]:
+            findings.append(
+                Finding(
+                    "CC006",
+                    path,
+                    node.lineno,
+                    f"module-level '{name}' {what} outside a 'with <lock>:' "
+                    f"block — compiling threads share it; guard it, or say "
+                    f"why it is safe ('{WAIVER} <reason>' on the line)",
+                )
+            )
+
+    def check(node: ast.AST, shared: set[str], rebound: set[str]) -> None:
+        """``node`` sits in a function, under no lock: ``shared`` are the
+        module's containers visible there, ``rebound`` its ``global`` names."""
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            for target in getattr(node, "targets", None) or [node.target]:
+                if isinstance(target, ast.Name) and target.id in rebound:
+                    flag(node, target.id, "rebound through 'global'")
+                elif (
+                    isinstance(target, ast.Subscript)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id in shared
+                ):
+                    flag(node, target.value.id, "written by key")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATING_METHODS
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in shared
+        ):
+            flag(node, node.func.value.id, f"mutated by .{node.func.attr}()")
+
+    def walk(node: ast.AST, shared: set[str], rebound: set[str], inside: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            parts = list(ast.walk(node))
+            rebound = {
+                name for sub in parts if isinstance(sub, ast.Global) for name in sub.names
+            }
+            local = {sub.arg for sub in parts if isinstance(sub, ast.arg)} | {
+                sub.id
+                for sub in parts
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+            }
+            shared = (shared - local) | (rebound & containers)
+            inside = True
+        elif isinstance(node, (ast.With, ast.AsyncWith)) and any(
+            "lock" in _terminal_name(item.context_expr).lower() for item in node.items
+        ):
+            return
+        elif inside:
+            check(node, shared, rebound)
+        for child in ast.iter_child_nodes(node):
+            walk(child, shared, rebound, inside)
+
+    walk(tree, containers, set(), False)
+    return findings
 
 
 class _Visitor(ast.NodeVisitor):
@@ -326,7 +454,13 @@ def lint_source(source: str, name: str = "<string>") -> list[Finding]:
     tree = ast.parse(source, filename=name)
     visitor = _Visitor(name, _sanctioned_calls(tree))
     visitor.visit(tree)
-    return sorted(visitor.findings, key=lambda f: (f.line, f.code))
+    findings = visitor.findings
+    posix = Path(name).as_posix()
+    if LIBRARY_PACKAGE in posix and not (
+        SERVICE_PACKAGE in posix or SHARD_PACKAGE in posix
+    ):
+        findings = findings + _shared_state_findings(tree, source, name)
+    return sorted(findings, key=lambda f: (f.line, f.code))
 
 
 def lint_paths(paths: list[Path]) -> list[Finding]:
