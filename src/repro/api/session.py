@@ -20,7 +20,6 @@ validated against :data:`~repro.pipeline.shredder.KNOWN_ENGINES` up front.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import replace
 from typing import Any, Iterable, Mapping
@@ -47,7 +46,7 @@ __all__ = ["Session", "connect", "connect_sharded"]
 #: (:meth:`ExecutionStats.compact`) so a long-running server's stats stay
 #: O(1) while ``queries``/``rows_fetched``/``total_millis`` remain exact.
 #: Per-run stats are never compacted.
-STATS_SAMPLE_CAP = int(os.environ.get("REPRO_STATS_SAMPLE_CAP", "2048"))
+STATS_SAMPLE_CAP = 2048
 
 
 class Session:
@@ -148,19 +147,6 @@ class Session:
             "Compiles whose plan a given optimizer rule rewrote",
             labels=("rule",),
         )
-        self._m_sharded = registry.counter(
-            "sharded_runs_total",
-            "Sharded executions by routing mode",
-            labels=("mode",),
-        )
-        self._m_reroutes = registry.counter(
-            "failover_reroutes_total",
-            "Runs planned around a known-down shard",
-        )
-        self._m_retries = registry.counter(
-            "failover_retries_total",
-            "Runs retried on the fallback after a mid-run shard failure",
-        )
         self.metrics = registry
 
     def _observe_stats(self, run_stats: ExecutionStats) -> None:
@@ -180,18 +166,6 @@ class Session:
             self._m_indexes.inc(run_stats.indexes_created)
         for rule, count in run_stats.rules_fired.items():
             self._m_rules.labels(rule=rule).inc(count)
-        for mode, count in (
-            ("fanout", run_stats.sharded_fanouts),
-            ("routed", run_stats.sharded_routed),
-            ("single", run_stats.sharded_singles),
-            ("fallback", run_stats.sharded_fallbacks),
-        ):
-            if count:
-                self._m_sharded.labels(mode=mode).inc(count)
-        if run_stats.failover_reroutes:
-            self._m_reroutes.inc(run_stats.failover_reroutes)
-        if run_stats.failover_retries:
-            self._m_retries.inc(run_stats.failover_retries)
 
     # ------------------------------------------------------------- building
 

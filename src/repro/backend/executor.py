@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 #: Rows fetched per cursor round trip (satellite: stream, don't fetchall).
-DEFAULT_FETCH_BATCH = int(os.environ.get("REPRO_FETCH_BATCH", "1024"))
+DEFAULT_FETCH_BATCH = 1024
 
 #: Upper bound on pooled read connections for the parallel engine.  Floor
 #: of 2 even on single-core hosts: sqlite3 releases the GIL inside each C
@@ -220,7 +220,7 @@ def execute_compiled(
     """Run one compiled shredded query and decode its ⟨index, value⟩ pairs.
 
     Rows stream from SQLite in ``batch_size`` chunks (default
-    ``REPRO_FETCH_BATCH``, 1024) instead of one monolithic ``fetchall``,
+    :data:`DEFAULT_FETCH_BATCH`, 1024) instead of one monolithic ``fetchall``,
     bounding peak raw-row memory; decoding happens per chunk.  ``params``
     supplies host-parameter values (bound per statement); ``connection``
     routes execution to a specific (pooled) connection.  ``tracer`` (a

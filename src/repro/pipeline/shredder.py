@@ -25,7 +25,7 @@ Performance knobs (see ROADMAP.md "Performance architecture"):
   fetched row (decode fused into stitch) — the fast path for repeated
   execution of a cached plan (the ``shredding_cached`` benchmark system);
 * ``compiled.run(db, batch_size=…)`` bounds rows per ``fetchmany`` round
-  trip on either engine (default ``REPRO_FETCH_BATCH``, 1024);
+  trip on either engine (default ``DEFAULT_FETCH_BATCH``, 1024);
 * ``compile(query, stats=…)`` / ``run(…, stats=…)`` record plan-cache
   hits/misses, per-query row counts and wall times in
   :class:`~repro.backend.executor.ExecutionStats`.
@@ -283,7 +283,7 @@ class CompiledQuery:
           the calling thread.  Same results, same stats.
 
         ``batch_size`` bounds rows per ``fetchmany`` round trip (default
-        ``REPRO_FETCH_BATCH``, 1024).
+        ``DEFAULT_FETCH_BATCH``, 1024).
 
         ``params`` binds the query's host parameters (validated against the
         declared :attr:`param_specs` — the compile-once / re-bind-per-call

@@ -16,7 +16,7 @@ query server::
         with ServiceClient(handle.host, handle.port) as client:
             client.execute("Q6")
 
-Five pieces:
+Six pieces:
 
 * :mod:`~repro.service.registry` — the prepared-query catalogue: named
   shapes (fluent/captured/λNRC, with typed ``Param`` placeholders) that
@@ -26,7 +26,12 @@ Five pieces:
   out (``ClientCore``);
 * :mod:`~repro.service.resilience` — deadlines, retry policies and
   circuit breakers shared by the clients and the sharded fan-out;
-* :mod:`~repro.service.server` — the asyncio server (``python -m repro
+* :mod:`~repro.service.core` — the server side of the protocol with the
+  event loop left out (``ServerCore``): what every op of ``OPS`` checks,
+  does and answers, as a synchronous ``handle(request) -> response``.
+  The asyncio server and the in-process endpoints of
+  :mod:`repro.shard.deployment` are its two drivers;
+* :mod:`~repro.service.server` — the asyncio driver (``python -m repro
   serve``): every request runs on a leased read-only connection, on a
   worker thread — or, once its catalogue entry has proved *light* (a run
   fetched ≤ ``LIGHT_ROWS`` rows), right on the event loop, under a guard

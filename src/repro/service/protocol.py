@@ -143,10 +143,10 @@ PROTOCOL_VERSION = "1.4"
 
 _LENGTH = struct.Struct(">I")
 
-#: The operations of the protocol — the one list: the server builds its
-#: dispatch table (and its "unknown op" message) from it, and
-#: :class:`ClientCore` has one method per entry (``close`` is each
-#: driver's own).
+#: The operations of the protocol — the one list:
+#: :class:`~repro.service.core.ServerCore` builds its dispatch table (and
+#: its "unknown op" message) from it, and :class:`ClientCore` has one
+#: method per entry (``close`` is each driver's own).
 OPS = (
     "prepare",
     "register",
@@ -263,7 +263,10 @@ class ClientCore:
     """The client side of the protocol with the I/O left out — what
     :class:`~repro.service.client.ServiceClient` and
     :class:`~repro.service.client.AsyncServiceClient` share: the state
-    both expose, one request's whole life, and the ops.
+    both expose, one request's whole life, and the ops.  (A third driver,
+    :class:`~repro.shard.deployment.LocalEndpoint`, has no transport at
+    all: it takes the ops, :meth:`_stamp` and the counters, and hands the
+    request to a :class:`~repro.service.core.ServerCore` in process.)
 
     A driver runs a request as :meth:`_begin` → :meth:`_admit` → write
     :attr:`_frame` → read at most :attr:`_wanted` bytes and
@@ -324,19 +327,24 @@ class ClientCore:
         self.reconnects += self._connected_once
         self._connected_once = True
 
-    def _begin(self, payload: dict, deadline_ms: object, retry: bool) -> None:
-        """Stamp ``payload`` with the next request id and the deadline
-        (forwarded so the server enforces it independently) and frame it
-        — once; every attempt re-sends the same bytes.  A closed client
-        stays closed."""
+    def _stamp(self, payload: dict, deadline_ms: object) -> tuple[dict, Any]:
+        """``payload`` as it leaves — carrying the request's deadline, so
+        the server side enforces it independently — and that deadline in
+        milliseconds (None: none).  A closed client stays closed."""
         if self._closed:
             raise ServiceError("client is closed")
         budget: Any = self.deadline_ms if deadline_ms is _USE_DEFAULT else deadline_ms
-        self._request_seq += 1
         wire = dict(payload)
-        self._id = wire.setdefault("id", self._request_seq)
         if budget is not None:
             wire.setdefault("deadline_ms", budget)
+        return wire, budget
+
+    def _begin(self, payload: dict, deadline_ms: object, retry: bool) -> None:
+        """Stamp ``payload`` with the next request id and the deadline and
+        frame it — once; every attempt re-sends the same bytes."""
+        wire, budget = self._stamp(payload, deadline_ms)
+        self._request_seq += 1
+        self._id = wire.setdefault("id", self._request_seq)
         self._frame = pack_frame(wire)
         self._deadline = Deadline.after_millis(budget, self.clock)
         self._attempts = self.retry.attempts if retry else 1

@@ -90,6 +90,15 @@ class QueryRegistry:
             self._entries[name] = entry
         return entry
 
+    def copy(self) -> "QueryRegistry":
+        """An independent catalogue that starts with this one's entries —
+        what each endpoint of a deployment holds: a ``register`` op
+        changes the endpoint it reached and no other."""
+        twin = QueryRegistry()
+        with self._lock:
+            twin._entries = dict(self._entries)
+        return twin
+
     def lookup(self, name: str) -> RegisteredQuery:
         with self._lock:
             entry = self._entries.get(name)

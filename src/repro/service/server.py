@@ -8,6 +8,10 @@ SQL queries, so per-request cost cannot degenerate under load):
 
 * one :class:`~repro.api.session.Session` per database — plan cache, stats
   and engine policy shared by every connection (both are lock-guarded);
+* what each op *means* — its field checks, its response shape, which
+  engine runs — is :class:`~repro.service.core.ServerCore`'s, shared with
+  the in-process endpoints of :mod:`repro.shard.deployment`; this module
+  is its event-loop driver and decides only *where* a request runs;
 * one asyncio connection handler per client, reading length-prefixed JSON
   frames (:mod:`repro.service.protocol`);
 * every request holds a *leased* read-only connection from the
@@ -41,7 +45,8 @@ per entry, from work counters only, never from a clock:
   counted in ``escalations``.  A run that fetched more than
   :data:`LIGHT_ROWS` rows inside the budget turns the entry heavy too.
   Heavy is sticky until ``register`` replaces the entry;
-* ``engine="parallel"`` / ``"per-path"`` requests never run on the loop.
+* requests that resolve to the ``parallel`` / ``per-path`` engine never
+  run on the loop.
 
 So the invariant is no longer "nothing runs on the loop" but: **one
 request occupies the loop for at most** :data:`INLINE_STEP_BUDGET`
@@ -71,29 +76,28 @@ Fault-tolerant serving (protocol v1.1):
   (new connects are refused by the OS), then waits up to ``drain_grace``
   seconds for requests already *read off a socket* to answer, and only
   then cancels the (now idle) connection handlers.
-* **ping + request ids** — ``{"op": "ping"}`` answers inline on the event
-  loop; any request's ``id`` is echoed in its response (success or error),
-  which clients use to detect desynced connections.
+* **ping + request ids** — ``ping`` (like ``stats``, ``metrics`` and
+  ``register``) answers inline on the event loop; any request's ``id`` is
+  echoed in its response (success or error), which clients use to detect
+  desynced connections.
 """
 
 from __future__ import annotations
 
 import asyncio
-import math
 import sqlite3
 import threading
 import time
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator
+from contextlib import contextmanager, nullcontext
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
     ServiceError,
 )
+from repro.service.core import DRIVER_EVENTS, Execution, ServerCore
 from repro.service.protocol import (
-    OPS,
-    PROTOCOL_VERSION,
     error_payload,
     frame_length,
     pack_frame,
@@ -104,13 +108,7 @@ from repro.service.registry import QueryRegistry, RegisteredQuery
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session
 
-__all__ = [
-    "QueryServer",
-    "ServerHandle",
-    "serve_in_background",
-    "prepare_response",
-    "execute_response",
-]
+__all__ = ["QueryServer", "ServerHandle", "serve_in_background"]
 
 #: Read-connection leases a server holds by default (concurrent requests
 #: beyond this queue on the lease, not on SQLite).
@@ -164,42 +162,6 @@ class _StepGuard:
         return self.tripped
 
 
-def prepare_response(
-    query: str, compiled: Any, engine: str, description: str
-) -> dict:
-    """The ``prepare`` success shape, from a compiled query."""
-    return {
-        "ok": True,
-        "query": query,
-        "statements": compiled.query_count,
-        "params": {name: str(kind) for name, kind in compiled.param_specs},
-        "engine": engine,
-        "description": description,
-    }
-
-
-def execute_response(
-    query: str, result: Any, rows: Any, server_millis: float
-) -> dict:
-    """The ``execute`` success shape, from a run's
-    :class:`~repro.api.results.Result`; ``server_millis`` is the wall
-    time from admission to result — what a tracing fan-out client
-    attributes to this endpoint."""
-    stats = result.stats
-    return {
-        "ok": True,
-        "query": query,
-        "rows": rows,
-        "engine": result.engine,
-        "server_millis": round(server_millis, 3),
-        "stats": {
-            "queries": stats.queries,
-            "rows_fetched": stats.rows_fetched,
-            "millis": round(stats.total_millis, 3),
-        },
-    }
-
-
 class QueryServer:
     """A query service bound to one session and one query catalogue."""
 
@@ -215,13 +177,11 @@ class QueryServer:
     ) -> None:
         if pool_size < 1:
             raise ServiceError(f"pool size must be ≥1, got {pool_size}")
+        #: What every op means — this class only decides where each runs.
+        self.core = ServerCore(session, registry, shard_label, metrics)
         self.session = session
-        self.registry = registry
+        self.metrics = self.core.metrics
         self.pool_size = pool_size
-        #: Which slice of a sharded deployment this server holds (e.g.
-        #: ``"1/4"`` or ``"full/4"``); surfaced by the stats op so a
-        #: fan-out client can sanity-check its wiring.  None = unsharded.
-        self.shard_label = shard_label
         #: Admission bound: executes in flight beyond this are shed with
         #: an ``Overloaded`` error frame.
         self.max_pending = (
@@ -233,76 +193,26 @@ class QueryServer:
             )
         #: Server-side deadline applied to executes that name none.
         self.default_deadline_ms = default_deadline_ms
-        #: One handler per protocol op — the dispatch table *is* ``OPS``.
-        self._ops = {op: getattr(self, f"_{op}") for op in OPS}
         self._server: asyncio.AbstractServer | None = None
         self._leases: asyncio.Queue | None = None
         self._handlers: set[asyncio.Task] = set()
         self._stopped = False
-        self._draining = False
         #: Execute requests admitted but not yet answered (event-loop
         #: thread only), and the gauge/flag pair the drain logic waits on.
         self._pending = 0
         self._dispatching = 0
         self._drained: asyncio.Event | None = None
-        #: Request counters, mutated only on the event-loop thread.
-        self.request_counts: dict[str, int] = {}
-        self.error_count = 0
-        self.connections_served = 0
-        self.shed_count = 0
-        self.deadline_count = 0
-        #: Executes answered from the event-loop thread, and on-loop runs
-        #: whose guard tripped and were re-run on a worker.
-        self.inline_count = 0
-        self.escalation_count = 0
         #: What this server has learned about its catalogue: name →
         #: (entry, light?).  Keyed per server, not kept on the entry — a
         #: registry may be shared by servers over different stores — and
         #: checked by entry identity, so a re-``register`` starts afresh.
         self._verdicts: dict[str, tuple[RegisteredQuery, bool]] = {}
-        #: The server's :class:`repro.obs.MetricsRegistry` — always on
-        #: (registry mutation is a couple of lock-guarded adds per
-        #: request; rendering only happens when something scrapes).  The
-        #: session mirrors its stats into the same registry, so one
-        #: exposition covers wire-level and engine-level counters.
-        from repro.obs import MetricsRegistry
-
-        self.metrics: MetricsRegistry = (
-            metrics if metrics is not None else MetricsRegistry()
-        )
-        if self.session.metrics is None:
-            self.session.attach_metrics(self.metrics)
-        self._m_requests = self.metrics.counter(
-            "requests_total", "Wire requests served, by op", labels=("op",)
-        )
-        self._m_request_ms = self.metrics.histogram(
-            "request_latency_ms",
-            "Wire request service time (dispatch to response), milliseconds",
-            labels=("op",),
-        )
-        self._m_errors = self.metrics.counter(
-            "request_errors_total", "Requests answered with an error frame"
-        )
-        self._m_shed = self.metrics.counter(
-            "requests_shed_total",
-            "Executes/inserts refused at the admission limit",
-        )
-        self._m_deadline = self.metrics.counter(
-            "deadline_exceeded_total",
-            "Executes answered with a DeadlineExceeded frame",
-        )
-        self._m_inline = self.metrics.counter(
-            "execute_inline_total",
-            "Executes run to completion on the event-loop thread",
-        )
-        self._m_escalations = self.metrics.counter(
-            "execute_escalations_total",
-            "On-loop runs interrupted by their step guard and re-run on "
-            "a worker thread",
-        )
-        self._m_connections = self.metrics.counter(
-            "connections_total", "Client connections accepted"
-        )
+        #: The events only this driver sees, by the key the ``stats`` op
+        #: reports each under.
+        self._events = {
+            key: self.metrics.counter(*family)
+            for key, family in DRIVER_EVENTS.items()
+        }
         self.metrics.gauge(
             "pending_requests",
             "Executes/inserts admitted and not yet answered",
@@ -331,7 +241,7 @@ class QueryServer:
         """Bind and listen; returns the actual (host, port) — port 0 picks
         a free one (the test/bench path)."""
         self._stopped = False  # a stopped server may be started again
-        self._draining = False
+        self.core.draining = False
         self._pending = 0
         self._dispatching = 0
         self._drained = asyncio.Event()
@@ -372,7 +282,7 @@ class QueryServer:
         grace); (4) retire the connection leases.
         """
         self._stopped = True
-        self._draining = True
+        self.core.draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -418,11 +328,10 @@ class QueryServer:
         if task is not None:
             self._handlers.add(task)
             task.add_done_callback(self._handlers.discard)
-        self.connections_served += 1
-        self._m_connections.inc()
+        self._events["connections_served"].inc()
         try:
             while True:
-                if self._draining:
+                if self.core.draining:
                     break  # shutting down: no further requests on this link
                 try:
                     prefix = await reader.readexactly(4)
@@ -435,8 +344,7 @@ class QueryServer:
                     # the body was never read, so the next read would parse
                     # payload bytes as a length.  Answer and hang up.
                     writer.write(pack_frame(error_payload(error)))
-                    self.error_count += 1
-                    self._m_errors.inc()
+                    self._events["errors"].inc()
                     try:
                         await writer.drain()
                     except ConnectionResetError:
@@ -463,8 +371,7 @@ class QueryServer:
                             error_payload(error, request_id),
                             False,
                         )
-                        self.error_count += 1
-                        self._m_errors.inc()
+                        self._events["errors"].inc()
                     if request_id is not None:
                         response.setdefault("id", request_id)
                     try:
@@ -482,8 +389,7 @@ class QueryServer:
                         # e.g. a result set larger than the frame limit: the
                         # client still deserves a structured answer.
                         frame = pack_frame(error_payload(error, request_id))
-                        self.error_count += 1
-                        self._m_errors.inc()
+                        self._events["errors"].inc()
                     writer.write(frame)
                     try:
                         await writer.drain()
@@ -510,123 +416,34 @@ class QueryServer:
     # -------------------------------------------------------------- dispatch
 
     async def _dispatch(self, request: dict) -> tuple[dict, bool]:
-        op = request.get("op")
+        """Run ``request`` through the core, choosing where: executes and
+        inserts (which contend for the same store) under the admission
+        bound and off the loop — unless the entry is light; compiles off
+        the loop; the rest right here, so health checks keep answering
+        exactly when every lease is busy."""
         started = time.perf_counter()
-        trace_id = request.get("trace_id")
-        if trace_id is not None and (
-            not isinstance(trace_id, str) or len(trace_id) > 64
-        ):
-            raise ServiceError(
-                "'trace_id' must be a string of at most 64 characters"
+        op, handler = self.core.route(request)
+        with self._admitted() if op in ("execute", "insert") else nullcontext():
+            if op == "execute":
+                response = await self._execute(request)
+            elif op in ("insert", "prepare", "explain"):
+                response = await asyncio.to_thread(handler, request)
+            else:
+                response = handler(request)
+        if op == "stats":
+            response["server"].update(
+                pool_size=self.pool_size,
+                max_pending=self.max_pending,
+                pending=self._pending,
             )
-        handler = self._ops.get(op) if isinstance(op, str) else None
-        if handler is None:
-            raise ServiceError(f"unknown op {op!r}; one of: {', '.join(OPS)}")
-        response = await handler(request)
-        self._count(op, started)
-        if trace_id is not None:
-            response.setdefault("trace_id", trace_id)
-        return response, op == "close"
-
-    def _count(self, op: str, started: float) -> None:
-        self.request_counts[op] = self.request_counts.get(op, 0) + 1
-        millis = (time.perf_counter() - started) * 1000.0
-        key = f"{op}_millis"
-        self.request_counts[key] = round(
-            self.request_counts.get(key, 0.0) + millis, 3
-        )
-        self._m_requests.labels(op=op).inc()
-        self._m_request_ms.labels(op=op).observe(millis)
-
-    async def _close(self, request: dict) -> dict:
-        return {"ok": True, "closing": True}
-
-    async def _ping(self, request: dict) -> dict:
-        # Answered inline on the event loop — no lease, no compile — so
-        # liveness probes keep working while every lease is busy.
-        return {
-            "ok": True,
-            "pong": True,
-            "shard": self.shard_label,
-            "protocol": PROTOCOL_VERSION,
-            "draining": self._draining,
-        }
-
-    async def _metrics(self, request: dict) -> dict:
-        # Prometheus text exposition in-band (protocol v1.3): fleet
-        # tooling scrapes through the query port; gauge callbacks read
-        # event-loop state, so render right here on the loop.
-        from repro.obs import render_prometheus
-
-        return {"ok": True, "exposition": render_prometheus(self.metrics)}
-
-    def _entry(self, request: dict):
-        name = request.get("query")
-        if not isinstance(name, str):
-            raise ServiceError("requests need a 'query' field naming the query")
-        return self.registry.lookup(name)
-
-    async def _prepare(self, request: dict) -> dict:
-        entry = self._entry(request)
-        prepared = entry.prepared(self.session)
-        # Compilation can be slow the first time — keep it off the loop.
-        compiled = await asyncio.to_thread(lambda: prepared.compiled)
-        return prepare_response(
-            entry.name,
-            compiled,
-            self.session.resolve_engine(None, compiled),
-            entry.description,
-        )
-
-    async def _register(self, request: dict) -> dict:
-        """The protocol v1.4 dynamic-registration op.
-
-        Decodes the shipped λNRC term (:mod:`repro.nrc.serialize`) and
-        adds it to the catalogue.  Registration is *convergent*: a
-        structurally identical term already registered under the name is
-        a no-op answering ``"registered": false`` — fan-out clients
-        register on every shard and retry on failure, so re-delivery
-        must not churn the catalogue (replacing an entry is harmless but
-        would defeat the plan cache's compile-once accounting).
-        """
-        from repro.nrc.ast import term_fingerprint
-        from repro.nrc.serialize import SerializationError, term_from_json
-
-        name = request.get("query")
-        if not isinstance(name, str) or not name:
-            raise ServiceError(
-                "register requests need a 'query' field naming the query"
-            )
-        payload = request.get("term")
-        try:
-            term = term_from_json(payload)
-        except SerializationError as error:
-            raise ServiceError(f"bad 'term' payload: {error}") from error
-        description = request.get("description") or ""
-        if not isinstance(description, str):
-            raise ServiceError("'description' must be a string")
-        fingerprint = term_fingerprint(term)
-        registered = True
-        if name in self.registry:
-            existing = self.registry.lookup(name)
-            if term_fingerprint(existing.term) == fingerprint:
-                registered = False
-        if registered:
-            self.registry.register(name, term, description=description)
-        return {
-            "ok": True,
-            "query": name,
-            "registered": registered,
-            "fingerprint": fingerprint,
-        }
+        return self.core.answered(request, response, started), op == "close"
 
     @contextmanager
     def _admitted(self) -> Iterator[None]:
         """Admission control *before* any work: past the bound, shed
         immediately — an error frame now beats a timeout later."""
         if self._pending >= self.max_pending:
-            self.shed_count += 1
-            self._m_shed.inc()
+            self._events["shed"].inc()
             raise OverloadedError(
                 f"server at admission limit ({self.max_pending} requests "
                 f"in flight); retry with backoff or divert"
@@ -638,37 +455,16 @@ class QueryServer:
             self._pending -= 1
 
     async def _execute(self, request: dict) -> dict:
-        with self._admitted():
-            return await self._execute_admitted(request)
-
-    async def _execute_admitted(self, request: dict) -> dict:
-        admitted = time.perf_counter()
-        entry = self._entry(request)
-        params = request.get("params") or {}
-        if not isinstance(params, dict):
-            raise ServiceError("'params' must be an object of name → value")
-        # Default to the batched engine: each request then runs whole on its
-        # leased connection, and concurrency comes from overlapping
-        # *requests* rather than fanning one request across the pool.
-        engine = request.get("engine") or "batched"
-        collection = request.get("collection", "bag")
-        deadline_ms = request.get("deadline_ms", self.default_deadline_ms)
-        if deadline_ms is not None and (
-            isinstance(deadline_ms, bool)
-            or not isinstance(deadline_ms, (int, float))
-            or not 0 < deadline_ms < math.inf  # NaN fails both comparisons
-        ):
-            raise ServiceError(
-                f"'deadline_ms' must be a positive number, got {deadline_ms!r}"
-            )
-        prepared = entry.prepared(self.session)
+        execution = self.core.execution(request, self.default_deadline_ms)
+        entry, deadline_ms = execution.entry, execution.deadline_ms
+        # Each request runs whole on its leased connection — concurrency
+        # comes from overlapping *requests* — and only a batched run of a
+        # light entry may stay on the loop.
+        on_loop = self._is_light(entry) and execution.engine() == "batched"
         assert self._leases is not None, "server not started"
         lease = await self._leases.get()
         leased = time.perf_counter()
-        run_args = {"engine": engine, "collection": collection, "params": params}
-        result = None
-        if engine == "batched" and self._is_light(entry):
-            result = self._run_inline(entry, prepared, lease, run_args)
+        result = self._run_inline(execution, lease) if on_loop else None
         inline = result is not None
         if result is None:
             # The lease is parked by the *work task's* completion callback,
@@ -677,7 +473,7 @@ class QueryServer:
             # connection must stay out of the queue (and unclosed) until it
             # finishes.
             work = asyncio.get_running_loop().create_task(
-                asyncio.to_thread(prepared.run, connection=lease, **run_args)
+                asyncio.to_thread(execution.run, connection=lease)
             )
             work.add_done_callback(
                 lambda task: self._park_lease(
@@ -706,44 +502,36 @@ class QueryServer:
             # requests holds the loop for its whole backlog.
             await asyncio.sleep(0)
             if deadline_ms is not None and (
-                (time.perf_counter() - admitted) * 1000.0 > deadline_ms
+                (time.perf_counter() - execution.admitted) * 1000.0 > deadline_ms
             ):
                 # An on-loop run cannot be abandoned half-way (its guard
                 # bounds it instead); late is late all the same.
                 raise self._deadline_exceeded(entry, deadline_ms)
-        response = execute_response(
-            entry.name,
-            result,
-            result.to_dicts(),
-            # Lease wait included.
-            (time.perf_counter() - admitted) * 1000.0,
-        )
+        response = execution.response(result)  # lease wait included
         if request.get("trace_id") is not None:
             response["inline"] = inline
         return response
 
-    def _run_inline(self, entry: RegisteredQuery, prepared, lease, run_args: dict):
+    def _run_inline(self, execution: Execution, lease):
         """One on-loop attempt at a light entry's request, with its
         bookkeeping: the :class:`~repro.api.results.Result` (lease parked,
         ``inline_runs`` counted), or None when the guard tripped — the
         entry is heavy from now on, ``escalations`` is counted, and the
         lease is still held for the worker-thread re-run."""
         try:
-            result = self._run_guarded(prepared, lease, run_args)
+            result = self._run_guarded(execution, lease)
         except Exception:
             self._park_lease(lease, failed=True)
             raise
         if result is None:
-            self._learn(entry, light=False)
-            self.escalation_count += 1
-            self._m_escalations.inc()
+            self._learn(execution.entry, light=False)
+            self._events["escalations"].inc()
         else:
             self._park_lease(lease, failed=False)
-            self.inline_count += 1
-            self._m_inline.inc()
+            self._events["inline_runs"].inc()
         return result
 
-    def _run_guarded(self, prepared, lease, run_args: dict):
+    def _run_guarded(self, execution: Execution, lease):
         """Run on the calling — the event-loop — thread, under the step
         guard: the one place this server executes SQL on the loop
         (``tools/check_concurrency.py`` CC005 holds it to the install /
@@ -758,9 +546,7 @@ class QueryServer:
         guard = _StepGuard()
         lease.set_progress_handler(guard, GUARD_STRIDE)
         try:
-            return prepared.run(
-                connection=lease, create_indexes=False, **run_args
-            )
+            return execution.run(connection=lease, create_indexes=False)
         except Exception:
             if not guard.tripped:
                 raise
@@ -782,54 +568,11 @@ class QueryServer:
     def _deadline_exceeded(
         self, entry: RegisteredQuery, deadline_ms: float
     ) -> DeadlineExceededError:
-        self.deadline_count += 1
-        self._m_deadline.inc()
+        self._events["deadline_exceeded"].inc()
         return DeadlineExceededError(
             f"server-side deadline of {deadline_ms:.0f}ms exceeded "
             f"executing {entry.name!r}"
         )
-
-    async def _insert(self, request: dict) -> dict:
-        """The protocol v1.2 write op.
-
-        Inserts share the execute admission bound (they contend for the
-        same store), run off-loop like executes, and honour the request's
-        idempotency key: a key the store has journalled already answers
-        ``"applied": false`` without touching a row, which is what makes
-        the clients' at-least-once retry delivery exactly-once in effect.
-        No deadline applies — an abandoned write would leave the client
-        unsure whether it landed; the key exists precisely so the client
-        re-sends instead of guessing.
-        """
-        with self._admitted():
-            table = request.get("table")
-            if not isinstance(table, str):
-                raise ServiceError("insert requests need a 'table' field")
-            rows = request.get("rows")
-            if not isinstance(rows, list) or not all(
-                isinstance(row, dict) for row in rows
-            ):
-                raise ServiceError("'rows' must be an array of row objects")
-            key = request.get("idempotency_key")
-            if key is not None and not isinstance(key, str):
-                raise ServiceError(
-                    f"'idempotency_key' must be a string, got {key!r}"
-                )
-            applied = await asyncio.to_thread(
-                self.session.insert, table, rows, idempotency_key=key
-            )
-        return {
-            "ok": True,
-            "table": table,
-            "rows": len(rows),
-            "applied": applied,
-        }
-
-    async def _explain(self, request: dict) -> dict:
-        entry = self._entry(request)
-        prepared = entry.prepared(self.session)
-        text = await asyncio.to_thread(prepared.explain)
-        return {"ok": True, "query": entry.name, "text": text}
 
     def _park_lease(self, lease, failed: bool) -> None:
         """Return a lease to the queue once its run actually finished.
@@ -855,32 +598,6 @@ class QueryServer:
                 except Exception:  # noqa: BLE001 — store gone entirely
                     return  # a later start() builds fresh leases
         self._leases.put_nowait(lease)
-
-    async def _stats(self, request: dict) -> dict:
-        payload = {
-            "ok": True,
-            "queries": self.registry.names(),
-            "server": {
-                "protocol": PROTOCOL_VERSION,
-                "pool_size": self.pool_size,
-                "shard": self.shard_label,
-                "connections_served": self.connections_served,
-                "errors": self.error_count,
-                "requests": dict(self.request_counts),
-                "max_pending": self.max_pending,
-                "pending": self._pending,
-                "shed": self.shed_count,
-                "deadline_exceeded": self.deadline_count,
-                "inline_runs": self.inline_count,
-                "escalations": self.escalation_count,
-                "draining": self._draining,
-            },
-            "session": self.session.stats_snapshot(),
-        }
-        cache = self.session.pipeline.cache
-        if cache is not None:
-            payload["plan_cache"] = cache.stats()
-        return payload
 
 
 # --------------------------------------------------------------------------
@@ -925,13 +642,11 @@ def serve_in_background(
     registry: QueryRegistry,
     host: str = "127.0.0.1",
     port: int = 0,
-    pool_size: int = DEFAULT_SERVICE_POOL,
-    shard_label: str | None = None,
-    max_pending: int | None = None,
-    default_deadline_ms: float | None = None,
-    metrics: object = None,
+    **server_options: object,
 ) -> ServerHandle:
-    """Start a :class:`QueryServer` on its own thread; returns its handle.
+    """Start a :class:`QueryServer` (``server_options`` are its: ``pool_size``,
+    ``shard_label``, ``max_pending``, ``default_deadline_ms``, ``metrics``)
+    on its own thread; returns its handle.
 
     The canonical in-process setup used by the tests, the throughput
     benchmark and ``python -m repro bench --smoke``: server and clients in
@@ -939,15 +654,7 @@ def serve_in_background(
     one of these per shard (plus one for the full-copy fallback) and puts
     a :class:`~repro.shard.client.ShardedServiceClient` in front.
     """
-    server = QueryServer(
-        session,
-        registry,
-        pool_size=pool_size,
-        shard_label=shard_label,
-        max_pending=max_pending,
-        default_deadline_ms=default_deadline_ms,
-        metrics=metrics,
-    )
+    server = QueryServer(session, registry, **server_options)
     started: "threading.Event" = threading.Event()
     box: dict = {}
 

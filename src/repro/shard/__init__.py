@@ -20,7 +20,9 @@ Five pieces:
   coordinator: route → sub-requests → failover → bag-union merge →
   counters, over *endpoints* of two kinds (a wire
   :class:`~repro.service.client.ServiceClient` per ``python -m repro
-  serve --shard i/n`` server, or an in-process ``LocalEndpoint``);
+  serve --shard i/n`` server, or an in-process ``LocalEndpoint`` — both
+  drivers of one :class:`~repro.service.protocol.ClientCore`, answered by
+  one :class:`~repro.service.core.ServerCore`);
 * :mod:`~repro.shard.deployment` — ``connect_sharded`` /
   ``ShardedSession`` (the façade over a coordinator) and the local
   substrate, ``ShardedDatabase`` + ``LocalEndpoint``;

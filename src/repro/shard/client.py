@@ -4,17 +4,18 @@ A :class:`ShardedServiceClient` holds one *endpoint* per partition shard
 replica plus one for the full-copy fallback, and is the only
 implementation of the sharded execution algorithm — plan route →
 sub-requests → replica/whole-query failover → bag-union merge → counters.
-An endpoint is anything that answers ``prepare`` / ``register`` /
-``execute_full`` / ``insert`` / ``ping`` / ``explain`` / ``stats`` /
-``close`` and carries ``.breaker`` / ``.retries`` / ``.reconnects`` /
-``.last_ping_ms``; there are two kinds:
+An endpoint is a driver of :class:`~repro.service.protocol.ClientCore` —
+its ops, plus ``close`` and ``.breaker`` / ``.retries`` / ``.reconnects``
+/ ``.last_ping_ms`` — and there are two kinds, both answered by a
+:class:`~repro.service.core.ServerCore`:
 
 * a :class:`~repro.service.client.ServiceClient` — the PR 4 wire protocol
   against a ``python -m repro serve --shard i/n`` server (built here from
   a ``(host, port)`` address);
 * a :class:`~repro.shard.deployment.LocalEndpoint` — a per-partition
   :class:`~repro.api.session.Session` in this process (built by
-  :func:`~repro.shard.deployment.connect_sharded`; no JSON, no socket).
+  :func:`~repro.shard.deployment.connect_sharded`; the same requests, no
+  JSON, no socket).
 
 The coordinator carries the placement and the query catalogue (terms are
 what the shardability analysis reads; only names and parameter values

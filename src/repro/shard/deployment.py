@@ -24,8 +24,9 @@ endpoints the coordinator talks to:
   ``tables``), it partitions it into a :class:`ShardedDatabase` — ``n``
   partition stores plus the original as the *full-copy fallback* — and
   puts a :class:`LocalEndpoint` (a per-store
-  :class:`~repro.api.session.Session`; no JSON, no socket) in front of
-  each;
+  :class:`~repro.api.session.Session` behind the same
+  :class:`~repro.service.core.ServerCore` a server runs; no JSON, no
+  socket) in front of each;
 * given no data, it spawns a
   :class:`~repro.shard.supervisor.SupervisedDeployment` — one ``serve
   --shard i/n`` subprocess per partition plus the fallback, each
@@ -41,9 +42,9 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-import time
 import uuid
-from typing import Any, Iterable, Mapping, Optional
+from contextlib import nullcontext
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.api.fluent import to_term
 from repro.api.results import Result
@@ -53,9 +54,10 @@ from repro.backend.executor import ExecutionStats
 from repro.errors import BackendError, ServiceConnectionError, ShardingError
 from repro.nrc import ast
 from repro.nrc.schema import Schema
+from repro.service.core import ServerCore
+from repro.service.protocol import _USE_DEFAULT, ClientCore
 from repro.service.registry import QueryRegistry
 from repro.service.resilience import CircuitBreaker
-from repro.service.server import execute_response, prepare_response
 from repro.shard.analysis import ShardPlan
 from repro.shard.client import MODE_COUNTERS, ShardedServiceClient
 from repro.shard.placement import Placement
@@ -166,154 +168,82 @@ class ShardedDatabase:
         self.full._dispose_connection()
 
 
-class LocalEndpoint:
-    """One store's :class:`Session` behind the calls the coordinator makes
-    of an endpoint — the in-process twin of
-    :class:`~repro.service.client.ServiceClient`, answering in the wire's
-    response shapes with no JSON and no socket.
+#: The ops whose outcome is the store's health: answered, they close the
+#: breaker; what a dying store raises under them — the sqlite layer, the
+#: backend wrapper around it, or the OS (the file ripped out from under
+#: the mmap) — is unavailability, not an answer.  Elsewhere such an error
+#: is the caller's: an ``insert``'s :class:`BackendError` is the batch
+#: failing validation and must arrive as itself.
+_STORE_OPS = ("execute", "ping")
 
-    Shareable across threads (a :class:`Session` is).  The catalogue is
-    the shared ``registry`` plus whatever was :meth:`register`-ed here;
-    :class:`~repro.api.results.Prepared` handles are cached by name and
-    compiled under ``compile_lock``, which the endpoints of one
-    deployment share.  A
-    store that raises mid-request is reported the way a dead server is —
+
+class LocalEndpoint(ClientCore):
+    """One store's :class:`Session` behind the calls the coordinator makes
+    of an endpoint: the in-process driver of
+    :class:`~repro.service.protocol.ClientCore`.  Where
+    :class:`~repro.service.client.ServiceClient` frames a request and
+    writes it to a socket, this hands the request dict to a
+    :class:`~repro.service.core.ServerCore` — the same op semantics, field
+    checks and response shapes as a server's, with no JSON and no socket.
+
+    Shareable across threads (a :class:`Session` is; one request's state
+    is its call's).  A name's first request runs under ``compile_lock``,
+    which the endpoints of one deployment share along with the plan
+    cache: a fan-out asks every endpoint for a new plan at the same
+    moment, so the first compiles and the rest hit.  A store that raises
+    mid-request is reported the way a dead server is —
     :class:`~repro.errors.ServiceConnectionError`, breaker tripped at
     once (there is no transport to retry) — so the coordinator fails over
-    identically; a successful request or :meth:`ping` closes the breaker.
+    identically; a successful ``execute`` or ``ping`` closes the breaker.
+    A run cannot be abandoned, so ``deadline_ms`` is checked, not enforced.
     """
-
-    retries = reconnects = 0
-    last_ping_ms = None
 
     def __init__(
         self,
         session: Session,
         registry: QueryRegistry,
         compile_lock: threading.Lock,
+        shard_label: str | None = None,
     ) -> None:
-        self.session = session
-        self.registry = registry
+        super().__init__("local", 0)
+        self.core = ServerCore(session, registry, shard_label)
         self.breaker = CircuitBreaker(failure_threshold=1)
         self._compile_lock = compile_lock
-        self._prepared: dict = {}
-        self._descriptions: dict = {}
+        self._compiled: set = set()  # the names past their first request
 
-    def _adopt(self, query: str, prepared, description: str):
-        # A fan-out asks every endpoint for a new plan at the same moment,
-        # and they share one plan cache: under the deployment-wide lock
-        # the first compiles and the rest hit.
-        with self._compile_lock:
-            prepared.compiled
-        self._prepared[query] = prepared
-        self._descriptions[query] = description
-        return prepared
-
-    def _lookup(self, query: str):
-        prepared = self._prepared.get(query)
-        if prepared is None:
-            entry = self.registry.lookup(query)
-            prepared = self._adopt(
-                query, entry.prepared(self.session), entry.description
-            )
-        return prepared
-
-    def _store(self, call, *args: Any, **kwargs: Any):
-        """``call`` against the store; what a dying store raises — the
-        sqlite layer, the backend wrapper around it, or the OS (the file
-        ripped out from under the mmap) — becomes unavailability."""
+    def _call(
+        self,
+        payload: dict,
+        project: Optional[Callable[[dict], Any]] = None,
+        *,
+        deadline_ms: object = _USE_DEFAULT,
+        retry: bool = True,  # accepted from ping(); there is nothing to retry
+    ) -> Any:
+        request, _budget = self._stamp(payload, deadline_ms)
+        op, name = request["op"], request.get("query")
+        first = name is not None and name not in self._compiled
         try:
-            result = call(*args, **kwargs)
+            with self._compile_lock if first else nullcontext():
+                response = self.core.handle(request)
         except (sqlite3.Error, BackendError, OSError) as error:
+            if op not in _STORE_OPS:
+                raise
             self.breaker.record_failure()
             raise ServiceConnectionError(
                 f"local shard store failed: {error}",
                 kind=type(error).__name__,
             ) from error
-        self.breaker.record_success()
-        return result
-
-    def prepare(self, query: str) -> dict:
-        compiled = self._lookup(query).compiled
-        return prepare_response(
-            query,
-            compiled,
-            self.session.resolve_engine(None, compiled),
-            self._descriptions[query],
-        )
-
-    def register(
-        self, query: str, source: object, description: str = ""
-    ) -> dict:
-        term = to_term(source)
-        fingerprint = ast.term_fingerprint(term)
-        if query in self._prepared:
-            current = self._prepared[query].term()
-        elif query in self.registry:
-            current = self.registry.lookup(query).term
-        else:
-            current = None
-        registered = (
-            current is None or ast.term_fingerprint(current) != fingerprint
-        )
-        if registered:
-            self._adopt(query, self.session.prepare(term), description)
-        return {
-            "ok": True,
-            "query": query,
-            "registered": registered,
-            "fingerprint": fingerprint,
-        }
-
-    def execute_full(
-        self,
-        query: str,
-        params: Optional[dict] = None,
-        engine: Optional[str] = None,
-        collection: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-        trace_id: Optional[str] = None,
-    ) -> dict:
-        """Run ``query`` on this store.  ``deadline_ms`` / ``trace_id``
-        are the wire's concerns (a local run cannot be abandoned and has
-        no server log) and are accepted for call compatibility only."""
-        started = time.perf_counter()
-        result = self._store(
-            self._lookup(query).run,
-            engine=engine,
-            collection=collection or "bag",
-            params=params,
-        )
-        return execute_response(
-            query, result, result.value, (time.perf_counter() - started) * 1000.0
-        )
-
-    def insert(
-        self, table: str, rows: list, idempotency_key: str | None = None
-    ) -> dict:
-        # Not through _store: a BackendError here is the batch failing
-        # validation, which must reach the caller as itself.
-        applied = self.session.insert(
-            table, rows, idempotency_key=idempotency_key
-        )
-        return {"ok": True, "table": table, "rows": len(rows), "applied": applied}
-
-    def explain(self, query: str) -> str:
-        return self._lookup(query).explain()
-
-    def stats(self) -> dict:
-        report: dict = {"ok": True, "session": self.session.stats_snapshot()}
-        cache = self.session.pipeline.cache
-        if cache is not None:
-            report["plan_cache"] = cache.stats()
-        return report
-
-    def ping(self, deadline_ms: Optional[float] = None) -> dict:
-        self._store(self.session.db.total_rows)
-        return {"ok": True, "pong": True}
+        if op == "register":
+            self._compiled.discard(name)  # the name may now mean a new term
+        elif first:
+            self._compiled.add(name)
+        if op in _STORE_OPS:
+            self.breaker.record_success()
+        return response if project is None else project(response)
 
     def close(self) -> None:
-        self.session.close()
+        self._closed = True
+        self.core.session.close()
 
 
 class ShardedResult(Result):
@@ -605,7 +535,9 @@ def connect_sharded(
       on CPU-bound queries.  ``options`` / ``engine`` / ``cache`` configure
       the per-store sessions as :func:`~repro.api.connect` would; all
       stores share the plan cache, so a query compiles once.  ``registry``
-      (optional) seeds the name catalogue.
+      (optional) seeds the name catalogue — the coordinator's and, by
+      copy, each endpoint's; later queries join through
+      :meth:`ShardedSession.register`, as over the wire.
     * no data source (or ``processes=True``): **wire endpoints** to a
       process group the session spawns, supervises and owns — one
       ``serve --shard i/n`` subprocess per partition plus the full-copy
@@ -663,13 +595,14 @@ def connect_sharded(
 
     compile_lock = threading.Lock()
 
-    def endpoint(store: Database) -> LocalEndpoint:
+    def endpoint(store: Database, index: object) -> LocalEndpoint:
         session = Session(store, options=options, engine=engine, cache=cache)
-        return LocalEndpoint(session, registry, compile_lock)
+        label = f"{index}/{db.shard_count}"
+        return LocalEndpoint(session, registry.copy(), compile_lock, label)
 
     client = ShardedServiceClient(
-        [endpoint(store) for store in db.shards],
-        endpoint(db.full),
+        [endpoint(store, index) for index, store in enumerate(db.shards)],
+        endpoint(db.full, "full"),
         placement=db.placement,
         registry=registry,
         schema=db.schema,

@@ -167,11 +167,9 @@ def wire_client(request):
 # Sharded sessions over both endpoint kinds.
 
 
-class _DeadStore:
-    """Stands in for a Prepared whose store died under it."""
-
-    def run(self, **kwargs):
-        raise sqlite3.OperationalError("the store is gone")
+def _store_gone(*args, **kwargs):
+    """Stands in for a store's statement runner once the store died."""
+    raise sqlite3.OperationalError("the store is gone")
 
 
 class ShardedSessions:
@@ -192,10 +190,11 @@ class ShardedSessions:
 
     def __call__(
         self, shards=2, *, placement=None, database=None, options=None,
-        shared=False,
+        engine="auto", shared=False,
     ):
         """A session; ``shared=True`` reuses one per (shards, placement)
-        for the fixture's lifetime — read-only tests only."""
+        for the fixture's lifetime — read-only tests only.  ``options`` /
+        ``engine`` configure every store's session."""
         from repro.api import connect
         from repro.data.organisation import organisation_placement
         from repro.service import paper_registry, serve_in_background
@@ -209,13 +208,16 @@ class ShardedSessions:
         registry = paper_registry()
         sdb = ShardedDatabase(database or figure3_database(), placement, shards)
         if self.transport == "local":
-            session = connect_sharded(sdb, options=options, registry=registry)
+            session = connect_sharded(
+                sdb, options=options, engine=engine, registry=registry
+            )
             self._servers[session] = []
         else:
             labels = [f"{i}/{shards}" for i in range(shards)] + [f"full/{shards}"]
             handles = [
                 serve_in_background(
-                    connect(store, options=options), registry, pool_size=2,
+                    connect(store, options=options, engine=engine), registry,
+                    pool_size=2,
                     shard_label=label,
                 )
                 for store, label in zip([*sdb.shards, sdb.full], labels)
@@ -252,7 +254,7 @@ class ShardedSessions:
         """Make the full-copy fallback really fail: its store raises
         (local) / its server is gone (wire)."""
         if self.transport == "local":
-            session.client._fallback._lookup = lambda query: _DeadStore()
+            session.db.full.execute_sql_chunks = _store_gone
         else:
             self._servers[session][-1].stop()
 

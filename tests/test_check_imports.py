@@ -53,6 +53,25 @@ def test_library_imports_fine(source):
     assert lint_source(source, IN_LIBRARY) == []
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import asyncio\n",
+        "from repro.service.server import QueryServer\n",
+        "from repro.service import server\n",
+        "def f():\n    from ..service.server import LIGHT_ROWS\n",
+    ],
+)
+@pytest.mark.parametrize(
+    "loop_free", ["src/repro/service/core.py", "src/repro/shard/deployment.py"]
+)
+def test_loop_free_modules_do_not_import_the_loop(source, loop_free):
+    (finding,) = lint_source(source, loop_free)
+    assert finding.code == "IM002"
+    # The same imports are any other library module's business.
+    assert lint_source(source, IN_LIBRARY) == []
+
+
 def test_library_lints_clean():
     assert lint_paths([ROOT / target for target in DEFAULT_TARGETS]) == []
 

@@ -583,7 +583,7 @@ class TestRunsOnTheLoop:
         assert len(answers) == 2
         assert all(bag_equal(answer, expected) for answer in answers)
         # The heavy runs were never counted inline.
-        assert handle.server.inline_count == 2
+        assert handle.server.metrics.get("execute_inline_total").value == 2
 
     def test_deadline_semantics_are_the_worker_paths(self, fresh, wire_client):
         from repro.errors import DeadlineExceededError
@@ -717,7 +717,8 @@ class TestDeadlineValidation:
         body = (
             '{"op": "execute", "query": "Q1", "deadline_ms": %s}' % literal
         ).encode()
-        before = service.server.deadline_count
+        deadlines = service.server.metrics.get("deadline_exceeded_total")
+        before = deadlines.value
         with socket.create_connection((service.host, service.port), 10) as raw:
             raw.sendall(struct.pack(">I", len(body)) + body)
             response = _read_frame(raw)
@@ -726,7 +727,7 @@ class TestDeadlineValidation:
         assert "'deadline_ms' must be a positive number" in (
             response["error"]["message"]
         )
-        assert service.server.deadline_count == before
+        assert deadlines.value == before
 
 
 class TestFramePacking:

@@ -13,11 +13,14 @@ from repro.data.organisation import (
     organisation_placement,
 )
 from repro.data.queries import NESTED_QUERIES
-from repro.errors import ShardingError
+from repro.errors import ServiceError, ShardingError
 from repro.normalise import normalise
 from repro.nrc import ast
 from repro.nrc import builders as b
+from repro.nrc.serialize import term_to_json
 from repro.nrc.types import INT, STRING
+from repro.service import OPS, paper_registry
+from repro.service.core import ServerCore
 from repro.shard import (
     Placement,
     ShardedDatabase,
@@ -500,21 +503,108 @@ class TestShardedSession:
         assert "shard plan" in text
         assert "fanout" in text
 
-    def test_every_endpoint_answers_in_the_servers_shapes(self, sharded_session):
-        # One builder per response shape, shared by QueryServer and
-        # LocalEndpoint: same keys (the wire adds its id echo), same
-        # description, same rounding.
+
+# --------------------------------------------------------------------------
+# One service, whatever the endpoint is made of.
+
+#: One well-formed request per op (``close`` ends a wire connection and
+#: has no local counterpart).
+OP_REQUESTS = {
+    "prepare": {"op": "prepare", "query": "dept_staff"},
+    "register": {
+        "op": "register",
+        "query": "parity_q1",
+        "term": term_to_json(NESTED_QUERIES["Q1"]),
+        "description": "parity",
+    },
+    "execute": {"op": "execute", "query": "dept_staff", "params": {"dept": "Sales"}},
+    "insert": {
+        "op": "insert",
+        "table": "departments",
+        "rows": [{"id": 99, "name": "Parity"}],
+        "idempotency_key": "parity-insert",
+    },
+    "explain": {"op": "explain", "query": "dept_staff"},
+    "stats": {"op": "stats"},
+    "metrics": {"op": "metrics"},
+    "ping": {"op": "ping"},
+}
+
+#: Inside ``stats``' ``server`` block, what only an event-loop driver has.
+DRIVER_GAUGES = {"pool_size", "max_pending", "pending", "draining"}
+
+
+def _shape(response: dict) -> dict:
+    """The key sets of a response: top level (minus the wire's ``id``
+    echo) and one level down."""
+    shape = {"": response.keys() - {"id"}}
+    for key, value in response.items():
+        if isinstance(value, dict) and key != "params":
+            shape[key] = value.keys() - (DRIVER_GAUGES if key == "server" else set())
+    return shape
+
+
+class TestEndpointParity:
+    def test_ops_cover_the_protocol(self):
+        assert set(OP_REQUESTS) == set(OPS) - {"close"}
+
+    @pytest.mark.parametrize("op", sorted(OP_REQUESTS))
+    def test_every_endpoint_answers_every_op_in_the_cores_shape(
+        self, sharded_session, op
+    ):
+        # The reference is a bare ServerCore over the same data: a local
+        # endpoint and a wire server are both drivers of one.
+        reference = ServerCore(connect(figure3_database()), paper_registry())
+        expected = _shape(reference.handle(dict(OP_REQUESTS[op])))
+        client = sharded_session(2, shared=op not in ("register", "insert")).client
+        for label, endpoint in client._endpoints():
+            response = endpoint._call(dict(OP_REQUESTS[op]))
+            assert response["ok"] is True
+            assert _shape(response) == expected, (op, label)
+
+    def test_prepare_and_execute_carry_the_catalogues_words(self, sharded_session):
         client = sharded_session(2, shared=True).client
         description = client.registry.lookup("dept_staff").description
-        prepare_keys = "ok query statements params engine description"
-        execute_keys = "ok query rows engine server_millis stats"
         for _label, endpoint in client._endpoints():
-            prepared = endpoint.prepare("dept_staff")
-            assert prepared.keys() - {"id"} == set(prepare_keys.split())
-            assert prepared["description"] == description != ""
+            assert endpoint.prepare("dept_staff")["description"] == description != ""
             ran = endpoint.execute_full("dept_staff", {"dept": "Sales"})
-            assert ran.keys() - {"id"} == set(execute_keys.split())
             assert ran["server_millis"] == round(ran["server_millis"], 3)
+            assert ran["stats"]["queries"] == 2
+
+    @pytest.mark.parametrize("deadline_ms", [0, -5, float("nan"), True])
+    def test_a_deadline_is_a_positive_number_everywhere(
+        self, sharded_session, deadline_ms
+    ):
+        # Sent raw: the clients' own deadline arithmetic never sees it.
+        request = {"op": "execute", "query": "Q1", "deadline_ms": deadline_ms}
+        for _label, endpoint in sharded_session(2, shared=True).client._endpoints():
+            with pytest.raises(ServiceError, match="'deadline_ms' must be a positive"):
+                endpoint._call(dict(request))
+
+    def test_params_are_an_object_everywhere(self, sharded_session):
+        request = {
+            "op": "execute", "query": "dept_staff", "params": [["dept", "Sales"]],
+        }
+        for _label, endpoint in sharded_session(2, shared=True).client._endpoints():
+            with pytest.raises(ServiceError, match="'params' must be an object"):
+                endpoint._call(dict(request))
+
+    def test_prepare_reports_the_engine_execute_runs(self, sharded_session):
+        client = sharded_session(2, engine="parallel").client
+        for _label, endpoint in client._endpoints():
+            assert (
+                endpoint.prepare("Q1")["engine"]
+                == endpoint.execute_full("Q1")["engine"]
+                == "parallel"
+            )
+            assert endpoint.execute_full("Q1", engine="batched")["engine"] == "batched"
+
+    def test_fleet_stats_read_the_same_over_any_endpoint(self, sharded_session):
+        report = sharded_session(2, shared=True).client.stats()
+        for server in (*report["shards"], report["fallback"]):
+            assert server["server"]["shed"] == 0
+            assert server["server"]["deadline_exceeded"] == 0
+            assert "dept_staff" in server["queries"]
 
 
 # --------------------------------------------------------------------------

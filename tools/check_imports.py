@@ -11,6 +11,10 @@ Fig. 10/11 harness).  Those are imported by ``repro.__main__`` (the
     IM001  a library module imports ``repro.baselines`` or ``repro.bench``
            (at module level or inside a function — a lazy import is still
            an edge of the graph)
+    IM002  ``repro.service.core`` or ``repro.shard.deployment`` imports
+           ``asyncio`` or ``repro.service.server``: the protocol's op
+           semantics and the in-process transport that drives them are
+           loop-free — only the asyncio server is built on an event loop
 
 Run from the repository root::
 
@@ -31,6 +35,10 @@ from lintcli import Finding
 
 #: Packages the library must not import.
 FORBIDDEN = ("repro.baselines", "repro.bench")
+
+#: The loop-free modules, and what they must not import.
+LOOP_FREE = ("repro.service.core", "repro.shard.deployment")
+LOOP_BOUND = ("asyncio", "repro.service.server")
 
 DEFAULT_TARGETS = tuple(
     f"src/repro/{package}"
@@ -67,27 +75,40 @@ def _imported(node: ast.AST, module: str) -> list[str]:
 def lint_source(source: str, name: str = "<string>") -> list[Finding]:
     """Lint one module's source text; returns findings sorted by line."""
     module = _module_name(name)
+    rules = [
+        (
+            "IM001",
+            FORBIDDEN,
+            "library module imports '{}' — evaluation code is reachable "
+            "from repro.__main__ and tests only",
+        )
+    ]
+    if module in LOOP_FREE:
+        rules.append(
+            (
+                "IM002",
+                LOOP_BOUND,
+                "loop-free module imports '{}' — the event loop belongs to "
+                "repro.service.server alone",
+            )
+        )
     findings = []
     for node in ast.walk(ast.parse(source, filename=name)):
-        hit = next(
-            (
-                target
-                for target in _imported(node, module)
-                for forbidden in FORBIDDEN
-                if target == forbidden or target.startswith(forbidden + ".")
-            ),
-            None,
-        )
-        if hit is not None:
-            findings.append(
-                Finding(
-                    "IM001",
-                    name,
-                    node.lineno,
-                    f"library module imports '{hit}' — evaluation code is "
-                    f"reachable from repro.__main__ and tests only",
-                )
+        targets = _imported(node, module)
+        for code, forbidden, message in rules:
+            hit = next(
+                (
+                    target
+                    for target in targets
+                    for prefix in forbidden
+                    if target == prefix or target.startswith(prefix + ".")
+                ),
+                None,
             )
+            if hit is not None:
+                findings.append(
+                    Finding(code, name, node.lineno, message.format(hit))
+                )
     return sorted(findings, key=lambda f: f.line)
 
 
