@@ -141,10 +141,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     session = connect(figure3_database(), engine=args.engine)
     prepared = session.query(_query(args.query))
     result = prepared.run(trace=True)
+    # The same query across a two-shard local deployment: the coordinator's
+    # side of a run — ``route`` → one ``shard`` per sub-request → the
+    # ``stitch`` of that shard's column tables.
+    from repro.api import connect_sharded
+    from repro.data.organisation import organisation_placement
+
+    with connect_sharded(
+        figure3_database(), placement=organisation_placement(), shards=2
+    ) as cluster:
+        sharded = cluster.run(_query(args.query), engine=args.engine, trace=True)
     if args.json:
         import json
 
         payload = prepared.explain_payload(result.trace)
+        payload["sharded_trace"] = sharded.trace.to_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(render_trace(result.trace))
@@ -153,6 +164,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"-- engine={result.engine} queries={stats.queries} "
         f"rows={stats.rows_fetched} millis={stats.total_millis:.1f}"
     )
+    print(render_trace(sharded.trace))
+    print(f"-- 2 local shards: route={sharded.route} rows={sharded.stats.rows_fetched}")
     return 0
 
 
@@ -377,16 +390,26 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             if args.verbose or d.severity in ("error", "warning")
         ]
         # Generated code is invisible to ruff/mypy: build every statement's
-        # fold here, under both plan shapes.
+        # fold here, under both plan shapes, and have SQLite prepare its
+        # column-table form (what a shard answers a coordinator with)
+        # against the empty store.
         broken = []
         for shape in (session, session.with_options(scheme="flat")):
+            plan = f"{shape.options.scheme or 'default'} plan"
             for path, statement in annotations(shape.compile(term).sql_package):
                 try:
                     statement.fold()
                 except Exception as error:  # reported as a finding
+                    broken.append(f"fold at {path} ({plan}) does not build: {error!r}")
+                try:
+                    session.db.connection().execute(
+                        "EXPLAIN " + statement.column_table_sql,
+                        dict.fromkeys(statement.params),
+                    )
+                except Exception as error:  # reported as a finding
                     broken.append(
-                        f"fold at {path} ({shape.options.scheme or 'default'} "
-                        f"plan) does not build: {error!r}"
+                        f"column-table form at {path} ({plan}) does not "
+                        f"prepare: {error!r}"
                     )
         if has_failures(diagnostics) or broken:
             failed = True
@@ -479,7 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         "trace",
         help="run a paper query once with tracing on and print the nested "
         "span tree (compile stages, per-rule optimizer timings, "
-        "per-statement execution, stitch)",
+        "per-statement execution, stitch), then once more across two local "
+        "shards (route, per-shard sub-request, coordinator stitch)",
     )
     trace.add_argument("query")
     trace.add_argument(

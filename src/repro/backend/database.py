@@ -110,6 +110,7 @@ class Database:
         self._dedicated_readers: list[sqlite3.Connection] = []
         self._ensured_indexes: dict[tuple[str, tuple[str, ...]], str] = {}
         self._stats_stale = False
+        self._json1: bool | None = None  # has_json1()'s one probe
         # Serialises connection building, index DDL, ANALYZE and pool
         # growth: the service layer drives this object from many handler
         # threads at once.  Reentrant — ensure_index / refresh_statistics
@@ -527,6 +528,18 @@ class Database:
             if not chunk:
                 return
             yield chunk
+
+    def has_json1(self, connection: sqlite3.Connection | None = None) -> bool:
+        """Whether this store's SQLite has the JSON1 aggregates the
+        column-table statements are built from — probed once per store."""
+        if self._json1 is None:
+            target = connection if connection is not None else self.connection()
+            try:
+                target.execute("SELECT json_group_array(1)").fetchone()
+                self._json1 = True
+            except sqlite3.OperationalError:
+                self._json1 = False
+        return self._json1
 
     def ensure_index(self, table: str, columns: Sequence[str]) -> bool:
         """Create a (composite) index on ``table(columns)`` if not present.

@@ -1,7 +1,7 @@
 """SQL execution: run compiled shredded queries, count round trips, and
 batch whole packages through one connection — or fan them out in parallel.
 
-Three execution engines serve a compiled shredded package:
+Three execution engines serve a compiled shredded package in process:
 
 * :func:`execute_compiled` — the per-path engine: one call per shredded
   query, streaming rows in ``fetchmany`` batches and decoding each into
@@ -23,6 +23,14 @@ Three execution engines serve a compiled shredded package:
   advisement and ANALYZE happen on the writer connection *before* the
   fan-out; per-query stats are recorded in package order after the run,
   so :class:`ExecutionStats` stay deterministic under any scheduling.
+
+The batched engines share one walk, :func:`fold_package`, which takes
+its rows from a callable — so a shard coordinator runs the very same walk
+over rows that were fetched elsewhere.  That is the other half of this
+module: :func:`execute_package_shredded` runs a package's statements in
+their column-table form (SQLite's JSON1 writes each statement's columns as
+JSON; nothing is fetched row by row, folded or stitched) for a fan-out
+coordinator to fold.
 
 No engine writes while it reads: once a plan's indexes are advised and
 ``ANALYZE`` has run (the first run), executing it issues nothing but
@@ -59,6 +67,8 @@ __all__ = [
     "bind_params",
     "execute_compiled",
     "execute_package_batched",
+    "execute_package_shredded",
+    "fold_package",
     "ensure_compiled_indexes",
     "DEFAULT_FETCH_BATCH",
     "DEFAULT_POOL_SIZE",
@@ -293,6 +303,64 @@ def _prefetch(
     }
 
 
+def fold_package(sql_package, rows_of, outcomes: dict | None = None):
+    """The batched engine's one walk over a package, whatever the rows
+    come from: statements in *post-order*, each statement's rows folded
+    once, through its generated :meth:`~repro.sql.codegen.CompiledSql.fold`,
+    into ``{outer key: [record, …]}`` — the child statements' dicts handed
+    to the parent's fold in field order (the order of the item type's index
+    leaves).  Returns the package with each bag annotation replaced by its
+    dict, ready for :func:`repro.shred.stitch.stitch_grouped`.
+
+    ``rows_of(compiled)`` yields the statement's raw rows in chunks (any
+    iterables of tuples): ``fetchmany`` lists out of SQLite in
+    :func:`execute_package_batched`, the ``zip`` of a decoded column table
+    at a shard coordinator (:mod:`repro.shard.client`).  ``outcomes``
+    receives ``id(compiled) → (wall ms, ms inside fold)`` per statement.
+    """
+    from repro.shred.packages import PkgBag, PkgRecord
+
+    def run(compiled: CompiledSql, child_buckets: list[dict]) -> dict:
+        started = time.perf_counter()
+        fold = compiled.fold()
+        grouped: dict = {}
+        decode_seconds = 0.0
+        for chunk in rows_of(compiled):
+            decode_started = time.perf_counter()
+            fold(chunk, grouped, *child_buckets)
+            decode_seconds += time.perf_counter() - decode_started
+        if outcomes is not None:
+            millis = (time.perf_counter() - started) * 1000.0
+            outcomes[id(compiled)] = (millis, decode_seconds * 1000.0)
+        return grouped
+
+    def visit(node, buckets: list[dict]):
+        """Post-order: a bag runs after the bags in its element, whose
+        results reach it in field order — the order of the index leaves
+        its ``fold`` reads them by — and joins its parent's ``buckets``."""
+        if isinstance(node, PkgBag):
+            inner: list[dict] = []
+            element = visit(node.element, inner)
+            buckets.append(run(node.annotation, inner))
+            return PkgBag(element, buckets[-1])
+        if isinstance(node, PkgRecord):
+            return PkgRecord(
+                tuple((label, visit(sub, buckets)) for label, sub in node.fields)
+            )
+        return node
+
+    return visit(sql_package, [])
+
+
+def _advise_indexes(db: Database, sql_package, stats: ExecutionStats | None) -> None:
+    """A package's setup, on the writer connection, before any statement
+    runs: the advisory indexes, then ``ANALYZE`` if anything changed."""
+    created = _ensure_package_indexes(db, sql_package)
+    db.refresh_statistics()
+    if stats is not None:
+        stats.indexes_created += created
+
+
 def execute_package_batched(
     db: Database,
     sql_package,
@@ -308,8 +376,9 @@ def execute_package_batched(
     """Run all shredded queries of a package: one fold per row, children
     first (§8 "stitching in one pass", taken to the executor).
 
-    Statements run in *post-order*, so when a statement's rows arrive the
-    results of the statements one nesting level down are already grouped:
+    Statements run in *post-order* (:func:`fold_package`), so when a
+    statement's rows arrive the results of the statements one nesting
+    level down are already grouped:
     :meth:`~repro.sql.codegen.CompiledSql.fold` turns each raw tuple into
     its final record — child bags included, by handing over the child's
     bucket list — and appends it under its outer key.  Returns the package
@@ -338,24 +407,21 @@ def execute_package_batched(
     after the run, each statement timed on its own, so they are the same
     under either engine and any scheduling.
     """
-    from repro.shred.packages import PkgBag, PkgRecord, annotations
+    from repro.shred.packages import annotations
 
     batch = DEFAULT_FETCH_BATCH if batch_size is None else batch_size
     if create_indexes:
-        created = _ensure_package_indexes(db, sql_package)
-        db.refresh_statistics()
-        if stats is not None:
-            stats.indexes_created += created
+        _advise_indexes(db, sql_package, stats)
 
     members = [compiled for _path, compiled in annotations(sql_package)]
     workers = min(
         len(members), DEFAULT_POOL_SIZE if max_workers is None else max_workers
     )
     fetched: dict[int, tuple[list, float]] = {}
-    outcomes: dict[int, tuple[int, float, float]] = {}
+    sources: dict[int, tuple[int, float]] = {}  # rows, prefetch ms
+    outcomes: dict[int, tuple[float, float]] = {}
 
-    def run(compiled: CompiledSql, child_buckets: list[dict]) -> dict:
-        started = time.perf_counter()
+    def rows_of(compiled: CompiledSql):
         chunks, fetch_millis = fetched.pop(id(compiled), None) or (
             db.execute_sql_chunks(
                 compiled.sql,
@@ -365,39 +431,19 @@ def execute_package_batched(
             ),
             0.0,
         )
-        fold = compiled.fold()
-        grouped: dict = {}
         rows = 0
-        decode_seconds = 0.0
         for chunk in chunks:
             rows += len(chunk)
-            decode_started = time.perf_counter()
-            fold(chunk, grouped, *child_buckets)
-            decode_seconds += time.perf_counter() - decode_started
-        millis = (time.perf_counter() - started) * 1000.0 + fetch_millis
-        outcomes[id(compiled)] = (rows, millis, decode_seconds * 1000.0)
-        return grouped
-
-    def visit(node, buckets: list[dict]):
-        """Post-order: a bag runs after the bags in its element, whose
-        results reach it in field order — the order of the index leaves
-        its ``fold`` reads them by — and joins its parent's ``buckets``."""
-        if isinstance(node, PkgBag):
-            inner: list[dict] = []
-            element = visit(node.element, inner)
-            buckets.append(run(node.annotation, inner))
-            return PkgBag(element, buckets[-1])
-        if isinstance(node, PkgRecord):
-            return PkgRecord(
-                tuple((label, visit(sub, buckets)) for label, sub in node.fields)
-            )
-        return node
+            yield chunk
+        sources[id(compiled)] = (rows, fetch_millis)
 
     if parallel and workers > 1:
         fetched = _prefetch(db, members, batch, params, workers)
-    results = visit(sql_package, [])
+    results = fold_package(sql_package, rows_of, outcomes)
     for position, compiled in enumerate(members):
-        rows, millis, decode_millis = outcomes[id(compiled)]
+        rows, fetch_millis = sources[id(compiled)]
+        millis, decode_millis = outcomes[id(compiled)]
+        millis += fetch_millis
         if stats is not None:
             stats.record(rows, millis)
         if tracer is not None:
@@ -405,6 +451,51 @@ def execute_package_batched(
                 tracer, rows, millis, decode_millis, index=position
             )
     return results
+
+
+def execute_package_shredded(
+    db: Database,
+    sql_package,
+    stats: ExecutionStats | None = None,
+    create_indexes: bool = True,
+    params=None,
+    connection=None,
+    tracer=None,
+) -> list[tuple[int, bytes]]:
+    """Run a package's statements in their column-table form
+    (:attr:`~repro.sql.codegen.CompiledSql.column_table_sql`) and fold
+    nothing: per statement, in package order, ``(row count, JSON bytes of
+    its columns)`` exactly as SQLite wrote them — no row tuple, no record,
+    no ``json.dumps`` on this side.  What a shard answers a fan-out
+    coordinator with (``result: "shredded"``); the coordinator runs
+    :func:`fold_package` over the decoded tables.
+
+    Setup, ``params``, ``connection``, ``stats`` (``rows`` is the
+    wrapper's ``count(*)``) and ``tracer`` as in
+    :func:`execute_package_batched`.  Each statement goes through
+    :meth:`Database.execute_sql_chunks` like any other — it yields one
+    one-row chunk.
+    """
+    from repro.shred.packages import annotations
+
+    if create_indexes:
+        _advise_indexes(db, sql_package, stats)
+    tables: list[tuple[int, bytes]] = []
+    for position, (_path, compiled) in enumerate(annotations(sql_package)):
+        started = time.perf_counter()
+        ((table,),) = db.execute_sql_chunks(
+            compiled.column_table_sql,
+            params=bind_params(compiled, params),
+            batch_size=1,
+            connection=connection,
+        )
+        millis = (time.perf_counter() - started) * 1000.0
+        tables.append(table)
+        if stats is not None:
+            stats.record(table[0], millis)
+        if tracer is not None:
+            _record_statement_span(tracer, table[0], millis, 0.0, index=position)
+    return tables
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,14 @@ wins of Figs. 10/11 come from what each stage then costs.  A
     │     └─ decode       row → value decoding
     └─ stitch
 
-plus, through the sharded fan-out client, per-shard sub-spans carrying
-``shard``/``replica`` attribution and the wire ``trace_id``.
+plus, through the sharded fan-out client, a ``route`` span with per-shard
+sub-spans carrying ``shard``/``replica`` attribution and the wire
+``trace_id``, each with the coordinator's ``stitch`` of that shard's
+column tables as its child::
+
+    route
+    └─ shard[i]           one per sub-request (server_millis = its server side)
+       └─ stitch          tables, rows — folded here, not on the shard
 
 Design constraints, in order:
 

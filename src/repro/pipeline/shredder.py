@@ -33,6 +33,8 @@ Performance knobs (see ROADMAP.md "Performance architecture"):
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.backend.database import Database
@@ -40,6 +42,8 @@ from repro.backend.executor import (
     ExecutionStats,
     execute_compiled,
     execute_package_batched,
+    execute_package_shredded,
+    fold_package,
 )
 from repro.errors import ShreddingError
 from repro.normalise import normalise, normalise_cached
@@ -168,6 +172,17 @@ class CompiledQuery:
         ``"natural: keys"``, ``"flat: table 't' declares no key"``, …"""
         return ": ".join(resolve_scheme(self.schema, self.options))
 
+    @functools.cached_property
+    def plan_fingerprint(self) -> str:
+        """A digest of the statements' SQL, in package order: two endpoints
+        that report the same one fold each other's rows correctly (same
+        columns, same key layout) — what a fan-out coordinator checks
+        before folding a shard's column tables with its own compile."""
+        digest = hashlib.sha1()
+        for _path, compiled in annotations(self.sql_package):
+            digest.update(compiled.sql.encode("utf-8") + b"\x00")
+        return digest.hexdigest()[:16]
+
     @property
     def param_names(self) -> tuple[str, ...]:
         """The host-parameter names ``run(params=…)`` must bind."""
@@ -255,6 +270,7 @@ class CompiledQuery:
         params=None,
         connection=None,
         tracer=None,
+        shredded: bool = False,
     ) -> NestedValue:
         """Execute all shredded queries on SQLite and stitch (§5.2).
 
@@ -294,6 +310,13 @@ class CompiledQuery:
         (with per-statement children) and ``stitch`` spans; on the batched
         engines the fold is the statements' ``decode`` and ``stitch`` only
         picks the finished ⊤·1 bucket.
+
+        ``shredded`` stops before the stitch: the batched engine under bag
+        semantics runs every statement in its column-table form and
+        returns the per-statement ``(row count, JSON bytes)`` tables as
+        SQLite wrote them
+        (:func:`~repro.backend.executor.execute_package_shredded`) — a
+        shard's half of a fan-out, stitched once at the coordinator.
         """
         validate_engine(engine)
         bound = self.check_params(params)
@@ -303,6 +326,22 @@ class CompiledQuery:
             raise ShreddingError(
                 "list-semantics output needs SqlOptions(ordered=True)"
             )
+        if shredded:
+            if engine != "batched" or collection != "bag":
+                raise ShreddingError(
+                    "shredded results are the batched engine's, under bag "
+                    f"semantics (got engine={engine!r}, collection={collection!r})"
+                )
+            with traced(tracer, "execute", engine=engine, shredded=True):
+                return execute_package_shredded(
+                    db,
+                    self.sql_package,
+                    stats=stats,
+                    create_indexes=create_indexes,
+                    params=bound,
+                    connection=connection,
+                    tracer=tracer,
+                )
         if engine in ("batched", "parallel"):
             if not one_pass_stitch:
                 raise ShreddingError(
@@ -348,6 +387,16 @@ class CompiledQuery:
 
             return dedup_nested(value)
         return value
+
+    def fold_rows(self, rows_of) -> NestedValue:
+        """The nested value of statements' raw rows that were fetched
+        elsewhere: the batched engine's walk and stitch with
+        ``rows_of(compiled)`` as the row source
+        (:func:`~repro.backend.executor.fold_package`) — the coordinator's
+        half of a ``shredded`` run."""
+        return stitch_grouped(
+            fold_package(self.sql_package, rows_of), self._top_key()
+        )
 
     def run_in_memory(
         self, db: Database, scheme: str = "flat", one_pass_stitch: bool = True

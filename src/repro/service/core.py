@@ -78,7 +78,9 @@ class Execution:
     a driver can put a lease wait, a thread hop or a step guard between
     the three."""
 
-    __slots__ = ("entry", "prepared", "run_args", "deadline_ms", "admitted", "_session")
+    __slots__ = (
+        "entry", "prepared", "run_args", "deadline_ms", "admitted", "_session", "_asked_shredded",
+    )
 
     def __init__(
         self,
@@ -86,6 +88,7 @@ class Execution:
         entry: RegisteredQuery,
         run_args: dict,
         deadline_ms: Optional[float],
+        asked_shredded: bool = False,
     ) -> None:
         #: ``server_millis`` runs from here: admission to result.
         self.admitted = time.perf_counter()
@@ -94,6 +97,7 @@ class Execution:
         self.prepared = entry.prepared(session)
         self.run_args = run_args
         self.deadline_ms = deadline_ms
+        self._asked_shredded = asked_shredded
 
     def engine(self) -> str:
         """The engine :meth:`run` will use.  Consults the plan cache (the
@@ -101,20 +105,45 @@ class Execution:
         has never run."""
         return self._session.resolve_engine(self.run_args["engine"], self.prepared.compiled)
 
+    def shredded(self) -> bool:
+        """Whether this request is answered with per-statement column
+        tables (protocol v1.5): it asked for them, and what it runs is the
+        batched engine under bag semantics.  Anything else keeps the
+        nested ``rows`` — the asking coordinator takes either.  Consults
+        the plan cache like :meth:`engine`."""
+        return (
+            self._asked_shredded
+            and self.run_args["collection"] == "bag"
+            and self.engine() == "batched"
+        )
+
     def run(self, **where: Any) -> "Result":
         """Run on the calling thread; ``where`` is the driver's
-        (``connection=``, ``create_indexes=``)."""
-        return self.prepared.run(**self.run_args, **where)
+        (``connection=``, ``create_indexes=``).  A :meth:`shredded` run's
+        ``Result.value`` is the list of column tables, not a nested value."""
+        if not self.shredded():
+            return self.prepared.run(**self.run_args, **where)
+        if not self._session.db.has_json1(where.get("connection")):
+            raise ServiceError(
+                "this store's SQLite has no json_group_array (built without "
+                "JSON1): it cannot answer result='shredded'",
+                kind="MissingSqlFunction",
+            )
+        return self.prepared.run(**self.run_args, shredded=True, **where)
 
     def response(self, result: "Result") -> dict:
         """The ``execute`` success shape.  ``server_millis`` is the wall
         time from admission to here — what a tracing fan-out client
-        attributes to this endpoint."""
+        attributes to this endpoint.  A :meth:`shredded` answer carries
+        ``shredded`` (one ``(row count, JSON bytes)`` table per statement,
+        which :func:`~repro.service.protocol.pack_frame` splices into the
+        frame undecoded) and the ``plan`` fingerprint in place of ``rows``."""
         stats = result.stats
-        return {
+        shredded = self.shredded()
+        response = {
             "ok": True,
             "query": self.entry.name,
-            "rows": result.to_dicts(),
+            "rows": None if shredded else result.to_dicts(),
             "engine": result.engine,
             "server_millis": round((time.perf_counter() - self.admitted) * 1000.0, 3),
             "stats": {
@@ -123,6 +152,11 @@ class Execution:
                 "millis": round(stats.total_millis, 3),
             },
         }
+        if shredded:
+            del response["rows"]
+            response["plan"] = self.prepared.compiled.plan_fingerprint
+            response["shredded"] = result.value
+        return response
 
 
 class ServerCore:
@@ -213,6 +247,7 @@ class ServerCore:
             "params": {name: str(kind) for name, kind in compiled.param_specs},
             "engine": self.session.resolve_engine(None, compiled),
             "description": entry.description,
+            "plan": compiled.plan_fingerprint,
         }
 
     def _register(self, request: dict) -> dict:
@@ -266,12 +301,15 @@ class ServerCore:
             or not 0 < deadline_ms < math.inf  # NaN fails both comparisons
         ):
             raise ServiceError(f"'deadline_ms' must be a positive number, got {deadline_ms!r}")
+        result = request.get("result")
+        if result not in (None, "shredded"):
+            raise ServiceError(f"'result' must be \"shredded\" when given, got {result!r}")
         run_args = {
             "engine": request.get("engine"),
             "collection": request.get("collection") or "bag",
             "params": params,
         }
-        return Execution(self.session, entry, run_args, deadline_ms)
+        return Execution(self.session, entry, run_args, deadline_ms, result == "shredded")
 
     def _execute(self, request: dict) -> dict:
         execution = self.execution(request)

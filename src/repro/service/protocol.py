@@ -94,6 +94,36 @@ term answers ``"registered": false`` (a no-op: fan-out clients register
 on every shard and retries must converge); a *different* term under an
 existing name replaces it, exactly like the in-process registry.
 
+Protocol **v1.5** (stitch once, at the coordinator) gives ``execute`` a
+second answer shape, again backwards compatible::
+
+    {"op": "execute", "query": "Q4", "result": "shredded"}
+    {"ok": true, "query": "Q4", "plan": "9f2c…", "engine": "batched",
+     "server_millis": 3.1, "stats": {...},
+     "shredded": [{"n": 3, "c": [["Product", "Sales", …], …]}, …]}
+
+* ``result: "shredded"`` — the paper's architecture taken literally: the
+  flat queries run at the endpoint, stitching is the one local step at
+  the asker.  When the request's ``collection`` is ``bag`` and its engine
+  resolves to ``batched``, the response carries, in place of ``rows``,
+  one table per statement of the plan in package order: ``n`` rows as
+  ``c``, one JSON array per projected column (Bool cells travel as 0/1).
+  SQLite builds each table itself (JSON1's ``json_group_array`` over the
+  statement's SQL, unchanged) and :func:`pack_frame` splices the bytes
+  into the frame, so the endpoint builds no row tuple, no record and
+  serialises nothing.  ``stats.rows_fetched`` is Σ ``n``.
+* ``plan`` — a fingerprint of the plan's SQL, on shredded ``execute`` and
+  on every ``prepare`` response: column tables only mean something to an
+  asker that compiled the same statements, so it compares.
+* who asks: :class:`~repro.shard.client.ShardedServiceClient`, on every
+  sub-request under bag/set semantics without an explicit non-batched
+  engine.  What still answers ``rows``: list semantics, an explicit
+  ``per-path``/``parallel`` engine, a serving session whose own engine is
+  not batched, and a v1.4 server (which ignores the field) — the
+  coordinator takes either, and a plain ``execute`` (no ``result``) is
+  byte for byte what it was.  A store whose SQLite lacks JSON1 answers a
+  ``MissingSqlFunction`` error frame.
+
 The client side of all of the above is :class:`ClientCore`, below the
 frame functions: one request's life as a state machine over ``bytes`` —
 no socket, no event loop, no sleep (``tools/check_concurrency.py`` CC004
@@ -134,12 +164,12 @@ __all__ = [
 #: length prefix must not look like a 4 GiB allocation request.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: v1.4: the ``register`` op (ship an ad-hoc λNRC term to a running
-#: server — what lets process-per-shard deployments serve queries beyond
-#: the start-up registry), on top of v1.3's ``metrics`` + ``trace_id``,
-#: v1.2's idempotent ``insert`` and v1.1's ping + request-id echo +
-#: per-request deadlines + load shedding.
-PROTOCOL_VERSION = "1.4"
+#: v1.5: ``execute``'s ``result: "shredded"`` answer shape (per-statement
+#: column tables, stitched once at a fan-out coordinator) and the ``plan``
+#: fingerprint, on top of v1.4's ``register`` op, v1.3's ``metrics`` +
+#: ``trace_id``, v1.2's idempotent ``insert`` and v1.1's ping + request-id
+#: echo + per-request deadlines + load shedding.
+PROTOCOL_VERSION = "1.5"
 
 _LENGTH = struct.Struct(">I")
 
@@ -170,8 +200,22 @@ _ERROR_KINDS = {
 
 
 def pack_frame(payload: dict) -> bytes:
-    """Serialise one message to its wire form (length prefix + JSON)."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    """Serialise one message to its wire form (length prefix + JSON).
+
+    An execute response's ``shredded`` field (protocol v1.5) is spliced,
+    not serialised: its tables are ``(row count, JSON bytes)`` pairs whose
+    bytes SQLite wrote, and they enter the frame as they are — ``{"n":
+    rows, "c": [column, …]}`` per table — after the response's other
+    fields.  The frame is still one JSON document under
+    :data:`MAX_FRAME_BYTES`."""
+    tables = payload.get("shredded")
+    if tables is None:
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    else:
+        rest = {key: value for key, value in payload.items() if key != "shredded"}
+        head = json.dumps(rest, separators=(",", ":")).encode("utf-8")
+        spliced = b",".join(b'{"n":%d,"c":%s}' % table for table in tables)
+        body = head[:-1] + b',"shredded":[' + spliced + b"]}"
     if len(body) > MAX_FRAME_BYTES:
         raise ServiceError(
             f"frame of {len(body)} bytes exceeds the "
@@ -504,18 +548,22 @@ class ClientCore:
         collection: str | None = None,
         deadline_ms: object = _USE_DEFAULT,
         trace_id: str | None = None,
+        result: str | None = None,
     ) -> Any:
         """Like :meth:`execute`, but returns the whole response frame
         (rows + engine + per-run stats + server-side wall time).
 
         ``trace_id`` (protocol v1.3) stamps the request so the server
         echoes it — the sharded fan-out client correlates a traced run's
-        sub-requests with it.
+        sub-requests with it.  ``result="shredded"`` (protocol v1.5) asks
+        for the per-statement column tables in place of ``rows``; the
+        answer may still carry ``rows`` (see the module docstring), so
+        only a caller that can stitch — the fan-out coordinator — asks.
         """
         return self._execute(
             None, deadline_ms, query,
             params=params, engine=engine, collection=collection,
-            trace_id=trace_id,
+            trace_id=trace_id, result=result,
         )
 
     def insert(

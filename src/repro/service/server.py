@@ -53,8 +53,18 @@ request occupies the loop for at most** :data:`INLINE_STEP_BUDGET`
 **SQLite steps plus the fold of the rows those steps fetched** — more
 than :data:`LIGHT_ROWS` rows at most once per entry — **plus serialising
 a frame of at most** :data:`LIGHT_ROWS` **fetched rows** (bigger frames
-are packed on a worker).  Pings, admission and deadlines of other
-connections wait that long at worst, a millisecond or two.
+are packed on a worker) **or joining the bytes of a shredded one**.
+Pings, admission and deadlines of other connections wait that long at
+worst, a millisecond or two.
+
+A ``result: "shredded"`` answer (protocol v1.5) has nothing to serialise:
+its column tables are the bytes SQLite wrote, and framing them is one
+``bytes`` join — two copies of the frame, ≈ 0.4 ms per MB (0.13 ms for
+Q1 over 64 × 100 rows, 335 KB), bounded by ``MAX_FRAME_BYTES`` — so it is
+framed on the loop whatever its row count; the thread hop (≈ 0.1 ms by
+itself) is kept for nested ``rows``, where ``json.dumps`` is ≈ 17 ms per
+MB (7 ms for the same answer).  Such a run's light/heavy verdict
+reads the same ``stats.rows_fetched`` (the statements' ``count(*)``).
 
 Fault-tolerant serving (protocol v1.1):
 
@@ -379,9 +389,14 @@ class QueryServer:
                         # keep it off the loop so other connections stay
                         # served.  Sized by the rows the run fetched, not
                         # by top-level rows (only execute responses carry
-                        # "stats").
+                        # "stats") — and only nested "rows" are serialised
+                        # at all: a shredded answer is a bytes join.
                         stats = response.get("stats")
-                        if stats is not None and stats["rows_fetched"] > LIGHT_ROWS:
+                        if (
+                            stats is not None
+                            and stats["rows_fetched"] > LIGHT_ROWS
+                            and "rows" in response
+                        ):
                             frame = await asyncio.to_thread(pack_frame, response)
                         else:
                             frame = pack_frame(response)

@@ -15,17 +15,34 @@ its ops, plus ``close`` and ``.breaker`` / ``.retries`` / ``.reconnects``
 * a :class:`~repro.shard.deployment.LocalEndpoint` — a per-partition
   :class:`~repro.api.session.Session` in this process (built by
   :func:`~repro.shard.deployment.connect_sharded`; the same requests, no
-  JSON, no socket).
+  frame, no socket).
 
 The coordinator carries the placement and the query catalogue (terms are
-what the shardability analysis reads; only names and parameter values
-reach an endpoint) and:
+what the shardability analysis reads — and what it compiles, once per
+name, through a data-less façade session under the deployment's
+``SqlOptions``; only names and parameter values reach an endpoint) and:
 
+* **stitches** — the paper's *flat queries run remotely; stitching is
+  the single local step at the end*.  Every sub-request under bag/set
+  semantics with no explicit non-batched engine (fan-out, routed, single,
+  fallback and failover alike) asks for ``result: "shredded"`` (protocol
+  v1.5): the endpoint answers with one column table per statement,
+  written by SQLite, and the sub-request's worker checks them against the
+  coordinator's own plan (the ``plan`` fingerprint, table and column
+  counts, column lengths — :class:`~repro.errors.ShardingError`, never a
+  wrong answer) and folds them into nested rows through the same
+  generated folds, in the same walk, as the batched engine
+  (:func:`~repro.backend.executor.fold_package`) — as soon as that
+  answer is in, while slower shards still run.  A response that carries
+  ``rows`` instead (list semantics, an explicit ``per-path`` /
+  ``parallel`` engine, a serving session whose engine is not batched, a
+  v1.4 server) is used as it is;
 * fans a distributive query out to every shard concurrently (one worker
   thread per sub-request) and bag-unions the row lists by concatenation
   **in shard order**; ``collection="set"`` runs shards under bag
   semantics and deduplicates once, *after* the union (set-union is
-  global — per-shard dedup alone would under-collapse across shards);
+  global — per-shard dedup alone would under-collapse across shards, and
+  δ does not commute with the comprehension below it);
 * sends a routed point lookup (``dept_staff(:dept)``) to exactly one
   shard — ``shard_requests`` counts per-shard executes so deployments
   can assert that;
@@ -73,12 +90,14 @@ application thread its own.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
+from repro.api.session import Session
 from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
@@ -94,6 +113,8 @@ from repro.service.registry import QueryRegistry
 from repro.service.resilience import CircuitBreaker, RetryPolicy
 from repro.shard.analysis import RouteDecision, ShardPlan, analyse, plan_route
 from repro.shard.placement import Placement
+from repro.shred.packages import annotations
+from repro.sql.codegen import SqlOptions
 
 __all__ = ["ShardedServiceClient", "SHARD_UNAVAILABLE", "MODE_COUNTERS"]
 
@@ -154,6 +175,7 @@ class ShardedServiceClient:
         breaker_reset: float = 2.0,
         clock: Callable[[], float] = time.monotonic,
         metrics: object = None,
+        options: Optional[SqlOptions] = None,
     ) -> None:
         if not shard_addresses:
             raise ShardingError("need at least one shard address")
@@ -161,6 +183,12 @@ class ShardedServiceClient:
         self.registry = registry
         self.schema = schema
         self.deadline_ms = deadline_ms
+        #: The coordinator's own compiles (it stitches what the endpoints
+        #: ran): a data-less façade session over the deployment's schema
+        #: and ``options`` — the endpoints' ``SqlOptions``, or the plans
+        #: differ and :meth:`prepare` says so — on the process plan cache.
+        self._compiler = Session(schema=schema, options=options)
+        self.options = self._compiler.options
 
         # connect_now=False: a dead shard at construction time must not
         # make the *client* unusable — its breaker trips on first use and
@@ -195,6 +223,7 @@ class ShardedServiceClient:
         #: endpoint, consulted (non-mutatingly) for routing.
         self.breakers = [client.breaker for _label, client in self._endpoints()]
         self._plans: dict[str, ShardPlan] = {}
+        self._compiled: dict[str, Any] = {}  # name → CompiledQuery
         #: Shards an operator marked down; replaced, never mutated, so the
         #: request path reads it without a lock.
         self._marked_down: frozenset = frozenset()
@@ -285,6 +314,68 @@ class ShardedServiceClient:
             plan = analyse(normalise(entry.term, self.schema), self.placement)
             self._plans[query] = plan
         return plan
+
+    def _compiled_for(self, query: str) -> Any:
+        """This coordinator's (cached) compile of a registry query — the
+        folds and the plan fingerprint of what the endpoints run."""
+        compiled = self._compiled.get(query)
+        if compiled is None:
+            compiled = self._compiler.compile(self.registry.lookup(query).term)
+            self._compiled[query] = compiled
+        return compiled
+
+    def _stitch(self, query: str, label: str, response: dict) -> tuple[int, int]:
+        """Replace a sub-response's ``shredded`` column tables by the
+        nested ``rows`` they stand for, in place: the batched engine's
+        walk (:func:`~repro.backend.executor.fold_package`) with each
+        statement's rows read off its table as ``zip(*columns)`` — the
+        same generated folds, in the same order, as the endpoint would
+        have run.  Everything the fold takes on trust is checked first
+        (:class:`ShardingError`, never a wrong answer): the endpoint
+        compiled the plan this coordinator did, one table per statement,
+        one list per projected column, every column as long as the
+        endpoint's ``count(*)``.  Returns (tables, rows) for the span."""
+        compiled = self._compiled_for(query)
+        members = [member for _path, member in annotations(compiled.sql_package)]
+
+        def bad(what: str) -> ShardingError:
+            return ShardingError(
+                f"shard {label} answered {query!r} with column tables that "
+                f"do not fit the coordinator's plan: {what}"
+            )
+
+        if response.get("plan") != compiled.plan_fingerprint:
+            raise bad(
+                f"plan {response.get('plan')!r} ≠ the coordinator's "
+                f"{compiled.plan_fingerprint!r} (do both compile under the "
+                f"same SqlOptions?)"
+            )
+        tables = response.pop("shredded")
+        if not isinstance(tables, list) or len(tables) != len(members):
+            raise bad(f"expected {len(members)} tables")
+        rows: dict[int, Any] = {}
+        total = 0
+        for position, (member, table) in enumerate(zip(members, tables)):
+            try:
+                if isinstance(table, dict):  # off a frame
+                    count, columns = table["n"], table["c"]
+                else:  # a local endpoint's own (count, bytes) pair
+                    count, columns = table[0], json.loads(table[1])
+            except (KeyError, IndexError, TypeError, ValueError) as error:
+                raise bad(f"table {position} is malformed ({error!r})") from error
+            if not isinstance(columns, list) or len(columns) != len(member.columns):
+                raise bad(
+                    f"table {position} has not the {len(member.columns)} "
+                    f"columns of its statement"
+                )
+            if any(not isinstance(c, list) or len(c) != count for c in columns):
+                raise bad(f"table {position} has a column that is not {count!r} cells")
+            # Every statement projects a column ("a SELECT needs an item"),
+            # and zip re-uses its tuple: a row costs no allocation.
+            rows[id(member)] = zip(*columns)
+            total += count
+        response["rows"] = compiled.fold_rows(lambda member: (rows[id(member)],))
+        return len(tables), total
 
     # ------------------------------------------------------------- liveness
 
@@ -398,7 +489,12 @@ class ShardedServiceClient:
     def prepare(self, query: str) -> dict:
         """Compile ``query`` on every *live* replica of every shard (and
         the fallback), so later executes hit warm plan caches everywhere —
-        including the sibling a sub-request may fail over to."""
+        including the sibling a sub-request may fail over to.
+
+        Every endpoint reports its ``plan`` fingerprint (protocol v1.5)
+        and each is compared with this coordinator's own compile: a
+        deployment whose endpoints run other ``SqlOptions`` than the
+        coordinator fails here, once, instead of on every execute."""
         responses = self._broadcast(lambda client: client.prepare(query))
         template = next((r for r in responses if r is not None), None)
         try:
@@ -411,6 +507,16 @@ class ShardedServiceClient:
                     op="prepare",
                 ) from error
             fallback_response = None
+        own = self._compiled_for(query).plan_fingerprint
+        labels = [label for label, _client in self._endpoints()]
+        for label, answer in zip(labels, [*responses, fallback_response]):
+            theirs = (answer or {}).get("plan")  # a v1.4 server reports none
+            if theirs is not None and theirs != own:
+                raise ShardingError(
+                    f"endpoint {label} compiles {query!r} to plan {theirs}, "
+                    f"the coordinator to {own}: they run different SqlOptions "
+                    f"(pass the endpoints' options= to the coordinator)"
+                )
         response = dict(template if template is not None else fallback_response)
         response["shards"] = self.shard_count
         return response
@@ -447,6 +553,7 @@ class ShardedServiceClient:
             ) from error
         self.registry.register(query, term, description=description)
         self._plans.pop(query, None)  # the name may now mean a new term
+        self._compiled.pop(query, None)
         response = dict(fallback_response)
         response["endpoints"] = sum(1 for r in responses if r is not None) + 1
         return response
@@ -494,7 +601,9 @@ class ShardedServiceClient:
         span per attempt with a ``shard`` sub-span per endpoint hit —
         each carrying the shard/replica label, the client-observed wall
         time, the endpoint-reported ``server_millis`` and, from a wire
-        server, ``inline`` (did the run stay on its event loop) — and
+        server, ``inline`` (did the run stay on its event loop), with a
+        ``stitch`` child (``tables``, ``rows``) for the fold of that
+        endpoint's column tables, inside the shard span's time — and
         stamps the tracer's id on every sub-request so server logs
         correlate.
         """
@@ -595,8 +704,15 @@ class ShardedServiceClient:
         """
         trace_id = getattr(tracer, "trace_id", None)
         per_shard = decision.per_shard_collection
+        # Ask for column tables wherever an endpoint can answer with them
+        # (it decides; see protocol v1.5) and stitch here, once.
+        result = (
+            "shredded"
+            if per_shard == "bag" and engine in (None, "auto", "batched")
+            else None
+        )
 
-        def subrequest(index: Optional[int]) -> tuple[dict, float, dict]:
+        def subrequest(index: Optional[int]) -> tuple[dict, float, Any, dict]:
             group = self._group(index)
             order = self._replica_order(index)
             last_error: Optional[Exception] = None
@@ -610,6 +726,7 @@ class ShardedServiceClient:
                         per_shard,
                         deadline_ms=deadline_ms,
                         trace_id=trace_id,
+                        result=result,
                     )
                 except SHARD_UNAVAILABLE as error:
                     error._repro_shard = index
@@ -626,7 +743,14 @@ class ShardedServiceClient:
                 if self.metrics is not None:
                     self._m_subrequests.labels(shard=label).inc()
                     self._m_subrequest_ms.labels(shard=label).observe(millis)
-                return response, millis, {
+                # This worker stitches its own answer as soon as it has
+                # it — while slower shards are still running.
+                stitched = None
+                if "shredded" in response:
+                    tables, fetched = self._stitch(query, label, response)
+                    stitch_millis = (time.perf_counter() - started) * 1000.0 - millis
+                    stitched = {"tables": tables, "rows": fetched}, stitch_millis
+                return response, millis, stitched, {
                     "shard": label,
                     "replica": replica,
                     "attempts": position + 1,
@@ -654,15 +778,23 @@ class ShardedServiceClient:
                 if first_error is not None:
                     raise first_error
             if tracer is not None:
-                for response, millis, attrs in outcomes:
+                for response, millis, stitched, attrs in outcomes:
                     # What the endpoint said about its side of the run
                     # ("inline": a wire server answered from its loop).
                     for said in ("server_millis", "inline"):
                         if response.get(said) is not None:
                             attrs[said] = response[said]
-                    tracer.record("shard", millis, **attrs)
+                    if stitched is None:
+                        tracer.record("shard", millis, **attrs)
+                    else:
+                        # A child of the sub-request whose answer it
+                        # stitched (and inside its time), not its sibling.
+                        stitch_attrs, stitch_millis = stitched
+                        tracer.record("shard", millis + stitch_millis, **attrs).record(
+                            "stitch", stitch_millis, **stitch_attrs
+                        )
         with self._counter_lock:
-            for index, (_response, _millis, attrs) in zip(targets, outcomes):
+            for index, (_response, _millis, _stitched, attrs) in zip(targets, outcomes):
                 if index is None:
                     self.fallback_requests += 1
                 else:
@@ -680,7 +812,7 @@ class ShardedServiceClient:
         # ⊎ is concatenation in shard order.
         rows: list = []
         stats = {"queries": 0, "rows_fetched": 0, "millis": 0.0}
-        for response, _millis, _attrs in outcomes:
+        for response, _millis, _stitched, _attrs in outcomes:
             rows.extend(response["rows"])
             for key in stats:
                 stats[key] += response["stats"][key]

@@ -25,12 +25,16 @@ endpoints the coordinator talks to:
   partition stores plus the original as the *full-copy fallback* — and
   puts a :class:`LocalEndpoint` (a per-store
   :class:`~repro.api.session.Session` behind the same
-  :class:`~repro.service.core.ServerCore` a server runs; no JSON, no
+  :class:`~repro.service.core.ServerCore` a server runs; no frame, no
   socket) in front of each;
 * given no data, it spawns a
   :class:`~repro.shard.supervisor.SupervisedDeployment` — one ``serve
   --shard i/n`` subprocess per partition plus the fallback, each
   regenerating the seeded instance — and talks to it over the wire.
+
+Either way the endpoints run the flat statements and answer with column
+tables (protocol v1.5); the coordinator stitches, so ``options`` reach it
+as well as the per-store sessions — both must compile the same plan.
 
 Route modes come from :func:`~repro.shard.analysis.analyse`:
 **fanout** (every shard, bag-union in shard order), **routed** /
@@ -184,7 +188,9 @@ class LocalEndpoint(ClientCore):
     :class:`~repro.service.client.ServiceClient` frames a request and
     writes it to a socket, this hands the request dict to a
     :class:`~repro.service.core.ServerCore` — the same op semantics, field
-    checks and response shapes as a server's, with no JSON and no socket.
+    checks and response shapes as a server's, with no frame and no socket
+    (a shredded answer's column tables arrive as the bytes SQLite wrote;
+    the coordinator's one decode step takes those or a decoded frame's).
 
     Shareable across threads (a :class:`Session` is; one request's state
     is its call's).  A name's first request runs under ``compile_lock``,
@@ -533,7 +539,8 @@ def connect_sharded(
       from it.  Zero startup cost and the session is shareable across
       threads, but fan-out shares one interpreter, so 4 shards ≈ 1 shard
       on CPU-bound queries.  ``options`` / ``engine`` / ``cache`` configure
-      the per-store sessions as :func:`~repro.api.connect` would; all
+      the per-store sessions as :func:`~repro.api.connect` would
+      (``options`` also the coordinator, which stitches what they run); all
       stores share the plan cache, so a query compiles once.  ``registry``
       (optional) seeds the name catalogue — the coordinator's and, by
       copy, each endpoint's; later queries join through
@@ -606,5 +613,6 @@ def connect_sharded(
         placement=db.placement,
         registry=registry,
         schema=db.schema,
+        options=options,
     )
     return ShardedSession(client, db=db)

@@ -33,6 +33,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.backend.database import quote_identifier
 from repro.errors import SqlGenerationError
 from repro.flatten.flatten import (
     FlatColumn,
@@ -292,6 +293,24 @@ class CompiledSql:
                 f"            bucket.append({item})",
             ]
         return "\n".join(lines) + "\n"
+
+    @functools.cached_property
+    def column_table_sql(self) -> str:
+        """The statement as one row SQLite itself serialises (JSON1):
+        ``(count(*), '[[column 1 cells…], [column 2 cells…], …]')`` over
+        the statement's SQL, unchanged, as a subquery — the row count and
+        one JSON array per projected column, in the statement's row order.
+        What a shard answers a ``result: "shredded"`` request with; the
+        coordinator feeds ``zip(*columns)`` to the same :meth:`fold`.
+        Exact for the base types there are: Int, String, and Bool as the
+        0/1 the fold already applies ``bool()`` to."""
+        columns = ", ".join(
+            f"json_group_array({quote_identifier(name)})" for name in self.columns
+        )
+        return (
+            f"SELECT count(*), CAST(json_array({columns}) AS BLOB) "
+            f"FROM ({self.sql})"
+        )
 
     def decode_rows(
         self, raw_rows: Sequence[Sequence[object]]

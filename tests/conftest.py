@@ -222,19 +222,19 @@ class ShardedSessions:
                 )
                 for store, label in zip([*sdb.shards, sdb.full], labels)
             ]
-            session = self._over_the_wire(handles, sdb, registry)
+            session = self._over_the_wire(handles, sdb, registry, options)
             self._servers[session] = handles
         if shared:
             self._shared[key] = session
         return session
 
-    def _over_the_wire(self, handles, sdb, registry):
+    def _over_the_wire(self, handles, sdb, registry, options=None):
         from repro.shard import ShardedServiceClient, ShardedSession
 
         addresses = [(handle.host, handle.port) for handle in handles]
         client = ShardedServiceClient(
             addresses[:-1], addresses[-1], placement=sdb.placement,
-            registry=registry, schema=sdb.schema,
+            registry=registry, schema=sdb.schema, options=options,
         )
         return ShardedSession(client, db=sdb)
 
@@ -245,7 +245,8 @@ class ShardedSessions:
         if self.transport == "local":
             return session
         twin = self._over_the_wire(
-            self._servers[session], session.db, session.client.registry
+            self._servers[session], session.db, session.client.registry,
+            session.client.options,
         )
         self._servers[twin] = []
         return twin

@@ -244,3 +244,23 @@ class TestLintCli:
         assert "Q3: FAIL" in out
         for where in ("ε (default plan)", "↓.tasks (flat plan)"):
             assert f"fold at {where} does not build: SyntaxError" in out
+
+    def test_a_column_table_form_that_does_not_prepare_fails_lint(
+        self, capsys, monkeypatch
+    ):
+        """The wrapper a shard runs for a coordinator is generated too:
+        the CLI has SQLite prepare it (``WITH``, ``UNION ALL`` and host
+        parameters included) against an empty store."""
+        from repro.sql.codegen import CompiledSql
+
+        wrapper = CompiledSql.column_table_sql.func
+        monkeypatch.setattr(
+            CompiledSql,
+            "column_table_sql",
+            property(lambda self: wrapper(self).replace(" FROM (", " FROM ((", 1)),
+        )
+        assert main(["lint", "dept_staff"]) == 1
+        out = capsys.readouterr().out
+        assert "dept_staff: FAIL" in out
+        for where in ("ε (default plan)", "↓.staff (flat plan)"):
+            assert f"column-table form at {where} does not prepare: " in out

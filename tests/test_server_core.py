@@ -71,6 +71,10 @@ class TestPrepareAndExecute:
             "params": {"dept": "String"},
             "engine": "batched",
             "description": core.registry.lookup("dept_staff").description,
+            # v1.5: the fingerprint of the statements' SQL.
+            "plan": core.session.compile(
+                core.registry.lookup("dept_staff").term
+            ).plan_fingerprint,
         }
 
     def test_execute_answers_what_the_session_does(self, core):
