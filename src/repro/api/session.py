@@ -12,9 +12,11 @@ policy* — everything PRs 1–2 built, behind a single object::
 
 ``engine="auto"`` (the default) is the batched executor: index advisement,
 then every statement of the package on the calling thread, children first,
-one fold per fetched row.  It does not pick threads — the statements share
-the interpreter lock, so a pool does the same work in no less time;
-``engine="parallel"`` remains selectable by name.  Explicit engines are
+each read as the column table SQLite's JSON1 writes for it, one fold per
+row.  It does not pick threads — the statements share the interpreter
+lock, so a pool does the same work in no less time; ``engine="parallel"``
+remains selectable by name.  On a store whose SQLite was built without
+JSON1, ``"auto"`` is the per-path engine instead.  Explicit engines are
 validated against :data:`~repro.pipeline.shredder.KNOWN_ENGINES` up front.
 """
 
@@ -61,7 +63,8 @@ class Session:
         :class:`SqlOptions` for code generation and the logical optimizer.
     engine:
         The session's default executor: ``"auto"`` (default, the batched
-        engine) or one of :data:`~repro.pipeline.shredder.KNOWN_ENGINES`.
+        engine; per-path on a store without JSON1) or one of
+        :data:`~repro.pipeline.shredder.KNOWN_ENGINES`.
     cache:
         ``True`` (default) → the process-wide shared plan cache; a
         :class:`~repro.pipeline.plan_cache.PlanCache` to scope it;
@@ -268,11 +271,16 @@ class Session:
         self, engine: str | None, compiled: CompiledQuery
     ) -> str:
         """Validate ``engine`` (default: the session's) and resolve
-        ``"auto"``, which is the batched engine whatever ``compiled`` is."""
+        ``"auto"``: the batched engine whatever ``compiled`` is — or, on a
+        store whose SQLite lacks the JSON1 aggregates the batched engine
+        reads its tables through (:meth:`Database.has_json1`, probed once
+        per store), the per-path reference engine."""
         if engine is None:
             engine = self.engine
         validate_engine(engine, extra=("auto",))
-        return "batched" if engine == "auto" else engine
+        if engine != "auto":
+            return engine
+        return "batched" if self.db.has_json1() else "per-path"
 
     # ----------------------------------------------------------------- data
 

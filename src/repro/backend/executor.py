@@ -5,32 +5,46 @@ Three execution engines serve a compiled shredded package in process:
 
 * :func:`execute_compiled` — the per-path engine: one call per shredded
   query, streaming rows in ``fetchmany`` batches and decoding each into
-  ⟨index, value⟩ pairs.
+  ⟨index, value⟩ pairs.  The reference the others are tested against, and
+  the engine that needs nothing of SQLite but plain ``SELECT``.
 * :func:`execute_package_batched` — the batched engine (the §8 "one pass"
   reading taken to the executor): the package's statements run children
-  first on one connection, and every fetched row is touched by Python
-  exactly once — :meth:`~repro.sql.codegen.CompiledSql.fold` builds its
-  final record, child bags included, and files it under its outer index,
-  so there is no decode pass, no grouping pass and no stitch pass.  Before
-  executing it creates (and reuses across runs) SQLite indexes on the
-  base-table columns the generated SQL joins (and, in the flat form,
-  sorts) on.
+  first on one connection, each as its *column table*
+  (:attr:`~repro.sql.codegen.CompiledSql.column_table_sql`: SQLite's JSON1
+  writes the row count and one JSON array per projected column, so
+  sqlite3 builds no row tuple), and every row is touched by Python exactly
+  once — :meth:`~repro.sql.codegen.CompiledSql.fold` builds its final
+  record, child bags included, and files it under its outer index, so
+  there is no decode pass, no grouping pass and no stitch pass.  Memory is
+  one statement's table at a time.  Before executing it creates (and
+  reuses across runs) SQLite indexes on the base-table columns the
+  generated SQL joins (and, in the flat form, sorts) on.
 * the **parallel** engine (``execute_package_batched(parallel=True)``) —
   the same fold, fed differently: worker threads over a pool of read-only
-  connections (:meth:`Database.read_connections`) only execute and fetch
-  raw chunks (the sqlite3 module releases the GIL inside each C-level
-  step); the calling thread then folds them, children first.  Index
-  advisement and ANALYZE happen on the writer connection *before* the
-  fan-out; per-query stats are recorded in package order after the run,
-  so :class:`ExecutionStats` stay deterministic under any scheduling.
+  connections (:meth:`Database.read_connections`) only execute the column
+  tables (the sqlite3 module releases the GIL inside each C-level step);
+  the calling thread then folds them, children first.  Index advisement
+  and ANALYZE happen on the writer connection *before* the fan-out;
+  per-query stats are recorded in package order after the run, so
+  :class:`ExecutionStats` stay deterministic under any scheduling.
 
-The batched engines share one walk, :func:`fold_package`, which takes
-its rows from a callable — so a shard coordinator runs the very same walk
-over rows that were fetched elsewhere.  That is the other half of this
-module: :func:`execute_package_shredded` runs a package's statements in
-their column-table form (SQLite's JSON1 writes each statement's columns as
-JSON; nothing is fetched row by row, folded or stitched) for a fan-out
-coordinator to fold.
+The batched engines and a shard coordinator share one decode-check-fold:
+:func:`checked_table` turns a column table — ``(count, JSON bytes)`` as
+SQLite wrote it, or ``{"n": …, "c": […]}`` off a frame — into checked
+columns, and :func:`fold_package` walks the package children first,
+folding each statement's ``zip(*columns)``.  The other half of this module
+is :func:`execute_package_shredded`: the same tables in package order,
+folded by nobody here — what a shard answers a fan-out coordinator with.
+A store whose SQLite lacks JSON1 (:meth:`Database.has_json1`) cannot run
+either, and says so (:class:`~repro.errors.MissingSqlFunctionError`).
+
+A fold builds a tree — records, lists and base values, each child bucket
+handed to exactly one parent — so a cyclic collection during it can free
+nothing it made.  :func:`collector_paused` therefore holds CPython's
+cycle collector off for the walk (process-wide, reentrant across
+threads) and pays the deferred young-generation collection on the way
+out, inside the run that deferred it; it is the library's only caller of
+``gc``'s switches (``tools/check_concurrency.py`` CC007).
 
 No engine writes while it reads: once a plan's indexes are advised and
 ``ANALYZE`` has run (the first run), executing it issues nothing but
@@ -43,12 +57,19 @@ carries the plan cache's hit/miss counters.
 
 from __future__ import annotations
 
+import gc
+import json
 import os
+import sqlite3
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.backend.database import Database
+from repro.errors import BackendError, MissingSqlFunctionError
+from repro.shred.packages import PkgBag, PkgRecord, annotations
 from repro.sql.ast import (
     BinOp,
     Col,
@@ -68,13 +89,16 @@ __all__ = [
     "execute_compiled",
     "execute_package_batched",
     "execute_package_shredded",
+    "checked_table",
     "fold_package",
+    "collector_paused",
     "ensure_compiled_indexes",
     "DEFAULT_FETCH_BATCH",
     "DEFAULT_POOL_SIZE",
 ]
 
-#: Rows fetched per cursor round trip (satellite: stream, don't fetchall).
+#: Rows the per-path engine fetches per cursor round trip (stream, don't
+#: fetchall); the batched engines fetch one column table per statement.
 DEFAULT_FETCH_BATCH = 1024
 
 #: Upper bound on pooled read connections for the parallel engine.  Floor
@@ -208,8 +232,6 @@ def bind_params(compiled: CompiledSql, params) -> dict[str, object]:
     supplied = params or {}
     missing = [name for name in compiled.params if name not in supplied]
     if missing:
-        from repro.errors import BackendError
-
         raise BackendError(
             "unbound host parameter(s): "
             + ", ".join(f":{name}" for name in missing)
@@ -271,28 +293,127 @@ def _record_statement_span(
     span.record("decode", decode_millis)
 
 
+#: :func:`collector_paused`'s process-wide state, only touched under the
+#: lock: how many walks are inside the pause, and whether the first one in
+#: found the collector on (so the last one out turns it back on).
+_pause_lock = threading.Lock()
+_pause_depth = 0
+_pause_resumes = False
+
+
+@contextmanager
+def collector_paused(tracer=None):
+    """Hold CPython's cyclic garbage collector off for the block — the one
+    place in the library that switches it.
+
+    A fold builds a tree (records, lists and base values; each child bucket
+    handed to exactly one parent), so a collection in the middle of one can
+    free nothing the fold made — it only re-walks the result as it grows.
+    Reentrant and process-wide: the first entrant (of any thread) disables
+    the collector if it is enabled, the last one out re-enables it only if
+    the first found it enabled, so a caller that turned the collector off
+    keeps it off.  On the way out, if the young generation is past its
+    threshold, it is collected right there — the deferred work is paid
+    inside the run that deferred it, never in the caller's next statement
+    — and ``tracer`` records a ``collect`` span (``generation``, ms)."""
+    global _pause_depth, _pause_resumes
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_resumes = gc.isenabled()
+            if _pause_resumes:
+                gc.disable()
+        _pause_depth += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            resumed = _pause_depth == 0 and _pause_resumes
+            if resumed:
+                gc.enable()
+        threshold = gc.get_threshold()[0]
+        if resumed and threshold and gc.get_count()[0] > threshold:
+            started = time.perf_counter()
+            gc.collect(0)
+            if tracer is not None:
+                millis = (time.perf_counter() - started) * 1000.0
+                tracer.record("collect", millis, generation=0)
+
+
+def _require_json1(db: Database, connection) -> None:
+    """Column tables are JSON1's ``json_group_array``: a store whose SQLite
+    was built without it refuses before any statement runs."""
+    if not db.has_json1(connection):
+        raise MissingSqlFunctionError(
+            "this store's SQLite has no json_group_array (built without "
+            "JSON1), so it cannot write column tables: run the query with "
+            "engine='per-path'"
+        )
+
+
+def _column_table(
+    db: Database, compiled: CompiledSql, params, connection
+) -> tuple[int, bytes]:
+    """One statement's column table as SQLite wrote it — ``(row count,
+    JSON bytes of its columns)`` — in one fetch, so the read is over
+    before Python does anything with it."""
+    try:
+        ((table,),) = db.execute_sql_chunks(
+            compiled.column_table_sql,
+            params=bind_params(compiled, params),
+            batch_size=1,
+            connection=connection,
+        )
+    except (BackendError, sqlite3.Error) as error:
+        if "too big" not in str(error):
+            raise
+        raise BackendError(
+            f"a statement's column table is longer than this SQLite allows "
+            f"({error.__cause__ or error}); run the query with "
+            f"engine='per-path', which streams its rows"
+        ) from error
+    return table
+
+
+def checked_table(
+    compiled: CompiledSql, table, label: str = "the column table"
+) -> tuple[int, list]:
+    """A statement's column table as ``(row count, columns)``, checked
+    against the statement before anything folds it.  ``table`` is ``(count,
+    JSON bytes)`` as SQLite wrote it, or ``{"n": count, "c": columns}`` off
+    a frame; it must hold one list per projected column, each ``count``
+    cells long.  A :class:`BackendError` names what does not fit."""
+    try:
+        if isinstance(table, dict):
+            count, columns = table["n"], table["c"]
+        else:
+            count, columns = table[0], json.loads(table[1])
+    except (KeyError, IndexError, TypeError, ValueError) as error:
+        raise BackendError(f"{label} is malformed ({error!r})") from error
+    if not isinstance(columns, list) or len(columns) != len(compiled.columns):
+        raise BackendError(
+            f"{label} has not the {len(compiled.columns)} columns of its statement"
+        )
+    if any(not isinstance(column, list) or len(column) != count for column in columns):
+        raise BackendError(f"{label} has a column that is not {count!r} cells")
+    return count, columns
+
+
 def _prefetch(
-    db: Database, members: list[CompiledSql], batch: int, params, workers: int
-) -> dict[int, tuple[list, float]]:
-    """The parallel engine's only concurrent step: run every member on a
-    pooled read connection and fetch its raw chunks — the part that
-    releases the GIL.  ``{id(member): (chunks, millis)}``; members are
-    striped over ``workers`` lanes so no two workers share a connection."""
+    db: Database, members: list[CompiledSql], params, workers: int
+) -> dict[int, tuple[tuple[int, bytes], float]]:
+    """The parallel engine's only concurrent step: run every member's
+    column table on a pooled read connection — the part that releases the
+    GIL.  ``{id(member): (table, millis)}``; members are striped over
+    ``workers`` lanes so no two workers share a connection."""
     connections = db.read_connections(workers)
 
-    def fetch_lane(lane: int) -> list[tuple[list, float]]:
+    def fetch_lane(lane: int) -> list[tuple[tuple[int, bytes], float]]:
         fetched = []
         for compiled in members[lane::workers]:
             started = time.perf_counter()
-            chunks = list(
-                db.execute_sql_chunks(
-                    compiled.sql,
-                    params=bind_params(compiled, params),
-                    batch_size=batch,
-                    connection=connections[lane],
-                )
-            )
-            fetched.append((chunks, (time.perf_counter() - started) * 1000.0))
+            table = _column_table(db, compiled, params, connections[lane])
+            fetched.append((table, (time.perf_counter() - started) * 1000.0))
         return fetched
 
     with ThreadPoolExecutor(max_workers=workers) as executor:
@@ -303,8 +424,8 @@ def _prefetch(
     }
 
 
-def fold_package(sql_package, rows_of, outcomes: dict | None = None):
-    """The batched engine's one walk over a package, whatever the rows
+def fold_package(sql_package, columns_of, outcomes: dict | None = None, tracer=None):
+    """The batched engine's one walk over a package, wherever its tables
     come from: statements in *post-order*, each statement's rows folded
     once, through its generated :meth:`~repro.sql.codegen.CompiledSql.fold`,
     into ``{outer key: [record, …]}`` — the child statements' dicts handed
@@ -312,44 +433,48 @@ def fold_package(sql_package, rows_of, outcomes: dict | None = None):
     leaves).  Returns the package with each bag annotation replaced by its
     dict, ready for :func:`repro.shred.stitch.stitch_grouped`.
 
-    ``rows_of(compiled)`` yields the statement's raw rows in chunks (any
-    iterables of tuples): ``fetchmany`` lists out of SQLite in
-    :func:`execute_package_batched`, the ``zip`` of a decoded column table
-    at a shard coordinator (:mod:`repro.shard.client`).  ``outcomes``
-    receives ``id(compiled) → (wall ms, ms inside fold)`` per statement.
+    ``columns_of(compiled)`` gives the statement's checked ``(row count,
+    columns)`` (:func:`checked_table`) and the fold reads ``zip(*columns)``:
+    run and decoded on the spot by :func:`execute_package_batched`, decoded
+    from a shard's answer by a coordinator
+    (:meth:`~repro.pipeline.shredder.CompiledQuery.fold_tables`).  A
+    statement with no rows is not folded, so its dict stays empty.
+    ``outcomes`` receives ``id(compiled) → (rows, wall ms)`` per statement.
+    The walk runs under :func:`collector_paused` (``tracer`` gets its
+    ``collect`` span), and builds no reference cycle of its own: what it
+    leaves behind is the result, freed by reference counting like any tree.
     """
-    from repro.shred.packages import PkgBag, PkgRecord
 
     def run(compiled: CompiledSql, child_buckets: list[dict]) -> dict:
         started = time.perf_counter()
-        fold = compiled.fold()
+        count, columns = columns_of(compiled)
         grouped: dict = {}
-        decode_seconds = 0.0
-        for chunk in rows_of(compiled):
-            decode_started = time.perf_counter()
-            fold(chunk, grouped, *child_buckets)
-            decode_seconds += time.perf_counter() - decode_started
+        if count:
+            compiled.fold()(zip(*columns), grouped, *child_buckets)
         if outcomes is not None:
-            millis = (time.perf_counter() - started) * 1000.0
-            outcomes[id(compiled)] = (millis, decode_seconds * 1000.0)
+            outcomes[id(compiled)] = (count, (time.perf_counter() - started) * 1000.0)
         return grouped
 
-    def visit(node, buckets: list[dict]):
-        """Post-order: a bag runs after the bags in its element, whose
-        results reach it in field order — the order of the index leaves
-        its ``fold`` reads them by — and joins its parent's ``buckets``."""
-        if isinstance(node, PkgBag):
-            inner: list[dict] = []
-            element = visit(node.element, inner)
-            buckets.append(run(node.annotation, inner))
-            return PkgBag(element, buckets[-1])
-        if isinstance(node, PkgRecord):
-            return PkgRecord(
-                tuple((label, visit(sub, buckets)) for label, sub in node.fields)
-            )
-        return node
+    with collector_paused(tracer):
+        return _post_order(sql_package, [], run)
 
-    return visit(sql_package, [])
+
+def _post_order(node, buckets: list[dict], run):
+    """:func:`fold_package`'s walk (a module function, not a closure that
+    names itself — that would be a cycle per run): a bag runs after the
+    bags in its element, whose results reach it in field order — the order
+    of the index leaves its ``fold`` reads them by — and joins its parent's
+    ``buckets``."""
+    if isinstance(node, PkgBag):
+        inner: list[dict] = []
+        element = _post_order(node.element, inner, run)
+        buckets.append(run(node.annotation, inner))
+        return PkgBag(element, buckets[-1])
+    if isinstance(node, PkgRecord):
+        return PkgRecord(
+            tuple((label, _post_order(sub, buckets, run)) for label, sub in node.fields)
+        )
+    return node
 
 
 def _advise_indexes(db: Database, sql_package, stats: ExecutionStats | None) -> None:
@@ -366,7 +491,6 @@ def execute_package_batched(
     sql_package,
     stats: ExecutionStats | None = None,
     create_indexes: bool = True,
-    batch_size: int | None = None,
     parallel: bool = False,
     max_workers: int | None = None,
     params=None,
@@ -376,19 +500,22 @@ def execute_package_batched(
     """Run all shredded queries of a package: one fold per row, children
     first (§8 "stitching in one pass", taken to the executor).
 
-    Statements run in *post-order* (:func:`fold_package`), so when a
-    statement's rows arrive the results of the statements one nesting
-    level down are already grouped:
-    :meth:`~repro.sql.codegen.CompiledSql.fold` turns each raw tuple into
-    its final record — child bags included, by handing over the child's
-    bucket list — and appends it under its outer key.  Returns the package
-    with each bag annotation replaced by that statement's
-    ``{outer key: [record, …]}`` dict (encounter order preserved; keys are
-    the fold's flat ``(tag, key…)`` tuples), so the nested result is the
-    top bag's ⊤·1 bucket (:func:`repro.shred.stitch.stitch_grouped`) and
-    nothing is decoded, grouped or walked a second time.
+    Statements run in *post-order* (:func:`fold_package`), each as its
+    column table (:attr:`~repro.sql.codegen.CompiledSql.column_table_sql`
+    — one fetch, no row tuples), so when a statement's rows arrive the
+    results of the statements one nesting level down are already grouped:
+    :meth:`~repro.sql.codegen.CompiledSql.fold` turns each row into its
+    final record — child bags included, by handing over the child's bucket
+    list — and appends it under its outer key.  Returns the package with
+    each bag annotation replaced by that statement's ``{outer key: [record,
+    …]}`` dict (encounter order preserved; keys as
+    :attr:`~repro.sql.codegen.CompiledSql.fold_source` builds them — the
+    top bag's is ``(TOP_TAG, 1)``), so the nested result is the top bag's
+    ⊤·1 bucket (:func:`repro.shred.stitch.stitch_grouped`) and nothing is
+    decoded, grouped or walked a second time.  Peak memory is one
+    statement's table on top of the result.
 
-    ``parallel`` first fetches every statement's raw chunks on pooled
+    ``parallel`` first runs every statement's column table on pooled
     read-only connections (one worker thread per connection, capped by
     ``max_workers`` / ``REPRO_POOL_SIZE``; SQLite releases the GIL inside
     each step), then folds them here, on the calling thread, through the
@@ -403,13 +530,17 @@ def execute_package_batched(
 
     ``stats`` and ``tracer`` (a :class:`repro.obs.Tracer`: one
     ``statement`` span per member with ``sql``/``decode`` children, where
-    ``decode`` is the time inside ``fold``) are filled in *package* order
-    after the run, each statement timed on its own, so they are the same
-    under either engine and any scheduling.
-    """
-    from repro.shred.packages import annotations
+    ``sql`` is SQLite writing the table and ``decode`` its ``json.loads``,
+    check and fold) are filled in *package* order after the run, each
+    statement timed on its own, so they are the same under either engine
+    and any scheduling.
 
-    batch = DEFAULT_FETCH_BATCH if batch_size is None else batch_size
+    A store without JSON1 raises
+    :class:`~repro.errors.MissingSqlFunctionError`; a table longer than
+    SQLite's length limit a :class:`BackendError` — the per-path engine
+    needs neither.
+    """
+    _require_json1(db, connection)
     if create_indexes:
         _advise_indexes(db, sql_package, stats)
 
@@ -417,39 +548,31 @@ def execute_package_batched(
     workers = min(
         len(members), DEFAULT_POOL_SIZE if max_workers is None else max_workers
     )
-    fetched: dict[int, tuple[list, float]] = {}
-    sources: dict[int, tuple[int, float]] = {}  # rows, prefetch ms
-    outcomes: dict[int, tuple[float, float]] = {}
+    prefetched = (
+        _prefetch(db, members, params, workers) if parallel and workers > 1 else {}
+    )
+    sql_millis: dict[int, float] = {}
+    outcomes: dict[int, tuple[int, float]] = {}
 
-    def rows_of(compiled: CompiledSql):
-        chunks, fetch_millis = fetched.pop(id(compiled), None) or (
-            db.execute_sql_chunks(
-                compiled.sql,
-                params=bind_params(compiled, params),
-                batch_size=batch,
-                connection=connection,
-            ),
-            0.0,
-        )
-        rows = 0
-        for chunk in chunks:
-            rows += len(chunk)
-            yield chunk
-        sources[id(compiled)] = (rows, fetch_millis)
+    def columns_of(compiled: CompiledSql) -> tuple[int, list]:
+        table, millis = prefetched.get(id(compiled), (None, 0.0))
+        if table is None:
+            started = time.perf_counter()
+            table = _column_table(db, compiled, params, connection)
+            millis = (time.perf_counter() - started) * 1000.0
+        sql_millis[id(compiled)] = millis
+        return checked_table(compiled, table)
 
-    if parallel and workers > 1:
-        fetched = _prefetch(db, members, batch, params, workers)
-    results = fold_package(sql_package, rows_of, outcomes)
+    results = fold_package(sql_package, columns_of, outcomes, tracer)
     for position, compiled in enumerate(members):
-        rows, fetch_millis = sources[id(compiled)]
-        millis, decode_millis = outcomes[id(compiled)]
-        millis += fetch_millis
+        rows, millis = outcomes[id(compiled)]
+        sql = sql_millis[id(compiled)]
+        if id(compiled) in prefetched:
+            millis += sql  # ran before the walk, on a pooled reader
         if stats is not None:
             stats.record(rows, millis)
         if tracer is not None:
-            _record_statement_span(
-                tracer, rows, millis, decode_millis, index=position
-            )
+            _record_statement_span(tracer, rows, millis, millis - sql, index=position)
     return results
 
 
@@ -468,27 +591,20 @@ def execute_package_shredded(
     its columns)`` exactly as SQLite wrote them — no row tuple, no record,
     no ``json.dumps`` on this side.  What a shard answers a fan-out
     coordinator with (``result: "shredded"``); the coordinator runs
-    :func:`fold_package` over the decoded tables.
+    :func:`checked_table` and :func:`fold_package` over them, as the
+    batched engine does in process.
 
     Setup, ``params``, ``connection``, ``stats`` (``rows`` is the
-    wrapper's ``count(*)``) and ``tracer`` as in
-    :func:`execute_package_batched`.  Each statement goes through
-    :meth:`Database.execute_sql_chunks` like any other — it yields one
-    one-row chunk.
+    wrapper's ``count(*)``), ``tracer`` and the errors as in
+    :func:`execute_package_batched`.
     """
-    from repro.shred.packages import annotations
-
+    _require_json1(db, connection)
     if create_indexes:
         _advise_indexes(db, sql_package, stats)
     tables: list[tuple[int, bytes]] = []
     for position, (_path, compiled) in enumerate(annotations(sql_package)):
         started = time.perf_counter()
-        ((table,),) = db.execute_sql_chunks(
-            compiled.column_table_sql,
-            params=bind_params(compiled, params),
-            batch_size=1,
-            connection=connection,
-        )
+        table = _column_table(db, compiled, params, connection)
         millis = (time.perf_counter() - started) * 1000.0
         tables.append(table)
         if stats is not None:
@@ -532,8 +648,6 @@ def ensure_compiled_indexes(db: Database, compiled: CompiledSql) -> int:
 
 
 def _ensure_package_indexes(db: Database, sql_package) -> int:
-    from repro.shred.packages import annotations
-
     created = 0
     for _path, compiled in annotations(sql_package):
         created += ensure_compiled_indexes(db, compiled)

@@ -109,6 +109,18 @@ class ServiceError(ReproError):
         self.kind = kind
 
 
+class MissingSqlFunctionError(ServiceError):
+    """The store's SQLite lacks a function a run needs: JSON1's
+    ``json_group_array``, which writes the column tables the batched
+    engines read and a shard answers a fan-out coordinator with.  A
+    :class:`ServiceError` so a server relays it as is (``kind``
+    ``"MissingSqlFunction"``); the per-path engine needs no such function,
+    and is what ``engine="auto"`` resolves to on such a store."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message, kind="MissingSqlFunction")
+
+
 class ServiceConnectionError(ServiceError):
     """Transport-level failure talking to a query server: connect refused,
     connection reset, read timeout, or the stream closed mid-frame.

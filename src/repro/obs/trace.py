@@ -12,6 +12,8 @@ wins of Figs. 10/11 come from what each stage then costs.  A
     │  └─ codegen[path]   one per shredded query
     │     └─ optimize     per-rule children, fired or not
     ├─ execute
+    │  ├─ collect         the paused cycle collector's young backlog
+    │  │                  (batched engines, only when one was paid)
     │  └─ statement[i]    one per flat query
     │     ├─ sql          SQLite execute + fetch
     │     └─ decode       row → value decoding

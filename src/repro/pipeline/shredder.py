@@ -21,11 +21,15 @@ Performance knobs (see ROADMAP.md "Performance architecture"):
   the process-wide cache) makes repeat compiles O(hash) — keyed on the
   term's structural fingerprint, the schema fingerprint and the options;
 * ``compiled.run(db, engine="batched")`` executes the whole package
-  children first with advisory SQLite indexes and one compiled fold per
-  fetched row (decode fused into stitch) — the fast path for repeated
-  execution of a cached plan (the ``shredding_cached`` benchmark system);
+  children first with advisory SQLite indexes, reads each statement as
+  the column table SQLite's JSON1 writes for it, and runs one compiled
+  fold per row (decode fused into stitch) — the fast path for repeated
+  execution of a cached plan (the ``shredding_cached`` benchmark system).
+  Its keys are decided per parent→child edge once per compile
+  (:func:`~repro.sql.codegen.key_edges`), and the same folds read a
+  shard's tables at a fan-out coordinator (:meth:`CompiledQuery.fold_tables`);
 * ``compiled.run(db, batch_size=…)`` bounds rows per ``fetchmany`` round
-  trip on either engine (default ``DEFAULT_FETCH_BATCH``, 1024);
+  trip of the per-path engine (default ``DEFAULT_FETCH_BATCH``, 1024);
 * ``compile(query, stats=…)`` / ``run(…, stats=…)`` record plan-cache
   hits/misses, per-query row counts and wall times in
   :class:`~repro.backend.executor.ExecutionStats`.
@@ -40,12 +44,13 @@ from dataclasses import dataclass, field
 from repro.backend.database import Database
 from repro.backend.executor import (
     ExecutionStats,
+    checked_table,
     execute_compiled,
     execute_package_batched,
     execute_package_shredded,
     fold_package,
 )
-from repro.errors import ShreddingError
+from repro.errors import BackendError, ShreddingError
 from repro.normalise import normalise, normalise_cached
 from repro.normalise.normal_form import NormQuery, nf_to_term
 from repro.nrc import ast
@@ -69,6 +74,7 @@ from repro.sql.codegen import (
     CompiledSql,
     SqlOptions,
     compile_shredded,
+    key_edges,
     resolve_scheme,
 )
 from repro.values import NestedValue
@@ -289,17 +295,20 @@ class CompiledQuery:
           shredded query, decoding into ⟨index, value⟩ pair lists;
         * ``"batched"`` — all queries of the package over the shared
           connection, children first, with advisory SQLite indexes
-          (``create_indexes``) and one fold per fetched row: each row
-          becomes its final record, inner bags included, the one time
-          Python touches it.  The fast path for repeated execution of a
-          cached plan; requires ``one_pass_stitch``.
-        * ``"parallel"`` — the batched engine with its statements
-          executed and fetched by a pool of read-only connections
-          (``REPRO_POOL_SIZE`` caps the pool) before the same fold runs on
-          the calling thread.  Same results, same stats.
+          (``create_indexes``), each read as the column table SQLite
+          writes for it (JSON1), and one fold per row: each row becomes
+          its final record, inner bags included, the one time Python
+          touches it.  The fast path for repeated execution of a cached
+          plan; requires ``one_pass_stitch`` and a SQLite with JSON1
+          (:class:`~repro.errors.MissingSqlFunctionError` otherwise).
+        * ``"parallel"`` — the batched engine with its statements' tables
+          run by a pool of read-only connections (``REPRO_POOL_SIZE`` caps
+          the pool) before the same fold runs on the calling thread.  Same
+          results, same stats.
 
-        ``batch_size`` bounds rows per ``fetchmany`` round trip (default
-        ``DEFAULT_FETCH_BATCH``, 1024).
+        ``batch_size`` bounds rows per ``fetchmany`` round trip of the
+        per-path engine (default ``DEFAULT_FETCH_BATCH``, 1024); the
+        batched engines fetch one table per statement and ignore it.
 
         ``params`` binds the query's host parameters (validated against the
         declared :attr:`param_specs` — the compile-once / re-bind-per-call
@@ -354,7 +363,6 @@ class CompiledQuery:
                     self.sql_package,
                     stats=stats,
                     create_indexes=create_indexes,
-                    batch_size=batch_size,
                     parallel=(engine == "parallel"),
                     params=bound,
                     connection=connection,
@@ -388,15 +396,27 @@ class CompiledQuery:
             return dedup_nested(value)
         return value
 
-    def fold_rows(self, rows_of) -> NestedValue:
-        """The nested value of statements' raw rows that were fetched
-        elsewhere: the batched engine's walk and stitch with
-        ``rows_of(compiled)`` as the row source
-        (:func:`~repro.backend.executor.fold_package`) — the coordinator's
-        half of a ``shredded`` run."""
-        return stitch_grouped(
-            fold_package(self.sql_package, rows_of), self._top_key()
-        )
+    def fold_tables(self, tables, outcomes: dict | None = None) -> NestedValue:
+        """The nested value of column tables written elsewhere — a shard's
+        ``result: "shredded"`` answer, one table per statement in package
+        order: ``(count, JSON bytes)`` as SQLite wrote them, or ``{"n": …,
+        "c": […]}`` off a frame.  The coordinator's half of a shredded run,
+        and the batched engine's own decode-check-fold: every table is
+        decoded and checked against its statement
+        (:func:`~repro.backend.executor.checked_table`) before any is
+        folded, so a :class:`BackendError` naming the first that does not
+        fit leaves nothing half-built; then the engine's walk
+        (:func:`~repro.backend.executor.fold_package`, ``outcomes`` as
+        there) folds them and the ⊤·1 bucket is the answer."""
+        members = [compiled for _path, compiled in annotations(self.sql_package)]
+        if not isinstance(tables, list) or len(tables) != len(members):
+            raise BackendError(f"expected {len(members)} tables")
+        checked = {
+            id(member): checked_table(member, table, f"table {position}")
+            for position, (member, table) in enumerate(zip(members, tables))
+        }
+        grouped = fold_package(self.sql_package, lambda m: checked[id(m)], outcomes)
+        return stitch_grouped(grouped, self._top_key())
 
     def run_in_memory(
         self, db: Database, scheme: str = "flat", one_pass_stitch: bool = True
@@ -413,8 +433,8 @@ class CompiledQuery:
 
     @staticmethod
     def _top_key():
-        """The top-level ⊤·1 context in the batched engine's flat-tuple
-        index representation (cf. ``CompiledSql.fold``)."""
+        """The top-level ⊤·1 context as the batched engine keys it — always
+        the tagged ``(tag, 1)`` tuple, never bare (cf. ``CompiledSql.fold``)."""
         from repro.shred.shredded_ast import TOP_TAG
 
         return (TOP_TAG, 1)
@@ -548,6 +568,7 @@ class ShreddingPipeline:
                 )
 
         sql_package = package_from(result_type, codegen_at)
+        key_edges(sql_package)
         param_specs = collect_param_specs(query)
         if verify:
             from repro.check.verifier import verify_compiled_package

@@ -107,29 +107,29 @@ class Execution:
 
     def shredded(self) -> bool:
         """Whether this request is answered with per-statement column
-        tables (protocol v1.5): it asked for them, and what it runs is the
-        batched engine under bag semantics.  Anything else keeps the
-        nested ``rows`` — the asking coordinator takes either.  Consults
-        the plan cache like :meth:`engine`."""
+        tables (protocol v1.5): it asked for them, under bag semantics,
+        and the engine it names (the request's, else the session's) is the
+        batched one.  Anything else keeps the nested ``rows`` — the asking
+        coordinator takes either.  The tables are the batched engine's even
+        where ``auto`` would resolve to ``per-path`` (a store without
+        JSON1): such a store refuses the ask rather than answer rows."""
+        named = self.run_args["engine"] or self._session.engine
         return (
             self._asked_shredded
             and self.run_args["collection"] == "bag"
-            and self.engine() == "batched"
+            and named in ("auto", "batched")
         )
 
     def run(self, **where: Any) -> "Result":
         """Run on the calling thread; ``where`` is the driver's
         (``connection=``, ``create_indexes=``).  A :meth:`shredded` run's
-        ``Result.value`` is the list of column tables, not a nested value."""
+        ``Result.value`` is the list of column tables, not a nested value
+        (a store without JSON1 raises
+        :class:`~repro.errors.MissingSqlFunctionError`)."""
         if not self.shredded():
             return self.prepared.run(**self.run_args, **where)
-        if not self._session.db.has_json1(where.get("connection")):
-            raise ServiceError(
-                "this store's SQLite has no json_group_array (built without "
-                "JSON1): it cannot answer result='shredded'",
-                kind="MissingSqlFunction",
-            )
-        return self.prepared.run(**self.run_args, shredded=True, **where)
+        run_args = dict(self.run_args, engine="batched")
+        return self.prepared.run(**run_args, shredded=True, **where)
 
     def response(self, result: "Result") -> dict:
         """The ``execute`` success shape.  ``server_millis`` is the wall

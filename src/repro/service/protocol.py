@@ -111,7 +111,12 @@ second answer shape, again backwards compatible::
   SQLite builds each table itself (JSON1's ``json_group_array`` over the
   statement's SQL, unchanged) and :func:`pack_frame` splices the bytes
   into the frame, so the endpoint builds no row tuple, no record and
-  serialises nothing.  ``stats.rows_fetched`` is Σ ``n``.
+  serialises nothing.  ``stats.rows_fetched`` is Σ ``n``.  These are the
+  very tables the batched engine reads in process, and the asker folds
+  them with that engine's decode-check-fold
+  (:meth:`~repro.pipeline.shredder.CompiledQuery.fold_tables`); the wire
+  carries no key, so how the folds key a parent→child edge (bare or
+  tagged) is the asker's own compile's business.
 * ``plan`` — a fingerprint of the plan's SQL, on shredded ``execute`` and
   on every ``prepare`` response: column tables only mean something to an
   asker that compiled the same statements, so it compares.
@@ -122,7 +127,8 @@ second answer shape, again backwards compatible::
   not batched, and a v1.4 server (which ignores the field) — the
   coordinator takes either, and a plain ``execute`` (no ``result``) is
   byte for byte what it was.  A store whose SQLite lacks JSON1 answers a
-  ``MissingSqlFunction`` error frame.
+  shredded ask with a ``MissingSqlFunction`` error frame (its ``auto``
+  engine is the per-path one, so a plain ``execute`` still answers).
 
 The client side of all of the above is :class:`ClientCore`, below the
 frame functions: one request's life as a state machine over ``bytes`` —

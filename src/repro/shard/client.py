@@ -30,10 +30,12 @@ name, through a data-less façade session under the deployment's
   written by SQLite, and the sub-request's worker checks them against the
   coordinator's own plan (the ``plan`` fingerprint, table and column
   counts, column lengths — :class:`~repro.errors.ShardingError`, never a
-  wrong answer) and folds them into nested rows through the same
-  generated folds, in the same walk, as the batched engine
-  (:func:`~repro.backend.executor.fold_package`) — as soon as that
-  answer is in, while slower shards still run.  A response that carries
+  wrong answer) and folds them into nested rows through the batched
+  engine's own decode-check-fold
+  (:meth:`~repro.pipeline.shredder.CompiledQuery.fold_tables`: the same
+  generated folds, the same bare-or-tagged keys, the same walk with the
+  cycle collector paused) — as soon as that answer is in, while slower
+  shards still run.  A response that carries
   ``rows`` instead (list semantics, an explicit ``per-path`` /
   ``parallel`` engine, a serving session whose engine is not batched, a
   v1.4 server) is used as it is;
@@ -90,7 +92,6 @@ application thread its own.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 import uuid
@@ -99,6 +100,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequenc
 
 from repro.api.session import Session
 from repro.errors import (
+    BackendError,
     DeadlineExceededError,
     OverloadedError,
     ServiceConnectionError,
@@ -113,7 +115,6 @@ from repro.service.registry import QueryRegistry
 from repro.service.resilience import CircuitBreaker, RetryPolicy
 from repro.shard.analysis import RouteDecision, ShardPlan, analyse, plan_route
 from repro.shard.placement import Placement
-from repro.shred.packages import annotations
 from repro.sql.codegen import SqlOptions
 
 __all__ = ["ShardedServiceClient", "SHARD_UNAVAILABLE", "MODE_COUNTERS"]
@@ -326,17 +327,17 @@ class ShardedServiceClient:
 
     def _stitch(self, query: str, label: str, response: dict) -> tuple[int, int]:
         """Replace a sub-response's ``shredded`` column tables by the
-        nested ``rows`` they stand for, in place: the batched engine's
-        walk (:func:`~repro.backend.executor.fold_package`) with each
-        statement's rows read off its table as ``zip(*columns)`` — the
-        same generated folds, in the same order, as the endpoint would
-        have run.  Everything the fold takes on trust is checked first
-        (:class:`ShardingError`, never a wrong answer): the endpoint
-        compiled the plan this coordinator did, one table per statement,
-        one list per projected column, every column as long as the
-        endpoint's ``count(*)``.  Returns (tables, rows) for the span."""
+        nested ``rows`` they stand for, in place, through the batched
+        engine's own decode-check-fold
+        (:meth:`~repro.pipeline.shredder.CompiledQuery.fold_tables`) — the
+        same generated folds, keys and walk as the endpoint would have
+        run, the cycle collector paused as there.  Everything the fold
+        takes on trust is checked first (:class:`ShardingError`, never a
+        wrong answer): the endpoint compiled the plan this coordinator
+        did, one table per statement, one list per projected column, every
+        column as long as the endpoint's ``count(*)``.  Returns (tables,
+        rows) for the span."""
         compiled = self._compiled_for(query)
-        members = [member for _path, member in annotations(compiled.sql_package)]
 
         def bad(what: str) -> ShardingError:
             return ShardingError(
@@ -351,31 +352,12 @@ class ShardedServiceClient:
                 f"same SqlOptions?)"
             )
         tables = response.pop("shredded")
-        if not isinstance(tables, list) or len(tables) != len(members):
-            raise bad(f"expected {len(members)} tables")
-        rows: dict[int, Any] = {}
-        total = 0
-        for position, (member, table) in enumerate(zip(members, tables)):
-            try:
-                if isinstance(table, dict):  # off a frame
-                    count, columns = table["n"], table["c"]
-                else:  # a local endpoint's own (count, bytes) pair
-                    count, columns = table[0], json.loads(table[1])
-            except (KeyError, IndexError, TypeError, ValueError) as error:
-                raise bad(f"table {position} is malformed ({error!r})") from error
-            if not isinstance(columns, list) or len(columns) != len(member.columns):
-                raise bad(
-                    f"table {position} has not the {len(member.columns)} "
-                    f"columns of its statement"
-                )
-            if any(not isinstance(c, list) or len(c) != count for c in columns):
-                raise bad(f"table {position} has a column that is not {count!r} cells")
-            # Every statement projects a column ("a SELECT needs an item"),
-            # and zip re-uses its tuple: a row costs no allocation.
-            rows[id(member)] = zip(*columns)
-            total += count
-        response["rows"] = compiled.fold_rows(lambda member: (rows[id(member)],))
-        return len(tables), total
+        outcomes: dict[int, tuple[int, float]] = {}
+        try:
+            response["rows"] = compiled.fold_tables(tables, outcomes)
+        except BackendError as error:
+            raise bad(str(error)) from error
+        return len(tables), sum(rows for rows, _millis in outcomes.values())
 
     # ------------------------------------------------------------- liveness
 

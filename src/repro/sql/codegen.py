@@ -16,7 +16,10 @@ Two plan shapes; :func:`resolve_scheme` picks one from the schema:
 Both emit the top-level context as the literal ``⊤·1``, and neither
 projects a column whose expression is the same literal in every union
 branch (static tags, the top context): :meth:`CompiledSql.fold` writes it
-into the code it generates.
+into the code it generates.  Where such a static tag is the same on both
+ends of a parent→child edge, :func:`key_edges` drops it from the keys of
+both folds altogether (*bare* keys: a key column or a row number, not a
+``(tag, key)`` tuple).
 
 Determinism note (§7): the paper orders ``row_number`` by all columns of
 all tables referenced from the current subquery, listing the outer query's
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.backend.database import quote_identifier
 from repro.errors import SqlGenerationError
@@ -66,6 +69,7 @@ from repro.normalise.normal_form import (
 )
 from repro.nrc.schema import Schema
 from repro.nrc.types import BOOL, BaseType, RecordType, Type
+from repro.shred.packages import Package, PkgBag, PkgRecord
 from repro.shred.shred_types import INDEX, IndexType, inner_shred
 from repro.shred.shredded_ast import (
     IN,
@@ -94,7 +98,7 @@ from repro.sql.ast import (
 )
 from repro.sql.render import render_statement
 
-__all__ = ["SqlOptions", "CompiledSql", "compile_shredded", "resolve_scheme"]
+__all__ = ["SqlOptions", "CompiledSql", "compile_shredded", "key_edges", "resolve_scheme"]
 
 
 @dataclass(frozen=True)
@@ -196,10 +200,17 @@ class CompiledSql:
     #: (table, columns) index hints mined from the statement — memoised by
     #: the batched executor so repeat runs of a cached plan skip the AST walk.
     index_hints: tuple | None = field(default=None, repr=False, compare=False)
+    #: Index leaves (``("outer",)``, ``("item", …)``) whose keys are *bare*
+    #: — their dynamic parts alone, no tag — as :func:`key_edges` decided
+    #: for the package; empty for a statement folded on its own.
+    bare_keys: frozenset[tuple[str, ...]] = field(
+        default=frozenset(), repr=False, compare=False
+    )
 
     def fold(self) -> Callable[..., None]:
-        """``fold(chunk, grouped, *child_buckets)``: the batched engine's one
-        pass over a chunk of raw SQL tuples — built once per plan from
+        """``fold(rows, grouped, *child_buckets)``: the batched engine's one
+        pass over a statement's rows (any iterable of tuples in
+        :attr:`columns` order) — built once per plan from
         :attr:`fold_source`.
 
         Each row becomes its *final* record, appended under its outer key
@@ -210,14 +221,61 @@ class CompiledSql:
         record takes the child's bucket list itself — no copy, no stored
         key, no second pass.  That is sound because an item index is
         injective per comprehension row (§4.2/§6.1), so no bucket has two
-        parents.  Keys are flat ``(tag, key…)`` tuples (``(tag, row
-        number)`` in the flat scheme), NULL padding stripped; both sides
-        of every join build them from the same scheme.  Property-tested
-        against :meth:`decode_rows` + :func:`repro.shred.stitch.stitch`.
+        parents.
+
+        Keys come in two shapes, and both folds of a parent→child edge
+        build the same one (:func:`key_edges` decides per edge):
+
+        * **bare** — the index's dynamic parts alone: the value itself when
+          there is one part (a key column, or a row number in the flat
+          scheme), else their tuple.  Only where the tag is the same
+          literal on both sides and neither pads the key with NULLs, so
+          every key of the edge would carry that one tag;
+        * **tagged** — the flat ``(tag, key…)`` tuple, NULL padding
+          stripped.  Everywhere else, and always for the top-level
+          ``(TOP_TAG, 1)``.
+
+        Property-tested against :meth:`decode_rows` +
+        :func:`repro.shred.stitch.stitch`.
         """
         if self._fold is None:
             self._fold = _load_fold(self.fold_source)
         return self._fold
+
+    @functools.cached_property
+    def _leaves(self) -> dict[tuple[str, ...], list[str]]:
+        """Leaf path → its column names (an index leaf's are tag, dyn1, …).
+        Read once the statement is final, like :attr:`_padded`: by
+        :func:`key_edges` and :attr:`fold_source`."""
+        leaves: dict[tuple[str, ...], list[str]] = {}
+        for column in flatten_type(self.row_type, self.width_fn):
+            leaves.setdefault(column.path, []).append(column.name)
+        return leaves
+
+    @functools.cached_property
+    def _padded(self) -> frozenset[str]:
+        """Projected columns that are NULL in some branch: the padding of a
+        union whose branches bind different numbers of key columns (§6.1)."""
+        return frozenset(
+            item.alias
+            for select in self.statement.selects
+            for item in select.items
+            if item.expr == Lit(None)
+        )
+
+    def literal_tag(self, path: tuple[str, ...]) -> str | None:
+        """The tag every key of the index leaf at ``path`` carries, when it
+        is one literal and no key column of the leaf is NULL padding (in
+        some branch, or in all); else None."""
+        constants = dict(self.constants)
+        tag_column, *dynamic = self._leaves[path]
+        tag = constants.get(tag_column)
+        if not isinstance(tag, str) or any(
+            name in self._padded or (name in constants and constants[name] is None)
+            for name in dynamic
+        ):
+            return None
+        return tag
 
     @property
     def fold_source(self) -> str:
@@ -226,27 +284,20 @@ class CompiledSql:
         literal up front; literals and labels enter through ``repr``."""
         positions = {name: i for i, name in enumerate(self.columns)}
         constants = dict(self.constants)
-        #: Leaf path → its column names (an index leaf's are tag, dyn1, …).
-        leaves: dict[tuple[str, ...], list[str]] = {}
-        for column in flatten_type(self.row_type, self.width_fn):
-            leaves.setdefault(column.path, []).append(column.name)
-        #: Projected columns that are NULL in some branch: the padding of a
-        #: union whose branches bind different numbers of key columns (§6.1).
-        padded = {
-            item.alias
-            for select in self.statement.selects
-            for item in select.items
-            if item.expr == Lit(None)
-        }
+        leaves = self._leaves
+        padded = self._padded
         children = 0
 
         def key(path: tuple[str, ...]) -> str:
-            """The flat ``(tag, key…)`` tuple of the index leaf at ``path``."""
+            """The key of the index leaf at ``path``, bare or tagged."""
+            bare = path in self.bare_keys
             parts = [
                 repr(constants[name]) if name in constants else f"r[{positions[name]}]"
-                for name in leaves[path]
+                for name in leaves[path][1 if bare else 0 :]
                 if constants.get(name, ...) is not None  # literal padding
             ]
+            if bare and len(parts) == 1:
+                return parts[0]
             flat = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
             if padded.isdisjoint(leaves[path]):
                 return flat
@@ -274,17 +325,17 @@ class CompiledSql:
         item = value(self.row_type.field_type("item"), ("item",))
         outer = key(("outer",))
         arguments = "".join(f", c{i}" for i in range(children))
-        lines = [f"def fold(chunk, grouped{arguments}):"]
+        lines = [f"def fold(rows, grouped{arguments}):"]
         lines += [f"    get{i} = c{i}.get" for i in range(children)]
         if constants.keys() >= set(leaves[("outer",)]):
             # One context for every row (the top-level ⊤·1): no grouping.
             lines.append(
-                f"    grouped.setdefault({outer}, []).extend([{item} for r in chunk])"
+                f"    grouped.setdefault({outer}, []).extend([{item} for r in rows])"
             )
         else:
             lines += [
                 "    get = grouped.get",
-                "    for r in chunk:",
+                "    for r in rows:",
                 f"        key = {outer}",
                 "        bucket = get(key)",
                 "        if bucket is None:",
@@ -299,11 +350,13 @@ class CompiledSql:
         """The statement as one row SQLite itself serialises (JSON1):
         ``(count(*), '[[column 1 cells…], [column 2 cells…], …]')`` over
         the statement's SQL, unchanged, as a subquery — the row count and
-        one JSON array per projected column, in the statement's row order.
-        What a shard answers a ``result: "shredded"`` request with; the
-        coordinator feeds ``zip(*columns)`` to the same :meth:`fold`.
-        Exact for the base types there are: Int, String, and Bool as the
-        0/1 the fold already applies ``bool()`` to."""
+        one JSON array per projected column, in the statement's row order
+        (an ``ordered`` statement's ``ORDER BY`` is consumed in order; a
+        test pins it).  The only way the batched engines read a statement,
+        and what a shard answers a ``result: "shredded"`` request with;
+        either way ``zip(*columns)`` feeds :meth:`fold`.  Exact for the
+        base types there are: Int, String, and Bool as the 0/1 the fold
+        already applies ``bool()`` to."""
         columns = ", ".join(
             f"json_group_array({quote_identifier(name)})" for name in self.columns
         )
@@ -343,6 +396,43 @@ def _load_fold(source: str) -> Callable[..., None]:
     namespace: dict[str, object] = {}
     exec(compile(source, "<fold>", "exec"), namespace)
     return namespace["fold"]  # type: ignore[return-value]
+
+
+def key_edges(sql_package: PkgBag) -> None:
+    """Decide the key shape of every parent→child edge of a compiled
+    package, once, before anything folds it (see :meth:`CompiledSql.fold`).
+
+    A child's fold files rows under its *outer* index and the parent's
+    fold looks them up by the index leaf of its *item* at that edge, so
+    both must build the same key.  The edge is bare — both statements'
+    :attr:`CompiledSql.bare_keys` gain it — iff the leaf's tag is one
+    literal on the parent's side, the child's outer tag is the same
+    literal, and neither side pads the key with NULLs
+    (:meth:`CompiledSql.literal_tag`): then every key of the edge carries
+    that one tag and dropping it loses nothing.  Both sides are needed: a
+    union parent can keep a branch (tag a column) whose child branch
+    normalisation removed (tag a literal), and a child keyed bare under a
+    tagged parent would match nothing."""
+
+    def edges(node: Package, path: tuple[str, ...]) -> Iterator[tuple[tuple[str, ...], PkgBag]]:
+        """(item leaf path, child bag) in field order."""
+        if isinstance(node, PkgBag):
+            yield path, node
+        elif isinstance(node, PkgRecord):
+            for label, sub in node.fields:
+                yield from edges(sub, path + (label,))
+
+    def visit(bag: PkgBag) -> None:
+        parent = bag.annotation
+        for leaf, child_bag in edges(bag.element, ("item",)):
+            child = child_bag.annotation
+            tag = parent.literal_tag(leaf)
+            if tag is not None and tag == child.literal_tag(("outer",)):
+                parent.bare_keys |= {leaf}
+                child.bare_keys |= {("outer",)}
+            visit(child_bag)
+
+    visit(sql_package)
 
 
 def compile_shredded(

@@ -325,6 +325,64 @@ class TestSharedLibraryState:
         assert self._cc006(src, "tools/loc.py") == []
 
 
+class TestCollectorSwitches:
+    """CC007: the cycle collector is switched only by the one guard."""
+
+    GUARD_MODULE = "src/repro/backend/executor.py"
+
+    @staticmethod
+    def _cc007(source: str, name: str) -> list[str]:
+        lines = source.splitlines()
+        return [
+            lines[f.line - 1].strip() for f in lint_source(source, name) if f.code == "CC007"
+        ]
+
+    def test_the_real_guard_passes_and_the_same_calls_elsewhere_fail(self):
+        """Both directions on the real ``collector_paused``: as committed
+        its module is clean; renamed, its disable, enable and collect are
+        each a finding — and so is any of them in another function."""
+        source = (ROOT / self.GUARD_MODULE).read_text()
+        assert source.count("def collector_paused(") == 1
+        assert self._cc007(source, self.GUARD_MODULE) == []
+        renamed = source.replace("def collector_paused(", "def pause_it(")
+        assert sorted(self._cc007(renamed, self.GUARD_MODULE)) == [
+            "gc.collect(0)",
+            "gc.disable()",
+            "gc.enable()",
+        ]
+        elsewhere = source + "\n\ndef tidy():\n    gc.collect()\n"
+        assert self._cc007(elsewhere, self.GUARD_MODULE) == ["gc.collect()"]
+        # The guard's name only counts in the guard's module.
+        assert self._cc007(source, "src/repro/pipeline/shredder.py") != []
+
+    def test_every_switch_every_spelling(self):
+        src = (
+            "import gc\n"
+            "import gc as collector\n"
+            "from gc import collect as sweep, freeze, isenabled\n"
+            "def f():\n"
+            "    gc.disable()\n"
+            "    collector.set_threshold(1)\n"
+            "    sweep(0)\n"
+            "    freeze()\n"
+            "    gc.isenabled()\n"
+            "    isenabled()\n"
+            "    gc.get_count()\n"
+        )
+        assert self._cc007(src, "src/repro/shard/client.py") == [
+            "gc.disable()",
+            "collector.set_threshold(1)",
+            "sweep(0)",
+            "freeze()",
+        ]
+
+    def test_scope_is_the_library(self):
+        src = "import gc\ngc.collect()\n"
+        assert self._cc007(src, "src/repro/service/server.py") == ["gc.collect()"]
+        assert self._cc007(src, "bench/run.py") == []
+        assert self._cc007(src, "tests/test_x.py") == []
+
+
 class TestRealTree:
     def test_serving_stack_lints_clean(self):
         findings = lint_paths([ROOT / target for target in DEFAULT_TARGETS])

@@ -233,14 +233,26 @@ def _flat_key(value):
     raise AssertionError(f"not an index: {value!r}")
 
 
+def _fold_key(statement, outer):
+    """The key ``statement``'s fold files a row of outer index ``outer``
+    under: bare (the dynamic parts alone) on an edge ``key_edges`` made
+    bare, else the flat ``(tag, key…)`` tuple."""
+    key = _flat_key(outer)
+    if ("outer",) not in statement.bare_keys:
+        return key
+    return key[1] if len(key) == 2 else key[1:]
+
+
 @settings(max_examples=15, suppress_health_check=[HealthCheck.too_slow], deadline=None)
 @given(query=queries_with_nesting())
 def test_property_fold_matches_reference(query):
     """The batched engine's fold ≡ App. E ``decode_rows`` + §5.2 ``stitch``
-    on every package, under both plan shapes, however the rows are chunked:
-    the same nested value in the same order, and per statement the same
-    outer keys over the same number of rows."""
-    from repro.backend.executor import execute_package_batched
+    on every package, under both plan shapes, whichever way the rows reach
+    it — the engine's column tables, or ``fold_package`` fed ``fetchall``
+    rows directly: the same nested value in the same order, and per
+    statement the same outer keys over the same number of rows (a
+    statement with no rows folds nothing)."""
+    from repro.backend.executor import execute_package_batched, fold_package
     from repro.shred.packages import annotations, pmap
     from repro.shred.stitch import stitch, stitch_grouped
     from repro.sql.codegen import SqlOptions
@@ -254,19 +266,25 @@ def test_property_fold_matches_reference(query):
         package = compiled.sql_package
         reference = pmap(lambda sql: sql.decode_rows(db.execute_sql(sql.sql)), package)
         expected = stitch(reference, compiled._top_index_fn())
-        rows = max(len(pairs) for _path, pairs in annotations(reference))
-        for chunk_size in (1, 3, rows + 1):
-            results = execute_package_batched(
-                db, package, create_indexes=False, batch_size=chunk_size
-            )
-            where = (options.scheme, chunk_size)
+
+        def fetched(statement):
+            rows = db.execute_sql(statement.sql)
+            width = len(statement.columns)
+            return len(rows), [[row[i] for row in rows] for i in range(width)]
+
+        sources = {
+            "tables": execute_package_batched(db, package, create_indexes=False),
+            "fetchall": fold_package(package, fetched),
+        }
+        for source, results in sources.items():
+            where = (options.scheme, source)
             assert stitch_grouped(results, compiled._top_key()) == expected, where
-            for (_path, grouped), (_path, pairs) in zip(
-                annotations(results), annotations(reference)
+            for (_path, grouped), (_path, pairs), (_path, statement) in zip(
+                annotations(results), annotations(reference), annotations(package)
             ):
                 sizes: dict = {}
                 for outer, _item in pairs:
-                    key = _flat_key(outer)
+                    key = _fold_key(statement, outer)
                     sizes[key] = sizes.get(key, 0) + 1
                 assert {k: len(v) for k, v in grouped.items()} == sizes, where
 

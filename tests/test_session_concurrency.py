@@ -145,6 +145,58 @@ class TestConcurrentDatabaseSetup:
         failures = _hammer(worker)
         assert not failures, failures
 
+    def test_batched_reads_finish_before_another_threads_ddl(self):
+        """Stress regression: batched runs share the store's writer
+        connection, and every cold plan's first run issues advisory
+        ``CREATE INDEX``/``ANALYZE`` there.  A read that stayed open across
+        the Python-side fold of a fetched chunk could be cut short by
+        another thread's DDL ("abort due to ROLLBACK", "not an error");
+        reading each statement as one column table, in one fetch, closes
+        the read before any Python runs.  A fresh Fig. 3 store per
+        repetition (so each one advises afresh), 8 threads switching every
+        few bytecodes, bounded to a few seconds.  (Per-path reads still
+        stream on that connection.)"""
+        import sys
+        import time
+
+        expected = {
+            name: connect(figure3_database()).run(NESTED_QUERIES[name]).value
+            for name in QUERY_NAMES
+        }
+        failures: list = []
+        started = time.monotonic()
+        stop, hard_stop = started + 6.0, started + 9.5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _repetition in range(40):
+                if time.monotonic() > stop:
+                    break
+                session = connect(figure3_database(), cache=PlanCache())
+                barrier = threading.Barrier(THREADS)
+
+                def worker(slot: int) -> None:
+                    try:
+                        barrier.wait(timeout=10)
+                        for i in range(3):
+                            name = QUERY_NAMES[(slot + i) % len(QUERY_NAMES)]
+                            value = session.run(NESTED_QUERIES[name], engine="batched").value
+                            if not bag_equal(value, expected[name]):
+                                failures.append((slot, name, "wrong answer"))
+                    except Exception as error:  # noqa: BLE001 — reported below
+                        failures.append((slot, repr(error)))
+
+                threads = [threading.Thread(target=worker, args=(s,)) for s in range(THREADS)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=max(0.0, hard_stop - time.monotonic()))
+                assert not any(thread.is_alive() for thread in threads)
+                session.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:3]
+
 
 class TestConcurrentNormalisation:
     def test_normalise_cached_survives_eviction_under_contention(

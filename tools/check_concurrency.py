@@ -6,8 +6,10 @@ The asyncio service and the shard fleet live or die by one rule: nothing
 there (a light catalogue entry's request, ``QueryServer._run_guarded``)
 does so under a step guard.  This tool walks ``src/repro/`` and flags the
 patterns that have historically snuck blocking work onto a loop thread
-(CC001–CC005, which bite in ``service/`` and ``shard/``) or let two
-compiling threads race on a module global (CC006, everywhere else):
+(CC001–CC005, which bite in ``service/`` and ``shard/``), let two
+compiling threads race on a module global (CC006, everywhere else) or
+switch the process-wide cycle collector behind another thread's back
+(CC007, everywhere):
 
     CC001  a blocking call inside an ``async def`` body — ``time.sleep``,
            ``sqlite3.connect``, ``socket.create_connection``, the blocking
@@ -41,6 +43,14 @@ compiling threads race on a module global (CC006, everywhere else):
            ``with <lock>:`` block — server worker threads compile and run
            through these modules concurrently.  State that is safe without
            a lock says why on the line: ``# CC006: <reason>``
+
+    CC007  a call to ``gc.disable`` / ``gc.enable`` / ``gc.collect`` /
+           ``gc.freeze`` / ``gc.set_threshold`` anywhere under
+           ``src/repro/`` outside the one guard,
+           ``backend/executor.py::collector_paused`` — the collector is
+           process-wide state, and the guard's depth count is what lets
+           concurrent folds pause it without turning it back on under
+           each other (or on a caller that had it off)
 
 Calls are sanctioned when they appear inside an ``await`` expression or as
 arguments to ``asyncio.gather`` / ``create_task`` / ``ensure_future`` /
@@ -143,6 +153,12 @@ MUTATING_METHODS = {
     "discard",
 }
 WAIVER = "# CC006:"
+
+#: CC007: the ``gc`` functions that switch or run the collector, and the
+#: one function (in the one module) allowed to call them.
+GC_SWITCHES = {"disable", "enable", "collect", "freeze", "set_threshold"}
+GC_GUARD_MODULE = "repro/backend/executor.py"
+GC_GUARD = "collector_paused"
 
 
 def _dotted(func: ast.expr) -> tuple[str, str] | None:
@@ -321,6 +337,45 @@ def _shared_state_findings(tree: ast.Module, source: str, path: str) -> list[Fin
     return findings
 
 
+def _collector_findings(tree: ast.Module, path: str) -> list[Finding]:
+    """CC007 over one module: ``gc`` switches called outside the guard,
+    whether through ``import gc [as g]`` or ``from gc import …``."""
+    modules: set[str] = set()
+    imported: dict[str, str] = {}  # local name → gc function
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "gc"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            imported |= {
+                a.asname or a.name: a.name for a in node.names if a.name in GC_SWITCHES
+            }
+    allowed: set[int] = set()
+    if Path(path).as_posix().endswith(GC_GUARD_MODULE):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == GC_GUARD:
+                allowed |= _call_ids(node)
+    findings = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        dotted = _dotted(node.func)
+        if dotted and dotted[0] in modules and dotted[1] in GC_SWITCHES:
+            switch = dotted[1]
+        else:
+            switch = imported.get(getattr(node.func, "id", ""))
+        if switch is not None:
+            findings.append(
+                Finding(
+                    "CC007",
+                    path,
+                    node.lineno,
+                    f"gc.{switch}() outside {GC_GUARD_MODULE}::{GC_GUARD} — the "
+                    f"collector is process-wide; pause it through the guard",
+                )
+            )
+    return findings
+
+
 class _Visitor(ast.NodeVisitor):
     def __init__(self, path: str, sanctioned: set[int]) -> None:
         self.path = path
@@ -456,6 +511,8 @@ def lint_source(source: str, name: str = "<string>") -> list[Finding]:
     visitor.visit(tree)
     findings = visitor.findings
     posix = Path(name).as_posix()
+    if LIBRARY_PACKAGE in posix:
+        findings = findings + _collector_findings(tree, name)
     if LIBRARY_PACKAGE in posix and not (
         SERVICE_PACKAGE in posix or SHARD_PACKAGE in posix
     ):
