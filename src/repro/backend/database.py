@@ -43,7 +43,7 @@ from repro.errors import BackendError
 from repro.nrc.schema import Schema, TableSchema
 from repro.nrc.types import BOOL, BaseType
 
-__all__ = ["Database", "quote_identifier"]
+__all__ = ["Database", "covering_columns", "quote_identifier"]
 
 
 def quote_identifier(name: str) -> str:
@@ -108,6 +108,7 @@ class Database:
         self._memory_uri: str | None = None
         self._read_pool: list[sqlite3.Connection] = []
         self._dedicated_readers: list[sqlite3.Connection] = []
+        #: Advisory index hint ``(table, columns)`` → its ``CREATE INDEX``.
         self._ensured_indexes: dict[tuple[str, tuple[str, ...]], str] = {}
         self._stats_stale = False
         self._json1: bool | None = None  # has_json1()'s one probe
@@ -355,8 +356,8 @@ class Database:
         for table_schema in self.schema.tables:
             self._create_table(connection, table_schema)
             self._load_table(connection, table_schema)
-        for (table, columns), name in self._ensured_indexes.items():
-            connection.execute(_index_ddl(name, table, columns))
+        for ddl in self._ensured_indexes.values():
+            connection.execute(ddl)
         if self._ensured_indexes:
             self._stats_stale = True
         connection.commit()
@@ -403,8 +404,8 @@ class Database:
                 ).fetchone()
                 if count == 0:
                     self._load_table(connection, table_schema)
-        for (table, columns), name in self._ensured_indexes.items():
-            connection.execute(_index_ddl(name, table, columns))
+        for ddl in self._ensured_indexes.values():
+            connection.execute(ddl)
         if self._ensured_indexes:
             self._stats_stale = True
         connection.commit()
@@ -542,29 +543,32 @@ class Database:
         return self._json1
 
     def ensure_index(self, table: str, columns: Sequence[str]) -> bool:
-        """Create a (composite) index on ``table(columns)`` if not present.
+        """Create the advisory index for a hint on ``table(columns)`` if
+        not present: a *covering* index, searched on ``columns`` and
+        carrying every other column of the table
+        (:func:`covering_columns`), so a lookup through it never seeks the
+        table row.
 
-        Ensured indexes are remembered: repeat calls are O(1) dict hits,
-        and a connection rebuilt after disposal recreates them.  Unknown
-        tables/columns are ignored (the statement may reference CTE
-        aliases).  Returns True iff an index was actually created.
+        Ensured indexes are remembered per hint: repeat calls are O(1)
+        dict hits, and a connection rebuilt after disposal recreates them.
+        Unknown tables/columns are ignored (the statement may reference
+        CTE aliases).  Returns True iff an index was actually created.
         """
         key = (table, tuple(columns))
         if key in self._ensured_indexes:
             return False
-        if table not in self.schema:
-            return False
-        known = self.schema.table(table).column_names
-        columns = key[1]
-        if not columns or any(column not in known for column in columns):
+        covered = covering_columns(self.schema, *key)
+        if covered is None:
             return False
         with self._setup_lock:
             if key in self._ensured_indexes:
                 return False
-            digest = hashlib.sha1(repr(key).encode()).hexdigest()[:12]
-            name = f"qsidx_{table}_{digest}"
+            # The covered columns are in the name, so a store file that
+            # holds a narrower index for this hint still gets this one.
+            digest = hashlib.sha1(repr((key, covered)).encode()).hexdigest()[:12]
+            ddl = _index_ddl(f"qsidx_{table}_{digest}", table, covered)
             try:
-                self.connection().execute(_index_ddl(name, table, columns))
+                self.connection().execute(ddl)
             except sqlite3.OperationalError as error:
                 if _is_locked(error):
                     # A concurrent leased reader has an active statement;
@@ -572,7 +576,7 @@ class Database:
                     # index is advisory — skip now, a later run retries.
                     return False
                 raise
-            self._ensured_indexes[key] = name
+            self._ensured_indexes[key] = ddl
             self._stats_stale = True
             return True
 
@@ -718,6 +722,29 @@ def _is_locked(error: object) -> bool:
     """True for SQLITE_LOCKED/SQLITE_BUSY — shared-cache lock contention
     (not retried by the busy timeout), as opposed to real failures."""
     return isinstance(error, sqlite3.OperationalError) and "locked" in str(error)
+
+
+def covering_columns(
+    schema: Schema, table: str, columns: Sequence[str]
+) -> tuple[str, ...] | None:
+    """The columns of the advisory index for a hint on ``table(columns)``:
+    the hint's columns first — the search key — then every other column of
+    the table in table order.  Tables are loaded once and a few columns
+    wide, so the index is in effect a clustered copy of the table: a lookup
+    through it never seeks the table row, whatever the statement projects,
+    and nobody tracks which columns each statement reads.  ``None`` when
+    ``table`` is not in ``schema`` (a CTE alias) or the hint names no column
+    or one the table lacks.
+
+    :meth:`Database.ensure_index` builds this index and the QS301
+    diagnostic prints it, so the two cannot drift."""
+    if table not in schema:
+        return None
+    known = schema.table(table).column_names
+    hint = tuple(columns)
+    if not hint or any(column not in known for column in hint):
+        return None
+    return hint + tuple(column for column in known if column not in hint)
 
 
 def _index_ddl(name: str, table: str, columns: Sequence[str]) -> str:

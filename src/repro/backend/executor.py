@@ -18,7 +18,9 @@ Three execution engines serve a compiled shredded package in process:
   there is no decode pass, no grouping pass and no stitch pass.  Memory is
   one statement's table at a time.  Before executing it creates (and
   reuses across runs) SQLite indexes on the base-table columns the
-  generated SQL joins (and, in the flat form, sorts) on.
+  generated SQL joins (and, in the flat form, sorts) on, each covering its
+  table — searched on those columns, carrying every other one — so each
+  ``SEARCH`` reads the index alone and never seeks the table row.
 * the **parallel** engine (``execute_package_batched(parallel=True)``) —
   the same fold, fed differently: worker threads over a pool of read-only
   connections (:meth:`Database.read_connections`) only execute the column
@@ -93,6 +95,7 @@ __all__ = [
     "fold_package",
     "collector_paused",
     "ensure_compiled_indexes",
+    "index_hints",
     "DEFAULT_FETCH_BATCH",
     "DEFAULT_POOL_SIZE",
 ]
@@ -381,8 +384,9 @@ def checked_table(
     """A statement's column table as ``(row count, columns)``, checked
     against the statement before anything folds it.  ``table`` is ``(count,
     JSON bytes)`` as SQLite wrote it, or ``{"n": count, "c": columns}`` off
-    a frame; it must hold one list per projected column, each ``count``
-    cells long.  A :class:`BackendError` names what does not fit."""
+    a frame; ``count`` must be an ``int`` (not a ``bool``, not a float)
+    and it must hold one list per projected column, each ``count`` cells
+    long.  A :class:`BackendError` names what does not fit."""
     try:
         if isinstance(table, dict):
             count, columns = table["n"], table["c"]
@@ -390,6 +394,8 @@ def checked_table(
             count, columns = table[0], json.loads(table[1])
     except (KeyError, IndexError, TypeError, ValueError) as error:
         raise BackendError(f"{label} is malformed ({error!r})") from error
+    if type(count) is not int:  # True and 1.0 pass ``len(column) == count``
+        raise BackendError(f"{label} has a row count {count!r} that is not an int")
     if not isinstance(columns, list) or len(columns) != len(compiled.columns):
         raise BackendError(
             f"{label} has not the {len(compiled.columns)} columns of its statement"
@@ -619,9 +625,28 @@ def execute_package_shredded(
 
 
 def ensure_compiled_indexes(db: Database, compiled: CompiledSql) -> int:
-    """Create the SQLite indexes a compiled statement benefits from.
+    """Create the SQLite indexes a compiled statement benefits from: one
+    covering index per hint of :func:`index_hints` — searched on the hint's
+    columns, carrying the rest of the table
+    (:func:`~repro.backend.database.covering_columns`) — so every ``SEARCH``
+    in the statement reads the index alone.
 
-    Two families of hints are mined from the SQL AST:
+    The hints are memoised on the compiled statement and the indexes are
+    ``CREATE INDEX IF NOT EXISTS`` remembered by the :class:`Database`, so
+    repeat runs of a cached plan skip the AST walk and fall straight
+    through to O(1) ensured-index hits.  Returns the number of indexes
+    actually created.
+    """
+    created = 0
+    for table, columns in index_hints(compiled):
+        if db.ensure_index(table, columns):
+            created += 1
+    return created
+
+
+def index_hints(compiled: CompiledSql) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The ``(table, columns)`` a compiled statement wants searched by an
+    index, sorted, mined once from its SQL AST and memoised on it:
 
     * columns compared by ``=`` in WHERE clauses — the join columns of the
       amalgamated comprehensions;
@@ -629,22 +654,10 @@ def ensure_compiled_indexes(db: Database, compiled: CompiledSql) -> int:
       lists, per base table — the sort that realises ``index`` (§7).
       Key-indexed plans sort nothing, so they get no sort indexes (their
       key columns already carry the table's unique key index).
-
-    The hint set is memoised on the compiled statement and the indexes are
-    ``CREATE INDEX IF NOT EXISTS`` remembered by the :class:`Database`, so
-    repeat runs of a cached plan skip the AST walk and fall straight
-    through to O(1) ensured-index hits.  Returns the number of indexes
-    actually created.
     """
-    hints = compiled.index_hints
-    if hints is None:
-        hints = tuple(sorted(_index_hints(compiled.statement)))
-        compiled.index_hints = hints
-    created = 0
-    for table, columns in hints:
-        if db.ensure_index(table, columns):
-            created += 1
-    return created
+    if compiled.index_hints is None:
+        compiled.index_hints = tuple(sorted(_index_hints(compiled.statement)))
+    return compiled.index_hints
 
 
 def _ensure_package_indexes(db: Database, sql_package) -> int:

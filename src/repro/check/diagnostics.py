@@ -16,7 +16,7 @@ code      severity  meaning
 QS101     warning   declared host parameter bound by no SQL statement
 QS102     error     SQL binds a placeholder the term never declares
 QS201     info      shard plan + cause (why fanout/routed/single/fallback)
-QS301     info      advisory index the batched engine will create
+QS301     info      advisory (covering) index the batched engine will create
 QS401     info      statement count vs. the paper's shredding bound
 ========  ========  ======================================================
 
@@ -110,7 +110,7 @@ def collect_diagnostics(
     if placement is not None:
         diags.append(_shard_diagnostic(compiled, placement))
 
-    diags.extend(_index_diagnostics(members))
+    diags.extend(_index_diagnostics(compiled, members))
     diags.append(_bound_diagnostic(compiled, members))
 
     order = {severity: rank for rank, severity in enumerate(SEVERITIES)}
@@ -144,23 +144,32 @@ def _shard_diagnostic(
     return Diagnostic("QS201", "info", span, message)
 
 
-def _index_diagnostics(members: list) -> list[Diagnostic]:
-    from repro.backend.executor import _index_hints
+def _index_diagnostics(compiled: "CompiledQuery", members: list) -> list[Diagnostic]:
+    """One QS301 per index the batched engine will build — the columns
+    :meth:`~repro.backend.database.Database.ensure_index` creates it on,
+    from the same :func:`~repro.backend.database.covering_columns`."""
+    from repro.backend.database import covering_columns
+    from repro.backend.executor import index_hints
 
-    hints: set[tuple[str, tuple[str, ...]]] = set()
-    for _path, member in members:
-        hints.update(_index_hints(member.statement))
-    return [
-        Diagnostic(
-            "QS301",
-            "info",
-            f"table {table}",
-            f"the batched engine will create an advisory index on "
-            f"{table}({', '.join(columns)}) before the first run "
-            "(pre-create it to move the cost out of query latency)",
+    hints = {hint for _path, member in members for hint in index_hints(member)}
+    diags = []
+    for table, columns in sorted(hints):
+        covered = covering_columns(compiled.schema, table, columns)
+        if covered is None:
+            continue  # not a base table: ensure_index builds nothing
+        diags.append(
+            Diagnostic(
+                "QS301",
+                "info",
+                f"table {table}",
+                f"the batched engine will create an advisory index on "
+                f"{table}({', '.join(covered)}) before the first run — "
+                f"searched on {', '.join(columns)}, covering the table so "
+                "no lookup reads a table row (pre-create it to move the "
+                "cost out of query latency)",
+            )
         )
-        for table, columns in sorted(hints)
-    ]
+    return diags
 
 
 def _bound_diagnostic(compiled: "CompiledQuery", members: list) -> Diagnostic:

@@ -1,5 +1,9 @@
 """Shared fixtures: the Fig. 3 database and schema, plus generated instances.
 
+Also the ``deadline`` marker: the suites that spawn shard or server
+processes carry it, and each phase of such a test fails after a fixed
+deadline with every thread's traceback instead of hanging the run.
+
 Also registers the ``repro-ci`` hypothesis profile: the tier-1 CI matrix
 runs the property suites (including the sharding differential headline
 property) under ``HYPOTHESIS_PROFILE=repro-ci``, which prints the
@@ -12,7 +16,9 @@ rather than from derandomised generation.)
 from __future__ import annotations
 
 import asyncio
+import faulthandler
 import os
+import signal
 import sqlite3
 
 import pytest
@@ -84,6 +90,53 @@ def pytest_configure(config):
         "markers",
         "slow: spawns real serve subprocesses (kill/restart fault tests)",
     )
+    config.addinivalue_line(
+        "markers",
+        "deadline(seconds=DEADLINE_S): each of the test's setup, call and "
+        "teardown fails after `seconds` with every thread's traceback "
+        "(SIGALRM) — the suites that spawn shard or server processes, so a "
+        "hung child fails the job instead of stalling it",
+    )
+
+
+#: Seconds a ``deadline``-marked test phase may run; the slowest today (a
+#: module-scoped cluster's teardown) takes ≈ 20 s.
+DEADLINE_S = 120
+
+
+class DeadlineExceeded(BaseException):
+    """Raised in the main thread when a test phase outlives its deadline —
+    a ``BaseException``, so no ``except Exception`` in the code under test
+    (or a hypothesis shrink) swallows it; pytest reports the test failed."""
+
+
+def _phase_deadline(item):
+    """Around one phase of a ``deadline``-marked test: raise
+    :class:`DeadlineExceeded` in the main thread once the phase outlives
+    its seconds, first writing every thread's stack to stderr with
+    :mod:`faulthandler` (the worker that hung is rarely the main thread)."""
+    marker = item.get_closest_marker("deadline")
+    if marker is None:
+        yield
+        return
+    seconds = marker.args[0] if marker.args else DEADLINE_S
+
+    def expire(_signum, _frame):
+        faulthandler.dump_traceback(all_threads=True)
+        raise DeadlineExceeded(f"test phase exceeded its {seconds} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+pytest_runtest_setup = pytest.hookimpl(hookwrapper=True)(_phase_deadline)
+pytest_runtest_call = pytest.hookimpl(hookwrapper=True)(_phase_deadline)
+pytest_runtest_teardown = pytest.hookimpl(hookwrapper=True)(_phase_deadline)
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backend.database import Database, quote_identifier
+from repro.backend.database import Database, covering_columns, quote_identifier
 from repro.errors import BackendError, UnknownTableError
 from repro.nrc.schema import Schema, TableSchema
 from repro.nrc.types import BOOL, INT, STRING
@@ -197,6 +197,61 @@ class TestSqlite:
         )
         with pytest.raises(BackendError):
             db.execute_sql("SELECT * FROM t")
+
+
+def _advised(db: Database) -> dict[str, list[str]]:
+    """Every advisory index of ``db``'s live store → its columns, in index
+    order, as ``PRAGMA index_info`` lists them."""
+    names = [
+        name
+        for (name,) in db.execute_sql(
+            "SELECT name FROM sqlite_master WHERE type='index' AND name LIKE 'qsidx_%'"
+        )
+    ]
+    return {
+        name: [
+            column
+            for _seq, _cid, column in sorted(
+                db.execute_sql(f"PRAGMA index_info({quote_identifier(name)})")
+            )
+        ]
+        for name in names
+    }
+
+
+class TestCoveringAdvisor:
+    """An advisory index is searched on its hint and carries the rest of
+    its table, so a lookup through it never seeks the table row."""
+
+    def test_hint_columns_first_then_the_table_in_table_order(self, tiny_schema):
+        db = Database(tiny_schema)
+        db.insert("t", [{"id": 1, "s": "a", "f": True}])
+        assert db.ensure_index("t", ("s",))
+        assert list(_advised(db).values()) == [["s", "id", "f"]]
+        assert db.ensure_index("t", ("f", "id"))
+        assert sorted(_advised(db).values()) == [["f", "id", "s"], ["s", "id", "f"]]
+        assert covering_columns(tiny_schema, "t", ("s",)) == ("s", "id", "f")
+
+    def test_repeat_call_and_rebuilt_connection_give_the_same_index(self, tiny_schema):
+        db = Database(tiny_schema)
+        db.insert("t", [{"id": 1, "s": "a", "f": True}])
+        assert db.ensure_index("t", ("s",))
+        built = _advised(db)
+        assert not db.ensure_index("t", ("s",))
+        assert _advised(db) == built
+        db._dispose_connection()
+        assert _advised(db) == built
+
+    @pytest.mark.parametrize(
+        "table, columns",
+        [("cte", ("s",)), ("t", ("nope",)), ("t", ("s", "nope")), ("t", ())],
+    )
+    def test_unknown_table_or_column_builds_nothing(self, tiny_schema, table, columns):
+        db = Database(tiny_schema)
+        db.insert("t", [{"id": 1, "s": "a", "f": True}])
+        assert db.ensure_index(table, columns) is False
+        assert covering_columns(tiny_schema, table, columns) is None
+        assert _advised(db) == {}
 
 
 class TestQuoting:

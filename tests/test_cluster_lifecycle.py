@@ -36,6 +36,8 @@ from repro.shard.supervisor import (
     spawn_group,
 )
 
+pytestmark = pytest.mark.deadline
+
 SCHEMA = figure3_database().schema
 
 

@@ -162,6 +162,38 @@ class TestBoundAndIndexes:
         assert all(d.severity == "info" for d in hints)
         assert any("employees(" in d.message for d in hints)
 
+    @pytest.mark.parametrize("scheme", ["natural", "flat"])
+    def test_qs301_names_the_index_ensure_index_builds(self, scheme):
+        """QS301 prints the covering index — hint columns first, then the
+        rest of the table — that the batched engine actually creates, under
+        either plan shape, in ``lint`` and in ``explain``'s payload alike."""
+        from repro.data.queries import NESTED_QUERIES
+
+        db = figure3_database()
+        with connect(db, options=SqlOptions(scheme=scheme), cache=False) as s:
+            prepared = s.prepare(NESTED_QUERIES["Q1"])
+            printed = {
+                d.message.split("advisory index on ", 1)[1].split(" before", 1)[0]
+                for d in prepared.diagnostics()
+                if d.code == "QS301"
+            }
+            assert printed == {
+                d["message"].split("advisory index on ", 1)[1].split(" before", 1)[0]
+                for d in prepared.explain(json=True)["diagnostics"]
+                if d["code"] == "QS301"
+            }
+            prepared.run()
+        built = {
+            f"{table}({', '.join(column for _s, _c, column in sorted(info))})"
+            for name, table in db.execute_sql(
+                "SELECT name, tbl_name FROM sqlite_master "
+                "WHERE type='index' AND name LIKE 'qsidx_%'"
+            )
+            for info in [db.execute_sql(f'PRAGMA index_info("{name}")')]
+        }
+        assert printed == built
+        assert "employees(dept, id, name, salary)" in printed
+
 
 class TestPaperRegistryLintsClean:
     """The precondition of the CI analyze job: every registered paper query

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+pytestmark = pytest.mark.deadline
+
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 

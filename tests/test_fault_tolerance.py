@@ -69,6 +69,8 @@ from repro.values import assert_bag_equal, bag_equal
 
 from .fault_injection import FaultyProxy, ShardProcess, register_slow
 
+pytestmark = pytest.mark.deadline
+
 PLACEMENT = organisation_placement()
 REGISTRY = paper_registry()
 

@@ -35,6 +35,8 @@ from repro.service.registry import paper_registry
 from repro.shard import Placement, connect_sharded, shard_for, sharded
 from repro.values import assert_bag_equal
 
+pytestmark = pytest.mark.deadline
+
 SCALE = 8
 ROWS = 5
 QUERIES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6")

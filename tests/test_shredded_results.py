@@ -659,6 +659,18 @@ def _not_tables(response):
     return response
 
 
+def _counted_as(count):
+    """Table 1 cut to one row and counted as ``count`` — a value that is
+    ``== 1`` but not an int, so only the type check can refuse it."""
+
+    def tamper(response):
+        table = response["shredded"][1]
+        table["n"], table["c"] = count, [column[:1] for column in table["c"]]
+        return response
+
+    return tamper
+
+
 class TestHostileFrames:
     @pytest.mark.parametrize(
         "tamper, complaint",
@@ -670,6 +682,8 @@ class TestHostileFrames:
             (_wrong_plan, "plan '0123456789abcdef' ≠ the coordinator's"),
             (_string_column, "table 1 has a column that is not"),
             (_not_tables, "expected 2 tables"),
+            (_counted_as(True), "table 1 has a row count True that is not an int"),
+            (_counted_as(1.0), "table 1 has a row count 1.0 that is not an int"),
         ],
     )
     def test_tables_that_do_not_fit_the_plan_never_reach_a_fold(
