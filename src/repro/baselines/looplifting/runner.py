@@ -19,10 +19,9 @@ from repro.baselines.looplifting.sqlgen import render_level_sql
 from repro.errors import ShreddingError
 from repro.flatten.unflatten import decode_base
 from repro.normalise import normalise
-from repro.normalise.normal_form import nf_to_term
+from repro.normalise.normal_form import nf_result_type
 from repro.nrc import ast
 from repro.nrc.schema import Schema
-from repro.nrc.typecheck import infer
 from repro.nrc.types import BagType, BaseType, RecordType, Type, is_nested
 from repro.shred.paths import Path
 from repro.shred.shred_types import IndexType
@@ -268,12 +267,7 @@ class LoopLiftingPipeline:
         return self.compile(query).run(db, **kwargs)
 
     def _result_type(self, normal_form, original: ast.Term) -> Type:
-        from repro.errors import TypeCheckError
-
-        try:
-            result_type = infer(nf_to_term(normal_form), self.schema)
-        except TypeCheckError:
-            result_type = infer(original, self.schema)
+        result_type = nf_result_type(normal_form, original, self.schema)
         if not isinstance(result_type, BagType) or not is_nested(result_type):
             raise ShreddingError(
                 f"loop lifting needs a nested bag-typed query, got {result_type}"

@@ -19,10 +19,9 @@ from repro.backend.database import Database, quote_identifier
 from repro.backend.executor import ExecutionStats
 from repro.errors import ShreddingError
 from repro.normalise import normalise
-from repro.normalise.normal_form import nf_to_term
+from repro.normalise.normal_form import nf_result_type
 from repro.nrc import ast
 from repro.nrc.schema import Schema
-from repro.nrc.typecheck import infer
 from repro.nrc.types import BagType, RecordType, Type, is_nested
 from repro.shred.indexes import NaturalIndex
 from repro.shred.packages import annotation_at, shred_query_package
@@ -112,7 +111,7 @@ class AvalanchePipeline:
 
     def compile(self, query: ast.Term) -> CompiledAvalanche:
         normal_form = normalise(query, self.schema)
-        result_type = infer(nf_to_term(normal_form), self.schema)
+        result_type = nf_result_type(normal_form, query, self.schema)
         if not isinstance(result_type, BagType) or not is_nested(result_type):
             raise ShreddingError(
                 f"need a nested bag-typed query, got {result_type}"

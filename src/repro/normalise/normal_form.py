@@ -12,9 +12,9 @@ clarity.)  The superscript ``a`` on ``return`` is the *static index* added by
 the annotation pass (§4); it is ``None`` until then.
 
 This module defines the normal-form dataclasses, conversion back to λNRC
-terms (used by tests and the correctness properties), an evaluator for base
-terms (shared by the shredded and let-inserted semantics), and a pretty
-printer.
+terms (used by tests and the correctness properties), the typing of a
+normal form (the pipelines' result type), an evaluator for base terms
+(shared by the shredded and let-inserted semantics), and a pretty printer.
 """
 
 from __future__ import annotations
@@ -22,11 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union as PyUnion
 
-from repro.errors import NormalisationError
+from repro.errors import NormalisationError, TypeCheckError, UnboundVariableError
 from repro.nrc import ast
 from repro.nrc import builders as b
-from repro.nrc.primitives import apply_prim
+from repro.nrc.primitives import apply_prim, check_prim
+from repro.nrc.schema import Schema
 from repro.nrc.semantics import TableProvider
+from repro.nrc.typecheck import _base_type_of_const, infer
+from repro.nrc.types import BOOL, BagType, RecordType, Type
 
 __all__ = [
     "BaseExpr",
@@ -44,6 +47,8 @@ __all__ = [
     "conj",
     "neg",
     "nf_to_term",
+    "nf_type",
+    "nf_result_type",
     "base_to_term",
     "eval_base",
     "pretty_nf",
@@ -221,6 +226,171 @@ def nf_to_term(query: NormQuery) -> ast.Term:
     if not branches:
         return ast.Empty()
     return b.union(*branches)
+
+
+# --------------------------------------------------------------------------
+# Typing.  Normalisation preserves types (Theorem 1), so a pipeline reads
+# its result type off the normal form: generators over tables type the row
+# variables, and the rest is the base-term and record rules of Fig. 12.
+
+
+def nf_type(query: NormQuery, schema: Schema) -> Type:
+    """The type of a normal form, checked — ``infer(nf_to_term(query))``
+    without building the term.
+
+    The same bidirectional rules as :func:`repro.nrc.typecheck.infer` over
+    the term :func:`nf_to_term` would build, so it raises
+    :class:`TypeCheckError` exactly where that does: a ``where`` is checked
+    against ``Bool``; a union infers from its first branch that infers and
+    checks the others against it (∅ has no type of its own, so a normal
+    form with no comprehensions does not infer); an emptiness test in
+    checking position accepts any query it cannot infer."""
+    return _infer_query(query, schema, {})
+
+
+def nf_result_type(
+    normal_form: NormQuery, original: ast.Term, schema: Schema
+) -> Type:
+    """A pipeline's result type: the normal form's (:func:`nf_type`), or —
+    whenever the normal form does not infer on its own (∅ at the top, ∅ in
+    every branch of a nested bag, or a real type error) — the original
+    term's, so an error names the term the caller wrote."""
+    try:
+        return nf_type(normal_form, schema)
+    except TypeCheckError:
+        return infer(original, schema)
+
+
+def _infer_query(query: NormQuery, schema: Schema, env: dict) -> Type:
+    if not query.comprehensions:
+        raise TypeCheckError(
+            "cannot infer the element type of ∅; annotate with Empty(A)"
+        )
+    result: Type | None = None
+    unknown: list[Comprehension] = []
+    for comp in query.comprehensions:
+        try:
+            found = _infer_comp(comp, schema, env)
+        except TypeCheckError:
+            unknown.append(comp)
+            continue
+        if result is None:
+            result = found
+        elif found != result:
+            raise TypeCheckError(
+                f"union of mismatched bag types: {result} vs {found}"
+            )
+    if result is None:
+        raise TypeCheckError("cannot infer any comprehension of a union")
+    for comp in unknown:
+        _check_comp(comp, result, schema, env)
+    return result
+
+
+def _scope(comp: Comprehension, schema: Schema, env: dict) -> dict:
+    """``env`` extended with the comprehension's row variables — each bound
+    to its table's columns, the fields of Σ(t)'s row type — and its
+    ``where`` checked against ``Bool`` under them."""
+    scope = dict(env)
+    for generator in comp.generators:
+        scope[generator.var] = schema.table(generator.table).columns
+    if comp.where != TRUE_NF:
+        _check_base(comp.where, BOOL, schema, scope)
+    return scope
+
+
+def _infer_comp(comp: Comprehension, schema: Schema, env: dict) -> Type:
+    return BagType(_infer_term(comp.body, schema, _scope(comp, schema, env)))
+
+
+def _check_comp(
+    comp: Comprehension, expected: Type, schema: Schema, env: dict
+) -> None:
+    scope = _scope(comp, schema, env)
+    if not isinstance(expected, BagType):
+        raise TypeCheckError(f"return used at non-bag type {expected}")
+    _check_term(comp.body, expected.element, schema, scope)
+
+
+def _infer_term(term: NormTerm, schema: Schema, env: dict) -> Type:
+    if isinstance(term, NormQuery):
+        return _infer_query(term, schema, env)
+    if isinstance(term, RecordNF):
+        return RecordType(
+            tuple(
+                (label, _infer_term(value, schema, env))
+                for label, value in term.fields
+            )
+        )
+    return _infer_base(term, schema, env)
+
+
+def _check_term(term: NormTerm, expected: Type, schema: Schema, env: dict) -> None:
+    if isinstance(term, NormQuery):
+        if not isinstance(expected, BagType):
+            raise TypeCheckError(f"query used at non-bag type {expected}")
+        for comp in term.comprehensions:
+            _check_comp(comp, expected, schema, env)
+    elif isinstance(term, RecordNF):
+        if not isinstance(expected, RecordType):
+            raise TypeCheckError(f"record used at non-record type {expected}")
+        if term.labels != expected.labels:
+            raise TypeCheckError(
+                f"record fields ({', '.join(term.labels)}) do not match "
+                f"expected {expected}"
+            )
+        for (_label, value), (_same, ftype) in zip(term.fields, expected.fields):
+            _check_term(value, ftype, schema, env)
+    else:
+        _check_base(term, expected, schema, env)
+
+
+def _infer_base(expr: BaseExpr, schema: Schema, env: dict) -> Type:
+    if isinstance(expr, VarField):
+        try:
+            columns = env[expr.var]
+        except KeyError:
+            raise UnboundVariableError(expr.var) from None
+        for label, column_type in columns:
+            if label == expr.label:
+                return column_type
+        raise TypeCheckError(f"{expr.var} has no field {expr.label!r}")
+    if isinstance(expr, ConstNF):
+        return _base_type_of_const(expr.value)
+    if isinstance(expr, ParamNF):
+        return expr.type
+    if isinstance(expr, PrimNF):
+        return check_prim(
+            expr.op, [_infer_base(arg, schema, env) for arg in expr.args]
+        )
+    if isinstance(expr, EmptyNF):
+        _infer_query(expr.query, schema, env)
+        return BOOL
+    raise NormalisationError(f"not a base normal form: {expr!r}")
+
+
+def _check_base(expr: BaseExpr, expected: Type, schema: Schema, env: dict) -> None:
+    if isinstance(expr, EmptyNF):
+        # ``empty L : Bool`` for any L, and one that does not infer (an ∅
+        # inside) is accepted — as ``check`` accepts ``IsEmpty``.
+        if expected != BOOL:
+            raise TypeCheckError(f"empty-test used at non-bool type {expected}")
+        try:
+            _infer_query(expr.query, schema, env)
+        except TypeCheckError:
+            pass
+        return
+    if isinstance(expr, PrimNF) and expr.op in ("and", "or", "not"):
+        # Connectives pass the expected Bool on to their operands.
+        result = check_prim(expr.op, [BOOL] * len(expr.args))
+        if result != expected:
+            raise TypeCheckError(f"expected {expected}, got {result}")
+        for arg in expr.args:
+            _check_base(arg, BOOL, schema, env)
+        return
+    actual = _infer_base(expr, schema, env)
+    if actual != expected:
+        raise TypeCheckError(f"expected {expected}, got {actual}")
 
 
 # --------------------------------------------------------------------------

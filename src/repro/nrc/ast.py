@@ -388,35 +388,40 @@ def substitute_params(term: Term, bindings: "dict[str, object]") -> Term:
 
 
 def subterms(term: Term) -> Iterator[Term]:
-    """Yield ``term`` and all of its subterms, pre-order."""
-    yield term
-    if isinstance(term, Prim):
-        for arg in term.args:
-            yield from subterms(arg)
-    elif isinstance(term, Lam):
-        yield from subterms(term.body)
-    elif isinstance(term, App):
-        yield from subterms(term.fun)
-        yield from subterms(term.arg)
-    elif isinstance(term, Record):
-        for _, value in term.fields:
-            yield from subterms(value)
-    elif isinstance(term, Project):
-        yield from subterms(term.record)
-    elif isinstance(term, If):
-        yield from subterms(term.cond)
-        yield from subterms(term.then)
-        yield from subterms(term.orelse)
-    elif isinstance(term, Return):
-        yield from subterms(term.element)
-    elif isinstance(term, Union):
-        yield from subterms(term.left)
-        yield from subterms(term.right)
-    elif isinstance(term, For):
-        yield from subterms(term.source)
-        yield from subterms(term.body)
-    elif isinstance(term, IsEmpty):
-        yield from subterms(term.bag)
+    """Yield ``term`` and all of its subterms, pre-order.
+
+    One explicit stack, children pushed last first: no chain of nested
+    generators, so a node costs the same at any depth."""
+    stack = [term]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        term = pop()
+        yield term
+        if isinstance(term, For):
+            push(term.body)
+            push(term.source)
+        elif isinstance(term, Project):
+            push(term.record)
+        elif isinstance(term, Record):
+            extend([value for _, value in reversed(term.fields)])
+        elif isinstance(term, Prim):
+            extend(reversed(term.args))
+        elif isinstance(term, If):
+            push(term.orelse)
+            push(term.then)
+            push(term.cond)
+        elif isinstance(term, Return):
+            push(term.element)
+        elif isinstance(term, Union):
+            push(term.right)
+            push(term.left)
+        elif isinstance(term, IsEmpty):
+            push(term.bag)
+        elif isinstance(term, App):
+            push(term.arg)
+            push(term.fun)
+        elif isinstance(term, Lam):
+            push(term.body)
 
 
 def term_size(term: Term) -> int:

@@ -26,11 +26,10 @@ from repro.normalise.normal_form import (
     BaseExpr,
     NormQuery,
     RecordNF,
-    nf_to_term,
+    nf_result_type,
 )
 from repro.nrc import ast
 from repro.nrc.schema import Schema
-from repro.nrc.typecheck import infer
 from repro.nrc.types import BagType, Type, is_flat
 from repro.sql.ast import SelectCore, SelectItem, Statement, TableRef
 from repro.sql.codegen import SqlOptions, _expr, _ExprContext, _where_sql
@@ -121,7 +120,7 @@ def _compile_flat_cold(
     from repro.normalise import normalise_cached
 
     normal_form = (normalise_cached if use_nf_memo else normalise)(query, schema)
-    result_type = infer(nf_to_term(normal_form), schema)
+    result_type = nf_result_type(normal_form, query, schema)
     if not isinstance(result_type, BagType) or not is_flat(result_type.element):
         raise NotNormalisableError(
             f"the default flat pipeline only supports flat queries; "

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.backend.database import Database
 from repro.backend.executor import (
@@ -52,10 +52,9 @@ from repro.backend.executor import (
 )
 from repro.errors import BackendError, ShreddingError
 from repro.normalise import normalise, normalise_cached
-from repro.normalise.normal_form import NormQuery, nf_to_term
+from repro.normalise.normal_form import NormQuery, nf_result_type
 from repro.nrc import ast
 from repro.nrc.schema import Schema
-from repro.nrc.typecheck import infer
 from repro.nrc.types import BagType, Type, is_nested
 from repro.obs.trace import traced
 from repro.shred.indexes import FlatIndex, index_fn_for
@@ -555,14 +554,16 @@ class ShreddingPipeline:
 
         # compile_shredded runs the let-insertion and codegen-stage
         # verifiers (and, with the optimizer on, the per-rule rewrite
-        # verifier) on each member.
+        # verifier) on each member — as decided above, once per compile.
+        options = replace(self.options, verify=verify)
+
         def codegen_at(path: Path) -> CompiledSql:
             with traced(tracer, "codegen", path=str(path)):
                 return compile_shredded(
                     annotation_at(shredded_package, path),
                     self._element_type(result_type, path),
                     self.schema,
-                    self.options,
+                    options,
                     cache_key=cache_key,
                     tracer=tracer,
                 )
@@ -593,16 +594,9 @@ class ShreddingPipeline:
         return self.compile(query, stats=stats).run(db, **kwargs)
 
     def _result_type(self, normal_form: NormQuery, original: ast.Term) -> Type:
-        """The result type, inferred from the normal form (always closed and
-        first-order, so inference never needs annotations).  The degenerate
-        normal form ∅ erases the element type; fall back to the original
-        term (which then needs an ``Empty(A)`` annotation)."""
-        from repro.errors import TypeCheckError
-
-        try:
-            result_type = infer(nf_to_term(normal_form), self.schema)
-        except TypeCheckError:
-            result_type = infer(original, self.schema)
+        """The result type, read off the normal form (see
+        :func:`~repro.normalise.normal_form.nf_result_type`)."""
+        result_type = nf_result_type(normal_form, original, self.schema)
         if not isinstance(result_type, BagType) or not is_nested(result_type):
             raise ShreddingError(
                 f"shredding needs a nested bag-typed query, got {result_type}"

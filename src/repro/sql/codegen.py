@@ -184,6 +184,9 @@ class CompiledSql:
     row_type: RecordType  # ⟨item: F, outer: Index⟩
     width_fn: Callable[[tuple[str, ...]], int] | int
     natural: bool
+    #: ``flatten_type(row_type, width_fn)``, as codegen built the
+    #: statement's items from it — every later reader takes it from here.
+    flat_columns: tuple[FlatColumn, ...] = field(repr=False, compare=False)
     #: The columns the statement projects, in SELECT order.
     columns: tuple[str, ...] = field(default=())
     #: (column, literal) for every column of the flattened row type the
@@ -248,7 +251,7 @@ class CompiledSql:
         Read once the statement is final, like :attr:`_padded`: by
         :func:`key_edges` and :attr:`fold_source`."""
         leaves: dict[tuple[str, ...], list[str]] = {}
-        for column in flatten_type(self.row_type, self.width_fn):
+        for column in self.flat_columns:
             leaves.setdefault(column.path, []).append(column.name)
         return leaves
 
@@ -622,7 +625,7 @@ def _compile_flat(
     schema: Schema,
     options: SqlOptions,
 ) -> CompiledSql:
-    flat_columns = flatten_type(row_type, 1)
+    flat_columns = tuple(flatten_type(row_type, 1))
     names = tuple(c.name for c in flat_columns)
     ctes: list[tuple[str, SelectCore]] = []
     selects: list[SelectCore] = []
@@ -682,6 +685,7 @@ def _compile_flat(
         row_type=row_type,
         width_fn=1,
         natural=False,
+        flat_columns=flat_columns,
         columns=columns,
         constants=constants,
     )
@@ -848,7 +852,7 @@ def _compile_natural(
     def width_fn(path: tuple[str, ...]) -> int:
         return outer_width if path == ("outer",) else inner_width
 
-    flat_columns = flatten_type(row_type, width_fn)
+    flat_columns = tuple(flatten_type(row_type, width_fn))
     names = tuple(c.name for c in flat_columns)
     selects: list[SelectCore] = []
     for comp, outer_keys, inner_keys in keyed:
@@ -882,6 +886,7 @@ def _compile_natural(
         row_type=row_type,
         width_fn=width_fn,
         natural=True,
+        flat_columns=flat_columns,
         columns=columns,
         constants=constants,
     )

@@ -8,6 +8,7 @@ from repro.backend.executor import ExecutionStats
 from repro.baselines.naive import AvalanchePipeline, avalanche_run
 from repro.data import queries
 from repro.data.generator import generate_organisation
+from repro.nrc import builders as b
 from repro.nrc.semantics import evaluate
 from repro.pipeline.shredder import ShreddingPipeline
 from repro.values import bag_equal
@@ -21,6 +22,32 @@ class TestCorrectness:
 
     def test_empty_database(self, empty_db):
         assert avalanche_run(queries.Q4, empty_db) == []
+
+    def test_empty_normal_form(self, db):
+        """``where false`` normalises to ∅: the result type comes from the
+        original term, as in the shredding pipeline, and the answer is
+        empty."""
+        query = b.for_(
+            "d",
+            b.table("departments"),
+            lambda d: b.where(
+                b.const(False),
+                b.ret(
+                    b.record(
+                        name=d["name"],
+                        staff=b.for_(
+                            "e",
+                            b.table("employees"),
+                            lambda e: b.where(
+                                b.eq(e["dept"], d["name"]), b.ret(e["name"])
+                            ),
+                        ),
+                    )
+                ),
+            ),
+        )
+        assert avalanche_run(query, db) == []
+        assert ShreddingPipeline(db.schema).run(query, db) == []
 
     def test_matches_shredding(self, small_random_db):
         for name in ("Q1", "Q6"):

@@ -7,7 +7,10 @@ validation errors, and the fluent/captured surfaces.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.api import Param, connect, param, query
 from repro.errors import EvaluationError, ShreddingError, TypeCheckError
@@ -19,6 +22,8 @@ from repro.pipeline.plan_cache import PlanCache
 from repro.pipeline.shredder import ShreddingPipeline, collect_param_specs
 from repro.sql.codegen import SqlOptions
 from repro.values import bag_equal
+
+from .strategies import queries_with_bindings
 
 
 def _staff_above(threshold: ast.Term) -> ast.Term:
@@ -91,6 +96,51 @@ class TestParamNode:
         )
         with pytest.raises(ShreddingError, match="conflicting"):
             collect_param_specs(term)
+
+    def test_conflict_names_the_first_declaration_in_pre_order(self):
+        """The walk meets subterms in ``ast.subterms`` order, so the type a
+        conflict names first is the one declared first in that order."""
+        for first, second in ((INT, STRING), (STRING, INT)):
+            term = b.union(
+                b.for_(
+                    "e",
+                    b.table("employees"),
+                    lambda e: b.where(
+                        b.eq(e["dept"], b.const("x")),
+                        b.ret(b.record(v=ast.Param("x", first))),
+                    ),
+                ),
+                b.ret(b.record(v=ast.Param("x", second))),
+            )
+            order = [
+                sub.type for sub in ast.subterms(term) if isinstance(sub, ast.Param)
+            ]
+            assert order == [first, second]
+            with pytest.raises(
+                ShreddingError, match=f"types {first} and {second}$"
+            ):
+                collect_param_specs(term)
+
+    def test_params_of_branches_normalisation_drops_are_declared(self, schema):
+        """The signature is the term's, not the normal form's: a parameter
+        only a ``where false`` branch uses must still be bound."""
+        term = b.union(
+            _staff_above(ast.Param("lo", INT)),
+            b.for_(
+                "e",
+                b.table("employees"),
+                lambda e: b.where(
+                    b.const(False),
+                    b.where(
+                        b.gt(e["salary"], ast.Param("hi", INT)),
+                        b.ret(b.record(name=e["name"], salary=e["salary"])),
+                    ),
+                ),
+            ),
+        )
+        compiled = ShreddingPipeline(schema).compile(term)
+        assert len(compiled.normal_form.comprehensions) == 1
+        assert compiled.param_specs == (("hi", INT), ("lo", INT))
 
     def test_in_memory_semantics_rejects_params(self, db):
         with pytest.raises(EvaluationError, match="min_salary"):
@@ -280,3 +330,38 @@ class TestPipelineLevelParams:
 
         members = [c for _p, c in annotations(compiled.sql_package)]
         assert any("min_salary" in member.params for member in members)
+
+
+def _nodes_by_fields(term: ast.Term) -> list:
+    """The reference walk, independent of ``ast.subterms``: every term in
+    every dataclass field of every node, pre-order in field order."""
+    nodes: list = []
+
+    def visit(value) -> None:
+        if isinstance(value, ast.Term):
+            nodes.append(value)
+            for spec in dataclasses.fields(value):
+                visit(getattr(value, spec.name))
+        elif isinstance(value, tuple):
+            for item in value:
+                visit(item)
+
+    visit(term)
+    return nodes
+
+
+@given(queries_with_bindings(max_depth=3))
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_subterms_and_param_walk_match_a_field_walk(query_and_bindings):
+    query, _bindings = query_and_bindings
+    nodes = _nodes_by_fields(query)
+    assert list(ast.subterms(query)) == nodes
+    specs: dict = {}
+    for node in nodes:
+        if isinstance(node, ast.Param):
+            specs.setdefault(node.name, node.type)
+    assert collect_param_specs(query) == tuple(sorted(specs.items()))

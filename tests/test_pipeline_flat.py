@@ -32,6 +32,19 @@ class TestCorrectness:
         assert bag_equal(out, evaluate(queries.Q2, db))
         assert sorted(r["dept"] for r in out) == ["Quality", "Research"]
 
+    def test_empty_normal_form(self, schema, db):
+        """``where false`` normalises to ∅, which erases the element type:
+        the result type comes from the original term, and the statement
+        returns no rows."""
+        query = b.for_(
+            "x",
+            b.table("employees"),
+            lambda x: b.where(b.const(False), b.ret(b.record(name=x["name"]))),
+        )
+        compiled = compile_flat_query(query, schema)
+        assert compiled.columns == ("name",)
+        assert run_flat(query, db) == []
+
     def test_single_statement(self, schema):
         compiled = compile_flat_query(queries.QF4, schema)
         assert compiled.sql.count("UNION ALL") == 1
