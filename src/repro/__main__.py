@@ -235,6 +235,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 placement = organisation_placement()
             placement = placement.validate(db.schema)
             db = db.partitioned(placement.owner_fn(count), index)
+    if index is not None:
+        db = db.without_references()  # as every store of a deployment
     if args.data_dir:
         from pathlib import Path
 
@@ -376,6 +378,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         options=SqlOptions(optimize=True),
         cache=False,
     )
+    unreferenced = connect(
+        schema=ORGANISATION_SCHEMA.without_references(),
+        options=session.options,
+        cache=False,
+    )
     placement = organisation_placement()
     failed = False
     for name in names:
@@ -390,12 +397,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             if args.verbose or d.severity in ("error", "warning")
         ]
         # Generated code is invisible to ruff/mypy: build every statement's
-        # fold here, under both plan shapes, and have SQLite prepare its
-        # column-table form (what a shard answers a coordinator with)
-        # against the empty store.
+        # fold here, under both plan shapes and under the schema without
+        # its references (what every store of a sharded deployment
+        # compiles), and have SQLite prepare its column-table form (what a
+        # shard answers a coordinator with) against the empty store.
         broken = []
-        for shape in (session, session.with_options(scheme="flat")):
+        for shape in (session, session.with_options(scheme="flat"), unreferenced):
             plan = f"{shape.options.scheme or 'default'} plan"
+            if shape is unreferenced:
+                plan += " without references"
             for path, statement in annotations(shape.compile(term).sql_package):
                 try:
                     statement.fold()

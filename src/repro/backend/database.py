@@ -241,9 +241,22 @@ class Database:
         if self._ensured_indexes:
             self._stats_stale = True
 
+    def without_references(self) -> "Database":
+        """This store under :meth:`Schema.without_references`: ``self`` when
+        its schema declares none, else a fresh in-memory store over the same
+        rows (the row dicts are shared, as every reader shares them: they
+        are read-only, and an insert adds copies)."""
+        schema = self.schema.without_references()
+        if schema is self.schema:
+            return self
+        copy = Database(schema)
+        copy._rows = {name: list(rows) for name, rows in self._rows.items()}
+        return copy
+
     def partitioned(self, owner, shard_index: int) -> "Database":
         """Partitioned loading: a fresh :class:`Database` over the same
-        schema holding only the rows shard ``shard_index`` serves.
+        schema, references dropped (a slice need not keep them), holding
+        only the rows shard ``shard_index`` serves.
 
         ``owner(table_name, row)`` returns the owning shard index for a
         row of a *sharded* table, or ``None`` for tables replicated to
@@ -261,7 +274,7 @@ class Database:
                 if target is None or target == shard_index:
                     kept.append(row)  # Database.insert copies each row
             tables[name] = kept
-        return Database(self.schema, tables)
+        return Database(self.schema.without_references(), tables)
 
     def partition_all(self, owner, shard_count: int) -> "list[Database]":
         """All ``shard_count`` partitions in **one** pass over the rows.
@@ -286,7 +299,8 @@ class Database:
                         bucket[name].append(row)
                 else:
                     buckets[target][name].append(row)
-        return [Database(self.schema, bucket) for bucket in buckets]
+        schema = self.schema.without_references()
+        return [Database(schema, bucket) for bucket in buckets]
 
     def raw_rows(self, table: str) -> list[dict]:
         """Rows in insertion order (no canonicalisation).

@@ -36,6 +36,8 @@ from repro.normalise.normal_form import (
     EmptyNF,
     PrimNF,
     VarField,
+    conjoin,
+    conjuncts,
 )
 
 __all__ = ["optimise", "serialise", "deserialise", "predicate_columns"]
@@ -70,23 +72,6 @@ def predicate_columns(predicate: BaseExpr) -> frozenset[str]:
 
     go(predicate)
     return frozenset(columns)
-
-
-def _split_conjuncts(predicate: BaseExpr) -> list[BaseExpr]:
-    if isinstance(predicate, PrimNF) and predicate.op == "and":
-        return _split_conjuncts(predicate.args[0]) + _split_conjuncts(
-            predicate.args[1]
-        )
-    return [predicate]
-
-
-def _conjoin(conjuncts: list[BaseExpr]) -> BaseExpr:
-    from repro.normalise.normal_form import TRUE_NF, conj
-
-    result: BaseExpr = TRUE_NF
-    for conjunct in conjuncts:
-        result = conj(result, conjunct)
-    return result
 
 
 # --------------------------------------------------------------------------
@@ -131,13 +116,13 @@ def _rewrite(plan: Plan) -> Plan:
         # Merge adjacent selections.
         if isinstance(child, Select):
             return _rewrite(
-                Select(child.child, _conjoin([child.predicate, plan.predicate]))
+                Select(child.child, conjoin([child.predicate, plan.predicate]))
             )
         # Push each conjunct as deep as its columns allow.
-        conjuncts = _split_conjuncts(plan.predicate)
-        if isinstance(child, Product) and len(conjuncts) >= 1:
+        parts = conjuncts(plan.predicate)
+        if isinstance(child, Product) and parts:
             pushed_left, pushed_right, kept = [], [], []
-            for conjunct in conjuncts:
+            for conjunct in parts:
                 used = predicate_columns(conjunct)
                 if used and used <= set(child.left.columns):
                     pushed_left.append(conjunct)
@@ -149,12 +134,12 @@ def _rewrite(plan: Plan) -> Plan:
                 left = child.left
                 right = child.right
                 if pushed_left:
-                    left = Select(left, _conjoin(pushed_left))
+                    left = Select(left, conjoin(pushed_left))
                 if pushed_right:
-                    right = Select(right, _conjoin(pushed_right))
+                    right = Select(right, conjoin(pushed_right))
                 new_child: Plan = Product(_rewrite(left), _rewrite(right))
                 if kept:
-                    return Select(new_child, _conjoin(kept))
+                    return Select(new_child, conjoin(kept))
                 return new_child
         if isinstance(child, Attach):
             used = predicate_columns(plan.predicate)

@@ -31,6 +31,7 @@ from repro.check.verifier import (
     verify_let_inserted,
     verify_normal_form,
     verify_normalisation,
+    verify_rekeyed,
     verify_rewrite,
     verify_shredded_package,
     verify_statement,
@@ -50,6 +51,7 @@ __all__ = [
     "verify_let_inserted",
     "verify_normal_form",
     "verify_normalisation",
+    "verify_rekeyed",
     "verify_rewrite",
     "verify_shredded_package",
     "verify_statement",

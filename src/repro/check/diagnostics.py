@@ -18,6 +18,9 @@ QS102     error     SQL binds a placeholder the term never declares
 QS201     info      shard plan + cause (why fanout/routed/single/fallback)
 QS301     info      advisory (covering) index the batched engine will create
 QS401     info      statement count vs. the paper's shredding bound
+QS501     info      a statement's index realisation: pinned to a declared
+                    reference, or natural keys and why the link did not
+                    qualify (or row numbers, in a flat plan)
 ========  ========  ======================================================
 
 Severities: ``error`` (internal invariant breach — should never survive a
@@ -112,6 +115,17 @@ def collect_diagnostics(
 
     diags.extend(_index_diagnostics(compiled, members))
     diags.append(_bound_diagnostic(compiled, members))
+    diags.extend(
+        Diagnostic(
+            "QS501",
+            "info",
+            f"statement {path}",
+            compiled.edges.note(path)
+            if compiled.edges is not None
+            else f"row numbers ({compiled.index_scheme})",
+        )
+        for path, _member in members
+    )
 
     order = {severity: rank for rank, severity in enumerate(SEVERITIES)}
     diags.sort(key=lambda d: (order[d.severity], d.code, d.span))

@@ -32,12 +32,20 @@ exists (re-infer and compare) and direct structural walks where none does:
     (``statement.columns`` plus the unprojected literals = the flattened
     row type), the placeholder set of the statement equals its declared
     ``params``, and — for key-indexed statements — every index binds
-    exactly the key columns of the generators in its scope.
+    exactly the key columns of the generators in its scope, or the
+    columns the package's edge decision pinned it to (and only there).
+
+``verify_rekeyed`` (after codegen, for a statement with pinned indexes)
+    Per re-keyed branch: FROM keeps exactly the generators the decision
+    kept, every conjunct the branch dropped is one of its pinned
+    equalities, each a declared reference, and no dropped alias is read
+    anywhere in the branch.
 
 ``verify_compiled_package`` (after the whole package is compiled)
     Package shape, placeholder discipline, and the index join: a child
     statement's outer index has the width its parent's item index has
-    under the same static tag.
+    under the same static tag, and where the child pins it, the parent's
+    item index projects the referenced columns in pin order.
 
 ``verify_rewrite`` (after each individual optimizer rewrite)
     The rewritten statement is still well-formed, placeholders were not
@@ -98,6 +106,7 @@ __all__ = [
     "verify_let_inserted",
     "verify_statement",
     "verify_compiled_sql",
+    "verify_rekeyed",
     "verify_compiled_package",
     "verify_rewrite",
     "rewrite_hook",
@@ -562,12 +571,17 @@ def _bound_keys(cells, dyns: list[str]) -> list[SqlExpr]:
 def _verify_key_layout(compiled, schema: Schema, stage: str) -> None:
     """Key-indexed (natural) statements: in every branch, each item index
     is exactly the key columns of all generators in scope, and the outer
-    index is a prefix of them — or the literal 1 of the ⊤·1 context."""
+    index is a prefix of them — or the literal 1 of the ⊤·1 context —
+    except an index the branch's :class:`~repro.sql.codegen.Rekey` pins,
+    which binds exactly its pins' columns (parent side for an item index,
+    child side for the outer one)."""
     from repro.shred.shredded_ast import TOP_TAG
     from repro.sql.ast import Lit
 
     leaves = _index_leaves(compiled)
     for position, core, cells in _branch_cells(compiled):
+        rekey = compiled.rekeys[position] if compiled.rekeys else None
+        pinned = dict(rekey.items) if rekey else {}
         # (Key-indexed statements have no CTEs or subqueries: every FROM
         # item is a schema table.)
         keys: list[SqlExpr] = [
@@ -577,21 +591,126 @@ def _verify_key_layout(compiled, schema: Schema, stage: str) -> None:
         ]
         for path, (tag, dyns) in leaves.items():
             bound = _bound_keys(cells, dyns)
-            if path != ("outer",):
-                expected = keys
+            source = "its pins"
+            if path in pinned:
+                expected = [_col(pin.parent) for pin in pinned[path]]
+            elif path != ("outer",):
+                expected, source = keys, "the generators in scope"
             elif cells[tag] == Lit(TOP_TAG):
-                expected = [Lit(1)]
+                expected, source = [Lit(1)], "the ⊤·1 context"
+            elif rekey and rekey.outer:
+                expected = [_col(pin.child) for pin in rekey.outer]
             else:
-                expected = keys[: len(bound)]
+                expected, source = keys[: len(bound)], "the generators in scope"
             if bound != expected:
                 raise VerifierError(
                     stage,
                     "key-layout",
-                    f"UNION branch {position}: the index at "
-                    f"{'.'.join(path)} binds {len(bound)} key column(s) "
-                    f"where the generators in scope have {len(expected)} "
-                    "(a dropped or misplaced key column merges distinct rows)",
+                    f"UNION branch {position}: the index at {'.'.join(path)} "
+                    f"binds ({_render(bound)}) where {source} give "
+                    f"({_render(expected)}) (a dropped, misplaced or "
+                    "undecided key column merges distinct rows)",
                 )
+
+
+def _col(field) -> Col:
+    return Col(field.var, field.label)
+
+
+def _render(exprs) -> str:
+    from repro.sql.render import render_expr
+
+    return ", ".join(render_expr(expr) for expr in exprs)
+
+
+def _sql_conjuncts(expr: SqlExpr | None) -> list[SqlExpr]:
+    if expr is None:
+        return []
+    if isinstance(expr, BinOp) and expr.op == "AND":
+        return _sql_conjuncts(expr.left) + _sql_conjuncts(expr.right)
+    return [expr]
+
+
+def _aliases_read(expr) -> Iterable[str]:
+    """Every alias a column of ``expr`` reads, subqueries included."""
+    if isinstance(expr, Col):
+        yield expr.alias
+    elif isinstance(expr, BinOp):
+        yield from _aliases_read(expr.left)
+        yield from _aliases_read(expr.right)
+    elif isinstance(expr, NotOp):
+        yield from _aliases_read(expr.operand)
+    elif isinstance(expr, NotExists):
+        yield from _aliases_read(expr.select)
+    elif isinstance(expr, RowNumber):
+        for part in expr.order_by:
+            yield from _aliases_read(part)
+    elif isinstance(expr, SelectCore):
+        for item in expr.items:
+            yield from _aliases_read(item.expr)
+        yield from _aliases_read(expr.where)
+
+
+def verify_rekeyed(compiled, shredded, schema: Schema, stage: str = "codegen") -> None:
+    """Rule ``rekey``: each branch a :class:`~repro.sql.codegen.Rekey`
+    re-anchors keeps exactly the generators of its kept blocks, drops only
+    conjuncts that are its pinned equalities — each a declared reference —
+    and reads no dropped alias anywhere (items, conditions, subqueries)."""
+    from repro.sql.ast import Lit
+    from repro.sql.codegen import _ExprContext, _expr
+
+    ctx = _ExprContext(schema)
+    for position, (comp, rekey) in enumerate(zip(shredded.comps, compiled.rekeys)):
+        if rekey is None or not rekey.anchor:
+            continue
+        core = compiled.statement.selects[position]
+        tables = {g.var: g.table for g in comp.all_generators}
+        kept = [g.var for block in comp.blocks[rekey.anchor :] for g in block.generators]
+        if [item.alias for item in core.from_items] != kept:
+            raise VerifierError(
+                stage,
+                "rekey",
+                f"UNION branch {position}: FROM binds "
+                f"({', '.join(item.alias for item in core.from_items)}) but "
+                f"the edge decision keeps ({', '.join(kept)})",
+            )
+        pinned = []
+        for pin in rekey.links:
+            target = f"{tables[pin.parent.var]}.{pin.parent.label}"
+            if (pin.child.label, target) not in schema.table(
+                tables[pin.child.var]
+            ).references:
+                raise VerifierError(
+                    stage,
+                    "rekey",
+                    f"UNION branch {position}: pin {pin.child.var}."
+                    f"{pin.child.label} = {pin.parent.var}.{pin.parent.label} "
+                    "is not a declared reference",
+                )
+            child, parent = _col(pin.child), _col(pin.parent)
+            pinned += [BinOp("=", child, parent), BinOp("=", parent, child)]
+        remaining = _sql_conjuncts(core.where)
+        for block in comp.blocks:
+            for part in _sql_conjuncts(_expr(block.where, ctx)):
+                if part in remaining:
+                    remaining.remove(part)
+                elif part not in pinned and part != Lit(True):
+                    raise VerifierError(
+                        stage,
+                        "rekey",
+                        f"UNION branch {position} dropped the condition "
+                        f"{_render([part])}, which is none of its pinned "
+                        "equalities",
+                    )
+        dropped = set(tables) - set(kept)
+        read = sorted(dropped.intersection(_aliases_read(core)))
+        if read:
+            raise VerifierError(
+                stage,
+                "rekey",
+                f"UNION branch {position} reads dropped alias(es) "
+                f"{', '.join(read)}",
+            )
 
 
 def _index_widths(compiled, path: tuple[str, ...]) -> dict[object, set[int]]:
@@ -630,7 +749,33 @@ def _verify_index_joins(package, at: str = "ε") -> None:
                     f"width {sorted(consumed[tag])}, but its parent emits "
                     f"them with width {sorted(produced[tag])}",
                 )
+        _verify_pin_order(package.annotation, ("item",) + labels, child.annotation, where)
         _verify_index_joins(child, where)
+
+
+def _verify_pin_order(parent, leaf: tuple[str, ...], child, where: str) -> None:
+    """Where a child branch pins its outer index, every parent branch under
+    the same static tag projects the referenced columns, in pin order, as
+    its item index at ``leaf``."""
+    if not child.rekeys:
+        return
+    tag, dyns = _index_leaves(parent)[leaf]
+    parents = [(cells[tag], _bound_keys(cells, dyns)) for _p, _c, cells in _branch_cells(parent)]
+    outer_tag = _index_leaves(child)[("outer",)][0]
+    for position, _core, cells in _branch_cells(child):
+        rekey = child.rekeys[position]
+        if rekey is None or not rekey.outer:
+            continue
+        expected = [_col(pin.parent) for pin in rekey.outer]
+        for parent_tag, bound in parents:
+            if parent_tag == cells[outer_tag] and bound != expected:
+                raise VerifierError(
+                    "package",
+                    "pin-order",
+                    f"statement at {where} pins its outer index to "
+                    f"({_render(expected)}), but its parent's item index "
+                    f"projects ({_render(bound)})",
+                )
 
 
 def verify_compiled_package(

@@ -7,7 +7,10 @@
 
 The paper: "for convenience, we also assume every table has an
 integer-valued key id"; the key drives the natural indexing scheme (§6.1)
-and key-based row numbering (§8).
+and key-based row numbering (§8).  The join columns are declared as
+references — ``employees.dept`` and ``contacts.dept`` → ``departments.name``,
+``tasks.employee`` → ``employees.name`` — which lets a nested bag linked to
+an unfiltered parent be keyed by its join column (a *pinned* index).
 """
 
 from __future__ import annotations
@@ -34,16 +37,19 @@ ORGANISATION_SCHEMA = Schema(
             "employees",
             (("id", INT), ("dept", STRING), ("name", STRING), ("salary", INT)),
             key=("id",),
+            references=(("dept", "departments.name"),),
         ),
         TableSchema(
             "tasks",
             (("id", INT), ("employee", STRING), ("task", STRING)),
             key=("id",),
+            references=(("employee", "employees.name"),),
         ),
         TableSchema(
             "contacts",
             (("id", INT), ("dept", STRING), ("name", STRING), ("client", BOOL)),
             key=("id",),
+            references=(("dept", "departments.name"),),
         ),
     )
 )

@@ -53,6 +53,9 @@ __all__ = [
     "eval_base",
     "pretty_nf",
     "iter_comprehensions",
+    "conjuncts",
+    "conjoin",
+    "free_fields",
 ]
 
 
@@ -467,6 +470,42 @@ def _iter_term(term: NormTerm) -> Iterator[Comprehension]:
     elif isinstance(term, RecordNF):
         for _, value in term.fields:
             yield from _iter_term(value)
+
+
+def conjuncts(expr: BaseExpr) -> list[BaseExpr]:
+    """The conjuncts of a condition, left to right (``true`` has none)."""
+    if isinstance(expr, PrimNF) and expr.op == "and":
+        return [part for arg in expr.args for part in conjuncts(arg)]
+    return [] if expr == TRUE_NF else [expr]
+
+
+def conjoin(parts) -> BaseExpr:
+    """The conjunction of ``parts`` (``true`` when there are none)."""
+    result = TRUE_NF
+    for part in parts:
+        result = conj(result, part)
+    return result
+
+
+def free_fields(term: NormTerm, bound: frozenset = frozenset()) -> Iterator[VarField]:
+    """Every ``x.ℓ`` of ``term`` whose ``x`` no generator inside it (or in
+    ``bound``) binds — emptiness tests and nested queries included."""
+    if isinstance(term, VarField):
+        if term.var not in bound:
+            yield term
+    elif isinstance(term, PrimNF):
+        for arg in term.args:
+            yield from free_fields(arg, bound)
+    elif isinstance(term, EmptyNF):
+        yield from free_fields(term.query, bound)
+    elif isinstance(term, RecordNF):
+        for _label, value in term.fields:
+            yield from free_fields(value, bound)
+    elif isinstance(term, NormQuery):
+        for comp in term.comprehensions:
+            inner = bound | {g.var for g in comp.generators}
+            yield from free_fields(comp.where, inner)
+            yield from free_fields(comp.body, inner)
 
 
 def pretty_nf(query: NormQuery, indent: int = 0) -> str:

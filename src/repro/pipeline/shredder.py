@@ -28,6 +28,9 @@ Performance knobs (see ROADMAP.md "Performance architecture"):
   Its keys are decided per parent→child edge once per compile
   (:func:`~repro.sql.codegen.key_edges`), and the same folds read a
   shard's tables at a fan-out coordinator (:meth:`CompiledQuery.fold_tables`);
+* a schema that declares references lets :func:`decide_edges` *pin* a
+  nested bag to its join column: its statement stops re-joining its
+  ancestors (:class:`~repro.sql.codegen.Rekey`);
 * ``compiled.run(db, batch_size=…)`` bounds rows per ``fetchmany`` round
   trip of the per-path engine (default ``DEFAULT_FETCH_BATCH``, 1024);
 * ``compile(query, stats=…)`` / ``run(…, stats=…)`` record plan-cache
@@ -40,6 +43,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from repro.backend.database import Database
 from repro.backend.executor import (
@@ -52,7 +56,20 @@ from repro.backend.executor import (
 )
 from repro.errors import BackendError, ShreddingError
 from repro.normalise import normalise, normalise_cached
-from repro.normalise.normal_form import NormQuery, nf_result_type
+from repro.normalise.normal_form import (
+    TRUE_NF,
+    BaseExpr,
+    Comprehension,
+    NormQuery,
+    NormTerm,
+    PrimNF,
+    RecordNF,
+    VarField,
+    conjoin,
+    conjuncts,
+    free_fields,
+    nf_result_type,
+)
 from repro.nrc import ast
 from repro.nrc.schema import Schema
 from repro.nrc.types import BagType, Type, is_nested
@@ -65,12 +82,14 @@ from repro.shred.packages import (
     package_from,
     shred_query_package,
 )
-from repro.shred.paths import Path, paths, type_at
+from repro.shred.paths import DOWN, Path, paths, type_at
 from repro.pipeline.plan_cache import PlanCache, PlanKey, plan_key, shared_plan_cache
 from repro.shred.semantics import run_package
 from repro.shred.stitch import stitch, stitch_grouped
 from repro.sql.codegen import (
     CompiledSql,
+    Pin,
+    Rekey,
     SqlOptions,
     compile_shredded,
     key_edges,
@@ -81,6 +100,8 @@ from repro.values import NestedValue
 __all__ = [
     "ShreddingPipeline",
     "CompiledQuery",
+    "EdgePlan",
+    "decide_edges",
     "KNOWN_ENGINES",
     "validate_engine",
 ]
@@ -112,6 +133,176 @@ def collect_param_specs(query: ast.Term) -> tuple:
                 )
             specs[sub.name] = sub.type
     return tuple(sorted(specs.items()))
+
+
+@dataclass(frozen=True)
+class EdgePlan:
+    """A package's edge decision (:func:`decide_edges`): the
+    :class:`~repro.sql.codegen.Rekey` of every comprehension (by static tag)
+    whose statement branch departs from the natural index, and per
+    statement path what each of its comprehensions' links came to."""
+
+    rekeys: dict[str, Rekey]
+    #: path steps → per comprehension: (the reason its link did not qualify,
+    #: or "", its pins, the ``{variable: table}`` of each block in scope,
+    #: the first block its statement keeps).
+    outcomes: dict[tuple, list[tuple[str, tuple[Pin, ...], tuple[dict[str, str], ...], int]]]
+
+    def note(self, path: Path) -> str:
+        """The index realisation of the statement at ``path`` (``QS501``)."""
+        seen = self.outcomes.get(path.steps, [])
+        reason = next((reason for reason, *_rest in seen if reason), None)
+        if not seen:
+            text = "natural keys (no comprehension)"
+        elif reason is None:
+            text = "pinned: " + ", ".join(
+                dict.fromkeys(
+                    f"{_table(blocks, p.child.var)}.{p.child.label} → "
+                    f"{_table(blocks, p.parent.var)}.{p.parent.label}"
+                    for _r, pins, blocks, _a in seen
+                    for p in pins
+                )
+            )
+        elif reason == "top level":
+            text = "top level (⊤·1)"
+        else:
+            text = f"natural keys ({reason})"
+        dropped = sorted(
+            {table for _r, _p, blocks, anchor in seen for block in blocks[:anchor]
+             for table in block.values()}
+        )
+        return text + (f"; drops {', '.join(dropped)}" if dropped else "")
+
+
+def _table(blocks: tuple[dict[str, str], ...], var: str) -> str:
+    """The table ``var`` ranges over, innermost block first."""
+    return next(block[var] for block in reversed(blocks) if var in block)
+
+
+class _Level(NamedTuple):
+    """Where one comprehension stands in the edge decision: the first block
+    its statement keeps and that block's condition without its links,
+    whether every row of its tables is a row of it (``whole``: the
+    unfiltered top level, or a pinned level with no other condition), the
+    pinned equalities at or above ``anchor``, and the ``{variable: table}``
+    of each block in scope, outermost first."""
+
+    anchor: int
+    where: BaseExpr
+    whole: bool
+    links: tuple[Pin, ...]
+    blocks: tuple[dict[str, str], ...]
+
+
+def decide_edges(normal_form: NormQuery, schema: Schema) -> EdgePlan:
+    """Decide, once per package, which parent→child edges are *pinned*.
+
+    A nested bag is pinned when each of its comprehensions is linked to its
+    parent only by equalities ``child.c = parent.p`` with ``c`` declared to
+    reference ``p`` (conditions on the child's own generators allowed,
+    nothing else of an ancestor read anywhere below), the parent level is
+    *whole* (the unfiltered top level, or itself pinned with no other
+    condition) and all of them pin the same parent columns.  Then the
+    child's statement is keyed by the ``c`` columns and drops every
+    ancestor generator, the parent projects the ``p`` columns as that
+    field's item index, and statements further down count natural keys only
+    from the nearest pinned level.  Parents that share a join value share a
+    key, so the fold hands each of them the whole bag (copied after the
+    first); a child row no parent asks for — possible only where a store
+    breaks a declared reference — is read and never reached.  A function of
+    the normal form and the schema alone: plans never depend on the rows.
+    """
+    rekeys: dict[str, Rekey] = {}
+    outcomes: dict = {}
+
+    def visit(query: NormQuery, steps: tuple, level: _Level | None) -> tuple[Pin, ...]:
+        comps = query.comprehensions
+        owns = [{g.var: g.table for g in comp.generators} for comp in comps]
+        if level is None:
+            links: list = [None] * len(comps)
+            reason = "top level"
+        else:
+            links = [_link(comp, own, level, schema) for comp, own in zip(comps, owns)]
+            reason = next((link for link in links if type(link) is str), None)
+            if reason is None and len({tuple(p.parent for p in l[0]) for l in links}) > 1:
+                reason = "union branches pin different parent columns"
+        seen = outcomes.setdefault(steps, [])
+        for comp, own, link in zip(comps, owns, links):
+            pins: tuple[Pin, ...] = ()
+            if level is None:
+                here = _Level(0, comp.where, comp.where == TRUE_NF, (), (own,))
+            elif reason is None:
+                pins, where = link
+                depth = len(level.blocks)
+                blocks = level.blocks + (own,)
+                here = _Level(depth, where, where == TRUE_NF, level.links + pins, blocks)
+            else:
+                blocks = level.blocks + (own,)
+                here = _Level(level.anchor, level.where, False, level.links, blocks)
+            seen.append((reason or "", pins, here.blocks, here.anchor))
+            items = []
+            for labels, sub in _nested_bags(comp.body, ()):
+                child = visit(sub, steps + (DOWN,) + labels, here)
+                if child:
+                    items.append((("item",) + labels, child))
+            if here.anchor or items:
+                rekeys[comp.tag] = Rekey(  # type: ignore[index]
+                    here.anchor, pins, tuple(items), here.links, here.where
+                )
+        return links[0][0] if reason is None and links else ()
+
+    visit(normal_form, (), None)
+    return EdgePlan(rekeys, outcomes)
+
+
+def _link(
+    comp: Comprehension, own: dict[str, str], level: _Level, schema: Schema
+) -> tuple[tuple[Pin, ...], BaseExpr] | str:
+    """The pinned equalities linking ``comp`` (binding ``own``) to its
+    parent, the innermost block of ``level``, and the rest of its condition
+    (on its own generators alone) — or why the link does not qualify."""
+    if not level.whole:
+        return "filtered ancestor"
+    parent = level.blocks[-1]
+    pins = []
+    local = []
+    for part in conjuncts(comp.where):
+        if type(part) is PrimNF and part.op == "=":
+            child, upper = part.args
+            if type(child) is VarField and type(upper) is VarField:
+                if upper.var in own:
+                    child, upper = upper, child
+                if child.var in own and upper.var in parent:
+                    target = f"{parent[upper.var]}.{upper.label}"
+                    if (child.label, target) not in schema.table(own[child.var]).references:
+                        return f"no reference: {own[child.var]}.{child.label} = {target}"
+                    pins.append(Pin(child, upper))
+                    continue
+        outside = [f for f in free_fields(part) if f.var not in own]
+        if not outside:
+            local.append(part)  # a condition on this level's generators alone
+            continue
+        far = next((f for f in outside if f.var not in parent), None)
+        if far is not None:
+            return f"reads ancestor column {_table(level.blocks, far.var)}.{far.label}"
+        return "non-equality link"
+    if not pins:
+        return "no link"
+    far = next(free_fields(comp.body, frozenset(own)), None)
+    if far is not None:
+        return f"reads ancestor column {_table(level.blocks, far.var)}.{far.label}"
+    return tuple(pins), conjoin(local)
+
+
+def _nested_bags(term: NormTerm, labels: tuple[str, ...]) -> list:
+    """(record labels, nested query) of every bag in a comprehension body."""
+    if type(term) is NormQuery:
+        return [(labels, term)]
+    bags = []
+    if type(term) is RecordNF:
+        for label, value in term.fields:  # type: ignore[union-attr]
+            bags += _nested_bags(value, labels + (label,))
+    return bags
 
 
 def validate_engine(engine: str, extra: tuple[str, ...] = ()) -> None:
@@ -153,6 +344,8 @@ class CompiledQuery:
     #: ``ExecutionStats`` surface.  Empty when the optimizer is off or
     #: every rule was inert.
     fired_rules: tuple = field(default=(), compare=False)
+    #: The package's edge decision (natural plans; None for flat ones).
+    edges: EdgePlan | None = field(default=None, compare=False)
 
     @property
     def query_paths(self) -> list[Path]:
@@ -256,6 +449,8 @@ class CompiledQuery:
                 f"   type : {outer_shred(self.result_type, path)}"
             )
             compiled = self.sql_at(path)
+            if self.edges is not None:
+                lines.append(f"   index: {self.edges.note(path)}")
             lines.append(f"   sql  : {compiled.sql}")
             fold = compiled.fold_source.rstrip().replace("\n", "\n          ")
             lines.append(f"   fold : {fold}")
@@ -556,6 +751,9 @@ class ShreddingPipeline:
         # verifiers (and, with the optimizer on, the per-rule rewrite
         # verifier) on each member — as decided above, once per compile.
         options = replace(self.options, verify=verify)
+        edges = None
+        if resolve_scheme(self.schema, options)[0] == "natural":
+            edges = decide_edges(normal_form, self.schema)
 
         def codegen_at(path: Path) -> CompiledSql:
             with traced(tracer, "codegen", path=str(path)):
@@ -566,6 +764,7 @@ class ShreddingPipeline:
                     options,
                     cache_key=cache_key,
                     tracer=tracer,
+                    rekeys=edges.rekeys if edges else None,
                 )
 
         sql_package = package_from(result_type, codegen_at)
@@ -587,6 +786,7 @@ class ShreddingPipeline:
             cache_key=cache_key,
             param_specs=param_specs,
             fired_rules=_package_fired_rules(sql_package),
+            edges=edges,
         )
 
     def run(self, query: ast.Term, db: Database, **kwargs) -> NestedValue:

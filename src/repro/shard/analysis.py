@@ -65,6 +65,7 @@ from repro.normalise.normal_form import (
     PrimNF,
     RecordNF,
     VarField,
+    conjuncts,
 )
 from repro.shard.placement import Placement, shard_for
 
@@ -164,14 +165,6 @@ class _UnionFind:
         return {a for a in self.parent if self.find(a) == root}
 
 
-def _conjuncts(expr: BaseExpr) -> Iterable[BaseExpr]:
-    if isinstance(expr, PrimNF) and expr.op == "and":
-        for arg in expr.args:
-            yield from _conjuncts(arg)
-    else:
-        yield expr
-
-
 def _atom(expr: BaseExpr, scope: dict[str, int]) -> Optional[Atom]:
     if isinstance(expr, VarField):
         generator_id = scope.get(expr.var)
@@ -189,7 +182,7 @@ def _equalities(
     expr: BaseExpr, scope: dict[str, int]
 ) -> list[tuple[Atom, Atom]]:
     pairs: list[tuple[Atom, Atom]] = []
-    for conjunct in _conjuncts(expr):
+    for conjunct in conjuncts(expr):
         if isinstance(conjunct, PrimNF) and conjunct.op == "=":
             left = _atom(conjunct.args[0], scope)
             right = _atom(conjunct.args[1], scope)

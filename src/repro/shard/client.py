@@ -182,7 +182,9 @@ class ShardedServiceClient:
             raise ShardingError("need at least one shard address")
         self.placement = placement.validate(schema)
         self.registry = registry
-        self.schema = schema
+        # Every store of a deployment compiles without references (see
+        # ShardedDatabase), and so does the coordinator that folds them.
+        self.schema = schema = schema.without_references()
         self.deadline_ms = deadline_ms
         #: The coordinator's own compiles (it stitches what the endpoints
         #: ran): a data-less façade session over the deployment's schema

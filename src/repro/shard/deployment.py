@@ -85,6 +85,12 @@ class ShardedDatabase:
     mutation goes through :meth:`insert`, which routes each row to its
     owning shard — and to the full copy, which must stay a superset view
     of the union of partitions.
+
+    Every store declares no references (:meth:`Database.without_references`
+    — a copy of ``database`` when its schema declares some): a replicated
+    child keyed by its join column under a partitioned parent would ship
+    rows no parent on that shard asks for, so a deployment's plans, and
+    their fingerprints, are the reference-free ones.
     """
 
     def __init__(
@@ -98,6 +104,7 @@ class ShardedDatabase:
                 f"shard count must be ≥1, got {shard_count}"
             )
         placement.validate(database.schema)
+        database = database.without_references()
         self.schema: Schema = database.schema
         self.placement = placement
         self.shard_count = shard_count

@@ -13,6 +13,14 @@ Two plan shapes; :func:`resolve_scheme` picks one from the schema:
   let-bound outer query as a CTE (or an inlined FROM-subquery under the §8
   "inline WITH" optimisation).
 
+A natural plan may *pin* an index (:class:`Rekey`): where the package's
+edge decision (:func:`repro.pipeline.shredder.decide_edges`) found a nested
+bag linked to an unfiltered parent only by declared references, the child
+is keyed by its referencing columns and drops every ancestor generator,
+and the parent projects the referenced columns as that field's item index.
+A bare :func:`compile_shredded` call (no ``rekeys``) compiles today's
+natural plan.
+
 Both emit the top-level context as the literal ``⊤·1``, and neither
 projects a column whose expression is the same literal in every union
 branch (static tags, the top context): :meth:`CompiledSql.fold` writes it
@@ -34,7 +42,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.backend.database import quote_identifier
 from repro.errors import SqlGenerationError
@@ -97,8 +105,17 @@ from repro.sql.ast import (
     placeholder_names,
 )
 from repro.sql.render import render_statement
+from repro.values import copy_tree
 
-__all__ = ["SqlOptions", "CompiledSql", "compile_shredded", "key_edges", "resolve_scheme"]
+__all__ = [
+    "SqlOptions",
+    "CompiledSql",
+    "Pin",
+    "Rekey",
+    "compile_shredded",
+    "key_edges",
+    "resolve_scheme",
+]
 
 
 @dataclass(frozen=True)
@@ -169,6 +186,37 @@ def resolve_scheme(schema: Schema, options: SqlOptions) -> tuple[str, str]:
     return "natural", "keys"
 
 
+class Pin(NamedTuple):
+    """One pinned equality of a comprehension's link to its parent:
+    ``child`` (a column of this level's generators) is declared to
+    reference ``parent`` (a column of the parent level's)."""
+
+    child: VarField
+    parent: VarField
+
+
+class Rekey(NamedTuple):
+    """How one comprehension of a natural statement departs from the
+    natural index, as the package's edge decision made it:
+
+    * ``anchor`` — the first block kept: the generators of the blocks
+      before it leave FROM and their conditions WHERE, and block
+      ``anchor``'s condition becomes ``where``, its conjuncts that read no
+      dropped generator (every other one is a pinned link);
+    * ``outer`` — the pins keying the outer index (this comprehension's own
+      level is pinned); empty: the natural keys of the kept blocks;
+    * ``items`` — ``(item leaf path, pins)`` per nested bag whose child is
+      pinned: that item index projects the pins' parent columns, in order;
+    * ``links`` — the pinned equalities of every dropped conjunct.
+    """
+
+    anchor: int = 0
+    outer: tuple[Pin, ...] = ()
+    items: tuple[tuple[tuple[str, ...], tuple[Pin, ...]], ...] = ()
+    links: tuple[Pin, ...] = ()
+    where: BaseExpr = TRUE_NF
+
+
 @dataclass
 class CompiledSql:
     """One shredded query compiled to SQL, with decode metadata.
@@ -209,6 +257,9 @@ class CompiledSql:
     bare_keys: frozenset[tuple[str, ...]] = field(
         default=frozenset(), repr=False, compare=False
     )
+    #: Per UNION branch, the :class:`Rekey` it was compiled under (None:
+    #: natural); empty when no branch departs from the natural index.
+    rekeys: tuple[Rekey | None, ...] = field(default=(), repr=False)
 
     def fold(self) -> Callable[..., None]:
         """``fold(rows, grouped, *child_buckets)``: the batched engine's one
@@ -222,9 +273,12 @@ class CompiledSql:
         nesting level down, already folded, one per index leaf of the item
         type in field order: where App. E would decode an index, the
         record takes the child's bucket list itself — no copy, no stored
-        key, no second pass.  That is sound because an item index is
+        key, no second pass.  That is sound because a natural item index is
         injective per comprehension row (§4.2/§6.1), so no bucket has two
-        parents.
+        parents.  A pinned one (:attr:`pinned_leaves`) is not — parents
+        sharing a join value share its key — so the first parent takes the
+        bucket and every later one a copy of it (:func:`repro.values.
+        copy_tree`): the result stays a tree.
 
         Keys come in two shapes, and both folds of a parent→child edge
         build the same one (:func:`key_edges` decides per edge):
@@ -280,6 +334,13 @@ class CompiledSql:
             return None
         return tag
 
+    @functools.cached_property
+    def pinned_leaves(self) -> frozenset[tuple[str, ...]]:
+        """Item index leaves some branch pins (see :class:`Rekey`)."""
+        return frozenset(
+            leaf for rekey in self.rekeys if rekey for leaf, _pins in rekey.items
+        )
+
     @property
     def fold_source(self) -> str:
         """The Python source of :meth:`fold` (for ``repro lint``, debugging
@@ -306,11 +367,18 @@ class CompiledSql:
                 return flat
             return f"tuple([part for part in {flat} if part is not None])"
 
+        takes: list[bool] = []
+
         def value(f: Type, path: tuple[str, ...]) -> str:
             nonlocal children
             if isinstance(f, IndexType):
                 children += 1
-                return f"(get{children - 1}({key(path)}) or [])"
+                i, k = children - 1, key(path)
+                takes.append(path in self.pinned_leaves)
+                if takes[-1]:
+                    # First parent of a key takes the bucket, later ones a copy.
+                    return f"(take{i}({k}, None) or (_copy(c{i}[{k}]) if {k} in c{i} else []))"
+                return f"(get{i}({k}) or [])"
             if isinstance(f, BaseType):
                 (name,) = leaves[path]
                 if name in constants:
@@ -329,7 +397,10 @@ class CompiledSql:
         outer = key(("outer",))
         arguments = "".join(f", c{i}" for i in range(children))
         lines = [f"def fold(rows, grouped{arguments}):"]
-        lines += [f"    get{i} = c{i}.get" for i in range(children)]
+        lines += [
+            f"    take{i} = dict(c{i}).pop" if take else f"    get{i} = c{i}.get"
+            for i, take in enumerate(takes)
+        ]
         if constants.keys() >= set(leaves[("outer",)]):
             # One context for every row (the top-level ⊤·1): no grouping.
             lines.append(
@@ -396,7 +467,7 @@ def _load_fold(source: str) -> Callable[..., None]:
     pattern cache: ``compile()`` costs ≈ 0.1 ms, and the text holds nothing
     but positions, labels and static tags, so cold compiles of one query
     shape (and sibling statements) share a code object."""
-    namespace: dict[str, object] = {}
+    namespace: dict[str, object] = {"_copy": copy_tree}
     exec(compile(source, "<fold>", "exec"), namespace)
     return namespace["fold"]  # type: ignore[return-value]
 
@@ -445,13 +516,16 @@ def compile_shredded(
     options: SqlOptions = SqlOptions(),
     cache_key: object = None,
     tracer=None,
+    rekeys: Mapping[str, Rekey] | None = None,
 ) -> CompiledSql:
     """Compile one shredded query whose bag element type is ``element_type``.
 
     ``cache_key`` (threaded down from the plan cache, when one is active)
     is recorded on the compiled statement for provenance/debugging.
     ``tracer`` (a :class:`repro.obs.Tracer`) receives an ``optimize``
-    span with one child per attempted rule.
+    span with one child per attempted rule.  ``rekeys`` (static tag →
+    :class:`Rekey`, the package's edge decision) realises pinned indexes
+    in a natural plan; without it every index is natural.
     """
     item_type = inner_shred(element_type)
     row_type = RecordType((("item", item_type), ("outer", INDEX)))
@@ -460,7 +534,11 @@ def compile_shredded(
     verify = verification_enabled(options)
     scheme, _why = resolve_scheme(schema, options)
     if scheme == "natural":
-        compiled = _compile_natural(shredded, row_type, schema, options)
+        compiled = _compile_natural(shredded, row_type, schema, options, rekeys)
+        if verify and compiled.rekeys:
+            from repro.check.verifier import verify_rekeyed
+
+            verify_rekeyed(compiled, shredded, schema)
     else:
         let_query = let_insert(shredded)
         if verify:
@@ -831,32 +909,59 @@ def _compile_natural(
     row_type: RecordType,
     schema: Schema,
     options: SqlOptions,
+    rekeys: Mapping[str, Rekey] | None = None,
 ) -> CompiledSql:
     ctx = _ExprContext(schema)
-    # Per comprehension: its generators, and the key expressions realising
-    # its outer index (enclosing blocks) and its own index (all blocks).
-    keyed: list[tuple[ShredComp, list[SqlExpr], list[SqlExpr]]] = []
+    # Per comprehension: its rekey, kept generators and conditions, and the
+    # key expressions realising its outer index, its own (natural) index and
+    # the item indexes it pins.
+    keyed = []
     for comp in shredded.comps:
-        inner_keys = _key_exprs(comp.all_generators, schema)
+        rekey = rekeys.get(comp.tag) if rekeys else None
+        blocks = comp.blocks
+        wheres = [block.where for block in blocks]
+        pinned: dict[tuple[str, ...], list[SqlExpr]] = {}
+        if rekey is not None:
+            if rekey.anchor:
+                blocks = blocks[rekey.anchor :]
+                wheres = [rekey.where] + wheres[rekey.anchor + 1 :]
+            pinned = {
+                leaf: [Col(pin.parent.var, pin.parent.label) for pin in pins]
+                for leaf, pins in rekey.items
+            }
+        generators = tuple(g for block in blocks for g in block.generators)
         if comp.outer.tag == TOP_TAG:
             outer_keys: list[SqlExpr] = [Lit(1)]  # ⊤·1, as in the flat form
+        elif rekey is not None and rekey.outer:
+            outer_keys = [Col(pin.child.var, pin.child.label) for pin in rekey.outer]
         else:
             outer_keys = _key_exprs(
-                tuple(g for block in comp.blocks[:-1] for g in block.generators),
-                schema,
+                tuple(g for block in blocks[:-1] for g in block.generators), schema
             )
-        keyed.append((comp, outer_keys, inner_keys))
-    outer_width = max([1] + [len(outer) for _c, outer, _i in keyed])
-    inner_width = max([1] + [len(inner) for _c, _o, inner in keyed])
+        inner_keys = _key_exprs(generators, schema)
+        keyed.append((comp, generators, wheres, outer_keys, inner_keys, pinned))
+    outer_width = max([1] + [len(k[3]) for k in keyed])
+    inner_width = max([1] + [len(k[4]) for k in keyed])
+    # A leaf some branch pins is as wide as its widest branch, pinned or not.
+    pinned_widths = {
+        leaf: max([1] + [len(k[5].get(leaf, k[4])) for k in keyed])
+        for k in keyed
+        for leaf in k[5]
+    }
 
     def width_fn(path: tuple[str, ...]) -> int:
-        return outer_width if path == ("outer",) else inner_width
+        if path == ("outer",):
+            return outer_width
+        return pinned_widths.get(path, inner_width)
 
     flat_columns = tuple(flatten_type(row_type, width_fn))
     names = tuple(c.name for c in flat_columns)
     selects: list[SelectCore] = []
-    for comp, outer_keys, inner_keys in keyed:
+    for comp, generators, wheres, outer_keys, inner_keys, pinned in keyed:
         # §6.1: pad the narrower branches of a union with NULLs.
+        for leaf, width in pinned_widths.items():
+            keys = pinned.setdefault(leaf, inner_keys[:])
+            keys += [Lit(None)] * (width - len(keys))
         outer_keys += [Lit(None)] * (outer_width - len(outer_keys))
         inner_keys += [Lit(None)] * (inner_width - len(inner_keys))
         selects.append(
@@ -864,14 +969,14 @@ def _compile_natural(
                 tuple(
                     SelectItem(
                         _natural_column_expr(
-                            column, comp, ctx, outer_keys, inner_keys
+                            column, comp, ctx, outer_keys, pinned.get(column.path, inner_keys)
                         ),
                         column.name,
                     )
                     for column in flat_columns
                 ),
-                tuple(TableRef(g.table, g.var) for g in comp.all_generators),
-                _where_sql([block.where for block in comp.blocks], ctx),
+                tuple(TableRef(g.table, g.var) for g in generators),
+                _where_sql(wheres, ctx),
             )
         )
 
@@ -880,6 +985,7 @@ def _compile_natural(
 
     selects, columns, constants = _drop_constant_columns(names, selects)
     statement = Statement((), tuple(selects), columns)
+    branch_rekeys = tuple(rekeys.get(comp.tag) for comp in shredded.comps) if rekeys else ()
     return CompiledSql(
         statement=statement,
         sql=render_statement(statement, options.pretty),
@@ -889,6 +995,7 @@ def _compile_natural(
         flat_columns=flat_columns,
         columns=columns,
         constants=constants,
+        rekeys=branch_rekeys if any(branch_rekeys) else (),
     )
 
 

@@ -158,6 +158,16 @@ def dedup_nested(value: NestedValue) -> NestedValue:
     return value
 
 
+def copy_tree(value: NestedValue) -> NestedValue:
+    """A copy of ``value`` sharing no list or record with it (base values
+    are immutable and shared)."""
+    if isinstance(value, list):
+        return [copy_tree(element) for element in value]
+    if isinstance(value, dict):
+        return {label: copy_tree(field) for label, field in value.items()}
+    return value
+
+
 def bag_size(value: NestedValue) -> int:
     """Total number of bag elements in ``value``, at every nesting level."""
     if isinstance(value, dict):

@@ -156,9 +156,9 @@ class TestBoundAndIndexes:
     def test_advisory_indexes_reported(self, session):
         from repro.data.queries import NESTED_QUERIES
 
-        diags = session.lint(NESTED_QUERIES["Q1"])
+        diags = session.lint(NESTED_QUERIES["Q5"])
         hints = [d for d in diags if d.code == "QS301"]
-        assert hints, "Q1's inner joins should want advisory indexes"
+        assert hints, "Q5's inner joins should want advisory indexes"
         assert all(d.severity == "info" for d in hints)
         assert any("employees(" in d.message for d in hints)
 
@@ -166,10 +166,12 @@ class TestBoundAndIndexes:
     def test_qs301_names_the_index_ensure_index_builds(self, scheme):
         """QS301 prints the covering index — hint columns first, then the
         rest of the table — that the batched engine actually creates, under
-        either plan shape, in ``lint`` and in ``explain``'s payload alike."""
+        either plan shape, in ``lint`` and in ``explain``'s payload alike.
+        (Over the store without references, where Q1's natural plan joins
+        employees to departments.)"""
         from repro.data.queries import NESTED_QUERIES
 
-        db = figure3_database()
+        db = figure3_database().without_references()
         with connect(db, options=SqlOptions(scheme=scheme), cache=False) as s:
             prepared = s.prepare(NESTED_QUERIES["Q1"])
             printed = {

@@ -155,16 +155,18 @@ def test_the_dead_branch_union_keeps_its_inner_bags():
 def test_a_bare_edge_builds_no_tag_tuple(plan):
     """``explain()``'s fold text: a one-part bare key is the cell itself
     (``key = r[i]``, ``getk(r[j])``), a several-part one the tuple of its
-    dynamic parts — never the tag."""
+    dynamic parts — never the tag.  (A pinned lookup, ``takek(key, None)``,
+    keys the same way.)"""
     compiled = connect(figure3_database(), options=PLANS[plan]).compile(NESTED_QUERIES["Q1"])
     explained = compiled.explain()
+    lookups = r"(?:get|take)\d\((.*?)(?:, None)?\) or"
     for path, statement in annotations(compiled.sql_package):
         source = statement.fold_source
         assert source.replace("\n", "\n          ").rstrip() in explained
-        for lookup in re.findall(r"get\d\((.*?)\) or", source):
+        for lookup in re.findall(lookups, source):
             assert "'" not in lookup, (path, lookup)  # no tag literal
         if str(path) == "ε":
-            assert re.findall(r"get\d\((.*?)\) or", source) == ["r[0]", "r[1]"]
+            assert re.findall(lookups, source) == ["r[0]", "r[1]"]
             continue
         (key,) = re.findall(r"key = (.*)", source)
         parts = [

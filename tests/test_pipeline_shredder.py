@@ -195,7 +195,7 @@ class TestExplain:
         assert "nesting degree : 3" in report
         assert "return^a" in report  # the normal form
         assert report.count("── query at") == 3
-        assert '"x1"."id"' in report  # key-indexed SQL
+        assert '"x2"."id"' in report  # key-indexed SQL (employees, below the pin)
 
     def test_explain_says_which_scheme_runs_and_why(self, schema):
         from repro.data.queries import Q4

@@ -2,7 +2,9 @@
 
 When every table declares a key the compiler emits key-indexed plans:
 plain joins — no ``ROW_NUMBER``, no CTE — that SQLite evaluates without
-materialising or sorting anything, one statement per nesting level.  A
+materialising or sorting anything, one statement per nesting level; where
+a declared reference pins a bag to its join column, its statement reads
+one table per branch.  A
 schema with a single keyless table falls back to the let-inserted
 ``ROW_NUMBER`` form.  Under either form every base-table lookup reads a
 covering advisory index, never the table row.  Counted in SQL text and
@@ -72,6 +74,51 @@ def test_keyed_schema_gets_window_free_cte_free_plans(name, keyed_db):
         # No transient table, no sort: every row SQLite produces is emitted.
         assert "MATERIALIZE" not in plan, plan
         assert "USE TEMP B-TREE" not in plan, plan
+
+
+#: Fig. 11's statements a declared reference pins (6 of Q1–Q6's 14).
+PINNED = {
+    ("Q1", "↓.contacts"),
+    ("Q1", "↓.employees"),
+    ("Q1", "↓.employees.↓.tasks"),
+    ("Q3", "↓.tasks"),
+    ("Q4", "↓.employees"),
+    ("Q6", "↓.people"),
+}
+
+
+def test_pinned_statements_read_one_table_per_branch(keyed_db):
+    """A pinned child stops re-joining its ancestors; Q6's ``people.tasks``
+    (natural keys below a filtered parent) still drops ``departments``."""
+    statements = 0
+    for name in ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6"):
+        compiled = _compile(name, keyed_db)
+        for path, statement in annotations(compiled.sql_package):
+            statements += 1
+            tables = [len(core.from_items) for core in statement.statement.selects]
+            if (name, str(path)) in PINNED:
+                assert tables == [1] * len(tables), (name, str(path))
+            if (name, str(path)) == ("Q6", "↓.people.↓.tasks"):
+                assert tables == [2, 1]
+                assert '"departments"' not in statement.sql
+    assert statements == 14
+
+
+@pytest.mark.parametrize("name", ["Q2", "Q5", "dept_staff", "staff_above"])
+def test_unpinned_queries_compile_as_without_references(name, keyed_db):
+    """Nothing qualifies in these (no nesting, a reverse reference, a
+    parameter on the top level): their plans are the reference-free ones."""
+    bare = keyed_db.schema.without_references()
+    term = REGISTRY.lookup(name).term
+    assert [
+        statement.sql
+        for _path, statement in annotations(_compile(name, keyed_db).sql_package)
+    ] == [
+        statement.sql
+        for _path, statement in annotations(
+            ShreddingPipeline(bare).compile(term).sql_package
+        )
+    ]
 
 
 def _base_aliases(sql: str, db: Database) -> set[str]:

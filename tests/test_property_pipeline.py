@@ -5,8 +5,9 @@ These are the heavyweight invariants:
 * normalisation preserves N⟦−⟧ (Theorem 1);
 * shred → run → stitch = N⟦−⟧ under every indexing scheme (Theorem 4);
 * the SQL pipeline agrees with N⟦−⟧ in every cell of one matrix — default
-  / forced flat / forced natural options × an all-keyed instance and one
-  with a keyless table holding duplicate rows × both decode paths;
+  / forced flat / forced natural options × an all-keyed instance (with its
+  declared references, and without them) and one with a keyless table
+  holding duplicate rows × both decode paths;
 * the loop-lifting baseline agrees with N⟦−⟧;
 * let-insertion agrees with the flat shredded semantics (Theorem 6).
 """
@@ -72,7 +73,11 @@ _ROWS = {
 }
 
 INSTANCES = {
+    # The organisation schema declares references: Q1's, Q4's and Q6's
+    # department-linked bags are pinned to their join column.
     "keyed": Database(SCHEMA, _ROWS),
+    # The same rows where nothing is pinned (what a shard compiles).
+    "unreferenced": Database(SCHEMA.without_references(), _ROWS),
     # ``tasks`` declares no key and holds fully duplicate rows.
     "keyless": Database(
         without_key(SCHEMA, "tasks"),
@@ -128,7 +133,8 @@ def test_shredding_theorem4_in_memory(query):
 # The SQL pipeline against N⟦−⟧: one matrix over the scheme resolution.
 #
 #   options   default (resolved from the schema) · forced flat · forced natural
-#   instance  every table keyed · one keyless table holding duplicate rows
+#   instance  every table keyed, references declared · the same without
+#             references · one keyless table holding duplicate rows
 #   engine    per-path (App. E decode + stitch, the reference) · batched
 #             (one compiled fold per row, children first)
 
@@ -139,6 +145,7 @@ OPTIONS = {
 }
 RESOLVES_TO = {
     ("keyed", "default"): "natural: keys",
+    ("unreferenced", "default"): "natural: keys",
     ("keyless", "default"): "flat: table 'tasks' declares no key",
 }
 

@@ -36,15 +36,17 @@ PRUNE = ("opt_prune",)
 #: newlines).  Key-indexed plans have no CTE, so only Q2's ``NOT NOT``
 #: gives a rule anything to do; on the ``ROW_NUMBER`` form prune narrows
 #: every outer CTE and Q6's sibling branches share one.  A deliberate
-#: change to the generated SQL updates the digests here.
+#: change to the generated SQL updates the digests here (the key-indexed
+#: Q1, Q3, Q4 and Q6 digests moved when the organisation schema declared
+#: its references: their linked bags are pinned to the join column).
 CENSUS = {
     SqlOptions(): {
-        "Q1": ((), "5eb2b1a2d1d1e48d"),
+        "Q1": ((), "ffcc598fb02c06f7"),
         "Q2": ((), "391e94431991585d"),
-        "Q3": ((), "5ca2528e6b06f562"),
-        "Q4": ((), "fea18f3b60d5f009"),
+        "Q3": ((), "1e6e0afce5f6134c"),
+        "Q4": ((), "9eb602cf0e906cc6"),
         "Q5": ((), "e771c79825a8759b"),
-        "Q6": ((), "3cbc1d8433abdecb"),
+        "Q6": ((), "66301caf712cf7c9"),
         "dept_staff": ((), "70160c7696d786c2"),
         "staff_above": ((), "4442a0edb2a0dd62"),
     },
@@ -59,12 +61,12 @@ CENSUS = {
         "staff_above": ((), "4442a0edb2a0dd62"),
     },
     SqlOptions(optimize=True): {
-        "Q1": ((), "5eb2b1a2d1d1e48d"),
+        "Q1": ((), "ffcc598fb02c06f7"),
         "Q2": (("opt_fold",), "0e20f79149a347bd"),
-        "Q3": ((), "5ca2528e6b06f562"),
-        "Q4": ((), "fea18f3b60d5f009"),
+        "Q3": ((), "1e6e0afce5f6134c"),
+        "Q4": ((), "9eb602cf0e906cc6"),
         "Q5": ((), "e771c79825a8759b"),
-        "Q6": ((), "3cbc1d8433abdecb"),
+        "Q6": ((), "66301caf712cf7c9"),
         "dept_staff": ((), "70160c7696d786c2"),
         "staff_above": ((), "4442a0edb2a0dd62"),
     },

@@ -49,7 +49,7 @@ from repro.nrc.ast import Param, Project, Var
 from repro.nrc.typecheck import infer
 from repro.nrc.types import INT, STRING, BagType, RecordType
 from repro.pipeline.shredder import ShreddingPipeline
-from repro.shred.packages import pmap, shred_query_package
+from repro.shred.packages import annotation_at, pmap, shred_query_package
 from repro.sql.ast import (
     BinOp,
     Col,
@@ -69,6 +69,7 @@ from repro.sql.codegen import SqlOptions
 from .strategies import queries_with_nesting
 
 SCHEMA = ORGANISATION_SCHEMA
+UNREFERENCED = SCHEMA.without_references()
 ALL_QUERIES = {**FLAT_QUERIES, **NESTED_QUERIES}
 
 #: Option spread for the silence tests: every scheme/optimizer combination
@@ -548,17 +549,18 @@ class TestKeyIndexedLayout:
 
     @pytest.fixture
     def q6(self):
-        return ShreddingPipeline(SCHEMA, SqlOptions(verify=False)).compile(
+        # Natural keys throughout: no reference pins the people bag.
+        return ShreddingPipeline(UNREFERENCED, SqlOptions(verify=False)).compile(
             NESTED_QUERIES["Q6"]
         )
 
     def test_dropped_key_column_rejected(self, q6):
         people = q6.sql_at(q6.query_paths[1])
-        verify_compiled_sql(people, SCHEMA)
+        verify_compiled_sql(people, UNREFERENCED)
         # Employees of one department would all share ⟨b, department id⟩.
         broken = _corrupt_member(people, "item_tasks_dyn2", Lit(None), {0})
         with pytest.raises(VerifierError) as err:
-            verify_compiled_sql(broken, SCHEMA)
+            verify_compiled_sql(broken, UNREFERENCED)
         assert (err.value.stage, err.value.rule) == ("codegen", "key-layout")
         assert "branch 0" in err.value.detail
 
@@ -566,7 +568,7 @@ class TestKeyIndexedLayout:
         people = q6.sql_at(q6.query_paths[1])
         broken = _corrupt_member(people, "outer_dyn1", Col("x2", "id"), {0})
         with pytest.raises(VerifierError) as err:
-            verify_compiled_sql(broken, SCHEMA)
+            verify_compiled_sql(broken, UNREFERENCED)
         assert err.value.rule == "key-layout"
 
     def test_parent_child_width_mismatch_rejected(self, q6):
@@ -578,17 +580,17 @@ class TestKeyIndexedLayout:
         # ⟨b, department, employee⟩: a prefix, so each statement is fine on
         # its own — only the package sees that the join no longer meets.
         narrow = _corrupt_member(tasks, "outer_dyn2", Lit(None))
-        verify_compiled_sql(narrow, SCHEMA)
+        verify_compiled_sql(narrow, UNREFERENCED)
         package = pmap(
             lambda member: narrow if member is tasks else member,
             q6.sql_package,
         )
         verify_compiled_package(
-            q6.sql_package, q6.result_type, SCHEMA, q6.param_specs
+            q6.sql_package, q6.result_type, UNREFERENCED, q6.param_specs
         )
         with pytest.raises(VerifierError) as err:
             verify_compiled_package(
-                package, q6.result_type, SCHEMA, q6.param_specs
+                package, q6.result_type, UNREFERENCED, q6.param_specs
             )
         assert (err.value.stage, err.value.rule) == ("package", "index-join")
         assert "↓.people" in err.value.detail
@@ -608,14 +610,133 @@ class TestKeyIndexedLayout:
 
         monkeypatch.setattr(codegen, "_key_exprs", lossy_key_exprs)
         with pytest.raises(VerifierError) as err:
-            ShreddingPipeline(SCHEMA, SqlOptions(verify=True)).compile(
+            ShreddingPipeline(UNREFERENCED, SqlOptions(verify=True)).compile(
                 NESTED_QUERIES["Q6"]
             )
         assert (err.value.stage, err.value.rule) == ("codegen", "key-layout")
         compiled = ShreddingPipeline(
-            SCHEMA, SqlOptions(verify=False)
+            UNREFERENCED, SqlOptions(verify=False)
         ).compile(NESTED_QUERIES["Q6"])
         assert compiled.query_count == 3  # compiled; nobody checked
+
+
+class TestPinnedLayout:
+    """The rules that keep pinned indexes sound: a statement pins an index
+    only where the package's edge decision did, a re-keyed branch drops
+    only its pinned equalities (each a declared reference) and reads no
+    alias it dropped, and the parent projects what the child pins."""
+
+    @pytest.fixture
+    def q4(self):
+        """departments → employees, pinned: employees.dept → departments.name."""
+        return ShreddingPipeline(SCHEMA, SqlOptions(verify=False)).compile(
+            NESTED_QUERIES["Q4"]
+        )
+
+    def _child(self, compiled):
+        path = compiled.query_paths[1]
+        shredded = annotation_at(compiled.shredded_package, path)
+        return compiled.sql_at(path), shredded
+
+    def test_the_pinned_plan_verifies(self, q4):
+        from repro.check import verify_compiled_package, verify_rekeyed
+
+        child, shredded = self._child(q4)
+        assert child.rekeys and child.rekeys[0].outer
+        verify_compiled_sql(child, SCHEMA)
+        verify_rekeyed(child, shredded, SCHEMA)
+        verify_compiled_package(q4.sql_package, q4.result_type, SCHEMA, q4.param_specs)
+
+    @pytest.mark.parametrize("side", ["parent", "child"])
+    def test_a_pin_the_decision_did_not_make_is_rejected(self, q4, side):
+        member = q4.sql_package.annotation if side == "parent" else self._child(q4)[0]
+        with pytest.raises(VerifierError) as err:
+            verify_compiled_sql(replace(member, rekeys=()), SCHEMA)
+        assert (err.value.stage, err.value.rule) == ("codegen", "key-layout")
+
+    def test_a_pin_that_is_no_declared_reference_is_rejected(self, q4):
+        from repro.check import verify_rekeyed
+
+        child, shredded = self._child(q4)
+        with pytest.raises(VerifierError) as err:
+            verify_rekeyed(child, shredded, UNREFERENCED)
+        assert err.value.rule == "rekey"
+        assert "not a declared reference" in err.value.detail
+
+    def test_a_dropped_condition_that_is_no_pin_is_rejected(self):
+        """Q6's people branch keeps its salary filter; losing it too would
+        list every employee as an outlier."""
+        from repro.check import verify_rekeyed
+
+        q6 = ShreddingPipeline(SCHEMA, SqlOptions(verify=False)).compile(
+            NESTED_QUERIES["Q6"]
+        )
+        people, shredded = self._child(q6)
+        unfiltered = replace(
+            people.statement.selects[0], where=None
+        )
+        broken = replace(
+            people,
+            statement=replace(
+                people.statement, selects=(unfiltered,) + people.statement.selects[1:]
+            ),
+        )
+        verify_rekeyed(people, shredded, SCHEMA)
+        with pytest.raises(VerifierError) as err:
+            verify_rekeyed(broken, shredded, SCHEMA)
+        assert err.value.rule == "rekey"
+        assert "salary" in err.value.detail
+
+    def test_a_kept_ancestor_is_rejected(self, q4):
+        """Joining ``departments`` back in under a pinned key would repeat
+        each employee once per department of its name."""
+        from repro.check import verify_rekeyed
+
+        child, shredded = self._child(q4)
+        (core,) = child.statement.selects
+        rejoined = replace(
+            child,
+            statement=replace(
+                child.statement,
+                selects=(
+                    replace(core, from_items=(TableRef("departments", "x1"),) + core.from_items),
+                ),
+            ),
+        )
+        with pytest.raises(VerifierError) as err:
+            verify_rekeyed(rejoined, shredded, SCHEMA)
+        assert err.value.rule == "rekey"
+        assert "FROM binds (x1, x2)" in err.value.detail
+
+    def test_a_dropped_alias_read_is_rejected(self, q4):
+        from repro.check import verify_rekeyed
+
+        child, shredded = self._child(q4)
+        broken = _corrupt_member(child, "item", Col("x1", "name"))
+        with pytest.raises(VerifierError) as err:
+            verify_rekeyed(broken, shredded, SCHEMA)
+        assert err.value.rule == "rekey"
+        assert "reads dropped alias(es) x1" in err.value.detail
+
+    def test_a_parent_projecting_another_column_is_rejected(self, q4):
+        """Each statement agrees with its own rekey — the parent now pins
+        ``departments.id`` — but not with its child's."""
+        from repro.check import verify_compiled_package
+        from repro.sql.codegen import Pin
+
+        top = q4.sql_package.annotation
+        (rekey,) = top.rekeys
+        ((leaf, (pin,)),) = rekey.items
+        moved = Pin(pin.child, VarField(pin.parent.var, "id"))
+        broken = replace(
+            _corrupt_member(top, "item_employees_dyn1", Col(pin.parent.var, "id")),
+            rekeys=(rekey._replace(items=((leaf, (moved,)),)),),
+        )
+        verify_compiled_sql(broken, SCHEMA)
+        package = pmap(lambda m: broken if m is top else m, q4.sql_package)
+        with pytest.raises(VerifierError) as err:
+            verify_compiled_package(package, q4.result_type, SCHEMA, q4.param_specs)
+        assert (err.value.stage, err.value.rule) == ("package", "pin-order")
 
 
 # ==========================================================================
