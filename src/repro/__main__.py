@@ -24,8 +24,10 @@ import sys
 
 from repro.data.organisation import ORGANISATION_SCHEMA, figure3_database
 from repro.data.queries import FLAT_QUERIES, NESTED_QUERIES
+from repro.pipeline.shredder import KNOWN_ENGINES
 
 ALL_QUERIES = {**FLAT_QUERIES, **NESTED_QUERIES}
+ENGINES = ("auto", *KNOWN_ENGINES)
 
 
 def _query(name: str):
@@ -490,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("query")
     run.add_argument(
         "--engine",
-        choices=["auto", "per-path", "batched", "parallel"],
+        choices=ENGINES,
         default="auto",
         help="execution engine (auto is the batched engine)",
     )
@@ -518,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     trace.add_argument("query")
     trace.add_argument(
         "--engine",
-        choices=["auto", "per-path", "batched", "parallel"],
+        choices=ENGINES,
         default="auto",
     )
     trace.add_argument(

@@ -26,8 +26,7 @@ One import gives the whole paper pipeline behind a stable surface::
     session.query(Q6).run(engine="parallel")
 
 Everything below this module — :class:`~repro.pipeline.shredder.
-ShreddingPipeline`, the executors, the optimizer — is engine internals;
-the old entry points remain as deprecated shims.
+ShreddingPipeline`, the executors, the optimizer — is engine internals.
 """
 
 from repro.api.capture import CapturedQuery, query

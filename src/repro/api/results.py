@@ -126,8 +126,8 @@ class Prepared(Runnable):
         batched engine — see
         :meth:`~repro.api.session.Session.resolve_engine`); ``collection``
         selects bag/set/list semantics; extra keyword arguments
-        (``params`` for host-parameter bindings, ``batch_size``,
-        ``create_indexes``, ``one_pass_stitch``, ``connection``) pass
+        (``params`` for host-parameter bindings, ``create_indexes``,
+        ``connection``) pass
         through to :meth:`~repro.pipeline.shredder.CompiledQuery.run`.
         ``stats`` (if given) additionally accumulates this run's stats.
 

@@ -11,13 +11,12 @@ policy* — everything PRs 1–2 built, behind a single object::
     session.query(Q6).run(engine="parallel")       # hand-built λNRC terms
 
 ``engine="auto"`` (the default) is the batched executor: index advisement,
-then every statement of the package on the calling thread, children first,
-each read as the column table SQLite's JSON1 writes for it, one fold per
-row.  It does not pick threads — the statements share the interpreter
+then every statement of the package read on the calling thread as the
+column table SQLite's JSON1 writes for it, then one fold per row, children
+first.  It does not pick threads — the statements share the interpreter
 lock, so a pool does the same work in no less time; ``engine="parallel"``
-remains selectable by name.  On a store whose SQLite was built without
-JSON1, ``"auto"`` is the per-path engine instead.  Explicit engines are
-validated against :data:`~repro.pipeline.shredder.KNOWN_ENGINES` up front.
+remains selectable by name.  Explicit engines are validated against
+:data:`~repro.pipeline.shredder.KNOWN_ENGINES` up front.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class Session:
         :class:`SqlOptions` for code generation and the logical optimizer.
     engine:
         The session's default executor: ``"auto"`` (default, the batched
-        engine; per-path on a store without JSON1) or one of
+        engine) or one of
         :data:`~repro.pipeline.shredder.KNOWN_ENGINES`.
     cache:
         ``True`` (default) → the process-wide shared plan cache; a
@@ -271,16 +270,11 @@ class Session:
         self, engine: str | None, compiled: CompiledQuery
     ) -> str:
         """Validate ``engine`` (default: the session's) and resolve
-        ``"auto"``: the batched engine whatever ``compiled`` is — or, on a
-        store whose SQLite lacks the JSON1 aggregates the batched engine
-        reads its tables through (:meth:`Database.has_json1`, probed once
-        per store), the per-path reference engine."""
+        ``"auto"``: the batched engine, whatever ``compiled`` is."""
         if engine is None:
             engine = self.engine
         validate_engine(engine, extra=("auto",))
-        if engine != "auto":
-            return engine
-        return "batched" if self.db.has_json1() else "per-path"
+        return "batched" if engine == "auto" else engine
 
     # ----------------------------------------------------------------- data
 

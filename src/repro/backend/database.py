@@ -6,7 +6,12 @@ each table.  It serves two roles:
 * the fixed table interpretation ⟦t⟧ for the in-memory semantics — the paper
   imposes a *canonical row order* ("we order by all of the columns arranged
   in lexicographic order", §2.1) so that ``row_number`` is deterministic;
-* a materialised SQLite database for executing the generated SQL.
+* a materialised SQLite database for executing the generated SQL.  Every
+  engine reads a statement as the column table JSON1's
+  ``json_group_array`` writes, so a SQLite built without JSON1 cannot
+  serve: building the connection checks for it first (at construction
+  for a durable store, on first use for an in-memory one) and raises
+  :class:`~repro.errors.MissingSqlFunctionError` before any statement.
 
 The paper ran PostgreSQL 9.2; we substitute SQLite (see DESIGN.md §3): both
 engines support the SQL:1999 features the translation targets.
@@ -39,7 +44,7 @@ import threading
 import time
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.errors import BackendError
+from repro.errors import BackendError, MissingSqlFunctionError
 from repro.nrc.schema import Schema, TableSchema
 from repro.nrc.types import BOOL, BaseType
 
@@ -111,7 +116,6 @@ class Database:
         #: Advisory index hint ``(table, columns)`` → its ``CREATE INDEX``.
         self._ensured_indexes: dict[tuple[str, tuple[str, ...]], str] = {}
         self._stats_stale = False
-        self._json1: bool | None = None  # has_json1()'s one probe
         # Serialises connection building, index DDL, ANALYZE and pool
         # growth: the service layer drives this object from many handler
         # threads at once.  Reentrant — ensure_index / refresh_statistics
@@ -364,8 +368,8 @@ class Database:
             f"file:repro-mem-{os.getpid()}-{next(_MEMORY_NAMES)}"
             f"?mode=memory&cache=shared"
         )
-        connection = sqlite3.connect(
-            self._memory_uri, uri=True, check_same_thread=False
+        connection = _require_json1(
+            sqlite3.connect(self._memory_uri, uri=True, check_same_thread=False)
         )
         for table_schema in self.schema.tables:
             self._create_table(connection, table_schema)
@@ -387,7 +391,9 @@ class Database:
         into ``_rows`` so the in-memory semantics and ``row_number``
         canonicalisation see the recovered contents.
         """
-        connection = sqlite3.connect(self._path, check_same_thread=False)
+        connection = _require_json1(
+            sqlite3.connect(self._path, check_same_thread=False)
+        )
         connection.execute("PRAGMA journal_mode=WAL")
         connection.execute("PRAGMA synchronous=NORMAL")
         connection.execute(_JOURNAL_DDL)
@@ -508,8 +514,7 @@ class Database:
         params: Sequence[object] | Mapping[str, object] = (),
         connection: sqlite3.Connection | None = None,
     ) -> sqlite3.Cursor:
-        """Run a query, returning the live cursor (for ``fetchmany``
-        streaming — the executors' bounded-memory path).
+        """Run a query, returning the live cursor.
 
         ``connection`` routes the query to a specific (pooled) connection;
         default is the shared writer connection.
@@ -531,9 +536,10 @@ class Database:
     ) -> Iterator[list[tuple]]:
         """Stream a query's raw rows as ``batch_size``-bounded chunks.
 
-        The executors' streaming loop: peak raw-row memory is one chunk,
-        and decoding happens chunk by chunk.  ``connection`` routes the
-        stream to a specific (pooled) connection.
+        Every statement an engine reads is one column-table row, taken
+        as one chunk; the loop-lifting baseline streams its levels in
+        bounded chunks.  ``connection`` routes the query to a specific
+        (pooled) connection.
         """
         if batch_size < 1:
             raise BackendError(f"batch size must be ≥1, got {batch_size}")
@@ -543,18 +549,6 @@ class Database:
             if not chunk:
                 return
             yield chunk
-
-    def has_json1(self, connection: sqlite3.Connection | None = None) -> bool:
-        """Whether this store's SQLite has the JSON1 aggregates the
-        column-table statements are built from — probed once per store."""
-        if self._json1 is None:
-            target = connection if connection is not None else self.connection()
-            try:
-                target.execute("SELECT json_group_array(1)").fetchone()
-                self._json1 = True
-            except sqlite3.OperationalError:
-                self._json1 = False
-        return self._json1
 
     def ensure_index(self, table: str, columns: Sequence[str]) -> bool:
         """Create the advisory index for a hint on ``table(columns)`` if
@@ -730,6 +724,22 @@ class Database:
 
 #: Process-unique suffixes for shared-cache memory database names.
 _MEMORY_NAMES = itertools.count()
+
+
+def _require_json1(connection: sqlite3.Connection) -> sqlite3.Connection:
+    """``connection``, once it has JSON1's ``json_group_array`` — what
+    every engine's column tables are written with; else it is closed and
+    the store refuses to open."""
+    try:
+        connection.execute("SELECT json_group_array(1)").fetchone()
+    except sqlite3.OperationalError as error:
+        connection.close()
+        raise MissingSqlFunctionError(
+            f"this store's SQLite has no json_group_array ({error}): every "
+            "engine reads its statements as JSON1 column tables, so build "
+            "SQLite with JSON1 (any SQLite >= 3.38 has it)"
+        ) from error
+    return connection
 
 
 def _is_locked(error: object) -> bool:

@@ -1,44 +1,43 @@
 """SQL execution: run compiled shredded queries, count round trips, and
 batch whole packages through one connection — or fan them out in parallel.
 
-Three execution engines serve a compiled shredded package in process:
+Every statement is read the same way, whatever consumes it: as its
+*column table* (:attr:`~repro.sql.codegen.CompiledSql.column_table_sql`:
+SQLite's JSON1 writes the row count and one JSON array per projected
+column, so sqlite3 builds no row tuple), in one fetch
+(:func:`_column_table`), so the read is over before Python does anything
+with it.  :func:`_column_tables` runs a whole package's tables in package
+order — on the given connection, or striped over pooled read-only
+connections (:meth:`Database.read_connections`) for the **parallel**
+engine, whose worker threads only run SQLite (the sqlite3 module releases
+the GIL inside each C-level step).  Three consumers read the tables:
 
-* :func:`execute_compiled` — the per-path engine: one call per shredded
-  query, streaming rows in ``fetchmany`` batches and decoding each into
-  ⟨index, value⟩ pairs.  The reference the others are tested against, and
-  the engine that needs nothing of SQLite but plain ``SELECT``.
-* :func:`execute_package_batched` — the batched engine (the §8 "one pass"
-  reading taken to the executor): the package's statements run children
-  first on one connection, each as its *column table*
-  (:attr:`~repro.sql.codegen.CompiledSql.column_table_sql`: SQLite's JSON1
-  writes the row count and one JSON array per projected column, so
-  sqlite3 builds no row tuple), and every row is touched by Python exactly
-  once — :meth:`~repro.sql.codegen.CompiledSql.fold` builds its final
-  record, child bags included, and files it under its outer index, so
-  there is no decode pass, no grouping pass and no stitch pass.  Memory is
-  one statement's table at a time.  Before executing it creates (and
-  reuses across runs) SQLite indexes on the base-table columns the
-  generated SQL joins (and, in the flat form, sorts) on, each covering its
-  table — searched on those columns, carrying every other one — so each
-  ``SEARCH`` reads the index alone and never seeks the table row.
-* the **parallel** engine (``execute_package_batched(parallel=True)``) —
-  the same fold, fed differently: worker threads over a pool of read-only
-  connections (:meth:`Database.read_connections`) only execute the column
-  tables (the sqlite3 module releases the GIL inside each C-level step);
-  the calling thread then folds them, children first.  Index advisement
-  and ANALYZE happen on the writer connection *before* the fan-out;
-  per-query stats are recorded in package order after the run, so
-  :class:`ExecutionStats` stay deterministic under any scheduling.
+* :func:`execute_package_batched` — the batched and parallel engines (the
+  §8 "one pass" reading taken to the executor): every row is touched by
+  Python exactly once — :meth:`~repro.sql.codegen.CompiledSql.fold` builds
+  its final record, child bags included, and files it under its outer
+  index, children first (:func:`fold_package`), so there is no decode
+  pass, no grouping pass and no stitch pass.  Memory is the package's
+  tables as SQLite wrote them, decoded one statement at a time, on top of
+  the result.
+* :func:`execute_package_shredded` — the same tables, folded by nobody
+  here: what a shard answers a fan-out coordinator with.
+* :func:`execute_compiled` — the per-path engine: each statement's table,
+  decoded into ⟨index, value⟩ pairs for §5.2's ``stitch``.  The App. E
+  reference the fold is tested against.
+
+A package's setup — the advisory indexes on the base-table columns the
+generated SQL joins (and, in the flat form, sorts) on, each covering its
+table so every ``SEARCH`` reads the index alone, then ``ANALYZE`` —
+happens on the writer connection before any statement runs.  Per-query
+stats are recorded in package order after the run, so
+:class:`ExecutionStats` stay deterministic under any scheduling.
 
 The batched engines and a shard coordinator share one decode-check-fold:
 :func:`checked_table` turns a column table — ``(count, JSON bytes)`` as
 SQLite wrote it, or ``{"n": …, "c": […]}`` off a frame — into checked
 columns, and :func:`fold_package` walks the package children first,
-folding each statement's ``zip(*columns)``.  The other half of this module
-is :func:`execute_package_shredded`: the same tables in package order,
-folded by nobody here — what a shard answers a fan-out coordinator with.
-A store whose SQLite lacks JSON1 (:meth:`Database.has_json1`) cannot run
-either, and says so (:class:`~repro.errors.MissingSqlFunctionError`).
+folding each statement's ``zip(*columns)``.
 
 A fold builds a tree — records, lists and base values, each child bucket
 handed to exactly one parent — so a cyclic collection during it can free
@@ -70,7 +69,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.backend.database import Database
-from repro.errors import BackendError, MissingSqlFunctionError
+from repro.errors import BackendError
 from repro.shred.packages import PkgBag, PkgRecord, annotations
 from repro.sql.ast import (
     BinOp,
@@ -96,13 +95,8 @@ __all__ = [
     "collector_paused",
     "ensure_compiled_indexes",
     "index_hints",
-    "DEFAULT_FETCH_BATCH",
     "DEFAULT_POOL_SIZE",
 ]
-
-#: Rows the per-path engine fetches per cursor round trip (stream, don't
-#: fetchall); the batched engines fetch one column table per statement.
-DEFAULT_FETCH_BATCH = 1024
 
 #: Upper bound on pooled read connections for the parallel engine.  Floor
 #: of 2 even on single-core hosts: sqlite3 releases the GIL inside each C
@@ -179,7 +173,7 @@ class ExecutionStats:
 
         Utility for aggregating stats across separate runs or carriers.
         Note the parallel engine does *not* need it internally: workers
-        return raw ``(rows, millis)`` outcomes and the coordinator records
+        return raw ``(table, millis)`` outcomes and the coordinator records
         them in package order after all workers join, which already makes
         a parallel run's stats identical to a sequential run's.
         """
@@ -247,53 +241,40 @@ def execute_compiled(
     db: Database,
     compiled: CompiledSql,
     stats: ExecutionStats | None = None,
-    batch_size: int | None = None,
     params=None,
     connection=None,
     tracer=None,
 ) -> list[tuple[object, object]]:
-    """Run one compiled shredded query and decode its ⟨index, value⟩ pairs.
-
-    Rows stream from SQLite in ``batch_size`` chunks (default
-    :data:`DEFAULT_FETCH_BATCH`, 1024) instead of one monolithic ``fetchall``,
-    bounding peak raw-row memory; decoding happens per chunk.  ``params``
+    """The per-path engine: one statement's column table, read as every
+    engine reads it, checked (:func:`checked_table`) and decoded into its
+    ⟨index, value⟩ pairs (App. E) for §5.2's ``stitch``.  ``params``
     supplies host-parameter values (bound per statement); ``connection``
-    routes execution to a specific (pooled) connection.  ``tracer`` (a
+    routes the read to a specific (pooled) connection.  ``tracer`` (a
     :class:`repro.obs.Tracer`) receives a ``statement`` span with
     ``sql``/``decode`` children.
     """
-    batch = DEFAULT_FETCH_BATCH if batch_size is None else batch_size
+    table, sql_millis = _column_table(db, compiled, params, connection)
     started = time.perf_counter()
-    decode_seconds = 0.0
-    pairs: list[tuple[object, object]] = []
-    for chunk in db.execute_sql_chunks(
-        compiled.sql,
-        params=bind_params(compiled, params),
-        batch_size=batch,
-        connection=connection,
-    ):
-        decode_started = time.perf_counter()
-        pairs.extend(compiled.decode_rows(chunk))
-        decode_seconds += time.perf_counter() - decode_started
-    millis = (time.perf_counter() - started) * 1000.0
-    if stats is not None:
-        stats.record(len(pairs), millis)
-    if tracer is not None:
-        _record_statement_span(
-            tracer, len(pairs), millis, decode_seconds * 1000.0
-        )
+    _count, columns = checked_table(compiled, table)
+    pairs = compiled.decode_rows(zip(*columns))
+    decode_millis = (time.perf_counter() - started) * 1000.0
+    _record_statement(stats, tracer, len(pairs), sql_millis + decode_millis, decode_millis)
     return pairs
 
 
-def _record_statement_span(
-    tracer, rows: int, millis: float, decode_millis: float, **attributes
+def _record_statement(
+    stats, tracer, rows: int, millis: float, decode_millis: float, **attributes
 ) -> None:
-    """Attach one executed statement's span (with ``sql``/``decode``
-    children) at the tracer's current position.  Always called from the
-    coordinating thread, in package order — never from workers."""
-    span = tracer.record("statement", millis, rows=rows, **attributes)
-    span.record("sql", max(millis - decode_millis, 0.0))
-    span.record("decode", decode_millis)
+    """Record one executed statement in ``stats`` and, with ``tracer``, as
+    a span (with ``sql``/``decode`` children) at the tracer's current
+    position.  Always called from the coordinating thread, in package
+    order — never from workers."""
+    if stats is not None:
+        stats.record(rows, millis)
+    if tracer is not None:
+        span = tracer.record("statement", millis, rows=rows, **attributes)
+        span.record("sql", max(millis - decode_millis, 0.0))
+        span.record("decode", decode_millis)
 
 
 #: :func:`collector_paused`'s process-wide state, only touched under the
@@ -343,23 +324,13 @@ def collector_paused(tracer=None):
                 tracer.record("collect", millis, generation=0)
 
 
-def _require_json1(db: Database, connection) -> None:
-    """Column tables are JSON1's ``json_group_array``: a store whose SQLite
-    was built without it refuses before any statement runs."""
-    if not db.has_json1(connection):
-        raise MissingSqlFunctionError(
-            "this store's SQLite has no json_group_array (built without "
-            "JSON1), so it cannot write column tables: run the query with "
-            "engine='per-path'"
-        )
-
-
 def _column_table(
     db: Database, compiled: CompiledSql, params, connection
-) -> tuple[int, bytes]:
+) -> tuple[tuple[int, bytes], float]:
     """One statement's column table as SQLite wrote it — ``(row count,
     JSON bytes of its columns)`` — in one fetch, so the read is over
-    before Python does anything with it."""
+    before Python does anything with it; with the wall ms it took."""
+    started = time.perf_counter()
     try:
         ((table,),) = db.execute_sql_chunks(
             compiled.column_table_sql,
@@ -371,11 +342,45 @@ def _column_table(
         if "too big" not in str(error):
             raise
         raise BackendError(
-            f"a statement's column table is longer than this SQLite allows "
-            f"({error.__cause__ or error}); run the query with "
-            f"engine='per-path', which streams its rows"
+            "a statement's column table is longer than this SQLite's length "
+            f"limit (SQLITE_LIMIT_LENGTH: {error.__cause__ or error})"
         ) from error
-    return table
+    return table, (time.perf_counter() - started) * 1000.0
+
+
+def _column_tables(
+    db: Database,
+    sql_package,
+    stats: ExecutionStats | None,
+    create_indexes: bool,
+    params,
+    connection,
+    parallel: bool = False,
+) -> list[tuple[CompiledSql, tuple[int, bytes], float]]:
+    """The package runner: setup (:func:`_advise_indexes`, unless
+    ``create_indexes`` is off), then every statement's column table in
+    package order, as ``(statement, table, wall ms)``.  The statements run
+    on ``connection`` (default: the writer) — or, with ``parallel``,
+    striped over pooled read-only connections, one worker thread per
+    connection (at most :data:`DEFAULT_POOL_SIZE`), so no two workers
+    share one; SQLite releases the GIL inside each step."""
+    if create_indexes:
+        _advise_indexes(db, sql_package, stats)
+    members = [compiled for _path, compiled in annotations(sql_package)]
+    workers = min(len(members), DEFAULT_POOL_SIZE) if parallel else 1
+    if workers <= 1:
+        return [(m, *_column_table(db, m, params, connection)) for m in members]
+    connections = db.read_connections(workers)
+
+    def lane(index: int) -> list[tuple[CompiledSql, tuple[int, bytes], float]]:
+        return [
+            (m, *_column_table(db, m, params, connections[index]))
+            for m in members[index::workers]
+        ]
+
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        lanes = list(executor.map(lane, range(workers)))
+    return [lanes[position % workers][position // workers] for position in range(len(members))]
 
 
 def checked_table(
@@ -405,31 +410,6 @@ def checked_table(
     return count, columns
 
 
-def _prefetch(
-    db: Database, members: list[CompiledSql], params, workers: int
-) -> dict[int, tuple[tuple[int, bytes], float]]:
-    """The parallel engine's only concurrent step: run every member's
-    column table on a pooled read connection — the part that releases the
-    GIL.  ``{id(member): (table, millis)}``; members are striped over
-    ``workers`` lanes so no two workers share a connection."""
-    connections = db.read_connections(workers)
-
-    def fetch_lane(lane: int) -> list[tuple[tuple[int, bytes], float]]:
-        fetched = []
-        for compiled in members[lane::workers]:
-            started = time.perf_counter()
-            table = _column_table(db, compiled, params, connections[lane])
-            fetched.append((table, (time.perf_counter() - started) * 1000.0))
-        return fetched
-
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        lanes = list(executor.map(fetch_lane, range(workers)))
-    return {
-        id(compiled): lanes[position % workers][position // workers]
-        for position, compiled in enumerate(members)
-    }
-
-
 def fold_package(sql_package, columns_of, outcomes: dict | None = None, tracer=None):
     """The batched engine's one walk over a package, wherever its tables
     come from: statements in *post-order*, each statement's rows folded
@@ -441,8 +421,8 @@ def fold_package(sql_package, columns_of, outcomes: dict | None = None, tracer=N
 
     ``columns_of(compiled)`` gives the statement's checked ``(row count,
     columns)`` (:func:`checked_table`) and the fold reads ``zip(*columns)``:
-    run and decoded on the spot by :func:`execute_package_batched`, decoded
-    from a shard's answer by a coordinator
+    decoded on the spot from the tables :func:`execute_package_batched`
+    read, or already decoded from a shard's answer by a coordinator
     (:meth:`~repro.pipeline.shredder.CompiledQuery.fold_tables`).  A
     statement with no rows is not folded, so its dict stays empty.
     ``outcomes`` receives ``id(compiled) → (rows, wall ms)`` per statement.
@@ -498,7 +478,6 @@ def execute_package_batched(
     stats: ExecutionStats | None = None,
     create_indexes: bool = True,
     parallel: bool = False,
-    max_workers: int | None = None,
     params=None,
     connection=None,
     tracer=None,
@@ -506,10 +485,11 @@ def execute_package_batched(
     """Run all shredded queries of a package: one fold per row, children
     first (§8 "stitching in one pass", taken to the executor).
 
-    Statements run in *post-order* (:func:`fold_package`), each as its
-    column table (:attr:`~repro.sql.codegen.CompiledSql.column_table_sql`
-    — one fetch, no row tuples), so when a statement's rows arrive the
-    results of the statements one nesting level down are already grouped:
+    Every statement's column table is read first (:func:`_column_tables`:
+    on ``connection``, or on pooled readers with ``parallel``); then, in
+    *post-order* (:func:`fold_package`), each is decoded, checked and
+    folded, so when a statement's rows are folded the results of the
+    statements one nesting level down are already grouped:
     :meth:`~repro.sql.codegen.CompiledSql.fold` turns each row into its
     final record — child bags included, by handing over the child's bucket
     list — and appends it under its outer key.  Returns the package with
@@ -518,21 +498,15 @@ def execute_package_batched(
     :attr:`~repro.sql.codegen.CompiledSql.fold_source` builds them — the
     top bag's is ``(TOP_TAG, 1)``), so the nested result is the top bag's
     ⊤·1 bucket (:func:`repro.shred.stitch.stitch_grouped`) and nothing is
-    decoded, grouped or walked a second time.  Peak memory is one
-    statement's table on top of the result.
-
-    ``parallel`` first runs every statement's column table on pooled
-    read-only connections (one worker thread per connection, capped by
-    ``max_workers`` / ``REPRO_POOL_SIZE``; SQLite releases the GIL inside
-    each step), then folds them here, on the calling thread, through the
-    same ``fold``.  Setup — advisory indexes, ANALYZE — always happens on
-    the writer connection before any statement runs.
+    decoded, grouped or walked a second time.  A table longer than
+    SQLite's length limit is a :class:`BackendError` before anything is
+    folded.
 
     ``params`` supplies host-parameter values (each statement binds the
-    subset it names).  ``connection`` routes the *serial* batched path to a
-    specific pooled connection — the service layer leases one per request
-    so concurrent requests never contend on the writer connection; the
-    parallel path manages its own pool and ignores it.
+    subset it names).  ``connection`` routes the serial read to a specific
+    pooled connection — the service layer leases one per request so
+    concurrent requests never contend on the writer connection; the
+    parallel read manages its own pool and ignores it.
 
     ``stats`` and ``tracer`` (a :class:`repro.obs.Tracer`: one
     ``statement`` span per member with ``sql``/``decode`` children, where
@@ -540,45 +514,21 @@ def execute_package_batched(
     check and fold) are filled in *package* order after the run, each
     statement timed on its own, so they are the same under either engine
     and any scheduling.
-
-    A store without JSON1 raises
-    :class:`~repro.errors.MissingSqlFunctionError`; a table longer than
-    SQLite's length limit a :class:`BackendError` — the per-path engine
-    needs neither.
     """
-    _require_json1(db, connection)
-    if create_indexes:
-        _advise_indexes(db, sql_package, stats)
-
-    members = [compiled for _path, compiled in annotations(sql_package)]
-    workers = min(
-        len(members), DEFAULT_POOL_SIZE if max_workers is None else max_workers
-    )
-    prefetched = (
-        _prefetch(db, members, params, workers) if parallel and workers > 1 else {}
-    )
-    sql_millis: dict[int, float] = {}
+    fetched = _column_tables(db, sql_package, stats, create_indexes, params, connection, parallel)
+    tables = {id(compiled): table for compiled, table, _millis in fetched}
     outcomes: dict[int, tuple[int, float]] = {}
-
-    def columns_of(compiled: CompiledSql) -> tuple[int, list]:
-        table, millis = prefetched.get(id(compiled), (None, 0.0))
-        if table is None:
-            started = time.perf_counter()
-            table = _column_table(db, compiled, params, connection)
-            millis = (time.perf_counter() - started) * 1000.0
-        sql_millis[id(compiled)] = millis
-        return checked_table(compiled, table)
-
-    results = fold_package(sql_package, columns_of, outcomes, tracer)
-    for position, compiled in enumerate(members):
-        rows, millis = outcomes[id(compiled)]
-        sql = sql_millis[id(compiled)]
-        if id(compiled) in prefetched:
-            millis += sql  # ran before the walk, on a pooled reader
-        if stats is not None:
-            stats.record(rows, millis)
-        if tracer is not None:
-            _record_statement_span(tracer, rows, millis, millis - sql, index=position)
+    results = fold_package(
+        sql_package,
+        lambda compiled: checked_table(compiled, tables[id(compiled)]),
+        outcomes,
+        tracer,
+    )
+    for position, (compiled, _table, sql_millis) in enumerate(fetched):
+        rows, decode_millis = outcomes[id(compiled)]
+        _record_statement(
+            stats, tracer, rows, sql_millis + decode_millis, decode_millis, index=position
+        )
     return results
 
 
@@ -591,8 +541,7 @@ def execute_package_shredded(
     connection=None,
     tracer=None,
 ) -> list[tuple[int, bytes]]:
-    """Run a package's statements in their column-table form
-    (:attr:`~repro.sql.codegen.CompiledSql.column_table_sql`) and fold
+    """Run a package's statements in their column-table form and fold
     nothing: per statement, in package order, ``(row count, JSON bytes of
     its columns)`` exactly as SQLite wrote them — no row tuple, no record,
     no ``json.dumps`` on this side.  What a shard answers a fan-out
@@ -604,20 +553,10 @@ def execute_package_shredded(
     wrapper's ``count(*)``), ``tracer`` and the errors as in
     :func:`execute_package_batched`.
     """
-    _require_json1(db, connection)
-    if create_indexes:
-        _advise_indexes(db, sql_package, stats)
-    tables: list[tuple[int, bytes]] = []
-    for position, (_path, compiled) in enumerate(annotations(sql_package)):
-        started = time.perf_counter()
-        table = _column_table(db, compiled, params, connection)
-        millis = (time.perf_counter() - started) * 1000.0
-        tables.append(table)
-        if stats is not None:
-            stats.record(table[0], millis)
-        if tracer is not None:
-            _record_statement_span(tracer, table[0], millis, 0.0, index=position)
-    return tables
+    fetched = _column_tables(db, sql_package, stats, create_indexes, params, connection)
+    for position, (_compiled, table, millis) in enumerate(fetched):
+        _record_statement(stats, tracer, table[0], millis, 0.0, index=position)
+    return [table for _compiled, table, _millis in fetched]
 
 
 # --------------------------------------------------------------------------

@@ -29,6 +29,9 @@ from repro.values import NestedValue
 
 __all__ = ["LoopLiftingPipeline", "CompiledLoopLifted", "loop_lift_run"]
 
+#: Rows the batched engine fetches per ``fetchmany`` round trip.
+FETCH_BATCH = 1024
+
 
 @dataclass
 class _Level:
@@ -75,9 +78,7 @@ class CompiledLoopLifted:
         engines, not decode styles.
         """
         if engine == "batched":
-            from repro.backend.executor import DEFAULT_FETCH_BATCH
-
-            batch = DEFAULT_FETCH_BATCH if batch_size is None else batch_size
+            batch = FETCH_BATCH if batch_size is None else batch_size
             grouped: dict[Path, dict[int, list]] = {}
             for path, level in self.levels.items():
                 decode = level.decoder()

@@ -31,6 +31,7 @@ import time
 
 from repro.bench.harness import SYSTEMS, run_system
 from repro.data.generator import scaled_database
+from repro.pipeline.shredder import KNOWN_ENGINES
 
 __all__ = ["SMOKE_SYSTEMS", "SERVICE_ENGINES", "run_smoke", "format_smoke"]
 
@@ -39,7 +40,7 @@ SNAPSHOT_ENV = "REPRO_METRICS_SNAPSHOT"
 DEFAULT_SNAPSHOT_PATH = "metrics-snapshot.prom"
 
 #: Engines the service smoke round-trips one query through.
-SERVICE_ENGINES = ("per-path", "batched", "parallel")
+SERVICE_ENGINES = KNOWN_ENGINES
 
 #: system → the query it smoke-tests on (flat pipelines can't run nested
 #: queries, the avalanche baseline is too slow for a big one).

@@ -110,12 +110,12 @@ class ServiceError(ReproError):
 
 
 class MissingSqlFunctionError(ServiceError):
-    """The store's SQLite lacks a function a run needs: JSON1's
-    ``json_group_array``, which writes the column tables the batched
-    engines read and a shard answers a fan-out coordinator with.  A
-    :class:`ServiceError` so a server relays it as is (``kind``
-    ``"MissingSqlFunction"``); the per-path engine needs no such function,
-    and is what ``engine="auto"`` resolves to on such a store."""
+    """The store's SQLite lacks a function every run needs: JSON1's
+    ``json_group_array``, which writes the column tables every engine
+    reads and a shard answers a fan-out coordinator with.  Raised when a
+    :class:`~repro.backend.database.Database` builds its connection,
+    before any statement runs.  A :class:`ServiceError` so a server relays
+    it as is (``kind`` ``"MissingSqlFunction"``)."""
 
     def __init__(self, message: str) -> None:
         super().__init__(message, kind="MissingSqlFunction")

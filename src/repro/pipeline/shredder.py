@@ -15,15 +15,15 @@ machinery with a fluent builder and the ``@query`` capture decorator::
 Constructing :class:`ShreddingPipeline` directly remains supported for
 engine work (benchmarks, baselines, new translation stages).
 
-Performance knobs (see ROADMAP.md "Performance architecture"):
+Performance knobs:
 
 * ``ShreddingPipeline(schema, cache=PlanCache())`` (or ``cache=True`` for
   the process-wide cache) makes repeat compiles O(hash) — keyed on the
   term's structural fingerprint, the schema fingerprint and the options;
-* ``compiled.run(db, engine="batched")`` executes the whole package
-  children first with advisory SQLite indexes, reads each statement as
-  the column table SQLite's JSON1 writes for it, and runs one compiled
-  fold per row (decode fused into stitch) — the fast path for repeated
+* ``compiled.run(db, engine="batched")`` executes the whole package with
+  advisory SQLite indexes, reads each statement as the column table
+  SQLite's JSON1 writes for it, and runs one compiled fold per row,
+  children first (decode fused into stitch) — the fast path for repeated
   execution of a cached plan (the ``shredding_cached`` benchmark system).
   Its keys are decided per parent→child edge once per compile
   (:func:`~repro.sql.codegen.key_edges`), and the same folds read a
@@ -31,8 +31,6 @@ Performance knobs (see ROADMAP.md "Performance architecture"):
 * a schema that declares references lets :func:`decide_edges` *pin* a
   nested bag to its join column: its statement stops re-joining its
   ancestors (:class:`~repro.sql.codegen.Rekey`);
-* ``compiled.run(db, batch_size=…)`` bounds rows per ``fetchmany`` round
-  trip of the per-path engine (default ``DEFAULT_FETCH_BATCH``, 1024);
 * ``compile(query, stats=…)`` / ``run(…, stats=…)`` record plan-cache
   hits/misses, per-query row counts and wall times in
   :class:`~repro.backend.executor.ExecutionStats`.
@@ -461,11 +459,9 @@ class CompiledQuery:
     def run(
         self,
         db: Database,
-        one_pass_stitch: bool = True,
         stats: ExecutionStats | None = None,
         collection: str = "bag",
         engine: str = "per-path",
-        batch_size: int | None = None,
         create_indexes: bool = True,
         params=None,
         connection=None,
@@ -482,27 +478,23 @@ class CompiledQuery:
           built with ``SqlOptions(ordered=True)`` so the shredded queries
           carry ordering columns.
 
-        ``engine`` selects the executor:
+        ``engine`` selects the executor; every one reads each statement as
+        the column table SQLite's JSON1 writes for it, in one fetch:
 
         * ``"per-path"`` (default) — one
           :func:`~repro.backend.executor.execute_compiled` call per
-          shredded query, decoding into ⟨index, value⟩ pair lists;
+          shredded query, decoding into ⟨index, value⟩ pair lists that
+          §5.2's ``stitch`` nests — the reference the fold is tested
+          against;
         * ``"batched"`` — all queries of the package over the shared
-          connection, children first, with advisory SQLite indexes
-          (``create_indexes``), each read as the column table SQLite
-          writes for it (JSON1), and one fold per row: each row becomes
-          its final record, inner bags included, the one time Python
-          touches it.  The fast path for repeated execution of a cached
-          plan; requires ``one_pass_stitch`` and a SQLite with JSON1
-          (:class:`~repro.errors.MissingSqlFunctionError` otherwise).
+          connection, with advisory SQLite indexes (``create_indexes``),
+          then one fold per row, children first: each row becomes its
+          final record, inner bags included, the one time Python touches
+          it.  The fast path for repeated execution of a cached plan;
         * ``"parallel"`` — the batched engine with its statements' tables
           run by a pool of read-only connections (``REPRO_POOL_SIZE`` caps
           the pool) before the same fold runs on the calling thread.  Same
           results, same stats.
-
-        ``batch_size`` bounds rows per ``fetchmany`` round trip of the
-        per-path engine (default ``DEFAULT_FETCH_BATCH``, 1024); the
-        batched engines fetch one table per statement and ignore it.
 
         ``params`` binds the query's host parameters (validated against the
         declared :attr:`param_specs` — the compile-once / re-bind-per-call
@@ -546,11 +538,6 @@ class CompiledQuery:
                     tracer=tracer,
                 )
         if engine in ("batched", "parallel"):
-            if not one_pass_stitch:
-                raise ShreddingError(
-                    "the batched/parallel engines stitch as they decode; "
-                    "use one_pass_stitch=True (or the per-path engine)"
-                )
             with traced(tracer, "execute", engine=engine):
                 results = execute_package_batched(
                     db,
@@ -572,16 +559,13 @@ class CompiledQuery:
                         db,
                         self.sql_at(path),
                         stats,
-                        batch_size=batch_size,
                         params=bound,
                         connection=connection,
                         tracer=tracer,
                     ),
                 )
             with traced(tracer, "stitch"):
-                value = stitch(
-                    results, self._top_index_fn(), one_pass=one_pass_stitch
-                )
+                value = stitch(results, self._top_index_fn())
         else:
             raise ShreddingError(f"unknown execution engine {engine!r}")
         if collection == "set":
@@ -612,13 +596,11 @@ class CompiledQuery:
         grouped = fold_package(self.sql_package, lambda m: checked[id(m)], outcomes)
         return stitch_grouped(grouped, self._top_key())
 
-    def run_in_memory(
-        self, db: Database, scheme: str = "flat", one_pass_stitch: bool = True
-    ) -> NestedValue:
+    def run_in_memory(self, db: Database, scheme: str = "flat") -> NestedValue:
         """Evaluate with the shredded semantics S⟦−⟧ instead of SQL (§5.1)."""
         index = index_fn_for(scheme, self.normal_form, db, self.schema)
         results = run_package(self.shredded_package, db, index)
-        return stitch(results, index, one_pass=one_pass_stitch)
+        return stitch(results, index)
 
     @staticmethod
     def _top_index_fn():

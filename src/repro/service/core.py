@@ -110,9 +110,7 @@ class Execution:
         tables (protocol v1.5): it asked for them, under bag semantics,
         and the engine it names (the request's, else the session's) is the
         batched one.  Anything else keeps the nested ``rows`` — the asking
-        coordinator takes either.  The tables are the batched engine's even
-        where ``auto`` would resolve to ``per-path`` (a store without
-        JSON1): such a store refuses the ask rather than answer rows."""
+        coordinator takes either."""
         named = self.run_args["engine"] or self._session.engine
         return (
             self._asked_shredded
@@ -123,9 +121,7 @@ class Execution:
     def run(self, **where: Any) -> "Result":
         """Run on the calling thread; ``where`` is the driver's
         (``connection=``, ``create_indexes=``).  A :meth:`shredded` run's
-        ``Result.value`` is the list of column tables, not a nested value
-        (a store without JSON1 raises
-        :class:`~repro.errors.MissingSqlFunctionError`)."""
+        ``Result.value`` is the list of column tables, not a nested value."""
         if not self.shredded():
             return self.prepared.run(**self.run_args, **where)
         run_args = dict(self.run_args, engine="batched")

@@ -126,9 +126,9 @@ second answer shape, again backwards compatible::
   ``per-path``/``parallel`` engine, a serving session whose own engine is
   not batched, and a v1.4 server (which ignores the field) — the
   coordinator takes either, and a plain ``execute`` (no ``result``) is
-  byte for byte what it was.  A store whose SQLite lacks JSON1 answers a
-  shredded ask with a ``MissingSqlFunction`` error frame (its ``auto``
-  engine is the per-path one, so a plain ``execute`` still answers).
+  byte for byte what it was.  A store whose SQLite lacks JSON1 cannot
+  open, so it answers every ``execute`` with a ``MissingSqlFunction``
+  error frame.
 
 The client side of all of the above is :class:`ClientCore`, below the
 frame functions: one request's life as a state machine over ``bytes`` —

@@ -8,9 +8,10 @@ statement.  What that rests on, and where it stops:
 * **row order** — ``collection="list"`` needs the table's cells in the
   statement's ``ORDER BY`` order, which SQLite documents as unspecified
   for aggregates before 3.44: pinned against ``fetchall`` here;
-* **no JSON1** — ``auto`` resolves to the per-path engine, an explicit
-  batched/parallel run says why it cannot run;
-* **SQLite's length limit** — a table longer than it names ``per-path``;
+* **no JSON1** — every engine reads column tables, so a store whose
+  SQLite lacks it refuses to open, before any statement runs;
+* **SQLite's length limit** — a table longer than it fails every engine
+  alike, before anything is folded;
 * **the on-loop step budget** — a served point lookup stays far inside it.
 """
 
@@ -22,17 +23,17 @@ import sqlite3
 import pytest
 
 from repro.api import connect
+from repro.backend.database import Database
+from repro.backend.executor import DEFAULT_POOL_SIZE
 from repro.data.generator import scaled_database
-from repro.data.organisation import figure3_database
+from repro.data.organisation import ORGANISATION_SCHEMA, figure3_database
 from repro.data.queries import NESTED_QUERIES
-from repro.errors import BackendError, MissingSqlFunctionError
-from repro.nrc.semantics import evaluate
+from repro.errors import BackendError, MissingSqlFunctionError, ServiceError
 from repro.service.core import ServerCore
 from repro.service.registry import paper_registry
 from repro.service.server import INLINE_STEP_BUDGET
 from repro.shred.packages import annotations
-from repro.sql.codegen import SqlOptions
-from repro.values import assert_bag_equal
+from repro.sql.codegen import CompiledSql, SqlOptions
 
 REGISTRY = paper_registry()
 PARAMS = {"dept_staff": {"dept": "Sales"}, "staff_above": {"min_salary": 900}}
@@ -61,40 +62,67 @@ def test_an_ordered_statements_table_keeps_its_order():
 
 
 class _NoJson1:
-    """A connection whose SQLite was built without JSON1."""
+    """A connection whose SQLite was built without JSON1; it logs every
+    statement it is asked to run."""
 
-    def execute(self, sql):
-        raise sqlite3.OperationalError("no such function: json_group_array")
+    def __init__(self, connection, log: list) -> None:
+        self._connection, self._log = connection, log
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+    def execute(self, sql, *args):
+        self._log.append(sql)
+        if "json_group_array" in sql:
+            raise sqlite3.OperationalError("no such function: json_group_array")
+        return self._connection.execute(sql, *args)
 
 
-def test_without_json1_auto_is_per_path_and_batched_says_why():
+def test_a_store_without_json1_refuses_to_open(monkeypatch, tmp_path):
+    """Durable stores open at construction, in-memory ones on first use:
+    either way the JSON1 check is the first statement and the last, and a
+    server answers with a structured ``MissingSqlFunction`` error."""
+    log: list = []
+    connect_sqlite = sqlite3.connect
+    monkeypatch.setattr(
+        sqlite3, "connect", lambda *a, **k: _NoJson1(connect_sqlite(*a, **k), log)
+    )
+    with pytest.raises(MissingSqlFunctionError, match="json_group_array") as refused:
+        Database(ORGANISATION_SCHEMA, path=tmp_path / "store.db")
+    assert refused.value.kind == "MissingSqlFunction"
+    assert log == ["SELECT json_group_array(1)"]
     session = connect(figure3_database())
-    assert session.db.has_json1(_NoJson1()) is False  # probed once, remembered
     term = NESTED_QUERIES["Q4"]
-    compiled = session.compile(term)
-    assert session.resolve_engine(None, compiled) == "per-path"
-    assert session.resolve_engine("auto", compiled) == "per-path"
-    result = session.run(term)
-    assert result.engine == "per-path"
-    assert_bag_equal(result.value, evaluate(term, figure3_database()))
-    for engine in ("batched", "parallel"):
-        with pytest.raises(MissingSqlFunctionError, match="json_group_array") as refused:
+    assert session.resolve_engine(None, session.compile(term)) == "batched"
+    for engine in ("auto", "per-path", "batched", "parallel"):
+        with pytest.raises(MissingSqlFunctionError, match="json_group_array"):
             session.run(term, engine=engine)
-        assert refused.value.kind == "MissingSqlFunction"
     core = ServerCore(session, REGISTRY)
-    assert core.handle({"op": "prepare", "query": "Q4"})["engine"] == "per-path"
-    assert core.handle({"op": "execute", "query": "Q4"})["engine"] == "per-path"
+    assert core.handle({"op": "prepare", "query": "Q4"})["engine"] == "batched"
+    for request in ({}, {"engine": "per-path"}, {"result": "shredded"}):
+        with pytest.raises(ServiceError, match="json_group_array") as answered:
+            core.handle({"op": "execute", "query": "Q4", **request})
+        assert answered.value.kind == "MissingSqlFunction"
+    assert set(log) == {"SELECT json_group_array(1)"}
 
 
-def test_a_table_over_sqlites_length_limit_names_per_path():
+def test_a_table_over_sqlites_length_limit_fails_every_engine(monkeypatch):
+    """Every engine reads the same column tables, so every one raises the
+    same error naming the limit — and the batched engines, which read the
+    whole package first, fold nothing."""
     db = figure3_database()
     session = connect(db)
     term = NESTED_QUERIES["Q1"]
     session.run(term)  # indexes advised, statistics in
-    db.connection().setlimit(sqlite3.SQLITE_LIMIT_LENGTH, 64)
-    with pytest.raises(BackendError, match="engine='per-path'"):
-        session.run(term, engine="batched")
-    assert_bag_equal(session.run(term, engine="per-path").value, evaluate(term, figure3_database()))
+    for connection in (db.connection(), *db.read_connections(DEFAULT_POOL_SIZE)):
+        connection.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, 64)
+    folds: list = []
+    fold = CompiledSql.fold
+    monkeypatch.setattr(CompiledSql, "fold", lambda self: folds.append(self) or fold(self))
+    for engine in ("per-path", "batched", "parallel"):
+        with pytest.raises(BackendError, match=r"length limit \(SQLITE_LIMIT_LENGTH: .*too big"):
+            session.run(term, engine=engine)
+    assert folds == []
 
 
 def test_a_point_lookup_stays_far_inside_the_on_loop_budget():

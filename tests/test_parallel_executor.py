@@ -94,16 +94,3 @@ def test_execution_stats_merge_preserves_series():
     assert left.per_query_millis == [1.5, 2.5]
     assert left.cache_hits == 1
     assert left.indexes_created == 2
-
-
-def test_max_workers_one_falls_back_to_sequential(db):
-    from repro.backend.executor import execute_package_batched
-
-    compiled = ShreddingPipeline(db.schema).compile(NESTED_QUERIES["Q1"])
-    results = execute_package_batched(
-        db, compiled.sql_package, parallel=True, max_workers=1
-    )
-    from repro.shred.stitch import stitch_grouped
-
-    value = stitch_grouped(results, compiled._top_key())
-    assert bag_equal(value, ShreddingPipeline(db.schema).run(NESTED_QUERIES["Q1"], db))

@@ -368,10 +368,3 @@ class TestBatchedEngine:
         compiled = ShreddingPipeline(db.schema).compile(Q4)
         with pytest.raises(ShreddingError):
             compiled.run(db, engine="warp")
-
-    def test_batched_requires_one_pass_stitch(self, db):
-        from repro.errors import ShreddingError
-
-        compiled = ShreddingPipeline(db.schema).compile(Q4)
-        with pytest.raises(ShreddingError):
-            compiled.run(db, engine="batched", one_pass_stitch=False)

@@ -146,16 +146,17 @@ class TestConcurrentDatabaseSetup:
         assert not failures, failures
 
     def test_batched_reads_finish_before_another_threads_ddl(self):
-        """Stress regression: batched runs share the store's writer
-        connection, and every cold plan's first run issues advisory
-        ``CREATE INDEX``/``ANALYZE`` there.  A read that stayed open across
-        the Python-side fold of a fetched chunk could be cut short by
-        another thread's DDL ("abort due to ROLLBACK", "not an error");
-        reading each statement as one column table, in one fetch, closes
-        the read before any Python runs.  A fresh Fig. 3 store per
-        repetition (so each one advises afresh), 8 threads switching every
-        few bytecodes, bounded to a few seconds.  (Per-path reads still
-        stream on that connection.)"""
+        """Stress regression: batched and per-path runs share the store's
+        writer connection, and every cold plan's first batched run issues
+        advisory ``CREATE INDEX``/``ANALYZE`` there.  A read that stayed
+        open across Python-side work on a fetched chunk could be cut short
+        by another thread's DDL ("abort due to ROLLBACK", "not an error",
+        or a silently short answer); every engine reads each statement as
+        one column table, in one fetch, which closes the read before any
+        Python runs.  A fresh Fig. 3 store per repetition (so each one
+        advises afresh), 8 threads — odd slots per-path, even slots
+        batched — switching every few bytecodes, bounded to a few
+        seconds."""
         import sys
         import time
 
@@ -176,15 +177,16 @@ class TestConcurrentDatabaseSetup:
                 barrier = threading.Barrier(THREADS)
 
                 def worker(slot: int) -> None:
+                    engine = "per-path" if slot % 2 else "batched"
                     try:
                         barrier.wait(timeout=10)
                         for i in range(3):
                             name = QUERY_NAMES[(slot + i) % len(QUERY_NAMES)]
-                            value = session.run(NESTED_QUERIES[name], engine="batched").value
+                            value = session.run(NESTED_QUERIES[name], engine=engine).value
                             if not bag_equal(value, expected[name]):
-                                failures.append((slot, name, "wrong answer"))
+                                failures.append((slot, engine, name, "wrong answer"))
                     except Exception as error:  # noqa: BLE001 — reported below
-                        failures.append((slot, repr(error)))
+                        failures.append((slot, engine, repr(error)))
 
                 threads = [threading.Thread(target=worker, args=(s,)) for s in range(THREADS)]
                 for thread in threads:

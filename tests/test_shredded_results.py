@@ -30,7 +30,6 @@ flat, stitch ≡ the nested-multiset semantics) is the one oracle here:
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
 from collections import Counter
 
@@ -367,6 +366,12 @@ class TestWhoDoesTheWork:
         nested = core.handle({"op": "execute", "query": "Q1"})
         assert nested["stats"]["rows_fetched"] == response["stats"]["rows_fetched"]
         assert len(folds) == statements
+        # The per-path engine reads the same tables: one fetched row each.
+        fetched.clear()
+        per_path = core.handle({"op": "execute", "query": "Q1", "engine": "per-path"})
+        assert len(fetched) == statements
+        assert per_path["stats"]["rows_fetched"] == response["stats"]["rows_fetched"]
+        assert len(folds) == statements
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_the_coordinator_folds_each_statement_once_per_shard_response(
@@ -460,26 +465,6 @@ class TestWhoDoesTheWork:
         core = ServerCore(connect(figure3_database()), paper_registry())
         with pytest.raises(ServiceError, match="'result' must be"):
             core.handle({"op": "execute", "query": "Q4", "result": "columnar"})
-
-    def test_a_store_without_json1_says_so_once(self):
-        class NoJson1:
-            probes = 0
-
-            def execute(self, sql):
-                self.probes += 1
-                raise sqlite3.OperationalError("no such function: json_group_array")
-
-        session = connect(figure3_database())
-        lease = NoJson1()
-        assert session.db.has_json1(lease) is False
-        assert session.db.has_json1(lease) is False
-        assert lease.probes == 1  # once per store
-        core = ServerCore(session, paper_registry())
-        with pytest.raises(ServiceError, match="json_group_array") as refused:
-            core.handle({"op": "execute", "query": "Q4", "result": "shredded"})
-        assert refused.value.kind == "MissingSqlFunction"
-        assert core.handle({"op": "execute", "query": "Q4"})["rows"]
-        assert connect(figure3_database()).db.has_json1() is True
 
 
 # --------------------------------------------------------------------------
