@@ -247,12 +247,17 @@ class Database:
 
     def without_references(self) -> "Database":
         """This store under :meth:`Schema.without_references`: ``self`` when
-        its schema declares none, else a fresh in-memory store over the same
-        rows (the row dicts are shared, as every reader shares them: they
-        are read-only, and an insert adds copies)."""
+        its schema declares none, else a store over the same rows.  A
+        durable store's copy opens the same file and recovers from it (no
+        seed), so an insert through the copy is as durable as one through
+        ``self``; a memory store's copy is a fresh in-memory store sharing
+        the row dicts (as every reader shares them: they are read-only, and
+        an insert adds copies)."""
         schema = self.schema.without_references()
         if schema is self.schema:
             return self
+        if self._path is not None:
+            return Database(schema, path=self._path)
         copy = Database(schema)
         copy._rows = {name: list(rows) for name, rows in self._rows.items()}
         return copy

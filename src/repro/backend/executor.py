@@ -27,7 +27,9 @@ the GIL inside each C-level step).  Three consumers read the tables:
   reference the fold is tested against.
 
 A package's setup — the advisory indexes on the base-table columns the
-generated SQL joins (and, in the flat form, sorts) on, each covering its
+generated SQL joins on, range-filters against a literal or host parameter
+(so a selective filter such as Q6's outliers is entered through its index
+and drives the join), and, in the flat form, sorts on, each covering its
 table so every ``SEARCH`` reads the index alone, then ``ANALYZE`` —
 happens on the writer connection before any statement runs.  Per-query
 stats are recorded in package order after the run, so
@@ -74,8 +76,10 @@ from repro.shred.packages import PkgBag, PkgRecord, annotations
 from repro.sql.ast import (
     BinOp,
     Col,
+    Lit,
     NotExists,
     NotOp,
+    Placeholder,
     RowNumber,
     SelectCore,
     Statement,
@@ -420,11 +424,13 @@ def fold_package(sql_package, columns_of, outcomes: dict | None = None, tracer=N
     dict, ready for :func:`repro.shred.stitch.stitch_grouped`.
 
     ``columns_of(compiled)`` gives the statement's checked ``(row count,
-    columns)`` (:func:`checked_table`) and the fold reads ``zip(*columns)``:
-    decoded on the spot from the tables :func:`execute_package_batched`
-    read, or already decoded from a shard's answer by a coordinator
-    (:meth:`~repro.pipeline.shredder.CompiledQuery.fold_tables`).  A
-    statement with no rows is not folded, so its dict stays empty.
+    columns)`` (:func:`checked_table`), decoded on the spot from the tables
+    :func:`execute_package_batched` read, or already decoded from a shard's
+    answer by a coordinator
+    (:meth:`~repro.pipeline.shredder.CompiledQuery.fold_tables`).  The fold
+    unpacks each tuple of ``zip(*columns)`` into locals as it loops, so
+    ``zip`` reuses the one tuple it yields and no row tuple is allocated.
+    A statement with no rows is not folded, so its dict stays empty.
     ``outcomes`` receives ``id(compiled) → (rows, wall ms)`` per statement.
     The walk runs under :func:`collector_paused` (``tracer`` gets its
     ``collect`` span), and builds no reference cycle of its own: what it
@@ -589,6 +595,12 @@ def index_hints(compiled: CompiledSql) -> tuple[tuple[str, tuple[str, ...]], ...
 
     * columns compared by ``=`` in WHERE clauses — the join columns of the
       amalgamated comprehensions;
+    * columns compared with a literal or a host parameter by ``<``,
+      ``<=``, ``>`` or ``>=`` — range filters (Q6's ``salary > 1000000 ∨
+      salary < 1000``, ``staff_above``'s ``salary > :min_salary``): with
+      an index and its ``ANALYZE`` statistics, SQLite enters the table
+      through the few rows the filter keeps instead of scanning it or
+      probing it once per row of another table;
     * in the flat form only, the ``ROW_NUMBER() OVER (ORDER BY …)`` column
       lists, per base table — the sort that realises ``index`` (§7).
       Key-indexed plans sort nothing, so they get no sort indexes (their
@@ -604,6 +616,11 @@ def _ensure_package_indexes(db: Database, sql_package) -> int:
     for _path, compiled in annotations(sql_package):
         created += ensure_compiled_indexes(db, compiled)
     return created
+
+
+#: A base-table column compared with a literal or a host parameter by one
+#: of these is a range filter's, and gets an index like a join column.
+_RANGE_OPS = frozenset({"<", "<=", ">", ">="})
 
 
 def _index_hints(statement: Statement) -> set[tuple[str, tuple[str, ...]]]:
@@ -622,15 +639,17 @@ def _index_hints(statement: Statement) -> set[tuple[str, tuple[str, ...]]]:
 
         def visit_expr(expr) -> None:
             if isinstance(expr, BinOp):
+                searched: tuple = ()
                 if expr.op == "=":
-                    for side in (expr.left, expr.right):
-                        if (
-                            isinstance(side, Col)
-                            and side.alias in alias_to_table
-                        ):
-                            hints.add(
-                                (alias_to_table[side.alias], (side.name,))
-                            )
+                    searched = (expr.left, expr.right)
+                elif expr.op in _RANGE_OPS:
+                    pairs = ((expr.left, expr.right), (expr.right, expr.left))
+                    searched = tuple(
+                        side for side, other in pairs if isinstance(other, (Lit, Placeholder))
+                    )
+                for side in searched:
+                    if isinstance(side, Col) and side.alias in alias_to_table:
+                        hints.add((alias_to_table[side.alias], (side.name,)))
                 visit_expr(expr.left)
                 visit_expr(expr.right)
             elif isinstance(expr, NotOp):

@@ -87,10 +87,11 @@ class ShardedDatabase:
     of the union of partitions.
 
     Every store declares no references (:meth:`Database.without_references`
-    — a copy of ``database`` when its schema declares some): a replicated
-    child keyed by its join column under a partitioned parent would ship
-    rows no parent on that shard asks for, so a deployment's plans, and
-    their fingerprints, are the reference-free ones.
+    — a copy of ``database`` when its schema declares some, over the same
+    file when it is durable): a replicated child keyed by its join column
+    under a partitioned parent would ship rows no parent on that shard asks
+    for, so a deployment's plans, and their fingerprints, are the
+    reference-free ones.
     """
 
     def __init__(

@@ -263,9 +263,11 @@ class CompiledSql:
 
     def fold(self) -> Callable[..., None]:
         """``fold(rows, grouped, *child_buckets)``: the batched engine's one
-        pass over a statement's rows (any iterable of tuples in
-        :attr:`columns` order) — built once per plan from
-        :attr:`fold_source`.
+        pass over a statement's rows (any iterable of tuples holding
+        exactly one cell per :attr:`columns` entry, in order, such as the
+        executor's ``zip(*columns)``) — built once per plan from
+        :attr:`fold_source`, which unpacks each row into locals, so no
+        row tuple is kept or subscripted.
 
         Each row becomes its *final* record, appended under its outer key
         in ``grouped`` (``{outer key: [record, …]}``, encounter order).
@@ -344,9 +346,13 @@ class CompiledSql:
     @property
     def fold_source(self) -> str:
         """The Python source of :meth:`fold` (for ``repro lint``, debugging
-        and tests).  Every column is resolved to its tuple position or its
-        literal up front; literals and labels enter through ``repr``."""
+        and tests).  Every column is resolved to its literal or to the
+        local its row unpacks it into (``for v0, v1, … in rows``: no row
+        tuple is subscripted, and ``zip`` reuses the tuple it yields) up
+        front; literals and labels enter through ``repr``."""
         positions = {name: i for i, name in enumerate(self.columns)}
+        cells = ", ".join(f"v{i}" for i in range(len(positions)))
+        target = cells + "," if len(positions) == 1 else cells
         constants = dict(self.constants)
         leaves = self._leaves
         padded = self._padded
@@ -356,7 +362,7 @@ class CompiledSql:
             """The key of the index leaf at ``path``, bare or tagged."""
             bare = path in self.bare_keys
             parts = [
-                repr(constants[name]) if name in constants else f"r[{positions[name]}]"
+                repr(constants[name]) if name in constants else f"v{positions[name]}"
                 for name in leaves[path][1 if bare else 0 :]
                 if constants.get(name, ...) is not None  # literal padding
             ]
@@ -383,7 +389,7 @@ class CompiledSql:
                 (name,) = leaves[path]
                 if name in constants:
                     return repr(decode_base(constants[name], f))
-                cell = f"r[{positions[name]}]"
+                cell = f"v{positions[name]}"
                 return f"bool({cell})" if f == BOOL else cell
             if isinstance(f, RecordType):
                 fields = ", ".join(
@@ -404,12 +410,12 @@ class CompiledSql:
         if constants.keys() >= set(leaves[("outer",)]):
             # One context for every row (the top-level ⊤·1): no grouping.
             lines.append(
-                f"    grouped.setdefault({outer}, []).extend([{item} for r in rows])"
+                f"    grouped.setdefault({outer}, []).extend([{item} for {target} in rows])"
             )
         else:
             lines += [
                 "    get = grouped.get",
-                "    for r in rows:",
+                f"    for {target} in rows:",
                 f"        key = {outer}",
                 "        bucket = get(key)",
                 "        if bucket is None:",

@@ -169,32 +169,49 @@ class TestBoundAndIndexes:
         either plan shape, in ``lint`` and in ``explain``'s payload alike.
         (Over the store without references, where Q1's natural plan joins
         employees to departments.)"""
-        from repro.data.queries import NESTED_QUERIES
-
-        db = figure3_database().without_references()
-        with connect(db, options=SqlOptions(scheme=scheme), cache=False) as s:
-            prepared = s.prepare(NESTED_QUERIES["Q1"])
-            printed = {
-                d.message.split("advisory index on ", 1)[1].split(" before", 1)[0]
-                for d in prepared.diagnostics()
-                if d.code == "QS301"
-            }
-            assert printed == {
-                d["message"].split("advisory index on ", 1)[1].split(" before", 1)[0]
-                for d in prepared.explain(json=True)["diagnostics"]
-                if d["code"] == "QS301"
-            }
-            prepared.run()
-        built = {
-            f"{table}({', '.join(column for _s, _c, column in sorted(info))})"
-            for name, table in db.execute_sql(
-                "SELECT name, tbl_name FROM sqlite_master "
-                "WHERE type='index' AND name LIKE 'qsidx_%'"
-            )
-            for info in [db.execute_sql(f'PRAGMA index_info("{name}")')]
-        }
-        assert printed == built
+        printed = _qs301_printed_and_built(
+            figure3_database().without_references(), SqlOptions(scheme=scheme), "Q1"
+        )
         assert "employees(dept, id, name, salary)" in printed
+
+    @pytest.mark.parametrize("scheme", [None, "flat"])
+    @pytest.mark.parametrize("name", ["Q6", "staff_above"])
+    def test_qs301_names_the_range_index_ensure_index_builds(self, name, scheme):
+        """The same for a column compared with a literal (Q6's outliers) or
+        a host parameter (``staff_above``'s threshold): searched on
+        ``salary``, covering the rest of ``employees``."""
+        options = SqlOptions() if scheme is None else SqlOptions(scheme=scheme)
+        printed = _qs301_printed_and_built(figure3_database(), options, name)
+        assert "employees(salary, id, dept, name)" in printed
+
+
+def _qs301_printed_and_built(db, options: SqlOptions, name: str) -> set[str]:
+    """The indexes QS301 prints for registry query ``name`` — the same in
+    ``diagnostics()`` and in ``explain``'s payload — checked equal to those
+    one run builds on ``db``, as ``PRAGMA index_info`` reads them back."""
+    with connect(db, options=options, cache=False) as s:
+        prepared = s.prepare(paper_registry().lookup(name).term)
+        printed = {
+            d.message.split("advisory index on ", 1)[1].split(" before", 1)[0]
+            for d in prepared.diagnostics()
+            if d.code == "QS301"
+        }
+        assert printed == {
+            d["message"].split("advisory index on ", 1)[1].split(" before", 1)[0]
+            for d in prepared.explain(json=True)["diagnostics"]
+            if d["code"] == "QS301"
+        }
+        prepared.run(params={"min_salary": 1000} if name == "staff_above" else None)
+    built = {
+        f"{table}({', '.join(column for _s, _c, column in sorted(info))})"
+        for index, table in db.execute_sql(
+            "SELECT name, tbl_name FROM sqlite_master "
+            "WHERE type='index' AND name LIKE 'qsidx_%'"
+        )
+        for info in [db.execute_sql(f'PRAGMA index_info("{index}")')]
+    }
+    assert printed == built
+    return printed
 
 
 class TestPaperRegistryLintsClean:

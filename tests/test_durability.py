@@ -17,9 +17,14 @@ import pytest
 
 from repro.api import connect
 from repro.backend.database import Database
-from repro.data.organisation import ORGANISATION_SCHEMA, figure3_database
+from repro.data.organisation import (
+    ORGANISATION_SCHEMA,
+    figure3_database,
+    organisation_placement,
+)
 from repro.data.queries import NESTED_QUERIES
 from repro.errors import BackendError
+from repro.shard import connect_sharded
 from repro.values import assert_bag_equal
 
 
@@ -73,6 +78,19 @@ class TestDurableMode:
                     memory_session.run(NESTED_QUERIES[name]).value,
                     f"{name} on the recovered store",
                 )
+
+    def test_a_sharded_session_writes_through_to_the_file(self, store_path):
+        """The organisation schema declares references, which a sharded
+        deployment compiles without: its full copy of a durable store is
+        the same file, recovered, so an acknowledged insert survives a
+        reopen."""
+        db = Database(ORGANISATION_SCHEMA, _seed_tables(), path=store_path)
+        with connect_sharded(db, placement=organisation_placement(), shards=2) as session:
+            session.insert("departments", [{"id": 90, "name": "Ops"}])
+        reopened = Database(ORGANISATION_SCHEMA, _seed_tables(), path=store_path)
+        assert reopened.recovered
+        assert {"id": 90, "name": "Ops"} in reopened.rows("departments")
+        assert reopened.row_count("departments") == db.row_count("departments") + 1
 
     def test_readers_are_query_only(self, store_path):
         db = Database(ORGANISATION_SCHEMA, _seed_tables(), path=store_path)

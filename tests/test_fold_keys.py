@@ -154,9 +154,9 @@ def test_the_dead_branch_union_keeps_its_inner_bags():
 @pytest.mark.parametrize("plan", sorted(PLANS))
 def test_a_bare_edge_builds_no_tag_tuple(plan):
     """``explain()``'s fold text: a one-part bare key is the cell itself
-    (``key = r[i]``, ``getk(r[j])``), a several-part one the tuple of its
-    dynamic parts — never the tag.  (A pinned lookup, ``takek(key, None)``,
-    keys the same way.)"""
+    (``key = vi``, ``getk(vj)``: the row is unpacked into one local per
+    column), a several-part one the tuple of its dynamic parts — never the
+    tag.  (A pinned lookup, ``takek(key, None)``, keys the same way.)"""
     compiled = connect(figure3_database(), options=PLANS[plan]).compile(NESTED_QUERIES["Q1"])
     explained = compiled.explain()
     lookups = r"(?:get|take)\d\((.*?)(?:, None)?\) or"
@@ -166,11 +166,11 @@ def test_a_bare_edge_builds_no_tag_tuple(plan):
         for lookup in re.findall(lookups, source):
             assert "'" not in lookup, (path, lookup)  # no tag literal
         if str(path) == "ε":
-            assert re.findall(lookups, source) == ["r[0]", "r[1]"]
+            assert re.findall(lookups, source) == ["v0", "v1"]
             continue
         (key,) = re.findall(r"key = (.*)", source)
         parts = [
-            f"r[{position}]"
+            f"v{position}"
             for position, name in enumerate(statement.columns)
             if name.startswith("outer_dyn")
         ]
