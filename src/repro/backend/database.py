@@ -247,17 +247,23 @@ class Database:
 
     def without_references(self) -> "Database":
         """This store under :meth:`Schema.without_references`: ``self`` when
-        its schema declares none, else a store over the same rows.  A
-        durable store's copy opens the same file and recovers from it (no
-        seed), so an insert through the copy is as durable as one through
-        ``self``; a memory store's copy is a fresh in-memory store sharing
-        the row dicts (as every reader shares them: they are read-only, and
-        an insert adds copies)."""
+        its schema declares none, else a fresh in-memory store over the same
+        rows (the row dicts are shared, as every reader shares them: they
+        are read-only, and an insert adds copies).
+
+        A durable store that declares references has no such copy: one in
+        memory would drop its writes, and a second store on the same file
+        would keep rows and journal apart from ``self``'s.  It raises
+        :class:`BackendError`; open the file over
+        ``schema.without_references()`` instead."""
         schema = self.schema.without_references()
         if schema is self.schema:
             return self
         if self._path is not None:
-            return Database(schema, path=self._path)
+            raise BackendError(
+                f"durable store {self._path!r} declares references: open it "
+                "over schema.without_references() to use it without them"
+            )
         copy = Database(schema)
         copy._rows = {name: list(rows) for name, rows in self._rows.items()}
         return copy

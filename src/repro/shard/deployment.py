@@ -80,18 +80,21 @@ __all__ = [
 class ShardedDatabase:
     """``n`` partition stores plus the designated full-copy shard.
 
-    The original ``database`` *is* the full-copy shard: partition shards
-    are loaded from it once (copy-on-partition), after which every
+    The full-copy shard is the original ``database`` (or, when its schema
+    declares references, its in-memory copy without them): partition
+    shards are loaded from it once (copy-on-partition), after which every
     mutation goes through :meth:`insert`, which routes each row to its
     owning shard — and to the full copy, which must stay a superset view
     of the union of partitions.
 
-    Every store declares no references (:meth:`Database.without_references`
-    — a copy of ``database`` when its schema declares some, over the same
-    file when it is durable): a replicated child keyed by its join column
-    under a partitioned parent would ship rows no parent on that shard asks
-    for, so a deployment's plans, and their fingerprints, are the
-    reference-free ones.
+    Every store declares no references (:meth:`Database.without_references`):
+    a replicated child keyed by its join column under a partitioned parent
+    would ship rows no parent on that shard asks for, so a deployment's
+    plans, and their fingerprints, are the reference-free ones.  A durable
+    store that declares references is refused (:class:`ShardingError`): an
+    in-memory copy would drop the writes acknowledged through it, so such a
+    file is opened over ``schema.without_references()`` and the deployment
+    writes through the caller's own store.
     """
 
     def __init__(
@@ -105,7 +108,10 @@ class ShardedDatabase:
                 f"shard count must be ≥1, got {shard_count}"
             )
         placement.validate(database.schema)
-        database = database.without_references()
+        try:
+            database = database.without_references()
+        except BackendError as error:
+            raise ShardingError(f"cannot shard this store: {error}") from None
         self.schema: Schema = database.schema
         self.placement = placement
         self.shard_count = shard_count

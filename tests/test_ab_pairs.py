@@ -64,6 +64,20 @@ def test_a_move_inside_the_parents_spread_is_no_gain():
     assert row["rule_a"] == "none"
 
 
+def test_the_parents_spread_is_compare_pys_quartile_distance():
+    """Ten values 30…39: ``bench/compare.py``'s (exclusive) quartiles are
+    31.75 and 37.25, a distance of 5.5; the inclusive method would read
+    4.5.  A 5-unit move that wins every pair is a gain only under the
+    narrower, inclusive distance, so the verdict tells the methods apart."""
+    parent = [30.0 + i for i in range(10)]
+    row = _rows(parent, [v - 5.0 for v in parent])["op_ms_p50"]
+    assert (row["parent"][0], row["parent"][2]) == (31.75, 37.25)
+    assert row["parent_iqr"] == 5.5
+    assert row["wins"] == 10
+    assert row["rule_a"] == "none"
+    assert _rows(parent, [v - 6.0 for v in parent])["op_ms_p50"]["rule_a"] == "gain"
+
+
 def test_fewer_than_ten_pairs_decide_nothing():
     row = _rows([30.0] * 5, [20.0] * 5)["op_ms_p50"]
     assert row["rule_a"] == "too few pairs"

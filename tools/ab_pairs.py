@@ -3,19 +3,20 @@
 row behind a perf claim.
 
     python tools/ab_pairs.py --parent HEAD~1 --workload fig11_inproc --pairs 10 --seeds 601-610
-    python tools/ab_pairs.py --parent main --workload compile_cold --pairs 5 --seeds 1-5 --seconds 5
+    python tools/ab_pairs.py --parent main --workload compile_cold --pairs 5 --seeds 1-5
 
 ``REV`` is exported with ``git archive`` into a temporary directory (run
 from the repository root).  Pair ``i`` runs ``bench/run.py --workload W
 --seed A+i --trace 0`` once from that export and once from the working
 tree, the parent first in even pairs and the change first in odd ones, each
-in a process of its own; nothing is written outside the temporary
-directory.
+in a process of its own and over the window ``BENCHMARK.json`` fixes;
+nothing is written outside the temporary directory.
 
 Per end-to-end metric of ``BENCHMARK.json`` it prints each side's median
-[q1, q3], the pairs the change won (strictly better in the metric's
-direction), the parent's quartile distance, the bound verdict of
-``bench/compare.py`` over the two sides' runs, and the standing-rule (a)
+[q1, q3] (the quartiles ``bench/compare.py`` measures spread with), the
+pairs the change won (strictly better in the metric's direction), the
+parent's quartile distance, the bound verdict of ``bench/compare.py``
+over the two sides' runs, and the standing-rule (a)
 verdict: ``gain`` when at least ten pairs ran, the change won ≥ 90 % of
 them, and its median is better than the parent's by more than the
 parent's quartile distance; ``loss`` the same the other way; ``none``
@@ -62,15 +63,13 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float | None, out: Path) -> dict:
+def run_once(tree: Path, workload: str, seed: int, out: Path) -> dict:
     """One untraced window of ``workload`` from ``tree``'s own ``bench/``
     and ``src/``; the run's result document."""
     command = [
         sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--trace", "0", "--out", str(out),
     ]
-    if seconds is not None:
-        command += ["--seconds", str(seconds)]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     subprocess.run(command, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
     document = json.loads(out.read_text(encoding="utf-8"))
@@ -81,10 +80,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float | None, out: P
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
-    """(q1, median, q3), inclusive method; a single value is all three."""
+    """(q1, median, q3) by ``statistics.quantiles``' default (exclusive)
+    method, as ``bench/compare.py`` measures spread; a single value is all
+    three."""
     if len(values) < 2:
         return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return q1, median, q3
 
 
@@ -160,8 +161,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, metavar="A-B",
                         help="pair i runs seed A+i; the range holds one seed per pair")
-    parser.add_argument("--seconds", type=float,
-                        help="window per run (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
     if len(args.seeds) != args.pairs:
         parser.error(f"--seeds holds {len(args.seeds)} seeds for {args.pairs} pairs")
@@ -175,7 +174,7 @@ def main(argv=None) -> int:
             sides = [(tree, parent, "parent"), (ROOT, change, "change")]
             for side_tree, documents, label in sides if index % 2 == 0 else sides[::-1]:
                 out = work / f"{label}-{seed}.json"
-                documents.append(run_once(side_tree, args.workload, seed, args.seconds, out))
+                documents.append(run_once(side_tree, args.workload, seed, out))
             print(f"pair {index + 1}/{args.pairs} (seed {seed}) done", file=sys.stderr)
     rows = summarise(args.workload, parent, change)
     print(f"{args.workload}: {args.parent} → working tree, {args.pairs} alternating pairs, "
