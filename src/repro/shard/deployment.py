@@ -558,7 +558,13 @@ def connect_sharded(
       stores share the plan cache, so a query compiles once.  ``registry``
       (optional) seeds the name catalogue — the coordinator's and, by
       copy, each endpoint's; later queries join through
-      :meth:`ShardedSession.register`, as over the wire.
+      :meth:`ShardedSession.register`, as over the wire.  Every store
+      compiles without references, so a ``database`` whose schema declares
+      some is served from an in-memory copy (``session.db.full is not
+      database``): rows inserted through the session never reach the
+      caller's store.  One built over ``schema.without_references()`` is
+      served as it is and sees every insert; a durable store that declares
+      references is refused (:class:`ShardedDatabase`).
     * no data source (or ``processes=True``): **wire endpoints** to a
       process group the session spawns, supervises and owns — one
       ``serve --shard i/n`` subprocess per partition plus the full-copy

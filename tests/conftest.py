@@ -5,8 +5,9 @@ processes carry it, and each phase of such a test fails after a fixed
 deadline with every thread's traceback instead of hanging the run.
 
 Also registers the ``repro-ci`` hypothesis profile: the tier-1 CI matrix
-runs the property suites (including the sharding differential headline
-property) under ``HYPOTHESIS_PROFILE=repro-ci``, which prints the
+runs the property suites (including the oracle matrix's property part,
+``tests/test_oracle_matrix.py``, whose example count is the active
+profile's) under ``HYPOTHESIS_PROFILE=repro-ci``, which prints the
 ``@reproduce_failure`` blob on any failing example so a CI failure
 replays locally exactly.  (``derandomize`` was measured >20× slower on
 these recursive query strategies, so reproducibility comes from the blob
@@ -243,11 +244,11 @@ class ShardedSessions:
 
     def __call__(
         self, shards=2, *, placement=None, database=None, options=None,
-        engine="auto", shared=False,
+        engine="auto", cache=True, shared=False,
     ):
         """A session; ``shared=True`` reuses one per (shards, placement)
         for the fixture's lifetime — read-only tests only.  ``options`` /
-        ``engine`` configure every store's session."""
+        ``engine`` / ``cache`` configure every store's session."""
         from repro.api import connect
         from repro.data.organisation import organisation_placement
         from repro.service import paper_registry, serve_in_background
@@ -262,14 +263,16 @@ class ShardedSessions:
         sdb = ShardedDatabase(database or figure3_database(), placement, shards)
         if self.transport == "local":
             session = connect_sharded(
-                sdb, options=options, engine=engine, registry=registry
+                sdb, options=options, engine=engine, cache=cache,
+                registry=registry,
             )
             self._servers[session] = []
         else:
             labels = [f"{i}/{shards}" for i in range(shards)] + [f"full/{shards}"]
             handles = [
                 serve_in_background(
-                    connect(store, options=options, engine=engine), registry,
+                    connect(store, options=options, engine=engine, cache=cache),
+                    registry,
                     pool_size=2,
                     shard_label=label,
                 )

@@ -1,4 +1,5 @@
-"""Hypothesis strategies generating random well-typed λNRC queries.
+"""Hypothesis strategies generating random well-typed λNRC queries, and
+the trap stores (:func:`trap_stores`) every suite checks them over.
 
 Strategy: first draw a *type plan* (a nested bag/record/base structure),
 then draw a query producing exactly that plan, so unions always join
@@ -243,6 +244,107 @@ def queries_with_bindings(draw, max_depth: int = 2) -> tuple[Term, dict]:
         for name, declared in collect_param_specs(query)
     }
     return query, bindings
+
+
+# --------------------------------------------------------------------------
+# The trap stores: small, as the oracle's cost is the product of the table
+# sizes its generators range over, and breaking every assumption a plan
+# could lean on.
+
+#: A cut of Fig. 3 (the size of the cut the in-memory theorem properties
+#: always ran on) carrying the multiplicity traps.
+TRAP_ROWS = {
+    "departments": [
+        {"id": 1, "name": "Product"},
+        {"id": 2, "name": "Quality"},  # nobody works here: empty inner bags
+        {"id": 4, "name": "Sales"},
+        {"id": 5, "name": "Sales"},  # a duplicate outer record under another key
+    ],
+    "employees": [
+        {"id": 1, "dept": "Product", "name": "Alex", "salary": 20_000},
+        {"id": 5, "dept": "Sales", "name": "Erik", "salary": 2_000_000},
+        {"id": 7, "dept": "Product", "name": "Erik", "salary": 500},  # a duplicate join value
+        {"id": 9, "dept": "Nowhere", "name": "Hank", "salary": 900},  # an orphan
+    ],
+    "tasks": [
+        {"id": 1, "employee": "Alex", "task": "build"},
+        {"id": 10, "employee": "Erik", "task": "call"},
+        {"id": 11, "employee": "Erik", "task": "enthuse"},
+        {"id": 12, "employee": "Hank", "task": "call"},
+        {"id": 16, "employee": "Nobody", "task": "build"},  # an orphan
+    ],
+    "contacts": [
+        {"id": 1, "dept": "Product", "name": "Pam", "client": False},
+        {"id": 7, "dept": "Sales", "name": "Sue", "client": True},
+        {"id": 8, "dept": "Nowhere", "name": "Zed", "client": True},  # an orphan
+    ],
+}
+
+
+def trap_stores(references: dict | None = None) -> dict:
+    """Fresh trap stores: ``traps`` (:data:`TRAP_ROWS` under the organisation
+    schema, whose references the rows break somewhere) and ``keyless`` (the
+    same rows, ``tasks`` declaring no key and holding two fully duplicate
+    rows).  ``references`` (``{table: ((column, "t.c"), …)}``) replaces the
+    schema's own."""
+    from repro.backend.database import Database
+
+    schema = ORGANISATION_SCHEMA if references is None else with_references(references)
+    return {
+        "traps": Database(schema, TRAP_ROWS),
+        "keyless": Database(
+            without_key(schema, "tasks"),
+            {**TRAP_ROWS, "tasks": TRAP_ROWS["tasks"] + TRAP_ROWS["tasks"][1:3]},
+        ),
+    }
+
+
+def with_references(references: dict):
+    """The organisation schema with ``references`` as its only references."""
+    import dataclasses
+
+    from repro.nrc.schema import Schema
+
+    return Schema(
+        tuple(
+            dataclasses.replace(table, references=references.get(table.name, ()))
+            for table in ORGANISATION_SCHEMA.tables
+        )
+    )
+
+
+_STRING_COLUMNS = [
+    (table.name, column)
+    for table in ORGANISATION_SCHEMA.tables
+    for column, ctype in table.columns
+    if ctype == STRING
+]
+#: The organisation's join columns, as declared and the other way round.
+_JOINS = [
+    (join, target)
+    for table in ORGANISATION_SCHEMA.tables
+    for column, referenced in table.references
+    for join, target in [
+        ((table.name, column), tuple(referenced.split("."))),
+        (tuple(referenced.split(".")), (table.name, column)),
+    ]
+]
+
+
+@st.composite
+def references(draw) -> dict:
+    """Random references for :func:`trap_stores`: each of the organisation's
+    three ¾ of the time, plus up to four drawn from its joins either way
+    round and from any String column to any other."""
+    drawn: dict[str, list[tuple[str, str]]] = {}
+    any_pair = st.tuples(st.sampled_from(_STRING_COLUMNS), st.sampled_from(_STRING_COLUMNS))
+    likely = [join for join in _JOINS[::2] if draw(st.integers(0, 3))]
+    for (table, column), (target, target_column) in likely + draw(
+        st.lists(st.one_of(st.sampled_from(_JOINS), any_pair), max_size=4)
+    ):
+        if (table, column) != (target, target_column):
+            drawn.setdefault(table, []).append((column, f"{target}.{target_column}"))
+    return {table: tuple(dict.fromkeys(refs)) for table, refs in drawn.items()}
 
 
 def without_key(schema, table: str):

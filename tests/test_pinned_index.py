@@ -5,18 +5,15 @@ parent.p`` with ``c`` declared to reference ``p``, and the parent is the
 unfiltered top level or itself pinned with no other condition,
 :func:`repro.pipeline.shredder.decide_edges` keys the child by ``c`` and
 drops its ancestors.  Checked here: the schema declaration, the links that
-must *not* qualify, that the organisation data keeps every reference it
-declares, and — as a property over random references, orphan rows and
-duplicate join values — agreement with :func:`repro.nrc.semantics.evaluate`.
+must *not* qualify and that the organisation data keeps every reference it
+declares.  Agreement with :func:`repro.nrc.semantics.evaluate` over orphan
+rows and duplicate join values — under the organisation's references,
+random ones and none — is ``tests/test_oracle_matrix.py``'s.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.backend.database import Database
 from repro.data.generator import generate_organisation
@@ -31,8 +28,8 @@ from repro.pipeline.shredder import ShreddingPipeline
 from repro.service import paper_registry
 from repro.values import assert_bag_equal
 
-from .strategies import queries_with_nesting
-from .test_result_tree import shared_objects
+from .strategies import with_references
+from .test_oracle_matrix import shared_objects
 
 SCHEMA = ORGANISATION_SCHEMA
 
@@ -49,17 +46,6 @@ def _assert_runs_like_the_semantics(query, db) -> None:
         value = compiled.run(db, engine=engine)
         assert shared_objects(value) == [], engine
         assert_bag_equal(value, expected)
-
-
-def _with_references(**references) -> Schema:
-    """The organisation schema with ``table=((column, "t.c"), …)`` as its
-    only references."""
-    return Schema(
-        tuple(
-            dataclasses.replace(table, references=references.get(table.name, ()))
-            for table in SCHEMA.tables
-        )
-    )
 
 
 # --------------------------------------------------------------------------
@@ -231,8 +217,8 @@ def test_union_branches_pinning_different_parent_columns_keep_natural_keys():
     """Both branches qualify alone — ``tasks.employee`` references
     ``employees.name`` and, in this schema, ``tasks.task`` references
     ``employees.dept`` — but one item index cannot project both columns."""
-    schema = _with_references(
-        tasks=(("employee", "employees.name"), ("task", "employees.dept"))
+    schema = with_references(
+        {"tasks": (("employee", "employees.name"), ("task", "employees.dept"))}
     )
     query = b.for_(
         "e",
@@ -300,74 +286,3 @@ def test_a_leaf_pinned_in_one_branch_only_is_as_wide_as_its_widest_branch():
     ]
     assert top.rekeys[0] is not None and top.rekeys[1] is None
     _assert_runs_like_the_semantics(query, figure3_database())
-
-
-# --------------------------------------------------------------------------
-# The property: random references, orphans and duplicate join values.
-
-_STRING_COLUMNS = [
-    (table.name, column)
-    for table in SCHEMA.tables
-    for column, ctype in table.columns
-    if ctype == STRING
-]
-#: The organisation's join columns, as declared and the other way round.
-_JOINS = [
-    (join, target)
-    for table in SCHEMA.tables
-    for column, referenced in table.references
-    for join, target in [
-        ((table.name, column), tuple(referenced.split("."))),
-        (tuple(referenced.split(".")), (table.name, column)),
-    ]
-]
-#: Few names, so join values repeat and miss: duplicates and orphans.
-_NAMES = st.sampled_from(["Ann", "Bo", "Sales", "build"])
-
-
-@st.composite
-def referenced_stores(draw) -> Database:
-    references: dict[str, list[tuple[str, str]]] = {}
-    any_pair = st.tuples(st.sampled_from(_STRING_COLUMNS), st.sampled_from(_STRING_COLUMNS))
-    likely = [join for join in _JOINS[::2] if draw(st.integers(0, 3))]  # ¾ each
-    for (table, column), (target, target_column) in likely + draw(
-        st.lists(st.one_of(st.sampled_from(_JOINS), any_pair), max_size=4)
-    ):
-        if (table, column) != (target, target_column):
-            references.setdefault(table, []).append((column, f"{target}.{target_column}"))
-    schema = _with_references(
-        **{table: tuple(dict.fromkeys(refs)) for table, refs in references.items()}
-    )
-    cells = {INT: st.integers(0, 3), STRING: _NAMES}
-    tables = {}
-    for table in schema.tables:
-        rows = draw(
-            st.lists(
-                st.fixed_dictionaries(
-                    {
-                        column: st.booleans() if ctype.name == "Bool" else cells[ctype]
-                        for column, ctype in table.columns
-                        if column != "id"
-                    }
-                ),
-                max_size=3,
-            )
-        )
-        tables[table.name] = [{"id": i, **row} for i, row in enumerate(rows)]
-    return Database(schema, tables)
-
-
-_QUERIES = st.one_of(
-    st.sampled_from([NESTED_QUERIES[name] for name in ("Q1", "Q3", "Q4", "Q6")]),
-    queries_with_nesting(),
-)
-
-
-@given(referenced_stores(), _QUERIES)
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-def test_random_references_agree_with_the_semantics(db, query):
-    _assert_runs_like_the_semantics(query, db)

@@ -4,7 +4,8 @@ every compilation input participates in the key.
 Covers the cache key machinery (term/schema fingerprints), LRU behaviour,
 stats plumbing, the batched execution engine a cached plan typically runs
 under, and — via Hypothesis over :mod:`tests.strategies` — the property
-that serving a plan from cache never changes query results.
+that its fold equals decode + stitch.  That a plan served warm from cache
+answers like the semantics is one axis of ``tests/test_oracle_matrix.py``.
 """
 
 from __future__ import annotations
@@ -199,26 +200,6 @@ class TestFlatPipelineCache:
         assert len(cache) == 2
         rows = flat.decode_rows(db.execute_sql(flat.sql))
         assert rows  # the Fig. 3 instance has departments
-
-
-@settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow], deadline=None)
-@given(query=queries_with_nesting())
-def test_property_cache_hits_match_cold_compiles(query):
-    """Serving a plan from cache never changes results (both engines)."""
-    db = figure3_database()
-    try:
-        cold = ShreddingPipeline(db.schema).run(query, db)
-    except Exception:
-        # Some generated queries are degenerate (e.g. ∅ with erased element
-        # type); cache behaviour on compilable queries is what's under test.
-        return
-    cache = PlanCache()
-    pipeline = ShreddingPipeline(db.schema, cache=cache)
-    pipeline.compile(query)  # cold miss
-    hit = pipeline.compile(query)  # hit
-    assert bag_equal(hit.run(db), cold)
-    assert bag_equal(hit.run(db, engine="batched"), cold)
-    assert cache.hits >= 1
 
 
 def _flat_key(value):

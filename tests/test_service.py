@@ -454,9 +454,10 @@ class TestRunsOnTheLoop:
     def test_multiplicity_cases_over_the_wire_worker_then_inline(
         self, wire_client
     ):
-        from .test_property_pipeline import INSTANCES, MULTIPLICITY_CASES
+        from .strategies import trap_stores
+        from .test_property_pipeline import MULTIPLICITY_CASES
 
-        db = INSTANCES["keyed"]
+        db = trap_stores()["traps"]
         registry = QueryRegistry()
         for case in MULTIPLICITY_CASES:
             registry.register(case.id, case.values[0])

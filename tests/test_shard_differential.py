@@ -1,63 +1,36 @@
-"""The sharding conformance suite: differential testing against a single
-session.
+"""Sharded answers against a single session, at 2, 3 and 4 shards.
 
-The claim under test is semantic: for *any* query, a sharded deployment
-(2/3/4 shards, over local **and** wire endpoints) produces a result that
-is **equal as a nested multiset** to single-session execution — whichever
-route the shardability analysis picked (fanout, routed, single-shard or
-full-copy fallback).  Merging per-shard answers is a bag-union over
-nested multisets, so this is exactly the paper's §2.1 equivalence.
-
-Three layers:
+For every shard count, a sharded deployment (over local **and** wire
+endpoints) answers like single-session execution, as nested multisets —
+whichever route the shardability analysis picked (fanout, routed,
+single-shard or full-copy fallback):
 
 * the paper queries Q1–Q6 on every engine × every shard count, once per
-  endpoint kind (the ``sharded_session`` fixture) — deterministic,
-  exhaustive;
+  endpoint kind (the ``sharded_session`` fixture);
 * the two parameterised registry queries (``staff_above(:min_salary)``,
   ``dept_staff(:dept)``), including the routed-point-lookup guarantee:
   a bound routing key hits **exactly one shard**, asserted via the
-  per-shard run counters;
-* the headline hypothesis property: random queries from
-  :mod:`tests.strategies` (host parameters and union shapes included,
-  with generated bindings) are value-equal across every shard count,
-  with the engine drawn per example — over local endpoints (the
-  coordinator is the same code either way; ``test_fault_tolerance.py``
-  runs its own random-fault property over the wire).
+  per-shard run counters.
 
-CI runs the property under the fixed ``repro-ci`` hypothesis profile
-(see ``tests/conftest.py``): generation stays randomised, but any
-failing example prints its ``@reproduce_failure`` blob so the failure
-replays locally exactly.  ``REPRO_SHARD_EXAMPLES`` scales the example
-count.
+Random queries, bindings and stores over 2 shards, against
+:func:`repro.nrc.semantics.evaluate`, are ``tests/test_oracle_matrix.py``'s.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.api import connect
-from repro.data.organisation import figure3_database, organisation_placement
+from repro.data.organisation import figure3_database
 from repro.data.queries import NESTED_QUERIES
 from repro.service import paper_registry
-from repro.shard import connect_sharded, shard_for
+from repro.shard import shard_for
 from repro.values import assert_bag_equal, bag_equal
-
-from .strategies import queries_with_bindings
 
 SHARD_COUNTS = (2, 3, 4)
 ENGINES = ("per-path", "batched", "parallel")
 DEPTS = ("Product", "Quality", "Research", "Sales")
 REGISTRY = paper_registry()
-
-_settings = settings(
-    max_examples=int(os.environ.get("REPRO_SHARD_EXAMPLES", "15")),
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
 
 
 @pytest.fixture(scope="module")
@@ -136,35 +109,3 @@ class TestParameterisedQueries:
                 assert sum(deltas) == 1 and deltas[owner] == 1, deltas
                 assert after["fallback"] == before["fallback"]
                 assert_bag_equal(result.value, expected, dept)
-
-
-# --------------------------------------------------------------------------
-# The headline property: random queries, random bindings, every shard
-# count.
-
-
-@pytest.fixture(scope="module")
-def local_sessions():
-    sessions = {
-        shards: connect_sharded(
-            figure3_database(), placement=organisation_placement(),
-            shards=shards,
-        )
-        for shards in SHARD_COUNTS
-    }
-    yield sessions
-    for session in sessions.values():
-        session.close()
-
-
-@given(data=st.data())
-@_settings
-def test_random_queries_differential(single, local_sessions, data):
-    query, bindings = data.draw(queries_with_bindings())
-    engine = data.draw(st.sampled_from(ENGINES))
-    expected = single.run(query, params=bindings).value
-    for shards, session in local_sessions.items():
-        result = session.run(query, params=bindings, engine=engine)
-        assert bag_equal(result.value, expected), (
-            f"{shards} shards via {result.route} ({engine})"
-        )

@@ -485,6 +485,21 @@ class TestShardedSession:
         assert len(zeta) == 1
         assert zeta[0]["employees"] == ["Zoe"]
 
+    def test_an_in_memory_store_with_references_is_copied(self):
+        """A store whose schema declares references is served from a copy
+        under the reference-free schema: inserts through the session miss
+        the caller's store.  One without references is served as it is."""
+        row = {"id": 99, "dept": "Sales", "name": "Zoe", "salary": 5}
+        db = figure3_database()
+        with connect_sharded(db, placement=PLACEMENT, shards=2) as session:
+            session.insert("employees", [row])
+            assert session.db.full is not db
+            assert (db.row_count("employees"), session.db.full.row_count("employees")) == (7, 8)
+        bare = figure3_database().without_references()
+        with connect_sharded(bare, placement=PLACEMENT, shards=2) as session:
+            session.insert("employees", [row])
+            assert session.db.full is bare and bare.row_count("employees") == 8
+
     def test_plan_cache_shared_across_local_stores(self):
         from repro.pipeline.plan_cache import PlanCache
 

@@ -2,14 +2,13 @@
 tables SQLite wrote, the coordinator stitches them once.
 
 The paper's architecture is *flat queries run remotely; stitching is the
-single local step at the end*, and its correctness theorem (shred, run
-flat, stitch ≡ the nested-multiset semantics) is the one oracle here:
+single local step at the end*.  That its answers equal the nested-multiset
+semantics on every route is ``tests/test_oracle_matrix.py``'s; here:
 
 * **differential** — for every registry query × {default, flat} plans ×
   both endpoint kinds × 2/3/4 shards, the rows the coordinator stitches
   are the *same list* the same endpoints answer when nobody asks for
-  column tables, and equal as nested multisets to
-  :func:`repro.nrc.semantics.evaluate`;
+  column tables;
 * **bag laws across fan-out and merge** — replicated tables are not
   multiplied by the shard count, empty inner bags survive, duplicate
   outer records keep their own inner bags, and set semantics dedups once,
@@ -127,11 +126,6 @@ class TestDifferential:
             nested = session.run(name, params=params, trace=True)
             # Identical lists — same order at every level — not just bags.
             assert stitched[name] == nested.value, name
-            assert_bag_equal(
-                stitched[name],
-                _oracle(REGISTRY.lookup(name).term, session.db.full, params),
-                context=f"{name} / {plan} / {shards} shards",
-            )
             # …and they really came the two ways.
             assert all(kids == ["stitch"] for kids in stitch_spans[name]), name
             assert all(not s.children for s in _shard_spans(nested.trace)), name
@@ -152,7 +146,6 @@ class TestDifferential:
         for engine in ("per-path", "parallel"):
             result = session.run("Q4", engine=engine, trace=True)
             assert all(not s.children for s in _shard_spans(result.trace))
-            assert_bag_equal(result.value, expected)
         for engine in (None, "auto", "batched"):
             result = session.run("Q4", engine=engine, trace=True)
             assert all(s.children for s in _shard_spans(result.trace))
@@ -224,7 +217,6 @@ class TestBagLaws:
         assert [len(row["everybody"]) for row in result.value] == [everyone] * len(
             session.db.full.rows("departments")
         )
-        assert_bag_equal(result.value, _oracle(EVERYBODY, session.db.full))
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("placement", ["replicated", "co-partitioned"])
@@ -245,7 +237,6 @@ class TestBagLaws:
         assert result.route == "fanout"
         by_dept = {row["dept"]: row["employees"] for row in result.value}
         assert [by_dept[name] for name in ghosts] == [[], []]
-        assert_bag_equal(result.value, _oracle(NESTED_QUERIES["Q4"], session.db.full))
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_duplicate_outer_records_under_distinct_keys(
@@ -264,12 +255,10 @@ class TestBagLaws:
         q4 = session.run("Q4").value
         sales = [row for row in q4 if row["dept"] == "Sales"]
         assert len(sales) == 2 and sales[0] == sales[1] and sales[0]["employees"]
-        assert_bag_equal(q4, _oracle(NESTED_QUERIES["Q4"], session.db.full))
         anonymous = session.run(ANONYMOUS)
         assert anonymous.route == "fanout"
         # (Fig. 3's Quality is staffless too.)
         assert anonymous.value.count({"tag": "x", "staff": []}) == 3
-        assert_bag_equal(anonymous.value, _oracle(ANONYMOUS, session.db.full))
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_set_semantics_dedups_once_after_the_union(self, sharded_session, shards):
@@ -286,7 +275,6 @@ class TestBagLaws:
         assert as_set.route == "fanout"
         assert bag.count({"tag": "x", "staff": []}) == 3  # Quality + the two
         assert as_set.value.count({"tag": "x", "staff": []}) == 1
-        assert bag_equal(as_set.value, dedup_nested(_oracle(ANONYMOUS, session.db.full)))
 
     def test_delta_does_not_commute_with_the_comprehension(self):
         """*Mixing set and bag semantics*' side-condition, as its
