@@ -44,7 +44,7 @@ from repro.bench.reporting import bench_result_path, merge_bench_json
 from repro.data.organisation import organisation_placement
 from repro.data.queries import NESTED_QUERIES
 from repro.service import RetryPolicy, paper_registry, serve_in_background
-from repro.shard import ShardedDatabase, ShardedServiceClient
+from repro.shard import ShardedDatabase, ShardedServiceClient, endpoint_session
 from repro.values import bag_equal
 
 QUERY_NAMES = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"]
@@ -149,12 +149,12 @@ def failover_results(bench_db):
     }
     handles = [
         serve_in_background(
-            connect(db), registry, pool_size=2, shard_label=f"{i}/{SHARDS}"
+            endpoint_session(db), registry, pool_size=2, shard_label=f"{i}/{SHARDS}"
         )
         for i, db in enumerate(sharded_db.shards)
     ]
     fallback = serve_in_background(
-        connect(sharded_db.full), registry, pool_size=CLIENTS,
+        endpoint_session(sharded_db.full), registry, pool_size=CLIENTS,
         shard_label=f"full/{SHARDS}",
     )
 
@@ -273,7 +273,7 @@ def replica_failover_results(bench_db):
     groups = [
         [
             serve_in_background(
-                connect(copies[replica].shards[i]),
+                endpoint_session(copies[replica].shards[i]),
                 registry,
                 pool_size=2,
                 shard_label=(
@@ -287,7 +287,7 @@ def replica_failover_results(bench_db):
         for i in range(REPLICA_SHARDS)
     ]
     fallback = serve_in_background(
-        connect(copies[0].full), registry, pool_size=CLIENTS,
+        endpoint_session(copies[0].full), registry, pool_size=CLIENTS,
         shard_label=f"full/{REPLICA_SHARDS}",
     )
 

@@ -46,11 +46,17 @@ import pytest
 from repro.api import connect
 from repro.bench.harness import BenchConfig, median_millis
 from repro.bench.reporting import bench_result_path, write_bench_json
-from repro.data.generator import scaled_database, sharded_scaled_database
+from repro.data.generator import scaled_database
 from repro.data.queries import NESTED_QUERIES
 from repro.pipeline.plan_cache import PlanCache
 from repro.service.registry import paper_registry
-from repro.shard import Placement, connect_sharded, shard_for, sharded
+from repro.shard import (
+    Placement,
+    ShardedDatabase,
+    connect_sharded,
+    shard_for,
+    sharded,
+)
 from repro.values import bag_equal
 
 QUERIES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6")
@@ -132,14 +138,13 @@ def sweep_results():
     # Partition balance (hardware-independent): under the co-partitioned
     # placement both aligned tables split across shards without loss.
     balance: dict[str, list[int]] = {}
-    balance_db = sharded_scaled_database(
-        departments, 4, placement=P_DEPT_CO, seed=0, scale_rows=rows
+    balance_db = ShardedDatabase(
+        scaled_database(departments, seed=0, scale_rows=rows), P_DEPT_CO, 4
     )
     for table in P_DEPT_CO.sharded_tables:
         counts = balance_db.row_counts(table)
         assert sum(counts) == full.row_count(table), table
         balance[table] = counts
-    balance_db.dispose()
 
     def aggregate(shards: int) -> float:
         return sum(cells[name][shards] for name in QUERIES)

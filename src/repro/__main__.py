@@ -200,6 +200,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.protocol import OPS
     from repro.service.registry import paper_registry
     from repro.service.server import QueryServer
+    from repro.shard.client import endpoint_session
 
     shard_label = None
     index: "str | int | None" = None
@@ -237,8 +238,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 placement = organisation_placement()
             placement = placement.validate(db.schema)
             db = db.partitioned(placement.owner_fn(count), index)
-    if index is not None:
-        db = db.without_references()  # as every store of a deployment
     if args.data_dir:
         from pathlib import Path
 
@@ -253,7 +252,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # seed rows (crash recovery), an empty one is seeded and synced.
         seed = {ts.name: db.raw_rows(ts.name) for ts in db.schema.tables}
         db = Database(db.schema, seed, path=directory / f"shard-{slug}.sqlite")
-    session = connect(db)
+    session = connect(db) if index is None else endpoint_session(db)
     registry = paper_registry()
     server = QueryServer(
         session,
@@ -370,6 +369,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.check.diagnostics import has_failures
     from repro.data.organisation import organisation_placement
     from repro.service.registry import paper_registry
+    from repro.shard.client import endpoint_session
     from repro.shred.packages import annotations
     from repro.sql.codegen import SqlOptions
 
@@ -380,10 +380,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         options=SqlOptions(optimize=True),
         cache=False,
     )
-    unreferenced = connect(
-        schema=ORGANISATION_SCHEMA.without_references(),
-        options=session.options,
-        cache=False,
+    unreferenced = endpoint_session(
+        ORGANISATION_SCHEMA, options=session.options, cache=False
     )
     placement = organisation_placement()
     failed = False

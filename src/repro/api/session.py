@@ -25,7 +25,7 @@ import threading
 from dataclasses import replace
 from typing import Any, Iterable, Mapping
 
-from repro.api.fluent import Query, TermQuery, to_term
+from repro.api.fluent import Query, to_term
 from repro.api.results import Prepared, Result
 from repro.backend.database import Database
 from repro.backend.executor import ExecutionStats
@@ -57,7 +57,9 @@ class Session:
     ----------
     database:
         An existing :class:`Database`; alternatively pass ``schema`` (and
-        optionally ``tables``) to create a fresh one.
+        optionally ``tables``) to create a fresh one.  With a ``database``,
+        ``schema`` may only be its schema ``without_references()``: the
+        session serves that store but compiles as if it declared none.
     options:
         :class:`SqlOptions` for code generation and the logical optimizer.
     engine:
@@ -91,16 +93,16 @@ class Session:
                     "connect() needs a Database or a Schema"
                 )
             database = Database(schema, tables)
-        elif schema is not None and schema is not database.schema:
-            raise ShreddingError(
-                "pass either a Database or a Schema, not both"
-            )
-        elif tables:
-            for name, rows in tables.items():
+        else:
+            if schema not in (None, database.schema, database.schema.without_references()):
+                raise ShreddingError(
+                    "pass either a Database or a Schema, not both"
+                )
+            for name, rows in (tables or {}).items():
                 database.insert(name, rows)
         validate_engine(engine, extra=("auto",))
         self.db = database
-        self.schema = database.schema
+        self.schema = schema or database.schema
         self.engine = engine
         self.options = options or SqlOptions()
         self.pipeline = ShreddingPipeline(
@@ -199,11 +201,6 @@ class Session:
                 return source
             return Prepared(self, source.term())
         return Prepared(self, to_term(source))
-
-    def lift(self, term: ast.Term) -> TermQuery:
-        """Wrap a hand-built λNRC term with the fluent surface (so it can
-        be unioned, nested, or used as a ``from_`` source)."""
-        return TermQuery(self, term)
 
     # -------------------------------------------------------------- running
 

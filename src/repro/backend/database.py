@@ -245,33 +245,9 @@ class Database:
         if self._ensured_indexes:
             self._stats_stale = True
 
-    def without_references(self) -> "Database":
-        """This store under :meth:`Schema.without_references`: ``self`` when
-        its schema declares none, else a fresh in-memory store over the same
-        rows (the row dicts are shared, as every reader shares them: they
-        are read-only, and an insert adds copies).
-
-        A durable store that declares references has no such copy: one in
-        memory would drop its writes, and a second store on the same file
-        would keep rows and journal apart from ``self``'s.  It raises
-        :class:`BackendError`; open the file over
-        ``schema.without_references()`` instead."""
-        schema = self.schema.without_references()
-        if schema is self.schema:
-            return self
-        if self._path is not None:
-            raise BackendError(
-                f"durable store {self._path!r} declares references: open it "
-                "over schema.without_references() to use it without them"
-            )
-        copy = Database(schema)
-        copy._rows = {name: list(rows) for name, rows in self._rows.items()}
-        return copy
-
     def partitioned(self, owner, shard_index: int) -> "Database":
         """Partitioned loading: a fresh :class:`Database` over the same
-        schema, references dropped (a slice need not keep them), holding
-        only the rows shard ``shard_index`` serves.
+        schema, holding only the rows shard ``shard_index`` serves.
 
         ``owner(table_name, row)`` returns the owning shard index for a
         row of a *sharded* table, or ``None`` for tables replicated to
@@ -289,10 +265,11 @@ class Database:
                 if target is None or target == shard_index:
                     kept.append(row)  # Database.insert copies each row
             tables[name] = kept
-        return Database(self.schema.without_references(), tables)
+        return Database(self.schema, tables)
 
     def partition_all(self, owner, shard_count: int) -> "list[Database]":
-        """All ``shard_count`` partitions in **one** pass over the rows.
+        """All ``shard_count`` partitions, each over this store's schema,
+        in **one** pass over the rows.
 
         Equivalent to ``[self.partitioned(owner, i) for i in range(n)]``
         but each sharded row is ownership-hashed exactly once —
@@ -314,8 +291,7 @@ class Database:
                         bucket[name].append(row)
                 else:
                     buckets[target][name].append(row)
-        schema = self.schema.without_references()
-        return [Database(schema, bucket) for bucket in buckets]
+        return [Database(self.schema, bucket) for bucket in buckets]
 
     def raw_rows(self, table: str) -> list[dict]:
         """Rows in insertion order (no canonicalisation).

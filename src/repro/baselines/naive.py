@@ -26,7 +26,6 @@ from repro.nrc.types import BagType, RecordType, Type, is_nested
 from repro.shred.indexes import NaturalIndex
 from repro.shred.packages import annotation_at, shred_query_package
 from repro.shred.paths import Path, paths, type_at
-from repro.shred.shredded_ast import TOP_TAG
 from repro.sql.ast import Lit
 from repro.sql.codegen import CompiledSql, SqlOptions, compile_shredded
 from repro.sql.render import render_expr
@@ -46,12 +45,6 @@ class _Level:
 class CompiledAvalanche:
     result_type: Type
     levels: dict[Path, _Level]
-
-    @property
-    def query_count_static(self) -> int:
-        """Queries issued *per parent row* is what varies; this is just the
-        number of distinct statements compiled."""
-        return len(self.levels)
 
     def run(
         self, db: Database, stats: ExecutionStats | None = None
@@ -171,7 +164,3 @@ def avalanche_run(
     query: ast.Term, db: Database, stats: ExecutionStats | None = None
 ) -> NestedValue:
     return AvalanchePipeline(db.schema).run(query, db, stats=stats)
-
-
-def _unused_top_tag() -> str:  # pragma: no cover - keeps import honest
-    return TOP_TAG

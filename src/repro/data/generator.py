@@ -23,7 +23,6 @@ __all__ = [
     "generate_organisation",
     "TASK_NAMES",
     "scaled_database",
-    "sharded_scaled_database",
     "scaled_shard",
 ]
 
@@ -136,29 +135,6 @@ def scaled_database(departments: int, seed: int = 0, scale_rows: int = 100) -> D
 
 # --------------------------------------------------------------------------
 # Partition-aware generation (the sharded deployment's data path).
-
-
-def sharded_scaled_database(
-    departments: int,
-    shards: int,
-    placement=None,
-    seed: int = 0,
-    scale_rows: int = 100,
-):
-    """The benchmark instance, partitioned: a
-    :class:`~repro.shard.deployment.ShardedDatabase` whose full-copy shard is
-    exactly :func:`scaled_database` at the same parameters.
-
-    ``placement`` defaults to
-    :func:`~repro.data.organisation.organisation_placement`.
-    """
-    from repro.data.organisation import organisation_placement
-    from repro.shard.deployment import ShardedDatabase
-
-    if placement is None:
-        placement = organisation_placement()
-    full = scaled_database(departments, seed=seed, scale_rows=scale_rows)
-    return ShardedDatabase(full, placement, shards)
 
 
 def scaled_shard(

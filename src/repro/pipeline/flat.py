@@ -74,7 +74,6 @@ def _rebuild(ftype: Type, path: tuple[str, ...], cells: dict) -> object:
 def compile_flat_query(
     query: ast.Term,
     schema: Schema,
-    pretty: bool = True,
     cache: PlanCache | None = None,
     optimize: bool = False,
 ) -> FlatCompiled:
@@ -94,26 +93,25 @@ def compile_flat_query(
         key = plan_key(
             query,
             schema,
-            SqlOptions(pretty=pretty, optimize=optimize),
+            SqlOptions(optimize=optimize),
             pipeline="flat",
         )
         cached = cache.lookup(key)
         if cached is not None:
             return cached
         compiled = _compile_flat_cold(
-            query, schema, pretty, use_nf_memo=True, optimize=optimize
+            query, schema, use_nf_memo=True, optimize=optimize
         )
         cache.store(key, compiled)
         return compiled
     return _compile_flat_cold(
-        query, schema, pretty, use_nf_memo=False, optimize=optimize
+        query, schema, use_nf_memo=False, optimize=optimize
     )
 
 
 def _compile_flat_cold(
     query: ast.Term,
     schema: Schema,
-    pretty: bool,
     use_nf_memo: bool,
     optimize: bool = False,
 ) -> FlatCompiled:
@@ -161,7 +159,7 @@ def _compile_flat_cold(
 
         statement = optimize_statement(statement)
     return FlatCompiled(
-        sql=render_statement(statement, pretty),
+        sql=render_statement(statement),
         element_type=element_type,
         columns=names,
     )

@@ -22,10 +22,13 @@ Five pieces:
   :class:`~repro.service.client.ServiceClient` per ``python -m repro
   serve --shard i/n`` server, or an in-process ``LocalEndpoint`` — both
   drivers of one :class:`~repro.service.protocol.ClientCore`, answered by
-  one :class:`~repro.service.core.ServerCore`);
+  one :class:`~repro.service.core.ServerCore`) — and ``endpoint_session``,
+  the one rule every store of a deployment and its coordinator compile
+  by: the store as it is, its schema without references;
 * :mod:`~repro.shard.deployment` — ``connect_sharded`` /
   ``ShardedSession`` (the façade over a coordinator) and the local
-  substrate, ``ShardedDatabase`` + ``LocalEndpoint``;
+  substrate, ``ShardedDatabase`` (the caller's store plus its partitions)
+  + ``LocalEndpoint``;
 * :mod:`~repro.shard.supervisor` — ``ShardProcess`` / ``Supervisor`` /
   ``SupervisedDeployment``, the self-healing process layer under the
   wire endpoints (spawn, health-check, restart with backoff, crash-loop
@@ -40,7 +43,7 @@ from repro.shard.analysis import (
     referenced_tables,
     resolve_shard,
 )
-from repro.shard.client import ShardedServiceClient
+from repro.shard.client import ShardedServiceClient, endpoint_session
 from repro.shard.placement import (
     REPLICATED,
     Placement,
@@ -84,6 +87,7 @@ __all__ = [
     "LocalEndpoint",
     "connect_sharded",
     "ShardedServiceClient",
+    "endpoint_session",
     "ShardProcess",
     "Supervisor",
     "SupervisedDeployment",

@@ -99,6 +99,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.api.session import Session
+from repro.backend.database import Database
 from repro.errors import (
     BackendError,
     DeadlineExceededError,
@@ -117,7 +118,12 @@ from repro.shard.analysis import RouteDecision, ShardPlan, analyse, plan_route
 from repro.shard.placement import Placement
 from repro.sql.codegen import SqlOptions
 
-__all__ = ["ShardedServiceClient", "SHARD_UNAVAILABLE", "MODE_COUNTERS"]
+__all__ = [
+    "ShardedServiceClient",
+    "SHARD_UNAVAILABLE",
+    "MODE_COUNTERS",
+    "endpoint_session",
+]
 
 #: The failures that mean "this shard cannot answer right now" — transport
 #: breakage (which is also how a local endpoint reports a dying store), a
@@ -139,6 +145,19 @@ MODE_COUNTERS = {
     "single": "singles",
     "fallback": "fallbacks",
 }
+
+
+def endpoint_session(source: Database | Schema, **options: Any) -> Session:
+    """The session a deployment compiles with: over a store as it is (an
+    endpoint), or over an empty store of a schema (the coordinator).
+
+    Either way it compiles without references: a replicated child keyed by
+    its join column under a partitioned parent would ship rows no parent
+    on that shard asks for, so every endpoint, and the coordinator that
+    folds what they answer, runs the reference-free plans.  ``options``
+    are :class:`~repro.api.session.Session`'s own."""
+    store = source if isinstance(source, Database) else Database(source)
+    return Session(store, schema=store.schema.without_references(), **options)
 
 
 def _normalise_groups(shard_addresses: Sequence) -> list[list]:
@@ -182,15 +201,13 @@ class ShardedServiceClient:
             raise ShardingError("need at least one shard address")
         self.placement = placement.validate(schema)
         self.registry = registry
-        # Every store of a deployment compiles without references (see
-        # ShardedDatabase), and so does the coordinator that folds them.
-        self.schema = schema = schema.without_references()
         self.deadline_ms = deadline_ms
         #: The coordinator's own compiles (it stitches what the endpoints
-        #: ran): a data-less façade session over the deployment's schema
-        #: and ``options`` — the endpoints' ``SqlOptions``, or the plans
-        #: differ and :meth:`prepare` says so — on the process plan cache.
-        self._compiler = Session(schema=schema, options=options)
+        #: ran): a data-less :func:`endpoint_session` under ``options`` —
+        #: the endpoints' ``SqlOptions``, or the plans differ and
+        #: :meth:`prepare` says so — on the process plan cache.
+        self._compiler = endpoint_session(schema, options=options)
+        self.schema = self._compiler.schema
         self.options = self._compiler.options
 
         # connect_now=False: a dead shard at construction time must not
@@ -351,7 +368,7 @@ class ShardedServiceClient:
             raise bad(
                 f"plan {response.get('plan')!r} ≠ the coordinator's "
                 f"{compiled.plan_fingerprint!r} (do both compile under the "
-                f"same SqlOptions?)"
+                f"same SqlOptions, through endpoint_session?)"
             )
         tables = response.pop("shredded")
         outcomes: dict[int, tuple[int, float]] = {}

@@ -22,9 +22,9 @@ endpoints the coordinator talks to:
 
 * given a :class:`~repro.backend.database.Database` (or ``schema`` /
   ``tables``), it partitions it into a :class:`ShardedDatabase` — ``n``
-  partition stores plus the original as the *full-copy fallback* — and
-  puts a :class:`LocalEndpoint` (a per-store
-  :class:`~repro.api.session.Session` behind the same
+  partition stores plus the caller's store itself as the *full-copy
+  fallback* — and puts a :class:`LocalEndpoint` (a per-store
+  :func:`~repro.shard.client.endpoint_session` behind the same
   :class:`~repro.service.core.ServerCore` a server runs; no frame, no
   socket) in front of each;
 * given no data, it spawns a
@@ -34,7 +34,9 @@ endpoints the coordinator talks to:
 
 Either way the endpoints run the flat statements and answer with column
 tables (protocol v1.5); the coordinator stitches, so ``options`` reach it
-as well as the per-store sessions — both must compile the same plan.
+as well as the per-store sessions — both must compile the same plan,
+and both compile without references
+(:func:`~repro.shard.client.endpoint_session` writes that rule once).
 
 Route modes come from :func:`~repro.shard.analysis.analyse`:
 **fanout** (every shard, bag-union in shard order), **routed** /
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-import uuid
 from contextlib import nullcontext
 from typing import Any, Callable, Iterable, Mapping, Optional
 
@@ -63,7 +64,11 @@ from repro.service.protocol import _USE_DEFAULT, ClientCore
 from repro.service.registry import QueryRegistry
 from repro.service.resilience import CircuitBreaker
 from repro.shard.analysis import ShardPlan
-from repro.shard.client import MODE_COUNTERS, ShardedServiceClient
+from repro.shard.client import (
+    MODE_COUNTERS,
+    ShardedServiceClient,
+    endpoint_session,
+)
 from repro.shard.placement import Placement
 from repro.sql.codegen import SqlOptions
 
@@ -80,21 +85,16 @@ __all__ = [
 class ShardedDatabase:
     """``n`` partition stores plus the designated full-copy shard.
 
-    The full-copy shard is the original ``database`` (or, when its schema
-    declares references, its in-memory copy without them): partition
-    shards are loaded from it once (copy-on-partition), after which every
-    mutation goes through :meth:`insert`, which routes each row to its
-    owning shard — and to the full copy, which must stay a superset view
-    of the union of partitions.
+    The full-copy shard is the caller's ``database`` itself; partition
+    shards are loaded from it once (copy-on-partition), over the same
+    schema.  After that every write goes through the session's
+    coordinator (:meth:`~repro.shard.client.ShardedServiceClient.insert`),
+    which routes each row to its owning shard — and to the full copy,
+    which must stay a superset view of the union of partitions.
 
-    Every store declares no references (:meth:`Database.without_references`):
-    a replicated child keyed by its join column under a partitioned parent
-    would ship rows no parent on that shard asks for, so a deployment's
-    plans, and their fingerprints, are the reference-free ones.  A durable
-    store that declares references is refused (:class:`ShardingError`): an
-    in-memory copy would drop the writes acknowledged through it, so such a
-    file is opened over ``schema.without_references()`` and the deployment
-    writes through the caller's own store.
+    The stores keep the references their schema declares; it is the
+    sessions over them that compile without
+    (:func:`~repro.shard.client.endpoint_session`).
     """
 
     def __init__(
@@ -108,10 +108,6 @@ class ShardedDatabase:
                 f"shard count must be ≥1, got {shard_count}"
             )
         placement.validate(database.schema)
-        try:
-            database = database.without_references()
-        except BackendError as error:
-            raise ShardingError(f"cannot shard this store: {error}") from None
         self.schema: Schema = database.schema
         self.placement = placement
         self.shard_count = shard_count
@@ -119,71 +115,10 @@ class ShardedDatabase:
         self.shards: list[Database] = database.partition_all(
             placement.owner_fn(shard_count), shard_count
         )
-        #: The idempotency key of the most recent :meth:`insert` (minted
-        #: when the caller passed none) — what a caller re-sends after a
-        #: partial failure to converge without double-applying.
-        self.last_insert_key: str | None = None
-
-    def insert(
-        self,
-        table: str,
-        rows: Iterable[Mapping[str, object]],
-        idempotency_key: str | None = None,
-    ) -> bool:
-        """Insert rows, routing each to its owning shard.
-
-        A sharded table's rows land on exactly the shards that own them —
-        a shard that receives no rows is **not** touched at all, so its
-        cached statistics and canonical row order survive an insert that
-        only concerns other shards.  Replicated tables
-        insert everywhere.
-
-        The full-copy shard receives the rows *first*: its insert
-        validates the whole batch against the schema (and row routing
-        validates the routing column before that), so a bad batch raises
-        before any partition shard is touched — a failed insert never
-        leaves a partition holding rows the full copy lacks.
-
-        ``idempotency_key`` dedups re-deliveries; every constituent store
-        journals the key independently, so a *partially* delivered batch
-        (e.g. a crash between the full copy and a partition) converges on
-        redelivery — stores that applied it skip, the rest catch up.
-        Returns ``False`` iff the full copy had already applied the key.
-
-        A key is **minted** when the caller passes none, exactly like
-        :meth:`~repro.shard.client.ShardedServiceClient.insert`: every
-        sharded write journals through the same exactly-once path, so a
-        batch that raises part-way (say, after the full copy but before a
-        partition) and is re-sent whole with ``last_insert_key`` cannot
-        double-apply anywhere.
-        """
-        if idempotency_key is None:
-            idempotency_key = uuid.uuid4().hex
-        self.last_insert_key = idempotency_key
-        materialised = [dict(row) for row in rows]
-        targets = self.placement.route_rows(
-            table, materialised, self.shard_count
-        )
-        applied = self.full.insert(
-            table, materialised, idempotency_key=idempotency_key
-        )
-        for index, shard_rows in targets.items():
-            self.shards[index].insert(
-                table, shard_rows, idempotency_key=idempotency_key
-            )
-        return applied
-
-    def total_rows(self) -> int:
-        return self.full.total_rows()
 
     def row_counts(self, table: str) -> list[int]:
         """Per-shard row counts of ``table`` (diagnostics, balance checks)."""
         return [shard.row_count(table) for shard in self.shards]
-
-    def dispose(self) -> None:
-        for shard in self.shards:
-            shard._dispose_connection()
-        self.full._dispose_connection()
 
 
 #: The ops whose outcome is the store's health: answered, they close the
@@ -263,7 +198,6 @@ class LocalEndpoint(ClientCore):
 
     def close(self) -> None:
         self._closed = True
-        self.core.session.close()
 
 
 class ShardedResult(Result):
@@ -322,9 +256,9 @@ class ShardedPrepared:
 class ShardedSession:
     """The sharded façade over one coordinator (``session.client``).
 
-    Owns what :func:`connect_sharded` built for it: the local
-    :class:`ShardedDatabase` (``session.db``; its stores close with the
-    coordinator's local endpoints) or the spawned
+    Owns what :func:`connect_sharded` built for it: the partitions of the
+    local :class:`ShardedDatabase` (``session.db``; they close with the
+    session, the caller's full copy does not) or the spawned
     :class:`~repro.shard.supervisor.SupervisedDeployment`
     (``session.deployment``; ``close()`` tears the process group down —
     client sockets, supervisor loop, then a graceful drain of every
@@ -475,10 +409,14 @@ class ShardedSession:
         return self.client.stats_snapshot()
 
     def close(self) -> None:
-        """Close the coordinator and whatever the session owns.
+        """Close the coordinator and whatever the session owns: the process
+        group it spawned, or the connections of its partition stores —
+        never the store it was given, which its caller may still serve.
         Idempotent, and a child process that already crashed is skipped,
         not waited on."""
         (self.deployment or self.client).close()
+        for store in self.db.shards if self.db is not None else ():
+            store._dispose_connection()
 
     def __enter__(self) -> "ShardedSession":
         return self
@@ -512,7 +450,8 @@ def _partition(
                 f"shards={shards} conflicts with the ShardedDatabase's "
                 f"{database.shard_count} shards"
             )
-    elif placement is None:
+        return database
+    if placement is None:
         raise ShardingError(
             "a sharded session needs a placement "
             "(Placement.of({table: sharded(key=...)}))"
@@ -524,11 +463,6 @@ def _partition(
                 "a Schema"
             )
         database = Database(schema, tables)
-    else:
-        for name, rows in (tables or {}).items():
-            database.insert(name, rows)  # a ShardedDatabase routes them
-    if isinstance(database, ShardedDatabase):
-        return database
     return ShardedDatabase(database, placement, 2 if shards is None else shards)
 
 
@@ -558,13 +492,11 @@ def connect_sharded(
       stores share the plan cache, so a query compiles once.  ``registry``
       (optional) seeds the name catalogue — the coordinator's and, by
       copy, each endpoint's; later queries join through
-      :meth:`ShardedSession.register`, as over the wire.  Every store
-      compiles without references, so a ``database`` whose schema declares
-      some is served from an in-memory copy (``session.db.full is not
-      database``): rows inserted through the session never reach the
-      caller's store.  One built over ``schema.without_references()`` is
-      served as it is and sees every insert; a durable store that declares
-      references is refused (:class:`ShardedDatabase`).
+      :meth:`ShardedSession.register`, as over the wire.  The
+      ``database`` is served as it is — it is the full copy
+      (``session.db.full is database``) and sees every insert, ``tables``
+      included, durable or not — and every store compiles without
+      references (:func:`~repro.shard.client.endpoint_session`).
     * no data source (or ``processes=True``): **wire endpoints** to a
       process group the session spawns, supervises and owns — one
       ``serve --shard i/n`` subprocess per partition plus the full-copy
@@ -623,7 +555,9 @@ def connect_sharded(
     compile_lock = threading.Lock()
 
     def endpoint(store: Database, index: object) -> LocalEndpoint:
-        session = Session(store, options=options, engine=engine, cache=cache)
+        session = endpoint_session(
+            store, options=options, engine=engine, cache=cache
+        )
         label = f"{index}/{db.shard_count}"
         return LocalEndpoint(session, registry.copy(), compile_lock, label)
 
@@ -635,4 +569,8 @@ def connect_sharded(
         schema=db.schema,
         options=options,
     )
-    return ShardedSession(client, db=db)
+    session = ShardedSession(client, db=db)
+    if database is not None:
+        for name, rows in (tables or {}).items():
+            session.insert(name, rows)
+    return session

@@ -25,7 +25,7 @@ from repro.normalise.normal_form import (
 from repro.nrc.primitives import check_prim
 from repro.nrc.schema import Schema
 from repro.nrc.types import BOOL, BagType, BaseType, RecordType, Type
-from repro.shred.shred_types import INDEX, IndexType
+from repro.shred.shred_types import IndexType
 from repro.shred.shredded_ast import (
     IN,
     OUT,
@@ -156,14 +156,3 @@ def _check_probe(query, env: Env, schema: Schema) -> None:
             inner[generator.var] = schema.table(generator.table).row_type
         for condition in conditions:
             _check_base(condition, BOOL, inner, schema)
-
-
-def shredded_type_of(element_type: Type) -> BagType:
-    """The expected shredded type Bag ⟨Index, ⟨A⟩⟩ for an element type A."""
-    from repro.shred.shred_types import shredded_row_type
-
-    return shredded_row_type(element_type)
-
-
-#: Re-export so callers can build expected types without a second import.
-INDEX_TYPE = INDEX

@@ -135,7 +135,6 @@ class SqlOptions:
     inline_with: bool = False  # §8: inline WITH clauses (flat form only)
     order_by_keys: bool = False  # §8: keys for row numbering (flat form only)
     ordered: bool = False  # §9 list semantics: deterministic row order
-    pretty: bool = True
     optimize: bool = False  # run the logical optimizer over the SQL AST
     #: Stage verification (:mod:`repro.check`): ``True``/``False`` force it,
     #: ``None`` (default) defers to ``REPRO_VERIFY`` / pytest-or-CI
@@ -578,7 +577,7 @@ def compile_shredded(
                 span.record(rule, millis, fired=fired)
         if optimized != compiled.statement:
             compiled.statement = optimized
-            compiled.sql = render_statement(optimized, options.pretty)
+            compiled.sql = render_statement(optimized)
         compiled.fired_rules = tuple(trace)
     compiled.params = placeholder_names(compiled.statement)
     compiled.cache_key = cache_key
@@ -765,7 +764,7 @@ def _compile_flat(
     statement = Statement(tuple(ctes), tuple(selects), columns, order_by)
     return CompiledSql(
         statement=statement,
-        sql=render_statement(statement, options.pretty),
+        sql=render_statement(statement),
         row_type=row_type,
         width_fn=1,
         natural=False,
@@ -994,7 +993,7 @@ def _compile_natural(
     branch_rekeys = tuple(rekeys.get(comp.tag) for comp in shredded.comps) if rekeys else ()
     return CompiledSql(
         statement=statement,
-        sql=render_statement(statement, options.pretty),
+        sql=render_statement(statement),
         row_type=row_type,
         width_fn=width_fn,
         natural=True,

@@ -249,10 +249,9 @@ class ShardedSessions:
         """A session; ``shared=True`` reuses one per (shards, placement)
         for the fixture's lifetime — read-only tests only.  ``options`` /
         ``engine`` / ``cache`` configure every store's session."""
-        from repro.api import connect
         from repro.data.organisation import organisation_placement
         from repro.service import paper_registry, serve_in_background
-        from repro.shard import ShardedDatabase, connect_sharded
+        from repro.shard import ShardedDatabase, connect_sharded, endpoint_session
 
         if placement is None:
             placement = organisation_placement()
@@ -271,7 +270,7 @@ class ShardedSessions:
             labels = [f"{i}/{shards}" for i in range(shards)] + [f"full/{shards}"]
             handles = [
                 serve_in_background(
-                    connect(store, options=options, engine=engine, cache=cache),
+                    endpoint_session(store, options=options, engine=engine, cache=cache),
                     registry,
                     pool_size=2,
                     shard_label=label,

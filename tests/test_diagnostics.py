@@ -25,6 +25,7 @@ from repro.nrc import builders as b
 from repro.nrc.ast import App, Const, Lam, Param, Project, Var
 from repro.nrc.types import BOOL, INT
 from repro.service.registry import QueryRegistry, paper_registry
+from repro.shard import endpoint_session
 from repro.sql.codegen import SqlOptions
 
 SCHEMA = ORGANISATION_SCHEMA
@@ -167,10 +168,10 @@ class TestBoundAndIndexes:
         """QS301 prints the covering index — hint columns first, then the
         rest of the table — that the batched engine actually creates, under
         either plan shape, in ``lint`` and in ``explain``'s payload alike.
-        (Over the store without references, where Q1's natural plan joins
+        (Compiled without references, where Q1's natural plan joins
         employees to departments.)"""
         printed = _qs301_printed_and_built(
-            figure3_database().without_references(), SqlOptions(scheme=scheme), "Q1"
+            figure3_database(), SqlOptions(scheme=scheme), "Q1", endpoint_session
         )
         assert "employees(dept, id, name, salary)" in printed
 
@@ -185,11 +186,12 @@ class TestBoundAndIndexes:
         assert "employees(salary, id, dept, name)" in printed
 
 
-def _qs301_printed_and_built(db, options: SqlOptions, name: str) -> set[str]:
+def _qs301_printed_and_built(db, options: SqlOptions, name: str, session=connect) -> set[str]:
     """The indexes QS301 prints for registry query ``name`` — the same in
     ``diagnostics()`` and in ``explain``'s payload — checked equal to those
-    one run builds on ``db``, as ``PRAGMA index_info`` reads them back."""
-    with connect(db, options=options, cache=False) as s:
+    one run builds on ``db``, as ``PRAGMA index_info`` reads them back.
+    ``session`` opens the session over ``db``."""
+    with session(db, options=options, cache=False) as s:
         prepared = s.prepare(paper_registry().lookup(name).term)
         printed = {
             d.message.split("advisory index on ", 1)[1].split(" before", 1)[0]

@@ -23,7 +23,7 @@ from repro.data.organisation import (
     organisation_placement,
 )
 from repro.data.queries import NESTED_QUERIES
-from repro.errors import BackendError, ShardingError
+from repro.errors import BackendError
 from repro.shard import connect_sharded
 from repro.values import assert_bag_equal
 
@@ -79,33 +79,25 @@ class TestDurableMode:
                     f"{name} on the recovered store",
                 )
 
-    def test_a_durable_store_with_references_is_refused_by_a_deployment(
-        self, store_path
-    ):
-        """A deployment compiles without references; an in-memory copy of
-        a durable store would drop the inserts acknowledged through it."""
-        db = Database(ORGANISATION_SCHEMA, _seed_tables(), path=store_path)
-        with pytest.raises(ShardingError, match=r"without_references\(\)"):
-            connect_sharded(db, placement=organisation_placement(), shards=2)
-        with pytest.raises(BackendError, match=r"without_references\(\)"):
-            db.without_references()
-
-    def test_a_sharded_session_writes_through_to_the_file(self, store_path):
-        """Opened over the reference-free schema, the caller's store is the
-        deployment's full copy: an acknowledged insert survives a reopen,
-        and the caller's store and the session agree on what was applied."""
-        schema = ORGANISATION_SCHEMA.without_references()
+    @pytest.mark.parametrize("references", ["declared", "dropped"])
+    def test_a_sharded_session_writes_through_to_the_file(self, store_path, references):
+        """The caller's durable store is the deployment's full copy, with
+        or without the references its schema declares: an acknowledged
+        insert survives a reopen, and a re-sent key applies nothing."""
+        schema = ORGANISATION_SCHEMA
+        if references == "dropped":
+            schema = schema.without_references()
         db = Database(schema, _seed_tables(), path=store_path)
         before = db.row_count("departments")
+        ops = {"id": 90, "name": "Ops"}
         with connect_sharded(db, placement=organisation_placement(), shards=2) as session:
-            session.insert(
-                "departments", [{"id": 90, "name": "Ops"}], idempotency_key="ops"
-            )
+            assert session.insert("departments", [ops], idempotency_key="ops")["applied"]
+            assert not session.insert("departments", [ops], idempotency_key="ops")["applied"]
         assert db.row_count("departments") == before + 1
-        assert not db.insert("departments", [{"id": 90, "name": "Ops"}], idempotency_key="ops")
+        assert not db.insert("departments", [ops], idempotency_key="ops")
         reopened = Database(schema, _seed_tables(), path=store_path)
         assert reopened.recovered
-        assert {"id": 90, "name": "Ops"} in reopened.rows("departments")
+        assert ops in reopened.rows("departments")
         assert reopened.row_count("departments") == before + 1
 
     def test_readers_are_query_only(self, store_path):

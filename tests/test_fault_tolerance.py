@@ -63,6 +63,7 @@ from repro.shard import (
     ShardedDatabase,
     ShardedServiceClient,
     connect_sharded,
+    endpoint_session,
     shard_for,
 )
 from repro.values import assert_bag_equal, bag_equal
@@ -464,13 +465,13 @@ def _cluster():
         sdb = ShardedDatabase(figure3_database(), PLACEMENT, SHARDS)
         handles = [
             serve_in_background(
-                connect(db), REGISTRY, pool_size=2,
+                endpoint_session(db), REGISTRY, pool_size=2,
                 shard_label=f"{index}/{SHARDS}",
             )
             for index, db in enumerate(sdb.shards)
         ]
         fallback = serve_in_background(
-            connect(sdb.full), REGISTRY, pool_size=2,
+            endpoint_session(sdb.full), REGISTRY, pool_size=2,
             shard_label=f"full/{SHARDS}",
         )
         proxies = [

@@ -39,7 +39,7 @@ from repro.service import (
     serve_in_background,
 )
 from repro.service.resilience import CircuitBreaker
-from repro.shard import ShardedDatabase, ShardedServiceClient
+from repro.shard import ShardedDatabase, ShardedServiceClient, endpoint_session
 from repro.shard.supervisor import Supervisor
 from repro.values import bag_equal
 
@@ -190,7 +190,7 @@ def fleet():
     sdb = ShardedDatabase(figure3_database(), PLACEMENT, SHARDS)
     handles = [
         serve_in_background(
-            connect(db),
+            endpoint_session(db),
             REGISTRY,
             pool_size=2,
             shard_label=f"{index}/{SHARDS}",
@@ -198,7 +198,7 @@ def fleet():
         for index, db in enumerate(sdb.shards)
     ]
     fallback = serve_in_background(
-        connect(sdb.full), REGISTRY, pool_size=2, shard_label=f"full/{SHARDS}"
+        endpoint_session(sdb.full), REGISTRY, pool_size=2, shard_label=f"full/{SHARDS}"
     )
     yield handles, fallback
     for handle in handles + [fallback]:

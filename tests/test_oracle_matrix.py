@@ -9,7 +9,8 @@ engine      ``per-path`` (the reference executor) · ``batched`` ·
 optimize    the logical optimizer off · on
 shape       the plan shape resolved from the schema · ``scheme="flat"``
             · ``scheme="natural"``
-references  the store's schema as declared · ``without_references()``
+references  the store's schema as declared · compiled without references
+            (:func:`repro.shard.endpoint_session`, as every sharded route)
 cache       cold (no plan cache) · warm (the second run of a cached plan)
 route       in process · 2 shards over local endpoints · 2 shards over
             the wire (conftest's :class:`ShardedSessions`)
@@ -58,6 +59,7 @@ from repro.nrc.ast import For, Table, Term, substitute_params
 from repro.nrc.semantics import evaluate
 from repro.pipeline.plan_cache import PlanCache
 from repro.service import paper_registry
+from repro.shard import endpoint_session
 from repro.sql.codegen import CompiledSql, SqlOptions
 from repro.values import assert_bag_equal, dedup_nested
 
@@ -186,6 +188,13 @@ def shared_objects(*values) -> list:
     return shared
 
 
+def session_of(cell: dict):
+    """How a cell's stores compile: as declared in process, else without
+    references by the one rule every sharded route follows."""
+    declared = cell["route"] == "in-process" and cell["references"] == "declared"
+    return connect if declared else endpoint_session
+
+
 def options_of(cell: dict) -> SqlOptions:
     return SqlOptions(
         scheme=None if cell["shape"] == "default" else cell["shape"],
@@ -196,8 +205,8 @@ def options_of(cell: dict) -> SqlOptions:
 
 class Matrix:
     """What the cells share: the registry part's stores, the oracle's
-    values, each store's copy without references, one plan cache (warm
-    cells and per-path references) and the sharded sessions, kept per
+    values, one plan cache (warm cells and per-path references) and the
+    sharded sessions, kept per
     (route, store, options, cache) a few at a time and closed with the
     matrix."""
 
@@ -207,7 +216,6 @@ class Matrix:
         self.stores = {"figure3": figure3_database(), **trap_stores()}
         self.plans = PlanCache()
         self._expected: WeakKeyDictionary = WeakKeyDictionary()
-        self._unreferenced: WeakKeyDictionary = WeakKeyDictionary()
         self._sharded: dict = {}
 
     def sharded(self, route: str, db, options: SqlOptions, cache: str):
@@ -232,14 +240,10 @@ class Matrix:
     def run(self, term, params, cell: dict, db):
         """Run one cell: ``(results, stores hit)``, the results being one
         run (cold) or two runs of one plan (warm)."""
-        if cell["references"] == "unreferenced":
-            if db not in self._unreferenced:
-                self._unreferenced[db] = db.without_references()
-            db = self._unreferenced[db]
         options = options_of(cell)
         if cell["route"] == "in-process":
             cache = None if cell["cache"] == "cold" else self.plans
-            session = connect(db, options=options, cache=cache)
+            session = session_of(cell)(db, options=options, cache=cache)
         else:
             session = self.sharded(cell["route"], db, options, cell["cache"])
         results = [
@@ -279,7 +283,7 @@ class Matrix:
         assert shared == [], f"{context}: shared {shared!r}"
 
         per_path = [
-            connect(store, options=options_of(cell), cache=self.plans).run(
+            session_of(cell)(store, options=options_of(cell), cache=self.plans).run(
                 term, engine="per-path", collection=cell["collection"], params=params
             )
             for store in hit

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import connect
 from repro.backend.database import Database
 from repro.data.generator import generate_organisation
 from repro.data.organisation import ORGANISATION_SCHEMA, figure3_database
 from repro.data.queries import NESTED_QUERIES
-from repro.errors import BackendError
+from repro.errors import BackendError, ShreddingError
 from repro.nrc import builders as b
 from repro.nrc.schema import Schema, TableSchema
 from repro.nrc.semantics import evaluate
@@ -86,15 +87,14 @@ def test_a_malformed_reference_is_rejected(references, match):
         )
 
 
-def test_a_store_without_references_keeps_its_rows():
+def test_a_session_compiling_without_references_writes_to_its_store():
     db = figure3_database()
-    bare = db.without_references()
-    assert bare.schema == SCHEMA.without_references()
-    assert bare.without_references() is bare
-    for table in SCHEMA.table_names:
-        assert bare.rows(table) == db.rows(table)
-    bare.insert("departments", [{"id": 9, "name": "Zeta"}])
-    assert (bare.row_count("departments"), db.row_count("departments")) == (5, 4)
+    session = connect(db, schema=SCHEMA.without_references())
+    assert session.db is db and session.schema is SCHEMA.without_references()
+    session.insert("departments", [{"id": 9, "name": "Zeta"}])
+    assert db.row_count("departments") == 5
+    with pytest.raises(ShreddingError, match="not both"):
+        connect(db, schema=Schema(SCHEMA.tables[:1]))
 
 
 # --------------------------------------------------------------------------

@@ -272,13 +272,15 @@ class TestShardedDatabase:
 
     def test_insert_routes_sharded_rows(self):
         sdb = ShardedDatabase(figure3_database(), PLACEMENT, 2)
+        session = connect_sharded(sdb)
         owner = shard_for("Zeta", 2)
         batch = [{"id": 99, "name": "Zeta"}]
-        assert sdb.insert("departments", batch) is True
-        # It journals like the wire op: a key is minted when the caller
-        # passes none, and a redelivery under it writes nothing.
-        minted = sdb.last_insert_key
-        assert sdb.insert("departments", batch, idempotency_key=minted) is False
+        first = session.insert("departments", batch)
+        assert first["applied"] is True
+        # A key is minted when the caller passes none, and a redelivery
+        # under it writes nothing.
+        minted = first["idempotency_key"]
+        assert session.insert("departments", batch, idempotency_key=minted)["applied"] is False
         assert sdb.full.row_count("departments") == 4 + 1
         assert any(
             row["name"] == "Zeta" for row in sdb.shards[owner].rows("departments")
@@ -294,7 +296,7 @@ class TestShardedDatabase:
     def test_insert_replicated_rows_everywhere(self):
         sdb = ShardedDatabase(figure3_database(), PLACEMENT, 2)
         new_row = {"id": 99, "dept": "Sales", "name": "Zoe", "salary": 1}
-        sdb.insert("employees", [new_row])
+        connect_sharded(sdb).insert("employees", [new_row])
         for store in [*sdb.shards, sdb.full]:
             assert any(r["name"] == "Zoe" for r in store.rows("employees"))
 
@@ -313,7 +315,7 @@ class TestShardedDatabase:
         shard1 = sdb.shards[1]
         rows_before = shard1.rows("departments")
 
-        sdb.insert("departments", [{"id": 99, "name": new_name}])
+        connect_sharded(sdb).insert("departments", [{"id": 99, "name": new_name}])
 
         assert sdb.shards[0].refresh_statistics(), "owner's statistics went stale"
         assert not shard1.refresh_statistics()
@@ -331,7 +333,7 @@ class TestShardedDatabase:
             {"id": 901, "name": "Zal", "extra": 1},  # bad column set
         ]
         with pytest.raises(BackendError):
-            sdb.insert("departments", bad_batch)
+            connect_sharded(sdb).insert("departments", bad_batch)
         for store in [*sdb.shards, sdb.full]:
             names = {row["name"] for row in store.rows("departments")}
             assert not names & {"Zok", "Zal"}
@@ -339,7 +341,7 @@ class TestShardedDatabase:
     def test_insert_missing_routing_column_is_rejected(self):
         sdb = ShardedDatabase(figure3_database(), PLACEMENT, 2)
         with pytest.raises(ShardingError):
-            sdb.insert("departments", [{"id": 99}])
+            connect_sharded(sdb).insert("departments", [{"id": 99}])
 
     def test_shard_count_validation(self):
         with pytest.raises(ShardingError):
@@ -485,20 +487,28 @@ class TestShardedSession:
         assert len(zeta) == 1
         assert zeta[0]["employees"] == ["Zoe"]
 
-    def test_an_in_memory_store_with_references_is_copied(self):
-        """A store whose schema declares references is served from a copy
-        under the reference-free schema: inserts through the session miss
-        the caller's store.  One without references is served as it is."""
-        row = {"id": 99, "dept": "Sales", "name": "Zoe", "salary": 5}
+    def test_an_in_memory_store_with_references_is_served_as_it_is(self):
+        """The caller's store is the full copy, references and all: an
+        insert through the session reaches it, so ``connect(db)`` agrees."""
         db = figure3_database()
         with connect_sharded(db, placement=PLACEMENT, shards=2) as session:
-            session.insert("employees", [row])
-            assert session.db.full is not db
-            assert (db.row_count("employees"), session.db.full.row_count("employees")) == (7, 8)
-        bare = figure3_database().without_references()
-        with connect_sharded(bare, placement=PLACEMENT, shards=2) as session:
-            session.insert("employees", [row])
-            assert session.db.full is bare and bare.row_count("employees") == 8
+            session.insert(
+                "employees", [{"id": 99, "dept": "Sales", "name": "Zoe", "salary": 5}]
+            )
+            assert session.db.full is db and db.row_count("employees") == 8
+            q4 = NESTED_QUERIES["Q4"]
+            assert_bag_equal(connect(db).run(q4).value, session.run(q4).value)
+
+    def test_closing_a_deployment_leaves_the_given_store_serving(self):
+        """The session closes the partitions it built, never the caller's
+        store: a server leasing readers off that store keeps answering."""
+        from repro.service import ServiceClient, serve_in_background
+
+        db = figure3_database()
+        with serve_in_background(connect(db), paper_registry(), pool_size=1) as handle:
+            connect_sharded(db, placement=PLACEMENT, shards=2).close()
+            with ServiceClient(handle.host, handle.port) as client:
+                assert len(client.execute("Q4")) == 4
 
     def test_plan_cache_shared_across_local_stores(self):
         from repro.pipeline.plan_cache import PlanCache
