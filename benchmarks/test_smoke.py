@@ -7,12 +7,7 @@ machinery (plan cache, batched engine, baselines) can't silently rot.
 
 from __future__ import annotations
 
-from repro.bench.smoke import (
-    SERVICE_ENGINES,
-    SMOKE_SYSTEMS,
-    format_smoke,
-    run_smoke,
-)
+from repro.bench.smoke import SMOKE_SYSTEMS, format_smoke, run_smoke
 
 
 def test_smoke_all_systems_pass(tmp_path, monkeypatch):
@@ -21,10 +16,7 @@ def test_smoke_all_systems_pass(tmp_path, monkeypatch):
     results = run_smoke()
     text, ok = format_smoke(results)
     assert ok, f"bench smoke failed:\n{text}"
-    expected = set(SMOKE_SYSTEMS) | {
-        f"service[{engine}]" for engine in SERVICE_ENGINES
-    }
-    expected.add("service[metrics]")
+    expected = set(SMOKE_SYSTEMS) | {"service", "service[metrics]"}
     assert {system for system, *_ in results} == expected
     # The metrics row scraped the server and wrote the Prometheus snapshot.
     assert "repro_requests_total" in snapshot.read_text()

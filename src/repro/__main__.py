@@ -13,8 +13,8 @@
     python -m repro bench --smoke        # tiny per-system sweep, fail on error
 
 The programmatic entry point is the `repro.api` façade: `connect()` opens a
-Session owning the database, plan cache, SqlOptions and engine policy; the
-`run` subcommand is a thin wrapper over it.
+Session owning the database, plan cache and SqlOptions; the `run`
+subcommand is a thin wrapper over it, and its `--engine` is that run's.
 """
 
 from __future__ import annotations
@@ -117,12 +117,12 @@ def _explain_sql(query, options) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import connect
 
-    session = connect(figure3_database(), engine=args.engine)
+    session = connect(figure3_database())
     prepared = session.query(_query(args.query))
     if args.explain:
         print(prepared.explain())
         return 0
-    result = prepared.run()
+    result = prepared.run(engine=args.engine)
     print(result.render())
     if args.stats:
         stats = result.stats
@@ -140,9 +140,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.api import connect
     from repro.obs import render_trace
 
-    session = connect(figure3_database(), engine=args.engine)
+    session = connect(figure3_database())
     prepared = session.query(_query(args.query))
-    result = prepared.run(trace=True)
+    result = prepared.run(engine=args.engine, trace=True)
     # The same query across a two-shard local deployment: the coordinator's
     # side of a run — ``route`` → one ``shard`` per sub-request → the
     # ``stitch`` of that shard's column tables.
@@ -152,7 +152,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     with connect_sharded(
         figure3_database(), placement=organisation_placement(), shards=2
     ) as cluster:
-        sharded = cluster.run(_query(args.query), engine=args.engine, trace=True)
+        sharded = cluster.run(_query(args.query), trace=True)
     if args.json:
         import json
 
@@ -214,30 +214,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         placement = Placement.from_spec(args.placement)
     if args.scale:
-        if index is not None and index != "full":
-            # Every server process regenerates the same seeded instance
-            # and keeps its slice — deterministic, no data shipping.
-            from repro.data.generator import scaled_shard
-
-            db = scaled_shard(
-                args.scale,
-                index,
-                count,
-                placement=placement,
-                seed=0,
-                scale_rows=args.rows,
-            )
-        else:
-            db = scaled_database(args.scale, seed=0, scale_rows=args.rows)
+        db = scaled_database(args.scale, seed=0, scale_rows=args.rows)
     else:
         db = figure3_database()
-        if index is not None and index != "full":
-            if placement is None:
-                from repro.data.organisation import organisation_placement
+    if index is not None and index != "full":
+        # Every server process builds the same seeded instance and keeps
+        # its slice — deterministic, no data shipping.
+        if placement is None:
+            from repro.data.organisation import organisation_placement
 
-                placement = organisation_placement()
-            placement = placement.validate(db.schema)
-            db = db.partitioned(placement.owner_fn(count), index)
+            placement = organisation_placement()
+        placement = placement.validate(db.schema)
+        db = db.partitioned(placement.owner_fn(count), index)
     if args.data_dir:
         from pathlib import Path
 

@@ -12,7 +12,7 @@ One import gives the whole paper pipeline behind a stable surface::
          .nest(staff=lambda d: session.table("employees")
                .where(lambda e: e.dept == d.name)
                .select("name", "salary")))
-    result = q.run()                                 # engine="auto"
+    result = q.run()                                 # the batched engine
 
     # 2. captured comprehensions
     @query

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.backend.executor import ExecutionStats
 from repro.errors import ShreddingError
+from repro.obs.trace import traced
 from repro.values import NestedValue, render
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -122,8 +123,8 @@ class Prepared(Runnable):
     ) -> "Result":
         """Execute on the session's database and stitch the nested result.
 
-        ``engine`` defaults to the session's engine (``"auto"`` is the
-        batched engine — see
+        ``engine`` is this run's, in process only: the batched engine
+        unless named (see
         :meth:`~repro.api.session.Session.resolve_engine`); ``collection``
         selects bag/set/list semantics; extra keyword arguments
         (``params`` for host-parameter bindings, ``create_indexes``,
@@ -141,31 +142,20 @@ class Prepared(Runnable):
             from repro.obs import Tracer
 
             tracer = trace if isinstance(trace, Tracer) else Tracer()
-        if tracer is None:
-            compiled = self._ensure_compiled()
+        with traced(tracer, "query") as root:
+            compiled = self._ensure_compiled(tracer)
             resolved = self._session.resolve_engine(engine, compiled)
+            if root is not None:
+                root.set(engine=resolved, statements=compiled.query_count)
             run_stats = ExecutionStats()
             value = compiled.run(
                 self._session.db,
                 engine=resolved,
                 collection=collection,
                 stats=run_stats,
+                tracer=tracer,
                 **kwargs,
             )
-        else:
-            with tracer.span("query") as root:
-                compiled = self._ensure_compiled(tracer)
-                resolved = self._session.resolve_engine(engine, compiled)
-                root.set(engine=resolved, statements=compiled.query_count)
-                run_stats = ExecutionStats()
-                value = compiled.run(
-                    self._session.db,
-                    engine=resolved,
-                    collection=collection,
-                    stats=run_stats,
-                    tracer=tracer,
-                    **kwargs,
-                )
         self._last_stats = run_stats
         self._session._merge_stats(run_stats)
         if stats is not None:
@@ -228,12 +218,8 @@ class Prepared(Runnable):
         from dataclasses import asdict
 
         compiled = self.compiled
-        resolved = self._session.resolve_engine(None, compiled)
         payload: dict = {
-            "engine": {
-                "policy": self._session.engine,
-                "resolved": resolved,
-            },
+            "engine": self._session.resolve_engine(None, compiled),
             "optimizer": {
                 "enabled": compiled.options.optimize,
                 "fired_rules": list(compiled.fired_rules),
@@ -260,10 +246,8 @@ class Prepared(Runnable):
 
     def _explain_text(self) -> str:
         compiled = self.compiled
-        resolved = self._session.resolve_engine(None, compiled)
         header = [
-            f"engine         : {self._session.engine}"
-            + (f" → {resolved}" if self._session.engine == "auto" else ""),
+            f"engine         : {self._session.resolve_engine(None, compiled)}",
             f"optimizer      : "
             f"{'on' if compiled.options.optimize else 'off'}",
         ]

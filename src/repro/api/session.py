@@ -1,22 +1,23 @@
 """The :class:`Session`: the one documented way into the shredding engine.
 
 A session owns a :class:`~repro.backend.database.Database`, its schema, a
-plan cache, the :class:`~repro.sql.codegen.SqlOptions`, and an *engine
-policy* — everything PRs 1–2 built, behind a single object::
+plan cache and the :class:`~repro.sql.codegen.SqlOptions` — everything
+PRs 1–2 built, behind a single object::
 
     from repro.api import connect
 
-    session = connect(figure3_database())          # engine="auto", cached
+    session = connect(figure3_database())          # cached plans
     result = session.table("departments").select("name").run()
     session.query(Q6).run(engine="parallel")       # hand-built λNRC terms
 
-``engine="auto"`` (the default) is the batched executor: index advisement,
-then every statement of the package read on the calling thread as the
-column table SQLite's JSON1 writes for it, then one fold per row, children
-first.  It does not pick threads — the statements share the interpreter
-lock, so a pool does the same work in no less time; ``engine="parallel"``
-remains selectable by name.  Explicit engines are validated against
-:data:`~repro.pipeline.shredder.KNOWN_ENGINES` up front.
+A run uses the batched executor: index advisement, then every statement
+of the package read on the calling thread as the column table SQLite's
+JSON1 writes for it, then one fold per row, children first.  It does not
+pick threads — the statements share the interpreter lock, so a pool does
+the same work in no less time.  Another engine is a per-call, in-process
+choice (``run(engine=…)``, validated against
+:data:`~repro.pipeline.shredder.KNOWN_ENGINES` up front); a session, a
+server and a deployment hold none.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ from repro.backend.executor import ExecutionStats
 from repro.errors import ShreddingError, UnknownTableError
 from repro.nrc import ast
 from repro.nrc.schema import Schema
-from repro.pipeline.shredder import (
-    KNOWN_ENGINES,
-    CompiledQuery,
-    ShreddingPipeline,
-    validate_engine,
-)
+from repro.pipeline.shredder import CompiledQuery, ShreddingPipeline, validate_engine
 from repro.sql.codegen import SqlOptions
 
 __all__ = ["Session", "connect", "connect_sharded"]
@@ -62,10 +58,6 @@ class Session:
         session serves that store but compiles as if it declared none.
     options:
         :class:`SqlOptions` for code generation and the logical optimizer.
-    engine:
-        The session's default executor: ``"auto"`` (default, the batched
-        engine) or one of
-        :data:`~repro.pipeline.shredder.KNOWN_ENGINES`.
     cache:
         ``True`` (default) → the process-wide shared plan cache; a
         :class:`~repro.pipeline.plan_cache.PlanCache` to scope it;
@@ -83,7 +75,6 @@ class Session:
         schema: Schema | None = None,
         tables: Mapping[str, Iterable[Mapping[str, object]]] | None = None,
         options: SqlOptions | None = None,
-        engine: str = "auto",
         cache: object = True,
         metrics: object = None,
     ) -> None:
@@ -100,10 +91,8 @@ class Session:
                 )
             for name, rows in (tables or {}).items():
                 database.insert(name, rows)
-        validate_engine(engine, extra=("auto",))
         self.db = database
         self.schema = schema or database.schema
-        self.engine = engine
         self.options = options or SqlOptions()
         self.pipeline = ShreddingPipeline(
             self.schema, self.options, cache=cache
@@ -266,12 +255,12 @@ class Session:
     def resolve_engine(
         self, engine: str | None, compiled: CompiledQuery
     ) -> str:
-        """Validate ``engine`` (default: the session's) and resolve
-        ``"auto"``: the batched engine, whatever ``compiled`` is."""
-        if engine is None:
-            engine = self.engine
-        validate_engine(engine, extra=("auto",))
-        return "batched" if engine == "auto" else engine
+        """Validate a run's ``engine`` and resolve ``None`` and ``"auto"``:
+        the batched engine, whatever ``compiled`` is."""
+        if engine in (None, "auto"):
+            return "batched"
+        validate_engine(engine)
+        return engine
 
     # ----------------------------------------------------------------- data
 
@@ -297,7 +286,6 @@ class Session:
         session = Session(
             self.db,
             options=replace(self.options, **changes),
-            engine=self.engine,
             cache=self.pipeline.cache,
             metrics=self.metrics,
         )
@@ -318,7 +306,6 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Session tables={len(self.schema.tables)} "
-            f"engine={self.engine!r} "
             f"cache={'on' if self.pipeline.cache is not None else 'off'}>"
         )
 
@@ -329,7 +316,6 @@ def connect(
     schema: Schema | None = None,
     tables: Mapping[str, Iterable[Mapping[str, object]]] | None = None,
     options: SqlOptions | None = None,
-    engine: str = "auto",
     cache: object = True,
     metrics: object = None,
 ) -> Session:
@@ -343,7 +329,6 @@ def connect(
         schema=schema,
         tables=tables,
         options=options,
-        engine=engine,
         cache=cache,
         metrics=metrics,
     )

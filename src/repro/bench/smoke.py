@@ -11,9 +11,10 @@ sub-second instance.
 
 The sweep ends with the *service* rows: an in-process
 :class:`~repro.service.server.QueryServer` is started on the same tiny
-instance and one query is round-tripped over the wire per execution engine,
-value-checked against a direct ``Session.run`` — so the serving path (wire
-protocol, connection leases, thread offload) can't rot either.
+instance and one query is round-tripped over the wire (``service``; every
+served run is the batched engine's), value-checked against a direct
+``Session.run`` — so the serving path (wire protocol, connection leases,
+thread offload) can't rot either.
 
 The service sweep also scrapes the server's metrics twice — once over the
 in-band ``metrics`` wire op and once over the HTTP ``/metrics`` endpoint —
@@ -31,16 +32,12 @@ import time
 
 from repro.bench.harness import SYSTEMS, run_system
 from repro.data.generator import scaled_database
-from repro.pipeline.shredder import KNOWN_ENGINES
 
-__all__ = ["SMOKE_SYSTEMS", "SERVICE_ENGINES", "run_smoke", "format_smoke"]
+__all__ = ["SMOKE_SYSTEMS", "run_smoke", "format_smoke"]
 
 #: Where the service smoke writes the scraped Prometheus text.
 SNAPSHOT_ENV = "REPRO_METRICS_SNAPSHOT"
 DEFAULT_SNAPSHOT_PATH = "metrics-snapshot.prom"
-
-#: Engines the service smoke round-trips one query through.
-SERVICE_ENGINES = KNOWN_ENGINES
 
 #: system → the query it smoke-tests on (flat pipelines can't run nested
 #: queries, the avalanche baseline is too slow for a big one).
@@ -84,7 +81,7 @@ def run_smoke(
 def _service_smoke(
     db, budget_ms: float, query_name: str = "Q4"
 ) -> list[tuple[str, str, float | None, str]]:
-    """One wire round trip per engine against an in-process server."""
+    """One wire round trip against an in-process server."""
     from repro.api import connect
     from repro.data.queries import NESTED_QUERIES
     from repro.service.client import ServiceClient
@@ -100,35 +97,16 @@ def _service_smoke(
     try:
         with serve_in_background(session, registry, pool_size=2) as handle:
             with ServiceClient(handle.host, handle.port) as client:
-                for engine in SERVICE_ENGINES:
-                    system = f"service[{engine}]"
-                    started = time.perf_counter()
-                    try:
-                        served = client.execute(query_name, engine=engine)
-                    except Exception as error:  # noqa: BLE001 — must surface
-                        rows.append(
-                            (
-                                system,
-                                query_name,
-                                None,
-                                f"{type(error).__name__}: {error}",
-                            )
-                        )
-                        continue
-                    millis = (time.perf_counter() - started) * 1000.0
-                    if not bag_equal(served, expected):
-                        rows.append(
-                            (system, query_name, None, "wire result mismatch")
-                        )
-                    else:
-                        note = (
-                            ""
-                            if millis <= budget_ms
-                            else f"over budget ({budget_ms:.0f}ms)"
-                        )
-                        rows.append((system, query_name, millis, note))
+                started = time.perf_counter()
+                served = client.execute(query_name)
+                millis = (time.perf_counter() - started) * 1000.0
+                if not bag_equal(served, expected):
+                    rows.append(("service", query_name, None, "wire result mismatch"))
+                else:
+                    note = "" if millis <= budget_ms else f"over budget ({budget_ms:.0f}ms)"
+                    rows.append(("service", query_name, millis, note))
                 rows.append(_metrics_smoke(handle, client, budget_ms))
-    except Exception as error:  # noqa: BLE001 — server startup failure
+    except Exception as error:  # noqa: BLE001 — any failure must surface
         rows.append(
             (
                 "service",

@@ -23,7 +23,6 @@ __all__ = [
     "generate_organisation",
     "TASK_NAMES",
     "scaled_database",
-    "scaled_shard",
 ]
 
 #: Task vocabulary: the five Fig. 3 verbs plus filler so task bags vary.
@@ -131,39 +130,3 @@ def scaled_database(departments: int, seed: int = 0, scale_rows: int = 100) -> D
         client_probability=0.3,
         seed=seed,
     )
-
-
-# --------------------------------------------------------------------------
-# Partition-aware generation (the sharded deployment's data path).
-
-
-def scaled_shard(
-    departments: int,
-    shard_index: int,
-    shards: int,
-    placement=None,
-    seed: int = 0,
-    scale_rows: int = 100,
-) -> Database:
-    """Shard ``shard_index``'s slice of the deterministic instance.
-
-    ``python -m repro serve --scale N --shard i/n`` uses this: every server process
-    regenerates the same seeded instance and keeps only the rows it owns
-    (plus full copies of replicated tables) — no data shipping, and the
-    union of all slices is exactly the full instance because generation is
-    deterministic for a given seed and the routing hash is stable across
-    processes.
-    """
-    from repro.data.organisation import organisation_placement
-
-    if placement is None:
-        placement = organisation_placement()
-    if not 0 <= shard_index < shards:
-        from repro.errors import ShardingError
-
-        raise ShardingError(
-            f"shard index {shard_index} out of range for {shards} shards"
-        )
-    full = scaled_database(departments, seed=seed, scale_rows=scale_rows)
-    placement.validate(full.schema)
-    return full.partitioned(placement.owner_fn(shards), shard_index)

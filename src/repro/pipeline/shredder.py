@@ -506,12 +506,16 @@ class CompiledQuery:
         engines the fold is the statements' ``decode`` and ``stitch`` only
         picks the finished ⊤·1 bucket.
 
-        ``shredded`` stops before the stitch: the batched engine under bag
-        semantics runs every statement in its column-table form and
+        ``shredded`` stops before the fold, whatever ``engine`` names: the
+        batched engine runs every statement in its column-table form and
         returns the per-statement ``(row count, JSON bytes)`` tables as
         SQLite wrote them
-        (:func:`~repro.backend.executor.execute_package_shredded`) — a
-        shard's half of a fan-out, stitched once at the coordinator.
+        (:func:`~repro.backend.executor.execute_package_shredded`) — an
+        endpoint's half of a served run, folded once by the asker
+        (:meth:`fold_tables`).  The tables are the bag's rows in the
+        plan's order under any ``collection``: the asker applies δ under
+        set semantics, and under list semantics the fold keeps the order
+        the ``ordered`` plan's rows arrive in.
         """
         validate_engine(engine)
         bound = self.check_params(params)
@@ -522,12 +526,7 @@ class CompiledQuery:
                 "list-semantics output needs SqlOptions(ordered=True)"
             )
         if shredded:
-            if engine != "batched" or collection != "bag":
-                raise ShreddingError(
-                    "shredded results are the batched engine's, under bag "
-                    f"semantics (got engine={engine!r}, collection={collection!r})"
-                )
-            with traced(tracer, "execute", engine=engine, shredded=True):
+            with traced(tracer, "execute", engine="batched", shredded=True):
                 return execute_package_shredded(
                     db,
                     self.sql_package,

@@ -16,10 +16,8 @@ drivers, which add only *where* a request runs and how it travels:
 
 So an endpoint answers the same question the same way whatever it is
 made of — which is what lets a fan-out coordinator ⊎ their answers by
-concatenation.  One rule picks the engine of a run, on ``prepare`` (which
-reports it) and ``execute`` (which uses it) alike:
-:meth:`~repro.api.session.Session.resolve_engine` over the request's
-``engine`` field, the session's own engine when there is none.
+concatenation.  Every run is the batched engine's: a request names no
+engine (one that does is refused), and the session holds none.
 
 Every ``execute`` takes a fresh :class:`~repro.api.results.Prepared` from
 its catalogue entry, so every execute consults the session's plan cache
@@ -78,9 +76,7 @@ class Execution:
     a driver can put a lease wait, a thread hop or a step guard between
     the three."""
 
-    __slots__ = (
-        "entry", "prepared", "run_args", "deadline_ms", "admitted", "_session", "_asked_shredded",
-    )
+    __slots__ = ("entry", "prepared", "run_args", "deadline_ms", "admitted", "shredded")
 
     def __init__(
         self,
@@ -88,54 +84,35 @@ class Execution:
         entry: RegisteredQuery,
         run_args: dict,
         deadline_ms: Optional[float],
-        asked_shredded: bool = False,
+        shredded: bool = False,
     ) -> None:
         #: ``server_millis`` runs from here: admission to result.
         self.admitted = time.perf_counter()
-        self._session = session
         self.entry = entry
         self.prepared = entry.prepared(session)
         self.run_args = run_args
         self.deadline_ms = deadline_ms
-        self._asked_shredded = asked_shredded
-
-    def engine(self) -> str:
-        """The engine :meth:`run` will use.  Consults the plan cache (the
-        same, single consult ``run`` makes), so it compiles a query that
-        has never run."""
-        return self._session.resolve_engine(self.run_args["engine"], self.prepared.compiled)
-
-    def shredded(self) -> bool:
-        """Whether this request is answered with per-statement column
-        tables (protocol v1.5): it asked for them, under bag semantics,
-        and the engine it names (the request's, else the session's) is the
-        batched one.  Anything else keeps the nested ``rows`` — the asking
-        coordinator takes either."""
-        named = self.run_args["engine"] or self._session.engine
-        return (
-            self._asked_shredded
-            and self.run_args["collection"] == "bag"
-            and named in ("auto", "batched")
-        )
+        #: Whether this request is answered with per-statement column
+        #: tables (protocol v1.5): it asked for them.  They are the bag's
+        #: rows in the plan's order, under any collection; the asker
+        #: applies δ (set) and reads the order (list) as it folds.
+        self.shredded = shredded
 
     def run(self, **where: Any) -> "Result":
         """Run on the calling thread; ``where`` is the driver's
-        (``connection=``, ``create_indexes=``).  A :meth:`shredded` run's
+        (``connection=``, ``create_indexes=``).  A :attr:`shredded` run's
         ``Result.value`` is the list of column tables, not a nested value."""
-        if not self.shredded():
-            return self.prepared.run(**self.run_args, **where)
-        run_args = dict(self.run_args, engine="batched")
-        return self.prepared.run(**run_args, shredded=True, **where)
+        return self.prepared.run(**self.run_args, shredded=self.shredded, **where)
 
     def response(self, result: "Result") -> dict:
         """The ``execute`` success shape.  ``server_millis`` is the wall
         time from admission to here — what a tracing fan-out client
-        attributes to this endpoint.  A :meth:`shredded` answer carries
+        attributes to this endpoint.  A :attr:`shredded` answer carries
         ``shredded`` (one ``(row count, JSON bytes)`` table per statement,
         which :func:`~repro.service.protocol.pack_frame` splices into the
         frame undecoded) and the ``plan`` fingerprint in place of ``rows``."""
         stats = result.stats
-        shredded = self.shredded()
+        shredded = self.shredded
         response = {
             "ok": True,
             "query": self.entry.name,
@@ -241,7 +218,6 @@ class ServerCore:
             "query": entry.name,
             "statements": compiled.query_count,
             "params": {name: str(kind) for name, kind in compiled.param_specs},
-            "engine": self.session.resolve_engine(None, compiled),
             "description": entry.description,
             "plan": compiled.plan_fingerprint,
         }
@@ -300,11 +276,12 @@ class ServerCore:
         result = request.get("result")
         if result not in (None, "shredded"):
             raise ServiceError(f"'result' must be \"shredded\" when given, got {result!r}")
-        run_args = {
-            "engine": request.get("engine"),
-            "collection": request.get("collection") or "bag",
-            "params": params,
-        }
+        if "engine" in request:
+            raise ServiceError(
+                "'engine' is not an execute field (protocol v1.6): "
+                "every served run is the batched engine's"
+            )
+        run_args = {"collection": request.get("collection") or "bag", "params": params}
         return Execution(self.session, entry, run_args, deadline_ms, result == "shredded")
 
     def _execute(self, request: dict) -> dict:

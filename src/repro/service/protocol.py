@@ -104,10 +104,9 @@ second answer shape, again backwards compatible::
 
 * ``result: "shredded"`` — the paper's architecture taken literally: the
   flat queries run at the endpoint, stitching is the one local step at
-  the asker.  When the request's ``collection`` is ``bag`` and its engine
-  resolves to ``batched``, the response carries, in place of ``rows``,
-  one table per statement of the plan in package order: ``n`` rows as
-  ``c``, one JSON array per projected column (Bool cells travel as 0/1).
+  the asker.  The response carries, in place of ``rows``, one table per
+  statement of the plan in package order: ``n`` rows as ``c``, one JSON
+  array per projected column (Bool cells travel as 0/1).
   SQLite builds each table itself (JSON1's ``json_group_array`` over the
   statement's SQL, unchanged) and :func:`pack_frame` splices the bytes
   into the frame, so the endpoint builds no row tuple, no record and
@@ -121,14 +120,20 @@ second answer shape, again backwards compatible::
   on every ``prepare`` response: column tables only mean something to an
   asker that compiled the same statements, so it compares.
 * who asks: :class:`~repro.shard.client.ShardedServiceClient`, on every
-  sub-request under bag/set semantics without an explicit non-batched
-  engine.  What still answers ``rows``: list semantics, an explicit
-  ``per-path``/``parallel`` engine, a serving session whose own engine is
-  not batched, and a v1.4 server (which ignores the field) — the
-  coordinator takes either, and a plain ``execute`` (no ``result``) is
-  byte for byte what it was.  A store whose SQLite lacks JSON1 cannot
-  open, so it answers every ``execute`` with a ``MissingSqlFunction``
-  error frame.
+  sub-request; a plain ``execute`` (no ``result``) is byte for byte what
+  it was.  A store whose SQLite lacks JSON1 cannot open, so it answers
+  every ``execute`` with a ``MissingSqlFunction`` error frame.
+
+Protocol **v1.6** (one engine behind the wire) removes a field: every
+served run is the batched engine's, so an ``execute`` that names an
+``engine`` is answered with a ``ServiceError`` error frame, and
+``prepare`` no longer reports one (``execute`` still does: always
+``"batched"``).  A ``result: "shredded"`` answer is column tables under
+every ``collection``: the bag's rows in the plan's order, to which the
+asker applies δ under set semantics, and whose order (an ``ordered``
+plan's) its fold keeps under list semantics — exactly the in-process
+batched fold.  Choosing another engine is an in-process run's business
+(``Prepared.run(engine=…)``).
 
 The client side of all of the above is :class:`ClientCore`, below the
 frame functions: one request's life as a state machine over ``bytes`` —
@@ -175,7 +180,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: fingerprint, on top of v1.4's ``register`` op, v1.3's ``metrics`` +
 #: ``trace_id``, v1.2's idempotent ``insert`` and v1.1's ping + request-id
 #: echo + per-request deadlines + load shedding.
-PROTOCOL_VERSION = "1.5"
+PROTOCOL_VERSION = "1.6"
 
 _LENGTH = struct.Struct(">I")
 
@@ -500,7 +505,7 @@ class ClientCore:
 
     def prepare(self, query: str) -> Any:
         """Compile ``query`` server-side (plan-cache aware); returns its
-        statement count, host-parameter signature and resolved engine."""
+        statement count, host-parameter signature and plan fingerprint."""
         return self._call({"op": "prepare", "query": query})
 
     def register(self, query: str, source: object, description: str = "") -> Any:
@@ -536,21 +541,18 @@ class ClientCore:
         self,
         query: str,
         params: dict | None = None,
-        engine: str | None = None,
         collection: str | None = None,
         deadline_ms: object = _USE_DEFAULT,
     ) -> Any:
         """Run ``query`` and return the nested rows (plain dicts/lists)."""
         return self._execute(
-            itemgetter("rows"), deadline_ms, query,
-            params=params, engine=engine, collection=collection,
+            itemgetter("rows"), deadline_ms, query, params=params, collection=collection
         )
 
     def execute_full(
         self,
         query: str,
         params: dict | None = None,
-        engine: str | None = None,
         collection: str | None = None,
         deadline_ms: object = _USE_DEFAULT,
         trace_id: str | None = None,
@@ -562,14 +564,12 @@ class ClientCore:
         ``trace_id`` (protocol v1.3) stamps the request so the server
         echoes it — the sharded fan-out client correlates a traced run's
         sub-requests with it.  ``result="shredded"`` (protocol v1.5) asks
-        for the per-statement column tables in place of ``rows``; the
-        answer may still carry ``rows`` (see the module docstring), so
-        only a caller that can stitch — the fan-out coordinator — asks.
+        for the per-statement column tables in place of ``rows``, so only
+        a caller that can fold them — the fan-out coordinator — asks.
         """
         return self._execute(
             None, deadline_ms, query,
-            params=params, engine=engine, collection=collection,
-            trace_id=trace_id, result=result,
+            params=params, collection=collection, trace_id=trace_id, result=result,
         )
 
     def insert(

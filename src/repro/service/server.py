@@ -6,10 +6,10 @@ Architecture (the concurrency story the paper's avalanche-free guarantee
 makes *predictable*: every request is a statically bounded number of flat
 SQL queries, so per-request cost cannot degenerate under load):
 
-* one :class:`~repro.api.session.Session` per database — plan cache, stats
-  and engine policy shared by every connection (both are lock-guarded);
-* what each op *means* — its field checks, its response shape, which
-  engine runs — is :class:`~repro.service.core.ServerCore`'s, shared with
+* one :class:`~repro.api.session.Session` per database — plan cache and
+  stats shared by every connection (both are lock-guarded);
+* what each op *means* — its field checks, its response shape — is
+  :class:`~repro.service.core.ServerCore`'s, shared with
   the in-process endpoints of :mod:`repro.shard.deployment`; this module
   is its event-loop driver and decides only *where* a request runs;
 * one asyncio connection handler per client, reading length-prefixed JSON
@@ -33,7 +33,7 @@ per entry, from work counters only, never from a clock:
 * an entry's **first** run — compile, index advisement, ``ANALYZE`` —
   always goes to a worker thread;
 * if a run fetched at most :data:`LIGHT_ROWS` rows the entry is *light*,
-  and its later ``batched`` runs execute right in the connection handler
+  and its later runs execute right in the connection handler
   (:meth:`QueryServer._run_guarded`, the one sanctioned on-loop execution
   site — ``tools/check_concurrency.py`` CC005), touching nothing but
   their lease: no index advisement, no ``ANALYZE``, no store lock;
@@ -44,9 +44,8 @@ per entry, from work counters only, never from a clock:
   the same request re-runs on a worker thread on the same lease —
   counted in ``escalations``.  A run that fetched more than
   :data:`LIGHT_ROWS` rows inside the budget turns the entry heavy too.
-  Heavy is sticky until ``register`` replaces the entry;
-* requests that resolve to the ``parallel`` / ``per-path`` engine never
-  run on the loop.
+  Heavy is sticky until ``register`` replaces the entry.  Every run is
+  the batched engine's: a request names no engine (protocol v1.6).
 
 So the invariant is no longer "nothing runs on the loop" but: **one
 request occupies the loop for at most** :data:`INLINE_STEP_BUDGET`
@@ -473,9 +472,9 @@ class QueryServer:
         execution = self.core.execution(request, self.default_deadline_ms)
         entry, deadline_ms = execution.entry, execution.deadline_ms
         # Each request runs whole on its leased connection — concurrency
-        # comes from overlapping *requests* — and only a batched run of a
-        # light entry may stay on the loop.
-        on_loop = self._is_light(entry) and execution.engine() == "batched"
+        # comes from overlapping *requests* — and only a run of a light
+        # entry may stay on the loop.
+        on_loop = self._is_light(entry)
         assert self._leases is not None, "server not started"
         lease = await self._leases.get()
         leased = time.perf_counter()

@@ -23,10 +23,10 @@ name, through a data-less façade session under the deployment's
 ``SqlOptions``; only names and parameter values reach an endpoint) and:
 
 * **stitches** — the paper's *flat queries run remotely; stitching is
-  the single local step at the end*.  Every sub-request under bag/set
-  semantics with no explicit non-batched engine (fan-out, routed, single,
-  fallback and failover alike) asks for ``result: "shredded"`` (protocol
-  v1.5): the endpoint answers with one column table per statement,
+  the single local step at the end*.  Every sub-request (fan-out,
+  routed, single, fallback and failover alike, under any collection)
+  asks for ``result: "shredded"`` (protocol v1.5): the endpoint answers
+  with one column table per statement,
   written by SQLite, and the sub-request's worker checks them against the
   coordinator's own plan (the ``plan`` fingerprint, table and column
   counts, column lengths — :class:`~repro.errors.ShardingError`, never a
@@ -35,10 +35,9 @@ name, through a data-less façade session under the deployment's
   (:meth:`~repro.pipeline.shredder.CompiledQuery.fold_tables`: the same
   generated folds, the same bare-or-tagged keys, the same walk with the
   cycle collector paused) — as soon as that answer is in, while slower
-  shards still run.  A response that carries
-  ``rows`` instead (list semantics, an explicit ``per-path`` /
-  ``parallel`` engine, a serving session whose engine is not batched, a
-  v1.4 server) is used as it is;
+  shards still run.  An answer that carries no tables is a
+  :class:`~repro.errors.ShardingError`: nothing reaches the merge
+  unchecked;
 * fans a distributive query out to every shard concurrently (one worker
   thread per sub-request) and bag-unions the row lists by concatenation
   **in shard order**; ``collection="set"`` runs shards under bag
@@ -364,6 +363,11 @@ class ShardedServiceClient:
                 f"do not fit the coordinator's plan: {what}"
             )
 
+        if "shredded" not in response:
+            raise ShardingError(
+                f"shard {label} answered {query!r} with rows, not the column "
+                f"tables of plan {compiled.plan_fingerprint!r}"
+            )
         if response.get("plan") != compiled.plan_fingerprint:
             raise bad(
                 f"plan {response.get('plan')!r} ≠ the coordinator's "
@@ -511,10 +515,9 @@ class ShardedServiceClient:
         own = self._compiled_for(query).plan_fingerprint
         labels = [label for label, _client in self._endpoints()]
         for label, answer in zip(labels, [*responses, fallback_response]):
-            theirs = (answer or {}).get("plan")  # a v1.4 server reports none
-            if theirs is not None and theirs != own:
+            if answer is not None and answer.get("plan") != own:
                 raise ShardingError(
-                    f"endpoint {label} compiles {query!r} to plan {theirs}, "
+                    f"endpoint {label} compiles {query!r} to plan {answer.get('plan')}, "
                     f"the coordinator to {own}: they run different SqlOptions "
                     f"(pass the endpoints' options= to the coordinator)"
                 )
@@ -573,20 +576,16 @@ class ShardedServiceClient:
         self,
         query: str,
         params: Optional[Mapping[str, object]] = None,
-        engine: Optional[str] = None,
         collection: Optional[str] = None,
         deadline_ms: Optional[float] = None,
     ) -> list:
         """Run ``query`` across the deployment; returns the nested rows."""
-        return self.execute_full(
-            query, params, engine, collection, deadline_ms=deadline_ms
-        )["rows"]
+        return self.execute_full(query, params, collection, deadline_ms=deadline_ms)["rows"]
 
     def execute_full(
         self,
         query: str,
         params: Optional[Mapping[str, object]] = None,
-        engine: Optional[str] = None,
         collection: Optional[str] = None,
         deadline_ms: Optional[float] = None,
         tracer: object = None,
@@ -618,9 +617,9 @@ class ShardedServiceClient:
             collection=collection,
             down_shards=self.down_shards(),
         )
-        request = (query, bound, engine, deadline_ms, tracer)
+        request = (query, bound, deadline_ms, tracer)
         try:
-            rows, stats, resolved_engine = self._run_decision(decision, *request)
+            rows, stats = self._run_decision(decision, *request)
         except SHARD_UNAVAILABLE as error:
             if not decision.shards:
                 # The full-copy fallback itself failed: nothing stands in.
@@ -642,9 +641,7 @@ class ShardedServiceClient:
                 f"retried on the full-copy fallback",
             )
             try:
-                rows, stats, resolved_engine = self._run_decision(
-                    decision, *request, retried=True
-                )
+                rows, stats = self._run_decision(decision, *request, retried=True)
             except SHARD_UNAVAILABLE as fallback_error:
                 raise ShardUnavailableError(
                     f"shard {failed} failed executing {query!r} ({error}) "
@@ -670,7 +667,7 @@ class ShardedServiceClient:
             "ok": True,
             "query": query,
             "rows": rows,
-            "engine": resolved_engine,
+            "engine": "batched",
             "route": decision.route,
             "reason": decision.reason,
             "shards": list(decision.shards),
@@ -682,11 +679,10 @@ class ShardedServiceClient:
         decision: RouteDecision,
         query: str,
         bound: Optional[dict],
-        engine: Optional[str],
         deadline_ms: Optional[float],
         tracer: object = None,
         retried: bool = False,
-    ) -> tuple[list, dict, str]:
+    ) -> tuple[list, dict]:
         """Execute one resolved route; shard failures carry the culprit's
         index as ``error._repro_shard`` (and the last replica tried as
         ``error._repro_replica``) for failover attribution.
@@ -705,13 +701,6 @@ class ShardedServiceClient:
         """
         trace_id = getattr(tracer, "trace_id", None)
         per_shard = decision.per_shard_collection
-        # Ask for column tables wherever an endpoint can answer with them
-        # (it decides; see protocol v1.5) and stitch here, once.
-        result = (
-            "shredded"
-            if per_shard == "bag" and engine in (None, "auto", "batched")
-            else None
-        )
 
         def subrequest(index: Optional[int]) -> tuple[dict, float, Any, dict]:
             group = self._group(index)
@@ -723,11 +712,10 @@ class ShardedServiceClient:
                     response = group[replica].execute_full(
                         query,
                         bound,
-                        engine,
                         per_shard,
                         deadline_ms=deadline_ms,
                         trace_id=trace_id,
-                        result=result,
+                        result="shredded",
                     )
                 except SHARD_UNAVAILABLE as error:
                     error._repro_shard = index
@@ -746,11 +734,9 @@ class ShardedServiceClient:
                     self._m_subrequest_ms.labels(shard=label).observe(millis)
                 # This worker stitches its own answer as soon as it has
                 # it — while slower shards are still running.
-                stitched = None
-                if "shredded" in response:
-                    tables, fetched = self._stitch(query, label, response)
-                    stitch_millis = (time.perf_counter() - started) * 1000.0 - millis
-                    stitched = {"tables": tables, "rows": fetched}, stitch_millis
+                tables, fetched = self._stitch(query, label, response)
+                stitch_millis = (time.perf_counter() - started) * 1000.0 - millis
+                stitched = {"tables": tables, "rows": fetched}, stitch_millis
                 return response, millis, stitched, {
                     "shard": label,
                     "replica": replica,
@@ -785,15 +771,12 @@ class ShardedServiceClient:
                     for said in ("server_millis", "inline"):
                         if response.get(said) is not None:
                             attrs[said] = response[said]
-                    if stitched is None:
-                        tracer.record("shard", millis, **attrs)
-                    else:
-                        # A child of the sub-request whose answer it
-                        # stitched (and inside its time), not its sibling.
-                        stitch_attrs, stitch_millis = stitched
-                        tracer.record("shard", millis + stitch_millis, **attrs).record(
-                            "stitch", stitch_millis, **stitch_attrs
-                        )
+                    # A child of the sub-request whose answer it stitched
+                    # (and inside its time), not its sibling.
+                    stitch_attrs, stitch_millis = stitched
+                    tracer.record("shard", millis + stitch_millis, **attrs).record(
+                        "stitch", stitch_millis, **stitch_attrs
+                    )
         with self._counter_lock:
             for index, (_response, _millis, _stitched, attrs) in zip(targets, outcomes):
                 if index is None:
@@ -809,7 +792,7 @@ class ShardedServiceClient:
                 self.mode_runs[decision.mode] += 1
         first = outcomes[0][0]
         if len(outcomes) == 1:
-            return first["rows"], dict(first["stats"]), first["engine"]
+            return first["rows"], dict(first["stats"])
         # ⊎ is concatenation in shard order.
         rows: list = []
         stats = {"queries": 0, "rows_fetched": 0, "millis": 0.0}
@@ -818,7 +801,7 @@ class ShardedServiceClient:
             for key in stats:
                 stats[key] += response["stats"][key]
         stats["millis"] = round(stats["millis"], 3)
-        return rows, stats, first["engine"]
+        return rows, stats
 
     def insert(
         self,

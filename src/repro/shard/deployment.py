@@ -46,6 +46,7 @@ Route modes come from :func:`~repro.shard.analysis.analyse`:
 
 from __future__ import annotations
 
+import inspect
 import sqlite3
 import threading
 from contextlib import nullcontext
@@ -332,7 +333,6 @@ class ShardedSession:
         self,
         source: object,
         *,
-        engine: str | None = None,
         collection: str = "bag",
         params: Mapping[str, object] | None = None,
         deadline_ms: float | None = None,
@@ -350,12 +350,7 @@ class ShardedSession:
 
             tracer = trace if isinstance(trace, Tracer) else Tracer()
         response = self.client.execute_full(
-            self._resolve(source),
-            params,
-            engine,
-            collection,
-            deadline_ms=deadline_ms,
-            tracer=tracer,
+            self._resolve(source), params, collection, deadline_ms=deadline_ms, tracer=tracer
         )
         route = response["route"]
         wire = response["stats"]
@@ -474,7 +469,6 @@ def connect_sharded(
     placement: Placement | None = None,
     shards: int | None = None,
     options: SqlOptions | None = None,
-    engine: str = "auto",
     cache: object = True,
     processes: bool | None = None,
     **process_options: Any,
@@ -486,7 +480,7 @@ def connect_sharded(
       **local endpoints** over a :class:`ShardedDatabase` partitioned
       from it.  Zero startup cost and the session is shareable across
       threads, but fan-out shares one interpreter, so 4 shards ≈ 1 shard
-      on CPU-bound queries.  ``options`` / ``engine`` / ``cache`` configure
+      on CPU-bound queries.  ``options`` / ``cache`` configure
       the per-store sessions as :func:`~repro.api.connect` would
       (``options`` also the coordinator, which stitches what they run); all
       stores share the plan cache, so a query compiles once.  ``registry``
@@ -517,6 +511,14 @@ def connect_sharded(
     >>> cluster.run("Q4").route
     'fanout'
     """
+    if process_options:
+        from repro.shard.supervisor import SupervisedDeployment
+
+        unknown = set(process_options) - set(inspect.signature(SupervisedDeployment).parameters)
+        if unknown:
+            raise TypeError(
+                f"connect_sharded() got unexpected keyword arguments: {', '.join(sorted(unknown))}"
+            )
     if processes is None:
         processes = database is None and tables is None and schema is None
     if processes:
@@ -555,9 +557,7 @@ def connect_sharded(
     compile_lock = threading.Lock()
 
     def endpoint(store: Database, index: object) -> LocalEndpoint:
-        session = endpoint_session(
-            store, options=options, engine=engine, cache=cache
-        )
+        session = endpoint_session(store, options=options, cache=cache)
         label = f"{index}/{db.shard_count}"
         return LocalEndpoint(session, registry.copy(), compile_lock, label)
 

@@ -721,10 +721,6 @@ class SupervisedDeployment:
         self.client.close()
         self.supervisor.stop(drain_grace=drain_grace)
 
-    def stop(self, drain_grace: float = 10.0) -> None:
-        """Alias for :meth:`close` (deployments read naturally either way)."""
-        self.close(drain_grace=drain_grace)
-
     def __enter__(self) -> "SupervisedDeployment":
         return self
 

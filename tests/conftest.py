@@ -244,11 +244,11 @@ class ShardedSessions:
 
     def __call__(
         self, shards=2, *, placement=None, database=None, options=None,
-        engine="auto", cache=True, shared=False,
+        cache=True, shared=False,
     ):
         """A session; ``shared=True`` reuses one per (shards, placement)
         for the fixture's lifetime — read-only tests only.  ``options`` /
-        ``engine`` / ``cache`` configure every store's session."""
+        ``cache`` configure every store's session."""
         from repro.data.organisation import organisation_placement
         from repro.service import paper_registry, serve_in_background
         from repro.shard import ShardedDatabase, connect_sharded, endpoint_session
@@ -261,16 +261,13 @@ class ShardedSessions:
         registry = paper_registry()
         sdb = ShardedDatabase(database or figure3_database(), placement, shards)
         if self.transport == "local":
-            session = connect_sharded(
-                sdb, options=options, engine=engine, cache=cache,
-                registry=registry,
-            )
+            session = connect_sharded(sdb, options=options, cache=cache, registry=registry)
             self._servers[session] = []
         else:
             labels = [f"{i}/{shards}" for i in range(shards)] + [f"full/{shards}"]
             handles = [
                 serve_in_background(
-                    endpoint_session(store, options=options, engine=engine, cache=cache),
+                    endpoint_session(store, options=options, cache=cache),
                     registry,
                     pool_size=2,
                     shard_label=label,

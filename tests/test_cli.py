@@ -34,6 +34,12 @@ class TestSql:
             main(["sql", "Q99"])
 
 
+class TestServe:
+    def test_an_out_of_range_shard_is_refused_before_any_data(self, capsys):
+        with pytest.raises(SystemExit, match="--shard must look like"):
+            main(["serve", "--shard", "2/2", "--scale", "4", "--port", "0"])
+
+
 class TestRun:
     def test_run_q4(self, capsys):
         assert main(["run", "Q4"]) == 0

@@ -143,7 +143,6 @@ class TestIdempotentShutdown:
         # less than one drain grace, let alone one per child.
         assert elapsed < 8.0, f"close() hung {elapsed:.1f}s on a dead child"
         deployment.close()  # second close: a no-op, not an exception
-        deployment.stop()  # and the alias too
         for process in [deployment.fallback] + deployment.groups[0]:
             assert process.poll() is not None
 

@@ -98,8 +98,8 @@ def test_a_store_without_json1_refuses_to_open(monkeypatch, tmp_path):
         with pytest.raises(MissingSqlFunctionError, match="json_group_array"):
             session.run(term, engine=engine)
     core = ServerCore(session, REGISTRY)
-    assert core.handle({"op": "prepare", "query": "Q4"})["engine"] == "batched"
-    for request in ({}, {"engine": "per-path"}, {"result": "shredded"}):
+    assert "plan" in core.handle({"op": "prepare", "query": "Q4"})
+    for request in ({}, {"result": "shredded"}):
         with pytest.raises(ServiceError, match="json_group_array") as answered:
             core.handle({"op": "execute", "query": "Q4", **request})
         assert answered.value.kind == "MissingSqlFunction"

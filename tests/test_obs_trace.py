@@ -246,8 +246,4 @@ class TestExplainSurface:
         session = connect(figure3_database(), cache=False)
         payload = session.query(NESTED_QUERIES["Q1"]).explain(json=True)
         assert "trace" not in payload
-        assert payload["engine"]["resolved"] in (
-            "per-path",
-            "batched",
-            "parallel",
-        )
+        assert payload["engine"] == "batched"

@@ -16,7 +16,7 @@ import pytest
 from repro.api import connect
 from repro.data.organisation import figure3_database
 from repro.data.queries import NESTED_QUERIES
-from repro.errors import BackendError, ReproError, ServiceError
+from repro.errors import BackendError, ServiceError
 from repro.nrc.serialize import term_to_json
 from repro.pipeline.plan_cache import PlanCache
 from repro.service import OPS, PROTOCOL_VERSION, paper_registry
@@ -69,7 +69,6 @@ class TestPrepareAndExecute:
             "query": "dept_staff",
             "statements": 2,
             "params": {"dept": "String"},
-            "engine": "batched",
             "description": core.registry.lookup("dept_staff").description,
             # v1.5: the fingerprint of the statements' SQL.
             "plan": core.session.compile(
@@ -105,7 +104,6 @@ class TestPrepareAndExecute:
     def test_a_drivers_execution_is_the_same_single_consult(self, core):
         before = _lookups(core)
         execution = core.execution({"op": "execute", "query": "Q1"})
-        assert execution.engine() == "batched"
         response = execution.response(execution.run())
         assert _lookups(core) == before + 1
         assert response["engine"] == "batched" and response["query"] == "Q1"
@@ -128,15 +126,18 @@ class TestPrepareAndExecute:
         with pytest.raises(ServiceError, match="'params' must be an object"):
             core.handle({"op": "execute", "query": "dept_staff", "params": params})
 
-    def test_one_engine_rule_for_prepare_and_execute(self):
-        session = connect(figure3_database(), engine="parallel")
-        core = ServerCore(session, paper_registry())
-        assert core.handle({"op": "prepare", "query": "Q1"})["engine"] == "parallel"
-        assert core.handle({"op": "execute", "query": "Q1"})["engine"] == "parallel"
-        named = {"op": "execute", "query": "Q1", "engine": "per-path"}
-        assert core.handle(named)["engine"] == "per-path"
-        with pytest.raises(ReproError, match="engine"):
-            core.handle({"op": "execute", "query": "Q1", "engine": "warp"})
+    def test_one_engine_rule_for_prepare_and_execute(self, core):
+        """Protocol v1.6: every served run is the batched engine's.
+        ``prepare`` names no engine, ``execute`` reports the batched one,
+        and an ``execute`` naming any engine — the batched one too — is
+        refused before anything runs."""
+        assert "engine" not in core.handle({"op": "prepare", "query": "Q1"})
+        assert core.handle({"op": "execute", "query": "Q1"})["engine"] == "batched"
+        before = _lookups(core)
+        for engine in ("batched", "per-path", "auto", None):
+            with pytest.raises(ServiceError, match="'engine' is not an execute field"):
+                core.handle({"op": "execute", "query": "Q1", "engine": engine})
+        assert _lookups(core) == before
 
     def test_explain_is_the_sessions_report(self, core):
         response = core.handle({"op": "explain", "query": "Q6"})

@@ -17,7 +17,7 @@ import pytest
 from repro.api import connect, param
 from repro.data.organisation import figure3_database
 from repro.data.queries import NESTED_QUERIES
-from repro.errors import ServiceError
+from repro.errors import ServiceError, ShreddingError
 from repro.pipeline.plan_cache import PlanCache
 from repro.service import (
     AsyncServiceClient,
@@ -66,11 +66,23 @@ class TestWireResults:
         direct = service.server.session.run(NESTED_QUERIES[name]).value
         assert bag_equal(served, direct), name
 
-    @pytest.mark.parametrize("engine", ["per-path", "batched", "parallel"])
-    def test_engines_agree_over_the_wire(self, service, client, engine):
-        served = client.execute("Q4", engine=engine)
-        direct = service.server.session.run(NESTED_QUERIES["Q4"]).value
-        assert bag_equal(served, direct)
+    @pytest.mark.parametrize("collection", ["bag", "set", "list"])
+    def test_every_collection_agrees_over_the_wire(self, service, client, collection):
+        """The served answer is the in-process run's, refusal included: an
+        unordered session has no list semantics either way."""
+        session = service.server.session
+        if collection == "list":
+            with pytest.raises(ShreddingError, match="needs SqlOptions") as direct:
+                session.run(NESTED_QUERIES["Q4"], collection=collection)
+            with pytest.raises(ServiceError) as served:
+                client.execute_full("Q4", collection=collection)
+            assert served.value.kind == "ShreddingError"
+            assert str(direct.value) in str(served.value)
+            return
+        served = client.execute_full("Q4", collection=collection)
+        direct = session.run(NESTED_QUERIES["Q4"], collection=collection)
+        assert served["engine"] == direct.engine == "batched"
+        assert bag_equal(served["rows"], direct.value)
 
     def test_execute_full_reports_engine_and_stats(self, client):
         response = client.execute_full("Q1")
@@ -136,9 +148,16 @@ class TestProtocolSurface:
         assert excinfo.value.kind == "ShreddingError"
 
     def test_bad_engine_relays_error(self, client):
-        with pytest.raises(ServiceError) as excinfo:
-            client.execute("Q1", engine="warp-drive")
-        assert excinfo.value.kind == "ShreddingError"
+        """Protocol v1.6: an ``execute`` naming an engine — a known one
+        too — is answered with an error frame, and the client's methods
+        have no way to name one."""
+        for engine in ("warp-drive", "batched"):
+            with pytest.raises(ServiceError, match="'engine' is not an execute field") as excinfo:
+                client.request({"op": "execute", "query": "Q1", "engine": engine})
+            assert excinfo.value.kind == "ServiceError"
+        with pytest.raises(TypeError):
+            client.execute("Q1", engine="batched")
+        assert client.execute_full("Q1")["engine"] == "batched"
 
     def test_unknown_op_is_rejected_in_frame(self, client):
         every_op = ", ".join(OPS)  # the message is derived from the one list
@@ -619,23 +638,21 @@ class TestRunsOnTheLoop:
         assert _where(client) == (3, 0)
         assert "repro_leases_free 1" in client.metrics()
 
-    @pytest.mark.parametrize("engine", ["parallel", "per-path"])
-    def test_other_engines_never_run_inline(self, fresh, wire_client, engine):
+    @pytest.mark.parametrize("engine", ["per-path", "batched", "parallel"])
+    def test_a_request_naming_an_engine_runs_nowhere(self, fresh, wire_client, engine):
         handle, registry, db = fresh
         client = wire_client(handle.host, handle.port)
         sales = {"dept": "Sales"}
         for _ in range(2):
             client.execute("dept_staff", params=sales)
         assert _where(client) == (1, 0)
-        response = client.execute_full(
-            "dept_staff", sales, engine=engine, trace_id="where"
-        )
-        assert response["engine"] == engine and response["inline"] is False
-        assert bag_equal(
-            response["rows"], _oracle(registry, db, "dept_staff", sales)
-        )
+        named = {"op": "execute", "query": "dept_staff", "params": sales, "engine": engine}
+        with pytest.raises(ServiceError, match="'engine' is not an execute field"):
+            client.request(named)
         assert _where(client) == (1, 0)
+        assert "repro_leases_free 1" in client.metrics()
         traced = client.execute_full("dept_staff", sales, trace_id="where")
+        assert bag_equal(traced["rows"], _oracle(registry, db, "dept_staff", sales))
         assert traced["inline"] is True
         assert "inline" not in client.execute_full("dept_staff", sales)
 

@@ -5,8 +5,9 @@ endpoints) answers like single-session execution, as nested multisets —
 whichever route the shardability analysis picked (fanout, routed,
 single-shard or full-copy fallback):
 
-* the paper queries Q1–Q6 on every engine × every shard count, once per
-  endpoint kind (the ``sharded_session`` fixture);
+* the paper queries Q1–Q6 at every shard count, under bag and set
+  semantics, once per endpoint kind
+  (the ``sharded_session`` fixture);
 * the two parameterised registry queries (``staff_above(:min_salary)``,
   ``dept_staff(:dept)``), including the routed-point-lookup guarantee:
   a bound routing key hits **exactly one shard**, asserted via the
@@ -28,7 +29,6 @@ from repro.shard import shard_for
 from repro.values import assert_bag_equal, bag_equal
 
 SHARD_COUNTS = (2, 3, 4)
-ENGINES = ("per-path", "batched", "parallel")
 DEPTS = ("Product", "Quality", "Research", "Sales")
 REGISTRY = paper_registry()
 
@@ -41,34 +41,24 @@ def single():
 
 
 # --------------------------------------------------------------------------
-# Q1–Q6, every engine, every shard count, both endpoint kinds.
+# Q1–Q6, every shard count, both endpoint kinds.
 
 
 class TestPaperQueries:
     @pytest.mark.parametrize("name", sorted(NESTED_QUERIES))
-    def test_every_engine_and_shard_count(self, single, sharded_session, name):
+    def test_every_shard_count(self, single, sharded_session, name):
         expected = single.run(NESTED_QUERIES[name]).value
         for shards in SHARD_COUNTS:
-            session = sharded_session(shards, shared=True)
-            for engine in ENGINES:
-                result = session.run(name, engine=engine)
-                assert_bag_equal(
-                    result.value,
-                    expected,
-                    f"{name} @ {shards} shards, {engine} ({result.route})",
-                )
+            result = sharded_session(shards, shared=True).run(name)
+            assert_bag_equal(result.value, expected, f"{name} @ {shards} shards ({result.route})")
 
-    def test_set_semantics_agree(self, single, sharded_session):
+    @pytest.mark.parametrize("name", sorted(NESTED_QUERIES))
+    def test_set_semantics_agree(self, single, sharded_session, name):
         # Global set-union must dedup across shards, not only within them.
-        for name in ("Q3", "Q4"):
-            expected = single.run(
-                NESTED_QUERIES[name], collection="set"
-            ).value
-            for shards in SHARD_COUNTS:
-                result = sharded_session(shards, shared=True).run(
-                    name, collection="set"
-                )
-                assert bag_equal(result.value, expected), (name, shards)
+        expected = single.run(NESTED_QUERIES[name], collection="set").value
+        for shards in SHARD_COUNTS:
+            result = sharded_session(shards, shared=True).run(name, collection="set")
+            assert bag_equal(result.value, expected), (name, shards)
 
 
 # --------------------------------------------------------------------------

@@ -614,15 +614,17 @@ class TestEndpointParity:
             with pytest.raises(ServiceError, match="'params' must be an object"):
                 endpoint._call(dict(request))
 
-    def test_prepare_reports_the_engine_execute_runs(self, sharded_session):
-        client = sharded_session(2, engine="parallel").client
-        for _label, endpoint in client._endpoints():
-            assert (
-                endpoint.prepare("Q1")["engine"]
-                == endpoint.execute_full("Q1")["engine"]
-                == "parallel"
-            )
-            assert endpoint.execute_full("Q1", engine="batched")["engine"] == "batched"
+    @pytest.mark.parametrize("engine", ["per-path", "batched", "parallel"])
+    def test_an_execute_naming_an_engine_is_refused_everywhere(self, sharded_session, engine):
+        session = sharded_session(2, shared=True)
+        request = {"op": "execute", "query": "Q1", "engine": engine}
+        for _label, endpoint in session.client._endpoints():
+            with pytest.raises(ServiceError, match="'engine' is not an execute field"):
+                endpoint._call(dict(request))
+            assert "engine" not in endpoint.prepare("Q1")
+            assert endpoint.execute_full("Q1")["engine"] == "batched"
+        with pytest.raises(TypeError):
+            session.run("Q1", engine=engine)
 
     def test_fleet_stats_read_the_same_over_any_endpoint(self, sharded_session):
         report = sharded_session(2, shared=True).client.stats()
@@ -648,10 +650,13 @@ class TestCliShardSpec:
                 _parse_shard(bad)
 
     def test_scaled_shard_slices_are_a_partition(self):
-        from repro.data.generator import scaled_database, scaled_shard
+        # What ``serve --scale 4 --shard i/2`` serves: the seeded instance,
+        # partitioned under the default placement.
+        from repro.data.generator import scaled_database
 
         full = scaled_database(4, seed=0, scale_rows=3)
-        slices = [scaled_shard(4, i, 2, seed=0, scale_rows=3) for i in range(2)]
+        owner = organisation_placement().validate(full.schema).owner_fn(2)
+        slices = [scaled_database(4, seed=0, scale_rows=3).partitioned(owner, i) for i in range(2)]
         dept_names = [
             {row["name"] for row in part.rows("departments")}
             for part in slices
@@ -662,5 +667,3 @@ class TestCliShardSpec:
         assert not (dept_names[0] & dept_names[1])
         for part in slices:
             assert part.row_count("employees") == full.row_count("employees")
-        with pytest.raises(ShardingError):
-            scaled_shard(4, 2, 2)

@@ -8,7 +8,8 @@ semantics on every route is ``tests/test_oracle_matrix.py``'s; here:
 * **differential** — for every registry query × {default, flat} plans ×
   both endpoint kinds × 2/3/4 shards, the rows the coordinator stitches
   are the *same list* the same endpoints answer when nobody asks for
-  column tables;
+  column tables, and every sub-request — under any collection — asks for
+  them;
 * **bag laws across fan-out and merge** — replicated tables are not
   multiplied by the shard count, empty inner bags survive, duplicate
   outer records keep their own inner bags, and set semantics dedups once,
@@ -21,9 +22,9 @@ semantics on every route is ``tests/test_oracle_matrix.py``'s; here:
   ``fetchall()`` cell for cell, over hostile strings, Ints at the ±2⁶³
   edges, §6.1's NULL key padding and Bool 0/1;
 * **hostile frames** — column tables that do not fit the coordinator's
-  plan raise :class:`~repro.errors.ShardingError` before any fold, a
-  v1.4-shaped ``rows`` answer is taken as it is, and an oversize spliced
-  frame still gets a structured error frame.
+  plan raise :class:`~repro.errors.ShardingError` before any fold, so
+  does a nested ``rows`` answer, and an oversize spliced frame still gets
+  a structured error frame.
 """
 
 from __future__ import annotations
@@ -82,16 +83,11 @@ def _endpoints(client):
     return [e for group in client._groups for e in group] + [client._fallback]
 
 
-def _unasked(monkeypatch, client):
-    """Make ``client``'s endpoints answer as if nobody asked for column
-    tables: the ``result`` field never leaves the coordinator."""
-    for endpoint in _endpoints(client):
-        original = endpoint.execute_full
-
-        def plain(*args, _original=original, result=None, **kwargs):
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(endpoint, "execute_full", plain)
+def _unasked(client, result, name, params):
+    """What the endpoints ``result`` came from answer when nobody asks for
+    column tables — each folds its own rows — ⊎'d in shard order."""
+    endpoints = [client._groups[index][0] for index in result.shards] or [client._fallback]
+    return [row for e in endpoints for row in e.execute_full(name, params)["rows"]]
 
 
 def _shard_spans(tracer):
@@ -107,28 +103,16 @@ def _shard_spans(tracer):
 class TestDifferential:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("plan", sorted(PLANS))
-    def test_stitched_rows_are_the_nested_rows(
-        self, sharded_session, monkeypatch, plan, shards
-    ):
+    def test_stitched_rows_are_the_nested_rows(self, sharded_session, plan, shards):
         session = sharded_session(shards, options=PLANS[plan])
-        client = session.client
-        stitched, stitch_spans = {}, {}
-        for name in REGISTRY.names():
-            result = session.run(name, params=PARAMS.get(name), trace=True)
-            stitched[name] = result.value
-            stitch_spans[name] = [
-                [child.name for child in shard.children]
-                for shard in _shard_spans(result.trace)
-            ]
-        _unasked(monkeypatch, client)
         for name in REGISTRY.names():
             params = PARAMS.get(name)
-            nested = session.run(name, params=params, trace=True)
-            # Identical lists — same order at every level — not just bags.
-            assert stitched[name] == nested.value, name
-            # …and they really came the two ways.
-            assert all(kids == ["stitch"] for kids in stitch_spans[name]), name
-            assert all(not s.children for s in _shard_spans(nested.trace)), name
+            result = session.run(name, params=params, trace=True)
+            # Identical lists — same order at every level — not just bags…
+            assert result.value == _unasked(session.client, result, name, params), name
+            # …and stitched here, from every endpoint's tables.
+            spans = _shard_spans(result.trace)
+            assert all([c.name for c in s.children] == ["stitch"] for s in spans)
 
     def test_set_semantics_dedup_once_after_the_union(self, sharded_session):
         session = sharded_session(3, shared=True)
@@ -137,27 +121,35 @@ class TestDifferential:
             as_set = session.run(name, collection="set").value
             assert as_set == dedup_nested(bag), name
 
-    def test_what_still_answers_rows(self, sharded_session):
-        """List semantics, an explicit non-batched engine and a serving
-        session whose own engine is not batched keep the nested answer —
-        the coordinator takes either."""
-        expected = _oracle(NESTED_QUERIES["Q4"], figure3_database())
-        session = sharded_session(2, shared=True)
-        for engine in ("per-path", "parallel"):
-            result = session.run("Q4", engine=engine, trace=True)
-            assert all(not s.children for s in _shard_spans(result.trace))
-        for engine in (None, "auto", "batched"):
-            result = session.run("Q4", engine=engine, trace=True)
-            assert all(s.children for s in _shard_spans(result.trace))
-        threaded = sharded_session(2, engine="parallel")
-        result = threaded.run("Q4", trace=True)
-        assert result.engine == "parallel"
-        assert all(not s.children for s in _shard_spans(result.trace))
-        assert_bag_equal(result.value, expected)
-        ordered = sharded_session(2, options=SqlOptions(ordered=True))
-        listed = ordered.run("Q4", collection="list", trace=True)
-        assert listed.route == "fallback"
-        assert all(not s.children for s in _shard_spans(listed.trace))
+    @pytest.mark.parametrize("collection", ["bag", "set", "list"])
+    def test_every_sub_request_is_answered_with_tables(
+        self, sharded_session, monkeypatch, collection
+    ):
+        """Protocol v1.6: whatever the collection, every sub-request asks
+        for column tables and its answer is folded here — list semantics
+        (on the full copy) included, to the in-process ordered run."""
+        ordered = SqlOptions(ordered=True)
+        session = sharded_session(2, options=ordered)
+        asked = []
+        for endpoint in _endpoints(session.client):
+            honest = endpoint.execute_full
+
+            def spy(*args, _honest=honest, **kwargs):
+                asked.append(kwargs.get("result"))
+                return _honest(*args, **kwargs)
+
+            monkeypatch.setattr(endpoint, "execute_full", spy)
+        single = connect(figure3_database(), options=ordered)
+        result = session.run("Q4", collection=collection, trace=True)
+        spans = _shard_spans(result.trace)
+        assert spans and all([c.name for c in s.children] == ["stitch"] for s in spans)
+        expected = single.run(NESTED_QUERIES["Q4"], collection=collection).value
+        if collection == "list":
+            assert result.route == "fallback"
+            assert result.value == expected
+        else:
+            assert_bag_equal(result.value, expected)
+        assert asked and set(asked) == {"shredded"}
 
 
 # --------------------------------------------------------------------------
@@ -354,11 +346,12 @@ class TestWhoDoesTheWork:
         nested = core.handle({"op": "execute", "query": "Q1"})
         assert nested["stats"]["rows_fetched"] == response["stats"]["rows_fetched"]
         assert len(folds) == statements
-        # The per-path engine reads the same tables: one fetched row each.
+        # The per-path engine (an in-process run's choice) reads the same
+        # tables: one fetched row each.
         fetched.clear()
-        per_path = core.handle({"op": "execute", "query": "Q1", "engine": "per-path"})
+        per_path = session.run(NESTED_QUERIES["Q1"], engine="per-path")
         assert len(fetched) == statements
-        assert per_path["stats"]["rows_fetched"] == response["stats"]["rows_fetched"]
+        assert per_path.stats.rows_fetched == response["stats"]["rows_fetched"]
         assert len(folds) == statements
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
@@ -447,7 +440,7 @@ class TestWhoDoesTheWork:
         core = ServerCore(connect(figure3_database()), paper_registry())
         response = core.handle({"op": "execute", "query": "Q4"})
         assert list(response) == ["ok", "query", "rows", "engine", "server_millis", "stats"]
-        assert PROTOCOL_VERSION == "1.5"
+        assert PROTOCOL_VERSION == "1.6"
 
     def test_a_bad_result_field_is_rejected(self):
         core = ServerCore(connect(figure3_database()), paper_registry())
@@ -679,26 +672,26 @@ class TestHostileFrames:
             _oracle(REGISTRY.lookup("dept_staff").term, figure3_database(), {"dept": "Sales"}),
         )
 
-    def test_a_v14_rows_answer_is_accepted(self, lying):
-        """A v1.4 server ignores ``result`` and answers ``rows``."""
+    def test_a_rows_answer_is_refused_naming_the_plan(self, lying):
+        """An endpoint that answers nested ``rows`` has sent nothing the
+        coordinator can check against its plan: refused, never merged."""
         core = ServerCore(connect(figure3_database()), paper_registry())
 
-        def v14(_response):
+        def nested(_response):
             return _off_a_frame(
                 core.handle(
                     {"op": "execute", "query": "dept_staff", "params": {"dept": "Sales"}}
                 )
             )
 
-        session, folds = lying(v14)
-        result = session.run("dept_staff", params={"dept": "Sales"}, trace=True)
-        assert len(folds) == 2  # the v1.4 endpoint's own, nothing here
-        assert all(not shard.children for shard in _shard_spans(result.trace))
-        assert result.stats.queries == 2
-        assert_bag_equal(
-            result.value,
-            _oracle(REGISTRY.lookup("dept_staff").term, figure3_database(), {"dept": "Sales"}),
-        )
+        session, folds = lying(nested)
+        plan = session.client._compiled_for("dept_staff").plan_fingerprint
+        refusal = f"with rows, not the column tables of plan '{plan}'"
+        with pytest.raises(ShardingError, match=refusal) as refused:
+            session.run("dept_staff", params={"dept": "Sales"})
+        assert f"shard {shard_for('Sales', 2)}/2" in str(refused.value)
+        assert len(folds) == 2  # the planted endpoint's own, nothing here
+        assert session.run_counts()["fallback"] == 0
 
     def test_an_oversize_spliced_frame_gets_a_structured_error(self, monkeypatch):
         handle = serve_in_background(connect(figure3_database()), paper_registry())

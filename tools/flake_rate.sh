@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Flake rate of the suites that race threads, open servers or spawn
-# processes (the oracle matrix's wire route serves in-process): each suite
+# processes (the oracle matrix's wire route and the shredded-results suite
+# serve over real sockets and threads in-process): each suite
 # runs N times (default 20), one fresh pytest process per run, and a
 # Markdown table of passed/N per suite goes to stdout.  Exits 1 if any run
 # failed.
@@ -18,6 +19,7 @@ if [ ${#suites[@]} -eq 0 ]; then
     tests/test_process_shards.py
     tests/test_cluster_lifecycle.py
     tests/test_oracle_matrix.py
+    tests/test_shredded_results.py
   )
 fi
 
