@@ -125,13 +125,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = prepared.run(engine=args.engine)
     print(result.render())
     if args.stats:
-        stats = result.stats
-        session_stats = session.stats  # adds the compile-side cache counters
+        # The session's totals: this run plus the compile's cache consult.
+        totals = session.stats_snapshot()
         print(
-            f"-- engine={result.engine} queries={stats.queries} "
-            f"rows={stats.rows_fetched} "
-            f"millis={stats.total_millis:.1f} "
-            f"cache={session_stats.cache_hits}h/{session_stats.cache_misses}m"
+            f"-- engine={result.engine} queries={totals['queries']} "
+            f"rows={totals['rows_fetched']} "
+            f"millis={totals['millis']:.1f} "
+            f"cache={totals['cache_hits']}h/{totals['cache_misses']}m"
         )
     return 0
 

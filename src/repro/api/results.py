@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.backend.executor import ExecutionStats
-from repro.errors import ShreddingError
 from repro.obs.trace import traced
 from repro.values import NestedValue, render
 
@@ -66,15 +65,14 @@ class Prepared(Runnable):
     """A query bound to a session, compiled on first use.
 
     The compiled plan is cached on the instance (and, when the session has
-    a plan cache, shared across structurally identical queries).  ``stats()``
-    returns the :class:`ExecutionStats` of the most recent :meth:`run`.
+    a plan cache, shared across structurally identical queries).  Each
+    :meth:`run`'s counters are on the :class:`Result` it returns.
     """
 
     def __init__(self, session: "Session", term: "Term") -> None:
         self._session = session
         self._term = term
         self._compiled: "CompiledQuery | None" = None
-        self._last_stats: ExecutionStats | None = None
 
     def term(self) -> "Term":
         return self._term
@@ -117,7 +115,6 @@ class Prepared(Runnable):
         self,
         engine: str | None = None,
         collection: str = "bag",
-        stats: ExecutionStats | None = None,
         trace: object = None,
         **kwargs: Any,
     ) -> "Result":
@@ -130,7 +127,8 @@ class Prepared(Runnable):
         (``params`` for host-parameter bindings, ``create_indexes``,
         ``connection``) pass
         through to :meth:`~repro.pipeline.shredder.CompiledQuery.run`.
-        ``stats`` (if given) additionally accumulates this run's stats.
+        The run's counters are :attr:`Result.stats`; the session's
+        registry counts them too.
 
         ``trace=True`` (or an existing :class:`repro.obs.Tracer`) records
         a nested span tree for the whole run — compile (on first use),
@@ -156,21 +154,10 @@ class Prepared(Runnable):
                 tracer=tracer,
                 **kwargs,
             )
-        self._last_stats = run_stats
-        self._session._merge_stats(run_stats)
-        if stats is not None:
-            stats.merge(run_stats)
+        self._session._count(run_stats)
         return Result(
             value=value, stats=run_stats, engine=resolved, trace=tracer
         )
-
-    def stats(self) -> ExecutionStats:
-        """The :class:`ExecutionStats` of the most recent :meth:`run`."""
-        if self._last_stats is None:
-            raise ShreddingError(
-                "no execution stats yet: call .run() first"
-            )
-        return self._last_stats
 
     def diagnostics(self, placement: object = None) -> list:
         """Static :class:`~repro.check.diagnostics.Diagnostic` findings for

@@ -22,7 +22,6 @@ server and a deployment hold none.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import replace
 from typing import Any, Iterable, Mapping
 
@@ -33,17 +32,11 @@ from repro.backend.executor import ExecutionStats
 from repro.errors import ShreddingError, UnknownTableError
 from repro.nrc import ast
 from repro.nrc.schema import Schema
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.shredder import CompiledQuery, ShreddingPipeline, validate_engine
 from repro.sql.codegen import SqlOptions
 
 __all__ = ["Session", "connect", "connect_sharded"]
-
-#: Cap on the session-lifetime per-query sample lists: after each merge,
-#: samples beyond this are folded into exact aggregates
-#: (:meth:`ExecutionStats.compact`) so a long-running server's stats stay
-#: O(1) while ``queries``/``rows_fetched``/``total_millis`` remain exact.
-#: Per-run stats are never compacted.
-STATS_SAMPLE_CAP = 2048
 
 
 class Session:
@@ -62,6 +55,16 @@ class Session:
         ``True`` (default) → the process-wide shared plan cache; a
         :class:`~repro.pipeline.plan_cache.PlanCache` to scope it;
         ``False``/``None`` → compile cold every time.
+    metrics:
+        The :class:`~repro.obs.metrics.MetricsRegistry` the session counts
+        into; a fresh one when not given.
+
+    A run's counters ride on its :class:`~repro.api.results.Result`;
+    everything longer-lived — statements, rows, statement latency, plan
+    cache hits and misses, indexes created, rules fired — is counted once,
+    in :attr:`metrics`, which sessions made by :meth:`with_options` share
+    and a server over the session counts its requests into.
+    :meth:`stats_snapshot` reads the lifetime totals from there.
 
     Sessions are context managers: leaving the ``with`` block closes the
     pooled SQLite connections (the Python-side rows survive — a later query
@@ -76,7 +79,7 @@ class Session:
         tables: Mapping[str, Iterable[Mapping[str, object]]] | None = None,
         options: SqlOptions | None = None,
         cache: object = True,
-        metrics: object = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if database is None:
             if schema is None:
@@ -97,54 +100,39 @@ class Session:
         self.pipeline = ShreddingPipeline(
             self.schema, self.options, cache=cache
         )
-        #: Session-lifetime accumulation of every run's stats (plus the
-        #: plan cache's hit/miss counters from compiles).  Guarded by
-        #: ``_stats_lock``: the service layer runs many handler threads
-        #: through one shared session.
-        self.stats = ExecutionStats()
-        self._stats_lock = threading.Lock()
-        #: Optional :class:`repro.obs.MetricsRegistry` — every merged
-        #: run's stats are mirrored into bounded counters/histograms
-        #: (the server's ``/metrics`` surface).  None keeps the hot path
-        #: at a single attribute check.
-        self.metrics = None
-        if metrics is not None:
-            self.attach_metrics(metrics)
-
-    def attach_metrics(self, registry: object) -> None:
-        """Mirror this session's stats into ``registry`` from now on —
-        families are declared here (idempotently) so the exposition shows
-        them at zero before the first query."""
-        self._m_statements = registry.counter(
+        #: The session's lifetime counts (the families are declared here,
+        #: so an exposition shows them at zero before the first query).
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self._m_statements = self.metrics.counter(
             "statements_total",
             "Flat SQL statements executed (the query-avalanche metric)",
         )
-        self._m_rows = registry.counter(
+        self._m_rows = self.metrics.counter(
             "rows_fetched_total", "Rows fetched from SQLite"
         )
-        self._m_query_ms = registry.histogram(
+        self._m_query_ms = self.metrics.histogram(
             "statement_latency_ms",
             "Per-statement wall time (execute + decode), milliseconds",
         )
-        self._m_cache_hits = registry.counter(
+        self._m_cache_hits = self.metrics.counter(
             "plan_cache_hits_total", "Plan cache hits"
         )
-        self._m_cache_misses = registry.counter(
+        self._m_cache_misses = self.metrics.counter(
             "plan_cache_misses_total", "Plan cache misses"
         )
-        self._m_indexes = registry.counter(
+        self._m_indexes = self.metrics.counter(
             "indexes_created_total", "Advisory SQLite indexes created"
         )
-        self._m_rules = registry.counter(
+        self._m_rules = self.metrics.counter(
             "rules_fired_total",
             "Compiles whose plan a given optimizer rule rewrote",
             labels=("rule",),
         )
-        self.metrics = registry
 
-    def _observe_stats(self, run_stats: ExecutionStats) -> None:
-        """Fold one run's stats into the metrics registry (outside the
-        stats lock — registry children have their own leaf locks)."""
+    def _count(self, run_stats: ExecutionStats) -> None:
+        """Count one run's (or compile's) stats into the registry — its
+        children have their own leaf locks, so concurrent runs need no
+        other."""
         if run_stats.queries:
             self._m_statements.inc(run_stats.queries)
         if run_stats.rows_fetched:
@@ -223,34 +211,22 @@ class Session:
         return self.prepare(source).diagnostics(placement=placement)
 
     def _compile(self, term: ast.Term, tracer=None) -> CompiledQuery:
-        # Record cache counters into a local carrier first, then fold under
-        # the lock: compile work itself (possibly slow) stays unlocked.
-        local = ExecutionStats()
-        compiled = self.pipeline.compile(term, stats=local, tracer=tracer)
-        self._merge_stats(local)
+        compiled_stats = ExecutionStats()
+        compiled = self.pipeline.compile(term, stats=compiled_stats, tracer=tracer)
+        self._count(compiled_stats)
         return compiled
 
-    def _merge_stats(self, run_stats: ExecutionStats) -> None:
-        """Fold one run's stats into the session total (thread-safe), then
-        compact the lifetime sample lists to :data:`STATS_SAMPLE_CAP`."""
-        if self.metrics is not None:
-            self._observe_stats(run_stats)
-        with self._stats_lock:
-            self.stats.merge(run_stats)
-            self.stats.compact(STATS_SAMPLE_CAP)
-
     def stats_snapshot(self) -> dict[str, object]:
-        """A consistent point-in-time view of the session counters —
-        never torn mid-merge, unlike reading ``stats`` fields directly
-        while handler threads are recording."""
-        with self._stats_lock:
-            return {
-                "queries": self.stats.queries,
-                "rows_fetched": self.stats.rows_fetched,
-                "cache_hits": self.stats.cache_hits,
-                "cache_misses": self.stats.cache_misses,
-                "millis": round(self.stats.total_millis, 3),
-            }
+        """The session's lifetime totals, read from :attr:`metrics`: the
+        statements, rows and statement milliseconds of every run and the
+        plan cache's hits and misses of every compile."""
+        return {
+            "queries": int(self._m_statements.value),
+            "rows_fetched": int(self._m_rows.value),
+            "cache_hits": int(self._m_cache_hits.value),
+            "cache_misses": int(self._m_cache_misses.value),
+            "millis": round(self._m_query_ms._solo().snapshot()["sum"], 3),
+        }
 
     def resolve_engine(
         self, engine: str | None, compiled: CompiledQuery
@@ -282,16 +258,14 @@ class Session:
         """A derived session over the *same* database with adjusted
         :class:`SqlOptions` (e.g. ``with_options(scheme="natural")`` or
         ``with_options(optimize=True)``); plan caches never mix plans
-        across option values, so both sessions stay coherent."""
-        session = Session(
+        across option values, so both sessions stay coherent.  The two
+        share :attr:`metrics`, so their lifetime totals are one."""
+        return Session(
             self.db,
             options=replace(self.options, **changes),
             cache=self.pipeline.cache,
             metrics=self.metrics,
         )
-        session.stats = self.stats  # one accumulation stream per family
-        session._stats_lock = self._stats_lock
-        return session
 
     def close(self) -> None:
         """Close the SQLite materialisation and its read pool."""
@@ -317,7 +291,7 @@ def connect(
     tables: Mapping[str, Iterable[Mapping[str, object]]] | None = None,
     options: SqlOptions | None = None,
     cache: object = True,
-    metrics: object = None,
+    metrics: MetricsRegistry | None = None,
 ) -> Session:
     """Open a :class:`Session` — the library's front door.
 

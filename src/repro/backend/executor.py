@@ -115,17 +115,14 @@ class ExecutionStats:
     """Counts queries, rows and time moved between database and host.
 
     ``per_query_millis[i]`` is the wall time (execute + decode) of the
-    ``i``-th recorded query.  ``cache_hits`` / ``cache_misses`` count plan
-    cache consultations made by the pipeline that carried these stats.
+    ``i``-th recorded query; ``total_millis`` is their sum, or what a
+    sharded run's endpoints reported in total.  ``cache_hits`` /
+    ``cache_misses`` count plan cache consultations made by the pipeline
+    that carried these stats.
 
-    Per-run stats keep the full per-query lists (tests and explain depend
-    on exact samples).  *Session-lifetime* stats, which accumulate
-    forever on a server, call :meth:`compact` after each merge: the
-    oldest samples beyond a cap are folded into ``folded_rows`` /
-    ``folded_millis`` / ``folded_samples`` aggregates, so ``queries``,
-    ``rows_fetched`` and :attr:`total_millis` stay exact while memory
-    stays bounded (distribution shape lives in the metrics registry's
-    histograms, not here).
+    A carrier lives as long as one run (or one caller's merge of runs):
+    whatever outlives a run — a session's lifetime totals — is counted by
+    the session's :class:`~repro.obs.metrics.MetricsRegistry`.
     """
 
     queries: int = 0
@@ -154,17 +151,14 @@ class ExecutionStats:
     #: by these stats whose plan that rule rewrote (cache hits included —
     #: the rule shaped the plan the compile used).
     rules_fired: dict = field(default_factory=dict)
-    #: Aggregates of per-query samples folded out by :meth:`compact` —
-    #: zero on per-run stats, where the lists stay intact.
-    folded_rows: int = 0
-    folded_millis: float = 0.0
-    folded_samples: int = 0
+    total_millis: float = 0.0
 
     def record(self, rows: int, millis: float = 0.0) -> None:
         self.queries += 1
         self.rows_fetched += rows
         self.per_query_rows.append(rows)
         self.per_query_millis.append(millis)
+        self.total_millis += millis
 
     def record_cache(self, hit: bool) -> None:
         if hit:
@@ -196,32 +190,7 @@ class ExecutionStats:
         self.failover_retries += other.failover_retries
         for rule, count in other.rules_fired.items():
             self.rules_fired[rule] = self.rules_fired.get(rule, 0) + count
-        self.folded_rows += other.folded_rows
-        self.folded_millis += other.folded_millis
-        self.folded_samples += other.folded_samples
-
-    def compact(self, cap: int) -> int:
-        """Fold the oldest per-query samples so at most ``cap`` remain.
-
-        Aggregate counters (``queries``, ``rows_fetched``,
-        :attr:`total_millis`) are unchanged; only the sample *lists*
-        shrink.  Returns the number of samples folded this call.
-        """
-        excess = len(self.per_query_millis) - cap
-        if excess <= 0:
-            return 0
-        self.folded_rows += sum(self.per_query_rows[:excess])
-        self.folded_millis += sum(self.per_query_millis[:excess])
-        self.folded_samples += excess
-        del self.per_query_rows[:excess]
-        del self.per_query_millis[:excess]
-        return excess
-
-    @property
-    def total_millis(self) -> float:
-        """Total recorded query wall time (execute + decode), including
-        samples folded out by :meth:`compact`."""
-        return self.folded_millis + sum(self.per_query_millis)
+        self.total_millis += other.total_millis
 
 
 def bind_params(compiled: CompiledSql, params) -> dict[str, object]:

@@ -20,7 +20,7 @@ definition the tests compare the machine against.
 """
 
 from repro.normalise.hoist import hoist_ifs, is_h_normal
-from repro.normalise.norm import annotate, normalise, normalise_cached
+from repro.normalise.norm import annotate, normalise
 from repro.normalise.normal_form import (
     BaseExpr,
     Comprehension,
@@ -40,7 +40,6 @@ from repro.normalise.rewrite import is_c_normal, symbolic_eval
 
 __all__ = [
     "normalise",
-    "normalise_cached",
     "annotate",
     "symbolic_eval",
     "hoist_ifs",

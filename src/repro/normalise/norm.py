@@ -19,9 +19,6 @@ the fresh name from there.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 from repro.errors import NotNormalisableError
 from repro.nrc import ast
 from repro.nrc.schema import Schema
@@ -45,7 +42,7 @@ from repro.normalise.normal_form import (
 )
 from repro.normalise.rewrite import symbolic_eval
 
-__all__ = ["normalise", "normalise_cached", "annotate", "tag_names"]
+__all__ = ["normalise", "annotate", "tag_names"]
 
 #: Source generator variable → (its renamed-apart name xₙ, its row type).
 _Env = dict[str, tuple[str, RecordType]]
@@ -63,41 +60,6 @@ def normalise(
     stage2 = hoist_ifs(stage1)
     query = _Normaliser(schema).query(stage2, {})
     return annotate(query) if with_tags else query
-
-
-#: Memo table for :func:`normalise_cached`, keyed on the structural
-#: fingerprints of the term and schema.  Bounded LRU: normal forms are
-#: shared across SqlOptions variants (the plan cache keys on options too,
-#: but normalisation does not depend on them), so one memoised normal form
-#: can feed several compiled plans.  Server worker threads compile
-#: concurrently, so lookup-and-touch and store-and-evict each happen under
-#: ``_NF_MEMO_LOCK`` (normalisation itself runs outside it).
-_NF_MEMO: "OrderedDict[tuple[str, str, bool], NormQuery]" = OrderedDict()
-_NF_MEMO_LIMIT = 512
-_NF_MEMO_LOCK = threading.Lock()
-
-
-def normalise_cached(
-    term: ast.Term, schema: Schema, with_tags: bool = True
-) -> NormQuery:
-    """:func:`normalise`, memoised on (term, schema) fingerprints.
-
-    Normal forms are immutable, so the cached instance is shared.  Used by
-    the plan cache's cold path: two pipelines differing only in SqlOptions
-    re-normalise nothing.
-    """
-    key = (ast.term_fingerprint(term), schema.fingerprint(), with_tags)
-    with _NF_MEMO_LOCK:
-        cached = _NF_MEMO.get(key)
-        if cached is not None:
-            _NF_MEMO.move_to_end(key)
-            return cached
-    normal_form = normalise(term, schema, with_tags)
-    with _NF_MEMO_LOCK:
-        _NF_MEMO[key] = normal_form
-        while len(_NF_MEMO) > _NF_MEMO_LIMIT:
-            _NF_MEMO.popitem(last=False)
-    return normal_form
 
 
 class _Normaliser:

@@ -18,9 +18,10 @@ Three pieces, all stdlib-only and cheap enough to leave on in production:
   ``metrics`` wire op renders it in-band, ``serve --metrics-port`` /
   ``supervise --metrics-port`` serve it over HTTP at ``/metrics``.
 
-The whole package is opt-in at the call sites: every hot path takes
-``tracer=None`` / ``metrics=None`` and does nothing but a None check when
-observability is off.
+Tracing is opt-in at the call sites: every hot path takes ``tracer=None``
+and does nothing but a None check when it is off.  Counting is not: a
+session always counts into its registry (a few lock-guarded adds per run);
+the shard client and the supervisor count only when handed one.
 """
 
 from repro.obs.exposition import (

@@ -8,8 +8,9 @@ value combination — but with a deliberately bounded memory model:
 * **histograms** are *fixed-bucket*: a tuple of upper bounds chosen at
   registration time, ``observe`` does one binary search and three adds.
   No sample lists, ever — this is what lets a long-running server keep
-  latency distributions without the unbounded-growth footgun that
-  session-level :class:`~repro.backend.executor.ExecutionStats` had.
+  latency distributions, and a session its lifetime totals
+  (:meth:`~repro.api.session.Session.stats_snapshot` reads them here), in
+  constant memory.
 
 Gauges may take a ``callback``: the current value is pulled at render
 time (used for live saturation numbers like lease-pool free slots and
@@ -256,9 +257,10 @@ class MetricFamily:
 class MetricsRegistry:
     """Idempotent family registry; the unit handed around the stack.
 
-    One registry per server process (``serve``/``supervise`` each build
-    one and share it with the session, executor and shard plumbing);
-    tests build throwaway ones and assert exact counts.
+    Every session owns one (built with it unless handed one) and every
+    server over the session counts into it; the shard client and
+    ``supervise`` take one to count into.  Tests build throwaway ones and
+    assert exact counts.
     """
 
     def __init__(self, prefix: str = "repro") -> None:
@@ -305,7 +307,12 @@ class MetricsRegistry:
     ) -> MetricFamily:
         if callback is not None and tuple(labels):
             raise ValueError("callback gauges must be label-less")
-        return self._register(name, help, "gauge", labels, callback=callback)
+        family = self._register(name, help, "gauge", labels, callback=callback)
+        if callback is not None:
+            # The latest registrant reports: a server started over a
+            # session whose registry an earlier server filled.
+            family._solo().callback = callback
+        return family
 
     def histogram(
         self,

@@ -14,7 +14,6 @@ case (a flat query is simply a package of one statement).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.backend.database import Database
 from repro.backend.executor import ExecutionStats
@@ -32,11 +31,8 @@ from repro.nrc import ast
 from repro.nrc.schema import Schema
 from repro.nrc.types import BagType, Type, is_flat
 from repro.sql.ast import SelectCore, SelectItem, Statement, TableRef
-from repro.sql.codegen import SqlOptions, _expr, _ExprContext, _where_sql
+from repro.sql.codegen import _expr, _ExprContext, _where_sql
 from repro.sql.render import render_statement
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pipeline.plan_cache import PlanCache
 
 __all__ = ["FlatCompiled", "compile_flat_query", "run_flat"]
 
@@ -74,50 +70,14 @@ def _rebuild(ftype: Type, path: tuple[str, ...], cells: dict) -> object:
 def compile_flat_query(
     query: ast.Term,
     schema: Schema,
-    cache: PlanCache | None = None,
     optimize: bool = False,
 ) -> FlatCompiled:
     """Normalise and translate a flat–flat query to a single SQL statement.
 
-    ``cache`` (a :class:`~repro.pipeline.plan_cache.PlanCache`) makes
-    repeat compiles O(hash), sharing the key scheme — term fingerprint +
-    schema fingerprint + options — with the shredding pipeline.
-
     ``optimize`` runs the statement-level logical optimizer
-    (:mod:`repro.sql.optimizer`) over the generated statement; it is part
-    of the plan-cache key, so optimised and unoptimised plans never mix.
+    (:mod:`repro.sql.optimizer`) over the generated statement.
     """
-    if cache is not None:
-        from repro.pipeline.plan_cache import plan_key
-
-        key = plan_key(
-            query,
-            schema,
-            SqlOptions(optimize=optimize),
-            pipeline="flat",
-        )
-        cached = cache.lookup(key)
-        if cached is not None:
-            return cached
-        compiled = _compile_flat_cold(
-            query, schema, use_nf_memo=True, optimize=optimize
-        )
-        cache.store(key, compiled)
-        return compiled
-    return _compile_flat_cold(
-        query, schema, use_nf_memo=False, optimize=optimize
-    )
-
-
-def _compile_flat_cold(
-    query: ast.Term,
-    schema: Schema,
-    use_nf_memo: bool,
-    optimize: bool = False,
-) -> FlatCompiled:
-    from repro.normalise import normalise_cached
-
-    normal_form = (normalise_cached if use_nf_memo else normalise)(query, schema)
+    normal_form = normalise(query, schema)
     result_type = nf_result_type(normal_form, query, schema)
     if not isinstance(result_type, BagType) or not is_flat(result_type.element):
         raise NotNormalisableError(

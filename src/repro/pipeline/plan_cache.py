@@ -36,33 +36,16 @@ __all__ = ["PlanKey", "PlanCache", "plan_key", "shared_plan_cache"]
 
 @dataclass(frozen=True)
 class PlanKey:
-    """The full compilation input, fingerprinted.
-
-    ``pipeline`` discriminates which compiler produced the plan
-    (``"shredded"`` / ``"flat"``): both pipelines share the same cache key
-    scheme — and may share one cache — but their compiled artifacts are
-    different types, so the key keeps them apart.
-    """
+    """The full compilation input, fingerprinted."""
 
     term_fp: str
     schema_fp: str
     options: SqlOptions
-    pipeline: str = "shredded"
 
 
-def plan_key(
-    term: Term,
-    schema: Schema,
-    options: SqlOptions,
-    pipeline: str = "shredded",
-) -> PlanKey:
+def plan_key(term: Term, schema: Schema, options: SqlOptions) -> PlanKey:
     """Build the cache key for compiling ``term`` under ``schema``."""
-    return PlanKey(
-        term_fp=term_fingerprint(term),
-        schema_fp=schema.fingerprint(),
-        options=options,
-        pipeline=pipeline,
-    )
+    return PlanKey(term_fingerprint(term), schema.fingerprint(), options)
 
 
 class PlanCache:

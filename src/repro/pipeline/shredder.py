@@ -53,7 +53,7 @@ from repro.backend.executor import (
     fold_package,
 )
 from repro.errors import BackendError, ShreddingError
-from repro.normalise import normalise, normalise_cached
+from repro.normalise import normalise
 from repro.normalise.normal_form import (
     TRUE_NF,
     BaseExpr,
@@ -81,7 +81,7 @@ from repro.shred.packages import (
     shred_query_package,
 )
 from repro.shred.paths import DOWN, Path, paths, type_at
-from repro.pipeline.plan_cache import PlanCache, PlanKey, plan_key, shared_plan_cache
+from repro.pipeline.plan_cache import PlanCache, plan_key, shared_plan_cache
 from repro.shred.semantics import run_package
 from repro.shred.stitch import stitch, stitch_grouped
 from repro.sql.codegen import (
@@ -321,10 +321,8 @@ def validate_engine(engine: str, extra: tuple[str, ...] = ()) -> None:
 class CompiledQuery:
     """A nested query compiled to its package of flat SQL queries.
 
-    ``cache_key`` is the :class:`~repro.pipeline.plan_cache.PlanKey` the
-    plan was compiled under when the pipeline had a plan cache (None for
-    uncached compiles).  A cached ``CompiledQuery`` is shared across calls:
-    treat it as immutable.
+    A cached ``CompiledQuery`` is shared across calls: treat it as
+    immutable.
     """
 
     schema: Schema
@@ -333,7 +331,6 @@ class CompiledQuery:
     shredded_package: Package  # annotations: ShredQuery
     sql_package: Package  # annotations: CompiledSql
     options: SqlOptions
-    cache_key: PlanKey | None = field(default=None, compare=False)
     #: Host parameters of the query term, as sorted (name, BaseType) pairs:
     #: the prepared-statement signature every ``run(params=…)`` must bind.
     param_specs: tuple = field(default=())
@@ -630,10 +627,8 @@ class ShreddingPipeline:
         scope the cache, ``True`` for the process-wide shared cache, or
         ``None``/``False`` (default) to compile cold every time.  Keys
         combine the query term's structural fingerprint, the schema
-        fingerprint and ``options``, so any input change misses.  With a
-        cache enabled, normalisation is additionally
-        memoised across option variants via
-        :func:`~repro.normalise.norm.normalise_cached`.
+        fingerprint and ``options``, so any input change misses.  It is
+        the only memo of a compile.
     """
 
     def __init__(
@@ -679,7 +674,7 @@ class ShreddingPipeline:
         span=None,
     ) -> CompiledQuery:
         if self.cache is None:
-            compiled = self._compile_cold(query, None, tracer=tracer)
+            compiled = self._compile_cold(query, tracer=tracer)
             self._record_rules(compiled, stats)
             return compiled
         key = plan_key(query, self.schema, self.options)
@@ -691,7 +686,7 @@ class ShreddingPipeline:
         if cached is not None:
             self._record_rules(cached, stats)
             return cached
-        compiled = self._compile_cold(query, key, tracer=tracer)
+        compiled = self._compile_cold(query, tracer=tracer)
         self.cache.store(key, compiled)
         self._record_rules(compiled, stats)
         return compiled
@@ -707,15 +702,12 @@ class ShreddingPipeline:
         for rule in compiled.fired_rules:
             stats.rules_fired[rule] = stats.rules_fired.get(rule, 0) + 1
 
-    def _compile_cold(
-        self, query: ast.Term, cache_key: PlanKey | None, tracer=None
-    ) -> CompiledQuery:
+    def _compile_cold(self, query: ast.Term, tracer=None) -> CompiledQuery:
         from repro.check.verifier import verification_enabled
 
         verify = verification_enabled(self.options)
-        do_normalise = normalise if self.cache is None else normalise_cached
         with traced(tracer, "normalise"):
-            normal_form = do_normalise(query, self.schema)
+            normal_form = normalise(query, self.schema)
         result_type = self._result_type(normal_form, query)
         if verify:
             from repro.check.verifier import verify_normalisation
@@ -743,7 +735,6 @@ class ShreddingPipeline:
                     self._element_type(result_type, path),
                     self.schema,
                     options,
-                    cache_key=cache_key,
                     tracer=tracer,
                     rekeys=edges.rekeys if edges else None,
                 )
@@ -764,7 +755,6 @@ class ShreddingPipeline:
             shredded_package=shredded_package,
             sql_package=sql_package,
             options=self.options,
-            cache_key=cache_key,
             param_specs=param_specs,
             fired_rules=_package_fired_rules(sql_package),
             edges=edges,

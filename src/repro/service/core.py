@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from repro.errors import ServiceError
 from repro.nrc.ast import term_fingerprint
 from repro.nrc.serialize import SerializationError, term_from_json
-from repro.obs import MetricsRegistry, render_prometheus
+from repro.obs import render_prometheus
 from repro.service.protocol import OPS, PROTOCOL_VERSION
 from repro.service.registry import QueryRegistry, RegisteredQuery
 
@@ -133,14 +133,17 @@ class Execution:
 
 
 class ServerCore:
-    """The ops of the protocol over one session and one catalogue."""
+    """The ops of the protocol over one session and one catalogue.
+
+    It counts into the session's :attr:`~repro.api.session.Session.metrics`
+    and keeps no registry of its own: two servers over one session report
+    one set of counters, which the ``stats`` and ``metrics`` ops read."""
 
     def __init__(
         self,
         session: "Session",
         registry: QueryRegistry,
         shard_label: str | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.session = session
         self.registry = registry
@@ -150,13 +153,10 @@ class ServerCore:
         self.shard_label = shard_label
         #: Set by a driver that is shutting down; ``ping`` reports it.
         self.draining = False
-        #: Always on (a couple of lock-guarded adds per request; rendering
-        #: only happens when something scrapes).  The session mirrors its
-        #: stats into the same registry, so one exposition covers
-        #: request-level and engine-level counters.
-        self.metrics = MetricsRegistry() if metrics is None else metrics
-        if session.metrics is None:
-            session.attach_metrics(self.metrics)
+        #: The session's registry: requests are counted where its runs
+        #: are, so one exposition covers request-level and engine-level
+        #: counters — and every server over one session shares them.
+        self.metrics = session.metrics
         self._m_requests = self.metrics.counter(
             "requests_total", "Wire requests served, by op", labels=("op",)
         )

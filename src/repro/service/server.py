@@ -6,8 +6,9 @@ Architecture (the concurrency story the paper's avalanche-free guarantee
 makes *predictable*: every request is a statically bounded number of flat
 SQL queries, so per-request cost cannot degenerate under load):
 
-* one :class:`~repro.api.session.Session` per database — plan cache and
-  stats shared by every connection (both are lock-guarded);
+* one :class:`~repro.api.session.Session` per database — its plan cache
+  and its metrics registry shared by every connection (the cache is
+  lock-guarded, each counter has its own lock);
 * what each op *means* — its field checks, its response shape — is
   :class:`~repro.service.core.ServerCore`'s, shared with
   the in-process endpoints of :mod:`repro.shard.deployment`; this module
@@ -182,12 +183,11 @@ class QueryServer:
         shard_label: str | None = None,
         max_pending: int | None = None,
         default_deadline_ms: float | None = None,
-        metrics: object = None,
     ) -> None:
         if pool_size < 1:
             raise ServiceError(f"pool size must be ≥1, got {pool_size}")
         #: What every op means — this class only decides where each runs.
-        self.core = ServerCore(session, registry, shard_label, metrics)
+        self.core = ServerCore(session, registry, shard_label)
         self.session = session
         self.metrics = self.core.metrics
         self.pool_size = pool_size
@@ -659,7 +659,7 @@ def serve_in_background(
     **server_options: object,
 ) -> ServerHandle:
     """Start a :class:`QueryServer` (``server_options`` are its: ``pool_size``,
-    ``shard_label``, ``max_pending``, ``default_deadline_ms``, ``metrics``)
+    ``shard_label``, ``max_pending``, ``default_deadline_ms``)
     on its own thread; returns its handle.
 
     The canonical in-process setup used by the tests, the throughput

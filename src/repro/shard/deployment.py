@@ -357,11 +357,9 @@ class ShardedSession:
         stats = ExecutionStats()
         stats.queries = wire["queries"]
         stats.rows_fetched = wire["rows_fetched"]
-        # total_millis derives from folded aggregates — fold the
-        # endpoints' summed wall time in whole (responses carry no
-        # per-query samples).
-        stats.folded_millis = wire["millis"]
-        stats.folded_samples = stats.queries
+        # The endpoints' summed wall time (responses carry no per-query
+        # samples).
+        stats.total_millis = wire["millis"]
         stats.failover_retries = wire.get("failover_retries", 0)
         stats.failover_reroutes = wire.get("failover_reroutes", 0)
         counter = MODE_COUNTERS.get(route.split(":", 1)[0])

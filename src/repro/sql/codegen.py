@@ -220,10 +220,8 @@ class Rekey(NamedTuple):
 class CompiledSql:
     """One shredded query compiled to SQL, with decode metadata.
 
-    ``cache_key`` carries the plan-cache key the statement was compiled
-    under (None for uncached compiles); the compiled :meth:`fold` is
-    memoised per instance, so a cached plan folds every subsequent run
-    through the same function.
+    The compiled :meth:`fold` is memoised per instance, so a cached plan
+    folds every subsequent run through the same function.
     """
 
     statement: Statement
@@ -245,7 +243,6 @@ class CompiledSql:
     #: order (the fired-rule trace; empty when the optimizer is off or
     #: every rule was a no-op).
     fired_rules: tuple[str, ...] = field(default=(), compare=False)
-    cache_key: object = field(default=None, compare=False)
     _fold: Callable | None = field(default=None, repr=False, compare=False)
     #: (table, columns) index hints mined from the statement — memoised by
     #: the batched executor so repeat runs of a cached plan skip the AST walk.
@@ -519,14 +516,11 @@ def compile_shredded(
     element_type: Type,
     schema: Schema,
     options: SqlOptions = SqlOptions(),
-    cache_key: object = None,
     tracer=None,
     rekeys: Mapping[str, Rekey] | None = None,
 ) -> CompiledSql:
     """Compile one shredded query whose bag element type is ``element_type``.
 
-    ``cache_key`` (threaded down from the plan cache, when one is active)
-    is recorded on the compiled statement for provenance/debugging.
     ``tracer`` (a :class:`repro.obs.Tracer`) receives an ``optimize``
     span with one child per attempted rule.  ``rekeys`` (static tag →
     :class:`Rekey`, the package's edge decision) realises pinned indexes
@@ -580,7 +574,6 @@ def compile_shredded(
             compiled.sql = render_statement(optimized)
         compiled.fired_rules = tuple(trace)
     compiled.params = placeholder_names(compiled.statement)
-    compiled.cache_key = cache_key
     if verify:
         from repro.check.verifier import verify_compiled_sql
 

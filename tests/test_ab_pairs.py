@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from ab_pairs import SPEC, main, seed_range, summarise  # noqa: E402 - path bootstrap above
+from ab_pairs import SPEC, header, main, seed_range, summarise  # noqa: E402 - path bootstrap above
 
 WORKLOAD = "fig11_inproc"
 
@@ -82,6 +82,11 @@ def test_fewer_than_ten_pairs_decide_nothing():
     row = _rows([30.0] * 5, [20.0] * 5)["op_ms_p50"]
     assert row["rule_a"] == "too few pairs"
     assert row["bound"] == "better"  # bench/compare.py's verdict rides along
+    smoke = header(WORKLOAD, "HEAD~1", list(range(1, 6))).splitlines()
+    assert len(smoke) == 2
+    assert smoke[0] == "smoke check, not a ledger row: 5 < 10 pairs decide nothing"
+    ledger = header(WORKLOAD, "HEAD~1", list(range(1, 11))).splitlines()
+    assert ledger == [f"{WORKLOAD}: HEAD~1 → working tree, 10 alternating pairs, seeds 1–10"]
 
 
 def test_the_seed_range_must_match_the_pairs(capsys):

@@ -9,7 +9,6 @@ import json
 import pytest
 
 from repro.api import connect
-from repro.errors import ShreddingError
 from repro.nrc import builders as b
 from repro.nrc.schema import Schema, TableSchema
 from repro.nrc.types import INT, STRING
@@ -162,8 +161,3 @@ class TestResultMisc:
         assert result.render() == "∅"
         with pytest.raises(IndexError):
             result[0]
-
-    def test_stats_requires_a_run(self, deep_session):
-        prepared = deep_session.table("staff").select("name").prepare()
-        with pytest.raises(ShreddingError, match="call .run"):
-            prepared.stats()

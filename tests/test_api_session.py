@@ -313,11 +313,12 @@ class TestSessionLifecycle:
         from repro.pipeline.plan_cache import PlanCache
 
         session = connect(db, cache=PlanCache())
-        session.query(Q1).run()
-        assert session.stats.cache_misses == 1
-        session.query(Q1).run()
-        assert session.stats.cache_hits == 1
-        assert session.stats.queries > 0
+        first = session.query(Q1).run()
+        assert session.stats_snapshot()["cache_misses"] == 1
+        second = session.query(Q1).run()
+        totals = session.stats_snapshot()
+        assert totals["cache_hits"] == 1
+        assert totals["queries"] == first.stats.queries + second.stats.queries
 
     def test_prepare_rebinds_a_foreign_prepared_query(self, db):
         session_a = connect(db)
@@ -385,19 +386,19 @@ class TestResultsSurface:
         assert "engine         : batched" in report
         assert "nesting degree" in report
 
-    def test_stats_requires_a_run(self, session):
+    def test_a_run_carries_its_own_stats(self, session):
         prepared = session.query(Q1)
-        with pytest.raises(ShreddingError, match="run"):
-            prepared.stats()
-        prepared.run()
-        assert prepared.stats().queries == prepared.query_count
+        assert prepared.run().stats.queries == prepared.query_count
+        with pytest.raises(TypeError):
+            prepared.run(stats=None)
 
-    def test_run_merges_into_caller_stats(self, session):
-        from repro.backend.executor import ExecutionStats
-
-        carrier = ExecutionStats()
-        session.query(Q1).run(stats=carrier)
-        assert carrier.queries == 4
+    def test_with_options_sessions_share_their_totals(self, session):
+        optimized = session.with_options(optimize=True)
+        assert optimized.metrics is session.metrics
+        before = session.stats_snapshot()["queries"]
+        ran = session.query(Q1).run().stats.queries
+        ran += optimized.query(Q1).run().stats.queries
+        assert optimized.stats_snapshot()["queries"] - before == ran
 
 
 # Property: the auto engine agrees with the reference per-path engine on

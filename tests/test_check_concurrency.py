@@ -243,27 +243,27 @@ class TestOnLoopSql:
 class TestSharedLibraryState:
     """CC006: module-level state a function mutates outside a lock."""
 
-    LIBRARY = "src/repro/normalise/norm.py"
+    LIBRARY = "src/repro/backend/executor.py"
 
     @staticmethod
     def _cc006(source: str, name: str = LIBRARY) -> list[int]:
         return [f.line for f in lint_source(source, name) if f.code == "CC006"]
 
-    def test_the_real_memo_passes_and_its_unlocked_form_fails(self):
-        """Both directions on the real ``normalise_cached``: as committed
-        it is clean; with its two ``with _NF_MEMO_LOCK:`` blocks turned
-        into plain blocks (the parent's shape) the touch, the store and
-        the eviction are each a finding."""
+    def test_the_real_pause_guard_passes_and_its_unlocked_form_fails(self):
+        """Both directions on the real ``collector_paused``: as committed
+        it is clean; with its two ``with _pause_lock:`` blocks turned into
+        plain blocks, every rebinding of ``_pause_depth`` /
+        ``_pause_resumes`` is a finding."""
         source = (ROOT / self.LIBRARY).read_text()
-        assert source.count("with _NF_MEMO_LOCK:") == 2
+        assert source.count("with _pause_lock:") == 2
         assert self._cc006(source) == []
-        unlocked = source.replace("with _NF_MEMO_LOCK:", "if True:")
-        flagged = {unlocked.splitlines()[line - 1].strip() for line in self._cc006(unlocked)}
-        assert flagged == {
-            "_NF_MEMO.move_to_end(key)",
-            "_NF_MEMO[key] = normal_form",
-            "_NF_MEMO.popitem(last=False)",
-        }
+        unlocked = source.replace("with _pause_lock:", "if True:")
+        flagged = [unlocked.splitlines()[line - 1].strip() for line in self._cc006(unlocked)]
+        assert flagged == [
+            "_pause_resumes = gc.isenabled()",
+            "_pause_depth += 1",
+            "_pause_depth -= 1",
+        ]
 
     def test_the_real_fresh_name_passes_and_a_global_counter_fails(self):
         assert self._cc006((ROOT / "src/repro/nrc/ast.py").read_text()) == []

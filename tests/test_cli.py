@@ -59,6 +59,23 @@ class TestRun:
         assert "engine=batched" in out  # auto is the batched engine
         assert "queries=3" in out
 
+    def test_run_stats_reads_the_session_totals(self, capsys):
+        """``--stats`` prints the session's snapshot: one run's statements,
+        and the one plan-cache consult its compile made."""
+        import re
+
+        from repro.api import connect
+        from repro.data.organisation import figure3_database
+        from repro.data.queries import NESTED_QUERIES
+
+        assert main(["run", "Q1", "--stats"]) == 0
+        out = capsys.readouterr().out
+        queries = int(re.search(r"queries=(\d+)", out).group(1))
+        hits, misses = map(int, re.search(r"cache=(\d+)h/(\d+)m", out).groups())
+        statements = connect(figure3_database()).prepare(NESTED_QUERIES["Q1"]).query_count
+        assert queries == statements == 4
+        assert hits + misses == 1
+
     def test_run_explain(self, capsys):
         assert main(["run", "Q6", "--explain"]) == 0
         out = capsys.readouterr().out

@@ -1,5 +1,5 @@
-"""The metrics registry and Prometheus exposition, and the bounded
-session-stats model they ride on.
+"""The metrics registry and Prometheus exposition, and the session's
+lifetime totals that live in it.
 
 Three layers of claims:
 
@@ -9,11 +9,12 @@ Three layers of claims:
 * exposition — ``render_prometheus`` emits valid 0.0.4 text that our own
   strict parser round-trips, byte-stable for a given state;
 * determinism — counters driven from many threads (the parallel engine,
-  a session hammer) land *exactly*, mirroring ``session.stats``.
+  a session hammer) land *exactly*: Σ of the runs' ``Result.stats``.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -51,6 +52,9 @@ class TestRegistrySemantics:
         assert gauge.value == 3.0
         live = registry.gauge("live", "pulled at render", callback=lambda: 7)
         assert live.value == 7.0
+        # Re-registered with a callback, the gauge reads the latest one.
+        assert registry.gauge("live", "pulled at render", callback=lambda: 8) is live
+        assert live.value == 8.0
         with pytest.raises(ValueError):
             registry.gauge("bad", "x", labels=("a",), callback=lambda: 0)
 
@@ -205,76 +209,34 @@ class TestExposition:
         assert histo._solo().snapshot()["count"] == threads * per_thread
 
 
-class TestStatsCompaction:
-    """Satellite (a): session-level stats stay bounded; per-run stats are
-    never folded."""
+class TestSessionTotals:
+    """A session keeps no per-query samples of its own: its lifetime
+    totals are its registry's, exact however many runs it served."""
 
-    def _stats(self, samples: int) -> ExecutionStats:
-        stats = ExecutionStats()
-        for index in range(samples):
-            stats.record(rows=index, millis=float(index))
-        return stats
-
-    def test_compact_folds_oldest_samples(self):
-        stats = self._stats(10)
-        folded = stats.compact(4)
-        assert folded == 6
-        assert stats.per_query_rows == [6, 7, 8, 9]
-        assert stats.folded_samples == 6
-        assert stats.folded_rows == sum(range(6))
-        assert stats.folded_millis == pytest.approx(sum(range(6)))
-
-    def test_compact_is_noop_under_cap(self):
-        stats = self._stats(4)
-        assert stats.compact(4) == 0
-        assert stats.compact(100) == 0
-        assert stats.folded_samples == 0
-        assert len(stats.per_query_rows) == 4
-
-    def test_totals_survive_compaction(self):
-        stats = self._stats(10)
-        before_millis = stats.total_millis
-        before_rows = stats.rows_fetched
-        stats.compact(3)
-        assert stats.total_millis == pytest.approx(before_millis)
-        assert stats.rows_fetched == before_rows
-
-    def test_merge_carries_folded_counts(self):
-        left = self._stats(10)
-        left.compact(2)
-        right = self._stats(5)
-        right.compact(1)
-        target = ExecutionStats()
-        target.merge(left)
-        target.merge(right)
-        assert target.folded_samples == 8 + 4
-        assert len(target.per_query_millis) == 3
-        assert target.queries == 15
-
-    def test_session_stats_stay_bounded(self, monkeypatch):
-        import repro.api.session as session_module
-
-        monkeypatch.setattr(session_module, "STATS_SAMPLE_CAP", 5)
+    def test_session_stats_stay_bounded(self):
         session = connect(figure3_database())
-        for _ in range(4):
-            session.run(NESTED_QUERIES["Q6"])  # 3 statements per run
-        assert session.stats.queries == 12
-        assert len(session.stats.per_query_millis) <= 5
-        assert (
-            len(session.stats.per_query_millis)
-            + session.stats.folded_samples
-            == session.stats.queries
+        runs = [session.run(NESTED_QUERIES["Q6"]) for _ in range(40)]
+        assert not hasattr(session, "stats")
+        assert not any(
+            isinstance(value, (list, ExecutionStats))
+            for value in vars(session).values()
         )
+        snapshot = session.stats_snapshot()
+        assert snapshot["queries"] == sum(r.stats.queries for r in runs) == 120
+        assert snapshot["rows_fetched"] == sum(r.stats.rows_fetched for r in runs)
+        assert snapshot["millis"] == pytest.approx(
+            sum(r.stats.total_millis for r in runs), abs=1e-2
+        )
+        assert snapshot["cache_hits"] + snapshot["cache_misses"] == 40
         # The per-run stats a caller sees keep their full sample lists.
-        result = session.run(NESTED_QUERIES["Q6"])
-        assert len(result.stats.per_query_millis) == result.stats.queries
+        assert all(len(r.stats.per_query_millis) == r.stats.queries for r in runs)
 
 
 class TestSessionMetrics:
-    """Satellites (b)+(d): the registry mirrors ``session.stats`` exactly,
+    """The registry counts Σ of the runs' ``Result.stats`` exactly,
     whatever engine or thread count produced the runs."""
 
-    def _families(self, registry: MetricsRegistry, session) -> dict:
+    def _families(self, registry: MetricsRegistry) -> dict:
         return {
             "statements": registry.get("statements_total").value,
             "rows": registry.get("rows_fetched_total").value,
@@ -285,18 +247,24 @@ class TestSessionMetrics:
             "misses": registry.get("plan_cache_misses_total").value,
         }
 
-    def test_metrics_mirror_stats_exactly(self):
+    def test_metrics_count_the_runs_exactly(self):
+        from repro.pipeline.plan_cache import PlanCache
+
         registry = MetricsRegistry()
-        session = connect(figure3_database(), metrics=registry)
-        for name in QUERY_NAMES:
+        session = connect(figure3_database(), metrics=registry, cache=PlanCache())
+        runs = [
             session.run(NESTED_QUERIES[name])
-            session.run(NESTED_QUERIES[name])
-        seen = self._families(registry, session)
-        assert seen["statements"] == session.stats.queries
-        assert seen["rows"] == session.stats.rows_fetched
-        assert seen["observed"] == session.stats.queries
-        assert seen["hits"] == session.stats.cache_hits
-        assert seen["misses"] == session.stats.cache_misses
+            for name in QUERY_NAMES
+            for _ in range(2)
+        ]
+        seen = self._families(registry)
+        statements = sum(r.stats.queries for r in runs)
+        assert seen["statements"] == statements
+        assert seen["rows"] == sum(r.stats.rows_fetched for r in runs)
+        assert seen["observed"] == statements
+        # Each one-shot run compiled once: the first of a shape missed.
+        assert seen["misses"] == len(QUERY_NAMES)
+        assert seen["hits"] == len(QUERY_NAMES)
 
     def test_rules_fired_reach_the_registry(self):
         from repro.sql.codegen import SqlOptions
@@ -313,7 +281,8 @@ class TestSessionMetrics:
         fired = {
             key[0]: child.value for key, child in family.children()
         }
-        assert fired == dict(session.stats.rules_fired)
+        compiled = session.compile(NESTED_QUERIES["Q6"])
+        assert fired == {rule: 1 for rule in compiled.fired_rules}
         assert fired  # flat-form Q6 with the optimizer on fires at least one rule
 
     def test_parallel_engine_counts_match_batched(self):
@@ -337,13 +306,14 @@ class TestSessionMetrics:
         runs_per_thread = 8
         barrier = threading.Barrier(threads)
         failures: list = []
+        runs: list = []
 
         def worker(slot: int) -> None:
             try:
                 barrier.wait(timeout=30)
                 for i in range(runs_per_thread):
                     name = QUERY_NAMES[(slot + i) % len(QUERY_NAMES)]
-                    session.run(NESTED_QUERIES[name], engine="batched")
+                    runs.append(session.run(NESTED_QUERIES[name], engine="batched"))
             except Exception as error:  # noqa: BLE001
                 failures.append(repr(error))
 
@@ -351,19 +321,27 @@ class TestSessionMetrics:
             threading.Thread(target=worker, args=(slot,))
             for slot in range(threads)
         ]
-        for thread in workers:
-            thread.start()
-        for thread in workers:
-            thread.join(timeout=120)
+        # A short switch interval makes a lost update between threads
+        # likely, were a count not under its child's lock.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
         assert not failures, failures
-        assert (
-            registry.get("statements_total").value == session.stats.queries
-        )
-        assert (
-            registry.get("rows_fetched_total").value
-            == session.stats.rows_fetched
+        assert len(runs) == threads * runs_per_thread
+        statements = sum(r.stats.queries for r in runs)
+        assert registry.get("statements_total").value == statements
+        assert registry.get("rows_fetched_total").value == sum(
+            r.stats.rows_fetched for r in runs
         )
         assert (
             registry.get("statement_latency_ms")._solo().snapshot()["count"]
-            == session.stats.queries
+            == statements
         )
+        assert session.stats_snapshot()["queries"] == statements

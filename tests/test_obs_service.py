@@ -59,8 +59,7 @@ class TestMetricsOp:
         session = connect(figure3_database())
         with serve_in_background(session, REGISTRY, pool_size=2) as handle:
             client = wire_client(handle.host, handle.port)
-            for _ in range(3):
-                client.execute("Q1")
+            runs = [client.execute_full("Q1") for _ in range(3)]
             client.ping()
             exposition = client.metrics()
             client.close()
@@ -76,18 +75,47 @@ class TestMetricsOp:
             "repro_requests_total",
             op="ping",
         ) == 1.0
-        # The session mirrors into the same registry: statement counts and
+        # The session counts into the same registry: statement counts and
         # latency observations line up with the three executes.
         statements = _sample(
             exposition, "repro_statements_total", "repro_statements_total"
         )
-        assert statements == session.stats.queries
+        assert statements == sum(run["stats"]["queries"] for run in runs)
         observed = _sample(
             exposition,
             "repro_statement_latency_ms",
             "repro_statement_latency_ms_count",
         )
         assert observed == statements
+
+    def test_one_session_has_one_tally_under_two_servers(self):
+        """A session's lifetime totals are its registry's: the ``stats`` op
+        and the exposition of every server over it read the same count —
+        the in-process run before serving included.  A callback gauge reads
+        the server started last."""
+        session = connect(figure3_database())
+        local = session.run(REGISTRY.lookup("Q1").term)
+        served = []
+        with serve_in_background(session, REGISTRY, pool_size=1) as first, \
+                serve_in_background(session, REGISTRY, pool_size=2) as second:
+            clients = [
+                ServiceClient(handle.host, handle.port) for handle in (first, second)
+            ]
+            for client in clients:
+                served.append(client.execute_full("Q1")["stats"]["queries"])
+            reports = [(client.stats(), client.metrics()) for client in clients]
+            for client in clients:
+                client.close()
+        total = local.stats.queries + sum(served)
+        assert total == 3 * local.stats.queries
+        for stats, exposition in reports:
+            assert stats["session"]["queries"] == total
+            assert _sample(
+                exposition, "repro_statements_total", "repro_statements_total"
+            ) == total
+            assert _sample(
+                exposition, "repro_lease_pool_size", "repro_lease_pool_size"
+            ) == 2.0
 
     def test_saturation_gauges_present(self):
         session = connect(figure3_database())

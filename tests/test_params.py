@@ -166,8 +166,9 @@ class TestParamExecution:
             session.prepare(term).run(params={"min_salary": threshold})
             assert cache.misses == 1
             assert cache.hits == i
-        assert session.stats.cache_misses == 1
-        assert session.stats.cache_hits == 2
+        totals = session.stats_snapshot()
+        assert totals["cache_misses"] == 1
+        assert totals["cache_hits"] == 2
 
     def test_params_in_nested_subquery(self, db):
         session = connect(db, cache=False)

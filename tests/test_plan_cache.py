@@ -159,47 +159,15 @@ class TestCacheBehaviour:
         pipeline = ShreddingPipeline(ORGANISATION_SCHEMA, cache=False)
         assert pipeline.cache is None
         compiled = pipeline.compile(Q4)
-        assert compiled.cache_key is None
+        assert pipeline.compile(Q4) is not compiled
 
-    def test_cache_key_recorded_on_plan_and_statements(self):
-        from repro.shred.packages import annotations
+    def test_the_key_is_term_schema_and_options(self):
+        from dataclasses import fields
 
-        pipeline = ShreddingPipeline(ORGANISATION_SCHEMA, cache=PlanCache())
-        compiled = pipeline.compile(Q4)
-        assert compiled.cache_key is not None
-        assert compiled.cache_key.term_fp == term_fingerprint(Q4)
-        for _path, sql in annotations(compiled.sql_package):
-            assert sql.cache_key is compiled.cache_key
+        from repro.pipeline.plan_cache import PlanKey
 
-
-class TestFlatPipelineCache:
-    def test_flat_compile_cache_roundtrip(self, db):
-        from repro.data.queries import FLAT_QUERIES
-        from repro.pipeline.flat import compile_flat_query
-
-        qf = FLAT_QUERIES["QF1"]
-        cache = PlanCache()
-        first = compile_flat_query(qf, db.schema, cache=cache)
-        second = compile_flat_query(qf, db.schema, cache=cache)
-        assert first is second
-        cold = compile_flat_query(qf, db.schema)
-        assert cold.sql == first.sql
-
-    def test_shared_cache_keeps_pipelines_apart(self, db):
-        # The flat and shredding compilers share one cache without serving
-        # each other's plans: the key's pipeline discriminator differs.
-        from repro.data.queries import FLAT_QUERIES
-        from repro.pipeline.flat import FlatCompiled, compile_flat_query
-
-        qf = FLAT_QUERIES["QF1"]
-        cache = PlanCache()
-        shredded = ShreddingPipeline(db.schema, cache=cache).compile(qf)
-        flat = compile_flat_query(qf, db.schema, cache=cache)
-        assert isinstance(flat, FlatCompiled)
-        assert flat is not shredded
-        assert len(cache) == 2
-        rows = flat.decode_rows(db.execute_sql(flat.sql))
-        assert rows  # the Fig. 3 instance has departments
+        assert [f.name for f in fields(PlanKey)] == ["term_fp", "schema_fp", "options"]
+        assert plan_key(Q4, ORGANISATION_SCHEMA, SqlOptions()).term_fp == term_fingerprint(Q4)
 
 
 def _flat_key(value):

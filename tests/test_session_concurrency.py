@@ -2,7 +2,7 @@
 
 The hammer tests drive a single session (and its plan cache) from many
 threads at once and then check the *exact* bookkeeping — lost updates in
-``session.stats`` or the cache counters would show up as short counts.
+the session's registry or the cache counters would show up as short counts.
 """
 
 from __future__ import annotations
@@ -46,11 +46,12 @@ class TestConcurrentSession:
         expected = {
             name: session.run(NESTED_QUERIES[name]).value for name in QUERY_NAMES
         }
-        baseline_queries = session.stats.queries
         per_run_queries = {
             name: session.prepare(NESTED_QUERIES[name]).query_count
             for name in QUERY_NAMES
         }
+        before = session.stats_snapshot()
+        runs: list = []
 
         def worker(index: int) -> None:
             for i in range(RUNS_PER_THREAD):
@@ -59,6 +60,7 @@ class TestConcurrentSession:
                     engine="batched"
                 )
                 assert bag_equal(result.value, expected[name]), name
+                runs.append(result)
 
         failures = _hammer(worker)
         assert not failures, failures
@@ -69,12 +71,17 @@ class TestConcurrentSession:
             for index in range(THREADS)
             for i in range(RUNS_PER_THREAD)
         )
+        after = session.stats_snapshot()
         # No lost updates: every run's flat-query count landed exactly once.
-        assert session.stats.queries - baseline_queries == ran_queries
-        assert len(session.stats.per_query_millis) == session.stats.queries
+        assert sum(r.stats.queries for r in runs) == ran_queries
+        assert after["queries"] - before["queries"] == ran_queries
+        assert after["rows_fetched"] - before["rows_fetched"] == sum(
+            r.stats.rows_fetched for r in runs
+        )
         # Every prepare consulted the cache exactly once; the shapes were
         # all compiled before the hammer, so every consult was a hit.
-        assert session.stats.cache_hits >= total_runs
+        assert after["cache_hits"] - before["cache_hits"] == total_runs
+        assert after["cache_misses"] == before["cache_misses"]
 
     def test_plan_cache_counters_are_exact_under_contention(self):
         cache = PlanCache()
@@ -125,8 +132,9 @@ class TestConcurrentSession:
         failures = _hammer(worker)
         assert not failures, failures
         # One shape → at most a handful of raced cold compiles, then hits.
-        assert session.stats.cache_misses <= THREADS
-        assert session.stats.cache_hits >= THREADS * RUNS_PER_THREAD - THREADS
+        totals = session.stats_snapshot()
+        assert totals["cache_misses"] <= THREADS
+        assert totals["cache_hits"] >= THREADS * RUNS_PER_THREAD - THREADS
 
 
 class TestConcurrentDatabaseSetup:
@@ -198,52 +206,6 @@ class TestConcurrentDatabaseSetup:
         finally:
             sys.setswitchinterval(interval)
         assert not failures, failures[:3]
-
-
-class TestConcurrentNormalisation:
-    def test_normalise_cached_survives_eviction_under_contention(
-        self, monkeypatch
-    ):
-        """Regression: ``_NF_MEMO`` was an unlocked LRU — ``get`` then
-        ``move_to_end`` on a key another compiling thread had just evicted
-        raised ``KeyError``.  A one-entry memo, four threads each asking
-        for every one of four terms twice in a row (so half the lookups
-        hit) and a microsecond switch interval made that a matter of
-        milliseconds; now lookup-and-touch and store-and-evict hold one
-        lock."""
-        import sys
-        import time
-
-        from repro.data.organisation import ORGANISATION_SCHEMA as schema
-        from repro.normalise import norm
-        from repro.service.registry import paper_registry
-
-        registry = paper_registry()
-        terms = [
-            registry.lookup(name).term
-            for name in ("Q3", "Q4", "dept_staff", "staff_above")
-        ]
-        expected = [norm.normalise(term, schema) for term in terms]
-        monkeypatch.setattr(norm, "_NF_MEMO", type(norm._NF_MEMO)())
-        monkeypatch.setattr(norm, "_NF_MEMO_LIMIT", 1)
-        deadline = time.monotonic() + 1.0
-
-        def worker(index: int) -> None:
-            turn = 0
-            while time.monotonic() < deadline:
-                turn += 1
-                position = (turn // 2 + index) % len(terms)
-                got = norm.normalise_cached(terms[position], schema)
-                assert got == expected[position]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            failures = _hammer(worker, thread_count=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert failures == []
-        assert len(norm._NF_MEMO) == 1
 
 
 class TestConcurrentLowering:

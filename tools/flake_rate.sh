@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Flake rate of the suites that race threads, open servers or spawn
 # processes (the oracle matrix's wire route and the shredded-results suite
-# serve over real sockets and threads in-process): each suite
+# serve over real sockets and threads in-process; the metrics suite's
+# thread hammer is what keeps a session's lifetime totals exact): each suite
 # runs N times (default 20), one fresh pytest process per run, and a
 # Markdown table of passed/N per suite goes to stdout.  Exits 1 if any run
 # failed.
@@ -15,6 +16,7 @@ suites=("$@")
 if [ ${#suites[@]} -eq 0 ]; then
   suites=(
     tests/test_session_concurrency.py
+    tests/test_obs_metrics.py
     tests/test_shard_concurrency.py
     tests/test_process_shards.py
     tests/test_cluster_lifecycle.py
