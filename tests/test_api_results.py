@@ -161,3 +161,13 @@ class TestResultMisc:
         assert result.render() == "∅"
         with pytest.raises(IndexError):
             result[0]
+
+    def test_stats_requires_a_run(self, deep_session):
+        # A run's counters ride on its Result: a prepared query holds none,
+        # and each run's Result carries its own.
+        prepared = deep_session.table("staff").select("name").prepare()
+        assert not hasattr(prepared, "stats")
+        first, second = prepared.run(), prepared.run()
+        assert first.stats is not second.stats
+        assert first.stats.queries == second.stats.queries == prepared.query_count
+        assert first.stats.rows_fetched == len(first) == 3

@@ -293,6 +293,16 @@ class TestSessionLifecycle:
         rows = session.table("departments").select("name").run().to_dicts()
         assert rows == [{"name": "Ops"}]
 
+    def test_every_session_owns_a_registry(self, db):
+        # Without a registry given, a session builds its own: two sessions
+        # never count into each other's totals.
+        first, second = connect(db), connect(db)
+        assert first.metrics is not None and second.metrics is not None
+        assert first.metrics is not second.metrics
+        ran = first.query(Q1).run().stats.queries
+        assert first.stats_snapshot()["queries"] == ran
+        assert second.stats_snapshot()["queries"] == 0
+
     def test_connect_needs_database_or_schema(self):
         with pytest.raises(ShreddingError, match="Database or a Schema"):
             connect()
@@ -386,11 +396,30 @@ class TestResultsSurface:
         assert "engine         : batched" in report
         assert "nesting degree" in report
 
-    def test_a_run_carries_its_own_stats(self, session):
+    def test_stats_requires_a_run(self, session):
+        # A run's counters ride on its Result; no carrier goes in.
         prepared = session.query(Q1)
         assert prepared.run().stats.queries == prepared.query_count
         with pytest.raises(TypeError):
             prepared.run(stats=None)
+
+    def test_run_merges_into_caller_stats(self, session):
+        # A caller wanting one tally over several runs merges their
+        # Result.stats itself.
+        from repro.backend.executor import ExecutionStats
+
+        carrier = ExecutionStats()
+        runs = [session.query(Q1).run() for _ in range(2)]
+        for run in runs:
+            carrier.merge(run.stats)
+        assert carrier.queries == 8
+        assert carrier.rows_fetched == sum(run.stats.rows_fetched for run in runs)
+        assert carrier.per_query_millis == (
+            runs[0].stats.per_query_millis + runs[1].stats.per_query_millis
+        )
+        assert carrier.total_millis == pytest.approx(
+            sum(run.stats.total_millis for run in runs)
+        )
 
     def test_with_options_sessions_share_their_totals(self, session):
         optimized = session.with_options(optimize=True)

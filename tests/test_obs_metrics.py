@@ -231,6 +231,22 @@ class TestSessionTotals:
         # The per-run stats a caller sees keep their full sample lists.
         assert all(len(r.stats.per_query_millis) == r.stats.queries for r in runs)
 
+    def test_total_millis_is_added_by_record_and_merge(self):
+        # total_millis is a plain field: record and merge add to it, and a
+        # carrier keeps every sample it recorded.
+        stats = ExecutionStats()
+        for index in range(10):
+            stats.record(rows=index, millis=float(index))
+        assert stats.total_millis == pytest.approx(sum(range(10)))
+        assert stats.per_query_rows == list(range(10))
+        target = ExecutionStats()
+        target.merge(stats)
+        target.merge(stats)
+        assert target.queries == 20
+        assert target.rows_fetched == 2 * sum(range(10))
+        assert target.total_millis == pytest.approx(2 * sum(range(10)))
+        assert len(target.per_query_millis) == 20
+
 
 class TestSessionMetrics:
     """The registry counts Σ of the runs' ``Result.stats`` exactly,
@@ -265,6 +281,26 @@ class TestSessionMetrics:
         # Each one-shot run compiled once: the first of a shape missed.
         assert seen["misses"] == len(QUERY_NAMES)
         assert seen["hits"] == len(QUERY_NAMES)
+
+    def test_metrics_mirror_stats_exactly(self):
+        # stats_snapshot() is a view of the registry, not a second tally.
+        from repro.pipeline.plan_cache import PlanCache
+
+        registry = MetricsRegistry()
+        session = connect(figure3_database(), metrics=registry, cache=PlanCache())
+        for name in QUERY_NAMES:
+            session.run(NESTED_QUERIES[name])
+            session.query(NESTED_QUERIES[name]).run()
+        seen = self._families(registry)
+        snapshot = session.stats_snapshot()
+        assert snapshot["queries"] == seen["statements"] == seen["observed"]
+        assert snapshot["rows_fetched"] == seen["rows"]
+        assert snapshot["cache_hits"] == seen["hits"]
+        assert snapshot["cache_misses"] == seen["misses"]
+        assert snapshot["millis"] == pytest.approx(
+            registry.get("statement_latency_ms")._solo().snapshot()["sum"],
+            abs=1e-3,
+        )
 
     def test_rules_fired_reach_the_registry(self):
         from repro.sql.codegen import SqlOptions

@@ -117,6 +117,24 @@ class TestMetricsOp:
                 exposition, "repro_lease_pool_size", "repro_lease_pool_size"
             ) == 2.0
 
+    def test_a_server_counts_into_its_sessions_registry(self):
+        # No server takes a registry of its own: a served session's counts
+        # land in the one registry the session was built with.
+        from repro.service import QueryServer
+        from repro.service.core import ServerCore
+
+        registry = MetricsRegistry()
+        session = connect(figure3_database(), metrics=registry)
+        with pytest.raises(TypeError):
+            QueryServer(session, REGISTRY, metrics=MetricsRegistry())
+        with pytest.raises(TypeError):
+            ServerCore(session, REGISTRY, metrics=MetricsRegistry())
+        with serve_in_background(session, REGISTRY, pool_size=1) as handle:
+            client = ServiceClient(handle.host, handle.port)
+            served = client.execute_full("Q1")["stats"]["queries"]
+            client.close()
+        assert registry.get("statements_total").value == served
+
     def test_saturation_gauges_present(self):
         session = connect(figure3_database())
         with serve_in_background(

@@ -170,6 +170,27 @@ class TestCacheBehaviour:
         assert plan_key(Q4, ORGANISATION_SCHEMA, SqlOptions()).term_fp == term_fingerprint(Q4)
 
 
+class TestFlatPipelineCache:
+    """The flat compiler keeps no cache: a shared plan cache holds only
+    the shredding pipeline's plans."""
+
+    def test_shared_cache_keeps_pipelines_apart(self, db):
+        from repro.data.queries import FLAT_QUERIES
+        from repro.pipeline.flat import FlatCompiled, compile_flat_query
+
+        qf = FLAT_QUERIES["QF1"]
+        cache = PlanCache()
+        shredded = ShreddingPipeline(db.schema, cache=cache).compile(qf)
+        flat = compile_flat_query(qf, db.schema)
+        assert isinstance(flat, FlatCompiled)
+        assert len(cache) == 1
+        assert ShreddingPipeline(db.schema, cache=cache).compile(qf) is shredded
+        with pytest.raises(TypeError):
+            compile_flat_query(qf, db.schema, cache=cache)
+        rows = flat.decode_rows(db.execute_sql(flat.sql))
+        assert rows  # the Fig. 3 instance has departments
+
+
 def _flat_key(value):
     """An App. E index object in the batched engine's flat-tuple
     representation: ``(tag, key…)``."""
