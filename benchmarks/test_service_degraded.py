@@ -149,12 +149,12 @@ def failover_results(bench_db):
     }
     handles = [
         serve_in_background(
-            endpoint_session(db), registry, pool_size=2, shard_label=f"{i}/{SHARDS}"
+            endpoint_session(db, placement), registry, pool_size=2, shard_label=f"{i}/{SHARDS}"
         )
         for i, db in enumerate(sharded_db.shards)
     ]
     fallback = serve_in_background(
-        endpoint_session(sharded_db.full), registry, pool_size=CLIENTS,
+        endpoint_session(sharded_db.full, placement), registry, pool_size=CLIENTS,
         shard_label=f"full/{SHARDS}",
     )
 
@@ -273,7 +273,7 @@ def replica_failover_results(bench_db):
     groups = [
         [
             serve_in_background(
-                endpoint_session(copies[replica].shards[i]),
+                endpoint_session(copies[replica].shards[i], placement),
                 registry,
                 pool_size=2,
                 shard_label=(
@@ -287,7 +287,7 @@ def replica_failover_results(bench_db):
         for i in range(REPLICA_SHARDS)
     ]
     fallback = serve_in_background(
-        endpoint_session(copies[0].full), registry, pool_size=CLIENTS,
+        endpoint_session(copies[0].full, placement), registry, pool_size=CLIENTS,
         shard_label=f"full/{REPLICA_SHARDS}",
     )
 

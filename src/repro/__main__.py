@@ -217,15 +217,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         db = scaled_database(args.scale, seed=0, scale_rows=args.rows)
     else:
         db = figure3_database()
-    if index is not None and index != "full":
-        # Every server process builds the same seeded instance and keeps
-        # its slice — deterministic, no data shipping.
+    if index is not None:
+        # Every shard server, the full copy included, compiles under the
+        # deployment's placement; a partition builds the same seeded
+        # instance and keeps its slice — deterministic, no data shipping.
         if placement is None:
             from repro.data.organisation import organisation_placement
 
             placement = organisation_placement()
         placement = placement.validate(db.schema)
-        db = db.partitioned(placement.owner_fn(count), index)
+        if index != "full":
+            db = db.partitioned(placement.owner_fn(count), index)
     if args.data_dir:
         from pathlib import Path
 
@@ -240,7 +242,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # seed rows (crash recovery), an empty one is seeded and synced.
         seed = {ts.name: db.raw_rows(ts.name) for ts in db.schema.tables}
         db = Database(db.schema, seed, path=directory / f"shard-{slug}.sqlite")
-    session = connect(db) if index is None else endpoint_session(db)
+    session = connect(db) if index is None else endpoint_session(db, placement)
     registry = paper_registry()
     server = QueryServer(
         session,
@@ -368,10 +370,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         options=SqlOptions(optimize=True),
         cache=False,
     )
-    unreferenced = endpoint_session(
-        ORGANISATION_SCHEMA, options=session.options, cache=False
-    )
     placement = organisation_placement()
+    deployed = endpoint_session(
+        ORGANISATION_SCHEMA, placement, options=session.options, cache=False
+    )
     failed = False
     for name in names:
         if name not in registry:
@@ -385,15 +387,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             if args.verbose or d.severity in ("error", "warning")
         ]
         # Generated code is invisible to ruff/mypy: build every statement's
-        # fold here, under both plan shapes and under the schema without
-        # its references (what every store of a sharded deployment
-        # compiles), and have SQLite prepare its column-table form (what a
-        # shard answers a coordinator with) against the empty store.
+        # fold here, under both plan shapes and under the deployment schema
+        # of the default placement (what every store of a sharded
+        # deployment compiles), and have SQLite prepare its column-table
+        # form (what a shard answers a coordinator with) against the empty
+        # store.
         broken = []
-        for shape in (session, session.with_options(scheme="flat"), unreferenced):
+        for shape in (session, session.with_options(scheme="flat"), deployed):
             plan = f"{shape.options.scheme or 'default'} plan"
-            if shape is unreferenced:
-                plan += " without references"
+            if shape is deployed:
+                plan += " of a deployment"
             for path, statement in annotations(shape.compile(term).sql_package):
                 try:
                     statement.fold()
@@ -554,7 +557,8 @@ def main(argv: list[str] | None = None) -> int:
         "--placement",
         default="",
         metavar="SPEC",
-        help="partition the regenerated data under this placement spec "
+        help="partition the regenerated data, and compile (full/n too), "
+        "under this placement spec "
         "(Placement.to_spec() text, e.g. "
         "'departments=name,employees=dept;aligned=departments+employees'); "
         "default: departments sharded by name, everything replicated",

@@ -39,6 +39,14 @@ from repro.sql.codegen import SqlOptions
 __all__ = ["Session", "connect", "connect_sharded"]
 
 
+def _drops_references_only(schema: Schema, store: Schema) -> bool:
+    """Whether ``schema`` is ``store`` with some of its references dropped."""
+    return schema.without_references() == store.without_references() and all(
+        set(table.references) <= set(store.table(table.name).references)
+        for table in schema.tables
+    )
+
+
 class Session:
     """A connection-like façade over the whole shredding pipeline.
 
@@ -47,8 +55,10 @@ class Session:
     database:
         An existing :class:`Database`; alternatively pass ``schema`` (and
         optionally ``tables``) to create a fresh one.  With a ``database``,
-        ``schema`` may only be its schema ``without_references()``: the
-        session serves that store but compiles as if it declared none.
+        ``schema`` may only be the store's tables, columns and keys with a
+        subset of its references (a deployment's, see
+        :func:`repro.shard.endpoint_session`): the session serves that
+        store but compiles as if it declared only those.
     options:
         :class:`SqlOptions` for code generation and the logical optimizer.
     cache:
@@ -88,9 +98,10 @@ class Session:
                 )
             database = Database(schema, tables)
         else:
-            if schema not in (None, database.schema, database.schema.without_references()):
+            if schema is not None and not _drops_references_only(schema, database.schema):
                 raise ShreddingError(
-                    "pass either a Database or a Schema, not both"
+                    "pass either a Database or a Schema, not both (a schema "
+                    "next to a store must be the store's, less some references)"
                 )
             for name, rows in (tables or {}).items():
                 database.insert(name, rows)

@@ -685,6 +685,7 @@ def verify_rekeyed(compiled, shredded, schema: Schema, stage: str = "codegen") -
                     "rekey",
                     f"UNION branch {position}: pin {pin.child.var}."
                     f"{pin.child.label} = {pin.parent.var}.{pin.parent.label} "
+                    f"({tables[pin.child.var]}.{pin.child.label} → {target}) "
                     "is not a declared reference",
                 )
             child, parent = _col(pin.child), _col(pin.parent)

@@ -12,10 +12,11 @@ value combination — but with a deliberately bounded memory model:
   (:meth:`~repro.api.session.Session.stats_snapshot` reads them here), in
   constant memory.
 
-Gauges may take a ``callback``: the current value is pulled at render
-time (used for live saturation numbers like lease-pool free slots and
-admission-queue depth, which nobody should have to push on every
-transition).
+Gauges may track callbacks: the current value is pulled at render
+time, the sum over every callback tracked (used for live saturation
+numbers like lease-pool free slots and admission-queue depth, which
+nobody should have to push on every transition — each server over one
+session tracks its own, and drops them when it stops).
 
 Registration is idempotent: asking for an existing family name returns
 the existing family (the type and label schema must match), so modules
@@ -79,14 +80,25 @@ class Counter:
 
 
 class Gauge:
-    """A settable float, or a pull-at-render callback."""
+    """A settable float, or the sum of pull-at-render callbacks."""
 
-    __slots__ = ("_value", "_lock", "callback")
+    __slots__ = ("_value", "_lock", "_callbacks")
 
-    def __init__(self, callback: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self) -> None:
         self._value = 0.0
         self._lock = threading.Lock()
-        self.callback = callback
+        self._callbacks: tuple[Callable[[], float], ...] = ()
+
+    def track(self, callback: Callable[[], float]) -> None:
+        """Add ``callback`` to the sum this gauge reads (once)."""
+        with self._lock:
+            if callback not in self._callbacks:
+                self._callbacks += (callback,)
+
+    def untrack(self, callback: Callable[[], float]) -> None:
+        """Drop ``callback`` from the sum (a no-op when not tracked)."""
+        with self._lock:
+            self._callbacks = tuple(c for c in self._callbacks if c != callback)
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -102,8 +114,9 @@ class Gauge:
 
     @property
     def value(self) -> float:
-        if self.callback is not None:
-            return float(self.callback())
+        callbacks = self._callbacks
+        if callbacks:
+            return float(sum(callback() for callback in callbacks))
         with self._lock:
             return self._value
 
@@ -188,7 +201,6 @@ class MetricFamily:
         kind: str,
         labelnames: tuple[str, ...],
         buckets: Optional[Sequence[float]] = None,
-        callback: Optional[Callable[[], float]] = None,
     ) -> None:
         self.name = name
         self.help = help
@@ -198,15 +210,13 @@ class MetricFamily:
         self._children: dict[tuple[str, ...], object] = {}
         self._lock = threading.Lock()
         if not labelnames:
-            self._children[()] = self._make_child(callback)
+            self._children[()] = self._make_child()
 
-    def _make_child(
-        self, callback: Optional[Callable[[], float]] = None
-    ) -> object:
+    def _make_child(self) -> object:
         if self.kind == "counter":
             return Counter()
         if self.kind == "gauge":
-            return Gauge(callback)
+            return Gauge()
         if self.kind == "histogram":
             assert self._buckets is not None
             return Histogram(self._buckets)
@@ -246,6 +256,12 @@ class MetricFamily:
     def observe(self, value: float) -> None:
         self._solo().observe(value)
 
+    def track(self, callback: Callable[[], float]) -> None:
+        self._solo().track(callback)
+
+    def untrack(self, callback: Callable[[], float]) -> None:
+        self._solo().untrack(callback)
+
     @property
     def value(self) -> float:
         return self._solo().value
@@ -275,7 +291,6 @@ class MetricsRegistry:
         kind: str,
         labelnames: Iterable[str],
         buckets: Optional[Sequence[float]] = None,
-        callback: Optional[Callable[[], float]] = None,
     ) -> MetricFamily:
         full = f"{self.prefix}_{name}" if self.prefix else name
         schema = tuple(labelnames)
@@ -289,7 +304,7 @@ class MetricsRegistry:
                         f"{existing.labelnames}"
                     )
                 return existing
-            family = MetricFamily(full, help, kind, schema, buckets, callback)
+            family = MetricFamily(full, help, kind, schema, buckets)
             self._families[full] = family
             return family
 
@@ -305,13 +320,14 @@ class MetricsRegistry:
         labels: Iterable[str] = (),
         callback: Optional[Callable[[], float]] = None,
     ) -> MetricFamily:
+        """A gauge family; with ``callback`` (label-less only), that callback
+        joins the sum the gauge reads — every server over one session adds
+        its own (see :meth:`Gauge.track`)."""
         if callback is not None and tuple(labels):
             raise ValueError("callback gauges must be label-less")
-        family = self._register(name, help, "gauge", labels, callback=callback)
+        family = self._register(name, help, "gauge", labels)
         if callback is not None:
-            # The latest registrant reports: a server started over a
-            # session whose registry an earlier server filled.
-            family._solo().callback = callback
+            family.track(callback)
         return family
 
     def histogram(

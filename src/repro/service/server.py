@@ -222,27 +222,22 @@ class QueryServer:
             key: self.metrics.counter(*family)
             for key, family in DRIVER_EVENTS.items()
         }
-        self.metrics.gauge(
-            "pending_requests",
-            "Executes/inserts admitted and not yet answered",
-            callback=lambda: self._pending,
-        )
-        self.metrics.gauge(
-            "admission_limit",
-            "Admission bound (requests beyond this are shed)",
-            callback=lambda: self.max_pending,
-        )
-        self.metrics.gauge(
-            "lease_pool_size", "Leased read connections this server holds",
-            callback=lambda: self.pool_size,
-        )
-        self.metrics.gauge(
-            "leases_free",
-            "Read-connection leases currently parked (0 = saturated)",
-            callback=lambda: (
-                self._leases.qsize() if self._leases is not None else 0
-            ),
-        )
+        #: Saturation gauges, each the sum over the live servers of the
+        #: session: this server's callbacks join them from :meth:`start`
+        #: to :meth:`stop`.
+        self._gauges = [
+            (self.metrics.gauge(name, help), callback)
+            for name, help, callback in (
+                ("pending_requests", "Executes/inserts admitted and not yet answered",
+                 lambda: self._pending),
+                ("admission_limit", "Admission bound (requests beyond this are shed)",
+                 lambda: self.max_pending),
+                ("lease_pool_size", "Leased read connections the servers hold",
+                 lambda: self.pool_size),
+                ("leases_free", "Read-connection leases currently parked (0 = saturated)",
+                 lambda: self._leases.qsize() if self._leases is not None else 0),
+            )
+        ]
 
     # ------------------------------------------------------------- lifecycle
 
@@ -271,6 +266,8 @@ class QueryServer:
             for connection in connections:
                 self.session.db.release_dedicated_reader(connection)
             raise
+        for family, callback in self._gauges:
+            family.track(callback)
         bound = self._server.sockets[0].getsockname()
         return bound[0], bound[1]
 
@@ -292,6 +289,8 @@ class QueryServer:
         """
         self._stopped = True
         self.core.draining = True
+        for family, callback in self._gauges:
+            family.untrack(callback)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

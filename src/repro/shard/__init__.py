@@ -24,7 +24,8 @@ Five pieces:
   drivers of one :class:`~repro.service.protocol.ClientCore`, answered by
   one :class:`~repro.service.core.ServerCore`) — and ``endpoint_session``,
   the one rule every store of a deployment and its coordinator compile
-  by: the store as it is, its schema without references;
+  by: the store as it is, under its placement's deployment schema (only
+  the references that hold in every partition);
 * :mod:`~repro.shard.deployment` — ``connect_sharded`` /
   ``ShardedSession`` (the façade over a coordinator) and the local
   substrate, ``ShardedDatabase`` (the caller's store plus its partitions)

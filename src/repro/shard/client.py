@@ -146,17 +146,20 @@ MODE_COUNTERS = {
 }
 
 
-def endpoint_session(source: Database | Schema, **options: Any) -> Session:
-    """The session a deployment compiles with: over a store as it is (an
-    endpoint), or over an empty store of a schema (the coordinator).
+def endpoint_session(source: Database | Schema, placement: Placement, **options: Any) -> Session:
+    """The session a deployment under ``placement`` compiles with: over a
+    store as it is (an endpoint), or over an empty store of a schema (the
+    coordinator).
 
-    Either way it compiles without references: a replicated child keyed by
-    its join column under a partitioned parent would ship rows no parent
-    on that shard asks for, so every endpoint, and the coordinator that
-    folds what they answer, runs the reference-free plans.  ``options``
-    are :class:`~repro.api.session.Session`'s own."""
+    Either way it compiles under :meth:`Placement.deployment_schema
+    <repro.shard.placement.Placement.deployment_schema>`: the references
+    that hold in every partition — both tables replicated, or both sharded
+    in one aligned group on the join columns — key a child by its join
+    column, and every other reference is dropped.  So every endpoint, and
+    the coordinator that folds what they answer, runs one plan.
+    ``options`` are :class:`~repro.api.session.Session`'s own."""
     store = source if isinstance(source, Database) else Database(source)
-    return Session(store, schema=store.schema.without_references(), **options)
+    return Session(store, schema=placement.deployment_schema(store.schema), **options)
 
 
 def _normalise_groups(shard_addresses: Sequence) -> list[list]:
@@ -202,10 +205,10 @@ class ShardedServiceClient:
         self.registry = registry
         self.deadline_ms = deadline_ms
         #: The coordinator's own compiles (it stitches what the endpoints
-        #: ran): a data-less :func:`endpoint_session` under ``options`` —
-        #: the endpoints' ``SqlOptions``, or the plans differ and
-        #: :meth:`prepare` says so — on the process plan cache.
-        self._compiler = endpoint_session(schema, options=options)
+        #: ran): a data-less :func:`endpoint_session` under the placement
+        #: and ``options`` — the endpoints' ``SqlOptions``, or the plans
+        #: differ and :meth:`prepare` says so — on the process plan cache.
+        self._compiler = endpoint_session(schema, self.placement, options=options)
         self.schema = self._compiler.schema
         self.options = self._compiler.options
 
@@ -371,8 +374,8 @@ class ShardedServiceClient:
         if response.get("plan") != compiled.plan_fingerprint:
             raise bad(
                 f"plan {response.get('plan')!r} ≠ the coordinator's "
-                f"{compiled.plan_fingerprint!r} (do both compile under the "
-                f"same SqlOptions, through endpoint_session?)"
+                f"{compiled.plan_fingerprint!r} (do both compile under the same "
+                f"SqlOptions and placement, through endpoint_session?)"
             )
         tables = response.pop("shredded")
         outcomes: dict[int, tuple[int, float]] = {}
@@ -518,8 +521,8 @@ class ShardedServiceClient:
             if answer is not None and answer.get("plan") != own:
                 raise ShardingError(
                     f"endpoint {label} compiles {query!r} to plan {answer.get('plan')}, "
-                    f"the coordinator to {own}: they run different SqlOptions "
-                    f"(pass the endpoints' options= to the coordinator)"
+                    f"the coordinator to {own}: they run different SqlOptions or "
+                    f"placements (give the coordinator the endpoints' options= and placement)"
                 )
         response = dict(template if template is not None else fallback_response)
         response["shards"] = self.shard_count

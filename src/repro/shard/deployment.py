@@ -35,8 +35,11 @@ endpoints the coordinator talks to:
 Either way the endpoints run the flat statements and answer with column
 tables (protocol v1.5); the coordinator stitches, so ``options`` reach it
 as well as the per-store sessions — both must compile the same plan,
-and both compile without references
-(:func:`~repro.shard.client.endpoint_session` writes that rule once).
+and both keep only the references that hold in every partition: both
+tables replicated, or both sharded in one aligned group on the join
+columns (:func:`~repro.shard.client.endpoint_session` applies
+:meth:`~repro.shard.placement.Placement.deployment_schema`, the rule
+written once).
 
 Route modes come from :func:`~repro.shard.analysis.analyse`:
 **fanout** (every shard, bag-union in shard order), **routed** /
@@ -94,7 +97,8 @@ class ShardedDatabase:
     which must stay a superset view of the union of partitions.
 
     The stores keep the references their schema declares; it is the
-    sessions over them that compile without
+    sessions over them that compile under the placement's deployment
+    schema, without the references a partition breaks
     (:func:`~repro.shard.client.endpoint_session`).
     """
 
@@ -487,8 +491,9 @@ def connect_sharded(
       :meth:`ShardedSession.register`, as over the wire.  The
       ``database`` is served as it is — it is the full copy
       (``session.db.full is database``) and sees every insert, ``tables``
-      included, durable or not — and every store compiles without
-      references (:func:`~repro.shard.client.endpoint_session`).
+      included, durable or not — and every store compiles with only the
+      references that hold in every partition
+      (:func:`~repro.shard.client.endpoint_session`).
     * no data source (or ``processes=True``): **wire endpoints** to a
       process group the session spawns, supervises and owns — one
       ``serve --shard i/n`` subprocess per partition plus the full-copy
@@ -555,7 +560,7 @@ def connect_sharded(
     compile_lock = threading.Lock()
 
     def endpoint(store: Database, index: object) -> LocalEndpoint:
-        session = endpoint_session(store, options=options, cache=cache)
+        session = endpoint_session(store, db.placement, options=options, cache=cache)
         label = f"{index}/{db.shard_count}"
         return LocalEndpoint(session, registry.copy(), compile_lock, label)
 

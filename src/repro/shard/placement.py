@@ -20,7 +20,7 @@ others, so :func:`shard_for` uses CRC-32 over a typed encoding.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional
 
 from repro.errors import ShardingError
@@ -254,6 +254,46 @@ class Placement:
             if name == table:
                 return marker.key
         return None
+
+    def deployment_schema(self, schema: Schema) -> Schema:
+        """``schema`` with only the references that hold in every
+        partition — what each store of the deployment, and its
+        coordinator, compiles under (memoised per schema; ``schema``
+        itself when every reference holds).
+
+        A reference ``child.c → parent.p`` holds when both tables are
+        replicated, or both are sharded in one aligned group, the child by
+        ``c`` and the parent by ``p``: then every child row a parent on a
+        shard asks for lives on that shard.  Any other reference is
+        dropped — a replicated child keyed by its join column under a
+        sharded parent would ship rows no parent on that shard asks for.
+        """
+        memo = getattr(self, "_deployment_schemas", None)
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_deployment_schemas", memo)
+        cached = memo.get(schema)
+        if cached is None:
+
+            def holds(child: str, column: str, target: str) -> bool:
+                parent, parent_column = target.split(".")
+                if not self.is_sharded(child):
+                    return not self.is_sharded(parent)
+                return self.is_aligned(child, parent) and (
+                    self.routing_column(child),
+                    self.routing_column(parent),
+                ) == (column, parent_column)
+
+            tables = tuple(
+                replace(
+                    table,
+                    references=tuple(r for r in table.references if holds(table.name, *r)),
+                )
+                for table in schema.tables
+            )
+            cached = schema if tables == schema.tables else Schema(tables)
+            memo[schema] = cached
+        return cached
 
     def validate(self, schema: Schema) -> "Placement":
         """Check every sharded table and routing column against ``schema``."""

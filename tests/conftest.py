@@ -267,7 +267,7 @@ class ShardedSessions:
             labels = [f"{i}/{shards}" for i in range(shards)] + [f"full/{shards}"]
             handles = [
                 serve_in_background(
-                    endpoint_session(store, options=options, cache=cache),
+                    endpoint_session(store, placement, options=options, cache=cache),
                     registry,
                     pool_size=2,
                     shard_label=label,

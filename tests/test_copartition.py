@@ -39,7 +39,7 @@ from repro.errors import ShardingError
 from repro.normalise import normalise
 from repro.nrc import ast
 from repro.service.registry import paper_registry
-from repro.shard import Placement, analyse, connect_sharded, sharded
+from repro.shard import Placement, analyse, connect_sharded, endpoint_session, sharded
 from repro.values import assert_bag_equal
 
 REGISTRY = paper_registry()
@@ -203,6 +203,95 @@ class TestPlacementAlignment:
     def test_bad_specs_raise(self, spec):
         with pytest.raises(ShardingError):
             Placement.from_spec(spec)
+
+
+# --------------------------------------------------------------------------
+# Pinned plans on a deployment: the references every partition holds.
+
+P_UNALIGNED = Placement.of(
+    {"departments": sharded(key="name"), "employees": sharded(key="dept")}
+)
+EMPLOYEES_PIN = "pinned: employees.dept → departments.name"
+
+
+def _kept(placement: Placement) -> dict[str, tuple]:
+    schema = placement.deployment_schema(ORGANISATION_SCHEMA)
+    return {table.name: table.references for table in schema.tables if table.references}
+
+
+def _notes(compiled) -> dict[str, str]:
+    return {str(path): compiled.edges.note(path) for path in compiled.query_paths}
+
+
+class TestDeploymentSchema:
+    @pytest.mark.parametrize(
+        "placement, kept",
+        [
+            (P_DEPT_CO, {"employees": (("dept", "departments.name"),)}),
+            (
+                P_TASK_CO,
+                {
+                    "tasks": (("employee", "employees.name"),),
+                    "contacts": (("dept", "departments.name"),),
+                },
+            ),
+            (organisation_placement(), {"tasks": (("employee", "employees.name"),)}),
+            (P_UNALIGNED, {}),
+        ],
+        ids=["dept_co", "task_co", "organisation", "unaligned"],
+    )
+    def test_a_reference_survives_iff_every_partition_holds_it(self, placement, kept):
+        """Both tables replicated, or both sharded in one aligned group on
+        the join columns; a replicated child under a sharded parent, a
+        sharded child under a replicated parent and an unaligned pair are
+        dropped."""
+        assert _kept(placement) == kept
+
+    def test_the_rule_is_memoised_and_keeps_a_schema_it_does_not_change(self):
+        schema = P_DEPT_CO.deployment_schema(ORGANISATION_SCHEMA)
+        assert P_DEPT_CO.deployment_schema(ORGANISATION_SCHEMA) is schema
+        assert schema.without_references() == ORGANISATION_SCHEMA.without_references()
+        everything = Placement.of({}).deployment_schema(ORGANISATION_SCHEMA)
+        assert everything is ORGANISATION_SCHEMA
+
+    @pytest.mark.parametrize("name", ["Q1", "Q4"])
+    def test_a_co_partitioned_deployment_pins_employees_on_every_endpoint(self, name):
+        """The coordinator, a partition's endpoint and the full copy compile
+        one plan: employees keyed by ``dept`` without ``departments``;
+        contacts and tasks keep their natural keys."""
+        session = connect_sharded(
+            figure3_database(), placement=P_DEPT_CO, shards=2, registry=paper_registry()
+        )
+        try:
+            coordinator = session.client._compiled_for(name)
+            notes = _notes(coordinator)
+            assert notes["↓.employees"].startswith(EMPLOYEES_PIN)
+            assert all(
+                note.startswith("natural keys")
+                for path, note in notes.items()
+                if path.endswith(("contacts", "tasks"))
+            ), notes
+            explained = [
+                coordinator.explain(),
+                session.client._groups[0][0].explain(name),
+                session.prepare(name).explain(),
+            ]
+            for text in explained:
+                assert f"index: {EMPLOYEES_PIN}; drops departments" in text
+            assert session.run(name).route == "fanout"
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize(
+        "placement", [organisation_placement(), P_UNALIGNED], ids=["organisation", "unaligned"]
+    )
+    def test_employees_stay_natural_unless_aligned_on_the_join(self, placement):
+        compiled = endpoint_session(ORGANISATION_SCHEMA, placement).compile(
+            NESTED_QUERIES["Q4"]
+        )
+        assert _notes(compiled)["↓.employees"] == (
+            "natural keys (no reference: employees.dept = departments.name)"
+        )
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,8 @@ which is what the CI ``analyze`` job asserts with this same CLI.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.__main__ import main
@@ -168,10 +170,15 @@ class TestBoundAndIndexes:
         """QS301 prints the covering index — hint columns first, then the
         rest of the table — that the batched engine actually creates, under
         either plan shape, in ``lint`` and in ``explain``'s payload alike.
-        (Compiled without references, where Q1's natural plan joins
-        employees to departments.)"""
+        (Compiled as a store of a deployment under
+        ``organisation_placement()``, which drops ``employees.dept →
+        departments.name``: Q1's natural plan joins employees to
+        departments.)"""
         printed = _qs301_printed_and_built(
-            figure3_database(), SqlOptions(scheme=scheme), "Q1", endpoint_session
+            figure3_database(),
+            SqlOptions(scheme=scheme),
+            "Q1",
+            partial(endpoint_session, placement=organisation_placement()),
         )
         assert "employees(dept, id, name, salary)" in printed
 

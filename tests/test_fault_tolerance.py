@@ -465,13 +465,13 @@ def _cluster():
         sdb = ShardedDatabase(figure3_database(), PLACEMENT, SHARDS)
         handles = [
             serve_in_background(
-                endpoint_session(db), REGISTRY, pool_size=2,
+                endpoint_session(db, PLACEMENT), REGISTRY, pool_size=2,
                 shard_label=f"{index}/{SHARDS}",
             )
             for index, db in enumerate(sdb.shards)
         ]
         fallback = serve_in_background(
-            endpoint_session(sdb.full), REGISTRY, pool_size=2,
+            endpoint_session(sdb.full, PLACEMENT), REGISTRY, pool_size=2,
             shard_label=f"full/{SHARDS}",
         )
         proxies = [

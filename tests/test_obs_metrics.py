@@ -50,10 +50,15 @@ class TestRegistrySemantics:
         gauge.inc()
         gauge.dec(2)
         assert gauge.value == 3.0
-        live = registry.gauge("live", "pulled at render", callback=lambda: 7)
+        seven = lambda: 7  # noqa: E731 - the callback is untracked by identity
+        live = registry.gauge("live", "pulled at render", callback=seven)
         assert live.value == 7.0
-        # Re-registered with a callback, the gauge reads the latest one.
+        # Re-registered with another callback, the gauge reads their sum;
+        # a callback tracked twice counts once, and an untracked one not.
         assert registry.gauge("live", "pulled at render", callback=lambda: 8) is live
+        live.track(seven)
+        assert live.value == 15.0
+        live.untrack(seven)
         assert live.value == 8.0
         with pytest.raises(ValueError):
             registry.gauge("bad", "x", labels=("a",), callback=lambda: 0)

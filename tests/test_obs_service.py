@@ -92,20 +92,22 @@ class TestMetricsOp:
         """A session's lifetime totals are its registry's: the ``stats`` op
         and the exposition of every server over it read the same count —
         the in-process run before serving included.  A callback gauge reads
-        the server started last."""
+        the sum over the live servers, and drops a server that stopped."""
         session = connect(figure3_database())
         local = session.run(REGISTRY.lookup("Q1").term)
         served = []
-        with serve_in_background(session, REGISTRY, pool_size=1) as first, \
-                serve_in_background(session, REGISTRY, pool_size=2) as second:
-            clients = [
-                ServiceClient(handle.host, handle.port) for handle in (first, second)
-            ]
-            for client in clients:
-                served.append(client.execute_full("Q1")["stats"]["queries"])
-            reports = [(client.stats(), client.metrics()) for client in clients]
-            for client in clients:
-                client.close()
+        with serve_in_background(session, REGISTRY, pool_size=2) as second:
+            with serve_in_background(session, REGISTRY, pool_size=1) as first:
+                clients = [
+                    ServiceClient(handle.host, handle.port) for handle in (first, second)
+                ]
+                for client in clients:
+                    served.append(client.execute_full("Q1")["stats"]["queries"])
+                reports = [(client.stats(), client.metrics()) for client in clients]
+                for client in clients:
+                    client.close()
+            with ServiceClient(second.host, second.port) as client:
+                alone = client.metrics()
         total = local.stats.queries + sum(served)
         assert total == 3 * local.stats.queries
         for stats, exposition in reports:
@@ -115,7 +117,8 @@ class TestMetricsOp:
             ) == total
             assert _sample(
                 exposition, "repro_lease_pool_size", "repro_lease_pool_size"
-            ) == 2.0
+            ) == 3.0
+        assert _sample(alone, "repro_lease_pool_size", "repro_lease_pool_size") == 2.0
 
     def test_a_server_counts_into_its_sessions_registry(self):
         # No server takes a registry of its own: a served session's counts
@@ -236,7 +239,7 @@ def fleet():
     sdb = ShardedDatabase(figure3_database(), PLACEMENT, SHARDS)
     handles = [
         serve_in_background(
-            endpoint_session(db),
+            endpoint_session(db, PLACEMENT),
             REGISTRY,
             pool_size=2,
             shard_label=f"{index}/{SHARDS}",
@@ -244,7 +247,7 @@ def fleet():
         for index, db in enumerate(sdb.shards)
     ]
     fallback = serve_in_background(
-        endpoint_session(sdb.full), REGISTRY, pool_size=2, shard_label=f"full/{SHARDS}"
+        endpoint_session(sdb.full, PLACEMENT), REGISTRY, pool_size=2, shard_label=f"full/{SHARDS}"
     )
     yield handles, fallback
     for handle in handles + [fallback]:

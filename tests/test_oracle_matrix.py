@@ -10,8 +10,13 @@ engine      ``per-path`` (the reference executor) · ``batched`` ·
 optimize    the logical optimizer off · on
 shape       the plan shape resolved from the schema · ``scheme="flat"``
             · ``scheme="natural"``
-references  the store's schema as declared · compiled without references
-            (:func:`repro.shard.endpoint_session`, as every sharded route)
+references  the store's schema as declared (in process only) · the
+            deployment schema of a placement, which keeps the references
+            that hold in every partition
+            (:func:`repro.shard.endpoint_session`):
+            ``organisation_placement()`` · ``co-partitioned`` (departments
+            by name ⟂ employees by dept, aligned, as ``sharded_bulk``) —
+            on a sharded route, its placement
 cache       cold (no plan cache) · warm (the second run of a cached plan)
 route       in process · 2 shards over local endpoints · 2 shards over
             the wire (conftest's :class:`ShardedSessions`)
@@ -47,6 +52,7 @@ value that goes away is one value fewer.
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import partial
 from itertools import combinations, product
 from weakref import WeakKeyDictionary
 
@@ -55,13 +61,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.api import connect
-from repro.data.organisation import figure3_database
+from repro.data.organisation import figure3_database, organisation_placement
 from repro.errors import ServiceError, SqlGenerationError
 from repro.nrc.ast import For, Table, Term, substitute_params
 from repro.nrc.semantics import evaluate
 from repro.pipeline.plan_cache import PlanCache
 from repro.service import paper_registry
-from repro.shard import endpoint_session
+from repro.shard import Placement, endpoint_session, sharded
 from repro.sql.codegen import CompiledSql, SqlOptions
 from repro.values import assert_bag_equal, dedup_nested
 
@@ -72,7 +78,7 @@ AXES = {
     "engine": ("per-path", "batched", "parallel"),
     "optimize": ("plain", "optimized"),
     "shape": ("default", "flat", "natural"),
-    "references": ("declared", "unreferenced"),
+    "references": ("declared", "organisation", "co-partitioned"),
     "cache": ("cold", "warm"),
     "route": ("in-process", "local", "wire"),
     "collection": ("bag", "set", "list"),
@@ -81,6 +87,16 @@ AXES = {
 #: only (on Fig. 3 the oracle can take minutes over a generated query).
 STORES = ("figure3", "traps", "keyless")
 TRAPS = ("traps", "keyless")
+
+#: The placements a deployment's stores compile under, by their value on
+#: the ``references`` axis.
+PLACEMENTS = {
+    "organisation": organisation_placement(),
+    "co-partitioned": Placement.of(
+        {"departments": sharded(key="name"), "employees": sharded(key="dept")},
+        aligned=[("departments", "employees")],
+    ),
+}
 
 REGISTRY = paper_registry()
 PARAMS = {"dept_staff": {"dept": "Sales"}, "staff_above": {"min_salary": 900}}
@@ -125,9 +141,13 @@ def _covers(row: dict, target: dict) -> bool:
 
 def exists(cell: dict) -> bool:
     """Whether the values ``cell`` names can meet: the engine is an
-    in-process run's choice, and a sharded route runs the batched one."""
+    in-process run's choice, and a sharded route runs the batched one
+    under a placement."""
     in_process = cell.get("route", "in-process") == "in-process"
-    return in_process or cell.get("engine", "batched") == "batched"
+    return in_process or (
+        cell.get("engine", "batched") == "batched"
+        and cell.get("references", "organisation") != "declared"
+    )
 
 
 def _refused_row(row: dict) -> bool:
@@ -137,20 +157,25 @@ def _refused_row(row: dict) -> bool:
 #: The registry part's axes: the cell's and the store.
 ROW_AXES = {**AXES, "store": STORES}
 #: What the covering must contain.  In process, where a cell costs
-#: milliseconds, every engine × shape × references × store under bag
-#: semantics: together they decide which plan runs, which fold reads it
-#: and what data it meets (a pinned plan needs declared references and the
-#: default shape, its traps the trap store, and δ would hide a shared
-#: bucket).  Over 2 shards, every shape × collection: the coordinator
-#: folds each shard's tables of that plan, then applies δ or the list
-#: order itself.  Every collection × route × store (δ shows only where a
+#: milliseconds, every engine × shape × store under bag semantics, as
+#: declared and as a store of the organisation's deployment: together they
+#: decide which plan runs, which fold reads it and what data it meets (a
+#: pinned plan needs a kept reference and the default shape, its traps the
+#: trap store, and δ would hide a shared bucket).  Over 2 shards, every
+#: shape × collection: the coordinator folds each shard's tables of that
+#: plan, then applies δ or the list order itself; and every placement ×
+#: store, so the trap stores hold the co-partitioned deployment's pinned
+#: plans too.  Every collection × route × store (δ shows only where a
 #: store has duplicates).  And every pair of values that can meet.
 TARGETS = [
     {"engine": e, "shape": s, "references": r, "store": d, "route": "in-process", "collection": "bag"}
-    for e, s, r, d in product(AXES["engine"], AXES["shape"], AXES["references"], STORES)
+    for e, s, r, d in product(AXES["engine"], AXES["shape"], AXES["references"][:2], STORES)
 ] + [
     {"shape": s, "collection": c, "route": route}
     for s, c, route in product(AXES["shape"], AXES["collection"], AXES["route"][1:])
+] + [
+    {"references": r, "route": route, "store": d}
+    for r, route, d in product(PLACEMENTS, AXES["route"][1:], STORES)
 ] + [
     {"collection": c, "route": route, "store": d}
     for c, route, d in product(AXES["collection"], AXES["route"], STORES)
@@ -164,8 +189,8 @@ COVERING = covering(ROW_AXES, TARGETS, lambda row: _refused_row(row) or not exis
 #: One row per refusal the system makes: natural × keyless on every route,
 #: natural × list once (``SqlOptions`` itself rejects it).
 REFUSALS = [
-    {**COVERING[0], "engine": "batched", "shape": "natural", "collection": "bag",
-     "store": "keyless", "route": route}
+    {**COVERING[0], "engine": "batched", "references": "co-partitioned", "shape": "natural",
+     "collection": "bag", "store": "keyless", "route": route}
     for route in AXES["route"]
 ] + [{**COVERING[0], "shape": "natural", "collection": "list", "store": "figure3"}]
 
@@ -201,10 +226,11 @@ def shared_objects(*values) -> list:
 
 
 def session_of(cell: dict):
-    """How a cell's stores compile: as declared in process, else without
-    references by the one rule every sharded route follows."""
-    declared = cell["route"] == "in-process" and cell["references"] == "declared"
-    return connect if declared else endpoint_session
+    """How a cell's stores compile: as declared, or as the stores of a
+    deployment under the cell's placement (every sharded route)."""
+    if cell["references"] == "declared":
+        return connect
+    return partial(endpoint_session, placement=PLACEMENTS[cell["references"]])
 
 
 def options_of(cell: dict) -> SqlOptions:
@@ -219,7 +245,7 @@ class Matrix:
     """What the cells share: the registry part's stores, the oracle's
     values, one plan cache (warm cells and per-path references) and the
     sharded sessions, kept per
-    (route, store, options, cache) a few at a time and closed with the
+    (route, placement, store, options, cache) a few at a time and closed with the
     matrix."""
 
     KEEP = 6
@@ -230,15 +256,15 @@ class Matrix:
         self._expected: WeakKeyDictionary = WeakKeyDictionary()
         self._sharded: dict = {}
 
-    def sharded(self, route: str, db, options: SqlOptions, cache: str):
-        key = (route, db, options, cache)
+    def sharded(self, route: str, placement: str, db, options: SqlOptions, cache: str):
+        key = (route, placement, db, options, cache)
         if key not in self._sharded:
             if len(self._sharded) == self.KEEP:
                 oldest = next(iter(self._sharded))
                 self._sharded.pop(oldest)[0].close()
             factory = ShardedSessions(route)
             session = factory(
-                2, database=db, options=options,
+                2, placement=PLACEMENTS[placement], database=db, options=options,
                 cache=False if cache == "cold" else self.plans,
             )
             self._sharded[key] = (factory, session)
@@ -257,7 +283,9 @@ class Matrix:
             cache = None if cell["cache"] == "cold" else self.plans
             session = session_of(cell)(db, options=options, cache=cache)
         else:
-            session = self.sharded(cell["route"], db, options, cell["cache"])
+            session = self.sharded(
+                cell["route"], cell["references"], db, options, cell["cache"]
+            )
         engine = {"engine": cell["engine"]} if cell["route"] == "in-process" else {}
         results = [
             session.run(term, collection=cell["collection"], params=params, **engine)

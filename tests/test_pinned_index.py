@@ -97,6 +97,18 @@ def test_a_session_compiling_without_references_writes_to_its_store():
         connect(db, schema=Schema(SCHEMA.tables[:1]))
 
 
+def test_a_session_refuses_a_reference_its_store_lacks():
+    """A session compiles under its store's schema less some references
+    (a deployment's), never under one that declares more."""
+    kept = with_references({"tasks": (("employee", "employees.name"),)})
+    assert connect(figure3_database(), schema=kept).schema is kept
+    bare = Database(SCHEMA.without_references(), {})
+    with pytest.raises(ShreddingError, match="less some references"):
+        connect(bare, schema=kept)
+    with pytest.raises(ShreddingError, match="less some references"):
+        connect(Database(kept, {}), schema=with_references({"tasks": (("task", "employees.name"),)}))
+
+
 # --------------------------------------------------------------------------
 # The benchmark's data keeps every reference the schema declares: the
 # pinned Fig. 11 plans read no row no parent asks for.

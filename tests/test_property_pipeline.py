@@ -8,6 +8,9 @@ stages of the pipeline.
 * let-insertion agrees with the flat shredded semantics (Theorem 6);
 * annotated evaluation erases to N⟦−⟧ (Theorem 19).
 
+Each skips a drawn term whose evaluation over the traps store could
+exceed the matrix's ``ORACLE_BUDGET`` (Theorem 1 its normal form's too).
+
 The SQL pipeline — every engine, plan shape, route and collection against
 N⟦−⟧ — is checked by ``tests/test_oracle_matrix.py``; the multiplicity
 cases below are named cells of it.
@@ -18,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 from repro.backend.database import Database
 from repro.data.organisation import ORGANISATION_SCHEMA
@@ -33,11 +36,26 @@ from repro.sql.codegen import SqlOptions
 from repro.values import bag_equal
 
 from .strategies import asymmetric_union_query, queries_with_nesting, trap_stores
-from .test_oracle_matrix import AXES, STORES, cell, matrix  # noqa: F401 - the fixture
+from .test_oracle_matrix import (  # noqa: F401 - the fixture
+    AXES,
+    ORACLE_BUDGET,
+    STORES,
+    cell,
+    matrix,
+    oracle_steps,
+)
 
 SCHEMA = ORGANISATION_SCHEMA
 #: What the in-memory properties (Theorems 1, 4, 6, 19) evaluate against.
 DB = trap_stores()["traps"]
+
+
+def bounded(term):
+    """``term``, skipping the example when evaluating it over :data:`DB`
+    could take more than the matrix's oracle budget (the odd drawn term
+    keeps ``evaluate`` busy for minutes)."""
+    assume(oracle_steps(term, DB) <= ORACLE_BUDGET)
+    return term
 
 _settings = settings(
     max_examples=30,
@@ -59,8 +77,8 @@ def test_generated_queries_typecheck(query):
 @given(queries_with_nesting())
 @_settings
 def test_normalisation_preserves_semantics(query):
-    nf = normalise(query, SCHEMA)
-    assert bag_equal(evaluate(query, DB), evaluate(nf_to_term(nf), DB))
+    nf = normalise(bounded(query), SCHEMA)
+    assert bag_equal(evaluate(query, DB), evaluate(bounded(nf_to_term(nf)), DB))
 
 
 @given(queries_with_nesting())
@@ -71,7 +89,7 @@ def test_shredding_theorem4_in_memory(query):
     from repro.shred.semantics import run_package
     from repro.shred.stitch import stitch
 
-    nf = normalise(query, SCHEMA)
+    nf = normalise(bounded(query), SCHEMA)
     result_type = infer(query, SCHEMA)
     package = shred_query_package(nf, result_type)
     expected = evaluate(query, DB)
@@ -161,7 +179,7 @@ def test_keyless_duplicate_rows_keep_their_multiplicity():
 def test_loop_lifting_matches_semantics(query):
     from repro.baselines.looplifting import LoopLiftingPipeline
 
-    out = LoopLiftingPipeline(SCHEMA).run(query, DB)
+    out = LoopLiftingPipeline(SCHEMA).run(bounded(query), DB)
     assert bag_equal(out, evaluate(query, DB))
 
 
@@ -175,7 +193,7 @@ def test_let_insertion_theorem6(query):
     from repro.shred.semantics import run_shredded
     from repro.shred.translate import shred_query
 
-    nf = normalise(query, SCHEMA)
+    nf = normalise(bounded(query), SCHEMA)
     result_type = infer(query, SCHEMA)
     index = flat_index_fn(nf, DB, SCHEMA)
     for path in paths(result_type):
@@ -190,6 +208,6 @@ def test_let_insertion_theorem6(query):
 def test_annotated_erasure_theorem19(query):
     from repro.shred.value_shred import annotated_eval, erase_annotated
 
-    nf = normalise(query, SCHEMA)
+    nf = normalise(bounded(query), SCHEMA)
     annotated = annotated_eval(nf, DB, SCHEMA)
     assert erase_annotated(annotated) == evaluate(nf_to_term(nf), DB)

@@ -663,6 +663,25 @@ class TestPinnedLayout:
         assert err.value.rule == "rekey"
         assert "not a declared reference" in err.value.detail
 
+    def test_a_pin_a_placement_breaks_is_rejected(self):
+        """Compiled under the full schema, Q3's tasks are keyed by
+        ``tasks.employee``; a deployment sharding employees and replicating
+        tasks drops that reference, so the plan is not one of its stores'."""
+        from repro.check import verify_rekeyed
+        from repro.shard import Placement, sharded
+
+        placement = Placement.of(
+            {"departments": sharded(key="name"), "employees": sharded(key="dept")},
+            aligned=[("departments", "employees")],
+        )
+        q3 = ShreddingPipeline(SCHEMA, SqlOptions(verify=False)).compile(NESTED_QUERIES["Q3"])
+        tasks, shredded = self._child(q3)
+        verify_rekeyed(tasks, shredded, SCHEMA)
+        with pytest.raises(VerifierError) as err:
+            verify_rekeyed(tasks, shredded, placement.deployment_schema(SCHEMA))
+        assert err.value.rule == "rekey"
+        assert "(tasks.employee → employees.name) is not a declared reference" in err.value.detail
+
     def test_a_dropped_condition_that_is_no_pin_is_rejected(self):
         """Q6's people branch keeps its salary filter; losing it too would
         list every employee as an outlier."""
