@@ -143,9 +143,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     session = connect(figure3_database())
     prepared = session.query(_query(args.query))
     result = prepared.run(engine=args.engine, trace=True)
-    # The same query across a two-shard local deployment: the coordinator's
-    # side of a run — ``route`` → one ``shard`` per sub-request → the
-    # ``stitch`` of that shard's column tables.
+    # The same query across a two-shard local deployment: the same
+    # ``query`` span, over the coordinator's side of the run — ``route`` →
+    # one ``shard`` per sub-request → the ``stitch`` of its column tables.
     from repro.api import connect_sharded
     from repro.data.organisation import organisation_placement
 

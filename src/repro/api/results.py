@@ -10,6 +10,7 @@ touching pipeline internals.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.backend.executor import ExecutionStats
@@ -69,10 +70,22 @@ class Prepared(Runnable):
     :meth:`run`'s counters are on the :class:`Result` it returns.
     """
 
-    def __init__(self, session: "Session", term: "Term") -> None:
+    def __init__(
+        self,
+        session: "Session",
+        term: "Term",
+        compiled: "CompiledQuery | None" = None,
+        name: str | None = None,
+        plan: object = None,
+    ) -> None:
         self._session = session
         self._term = term
-        self._compiled: "CompiledQuery | None" = None
+        self._compiled = compiled
+        #: On a deployment, the catalogue name the query runs under and its
+        #: shard plan (route mode and why), both fixed at prepare; None in
+        #: process.
+        self.name = name
+        self.plan = plan
 
     def term(self) -> "Term":
         return self._term
@@ -112,28 +125,25 @@ class Prepared(Runnable):
         )
 
     def run(
-        self,
-        engine: str | None = None,
-        collection: str = "bag",
-        trace: object = None,
-        **kwargs: Any,
+        self, collection: str = "bag", trace: object = None, **kwargs: Any
     ) -> "Result":
-        """Execute on the session's database and stitch the nested result.
+        """Execute and stitch the nested result.
 
-        ``engine`` is this run's, in process only: the batched engine
-        unless named (see
-        :meth:`~repro.api.session.Session.resolve_engine`); ``collection``
-        selects bag/set/list semantics; extra keyword arguments
-        (``params`` for host-parameter bindings, ``create_indexes``,
-        ``connection``) pass
-        through to :meth:`~repro.pipeline.shredder.CompiledQuery.run`.
-        The run's counters are :attr:`Result.stats`; the session's
-        registry counts them too.
+        ``collection`` selects bag/set/list semantics; the keyword
+        arguments (``params`` for host-parameter bindings; in process
+        ``engine``, ``create_indexes`` and ``connection``, on a deployment
+        ``deadline_ms``) go to the session's table source, which runs the
+        statements: :meth:`~repro.pipeline.shredder.CompiledQuery.run` over
+        the store — the batched engine unless ``engine`` names another
+        (see :meth:`~repro.api.session.Session.resolve_engine`) — or a
+        deployment's coordinator, which names none.  The run's counters
+        are :attr:`Result.stats`; the session's registry counts them too.
 
         ``trace=True`` (or an existing :class:`repro.obs.Tracer`) records
-        a nested span tree for the whole run — compile (on first use),
-        per-statement execution, stitch — surfaced on
-        :attr:`Result.trace`.
+        a nested span tree for the whole run under one ``query`` span —
+        compile (on first use), then per-statement execution and stitch,
+        or a deployment's ``route`` / ``shard`` / ``stitch`` spans —
+        surfaced on :attr:`Result.trace`.
         """
         tracer = None
         if trace:
@@ -142,22 +152,13 @@ class Prepared(Runnable):
             tracer = trace if isinstance(trace, Tracer) else Tracer()
         with traced(tracer, "query") as root:
             compiled = self._ensure_compiled(tracer)
-            resolved = self._session.resolve_engine(engine, compiled)
-            if root is not None:
-                root.set(engine=resolved, statements=compiled.query_count)
-            run_stats = ExecutionStats()
-            value = compiled.run(
-                self._session.db,
-                engine=resolved,
-                collection=collection,
-                stats=run_stats,
-                tracer=tracer,
-                **kwargs,
+            result = self._session.source.run(
+                self, compiled, collection, tracer, **kwargs
             )
-        self._session._count(run_stats)
-        return Result(
-            value=value, stats=run_stats, engine=resolved, trace=tracer
-        )
+            if root is not None:
+                root.set(engine=result.engine, statements=compiled.query_count)
+        self._session._count(result.stats)
+        return result
 
     def diagnostics(self, placement: object = None) -> list:
         """Static :class:`~repro.check.diagnostics.Diagnostic` findings for
@@ -254,6 +255,7 @@ class Prepared(Runnable):
         return f"<Prepared {state} query on {self._session!r}>"
 
 
+@dataclass(slots=True, eq=False)
 class Result:
     """A stitched nested value plus the stats of the run that produced it.
 
@@ -261,21 +263,23 @@ class Result:
     the concrete engine the run used after ``"auto"`` resolution;
     ``trace`` is the :class:`repro.obs.Tracer` of the run when it was
     traced (``run(trace=True)``), else None.
+
+    A deployment's run also says where it ran: ``route`` is ``"fanout"``,
+    ``"routed:<shard>"``, ``"single:<shard>"``, ``"fallback"`` or
+    ``"failover:<original route>"`` (a fault diverted the run to the
+    full-copy shard), ``reason`` says why, and ``shards`` lists the
+    partition shards that executed (empty for fallback/failover — the
+    full-copy shard is not a partition).  In process they are None, ``()``
+    and None.
     """
 
-    __slots__ = ("value", "stats", "engine", "trace")
-
-    def __init__(
-        self,
-        value: NestedValue,
-        stats: ExecutionStats,
-        engine: str,
-        trace: object = None,
-    ) -> None:
-        self.value = value
-        self.stats = stats
-        self.engine = engine
-        self.trace = trace
+    value: NestedValue
+    stats: ExecutionStats
+    engine: str
+    trace: object = None
+    route: str | None = None
+    shards: tuple[int, ...] = ()
+    reason: str | None = None
 
     def to_dicts(self) -> list:
         """The nested value as a plain list of dicts/lists/base values."""

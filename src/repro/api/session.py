@@ -18,6 +18,10 @@ the same work in no less time.  Another engine is a per-call, in-process
 choice (``run(engine=…)``, validated against
 :data:`~repro.pipeline.shredder.KNOWN_ENGINES` up front); a session, a
 server and a deployment hold none.
+
+A sharded deployment is a session too: :func:`connect_sharded` returns a
+:class:`Session` whose table source is the deployment's coordinator, so
+the same compile runs the same flat statements, only on the shards.
 """
 
 from __future__ import annotations
@@ -37,6 +41,43 @@ from repro.pipeline.shredder import CompiledQuery, ShreddingPipeline, validate_e
 from repro.sql.codegen import SqlOptions
 
 __all__ = ["Session", "connect", "connect_sharded"]
+
+
+class StoreTables:
+    """An in-process session's table source: its own store.
+
+    A :class:`Prepared` gets its value from its session's ``source`` and
+    nowhere else.  Here that is :meth:`CompiledQuery.run
+    <repro.pipeline.shredder.CompiledQuery.run>` over ``session.db``; a
+    session :func:`connect_sharded` returns reads through its deployment's
+    coordinator instead (:class:`repro.shard.deployment.DeploymentTables`).
+    """
+
+    def prepare(self, session: "Session", source: object) -> Prepared:
+        return Prepared(session, to_term(source))
+
+    def run(
+        self,
+        prepared: Prepared,
+        compiled: CompiledQuery,
+        collection: str,
+        tracer: object,
+        engine: str | None = None,
+        **kwargs: Any,
+    ) -> Result:
+        engine = prepared._session.resolve_engine(engine, compiled)
+        stats = ExecutionStats()
+        db = prepared._session.db
+        value = compiled.run(db, stats, collection, engine, tracer=tracer, **kwargs)
+        return Result(value=value, stats=stats, engine=engine, trace=tracer)
+
+    def insert(
+        self, session: "Session", table: str, rows: Iterable, idempotency_key: str | None
+    ) -> bool:
+        return session.db.insert(table, rows, idempotency_key=idempotency_key)
+
+    def close(self, session: "Session") -> None:
+        session.db._dispose_connection()
 
 
 def _drops_references_only(schema: Schema, store: Schema) -> bool:
@@ -76,10 +117,22 @@ class Session:
     and a server over the session counts its requests into.
     :meth:`stats_snapshot` reads the lifetime totals from there.
 
+    Where a run's flat tables come from is :attr:`source`: this store
+    (:class:`StoreTables`), or — on a session :func:`connect_sharded`
+    returns — a deployment's coordinator, which also adds its surface to
+    the session (``session.client``, ``run_counts()``, …; see
+    :class:`repro.shard.deployment.DeploymentTables`).  A deployment's
+    session is the one its coordinator compiles with, so everything else
+    here — the fluent builder, :meth:`sql`, :meth:`lint`, :meth:`explain`,
+    :meth:`stats_snapshot` — is the same code on both.
+
     Sessions are context managers: leaving the ``with`` block closes the
     pooled SQLite connections (the Python-side rows survive — a later query
-    rebuilds lazily).
+    rebuilds lazily) or, on a deployment, whatever the session owns.
     """
+
+    #: The table source every :meth:`Prepared.run` reads through.
+    source: Any = StoreTables()
 
     def __init__(
         self,
@@ -187,8 +240,8 @@ class Session:
             # it against the wrong database/options.
             if source._session is self:
                 return source
-            return Prepared(self, source.term())
-        return Prepared(self, to_term(source))
+            source = source.term()
+        return self.source.prepare(self, source)
 
     # -------------------------------------------------------------- running
 
@@ -256,14 +309,16 @@ class Session:
         table: str,
         rows: Iterable[Mapping[str, object]],
         idempotency_key: str | None = None,
-    ) -> bool:
+    ) -> Any:
         """Insert rows into a base table (schema-validated, incremental).
 
         ``idempotency_key`` dedups re-deliveries (see
         :meth:`repro.backend.database.Database.insert`); returns ``False``
-        iff the key was already applied and nothing was written.
+        iff the key was already applied and nothing was written.  On a
+        deployment the coordinator routes the rows and returns its report
+        (:meth:`~repro.shard.client.ShardedServiceClient.insert`).
         """
-        return self.db.insert(table, rows, idempotency_key=idempotency_key)
+        return self.source.insert(self, table, rows, idempotency_key)
 
     def with_options(self, **changes: Any) -> "Session":
         """A derived session over the *same* database with adjusted
@@ -279,8 +334,14 @@ class Session:
         )
 
     def close(self) -> None:
-        """Close the SQLite materialisation and its read pool."""
-        self.db._dispose_connection()
+        """Close the SQLite materialisation and its read pool (a
+        deployment: whatever the session owns)."""
+        self.source.close(self)
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for a name the session lacks: what its table source
+        # adds (a deployment's ``client``, ``run_counts()``, …).
+        return getattr(self.source, name)
 
     def __enter__(self) -> "Session":
         return self
@@ -319,11 +380,14 @@ def connect(
     )
 
 
-def connect_sharded(database=None, **kwargs: Any):
-    """Open a :class:`~repro.shard.deployment.ShardedSession` — the sharded
+def connect_sharded(database=None, **kwargs: Any) -> Session:
+    """Open a :class:`Session` over a sharded deployment — the sharded
     front door (``placement=``/``shards=`` select the deployment, a
     database or its absence selects local or spawned-process endpoints;
-    the rest of the knobs match :func:`connect`).
+    the rest of the knobs match :func:`connect`).  Its runs read through
+    the deployment's coordinator, and their :class:`Result` says where
+    they ran (``route``, ``shards``, ``reason``); see
+    :func:`repro.shard.deployment.connect_sharded`.
 
     Imported lazily so ``repro.api`` stays importable without loading the
     sharding subsystem.

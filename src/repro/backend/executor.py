@@ -132,15 +132,6 @@ class ExecutionStats:
     cache_hits: int = 0
     cache_misses: int = 0
     indexes_created: int = 0
-    #: Sharded-execution markers (see :mod:`repro.shard`): how many runs
-    #: fanned out across every shard, were routed to a single shard by a
-    #: bound routing key, ran on one shard because they touch only
-    #: replicated tables, or fell back to the designated full-copy shard
-    #: because the shardability analysis rejected them.
-    sharded_fanouts: int = 0
-    sharded_routed: int = 0
-    sharded_singles: int = 0
-    sharded_fallbacks: int = 0
     #: Fault-tolerance markers: runs *planned* around a known-down shard
     #: (the router diverted to the full-copy fallback before touching the
     #: dead endpoint) vs. runs *retried* on the fallback after a shard
@@ -182,10 +173,6 @@ class ExecutionStats:
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
         self.indexes_created += other.indexes_created
-        self.sharded_fanouts += other.sharded_fanouts
-        self.sharded_routed += other.sharded_routed
-        self.sharded_singles += other.sharded_singles
-        self.sharded_fallbacks += other.sharded_fallbacks
         self.failover_reroutes += other.failover_reroutes
         self.failover_retries += other.failover_retries
         for rule, count in other.rules_fired.items():

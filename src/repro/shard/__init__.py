@@ -26,8 +26,11 @@ Five pieces:
   the one rule every store of a deployment and its coordinator compile
   by: the store as it is, under its placement's deployment schema (only
   the references that hold in every partition);
-* :mod:`~repro.shard.deployment` — ``connect_sharded`` /
-  ``ShardedSession`` (the façade over a coordinator) and the local
+* :mod:`~repro.shard.deployment` — ``connect_sharded``, which returns a
+  plain :class:`~repro.api.session.Session` reading its tables through a
+  coordinator (``DeploymentTables``, the one deployment-specific seam of
+  a session: it resolves names, runs through the coordinator and reports
+  the route on the :class:`~repro.api.results.Result`), and the local
   substrate, ``ShardedDatabase`` (the caller's store plus its partitions)
   + ``LocalEndpoint``;
 * :mod:`~repro.shard.supervisor` — ``ShardProcess`` / ``Supervisor`` /
@@ -54,12 +57,11 @@ from repro.shard.placement import (
     sharded,
 )
 from repro.shard.deployment import (
+    DeploymentTables,
     LocalEndpoint,
     ShardedDatabase,
-    ShardedPrepared,
-    ShardedResult,
-    ShardedSession,
     connect_sharded,
+    deployment_session,
 )
 from repro.shard.supervisor import (
     ShardProcess,
@@ -82,11 +84,10 @@ __all__ = [
     "referenced_tables",
     "resolve_shard",
     "ShardedDatabase",
-    "ShardedSession",
-    "ShardedPrepared",
-    "ShardedResult",
+    "DeploymentTables",
     "LocalEndpoint",
     "connect_sharded",
+    "deployment_session",
     "ShardedServiceClient",
     "endpoint_session",
     "ShardProcess",

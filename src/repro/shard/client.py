@@ -19,8 +19,9 @@ its ops, plus ``close`` and ``.breaker`` / ``.retries`` / ``.reconnects``
 
 The coordinator carries the placement and the query catalogue (terms are
 what the shardability analysis reads — and what it compiles, once per
-name, through a data-less façade session under the deployment's
-``SqlOptions``; only names and parameter values reach an endpoint) and:
+name, through a data-less session under the deployment's ``SqlOptions``,
+``client.session``, which is also the session the deployment's user
+holds; only names and parameter values reach an endpoint) and:
 
 * **stitches** — the paper's *flat queries run remotely; stitching is
   the single local step at the end*.  Every sub-request (fan-out,
@@ -136,8 +137,7 @@ SHARD_UNAVAILABLE = (
 )
 
 #: Plan mode → the name its run counter carries in :meth:`ShardedService
-#: Client.stats_snapshot` (and, prefixed ``sharded_``, on a result's
-#: :class:`~repro.backend.executor.ExecutionStats`).
+#: Client.stats_snapshot` (a run's own mode is its result's ``route``).
 MODE_COUNTERS = {
     "fanout": "fanouts",
     "routed": "routed",
@@ -204,13 +204,16 @@ class ShardedServiceClient:
         self.placement = placement.validate(schema)
         self.registry = registry
         self.deadline_ms = deadline_ms
-        #: The coordinator's own compiles (it stitches what the endpoints
-        #: ran): a data-less :func:`endpoint_session` under the placement
-        #: and ``options`` — the endpoints' ``SqlOptions``, or the plans
-        #: differ and :meth:`prepare` says so — on the process plan cache.
-        self._compiler = endpoint_session(schema, self.placement, options=options)
-        self.schema = self._compiler.schema
-        self.options = self._compiler.options
+        #: The session this coordinator compiles with (it stitches what the
+        #: endpoints ran): a data-less :func:`endpoint_session` under the
+        #: placement and ``options`` — the endpoints' ``SqlOptions``, or the
+        #: plans differ and :meth:`prepare` says so — on the process plan
+        #: cache.  :func:`~repro.shard.deployment.deployment_session` hands
+        #: it to the deployment's user, its runs reading through this
+        #: coordinator.
+        self.session = endpoint_session(schema, self.placement, options=options)
+        self.schema = self.session.schema
+        self.options = self.session.options
 
         # connect_now=False: a dead shard at construction time must not
         # make the *client* unusable — its breaker trips on first use and
@@ -342,7 +345,7 @@ class ShardedServiceClient:
         folds and the plan fingerprint of what the endpoints run."""
         compiled = self._compiled.get(query)
         if compiled is None:
-            compiled = self._compiler.compile(self.registry.lookup(query).term)
+            compiled = self.session._compile(self.registry.lookup(query).term)
             self._compiled[query] = compiled
         return compiled
 
@@ -564,16 +567,6 @@ class ShardedServiceClient:
         response = dict(fallback_response)
         response["endpoints"] = sum(1 for r in responses if r is not None) + 1
         return response
-
-    def explain(self, query: str) -> str:
-        """The shard plan for ``query`` plus the fallback's compilation
-        report (every endpoint compiles the same plan)."""
-        plan = self.plan_for(query)
-        return (
-            f"shards         : {self.shard_count} (+ full-copy fallback)\n"
-            f"shard plan     : {plan.mode} — {plan.reason}\n"
-            + self._fallback.explain(query)
-        )
 
     def execute(
         self,

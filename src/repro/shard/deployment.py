@@ -1,9 +1,11 @@
-"""Sharded sessions: ``connect_sharded`` + ``ShardedSession``, and the
+"""Sharded sessions: ``connect_sharded``, the table source it gives a
+:class:`~repro.api.session.Session` (:class:`DeploymentTables`), and the
 local substrate (``ShardedDatabase`` + ``LocalEndpoint``).
 
-A :class:`ShardedSession` is the façade-shaped front of one
-:class:`~repro.shard.client.ShardedServiceClient` — the coordinator that
-plans the route, sends the sub-requests, fails over and merges::
+A deployment's session is a plain :class:`~repro.api.session.Session` —
+the one its :class:`~repro.shard.client.ShardedServiceClient` compiles
+with — whose runs read their tables through that coordinator, which plans
+the route, sends the sub-requests, fails over and merges::
 
     from repro.shard import Placement, sharded, connect_sharded
 
@@ -13,12 +15,14 @@ plans the route, sends the sub-requests, fails over and merges::
     result.route                      # "fanout", shards (0, 1, 2, 3)
     session.run(dept_staff, params={"dept": "Sales"}).route  # "routed:2"
 
-The session adds only what a library caller needs on top of the
-coordinator: any query-shaped source resolves to a catalogue name
-(ad-hoc terms register fleet-wide under a fingerprint-derived name),
-``run`` returns a :class:`ShardedResult`, and ``close`` tears down
-whatever the session owns.  :func:`connect_sharded` chooses the
-endpoints the coordinator talks to:
+So the fluent builder, ``sql``, ``lint``, ``explain`` and ``prepare`` are
+the in-process code; only :class:`DeploymentTables` is the deployment's:
+any query-shaped source resolves to a catalogue name once, at
+``prepare`` (ad-hoc terms register fleet-wide under a fingerprint-derived
+name), ``run`` returns a :class:`~repro.api.results.Result` carrying
+``route`` / ``shards`` / ``reason``, and ``close`` tears down whatever
+the session owns.  :func:`connect_sharded` chooses the endpoints the
+coordinator talks to:
 
 * given a :class:`~repro.backend.database.Database` (or ``schema`` /
   ``tables``), it partitions it into a :class:`ShardedDatabase` — ``n``
@@ -56,7 +60,7 @@ from contextlib import nullcontext
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.api.fluent import to_term
-from repro.api.results import Result
+from repro.api.results import Prepared, Result
 from repro.api.session import Session
 from repro.backend.database import Database
 from repro.backend.executor import ExecutionStats
@@ -67,21 +71,15 @@ from repro.service.core import ServerCore
 from repro.service.protocol import _USE_DEFAULT, ClientCore
 from repro.service.registry import QueryRegistry
 from repro.service.resilience import CircuitBreaker
-from repro.shard.analysis import ShardPlan
-from repro.shard.client import (
-    MODE_COUNTERS,
-    ShardedServiceClient,
-    endpoint_session,
-)
+from repro.shard.client import ShardedServiceClient, endpoint_session
 from repro.shard.placement import Placement
 from repro.sql.codegen import SqlOptions
 
 __all__ = [
     "ShardedDatabase",
     "LocalEndpoint",
-    "ShardedSession",
-    "ShardedPrepared",
-    "ShardedResult",
+    "DeploymentTables",
+    "deployment_session",
     "connect_sharded",
 ]
 
@@ -205,158 +203,76 @@ class LocalEndpoint(ClientCore):
         self._closed = True
 
 
-class ShardedResult(Result):
-    """A :class:`~repro.api.results.Result` plus the route that produced it.
+class DeploymentTables:
+    """A deployment session's table source: the coordinator
+    (``session.client``), which runs the flat statements on the shards
+    and answers the folded value, with the route it took.
 
-    ``route`` is ``"fanout"``, ``"routed:<shard>"``, ``"single:<shard>"``,
-    ``"fallback"`` or ``"failover:<original route>"`` (a fault diverted the
-    run to the full-copy shard), ``reason`` says why; ``shards`` lists the
-    partition shards that executed (empty for fallback/failover — the
-    full-copy shard is not a partition).
-    """
-
-    __slots__ = ("route", "shards", "reason")
-
-    def __init__(
-        self,
-        value: Any,
-        stats: ExecutionStats,
-        engine: str,
-        route: str,
-        shards: tuple[int, ...],
-        reason: str,
-        trace: object = None,
-    ) -> None:
-        super().__init__(value=value, stats=stats, engine=engine, trace=trace)
-        self.route = route
-        self.shards = shards
-        self.reason = reason
-
-
-class ShardedPrepared:
-    """A catalogue query bound to a :class:`ShardedSession`: preparing
-    warms the plan cache on *every* endpoint (and the coordinator's
-    analysis cache), so repeated runs measure execution, not compilation
-    — re-routing per call when the pin is a host parameter."""
-
-    def __init__(self, session: "ShardedSession", name: str) -> None:
-        self._session = session
-        self.name = name
-
-    def term(self) -> ast.Term:
-        return self._session.client.registry.lookup(self.name).term
-
-    @property
-    def plan(self) -> ShardPlan:
-        """The shardability verdict (fanout/routed/single/fallback)."""
-        return self._session.client.plan_for(self.name)
-
-    def run(self, **kwargs: Any) -> ShardedResult:
-        return self._session.run(self.name, **kwargs)
-
-    def explain(self) -> str:
-        return self._session.client.explain(self.name)
-
-
-class ShardedSession:
-    """The sharded façade over one coordinator (``session.client``).
-
-    Owns what :func:`connect_sharded` built for it: the partitions of the
-    local :class:`ShardedDatabase` (``session.db``; they close with the
-    session, the caller's full copy does not) or the spawned
+    It also owns what :func:`connect_sharded` built — the spawned
     :class:`~repro.shard.supervisor.SupervisedDeployment`
-    (``session.deployment``; ``close()`` tears the process group down —
-    client sockets, supervisor loop, then a graceful drain of every
-    child).  Thread-safety is the coordinator's: shareable over local
-    endpoints, thread-confined over the wire.  Liveness control
-    (``mark_shard_down`` / ``mark_shard_up`` / ``down_shards``) is the
-    coordinator's too: ``session.client``.
+    (``session.deployment``) or the partitions of the session's
+    :class:`ShardedDatabase` (``session.db``; they close with the session,
+    the caller's full copy does not) — and adds ``client``,
+    ``deployment`` and :meth:`run_counts` to the session.  Everything else
+    about the deployment is the coordinator's, ``session.client``: its
+    placement and shard count, health checks, liveness control
+    (``mark_shard_down`` / ``mark_shard_up``) and the routing counters
+    (``stats_snapshot()``).  Thread-safety is the coordinator's too: shareable
+    over local endpoints, thread-confined over the wire.
     """
 
     def __init__(
-        self,
-        client: ShardedServiceClient,
-        *,
-        db: Optional[ShardedDatabase] = None,
-        deployment: Any = None,
+        self, client: ShardedServiceClient, db: Optional[ShardedDatabase], deployment: Any
     ) -> None:
         self.client = client
         self.db = db
         self.deployment = deployment
-        self.placement = client.placement
-        self.schema = client.schema
-        self.shard_count = client.shard_count
 
-    # ------------------------------------------------------------- building
-
-    def _resolve(self, source: object) -> str:
-        """The catalogue name for ``source``: names pass through, anything
-        else lowers to a term and registers on every endpoint under a
-        fingerprint-derived name (idempotent — re-resolving the same term
-        finds the name already catalogued)."""
-        registry = self.client.registry
+    def prepare(self, session: Session, source: object) -> Prepared:
+        """Bind ``source`` under its catalogue name, resolved here once: a
+        name passes through, any other query registers on every endpoint
+        as ``adhoc_<fingerprint>`` (idempotent — the same term finds its
+        name already catalogued).  A name's first prepare warms every
+        endpoint's plan cache and checks their plans against the
+        coordinator's compile, which the prepared query shares."""
+        client = self.client
         if isinstance(source, str):
-            if source in registry:
-                return source
-            raise ShardingError(
-                f"unknown query {source!r}: register it first "
-                f"(session.register(name, term)) or pass a term"
-            )
-        if isinstance(source, ShardedPrepared):
-            if source._session is self:
-                return source.name
-            source = source.term()
-        term = to_term(source)
-        name = f"adhoc_{ast.term_fingerprint(term)[:12]}"
-        if name not in registry:
-            self.client.register(name, term, description="ad-hoc query")
-        return name
-
-    def register(
-        self, name: str, source: object, description: str = ""
-    ) -> dict:
-        """Register ``source`` under ``name`` on every endpoint + locally."""
-        return self.client.register(name, source, description=description)
-
-    def prepare(self, source: object) -> ShardedPrepared:
-        name = self._resolve(source)
-        self.client.prepare(name)  # warm every endpoint's plan cache
-        self.client.plan_for(name)  # …and the coordinator's analysis cache
-        return ShardedPrepared(self, name)
-
-    def query(self, source: object) -> ShardedPrepared:
-        return self.prepare(source)
-
-    def plan_for(self, source: object) -> ShardPlan:
-        """The shardability verdict for ``source`` under this placement."""
-        return self.client.plan_for(self._resolve(source))
-
-    # ------------------------------------------------------------------ run
+            if source not in client.registry:
+                raise ShardingError(
+                    f"unknown query {source!r}: register it first "
+                    f"(session.client.register(name, term)) or pass a term"
+                )
+            name = source
+        else:
+            term = to_term(source)
+            name = f"adhoc_{ast.term_fingerprint(term)[:12]}"
+            if name not in client.registry:
+                client.register(name, term, description="ad-hoc query")
+        if name not in client._compiled:
+            client.prepare(name)
+        return Prepared(
+            session,
+            client.registry.lookup(name).term,
+            client._compiled_for(name),
+            name=name,
+            plan=client.plan_for(name),
+        )
 
     def run(
         self,
-        source: object,
-        *,
-        collection: str = "bag",
+        prepared: Prepared,
+        compiled: object,
+        collection: str,
+        tracer: object,
         params: Mapping[str, object] | None = None,
         deadline_ms: float | None = None,
-        trace: object = None,
-    ) -> ShardedResult:
-        """Execute ``source`` across the deployment.
-
-        ``trace=True`` (or an existing :class:`repro.obs.Tracer`) records
-        one ``route`` span per attempt with a ``shard`` child per
-        endpoint hit, surfaced on :attr:`ShardedResult.trace`.
-        """
-        tracer = None
-        if trace:
-            from repro.obs import Tracer
-
-            tracer = trace if isinstance(trace, Tracer) else Tracer()
+    ) -> Result:
+        """Execute across the deployment: one ``route`` span per attempt
+        with a ``shard`` child per endpoint hit (``stitch`` under each).
+        No ``engine``: every shard runs the batched engine."""
         response = self.client.execute_full(
-            self._resolve(source), params, collection, deadline_ms=deadline_ms, tracer=tracer
+            prepared.name, params, collection, deadline_ms=deadline_ms, tracer=tracer
         )
-        route = response["route"]
         wire = response["stats"]
         stats = ExecutionStats()
         stats.queries = wire["queries"]
@@ -366,34 +282,23 @@ class ShardedSession:
         stats.total_millis = wire["millis"]
         stats.failover_retries = wire.get("failover_retries", 0)
         stats.failover_reroutes = wire.get("failover_reroutes", 0)
-        counter = MODE_COUNTERS.get(route.split(":", 1)[0])
-        if counter is not None:
-            setattr(stats, f"sharded_{counter}", 1)
-        return ShardedResult(
+        return Result(
             value=response["rows"],
             stats=stats,
             engine=response["engine"],
-            route=route,
+            trace=tracer,
+            route=response["route"],
             shards=tuple(response["shards"]),
             reason=response["reason"],
-            trace=tracer,
         )
 
-    # -------------------------------------------------------------- surface
-
     def insert(
-        self,
-        table: str,
-        rows: Iterable[Mapping[str, object]],
-        idempotency_key: str | None = None,
+        self, session: Session, table: str, rows: Iterable, idempotency_key: str | None
     ) -> dict:
-        """Insert rows, routed per the placement to the fallback and every
-        replica of each owning shard (see
+        """Routed per the placement to the fallback and every replica of
+        each owning shard (see
         :meth:`~repro.shard.client.ShardedServiceClient.insert`)."""
         return self.client.insert(table, rows, idempotency_key=idempotency_key)
-
-    def check_health(self, deadline_ms: float | None = 1000.0) -> dict:
-        return self.client.check_health(deadline_ms=deadline_ms)
 
     def run_counts(self) -> dict[str, object]:
         """The per-shard execute counters the routing tests assert."""
@@ -402,10 +307,7 @@ class ShardedSession:
             "fallback": self.client.fallback_requests,
         }
 
-    def stats_snapshot(self) -> dict:
-        return self.client.stats_snapshot()
-
-    def close(self) -> None:
+    def close(self, session: Session) -> None:
         """Close the coordinator and whatever the session owns: the process
         group it spawned, or the connections of its partition stores —
         never the store it was given, which its caller may still serve.
@@ -415,17 +317,21 @@ class ShardedSession:
         for store in self.db.shards if self.db is not None else ():
             store._dispose_connection()
 
-    def __enter__(self) -> "ShardedSession":
-        return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ShardedSession shards={self.shard_count} "
-            f"sharded_tables={self.placement.sharded_tables}>"
-        )
+def deployment_session(
+    client: ShardedServiceClient,
+    *,
+    db: Optional[ShardedDatabase] = None,
+    deployment: Any = None,
+) -> Session:
+    """The :class:`Session` over a coordinator: the one it compiles with
+    (``client.session``), its runs reading through the coordinator
+    (:class:`DeploymentTables`), ``db`` the partitioned store under it
+    (None over a process group)."""
+    session = client.session
+    session.db = db  # type: ignore[assignment]  # what it serves: the partitions
+    session.source = DeploymentTables(client, db, deployment)
+    return session
 
 
 def _partition(
@@ -474,7 +380,7 @@ def connect_sharded(
     cache: object = True,
     processes: bool | None = None,
     **process_options: Any,
-) -> ShardedSession:
+) -> Session:
     """Open a sharded session — the sharded front door.  The arguments
     choose which endpoints the session's coordinator talks to:
 
@@ -488,7 +394,8 @@ def connect_sharded(
       stores share the plan cache, so a query compiles once.  ``registry``
       (optional) seeds the name catalogue — the coordinator's and, by
       copy, each endpoint's; later queries join through
-      :meth:`ShardedSession.register`, as over the wire.  The
+      :meth:`ShardedServiceClient.register`
+      (``session.client.register``), as over the wire.  The
       ``database`` is served as it is — it is the full copy
       (``session.db.full is database``) and sees every insert, ``tables``
       included, durable or not — and every store compiles with only the
@@ -546,7 +453,7 @@ def connect_sharded(
             schema=ORGANISATION_SCHEMA if schema is None else schema,
             **process_options,
         )
-        return ShardedSession(deployment.client, deployment=deployment)
+        return deployment_session(deployment.client, deployment=deployment)
     registry = process_options.pop("registry", None) or QueryRegistry()
     if process_options:
         unexpected = ", ".join(sorted(process_options))
@@ -572,7 +479,7 @@ def connect_sharded(
         schema=db.schema,
         options=options,
     )
-    session = ShardedSession(client, db=db)
+    session = deployment_session(client, db=db)
     if database is not None:
         for name, rows in (tables or {}).items():
             session.insert(name, rows)

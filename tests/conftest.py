@@ -226,9 +226,10 @@ def _store_gone(*args, **kwargs):
     raise sqlite3.OperationalError("the store is gone")
 
 
-class ShardedSessions:
-    """Builds :class:`~repro.shard.ShardedSession` objects over one endpoint
-    kind and tears everything down at fixture exit.
+class DeploymentSessions:
+    """Builds deployment sessions (:func:`~repro.shard.connect_sharded`'s
+    :class:`~repro.api.Session`) over one endpoint kind and tears
+    everything down at fixture exit.
 
     ``local`` is ``connect_sharded(<ShardedDatabase>)`` (LocalEndpoints);
     ``wire`` serves every store of the same ShardedDatabase from an
@@ -281,14 +282,14 @@ class ShardedSessions:
         return session
 
     def _over_the_wire(self, handles, sdb, registry, options=None):
-        from repro.shard import ShardedServiceClient, ShardedSession
+        from repro.shard import ShardedServiceClient, deployment_session
 
         addresses = [(handle.host, handle.port) for handle in handles]
         client = ShardedServiceClient(
             addresses[:-1], addresses[-1], placement=sdb.placement,
             registry=registry, schema=sdb.schema, options=options,
         )
-        return ShardedSession(client, db=sdb)
+        return deployment_session(client, db=sdb)
 
     def sibling(self, session):
         """A session another thread may use next to ``session``: itself
@@ -323,6 +324,6 @@ class ShardedSessions:
 def sharded_session(request):
     """The transport-parametrised sharded-session factory: every test
     that takes it runs once per endpoint kind."""
-    sessions = ShardedSessions(request.param)
+    sessions = DeploymentSessions(request.param)
     yield sessions
     sessions.close()

@@ -199,6 +199,9 @@ class FaultyProxy:
 
     def close(self) -> None:
         self._closing = True
+        # Closing a listening socket does not wake an accept() blocked in
+        # another thread; shutting it down does.
+        _shutdown(self._listener)
         try:
             self._listener.close()
         except OSError:

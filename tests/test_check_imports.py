@@ -72,6 +72,38 @@ def test_loop_free_modules_do_not_import_the_loop(source, loop_free):
     assert lint_source(source, IN_LIBRARY) == []
 
 
+IN_FACADE = "src/repro/api/session.py"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from repro.shard.deployment import connect_sharded\n",
+        "import repro.shard\n",
+        "from ..shard import placement\n",
+        "class Deployment:\n    from repro.shard import Placement\n",
+    ],
+)
+def test_the_facade_does_not_load_the_shard_layer_on_import(source):
+    (finding,) = lint_source(source, IN_FACADE)
+    assert finding.code == "IM003"
+    assert finding.line == (2 if source.startswith("class") else 1)
+    # Any other library module may import the shard layer.
+    assert lint_source(source, IN_LIBRARY) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def connect_sharded():\n    from repro.shard.deployment import connect_sharded\n",
+        "async def f():\n    import repro.shard\n",
+        "from repro.service.registry import QueryRegistry\n",
+    ],
+)
+def test_the_facade_imports_the_shard_layer_lazily(source):
+    assert lint_source(source, IN_FACADE) == []
+
+
 def test_library_lints_clean():
     assert lint_paths([ROOT / target for target in DEFAULT_TARGETS]) == []
 

@@ -15,8 +15,8 @@ Two bugs blocked making process groups the default sharded substrate:
    exit, ``finally`` blocks, test harnesses) routinely close twice, and
    children killed by fault injection are already dead when the drain
    runs.  ``Supervisor.stop``, ``SupervisedDeployment.close``,
-   ``ShardedServiceClient.close`` and ``ShardedSession.close`` (over a
-   process group or over local endpoints) are all idempotent and skip
+   ``ShardedServiceClient.close`` and a deployment session's ``close``
+   (over a process group or over local endpoints) are all idempotent and skip
    dead children instead of raising or waiting out the drain grace.
 """
 

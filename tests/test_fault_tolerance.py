@@ -28,6 +28,7 @@ import asyncio
 import os
 import socket
 import sqlite3
+import sys
 import threading
 import time
 
@@ -214,6 +215,24 @@ def proxied_service():
     finally:
         proxy.close()
         handle.stop()
+
+
+def test_closing_a_proxy_ends_its_accept_thread():
+    """``close`` wakes the accept loop blocked on the listener, so the
+    thread is gone when it returns (not left behind by a timed-out join)."""
+    proxy = FaultyProxy("127.0.0.1", 1, label="idle")  # never dialled
+    ident = proxy._accept_thread.ident
+    # Wait until the loop is blocked in accept() — the case to wake.
+    for _ in range(1000):
+        frame = sys._current_frames().get(ident)
+        if frame is not None and frame.f_code.co_name == "accept":
+            break
+        time.sleep(0.005)
+    else:
+        pytest.fail("the accept loop never reached accept()")
+    time.sleep(0.1)  # the few bytecodes from the frame into the syscall
+    proxy.close()
+    assert not proxy._accept_thread.is_alive()
 
 
 class TestDesyncRegression:
@@ -680,7 +699,7 @@ class TestSessionFailover:
         assert result.route == "failover:fanout"
         assert result.stats.failover_reroutes == 1
         assert session.run_counts() == {"per_shard": [0, 0, 0], "fallback": 1}
-        snapshot = session.stats_snapshot()
+        snapshot = session.client.stats_snapshot()
         assert snapshot["failover_reroutes"] == 1
         assert snapshot["failover_retries"] == 0
         assert snapshot["down_shards"] == [1]
@@ -703,12 +722,13 @@ class TestSessionFailover:
         assert result.stats.failover_retries == 1
         # Shards 0 and 2 answered, but a discarded fan-out counts nowhere.
         assert session.run_counts() == {"per_shard": [0, 0, 0], "fallback": 1}
-        snapshot = session.stats_snapshot()
+        snapshot = session.client.stats_snapshot()
         assert snapshot["failover_retries"] == 1
         assert snapshot["failover_reroutes"] == 0
         # One route span per attempt; only the one that answered has a
         # shard child.
-        failed, rerun = result.trace.spans
+        (query,) = result.trace.spans
+        failed, rerun = query.children
         assert failed.children == []
         assert [c.attributes["shard"] for c in rerun.children] == ["full/3"]
 
@@ -746,7 +766,7 @@ class TestSessionFailover:
             assert result.stats.failover_reroutes == 1
             # Recovery: health checks probe the (healthy) store directly.
             monkeypatch.undo()
-            assert session.check_health() == {
+            assert session.client.check_health() == {
                 "0/3": True, "1/3": True, "2/3": True, "full/3": True,
             }
             assert session.client.down_shards() == frozenset()
@@ -822,7 +842,7 @@ class TestSessionFailover:
                 else:  # Q5
                     fallbacks += 1
         counts = session.run_counts()
-        stats = session.stats_snapshot()
+        stats = session.client.stats_snapshot()
         assert counts["per_shard"] == per_shard
         assert counts["fallback"] == reroutes + fallbacks
         assert stats["failover_reroutes"] == reroutes

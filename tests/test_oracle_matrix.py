@@ -19,7 +19,7 @@ references  the store's schema as declared (in process only) · the
             on a sharded route, its placement
 cache       cold (no plan cache) · warm (the second run of a cached plan)
 route       in process · 2 shards over local endpoints · 2 shards over
-            the wire (conftest's :class:`ShardedSessions`)
+            the wire (conftest's :class:`DeploymentSessions`)
 collection  ``bag`` · ``set`` · ``list``
 =========== ==========================================================
 
@@ -71,7 +71,7 @@ from repro.shard import Placement, endpoint_session, sharded
 from repro.sql.codegen import CompiledSql, SqlOptions
 from repro.values import assert_bag_equal, dedup_nested
 
-from .conftest import ShardedSessions
+from .conftest import DeploymentSessions
 from .strategies import queries_with_bindings, references, trap_stores
 
 AXES = {
@@ -262,7 +262,7 @@ class Matrix:
             if len(self._sharded) == self.KEEP:
                 oldest = next(iter(self._sharded))
                 self._sharded.pop(oldest)[0].close()
-            factory = ShardedSessions(route)
+            factory = DeploymentSessions(route)
             session = factory(
                 2, placement=PLACEMENTS[placement], database=db, options=options,
                 cache=False if cache == "cold" else self.plans,

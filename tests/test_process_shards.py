@@ -130,9 +130,9 @@ class TestQ5Fanout:
         self, single, clusters
     ):
         session = clusters(P_TASK_CO, 2)
-        plan = session.plan_for("Q5")
-        assert plan.mode == "fanout", plan.reason
         prepared = session.prepare("Q5")
+        plan = prepared.plan
+        assert plan.mode == "fanout", plan.reason
         before = session.run_counts()
         result = prepared.run()
         after = session.run_counts()
@@ -179,8 +179,8 @@ class TestRegister:
     def test_register_is_convergent(self, clusters):
         session = clusters(P_DEPT_CO, 2)
         term = REGISTRY.lookup("Q3").term
-        first = session.register("pr10_q3", term)
-        again = session.register("pr10_q3", term)
+        first = session.client.register("pr10_q3", term)
+        again = session.client.register("pr10_q3", term)
         assert first["registered"] is True
         assert again["registered"] is False  # structurally identical
         assert first["fingerprint"] == again["fingerprint"]

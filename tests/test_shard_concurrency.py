@@ -1,7 +1,7 @@
 """Concurrency hammer for the sharded deployment (the service contract).
 
 Eight threads issue mixed routed / fan-out / single-shard / fallback
-requests against (a) one *shared* :class:`ShardedSession` over local
+requests against (a) one *shared* deployment session over local
 endpoints and (b) in-process servers with one coordinator per thread.
 The assertions are *exact* — the workload is deterministic, so every
 per-shard run counter, every fallback and per-mode counter and the merged
@@ -127,7 +127,7 @@ def test_exact_counters_under_contention(sharded_session, expected_values):
     for name, params in WORKLOAD:
         first.prepare(name).run(params=params)
     distinct = list({id(s): s for s in sessions}.values())
-    base = [session.stats_snapshot() for session in distinct]
+    base = [session.client.stats_snapshot() for session in distinct]
     queries = [0] * THREADS
 
     def worker(thread_index: int) -> None:
@@ -145,7 +145,7 @@ def test_exact_counters_under_contention(sharded_session, expected_values):
 
     def total(key):
         """Σ over coordinators of a snapshot counter's growth."""
-        after = [session.stats_snapshot()[key] for session in distinct]
+        after = [session.client.stats_snapshot()[key] for session in distinct]
         before = [snapshot[key] for snapshot in base]
         if isinstance(after[0], list):
             return [
@@ -172,7 +172,7 @@ def test_exact_counters_under_contention(sharded_session, expected_values):
     # means an endpoint failed (or was misdiagnosed as failed) under
     # plain contention.
     for session in distinct:
-        snapshot = session.stats_snapshot()
+        snapshot = session.client.stats_snapshot()
         assert snapshot["failover_reroutes"] == 0
         assert snapshot["failover_retries"] == 0
         assert snapshot["replica_failovers"] == 0

@@ -1,12 +1,12 @@
 """Unit tests for the sharding subsystem: placement policy, shardability
 analysis, partitioned databases (incl. the owning-shard-only insert
-regression) and the ShardedSession surface over both endpoint kinds."""
+regression) and a deployment's session surface over both endpoint kinds."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import connect, connect_sharded
+from repro.api import Prepared, Result, Session, connect, connect_sharded
 from repro.data.organisation import (
     ORGANISATION_SCHEMA,
     figure3_database,
@@ -349,10 +349,10 @@ class TestShardedDatabase:
 
 
 # --------------------------------------------------------------------------
-# ShardedSession surface.
+# A deployment's session surface.
 
 
-class TestShardedSession:
+class TestDeploymentSession:
     """The session surface, once per endpoint kind (``sharded_session``)."""
 
     def test_substrate_requirements_are_enforced(self):
@@ -389,10 +389,9 @@ class TestShardedSession:
         session = sharded_session(2)
         fanout = session.run("Q4")
         assert (fanout.route, fanout.shards) == ("fanout", (0, 1))
-        assert fanout.stats.sharded_fanouts == 1
         assert session.run("Q3").route == "single:0"
         assert session.run("Q5").route == "fallback"
-        snapshot = session.stats_snapshot()
+        snapshot = session.client.stats_snapshot()
         assert snapshot["fanouts"] == 1
         assert snapshot["singles"] == 1
         assert snapshot["fallbacks"] == 1
@@ -420,7 +419,7 @@ class TestShardedSession:
                 single.run(term, params={"dept": dept}).value,
                 dept,
             )
-        assert session.stats_snapshot()["routed"] == 4
+        assert session.client.stats_snapshot()["routed"] == 4
 
     def test_set_semantics_dedup_once_after_the_union(self, sharded_session):
         query = b.for_(
@@ -451,8 +450,9 @@ class TestShardedSession:
         session = sharded_session(3)
         for name, endpoints in (("Q4", 3), ("Q3", 1), ("Q5", 1)):
             trace = session.run(name, trace=True).trace
-            (route,) = trace.spans
-            assert route.name == "route"
+            (query,) = trace.spans
+            (route,) = query.children
+            assert (query.name, route.name) == ("query", "route")
             assert [child.name for child in route.children] == (
                 ["shard"] * endpoints
             )
@@ -524,9 +524,67 @@ class TestShardedSession:
             assert stats["misses"] == 1
 
     def test_explain_names_the_plan(self, sharded_session):
-        text = sharded_session(2, shared=True).prepare("Q4").explain()
-        assert "shard plan" in text
-        assert "fanout" in text
+        session = sharded_session(2, shared=True)
+        assert session.prepare("Q4").plan.mode == "fanout"
+        (plan,) = [
+            diagnostic
+            for diagnostic in session.lint("Q4", placement=session.client.placement)
+            if diagnostic.code == "QS201"
+        ]
+        assert "fans out" in plan.message
+
+    def test_a_deployment_is_a_session(self, sharded_session):
+        session = sharded_session(2, shared=True)
+        prepared = session.prepare("Q4")
+        assert isinstance(session, Session) and isinstance(prepared, Prepared)
+        result = prepared.run()
+        assert type(result) is Result and result.route == "fanout"
+        # An in-process run says nothing about routes.
+        local = connect(figure3_database()).run(NESTED_QUERIES["Q4"])
+        assert (local.route, local.shards, local.reason) == (None, (), None)
+
+    def test_the_fluent_builder_fans_out(self, sharded_session):
+        session = sharded_session(2, shared=True)
+        single = connect(figure3_database())
+
+        def staff(on):
+            return on.table("departments", alias="d").select(
+                department="name",
+                staff=lambda d: on.table("employees")
+                .where(lambda e: e.dept == d.name)
+                .select("name"),
+            )
+
+        result = staff(session).run()
+        assert result.route == "fanout" and result.shards == (0, 1)
+        assert_bag_equal(result.value, staff(single).run().value)
+
+    def test_sql_and_lint_answer(self, sharded_session):
+        session = sharded_session(2, shared=True)
+        q4 = NESTED_QUERIES["Q4"]
+        assert len(session.sql(q4)) == 2  # the nesting degree of Q4's type
+        assert {diagnostic.code for diagnostic in session.lint(q4)} >= {"QS301", "QS401"}
+
+    def test_a_prepared_query_rebinds_both_ways(self, sharded_session):
+        session = sharded_session(2, shared=True)
+        single = connect(figure3_database())
+        expected = single.run(NESTED_QUERIES["Q4"]).value
+        here = single.prepare(session.prepare("Q4"))
+        assert here._session is single and here.run().route is None
+        assert_bag_equal(here.run().value, expected)
+        there = session.prepare(single.prepare(NESTED_QUERIES["Q4"]))
+        assert there._session is session and there.run().route == "fanout"
+        assert_bag_equal(there.run().value, expected)
+
+    def test_stats_snapshot_is_the_session_registry(self, sharded_session):
+        session = sharded_session(2)
+        before = session.stats_snapshot()
+        result = session.run("Q4")
+        after = session.stats_snapshot()
+        assert after["queries"] - before["queries"] == result.stats.queries
+        assert after["rows_fetched"] - before["rows_fetched"] == result.stats.rows_fetched
+        assert "fanouts" not in after and session.client.stats_snapshot()["fanouts"] == 1
+
 
 
 # --------------------------------------------------------------------------

@@ -91,8 +91,9 @@ def _unasked(client, result, name, params):
 
 
 def _shard_spans(tracer):
-    (route,) = tracer.spans
-    assert route.name == "route"
+    (query,) = tracer.spans
+    (route,) = query.children
+    assert (query.name, route.name) == ("query", "route")
     return route.children
 
 

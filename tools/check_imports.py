@@ -15,6 +15,9 @@ Fig. 10/11 harness).  Those are imported by ``repro.__main__`` (the
            ``asyncio`` or ``repro.service.server``: the protocol's op
            semantics and the in-process transport that drives them are
            loop-free — only the asyncio server is built on an event loop
+    IM003  ``repro.api`` imports ``repro.shard`` at module level: ``import
+           repro.api`` loads no sharding module (``connect_sharded``
+           imports the deployment when it is called)
 
 Run from the repository root::
 
@@ -39,6 +42,10 @@ FORBIDDEN = ("repro.baselines", "repro.bench")
 #: The loop-free modules, and what they must not import.
 LOOP_FREE = ("repro.service.core", "repro.shard.deployment")
 LOOP_BOUND = ("asyncio", "repro.service.server")
+
+#: The façade, and what it imports only inside a function.
+FACADE = "repro.api"
+LAZY = ("repro.shard",)
 
 DEFAULT_TARGETS = tuple(
     f"src/repro/{package}"
@@ -72,15 +79,29 @@ def _imported(node: ast.AST, module: str) -> list[str]:
     return []
 
 
+def _module_level(tree: ast.AST) -> set[int]:
+    """The ids of the nodes an import of the module runs: all but those
+    inside a function body."""
+    ids, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        ids.add(id(node))
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return ids
+
+
 def lint_source(source: str, name: str = "<string>") -> list[Finding]:
     """Lint one module's source text; returns findings sorted by line."""
     module = _module_name(name)
+    tree = ast.parse(source, filename=name)
     rules = [
         (
             "IM001",
             FORBIDDEN,
             "library module imports '{}' — evaluation code is reachable "
             "from repro.__main__ and tests only",
+            None,
         )
     ]
     if module in LOOP_FREE:
@@ -90,12 +111,26 @@ def lint_source(source: str, name: str = "<string>") -> list[Finding]:
                 LOOP_BOUND,
                 "loop-free module imports '{}' — the event loop belongs to "
                 "repro.service.server alone",
+                None,
+            )
+        )
+    if module == FACADE or module.startswith(FACADE + "."):
+        rules.append(
+            (
+                "IM003",
+                LAZY,
+                "repro.api imports '{}' at module level — import it inside "
+                "the function that needs it",
+                _module_level(tree),
             )
         )
     findings = []
-    for node in ast.walk(ast.parse(source, filename=name)):
+    for node in ast.walk(tree):
         targets = _imported(node, module)
-        for code, forbidden, message in rules:
+        # A rule's scope: every node (None), or only the nodes with these ids.
+        for code, forbidden, message, scope in rules:
+            if scope is not None and id(node) not in scope:
+                continue
             hit = next(
                 (
                     target
