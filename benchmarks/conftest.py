@@ -1,6 +1,6 @@
 """Shared benchmark fixtures: prepared databases at the default bench scale.
 
-Scale knobs (see EXPERIMENTS.md):
+Scale knobs (the README's "Benchmarks" section lists them all):
   REPRO_BENCH_DEPTS  — departments in the benchmark instance (default 8)
   REPRO_BENCH_ROWS   — average employees per department (default 20)
 """

@@ -3,10 +3,11 @@
 The paper's pipeline recompiles every query on every call; a serving
 workload repeats a small set of nested queries against a live database.
 This sweep times ``shredding`` (compile + per-path execute + stitch, the
-Fig. 11 baseline) against ``shredding_cached`` (plan-cache hit + batched
-execute + compiled stitch) for Q1–Q6 at the largest seed scale, mirroring
-the harness sweep order (uncached cells measured before the cached system
-touches the database, so advisory indexes never flatter the baseline).
+Fig. 11 baseline) against a cached pipeline (plan-cache hit + batched
+execute + compiled stitch, what a ``Session`` runs) for Q1–Q6 at the
+largest seed scale.  The uncached cells are measured first, before the
+batched engine's advisory indexes exist on the store, so those indexes
+never flatter the baseline.
 
 Results are written to ``BENCH_plan_cache.json`` under ``.benchmarks/``; the
 acceptance bar is a ≥3× median end-to-end speedup on every nested query.
@@ -28,7 +29,7 @@ from repro.pipeline.shredder import ShreddingPipeline
 from repro.values import bag_equal
 
 QUERIES = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"]
-REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
+REPEATS = max(3, int(os.environ.get("REPRO_BENCH_REPEATS", "5")))
 SPEEDUP_FLOOR = 3.0
 
 _RESULT_PATH = bench_result_path("plan_cache")
@@ -50,7 +51,8 @@ def sweep_results():
         name: median_millis(
             lambda q=NESTED_QUERIES[name]: ShreddingPipeline(db.schema).run(
                 q, db
-            )
+            ),
+            REPEATS,
         )
         for name in QUERIES
     }
@@ -65,7 +67,7 @@ def sweep_results():
         warm = pipeline.run(query, db, engine="batched")
         assert bag_equal(warm, ShreddingPipeline(db.schema).run(query, db))
         cached[name] = median_millis(
-            lambda q=query: pipeline.run(q, db, engine="batched")
+            lambda q=query: pipeline.run(q, db, engine="batched"), REPEATS
         )
 
     # Wall-clock medians are noisy under a loaded test machine; re-measure
@@ -79,13 +81,15 @@ def sweep_results():
             uncached[name] = max(
                 uncached[name],
                 median_millis(
-                    lambda q=query: ShreddingPipeline(db.schema).run(q, db)
+                    lambda q=query: ShreddingPipeline(db.schema).run(q, db),
+                    REPEATS,
                 ),
             )
             cached[name] = min(
                 cached[name],
                 median_millis(
-                    lambda q=query: pipeline.run(q, db, engine="batched")
+                    lambda q=query: pipeline.run(q, db, engine="batched"),
+                    REPEATS,
                 ),
             )
 
@@ -94,13 +98,13 @@ def sweep_results():
             "departments": departments,
             "rows_per_department": config.employees_per_dept,
             "total_rows": db.total_rows(),
-            "repeats": max(3, REPEATS),
+            "repeats": REPEATS,
         },
         "plan_cache": cache.stats(),
         "queries": {
             name: {
                 "shredding_ms": round(uncached[name], 3),
-                "shredding_cached_ms": round(cached[name], 3),
+                "cached_ms": round(cached[name], 3),
                 "speedup": round(uncached[name] / cached[name], 2),
             }
             for name in QUERIES
@@ -128,7 +132,7 @@ def test_cache_served_every_repeat(sweep_results):
 def test_repeated_query_speedup(sweep_results, name):
     cell = sweep_results["queries"][name]
     assert cell["speedup"] >= SPEEDUP_FLOOR, (
-        f"{name}: shredding_cached is only {cell['speedup']}x faster "
-        f"({cell['shredding_ms']}ms → {cell['shredding_cached_ms']}ms); "
+        f"{name}: the cached pipeline is only {cell['speedup']}x faster "
+        f"({cell['shredding_ms']}ms → {cell['cached_ms']}ms); "
         f"the bar is {SPEEDUP_FLOOR}x"
     )

@@ -61,7 +61,7 @@ from repro.values import bag_equal
 
 QUERIES = ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6")
 SHARD_COUNTS = (1, 2, 4)
-REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
+REPEATS = max(3, int(os.environ.get("REPRO_BENCH_REPEATS", "5")))
 ATTEMPTS = 3
 BAR = 0.75
 BAR_ENFORCED = os.environ.get("REPRO_BENCH_FORCE_SHARD_BAR") == "1"
@@ -185,7 +185,8 @@ def sweep_results():
     routed_millis = median_millis(
         lambda: routed_session.run(
             "dept_staff", params={"dept": sample_depts[0]}
-        )
+        ),
+        REPEATS,
     )
 
     results = {

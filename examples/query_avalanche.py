@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.api import connect
 from repro.backend.executor import ExecutionStats
 from repro.baselines.naive import AvalanchePipeline
-from repro.bench.harness import time_run, SYSTEMS
+from repro.bench.harness import SYSTEMS, median_millis
 from repro.data.generator import generate_organisation
 from repro.data.queries import Q1
 
@@ -34,8 +34,8 @@ def main() -> None:
         naive_stats = ExecutionStats()
         naive.run(db, stats=naive_stats)
 
-        shred_ms = time_run(SYSTEMS["shredding"], Q1, db, repeats=3)
-        naive_ms = time_run(SYSTEMS["avalanche"], Q1, db, repeats=3)
+        shred_ms = median_millis(lambda: SYSTEMS["shredding"](Q1, db), 3)
+        naive_ms = median_millis(lambda: SYSTEMS["avalanche"](Q1, db), 3)
 
         print(
             f"{departments:>7} {db.total_rows():>7} | "

@@ -321,13 +321,22 @@ class Session:
         return self.source.insert(self, table, rows, idempotency_key)
 
     def with_options(self, **changes: Any) -> "Session":
-        """A derived session over the *same* database with adjusted
-        :class:`SqlOptions` (e.g. ``with_options(scheme="natural")`` or
-        ``with_options(optimize=True)``); plan caches never mix plans
+        """A derived session over the *same* database and schema with
+        adjusted :class:`SqlOptions` (e.g. ``with_options(scheme="natural")``
+        or ``with_options(optimize=True)``); plan caches never mix plans
         across option values, so both sessions stay coherent.  The two
-        share :attr:`metrics`, so their lifetime totals are one."""
+        share :attr:`metrics`, so their lifetime totals are one.
+
+        A deployment's session refuses: its options are its endpoints',
+        fixed when :func:`connect_sharded` started them."""
+        if not isinstance(self.source, StoreTables):
+            raise ShreddingError(
+                "a deployment's options are fixed by connect_sharded(options=…); "
+                "with_options derives only an in-process session"
+            )
         return Session(
             self.db,
+            schema=self.schema,
             options=replace(self.options, **changes),
             cache=self.pipeline.cache,
             metrics=self.metrics,

@@ -1,7 +1,8 @@
 """The loop-lifting pipeline: compile → (mini-)Pathfinder → SQL → execute
-→ surrogate stitching.  Interface mirrors
-:class:`repro.pipeline.shredder.ShreddingPipeline` so benchmarks can swap
-systems."""
+→ surrogate stitching.  ``LoopLiftingPipeline(schema).run(query, db)``
+mirrors :class:`repro.pipeline.shredder.ShreddingPipeline`'s so the
+benchmark harness can swap systems; it has one executor (one ``fetchall``
+per level)."""
 
 from __future__ import annotations
 
@@ -29,23 +30,12 @@ from repro.values import NestedValue
 
 __all__ = ["LoopLiftingPipeline", "CompiledLoopLifted", "loop_lift_run"]
 
-#: Rows the batched engine fetches per ``fetchmany`` round trip.
-FETCH_BATCH = 1024
-
 
 @dataclass
 class _Level:
     plan: LevelPlan
     sql: str
     columns: list[tuple[str, str]]  # (output name, plan column)
-    #: Raw-tuple → (iter, item) decoder, compiled once per level (the
-    #: batched engine's fast path; None until first requested).
-    _decoder: object = None
-
-    def decoder(self):
-        if self._decoder is None:
-            self._decoder = _compile_level_decoder(self)
-        return self._decoder
 
 
 @dataclass
@@ -62,45 +52,10 @@ class CompiledLoopLifted:
         return len(self.levels)
 
     def run(
-        self,
-        db: Database,
-        stats: ExecutionStats | None = None,
-        engine: str = "per-path",
-        batch_size: int | None = None,
+        self, db: Database, stats: ExecutionStats | None = None
     ) -> NestedValue:
-        """Execute every level and stitch surrogates back into nesting.
-
-        ``engine="per-path"`` (default) is the reference path: one
-        ``fetchall`` per level and per-row column dicts.  ``"batched"``
-        mirrors the shredding pipeline's batched engine — ``fetchmany``
-        streaming and precompiled *positional* decoders, grouping rows by
-        iter surrogate on the fly — so the engine ablation compares
-        engines, not decode styles.
-        """
-        if engine == "batched":
-            batch = FETCH_BATCH if batch_size is None else batch_size
-            grouped: dict[Path, dict[int, list]] = {}
-            for path, level in self.levels.items():
-                decode = level.decoder()
-                groups: dict[int, list] = {}
-                rows = 0
-                for chunk in db.execute_sql_chunks(level.sql, batch_size=batch):
-                    rows += len(chunk)
-                    for raw in chunk:
-                        iter_value, item = decode(raw)
-                        bucket = groups.get(iter_value)
-                        if bucket is None:
-                            groups[iter_value] = [item]
-                        else:
-                            bucket.append(item)
-                if stats is not None:
-                    stats.record(rows)
-                grouped[path] = groups
-            return self._stitch_grouped(grouped)
-        if engine != "per-path":
-            raise ShreddingError(
-                f"unknown loop-lifting execution engine {engine!r}"
-            )
+        """Execute every level — one ``fetchall`` each, decoded row by row
+        through column dicts — and stitch surrogates back into nesting."""
         rows_by_path = {}
         for path, level in self.levels.items():
             raw = db.execute_sql(level.sql)
@@ -121,11 +76,7 @@ class CompiledLoopLifted:
             for iter_value, _pos, item in rows:
                 groups.setdefault(iter_value, []).append(item)
             grouped[path] = groups
-        return self._stitch_grouped(grouped)
 
-    def _stitch_grouped(
-        self, grouped: dict[Path, dict[int, list]]
-    ) -> NestedValue:
         def resolve_value(ftype: Type, type_path: Path, value):
             if isinstance(ftype, BagType):
                 child_rows = grouped.get(type_path)
@@ -181,45 +132,6 @@ def _decode_row(level: _Level, raw_row) -> tuple[int, int, object]:
     return (iter_value, pos_value, item)
 
 
-def _compile_level_decoder(level: _Level):
-    """Compile a level's raw tuple → ``(iter, item)`` closure.
-
-    The positional analogue of :func:`_decode_row`: every column resolves
-    to its tuple index at compile time, so the batched engine never builds
-    a per-row name→cell dict.  Property-tested against :func:`_decode_row`
-    via the engine-equality suite.
-    """
-    positions = {name: i for i, (name, _) in enumerate(level.columns)}
-    iter_pos = positions["__iter"]
-    cell_fns: dict[tuple[str, ...], object] = {}
-    for payload in level.plan.payload:
-        pos = positions[payload.column]
-        if payload.kind == "surrogate":
-            cell_fns[payload.item_path] = lambda raw, _p=pos: raw[_p]
-        else:
-            cell_fns[payload.item_path] = (
-                lambda raw, _p=pos, _b=payload.base: decode_base(raw[_p], _b)
-            )
-
-    def compile_item(ftype: Type, path: tuple[str, ...]):
-        if isinstance(ftype, (IndexType, BaseType)):
-            return cell_fns[path]
-        if isinstance(ftype, RecordType):
-            subs = tuple(
-                (label, compile_item(sub, path + (label,)))
-                for label, sub in ftype.fields
-            )
-            return lambda raw, _subs=subs: {
-                label: fn(raw) for label, fn in _subs
-            }
-        raise ShreddingError(f"cannot compile a decoder for item type {ftype}")
-
-    from repro.shred.shred_types import inner_shred
-
-    item_fn = compile_item(inner_shred(level.plan.element_type), ())
-    return lambda raw: (raw[iter_pos], item_fn(raw))
-
-
 class LoopLiftingPipeline:
     """Compile-and-run front end for the loop-lifting baseline."""
 
@@ -264,8 +176,13 @@ class LoopLiftingPipeline:
             )
         return CompiledLoopLifted(result_type=result_type, levels=levels)
 
-    def run(self, query: ast.Term, db: Database, **kwargs) -> NestedValue:
-        return self.compile(query).run(db, **kwargs)
+    def run(
+        self,
+        query: ast.Term,
+        db: Database,
+        stats: ExecutionStats | None = None,
+    ) -> NestedValue:
+        return self.compile(query).run(db, stats)
 
     def _result_type(self, normal_form, original: ast.Term) -> Type:
         result_type = nf_result_type(normal_form, original, self.schema)
@@ -276,5 +193,7 @@ class LoopLiftingPipeline:
         return result_type
 
 
-def loop_lift_run(query: ast.Term, db: Database, **kwargs) -> NestedValue:
-    return LoopLiftingPipeline(db.schema).run(query, db, **kwargs)
+def loop_lift_run(
+    query: ast.Term, db: Database, stats: ExecutionStats | None = None
+) -> NestedValue:
+    return LoopLiftingPipeline(db.schema).run(query, db, stats)

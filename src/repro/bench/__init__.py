@@ -5,9 +5,9 @@ from repro.bench.harness import (
     CellResult,
     SYSTEMS,
     default_scales,
+    median_millis,
     run_system,
     sweep,
-    time_run,
 )
 from repro.bench.reporting import format_speedups, format_tables, series
 
@@ -16,9 +16,9 @@ __all__ = [
     "CellResult",
     "SYSTEMS",
     "default_scales",
+    "median_millis",
     "run_system",
     "sweep",
-    "time_run",
     "format_speedups",
     "format_tables",
     "series",

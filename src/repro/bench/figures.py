@@ -7,8 +7,9 @@
     python -m repro.bench.figures --figure ablations # §8 optimisation ablations
     python -m repro.bench.figures --all
 
-Scales/repeats come from REPRO_BENCH_* environment variables (see
-EXPERIMENTS.md).  Expect minutes for the full sweeps at larger scales.
+Scales/repeats come from the REPRO_BENCH_* environment variables (see
+the README's "Benchmarks" section).  Expect minutes for the full sweeps
+at larger scales.
 """
 
 from __future__ import annotations
@@ -27,53 +28,19 @@ NESTED = ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"]
 
 
 def figure10(config: BenchConfig | None = None) -> str:
-    """Fig. 10: QF1-QF6 × {default, shredding, loop-lifting} × scale
-    (plus the cached/batched and optimized/parallel shredding engines
-    for comparison)."""
-    results = sweep(
-        FLAT,
-        [
-            "default",
-            "shredding",
-            "shredding_cached",
-            "shredding_opt",
-            "loop-lifting",
-        ],
-        config,
-    )
+    """Fig. 10: QF1-QF6 × {default, shredding, loop-lifting} × scale."""
+    results = sweep(FLAT, ["default", "shredding", "loop-lifting"], config)
     return format_tables(results, "Figure 10 — flat queries")
 
 
 def figure11(config: BenchConfig | None = None) -> str:
-    """Fig. 11: Q1-Q6 × {shredding, shredding_cached, shredding_opt,
-    loop-lifting, loop-lifting-batched} × scale.
-
-    ``shredding_cached`` (plan cache + batched executor) and
-    ``shredding_opt`` (plan cache + logical SQL optimizer + parallel
-    executor) ride along so each engine generation is always
-    compared against the uncached baseline; ``loop-lifting-batched`` uses
-    the same batched decode style so the baseline ablation compares
-    engines, not decode styles.
-    """
-    results = sweep(
-        NESTED,
-        [
-            "shredding",
-            "shredding_cached",
-            "shredding_opt",
-            "loop-lifting",
-            "loop-lifting-batched",
-        ],
-        config,
-    )
+    """Fig. 11: Q1-Q6 × {shredding, loop-lifting} × scale, with the
+    loop-lifting → shredding speedup at the largest common scale."""
+    results = sweep(NESTED, ["shredding", "loop-lifting"], config)
     return (
         format_tables(results, "Figure 11 — nested queries")
         + "\n\n"
         + format_speedups(results, "loop-lifting", "shredding")
-        + "\n\n"
-        + format_speedups(results, "shredding", "shredding_cached")
-        + "\n\n"
-        + format_speedups(results, "shredding", "shredding_opt")
     )
 
 

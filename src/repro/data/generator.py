@@ -121,7 +121,7 @@ def scaled_database(departments: int, seed: int = 0, scale_rows: int = 100) -> D
 
     ``scale_rows`` is the average employees per department (paper: 100);
     benchmarks may lower it to keep local runs quick — the *relative* trends
-    are preserved (see EXPERIMENTS.md).
+    are preserved (README, "Benchmarks").
     """
     return generate_organisation(
         departments=departments,

@@ -183,6 +183,11 @@ def parse_prometheus(text: str) -> dict[str, dict]:
     return families
 
 
+#: How often the listener's loop checks for :meth:`MetricsHTTPServer.close`
+#: (``serve_forever``'s default, 0.5 s, is what every close would wait).
+_SHUTDOWN_POLL_S = 0.02
+
+
 class MetricsHTTPServer:
     """A daemon-thread HTTP server exposing ``GET /metrics``.
 
@@ -223,6 +228,7 @@ class MetricsHTTPServer:
         self._server.daemon_threads = True
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            kwargs={"poll_interval": _SHUTDOWN_POLL_S},
             name="repro-metrics-http",
             daemon=True,
         )

@@ -24,7 +24,7 @@ Performance knobs:
   advisory SQLite indexes, reads each statement as the column table
   SQLite's JSON1 writes for it, and runs one compiled fold per row,
   children first (decode fused into stitch) — the fast path for repeated
-  execution of a cached plan (the ``shredding_cached`` benchmark system).
+  execution of a cached plan (what a :class:`~repro.api.session.Session` runs).
   Its keys are decided per parent→child edge once per compile
   (:func:`~repro.sql.codegen.key_edges`), and the same folds read a
   shard's tables at a fan-out coordinator (:meth:`CompiledQuery.fold_tables`);

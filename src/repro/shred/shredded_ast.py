@@ -161,7 +161,7 @@ def empty_probe_parts(query) -> list[tuple[tuple[Generator, ...], list[BaseExpr]
 
 
 # --------------------------------------------------------------------------
-# Pretty printing (used in examples and EXPERIMENTS.md extracts).
+# Pretty printing (used in examples).
 
 
 def pretty_shredded(query: ShredQuery, indent: int = 0) -> str:

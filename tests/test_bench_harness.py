@@ -10,8 +10,8 @@ from repro.bench.harness import (
     SYSTEMS,
     default_scales,
     run_system,
+    median_millis,
     sweep,
-    time_run,
 )
 from repro.bench.reporting import format_speedups, format_tables, series
 from repro.data.generator import scaled_database
@@ -35,11 +35,33 @@ class TestConfig:
 
 
 class TestTiming:
-    def test_time_run_positive(self, tiny_db):
+    def test_median_millis_positive(self, tiny_db):
         from repro.data.queries import Q4
 
-        millis = time_run(SYSTEMS["shredding"], Q4, tiny_db, repeats=2)
+        millis = median_millis(lambda: SYSTEMS["shredding"](Q4, tiny_db), 2)
         assert millis > 0
+
+    def test_median_millis_calls_exactly_repeats_times(self):
+        calls = []
+        median_millis(lambda: calls.append(1), 1)
+        assert len(calls) == 1
+        median_millis(lambda: calls.append(1), 4)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_system_leaves_its_store_as_it_found_it(self, system):
+        """One store per scale serves every system of a sweep, so no
+        system may leave an advisory index or ``ANALYZE`` statistics
+        behind to flatter the next one's cells.  Q6's range filters are
+        what the batched engine indexes."""
+        db = scaled_database(2, seed=0, scale_rows=4)
+        connection = db.connection()
+        catalogue = "SELECT type, name FROM sqlite_master ORDER BY name"
+        before = connection.execute(catalogue).fetchall()
+        run_system(system, "QF1" if system == "default" else "Q6", db, repeats=1)
+        after = connection.execute(catalogue).fetchall()
+        assert after == before
+        assert ("table", "sqlite_stat1") not in after
 
     @pytest.mark.parametrize(
         "system",
@@ -113,7 +135,42 @@ class TestReporting:
         assert "no common" in format_speedups(results, "a", "b")
 
 
+def _lines_drawn(text: str) -> dict[str, list[str]]:
+    """query → the systems its table has a row for, in printed order (the
+    speedup summaries that follow the tables are left out)."""
+    tables = text.split("\n\n== ")[0]
+    drawn: dict[str, list[str]] = {}
+    query = None
+    for line in tables.splitlines():
+        if line.endswith(":"):
+            query = line[:-1]
+        elif query is not None and line.strip() and "#depts" not in line:
+            drawn.setdefault(query, []).append(line.split()[0])
+    return drawn
+
+
 class TestFigureGenerators:
+    CONFIG = BenchConfig(
+        max_departments=2, min_departments=2, employees_per_dept=3, repeats=1
+    )
+
+    def test_figure10_draws_the_papers_lines(self):
+        from repro.bench.figures import FLAT, figure10
+
+        drawn = _lines_drawn(figure10(self.CONFIG))
+        assert drawn == {
+            query: ["default", "loop-lifting", "shredding"] for query in FLAT
+        }
+
+    def test_figure11_draws_the_papers_lines(self):
+        from repro.bench.figures import NESTED, figure11
+
+        text = figure11(self.CONFIG)
+        assert _lines_drawn(text) == {
+            query: ["loop-lifting", "shredding"] for query in NESTED
+        }
+        assert text.count("speedup at largest scale") == 1
+        assert "== shredding vs loop-lifting" in text
     def test_appendix_a_text(self):
         from repro.bench.figures import figure_appendix_a
 

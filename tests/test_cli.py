@@ -112,7 +112,7 @@ class TestBenchSmoke:
         assert main(["bench", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "smoke PASSED" in out
-        assert "shredding_cached" in out
+        assert "loop-lifting" in out
         assert "service[metrics]" in out
 
     def test_bench_without_smoke_flag_exits(self):

@@ -35,7 +35,7 @@ from repro.data.organisation import (
     organisation_placement,
 )
 from repro.data.queries import NESTED_QUERIES
-from repro.errors import ShardingError
+from repro.errors import ShardingError, ShreddingError
 from repro.normalise import normalise
 from repro.nrc import ast
 from repro.service.registry import paper_registry
@@ -292,6 +292,41 @@ class TestDeploymentSchema:
         assert _notes(compiled)["↓.employees"] == (
             "natural keys (no reference: employees.dept = departments.name)"
         )
+
+
+class TestDerivedSessions:
+    """``Session.with_options`` keeps what the session was given."""
+
+    def test_a_derived_endpoint_session_keeps_its_references(self):
+        """Derived with the options it already resolves to, an endpoint's
+        session compiles the plans its placement keeps: the same schema,
+        pins and plan fingerprint as its parent."""
+        endpoint = endpoint_session(figure3_database(), organisation_placement())
+        derived = endpoint.with_options(scheme="natural")
+        assert derived.schema == endpoint.schema
+        assert _kept(organisation_placement()) == {
+            table.name: table.references
+            for table in derived.schema.tables
+            if table.references
+        }
+        for name in ("Q1", "Q4", "Q6"):
+            term = NESTED_QUERIES[name]
+            ours, theirs = endpoint.compile(term), derived.compile(term)
+            assert _notes(theirs) == _notes(ours), name
+            assert theirs.plan_fingerprint == ours.plan_fingerprint, name
+
+    def test_a_derived_deployment_session_refuses(self):
+        session = connect_sharded(
+            figure3_database(),
+            placement=organisation_placement(),
+            shards=2,
+            registry=paper_registry(),
+        )
+        try:
+            with pytest.raises(ShreddingError, match="connect_sharded"):
+                session.with_options(scheme="flat")
+        finally:
+            session.close()
 
 
 # --------------------------------------------------------------------------
