@@ -2,7 +2,11 @@
 numbering, on the nested queries where they matter most.  These knobs
 shape the let-inserted ``ROW_NUMBER`` form, so every variant forces
 ``scheme="flat"`` (the bench schema declares keys, which would otherwise
-resolve to key-indexed plans the knobs do not touch)."""
+resolve to key-indexed plans the knobs do not touch).  The figure's
+``shredding-flat`` / ``shredding-inline-with`` / ``shredding-key-rownum``
+systems time the first three variants (``python -m repro figures
+--figure ablations``); this module checks that every variant computes the
+semantics' multiset, and that the variants agree."""
 
 from __future__ import annotations
 
@@ -26,13 +30,12 @@ QUERIES = ["Q1", "Q3", "Q6"]
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("query_name", QUERIES)
-def test_sql_option_ablation(benchmark, bench_db, query_name, variant):
-    query = NESTED_QUERIES[query_name]
+def test_sql_option_ablation(bench_db, bench_answer, query_name, variant):
+    from repro.values import bag_equal
+
     pipeline = ShreddingPipeline(bench_db.schema, VARIANTS[variant])
-    compiled = pipeline.compile(query)
-    benchmark.group = f"ablation-sql:{query_name}"
-    result = benchmark(compiled.run, bench_db)
-    assert isinstance(result, list)
+    result = pipeline.compile(NESTED_QUERIES[query_name]).run(bench_db)
+    assert bag_equal(result, bench_answer(query_name)), (query_name, variant)
 
 
 def test_variants_agree(bench_db):

@@ -1,8 +1,9 @@
 """Ablation A3 (§8): one-pass (hash-grouped) vs naive quadratic stitching.
 
 Stitching happens host-side after the SQL queries return; the paper lists
-"implementing stitching in one pass" among its optimisations.  We time
-stitching alone on pre-executed shredded results.
+"implementing stitching in one pass" among its optimisations.  Both modes
+must build the semantics' value, and the same value, from the same
+pre-executed shredded results.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from repro.data.queries import NESTED_QUERIES
 from repro.pipeline.shredder import ShreddingPipeline
 from repro.shred.packages import package_from
 from repro.shred.stitch import stitch
+from repro.values import bag_equal
 
 QUERIES = ["Q1", "Q6"]
 
@@ -29,23 +31,17 @@ def _prepared(db, query_name):
 
 
 @pytest.mark.parametrize("query_name", QUERIES)
-def test_stitch_one_pass(benchmark, bench_db, query_name):
+def test_stitch_one_pass(bench_db, bench_answer, query_name):
     compiled, results = _prepared(bench_db, query_name)
-    benchmark.group = f"ablation-stitch:{query_name}"
-    out = benchmark(
-        stitch, results, compiled._top_index_fn(), True
-    )
-    assert isinstance(out, list)
+    out = stitch(results, compiled._top_index_fn(), True)
+    assert bag_equal(out, bench_answer(query_name)), query_name
 
 
 @pytest.mark.parametrize("query_name", QUERIES)
-def test_stitch_naive(benchmark, bench_db, query_name):
+def test_stitch_naive(bench_db, bench_answer, query_name):
     compiled, results = _prepared(bench_db, query_name)
-    benchmark.group = f"ablation-stitch:{query_name}"
-    out = benchmark(
-        stitch, results, compiled._top_index_fn(), False
-    )
-    assert isinstance(out, list)
+    out = stitch(results, compiled._top_index_fn(), False)
+    assert bag_equal(out, bench_answer(query_name)), query_name
 
 
 def test_stitch_modes_identical(bench_db):

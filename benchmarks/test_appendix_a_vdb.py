@@ -1,8 +1,9 @@
-"""Appendix A: Van den Bussche's simulation — blowup table + timings.
+"""Appendix A: Van den Bussche's simulation — the blowup in tuples.
 
 Reproduces the exact counts of the paper's example (|T1| = 72 vs 9 tuples
-naturally) and benchmarks simulated union against the natural (shredding
-style) representation as inputs grow.
+naturally) and counts simulated union against the natural (shredding
+style) representation as inputs grow; ``python -m repro figures --figure
+A`` prints the table.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ def _relations(n: int):
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
-def test_vdb_union_blowup(benchmark, n):
+def test_vdb_union_blowup(n):
     r, s = _relations(n)
     r1, s1 = V.flat_rep(r, "id"), V.flat_rep(s, "id")
-    benchmark.group = f"appendixA:n={n}"
-    result = benchmark(V.vdb_union, r1, s1)
+    result = V.vdb_union(r1, s1)
     adom = V.active_domain(r1, s1)
     expected = len(r1.outer) * len(adom) + len(s1.outer) * len(adom) * (
         len(adom) - 1
@@ -33,10 +33,9 @@ def test_vdb_union_blowup(benchmark, n):
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
-def test_natural_union_baseline(benchmark, n):
+def test_natural_union_baseline(n):
     r, s = _relations(n)
-    benchmark.group = f"appendixA:n={n}"
-    result = benchmark(V.direct_union, r, s)
+    result = V.direct_union(r, s)
     assert result.tuple_count == 4 * n
 
 

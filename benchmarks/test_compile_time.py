@@ -1,9 +1,12 @@
-"""Translation-time benchmarks: normalise / shred / SQL-generate, no DB.
+"""Translation: normalise / shred / SQL-generate, data-independent.
 
 App. C remarks that "query normalisation time is almost always dominated by
-SQL execution time"; these benches measure each compile stage in isolation
-so that claim is checkable, and so regressions in the (data-independent)
-translation show up separately from engine behaviour.
+SQL execution time".  Each compile stage is timed by ``bench/run.py``'s
+``compile_cold`` workload (``normalise.ms_per_compile``,
+``shred.ms_per_compile``, ``sql.codegen_ms_per_compile``, …); this module
+checks that each stage's output still means the query (run on
+``bench_db`` against the semantics' answer) and that the translation
+depends on the query alone.
 """
 
 from __future__ import annotations
@@ -12,48 +15,49 @@ import pytest
 
 from repro.data.organisation import ORGANISATION_SCHEMA
 from repro.data.queries import NESTED_QUERIES
-from repro.normalise import normalise
+from repro.normalise import nf_to_term, normalise
 from repro.normalise.hoist import hoist_ifs
 from repro.normalise.rewrite import symbolic_eval
+from repro.nrc.semantics import evaluate
 from repro.nrc.typecheck import infer
+from repro.nrc.types import nesting_degree
 from repro.pipeline.shredder import ShreddingPipeline
-from repro.shred.paths import paths
-from repro.shred.translate import shred_query
+from repro.shred.packages import shred_query_package
+from repro.shred.semantics import run_package
+from repro.shred.stitch import stitch
+from repro.values import bag_equal
 
 QUERIES = ["Q2", "Q6"]  # heaviest normalisation (higher-order) + 3 levels
 
 
 @pytest.mark.parametrize("query_name", QUERIES)
-def test_stage1_symbolic_evaluation(benchmark, query_name):
-    query = NESTED_QUERIES[query_name]
-    benchmark.group = f"compile:{query_name}"
-    benchmark(lambda: hoist_ifs(symbolic_eval(query)))
+def test_stage1_symbolic_evaluation(bench_db, bench_answer, query_name):
+    term = hoist_ifs(symbolic_eval(NESTED_QUERIES[query_name]))
+    assert bag_equal(evaluate(term, bench_db), bench_answer(query_name))
 
 
 @pytest.mark.parametrize("query_name", QUERIES)
-def test_full_normalisation(benchmark, query_name):
-    query = NESTED_QUERIES[query_name]
-    benchmark.group = f"compile:{query_name}"
-    benchmark(normalise, query, ORGANISATION_SCHEMA)
+def test_full_normalisation(bench_db, bench_answer, query_name):
+    nf = normalise(NESTED_QUERIES[query_name], ORGANISATION_SCHEMA)
+    assert bag_equal(evaluate(nf_to_term(nf), bench_db), bench_answer(query_name))
 
 
 @pytest.mark.parametrize("query_name", QUERIES)
-def test_shredding_translation(benchmark, query_name):
+def test_shredding_translation(bench_db, bench_answer, query_name):
+    """Theorem 4: stitching the shredded package's results (in-memory
+    semantics, canonical indexes) rebuilds the query's value."""
     query = NESTED_QUERIES[query_name]
     nf = normalise(query, ORGANISATION_SCHEMA)
-    result_type = infer(query, ORGANISATION_SCHEMA)
-    all_paths = paths(result_type)
-    benchmark.group = f"compile:{query_name}"
-    benchmark(lambda: [shred_query(nf, p) for p in all_paths])
+    package = shred_query_package(nf, infer(query, ORGANISATION_SCHEMA))
+    stitched = stitch(run_package(package, bench_db))
+    assert bag_equal(stitched, bench_answer(query_name))
 
 
 @pytest.mark.parametrize("query_name", QUERIES)
-def test_full_compile_to_sql(benchmark, query_name):
-    query = NESTED_QUERIES[query_name]
-    pipeline = ShreddingPipeline(ORGANISATION_SCHEMA)
-    benchmark.group = f"compile:{query_name}"
-    compiled = benchmark(pipeline.compile, query)
-    assert compiled.query_count >= 1
+def test_full_compile_to_sql(bench_db, bench_answer, query_name):
+    compiled = ShreddingPipeline(ORGANISATION_SCHEMA).compile(NESTED_QUERIES[query_name])
+    assert compiled.query_count == nesting_degree(compiled.result_type)
+    assert bag_equal(compiled.run(bench_db), bench_answer(query_name))
 
 
 def test_compilation_is_data_independent(bench_db, small_bench_db):

@@ -10,7 +10,6 @@
     python -m repro supervise --shards 2 --replicas 2   # self-healing fleet
     python -m repro normal-form Q2       # show the normal form
     python -m repro figures --figure 11  # regenerate an evaluation figure
-    python -m repro bench --smoke        # tiny per-system sweep, fail on error
 
 The programmatic entry point is the `repro.api` façade: `connect()` opens a
 Session owning the database, plan cache and SqlOptions; the `run`
@@ -430,17 +429,6 @@ def _cmd_normal_form(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.smoke import main as smoke_main
-
-    if not args.smoke:
-        raise SystemExit(
-            "nothing to do: pass --smoke (full sweeps live under "
-            "`python -m repro figures`)"
-        )
-    return smoke_main(args.departments, args.rows, args.budget_ms)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -698,19 +686,6 @@ def main(argv: list[str] | None = None) -> int:
         "--figure", choices=["10", "11", "A", "counts", "ablations"]
     )
     figures.add_argument("--all", action="store_true")
-
-    bench = sub.add_parser(
-        "bench", help="benchmark utilities (smoke: one tiny run per system)"
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run every system once on a tiny instance; exit 1 on any failure",
-    )
-    bench.add_argument("--departments", type=int, default=2)
-    bench.add_argument("--rows", type=int, default=4)
-    bench.add_argument("--budget-ms", type=float, default=5000.0)
-    bench.set_defaults(fn=_cmd_bench)
 
     args = parser.parse_args(argv)
     if args.command == "figures":

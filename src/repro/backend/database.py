@@ -42,7 +42,7 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import BackendError, MissingSqlFunctionError
 from repro.nrc.schema import Schema, TableSchema
@@ -513,29 +513,6 @@ class Database:
             return target.execute(sql, bound)
         except sqlite3.Error as error:
             raise BackendError(f"SQL execution failed: {error}\n{sql}") from error
-
-    def execute_sql_chunks(
-        self,
-        sql: str,
-        params: Sequence[object] | Mapping[str, object] = (),
-        batch_size: int = 1024,
-        connection: sqlite3.Connection | None = None,
-    ) -> Iterator[list[tuple]]:
-        """Stream a query's raw rows as ``batch_size``-bounded chunks.
-
-        Every statement an engine reads is one column-table row, taken
-        as one chunk; the loop-lifting baseline streams its levels in
-        bounded chunks.  ``connection`` routes the query to a specific
-        (pooled) connection.
-        """
-        if batch_size < 1:
-            raise BackendError(f"batch size must be ≥1, got {batch_size}")
-        cursor = self.execute_cursor(sql, params, connection=connection)
-        while True:
-            chunk = cursor.fetchmany(batch_size)
-            if not chunk:
-                return
-            yield chunk
 
     def ensure_index(self, table: str, columns: Sequence[str]) -> bool:
         """Create the advisory index for a hint on ``table(columns)`` if

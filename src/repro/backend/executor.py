@@ -292,12 +292,11 @@ def _column_table(
     before Python does anything with it; with the wall ms it took."""
     started = time.perf_counter()
     try:
-        ((table,),) = db.execute_sql_chunks(
+        table = db.execute_cursor(
             compiled.column_table_sql,
-            params=bind_params(compiled, params),
-            batch_size=1,
+            bind_params(compiled, params),
             connection=connection,
-        )
+        ).fetchone()
     except (BackendError, sqlite3.Error) as error:
         if "too big" not in str(error):
             raise

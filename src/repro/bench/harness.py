@@ -41,10 +41,9 @@ Runner = Callable[[Term, Database], object]
 def median_millis(fn: Callable[[], object], repeats: int | None = None) -> float:
     """Median wall time of ``fn()`` over ``max(1, repeats)`` calls, in ms.
 
-    The one timing helper: the sweeps, the smoke (one call per system) and
-    the bar benchmarks (``benchmarks/test_plan_cache.py`` /
-    ``test_shard_scaling.py``) all time through it.  ``repeats`` defaults
-    to ``REPRO_BENCH_REPEATS`` (5).
+    The one timing helper: the sweeps and the bar benchmarks
+    (``benchmarks/test_plan_cache.py`` / ``test_shard_scaling.py``) all
+    time through it.  ``repeats`` defaults to ``REPRO_BENCH_REPEATS`` (5).
     """
     if repeats is None:
         repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))

@@ -7,8 +7,8 @@ Three consumers share the renderer:
 * :class:`MetricsHTTPServer` serves it at ``GET /metrics`` when
   ``serve``/``supervise`` are started with ``--metrics-port``;
 * :func:`parse_prometheus` is a deliberately small parser used by our
-  own tests and the bench smoke to *assert* the output is well-formed —
-  round-tripping through it is the acceptance check, not a convenience.
+  own tests to *assert* the output is well-formed — round-tripping
+  through it is the acceptance check, not a convenience.
 """
 
 from __future__ import annotations

@@ -614,7 +614,7 @@ class QueryServer:
 
 
 # --------------------------------------------------------------------------
-# In-process background serving (tests, benchmarks, bench --smoke).
+# In-process background serving (tests and benchmarks).
 
 
 class ServerHandle:
@@ -661,11 +661,11 @@ def serve_in_background(
     ``shard_label``, ``max_pending``, ``default_deadline_ms``)
     on its own thread; returns its handle.
 
-    The canonical in-process setup used by the tests, the throughput
-    benchmark and ``python -m repro bench --smoke``: server and clients in
-    one process, real sockets in between.  A sharded deployment starts
-    one of these per shard (plus one for the full-copy fallback) and puts
-    a :class:`~repro.shard.client.ShardedServiceClient` in front.
+    The canonical in-process setup used by the tests and the service
+    benchmarks: server and clients in one process, real sockets in
+    between.  A sharded deployment starts one of these per shard (plus
+    one for the full-copy fallback) and puts a
+    :class:`~repro.shard.client.ShardedServiceClient` in front.
     """
     server = QueryServer(session, registry, **server_options)
     started: "threading.Event" = threading.Event()

@@ -308,7 +308,7 @@ class DeploymentSessions:
         """Make the full-copy fallback really fail: its store raises
         (local) / its server is gone (wire)."""
         if self.transport == "local":
-            session.db.full.execute_sql_chunks = _store_gone
+            session.db.full.execute_cursor = _store_gone
         else:
             self._servers[session][-1].stop()
 

@@ -152,17 +152,6 @@ class TestSqlite:
         assert db.connection() is connection
         assert db.execute_sql("SELECT COUNT(*) FROM u") == [(2,)]
 
-    def test_execute_sql_chunks_streams_all_rows(self, tiny_schema):
-        db = Database(tiny_schema)
-        db.insert("u", [{"x": i} for i in range(7)])
-        chunks = list(
-            db.execute_sql_chunks('SELECT x FROM "u" ORDER BY x', batch_size=3)
-        )
-        assert [len(chunk) for chunk in chunks] == [3, 3, 1]
-        assert [x for chunk in chunks for (x,) in chunk] == list(range(7))
-        with pytest.raises(BackendError):
-            list(db.execute_sql_chunks("SELECT 1", batch_size=0))
-
     def test_ensure_index_created_once_and_survives_rebuild(self, tiny_schema):
         db = Database(tiny_schema)
         db.insert("t", [{"id": 1, "s": "a", "f": True}])

@@ -212,10 +212,11 @@ class TestOnLoopSql:
             "    prepared.run(engine='batched', connection=lease)\n"
             "    lease.execute('SELECT 1')\n"
             "    execute_package_batched(db, package)\n"
-            "    db.execute_sql_chunks('SELECT 1')\n"
+            "    db.execute_sql('SELECT 1')\n"
+            "    db.execute_cursor('SELECT 1')\n"
             "    prepared.run(engine='batched')\n"  # no lease: not this rule's
         )
-        assert self._cc005(src) == [2, 3, 4, 5]
+        assert self._cc005(src) == [2, 3, 4, 5, 6]
 
     def test_offloaded_awaited_or_guarded_sql_is_fine(self):
         src = (

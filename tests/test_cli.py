@@ -102,29 +102,3 @@ class TestFigures:
     def test_figures_appendix_a(self, capsys):
         assert main(["figures", "--figure", "A"]) == 0
         assert "72" in capsys.readouterr().out
-
-
-class TestBenchSmoke:
-    def test_bench_smoke_passes(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_METRICS_SNAPSHOT", str(tmp_path / "snapshot.prom")
-        )
-        assert main(["bench", "--smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "smoke PASSED" in out
-        assert "loop-lifting" in out
-        assert "service[metrics]" in out
-
-    def test_bench_without_smoke_flag_exits(self):
-        with pytest.raises(SystemExit):
-            main(["bench"])
-
-    def test_smoke_fails_on_pipeline_exception(self, capsys, monkeypatch):
-        from repro.bench import smoke
-
-        def boom(system, query_name, db, repeats=1):
-            raise RuntimeError("pipeline rot")
-
-        monkeypatch.setattr(smoke, "run_system", boom)
-        assert smoke.main() == 1
-        assert "smoke FAILED" in capsys.readouterr().out

@@ -61,7 +61,6 @@ def test_pipeline_construction_is_contained_in_the_engine():
         src / "pipeline" / "plan_cache.py",  # docstring mention
         src / "bench" / "harness.py",        # benchmark systems
         src / "bench" / "figures.py",
-        src / "bench" / "smoke.py",
         src / "__main__.py",                 # sql --explain engine report
     }
     offenders = [

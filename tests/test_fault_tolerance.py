@@ -755,7 +755,7 @@ class TestSessionFailover:
             def gone(*args, **kwargs):
                 raise sqlite3.OperationalError("shard 1 store is gone")
 
-            monkeypatch.setattr(session.db.shards[1], "execute_sql_chunks", gone)
+            monkeypatch.setattr(session.db.shards[1], "execute_cursor", gone)
             result = session.run(NESTED_QUERIES["Q4"])
             assert_bag_equal(result.value, _expected("Q4"), "reactive")
             assert result.stats.failover_retries == 1

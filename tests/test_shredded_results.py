@@ -323,19 +323,18 @@ class TestWhoDoesTheWork:
         core = ServerCore(session, paper_registry(), shard_label="0/1")
         core.handle({"op": "execute", "query": "Q1"})  # compiled, indexes advised
         folds = _count_folds(monkeypatch)
-        fetched: list = []
-        chunks = session.db.execute_sql_chunks
+        reads: list = []  # one cursor per statement, its one row fetched
+        execute = session.db.execute_cursor
 
         def counting(*args, **kwargs):
-            for chunk in chunks(*args, **kwargs):
-                fetched.extend(chunk)
-                yield chunk
+            reads.append(execute(*args, **kwargs))
+            return reads[-1]
 
-        monkeypatch.setattr(session.db, "execute_sql_chunks", counting)
+        monkeypatch.setattr(session.db, "execute_cursor", counting)
         response = core.handle({"op": "execute", "query": "Q1", "result": "shredded"})
         statements = core.handle({"op": "prepare", "query": "Q1"})["statements"]
         assert folds == []
-        assert len(fetched) == statements == len(response["shredded"]) == 4
+        assert len(reads) == statements == len(response["shredded"]) == 4
         assert all(
             isinstance(count, int) and isinstance(blob, bytes)
             for count, blob in response["shredded"]
@@ -349,9 +348,9 @@ class TestWhoDoesTheWork:
         assert len(folds) == statements
         # The per-path engine (an in-process run's choice) reads the same
         # tables: one fetched row each.
-        fetched.clear()
+        reads.clear()
         per_path = session.run(NESTED_QUERIES["Q1"], engine="per-path")
-        assert len(fetched) == statements
+        assert len(reads) == statements
         assert per_path.stats.rows_fetched == response["stats"]["rows_fetched"]
         assert len(folds) == statements
 

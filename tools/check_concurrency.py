@@ -29,10 +29,10 @@ switch the process-wide cycle collector behind another thread's back
            ``src/repro/service/``: inside an ``async def`` — or inside
            the on-loop helper itself (``_run_guarded``) — a call that
            executes SQL (``.run(… connection=…)``, ``execute_package*``,
-           ``execute_sql*``, ``.execute*(…)``) must be awaited/scheduled
-           or sit in a ``try`` whose ``finally`` clears the progress
-           handler a preceding ``set_progress_handler(<guard>, …)``
-           installed
+           ``execute_sql*``, ``execute_cursor``, ``.execute*(…)``) must
+           be awaited/scheduled or sit in a ``try`` whose ``finally``
+           clears the progress handler a preceding
+           ``set_progress_handler(<guard>, …)`` installed
 
     CC006  unsynchronised process-wide state in the library, under
            ``src/repro/`` outside ``service/`` and ``shard/`` (which have
@@ -126,7 +126,7 @@ IO_MODULES = {"socket", "asyncio"}
 #: by design — its body is held to the same rule as an ``async def``'s.
 SERVICE_PACKAGE = "repro/service/"
 ON_LOOP_HELPER = "_run_guarded"
-SQL_CALL_PREFIXES = ("execute_package", "execute_sql")
+SQL_CALL_PREFIXES = ("execute_package", "execute_sql", "execute_cursor")
 SQL_METHODS = {"execute", "executemany", "executescript"}
 
 #: CC006's scope is the library outside the two packages above; what makes
