@@ -1,9 +1,10 @@
 """Shared fixtures: two generated stores at the default bench scale.
 
 The paper's shape checks (statement and VM-step counts) run at both
-sizes, the figures' cells check their answers against the semantics on
-the larger, and the service bars serve the larger.  The figures' timings
-are ``python -m repro figures``, not this directory's.
+sizes, and the figures' cells check their answers against the semantics
+on the larger.  Nothing here is timed: the figures' timings are
+``python -m repro figures``, and the repository benchmark's are
+``bench/run.py``.
 
 Scale knobs (the README's "Benchmarks" section lists them all):
   REPRO_BENCH_DEPTS  — departments in the benchmark instance (default 8)

@@ -19,7 +19,7 @@ from repro.backend.database import Database
 from repro.baselines.looplifting import LoopLiftingPipeline
 from repro.baselines.naive import AvalanchePipeline
 from repro.data.generator import scaled_database
-from repro.data.queries import FLAT_QUERIES, NESTED_QUERIES, QF_SQL
+from repro.data.queries import FLAT_QUERIES, NESTED_QUERIES
 from repro.nrc.ast import Term
 from repro.pipeline.flat import compile_flat_query
 from repro.pipeline.shredder import ShreddingPipeline
@@ -38,15 +38,12 @@ __all__ = [
 Runner = Callable[[Term, Database], object]
 
 
-def median_millis(fn: Callable[[], object], repeats: int | None = None) -> float:
+def median_millis(fn: Callable[[], object], repeats: int) -> float:
     """Median wall time of ``fn()`` over ``max(1, repeats)`` calls, in ms.
 
-    The one timing helper: the sweeps and the bar benchmarks
-    (``benchmarks/test_plan_cache.py`` / ``test_shard_scaling.py``) all
-    time through it.  ``repeats`` defaults to ``REPRO_BENCH_REPEATS`` (5).
+    The figures' one timing helper: every cell of a sweep times through
+    it, ``repeats`` from its :class:`BenchConfig`.
     """
-    if repeats is None:
-        repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
     samples = []
     for _ in range(max(1, repeats)):
         started = time.perf_counter()
@@ -155,9 +152,6 @@ def run_system(
     """Time one (system, query) cell on a prepared database: the median
     wall-clock milliseconds of compile + execute + stitch."""
     query = ALL_BENCH_QUERIES[query_name]
-    if system == "default-raw-sql":
-        sql = QF_SQL[query_name]
-        return median_millis(lambda: db.execute_sql(sql), repeats)
     runner = SYSTEMS[system]
     return median_millis(lambda: runner(query, db), repeats)
 

@@ -7,80 +7,9 @@ row per system, one column per scale — plus a speedup summary.
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 from repro.bench.harness import CellResult
 
-__all__ = [
-    "format_tables",
-    "format_speedups",
-    "series",
-    "bench_json",
-    "bench_result_path",
-    "write_bench_json",
-    "merge_bench_json",
-]
-
-
-def _normalise_json(value, float_digits: int):
-    """Floats rounded to a fixed precision, recursively — with sorted keys
-    (see :func:`bench_json`) two runs of equal measurements produce
-    byte-identical documents, so ``BENCH_*.json`` diffs stay reviewable."""
-    if isinstance(value, float):
-        return round(value, float_digits)
-    if isinstance(value, dict):
-        return {key: _normalise_json(sub, float_digits) for key, sub in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_normalise_json(sub, float_digits) for sub in value]
-    return value
-
-
-def bench_json(payload: dict, float_digits: int = 3) -> str:
-    """Serialise a benchmark result document deterministically."""
-    return json.dumps(
-        _normalise_json(payload, float_digits), indent=2, sort_keys=True
-    ) + "\n"
-
-
-def bench_result_path(name: str) -> pathlib.Path:
-    """Where a benchmark module writes ``BENCH_<name>.json``: under the
-    git-ignored ``.benchmarks/`` of the working directory (pytest-
-    benchmark's own convention), so running the suite never rewrites a
-    tracked file.  The tracked ``BENCH_*.json`` at the repo root are
-    refreshed by copying from there when a change means to move them."""
-    directory = pathlib.Path(".benchmarks")
-    directory.mkdir(exist_ok=True)
-    return directory / f"BENCH_{name}.json"
-
-
-def write_bench_json(
-    path: "pathlib.Path | str", payload: dict, float_digits: int = 3
-) -> None:
-    """Write a ``BENCH_*.json`` document (sorted keys, fixed precision)."""
-    pathlib.Path(path).write_text(bench_json(payload, float_digits))
-
-
-def merge_bench_json(
-    path: "pathlib.Path | str", updates: dict, float_digits: int = 3
-) -> dict:
-    """Update top-level keys of a ``BENCH_*.json`` document in place.
-
-    Several benchmark modules can contribute scenarios to one result file
-    (``BENCH_service.json`` holds both the healthy concurrency sweep and
-    the degraded failover scenario) without clobbering each other — each
-    replaces only the keys it owns.  Returns the merged document.
-    """
-    target = pathlib.Path(path)
-    document: dict = {}
-    if target.exists():
-        try:
-            document = json.loads(target.read_text())
-        except (OSError, json.JSONDecodeError):
-            document = {}  # a corrupt result file is rebuilt, not fatal
-    document.update(updates)
-    write_bench_json(target, document, float_digits)
-    return document
+__all__ = ["format_tables", "format_speedups", "series"]
 
 
 def series(

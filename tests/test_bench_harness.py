@@ -70,7 +70,7 @@ class TestTiming:
     def test_all_nested_systems_run(self, system, tiny_db):
         assert run_system(system, "Q4", tiny_db, repeats=1) > 0
 
-    @pytest.mark.parametrize("system", ["default", "default-raw-sql"])
+    @pytest.mark.parametrize("system", ["default"])
     def test_flat_systems_run(self, system, tiny_db):
         assert run_system(system, "QF1", tiny_db, repeats=1) > 0
 
@@ -178,8 +178,7 @@ class TestFigureGenerators:
         assert "|T1| = 72" in text
         assert "(paper: 9)" in text
 
-    def test_counts_text(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_MAX_DEPTS", "2")
+    def test_counts_text(self):
         from repro.bench.figures import figure_counts
 
         config = BenchConfig(

@@ -351,6 +351,9 @@ class TestCoPartitionedDifferential:
             figure3_database(), placement=placement, shards=shards
         )
         try:
+            # Both aligned tables split across the shards without loss.
+            for table in placement.sharded_tables:
+                assert sum(session.db.row_counts(table)) == single.db.row_count(table)
             for name in sorted(NESTED_QUERIES):
                 expected = single.run(NESTED_QUERIES[name]).value
                 result = session.run(NESTED_QUERIES[name])

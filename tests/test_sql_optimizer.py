@@ -10,7 +10,7 @@ a warm optimised plan only ever reads.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 from repro.data.queries import FLAT_QUERIES, NESTED_QUERIES
 from repro.pipeline.flat import compile_flat_query
@@ -39,6 +39,8 @@ from repro.sql.render import render_statement
 from repro.values import bag_equal
 
 from .strategies import queries_with_nesting
+from .test_oracle_matrix import oracle_steps
+from .test_property_pipeline import IN_MEMORY_BUDGET
 
 #: The rewrites target the let-inserted flat form (CTEs, subqueries); on a
 #: keyed schema that form is forced.  ``OPT_KEYED`` is the optimizer over
@@ -281,6 +283,9 @@ def test_generated_queries_identical_under_optimizer(
     small_random_db, engine, query
 ):
     db = small_random_db
+    # The odd drawn term nests enough generators to keep every engine
+    # busy for minutes; its plans are no different from the rest.
+    assume(oracle_steps(query, db) <= IN_MEMORY_BUDGET)
     expected = ShreddingPipeline(db.schema).run(query, db)
     actual = ShreddingPipeline(db.schema, OPT).run(query, db, engine=engine)
     assert bag_equal(expected, actual)
