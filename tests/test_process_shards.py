@@ -115,6 +115,23 @@ class TestPaperQueries:
                 f"{name} over task_co ({result.route})",
             )
 
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("name", QUERIES)
+    def test_each_query_fans_out_under_its_alignment(
+        self, single, clusters, name, shards
+    ):
+        # Q5's nested reference fans out only when tasks and employees are
+        # aligned; every other paper query fans out under departments ⟂
+        # employees.  A fan-out is right at one shard as at four.
+        placement = P_TASK_CO if name == "Q5" else P_DEPT_CO
+        prepared = clusters(placement, shards).prepare(name)
+        assert prepared.plan.mode == "fanout", prepared.plan.reason
+        result = prepared.run()
+        assert result.route == "fanout"
+        assert result.shards == tuple(range(shards))
+        expected = single.run(REGISTRY.lookup(name).term).value
+        assert_bag_equal(result.value, expected, f"{name} @ {shards} shards")
+
     def test_parameterised_queries_agree(self, single, clusters):
         session = clusters(P_DEPT_CO, 2)
         term = REGISTRY.lookup("staff_above").term
